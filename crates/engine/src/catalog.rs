@@ -47,10 +47,11 @@ impl DbCatalog {
             .ok_or_else(|| EngineError::UnknownTable(name.to_owned()))
     }
 
-    /// Replace a table (e.g. with a reorganized incarnation), returning
-    /// the previous one if present.
-    pub fn replace(&mut self, table: Table) -> Option<Table> {
-        self.tables.insert(table.name().to_owned(), table)
+    /// Look a table up by name for in-place mutation (append, compact).
+    pub fn table_mut(&mut self, name: &str) -> EngineResult<&mut Table> {
+        self.tables
+            .get_mut(name)
+            .ok_or_else(|| EngineError::UnknownTable(name.to_owned()))
     }
 
     /// All table names, sorted.
@@ -99,13 +100,17 @@ mod tests {
     }
 
     #[test]
-    fn replace_swaps_incarnation() {
+    fn table_mut_grows_the_registered_table_in_place() {
         let mut c = DbCatalog::new();
         c.register(t("r")).unwrap();
-        let bigger = Table::from_int_columns("r", vec![("a", vec![1, 2, 3])]).unwrap();
-        let old = c.replace(bigger);
-        assert_eq!(old.unwrap().len(), 2);
-        assert_eq!(c.table("r").unwrap().len(), 3);
-        assert_eq!(c.len(), 1);
+        c.table_mut("r")
+            .unwrap()
+            .append_int_rows(&[vec![3]])
+            .unwrap();
+        assert_eq!(c.table("r").unwrap().ints("a").unwrap(), &[1, 2, 3]);
+        assert!(matches!(
+            c.table_mut("zzz"),
+            Err(EngineError::UnknownTable(_))
+        ));
     }
 }

@@ -12,8 +12,8 @@ use crate::admission::{AdmissionGate, AdmissionPermit};
 use crate::catalog::DbCatalog;
 use crate::cost::RunStats;
 use crate::durability::{
-    cracker_key, not_attached, shared_key, table_key, DbMeta, Durability, TableMeta,
-    DB_META_VERSION, META_KEY,
+    cracker_key, not_attached, not_replayable, shared_key, table_key, DbMeta, Durability,
+    TableMeta, DB_META_VERSION, META_KEY,
 };
 use crate::error::{EngineError, EngineResult};
 use crate::exec::batch::{refine_conjunct, BlockScratch};
@@ -235,10 +235,32 @@ impl AdaptiveDb {
         q: &RangeQuery,
         mode: OutputMode,
     ) -> EngineResult<(Vec<u32>, RunStats)> {
+        self.run_select(q, mode, None)
+    }
+
+    /// The body [`select`](Self::select) and
+    /// [`select_governed`](Self::select_governed) share: crack `q`'s
+    /// column — polling `governor`, when there is one, at every safe
+    /// crack-step boundary — and account the run.
+    fn run_select(
+        &mut self,
+        q: &RangeQuery,
+        mode: OutputMode,
+        governor: Option<&Governor>,
+    ) -> EngineResult<(Vec<u32>, RunStats)> {
         let start = Instant::now();
         let col = self.cracker(&q.table, &q.attr)?;
         let before = *col.stats();
-        let sel = col.select(q.pred);
+        let sel = match governor {
+            None => col.select(q.pred),
+            Some(g) => match col.select_guarded(q.pred, &g.as_guard()) {
+                Some(sel) => sel,
+                None => {
+                    g.check()?;
+                    unreachable!("the guard failed but the governor reports no violation");
+                }
+            },
+        };
         let delta = col.stats().delta_since(&before);
         let oids = match mode {
             OutputMode::Count => Vec::new(),
@@ -393,31 +415,7 @@ impl AdaptiveDb {
         // The wait may have consumed the rest of the budget: re-check
         // before paying for any cracking.
         governor.check()?;
-        let start = Instant::now();
-        let col = self.cracker(&q.table, &q.attr)?;
-        let before = *col.stats();
-        let guard = governor.as_guard();
-        let Some(sel) = col.select_guarded(q.pred, &guard) else {
-            governor.check()?;
-            unreachable!("the guard failed but the governor reports no violation");
-        };
-        let delta = col.stats().delta_since(&before);
-        let oids = match mode {
-            OutputMode::Count => Vec::new(),
-            _ => col.selection_oids(&sel),
-        };
-        let mut stats = RunStats {
-            tuples_read: delta.tuples_touched + delta.edge_scanned,
-            tuples_written: delta.tuples_moved,
-            result_count: sel.count() as u64,
-            ..Default::default()
-        };
-        if mode == OutputMode::Materialize {
-            stats.tables_created = 1;
-            stats.tuples_written += stats.result_count;
-        }
-        stats.elapsed = start.elapsed();
-        Ok((oids, stats))
+        self.run_select(q, mode, Some(governor))
     }
 
     /// [`shared_select_batch`](Self::shared_select_batch) under a
@@ -680,8 +678,8 @@ impl AdaptiveDb {
         Ok(())
     }
 
-    /// Append whole rows to a base table: the catalog gains a grown
-    /// incarnation of the table (new rows take the next dense OIDs), and
+    /// Append whole rows to a base table: the catalog's table is swapped
+    /// for a grown incarnation (new rows take the next dense OIDs), and
     /// every *already-cracked* copy of each column — single-threaded and
     /// shared — absorbs its slice of the new rows through the staged
     /// overlay via [`stage_insert_batch`](Self::stage_insert_batch), so
@@ -700,24 +698,25 @@ impl AdaptiveDb {
         if rows.iter().any(|r| r.len() != names.len()) {
             return Err(EngineError::RaggedColumns(table.to_owned()));
         }
+        for name in &names {
+            t.ints(name)?;
+        }
         if rows.is_empty() {
             return Ok(start);
         }
-        // Build the grown incarnation first (also proves every column is
-        // an int column before anything is staged or logged).
-        let mut cols: Vec<(&str, Vec<i64>)> = Vec::with_capacity(names.len());
-        for (i, name) in names.iter().enumerate() {
-            let mut vals = t.ints(name)?.to_vec();
-            vals.extend(rows.iter().map(|r| r[i]));
-            cols.push((name.as_str(), vals));
-        }
-        let grown = Table::from_int_columns(table, cols)?;
+        // Copy-on-write: `grown` shares the column `Arc`s with the
+        // registered table, so `append_int_rows` copies each column once
+        // and the registered table stays as it was until the swap below.
+        // `catalog.table_mut(table)?.append_int_rows(rows)` grows the
+        // columns in place instead; CHANGES.md (PR 12) says why that waits.
+        let mut grown = t.clone();
+        grown.append_int_rows(rows)?;
         // Stage each column's slice into its cracked copies *before*
-        // swapping the catalog: cracked copies snapshot the base at
-        // first touch, so they must absorb the new rows as overlay
-        // entries (the grown base is what *future* first touches see).
-        // Only columns with live cracked state (or a WAL to feed) need
-        // staging.
+        // swapping the base: cracked copies snapshot the base at first
+        // touch, so they must absorb the new rows as overlay entries (the
+        // grown base is what *future* first touches see), and a failed
+        // log append must leave the base as it was. Only columns with
+        // live cracked state (or a WAL to feed) need staging.
         for (i, name) in names.iter().enumerate() {
             let key = (table.to_owned(), name.clone());
             if self.crackers.contains_key(&key)
@@ -732,11 +731,63 @@ impl AdaptiveDb {
                 self.stage_insert_batch(table, name, &batch)?;
             }
         }
-        self.catalog.replace(grown);
+        *self.catalog.table_mut(table)? = grown;
         // Sideways maps snapshot (head, tail) pairs; invalidate rather
         // than serve answers missing the appended rows.
         self.maps.retain(|(t, _, _), _| t != table);
         Ok(start)
+    }
+
+    /// Delete the rows at `oids` from a base table in place: every base
+    /// column is compacted in one pass and the survivors are renumbered
+    /// densely, so the table's cracked copies, shared copies and sideways
+    /// maps — whose OIDs are now stale — are dropped and rebuilt at their
+    /// next first touch. Other tables keep their cracked state. OIDs
+    /// beyond the table (and repeats) are ignored; returns the number of
+    /// rows removed, and a call that removes none changes nothing.
+    ///
+    /// Refused while durability is attached: recovery replays only the
+    /// update overlay, and a checkpoint fingerprints a base column by its
+    /// cardinality — it could not tell a compacted column from the one it
+    /// already holds (see `PERSISTENCE.md`, "SQL DML coverage").
+    pub fn delete_rows(&mut self, table: &str, oids: &[u32]) -> EngineResult<usize> {
+        if self.durability.is_some() {
+            return Err(not_replayable("delete_rows"));
+        }
+        let t = self.catalog.table_mut(table)?;
+        let mut doomed = vec![false; t.len()];
+        for &oid in oids {
+            if let Some(d) = doomed.get_mut(oid as usize) {
+                *d = true;
+            }
+        }
+        let removed = doomed.iter().filter(|&&d| d).count();
+        if removed > 0 {
+            t.retain_rows(|oid| !doomed[oid]);
+            self.forget_cracked_state(table);
+        }
+        Ok(removed)
+    }
+
+    /// Drop a base table together with its cracked copies, shared copies,
+    /// sideways maps and lineage root. Refused while durability is
+    /// attached: a redo record naming the dropped table would make
+    /// [`recover`](Self::recover) fail with `UnknownTable`.
+    pub fn drop_table(&mut self, table: &str) -> EngineResult<()> {
+        if self.durability.is_some() {
+            return Err(not_replayable("drop_table"));
+        }
+        self.catalog.drop_table(table)?;
+        self.roots.remove(table);
+        self.forget_cracked_state(table);
+        Ok(())
+    }
+
+    /// Drop every cracked structure built over `table`'s OIDs.
+    fn forget_cracked_state(&mut self, table: &str) {
+        self.crackers.retain(|(t, _), _| t != table);
+        self.shared.retain(|(t, _), _| t != table);
+        self.maps.retain(|(t, _, _), _| t != table);
     }
 
     /// Morsel-parallel OID selection over the shared cracked copy of a
@@ -885,9 +936,10 @@ impl AdaptiveDb {
         };
         let mut w = store.begin()?;
         w.put(META_KEY, &format!("{meta:?}"), &meta)?;
-        // Base tables are immutable after registration (updates live in
-        // the overlay), so cardinality is a sufficient fingerprint: the
-        // values are serialized once, then carried forward forever.
+        // While durability is attached a base table only ever grows at
+        // its end (`delete_rows` / `drop_table` refuse), so cardinality is
+        // a sufficient fingerprint: an unchanged count means unchanged
+        // values, carried forward without rewriting.
         for tm in &meta.tables {
             let t = self.catalog.table(&tm.name)?;
             for c in &tm.columns {
@@ -1584,6 +1636,112 @@ mod tests {
         // Ragged rows are rejected before anything is staged.
         assert!(db.append_rows("r", &[vec![1]]).is_err());
         assert_eq!(db.append_rows("r", &[]).unwrap(), 102);
+        // An empty table (what `CREATE TABLE` registers) grows from OID 0,
+        // cracked or not.
+        db.register(Table::from_int_columns("e", vec![("x", vec![]), ("y", vec![])]).unwrap())
+            .unwrap();
+        let count = |db: &mut AdaptiveDb, pred| {
+            let q = RangeQuery::new("e", "x", pred);
+            db.select(&q, OutputMode::Count).unwrap().1.result_count
+        };
+        assert_eq!(db.append_rows("e", &[vec![1, 10]]).unwrap(), 0);
+        assert_eq!(count(&mut db, RangePred::ge(0)), 1);
+        assert_eq!(db.append_rows("e", &[vec![2, 20], vec![3, 30]]).unwrap(), 1);
+        assert_eq!(count(&mut db, RangePred::ge(2)), 2);
+        assert_eq!(
+            db.catalog().table("e").unwrap().ints("y").unwrap(),
+            &[10, 20, 30]
+        );
+    }
+
+    #[test]
+    fn delete_rows_compacts_one_table_and_forgets_only_its_cracked_state() {
+        let mut db = db();
+        let crack = |db: &mut AdaptiveDb, table: &str, attr: &str| {
+            let q = RangeQuery::new(table, attr, RangePred::lt(3));
+            db.select(&q, OutputMode::Count).unwrap();
+        };
+        crack(&mut db, "r", "a");
+        crack(&mut db, "s", "k");
+        db.shared_cracker("r", "k").unwrap();
+        db.select_project("r", "a", "k", RangePred::lt(10)).unwrap();
+        assert!(matches!(
+            db.delete_rows("zzz", &[0]),
+            Err(EngineError::UnknownTable(_))
+        ));
+        // Nothing to remove: nothing changes, cracked state included.
+        assert_eq!(db.delete_rows("r", &[]).unwrap(), 0);
+        assert_eq!(db.delete_rows("r", &[100, 7_000]).unwrap(), 0);
+        assert_eq!(
+            (db.cracked_columns(), db.shared_columns(), db.map_count()),
+            (2, 1, 1)
+        );
+        // Repeats and out-of-range OIDs count once or not at all.
+        assert_eq!(db.delete_rows("r", &[0, 99, 0, 100]).unwrap(), 2);
+        let r = db.catalog().table("r").unwrap();
+        assert_eq!(r.len(), 98);
+        assert_eq!(r.ints("a").unwrap()[0], 98, "old OID 1 is the new OID 0");
+        assert_eq!(r.ints("k").unwrap()[97], 8, "columns stay aligned");
+        assert_eq!(
+            (db.cracked_columns(), db.shared_columns(), db.map_count()),
+            (1, 0, 0),
+            "r's copies are stale, s keeps its own"
+        );
+        assert_eq!(db.total_crack_stats().queries, 1, "s's counters survive");
+        // The next first touch snapshots the compacted base.
+        let q = RangeQuery::new("r", "a", RangePred::ge(98));
+        assert_eq!(db.select(&q, OutputMode::Stream).unwrap().0, vec![0]);
+        // All rows.
+        let all: Vec<u32> = (0..98).collect();
+        assert_eq!(db.delete_rows("r", &all).unwrap(), 98);
+        assert!(db.catalog().table("r").unwrap().is_empty());
+        assert_eq!(
+            db.select_conjunctive("r", &[("a", RangePred::ge(0))])
+                .unwrap(),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn drop_table_purges_the_table_and_everything_cracked_over_it() {
+        let mut db = db();
+        db.select_project("r", "a", "k", RangePred::lt(10)).unwrap();
+        db.select_conjunctive("r", &[("a", RangePred::lt(5))])
+            .unwrap();
+        db.select_conjunctive("s", &[("k", RangePred::lt(2))])
+            .unwrap();
+        assert!(matches!(
+            db.drop_table("zzz"),
+            Err(EngineError::UnknownTable(_))
+        ));
+        db.drop_table("r").unwrap();
+        assert_eq!(db.catalog().names(), vec!["s"]);
+        assert_eq!((db.cracked_columns(), db.map_count()), (1, 0));
+        assert!(db.select_conjunctive("r", &[]).is_err());
+        // The name is free again, and a join over it records lineage anew.
+        db.register(Table::from_int_columns("r", vec![("k", vec![1, 2])]).unwrap())
+            .unwrap();
+        assert_eq!(db.join("r", "k", "s", "k").unwrap().len(), 8);
+    }
+
+    #[test]
+    fn durability_refuses_base_mutations_it_cannot_replay() {
+        let dir = std::env::temp_dir().join(format!("dbcracker-db-refuse-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = db();
+        db.attach_durability(&dir, 1).unwrap();
+        for err in [
+            db.delete_rows("r", &[1]).unwrap_err(),
+            db.drop_table("s").unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, EngineError::Storage(StorageError::Persist(m)) if m.contains("refused")),
+                "{err}"
+            );
+        }
+        assert_eq!(db.catalog().table("r").unwrap().len(), 100);
+        assert_eq!(db.catalog().len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

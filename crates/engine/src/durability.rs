@@ -147,3 +147,13 @@ pub(crate) fn not_attached() -> EngineError {
         "no durability attached — call attach_durability first".to_string(),
     ))
 }
+
+/// Error for base-table mutations that durability cannot reproduce:
+/// recovery replays only the update overlay, so compacting or dropping a
+/// base table under an attached redo log would leave a directory that
+/// recovers to different data (or not at all).
+pub(crate) fn not_replayable(op: &str) -> EngineError {
+    EngineError::Storage(StorageError::Persist(format!(
+        "{op} is refused while durability is attached — the redo log cannot replay it"
+    )))
+}

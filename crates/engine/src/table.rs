@@ -122,6 +122,33 @@ impl Table {
         Ok(ConcurrentColumn::build(vals, config, mode))
     }
 
+    /// Append whole rows in place; new rows take the next dense OIDs.
+    /// Every row must match the schema's arity and every column must be
+    /// an integer column — both checked before any column grows, so a
+    /// rejected batch leaves the table untouched. A column `Arc` shared
+    /// with a view is copied once (`Arc::make_mut`); an unshared one
+    /// grows by the rows appended.
+    pub fn append_int_rows(&mut self, rows: &[Vec<i64>]) -> EngineResult<()> {
+        if rows.iter().any(|r| r.len() != self.columns.len()) {
+            return Err(EngineError::RaggedColumns(self.name.clone()));
+        }
+        for def in self.schema.columns() {
+            self.ints(&def.name)?;
+        }
+        for (i, col) in self.columns.iter_mut().enumerate() {
+            Arc::make_mut(col).append_ints(rows.iter().map(|r| r[i]))?;
+        }
+        Ok(())
+    }
+
+    /// Keep only the rows whose OID `keep` accepts, compacting every
+    /// column in one pass; survivors are renumbered densely from 0.
+    pub fn retain_rows(&mut self, keep: impl Fn(usize) -> bool) {
+        for col in &mut self.columns {
+            Arc::make_mut(col).retain_positions(&keep);
+        }
+    }
+
     /// The full row (as atoms in schema order) at surrogate `oid` — rows
     /// are reconstructed via positional alignment of the dense OID space.
     pub fn row(&self, oid: Oid) -> EngineResult<Vec<Atom>> {
@@ -209,6 +236,35 @@ mod tests {
         assert_eq!(all.len(), 3);
         assert_eq!(all[2].0, 2);
         assert_eq!(all[2].1, vec![Atom::Int(3), Atom::Int(30)]);
+    }
+
+    #[test]
+    fn rows_append_and_compact_in_place() {
+        let mut t = sample();
+        let view = t.column_view("k").unwrap();
+        t.append_int_rows(&[vec![4, 40], vec![5, 50]]).unwrap();
+        assert_eq!(t.ints("a").unwrap(), &[10, 20, 30, 40, 50]);
+        assert_eq!(view.len(), 3, "a shared column is copied, not mutated");
+        assert!(matches!(
+            t.append_int_rows(&[vec![6, 60], vec![7]]),
+            Err(EngineError::RaggedColumns(_))
+        ));
+        assert_eq!(t.len(), 5, "a ragged batch appends nothing");
+        t.retain_rows(|oid| oid % 2 == 0);
+        assert_eq!(t.ints("k").unwrap(), &[1, 3, 5]);
+        assert_eq!(t.row(2).unwrap(), vec![Atom::Int(5), Atom::Int(50)]);
+        // A non-int column refuses the whole batch.
+        let schema = Schema::new(vec![
+            crate::schema::ColumnDef::int("k"),
+            crate::schema::ColumnDef::new("f", AtomType::Float),
+        ]);
+        let cols = vec![
+            Arc::new(Bat::from_ints("k", vec![1])),
+            Arc::new(Bat::from_floats("f", vec![1.0])),
+        ];
+        let mut mixed = Table::new("m", schema, cols).unwrap();
+        assert!(mixed.append_int_rows(&[vec![2, 2]]).is_err());
+        assert_eq!(mixed.len(), 1);
     }
 
     #[test]

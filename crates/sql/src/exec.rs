@@ -7,11 +7,16 @@
 //! every `SELECT` leaves the store a little better partitioned for the
 //! next one.
 //!
-//! Base-table DDL/DML (`CREATE`/`DROP`/`INSERT`) takes the conservative
-//! end of the paper's open update question: it invalidates the cracked
-//! state of the affected store on the next query (the incremental end —
-//! pending staging areas — is available programmatically through
-//! [`AdaptiveDb::stage_insert`]).
+//! The session holds nothing but the database: DDL/DML mutates the
+//! [`AdaptiveDb`]'s catalog in place, taking the conservative end of the
+//! paper's open update question only where it must. `INSERT` swaps the
+//! table for a grown incarnation (one copy of that table's columns, no
+//! other table touched) and stages the new rows into the table's cracked
+//! copies, which stay warm; `DELETE` compacts the table's base
+//! columns (OIDs stay dense) and starts *that table's* cracked copies
+//! over; `CREATE`/`DROP` register and remove one table. No statement
+//! touches another table's cracked state, and every statement is
+//! validated before it changes anything.
 
 use crate::ast::{SelectStmt, Statement};
 use crate::error::{Span, SqlError, SqlResult};
@@ -112,12 +117,6 @@ impl fmt::Display for QueryOutput {
     }
 }
 
-/// In-memory column buffers for one base table.
-#[derive(Debug, Clone)]
-struct TableBuffer {
-    columns: Vec<(String, Vec<i64>)>,
-}
-
 /// A prepared SELECT: parsed, normalized and resolved once, with `?`
 /// placeholders left as bind-time slots. Produced by
 /// [`SqlSession::prepare`]; executed (any number of times, with different
@@ -143,10 +142,7 @@ impl Prepared {
 
 /// An interactive SQL session over an adaptive (cracking) database.
 pub struct SqlSession {
-    buffers: BTreeMap<String, TableBuffer>,
     db: AdaptiveDb,
-    dirty: bool,
-    config: CrackerConfig,
 }
 
 impl SqlSession {
@@ -158,55 +154,64 @@ impl SqlSession {
     /// An empty session with an explicit cracker configuration.
     pub fn with_config(config: CrackerConfig) -> Self {
         SqlSession {
-            buffers: BTreeMap::new(),
             db: AdaptiveDb::with_config(config),
-            dirty: false,
-            config,
         }
     }
 
     /// Load a table programmatically (the REPL uses this for demo data;
-    /// tests for fixtures). Columns must be equally long.
+    /// tests for fixtures). Columns must be equally long and distinctly
+    /// named; the vectors move into the database without a copy.
     pub fn load_table(
         &mut self,
         name: impl Into<String>,
         columns: Vec<(String, Vec<i64>)>,
     ) -> SqlResult<()> {
-        let name = name.into();
-        if self.buffers.contains_key(&name) {
-            return Err(SqlError::semantic(
-                format!("table {name:?} already exists"),
-                Span::default(),
-            ));
+        self.register_table(name.into(), columns, Span::default())
+    }
+
+    /// Validate and register a new base table. Everything that could
+    /// make the engine refuse (or panic on) the table is rejected here,
+    /// at the statement that introduces it.
+    fn register_table(
+        &mut self,
+        name: String,
+        columns: Vec<(String, Vec<i64>)>,
+        span: Span,
+    ) -> SqlResult<()> {
+        let duplicate = columns.iter().enumerate().find_map(|(i, (column, _))| {
+            let seen = columns[..i].iter().any(|(earlier, _)| earlier == column);
+            seen.then_some(column)
+        });
+        let problem = if self.db.catalog().table(&name).is_ok() {
+            Some(format!("table {name:?} already exists"))
+        } else if columns.is_empty() {
+            Some("a table needs at least one column".to_owned())
+        } else {
+            duplicate.map(|c| format!("duplicate column name {c:?} in table {name:?}"))
+        };
+        if let Some(problem) = problem {
+            return Err(SqlError::semantic(problem, span));
         }
-        if columns.is_empty() {
-            return Err(SqlError::semantic(
-                "a table needs at least one column",
-                Span::default(),
-            ));
-        }
-        let n = columns[0].1.len();
-        if columns.iter().any(|(_, v)| v.len() != n) {
-            return Err(SqlError::semantic(
-                "columns differ in length",
-                Span::default(),
-            ));
-        }
-        self.buffers.insert(name, TableBuffer { columns });
-        self.dirty = true;
+        let (names, values): (Vec<String>, Vec<Vec<i64>>) = columns.into_iter().unzip();
+        let columns = names.iter().map(String::as_str).zip(values).collect();
+        self.db.register(Table::from_int_columns(name, columns)?)?;
         Ok(())
     }
 
-    /// The underlying adaptive database (synchronized first, so cracked
-    /// state and catalog reflect all executed statements).
-    pub fn adaptive(&mut self) -> &AdaptiveDb {
-        self.sync();
+    /// A base table by name; a miss is a semantic error at `span`.
+    fn table(&self, name: &str, span: Span) -> SqlResult<&Table> {
+        let unknown = |_| SqlError::semantic(format!("unknown table {name:?}"), span);
+        self.db.catalog().table(name).map_err(unknown)
+    }
+
+    /// The underlying adaptive database: catalog and cracked state as
+    /// every executed statement left them.
+    pub fn adaptive(&self) -> &AdaptiveDb {
         &self.db
     }
 
-    /// Number of columns cracked so far in the current incarnation.
-    pub fn cracked_columns(&mut self) -> usize {
-        self.sync();
+    /// Number of columns cracked so far.
+    pub fn cracked_columns(&self) -> usize {
         self.db.cracked_columns()
     }
 
@@ -244,7 +249,7 @@ impl SqlSession {
     /// [`Self::execute_prepared_many`] — the paper's recurring
     /// experiment shape (`A < v1 < v2 < A+w`) without re-lowering per
     /// query.
-    pub fn prepare(&mut self, src: &str) -> SqlResult<Prepared> {
+    pub fn prepare(&self, src: &str) -> SqlResult<Prepared> {
         let stmt = parse_one(src)?;
         let Statement::Select(select) = stmt else {
             return Err(SqlError::unsupported(
@@ -252,7 +257,6 @@ impl SqlSession {
                 Span::default(),
             ));
         };
-        self.sync();
         let lowered = lower_select(&select, self.db.catalog())?;
         Ok(Prepared {
             lowered,
@@ -267,7 +271,6 @@ impl SqlSession {
         params: &[i64],
     ) -> SqlResult<QueryOutput> {
         let bound = prepared.lowered.bind(params)?;
-        self.sync();
         self.run_lowered(&bound, prepared.limit)
     }
 
@@ -284,7 +287,6 @@ impl SqlSession {
         prepared: &Prepared,
         bindings: &[Vec<i64>],
     ) -> SqlResult<Vec<QueryOutput>> {
-        self.sync();
         if let Some(out) = self.try_prepared_batch(prepared, bindings)? {
             return Ok(out);
         }
@@ -332,100 +334,43 @@ impl SqlSession {
         Ok(Some(out))
     }
 
-    /// Rebuild the adaptive database from the buffers after DDL/DML.
-    fn sync(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        let mut db = AdaptiveDb::with_config(self.config);
-        for (name, buf) in &self.buffers {
-            let cols: Vec<(&str, Vec<i64>)> = buf
-                .columns
-                .iter()
-                .map(|(n, v)| (n.as_str(), v.clone()))
-                .collect();
-            let table = Table::from_int_columns(name.clone(), cols)
-                // lint: allow(unwrap) — every mutation path validates the buffer
-                .expect("buffers are validated on mutation");
-            // lint: allow(unwrap) — buffers are keyed by name, so names are unique
-            db.register(table).expect("buffer names are unique");
-        }
-        self.db = db;
-        self.dirty = false;
-    }
-
     fn run_statement(&mut self, stmt: &Statement) -> SqlResult<QueryOutput> {
-        match stmt {
+        let message = match stmt {
+            Statement::Select(select) => return self.run_select(select),
             Statement::CreateTable {
                 name,
                 columns,
                 span,
             } => {
-                if self.buffers.contains_key(name) {
+                let columns = columns.iter().map(|c| (c.clone(), Vec::new())).collect();
+                self.register_table(name.clone(), columns, *span)?;
+                format!("created table {name}")
+            }
+            Statement::DropTable { name, span } => {
+                self.table(name, *span)?;
+                self.db.drop_table(name)?;
+                format!("dropped table {name}")
+            }
+            Statement::InsertValues { table, rows, span } => {
+                let arity = self.table(table, *span)?.schema().arity();
+                if let Some(row) = rows.iter().find(|row| row.len() != arity) {
                     return Err(SqlError::semantic(
-                        format!("table {name:?} already exists"),
+                        format!(
+                            "table {table:?} has {arity} columns but the rows have {}",
+                            row.len()
+                        ),
                         *span,
                     ));
                 }
-                let columns = columns.iter().map(|c| (c.clone(), Vec::new())).collect();
-                self.buffers.insert(name.clone(), TableBuffer { columns });
-                self.dirty = true;
-                Ok(QueryOutput::Affected {
-                    message: format!("created table {name}"),
-                })
-            }
-            Statement::DropTable { name, span } => {
-                if self.buffers.remove(name).is_none() {
-                    return Err(SqlError::semantic(format!("unknown table {name:?}"), *span));
-                }
-                self.dirty = true;
-                Ok(QueryOutput::Affected {
-                    message: format!("dropped table {name}"),
-                })
-            }
-            Statement::InsertValues { table, rows, span } => {
-                let buf = self
-                    .buffers
-                    .get_mut(table)
-                    .ok_or_else(|| SqlError::semantic(format!("unknown table {table:?}"), *span))?;
-                for row in rows {
-                    if row.len() != buf.columns.len() {
-                        return Err(SqlError::semantic(
-                            format!(
-                                "table {table:?} has {} columns but the rows have {}",
-                                buf.columns.len(),
-                                row.len()
-                            ),
-                            *span,
-                        ));
-                    }
-                }
-                for row in rows {
-                    for ((_, col), v) in buf.columns.iter_mut().zip(row) {
-                        col.push(*v);
-                    }
-                }
-                // Fast path: while the adaptive db is in sync with the
-                // buffers, route the batch through the staged-update
-                // surface — one overlay batch per column — so cracked
-                // state survives the insert instead of being rebuilt
-                // cold on the next query. Any refusal falls back to the
-                // dirty full rebuild (correct either way; the buffers
-                // stay the source of truth).
-                if !self.dirty && self.db.append_rows(table, rows).is_err() {
-                    self.dirty = true;
-                }
-                Ok(QueryOutput::Affected {
-                    message: format!("inserted {} rows into {table}", rows.len()),
-                })
+                self.db.append_rows(table, rows)?;
+                format!("inserted {} rows into {table}", rows.len())
             }
             Statement::InsertSelect {
                 table,
                 select,
                 span,
             } => {
-                let out = self.run_select(select)?;
-                let (columns, rows) = match out {
+                let (columns, rows) = match self.run_select(select)? {
                     QueryOutput::Table { columns, rows } => (columns, rows),
                     QueryOutput::Affected { .. } => unreachable!("SELECT yields a table"),
                 };
@@ -436,58 +381,43 @@ impl SqlSession {
                         *span,
                     ));
                 }
-                let inserted = rows.len();
-                match self.buffers.get_mut(table) {
-                    Some(buf) => {
-                        if buf.columns.len() != columns.len() {
+                match self.db.catalog().table(table) {
+                    Ok(t) => {
+                        let arity = t.schema().arity();
+                        if arity != columns.len() {
                             return Err(SqlError::semantic(
                                 format!(
-                                    "table {table:?} has {} columns but the query \
+                                    "table {table:?} has {arity} columns but the query \
                                      produces {}",
-                                    buf.columns.len(),
                                     columns.len()
                                 ),
                                 *span,
                             ));
                         }
-                        for row in &rows {
-                            for ((_, col), v) in buf.columns.iter_mut().zip(row) {
-                                col.push(*v);
-                            }
-                        }
+                        self.db.append_rows(table, &rows)?;
                     }
-                    None => {
+                    Err(_) => {
                         // Materialize into a new table, as §2.1's benchmark
                         // query does.
                         let mut cols: Vec<(String, Vec<i64>)> = columns
-                            .iter()
-                            .map(|c| (c.clone(), Vec::with_capacity(rows.len())))
+                            .into_iter()
+                            .map(|c| (c, Vec::with_capacity(rows.len())))
                             .collect();
                         for row in &rows {
                             for ((_, col), v) in cols.iter_mut().zip(row) {
                                 col.push(*v);
                             }
                         }
-                        self.buffers
-                            .insert(table.clone(), TableBuffer { columns: cols });
+                        self.register_table(table.clone(), cols, *span)?;
                     }
                 }
-                self.dirty = true;
-                Ok(QueryOutput::Affected {
-                    message: format!("inserted {inserted} rows into {table}"),
-                })
+                format!("inserted {} rows into {table}", rows.len())
             }
             Statement::Delete {
                 table,
                 filter,
                 span,
             } => {
-                if !self.buffers.contains_key(table) {
-                    return Err(SqlError::semantic(
-                        format!("unknown table {table:?}"),
-                        *span,
-                    ));
-                }
                 // Evaluate the predicate through the (cracking) engine —
                 // deletion is itself a query first.
                 let probe = SelectStmt {
@@ -497,7 +427,6 @@ impl SqlSession {
                     group_by: Vec::new(),
                     limit: None,
                 };
-                self.sync();
                 let lowered = lower_select(&probe, self.db.catalog())?;
                 if lowered.param_count > 0 {
                     return Err(SqlError::unsupported(
@@ -505,32 +434,19 @@ impl SqlSession {
                         *span,
                     ));
                 }
-                let doomed: HashSet<u32> = if lowered.terms.is_empty() {
-                    HashSet::new()
+                let doomed = if lowered.terms.is_empty() {
+                    Vec::new()
                 } else {
-                    self.all_term_oids(&lowered)?.into_iter().collect()
+                    self.all_term_oids(&lowered)?
                 };
-                // lint: allow(unwrap) — membership checked at the top of this arm
-                let buf = self.buffers.get_mut(table).expect("checked above");
-                for (_, col) in &mut buf.columns {
-                    let mut i = 0u32;
-                    col.retain(|_| {
-                        let keep = !doomed.contains(&i);
-                        i += 1;
-                        keep
-                    });
-                }
-                self.dirty = true;
-                Ok(QueryOutput::Affected {
-                    message: format!("deleted {} rows from {table}", doomed.len()),
-                })
+                let deleted = self.db.delete_rows(table, &doomed)?;
+                format!("deleted {deleted} rows from {table}")
             }
-            Statement::Select(select) => self.run_select(select),
-        }
+        };
+        Ok(QueryOutput::Affected { message })
     }
 
     fn run_select(&mut self, stmt: &SelectStmt) -> SqlResult<QueryOutput> {
-        self.sync();
         let lowered = lower_select(stmt, self.db.catalog())?;
         self.run_lowered(&lowered, stmt.limit)
     }
@@ -1343,7 +1259,7 @@ mod tests {
         s.execute_one("select * from r where a < 10").unwrap();
         assert_eq!(s.cracked_columns(), 1);
         s.execute_one("insert into r values (0, 5)").unwrap();
-        // The insert is visible and the store re-cracks lazily.
+        // The insert is visible through the cracked copy's overlay.
         let out = s
             .execute_one("select count(*) from r where a < 10")
             .unwrap();
@@ -1372,6 +1288,29 @@ mod tests {
             .is_err());
         s.load_table("t", vec![("a".into(), vec![1])]).unwrap();
         assert!(s.load_table("t", vec![("a".into(), vec![2])]).is_err());
+    }
+
+    #[test]
+    fn duplicate_column_names_are_rejected_where_they_are_introduced() {
+        let mut s = session();
+        let dup = vec![("a".to_string(), vec![1]), ("a".to_string(), vec![2])];
+        for err in [
+            s.load_table("t", dup).unwrap_err(),
+            s.execute_one("insert into d select a, a from r")
+                .unwrap_err(),
+        ] {
+            assert!(matches!(err, SqlError::Semantic { .. }), "{err:?}");
+            assert!(err.to_string().contains("duplicate column name"), "{err}");
+        }
+        // Nothing was registered and the session still answers.
+        assert_eq!(s.adaptive().catalog().names(), vec!["r", "s"]);
+        let out = s.execute_one("select count(*) from r").unwrap();
+        assert_eq!(rows(&out)[0][0], 100);
+        // Into an existing table the labels do not matter, only the arity.
+        s.execute_one("insert into s select a, a from r where a < 2")
+            .unwrap();
+        let out = s.execute_one("select count(*) from s").unwrap();
+        assert_eq!(rows(&out)[0][0], 22);
     }
 
     #[test]

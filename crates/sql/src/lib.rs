@@ -18,11 +18,14 @@
 //!   handles (Ξ selections, ^ joins, Ω groupings, Ψ projections) are
 //!   extracted;
 //! * [`exec`] — [`SqlSession`], an interactive session over an
-//!   [`engine::AdaptiveDb`]: every statement executed leaves the store
-//!   better partitioned for the next. Statements may carry `?`
-//!   placeholders; [`SqlSession::prepare`] lowers them once into a
-//!   [`Prepared`] plan that [`SqlSession::execute_prepared_many`] binds
-//!   and runs batch-at-a-time.
+//!   [`engine::AdaptiveDb`], which is the only owner of table data: every
+//!   `SELECT` leaves the store better partitioned for the next, and
+//!   DDL/DML mutates the database in place (an `INSERT` keeps the table's
+//!   cracked copies warm; a `DELETE` starts over only that table's).
+//!   Statements may carry `?` placeholders; [`SqlSession::prepare`]
+//!   lowers them once into a [`Prepared`] plan that
+//!   [`SqlSession::execute_prepared_many`] binds and runs
+//!   batch-at-a-time.
 //!
 //! ## Quick example
 //!

@@ -399,6 +399,52 @@ impl Bat {
         self.invalidate();
     }
 
+    /// Bulk-append integers at the end, in one `extend` — the cost is
+    /// proportional to the values appended, not to the BAT. A dense head
+    /// stays dense; an explicit head continues past its largest OID, as
+    /// [`append`](Self::append) does.
+    pub fn append_ints(&mut self, values: impl IntoIterator<Item = i64>) -> StorageResult<()> {
+        let TailData::Int(tail) = &mut self.tail else {
+            return Err(StorageError::TypeMismatch {
+                expected: AtomType::Int,
+                found: self.tail.atom_type(),
+            });
+        };
+        let before = tail.len();
+        tail.extend(values);
+        if let HeadColumn::Explicit(oids) = &mut self.head {
+            let next = oids.iter().copied().max().map_or(0, |m| m + 1);
+            oids.extend((next..).take(tail.len() - before));
+        }
+        self.invalidate();
+        Ok(())
+    }
+
+    /// Keep only the BUNs at the positions `keep` accepts, compacting in
+    /// one pass (not one shift per removed BUN). A dense head stays dense
+    /// — survivors are renumbered from its base, which is what aligned
+    /// table columns sharing one OID space need; an explicit head keeps
+    /// the survivors' OIDs.
+    pub fn retain_positions(&mut self, keep: impl Fn(usize) -> bool) {
+        fn retain_at<T>(v: &mut Vec<T>, keep: &impl Fn(usize) -> bool) {
+            let mut pos = 0;
+            v.retain(|_| {
+                pos += 1;
+                keep(pos - 1)
+            });
+        }
+        if let HeadColumn::Explicit(oids) = &mut self.head {
+            retain_at(oids, &keep);
+        }
+        match &mut self.tail {
+            TailData::Int(v) => retain_at(v, &keep),
+            TailData::Float(v) => retain_at(v, &keep),
+            TailData::Str { refs, .. } => retain_at(refs, &keep),
+            TailData::Oid(v) => retain_at(v, &keep),
+        }
+        self.invalidate();
+    }
+
     /// Iterate `(oid, atom)` pairs in physical order.
     pub fn iter(&self) -> impl Iterator<Item = (Oid, Atom)> + '_ {
         (0..self.len()).map(move |p| (self.head.oid_at(p), self.tail.atom_at(p)))
@@ -542,6 +588,37 @@ mod tests {
         assert_eq!(b.oid_at(1).unwrap(), 2);
         assert_eq!(b.atom_at(1).unwrap(), Atom::Int(30));
         assert!(!b.delete_oid(1), "already deleted");
+    }
+
+    #[test]
+    fn bulk_append_and_retain_keep_a_dense_head_dense() {
+        let mut b = Bat::from_ints("r_a", vec![10, 20, 30]);
+        assert_eq!(b.sorted_permutation(), &[0, 1, 2]);
+        b.append_ints([5, 40]).unwrap();
+        assert!(b.head().is_dense());
+        assert_eq!(b.ints().unwrap(), &[10, 20, 30, 5, 40]);
+        assert_eq!(
+            b.sorted_permutation(),
+            &[3, 0, 1, 2, 4],
+            "accelerators dropped"
+        );
+        b.retain_positions(|p| p % 2 == 0);
+        assert!(b.head().is_dense(), "survivors are renumbered");
+        assert_eq!(b.ints().unwrap(), &[10, 30, 40]);
+        assert_eq!(b.oid_at(2).unwrap(), 2);
+        assert!(Bat::from_floats("f", vec![1.0]).append_ints([1]).is_err());
+    }
+
+    #[test]
+    fn bulk_append_and_retain_follow_an_explicit_head() {
+        let mut b =
+            Bat::with_explicit_head("x", vec![7, 3, 9], TailData::Int(vec![1, 2, 3])).unwrap();
+        b.append_ints([4, 5]).unwrap();
+        assert_eq!(b.head(), &HeadColumn::Explicit(vec![7, 3, 9, 10, 11]));
+        b.retain_positions(|p| p != 1 && p != 3);
+        assert_eq!(b.head(), &HeadColumn::Explicit(vec![7, 9, 11]));
+        assert_eq!(b.ints().unwrap(), &[1, 3, 5]);
+        b.check_invariants().unwrap();
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub mod paged;
 pub mod persist;
 pub mod pool;
 pub mod stats;
-pub mod txn;
 pub mod value;
 pub mod view;
 pub mod wal;

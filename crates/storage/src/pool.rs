@@ -13,8 +13,7 @@
 //! one call, frames are only reclaimed between calls, so no pinning
 //! protocol is needed. That matches its role here — an instrumented
 //! substrate for the experiments, not a concurrent server component
-//! (the concurrency story lives in `cracker_core::concurrent` and
-//! `storage::txn`).
+//! (the concurrency story lives in `cracker_core::concurrent`).
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{IoStats, PageBuf, PageId, PageStore};

@@ -192,3 +192,400 @@ fn successive_sql_queries_leave_the_store_progressively_cracked() {
     // Eight disjoint windows → substantially more than one crack.
     assert!(pieces_last >= 8);
 }
+
+// ---- SQL-level differential DML: every statement against a naive row store ----
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use sql::{QueryOutput, SqlError};
+use std::collections::BTreeMap;
+
+/// One table of the naive store: column names and rows, nothing else.
+#[derive(Debug, Clone)]
+struct NaiveTable {
+    cols: Vec<&'static str>,
+    rows: Vec<Vec<i64>>,
+}
+
+/// Half-open ranges over columns: `(column, lo, hi)` means `lo <= c < hi`.
+type Conjunct = Vec<(&'static str, i64, i64)>;
+
+impl NaiveTable {
+    fn pos(&self, col: &str) -> usize {
+        self.cols.iter().position(|c| *c == col).unwrap()
+    }
+
+    fn matching(&self, preds: &Conjunct) -> Vec<Vec<i64>> {
+        let keep = |row: &&Vec<i64>| {
+            preds
+                .iter()
+                .all(|&(c, lo, hi)| (lo..hi).contains(&row[self.pos(c)]))
+        };
+        self.rows.iter().filter(keep).cloned().collect()
+    }
+
+    fn project(&self, rows: &[Vec<i64>], cols: &[&str]) -> Vec<Vec<i64>> {
+        rows.iter()
+            .map(|r| cols.iter().map(|c| r[self.pos(c)]).collect())
+            .collect()
+    }
+}
+
+fn where_sql(preds: &Conjunct) -> String {
+    if preds.is_empty() {
+        return String::new();
+    }
+    let terms: Vec<String> = preds
+        .iter()
+        .map(|(c, lo, hi)| format!("{c} >= {lo} and {c} < {hi}"))
+        .collect();
+    format!(" where {}", terms.join(" and "))
+}
+
+/// A random range over `col`, at most `width` wide.
+fn range(rng: &mut SmallRng, col: &'static str, width: i64) -> (&'static str, i64, i64) {
+    let lo = rng.gen_range(-20..1000);
+    (col, lo, lo + rng.gen_range(0..=width))
+}
+
+fn values_sql(rows: &[Vec<i64>]) -> String {
+    let tuples: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let vals: Vec<String> = r.iter().map(i64::to_string).collect();
+            format!("({})", vals.join(", "))
+        })
+        .collect();
+    tuples.join(", ")
+}
+
+fn sorted(mut rows: Vec<Vec<i64>>) -> Vec<Vec<i64>> {
+    rows.sort_unstable();
+    rows
+}
+
+/// What the naive store says a statement must produce.
+#[derive(Debug)]
+enum Expect {
+    Rows(Vec<Vec<i64>>),
+    Ack(String),
+    SemanticError,
+}
+
+#[test]
+fn generated_dml_and_selects_match_a_naive_row_store() {
+    let mut rng = SmallRng::seed_from_u64(0xC4AC);
+    let mut session = SqlSession::new();
+    let mut naive: BTreeMap<&'static str, NaiveTable> = BTreeMap::new();
+    let seed_rows: Vec<Vec<i64>> = (0..300)
+        .map(|_| {
+            vec![
+                rng.gen_range(0..8),
+                rng.gen_range(0..1000),
+                rng.gen_range(0..1000),
+            ]
+        })
+        .collect();
+    let column = |i: usize| seed_rows.iter().map(|r| r[i]).collect::<Vec<i64>>();
+    session
+        .load_table(
+            "r",
+            vec![
+                ("k".into(), column(0)),
+                ("a".into(), column(1)),
+                ("b".into(), column(2)),
+            ],
+        )
+        .unwrap();
+    naive.insert(
+        "r",
+        NaiveTable {
+            cols: vec!["k", "a", "b"],
+            rows: seed_rows.clone(),
+        },
+    );
+
+    let mut kinds = BTreeMap::<&str, usize>::new();
+    for step in 0..600 {
+        let has_t2 = naive.contains_key("t2");
+        // Selects and `INSERT ... VALUES` target either table.
+        let target = if has_t2 && rng.gen_range(0..3) == 0 {
+            "t2"
+        } else {
+            "r"
+        };
+        let arity = naive[target].cols.len();
+        let (kind, sql, expect): (&str, String, Expect) = match rng.gen_range(0..100) {
+            0..=13 => {
+                let rows: Vec<Vec<i64>> = (0..rng.gen_range(1..=4))
+                    .map(|_| (0..arity).map(|_| rng.gen_range(0..1000)).collect())
+                    .collect();
+                let sql = format!("insert into {target} values {}", values_sql(&rows));
+                let ack = format!("inserted {} rows into {target}", rows.len());
+                naive.get_mut(target).unwrap().rows.extend(rows);
+                ("insert values", sql, Expect::Ack(ack))
+            }
+            14..=17 => {
+                let sql = format!("insert into {target} values (1, 2), (3)");
+                ("ragged insert", sql, Expect::SemanticError)
+            }
+            18..=27 => {
+                // Creates t2(a, b) when it does not exist, appends otherwise.
+                let preds = vec![range(&mut rng, "a", 150)];
+                let r = &naive["r"];
+                let rows = r.project(&r.matching(&preds), &["a", "b"]);
+                let sql = format!("insert into t2 select a, b from r{}", where_sql(&preds));
+                let ack = format!("inserted {} rows into t2", rows.len());
+                naive
+                    .entry("t2")
+                    .or_insert_with(|| NaiveTable {
+                        cols: vec!["a", "b"],
+                        rows: Vec::new(),
+                    })
+                    .rows
+                    .extend(rows);
+                ("insert select", sql, Expect::Ack(ack))
+            }
+            28..=34 => {
+                let preds = vec![range(&mut rng, "b", 60)];
+                let rows = naive["r"].matching(&preds);
+                let sql = format!("insert into r select * from r{}", where_sql(&preds));
+                let ack = format!("inserted {} rows into r", rows.len());
+                naive.get_mut("r").unwrap().rows.extend(rows);
+                ("insert select into itself", sql, Expect::Ack(ack))
+            }
+            35..=37 => {
+                let sql = if rng.gen_range(0..2) == 0 {
+                    "insert into r select a, b from r where a < 500"
+                } else {
+                    "insert into dup select a, a from r"
+                };
+                ("rejected insert select", sql.into(), Expect::SemanticError)
+            }
+            38..=47 => {
+                let mut preds = vec![range(&mut rng, "a", 120)];
+                if rng.gen_range(0..3) == 0 {
+                    preds.push(range(&mut rng, "b", 600));
+                }
+                let t = naive.get_mut("r").unwrap();
+                let doomed = t.matching(&preds);
+                t.rows.retain(|row| !doomed.contains(row));
+                let doomed = doomed.len();
+                let sql = format!("delete from r{}", where_sql(&preds));
+                (
+                    "ranged delete",
+                    sql,
+                    Expect::Ack(format!("deleted {doomed} rows from r")),
+                )
+            }
+            48..=50 => {
+                let expect = match naive.get_mut("t2") {
+                    Some(t) => {
+                        let n = std::mem::take(&mut t.rows).len();
+                        Expect::Ack(format!("deleted {n} rows from t2"))
+                    }
+                    None => Expect::SemanticError,
+                };
+                ("delete without where", "delete from t2".into(), expect)
+            }
+            51..=54 => {
+                let expect = if has_t2 {
+                    Expect::SemanticError
+                } else {
+                    naive.insert(
+                        "t2",
+                        NaiveTable {
+                            cols: vec!["a", "b"],
+                            rows: Vec::new(),
+                        },
+                    );
+                    Expect::Ack("created table t2".into())
+                };
+                (
+                    "create",
+                    "create table t2 (a integer, b integer)".into(),
+                    expect,
+                )
+            }
+            55..=57 => {
+                let expect = match naive.remove("t2") {
+                    Some(_) => Expect::Ack("dropped table t2".into()),
+                    None => Expect::SemanticError,
+                };
+                ("drop", "drop table t2".into(), expect)
+            }
+            pick => {
+                let t = &naive[target];
+                let one = vec![range(&mut rng, "a", 200)];
+                let two = vec![range(&mut rng, "a", 400), range(&mut rng, "b", 400)];
+                let count = |rows: Vec<Vec<i64>>| vec![vec![rows.len() as i64]];
+                let select = |what: &str, preds: &Conjunct| {
+                    format!("select {what} from {target}{}", where_sql(preds))
+                };
+                let (kind, sql, rows) = match pick % 6 {
+                    0 => ("count", select("count(*)", &one), count(t.matching(&one))),
+                    1 => ("star", select("*", &one), t.matching(&one)),
+                    2 => {
+                        // `b` under a predicate on `a` rides the cracker map;
+                        // `a` itself stays on the OID path.
+                        let col = if rng.gen_range(0..2) == 0 { "a" } else { "b" };
+                        let rows = t.project(&t.matching(&one), &[col]);
+                        ("single column", select(col, &one), rows)
+                    }
+                    3 => (
+                        "conjunct count",
+                        select("count(*)", &two),
+                        count(t.matching(&two)),
+                    ),
+                    4 => ("conjunct star", select("*", &two), t.matching(&two)),
+                    _ => {
+                        let preds = if rng.gen_range(0..2) == 0 {
+                            Vec::new()
+                        } else {
+                            one
+                        };
+                        let key = t.cols[0];
+                        let mut groups = BTreeMap::<i64, (i64, i64)>::new();
+                        for row in t.matching(&preds) {
+                            let g = groups.entry(row[0]).or_default();
+                            *g = (g.0 + 1, g.1 + row[t.pos("b")]);
+                        }
+                        let what = format!("{key}, count(*), sum(b)");
+                        let sql = format!("{} group by {key}", select(&what, &preds));
+                        let rows = groups.iter().map(|(k, g)| vec![*k, g.0, g.1]).collect();
+                        ("group by", sql, rows)
+                    }
+                };
+                (kind, sql, Expect::Rows(rows))
+            }
+        };
+        *kinds.entry(kind).or_default() += 1;
+        check(&mut session, step, &sql, expect);
+        check_tables(&mut session, step, &sql, &naive);
+    }
+    // The generator reached every statement kind it knows.
+    assert_eq!(kinds.len(), 15, "{kinds:?}");
+    assert!(kinds.values().all(|&n| n >= 3), "{kinds:?}");
+}
+
+/// Run one statement and compare its outcome with the naive store's.
+fn check(session: &mut SqlSession, step: usize, sql: &str, expect: Expect) {
+    let got = session.execute_one(sql);
+    match (got, expect) {
+        (Ok(QueryOutput::Table { rows, .. }), Expect::Rows(want)) => {
+            assert_eq!(sorted(rows), sorted(want), "step {step}: {sql}")
+        }
+        (Ok(QueryOutput::Affected { message }), Expect::Ack(want)) => {
+            assert_eq!(message, want, "step {step}: {sql}")
+        }
+        (Err(SqlError::Semantic { .. }), Expect::SemanticError) => {}
+        (got, want) => panic!("step {step}: {sql}\n  got {got:?}\n  want {want:?}"),
+    }
+}
+
+/// After every statement: same tables, same rows in each.
+fn check_tables(
+    session: &mut SqlSession,
+    step: usize,
+    sql: &str,
+    naive: &BTreeMap<&'static str, NaiveTable>,
+) {
+    let names: Vec<&str> = naive.keys().copied().collect();
+    assert_eq!(
+        session.adaptive().catalog().names(),
+        names,
+        "step {step}: {sql}"
+    );
+    for (name, table) in naive {
+        let out = session
+            .execute_one(&format!("select * from {name}"))
+            .unwrap();
+        assert_eq!(
+            sorted(out.rows().unwrap().to_vec()),
+            sorted(table.rows.clone()),
+            "step {step}: table {name} after {sql}"
+        );
+    }
+}
+
+/// `r(k, a)` and `t(k, a)`, both with `a` cracked by one range count each.
+fn two_cracked_tables() -> SqlSession {
+    let (mut session, k, a) = tapestry_session(1_000, 5);
+    session
+        .load_table("t", vec![("k".into(), k), ("a".into(), a)])
+        .unwrap();
+    for table in ["r", "t"] {
+        session
+            .execute_one(&format!("select count(*) from {table} where a < 300"))
+            .unwrap();
+    }
+    assert_eq!(session.cracked_columns(), 2);
+    assert_eq!(session.adaptive().total_crack_stats().queries, 2);
+    session
+}
+
+#[test]
+fn a_delete_leaves_other_tables_cracked_state_alone() {
+    let mut session = two_cracked_tables();
+    session.execute_one("delete from t where a >= 900").unwrap();
+    // The probe select cracked `t.a` once more, then the delete dropped
+    // t's copy — its OIDs are stale. r's copy and its counters stay.
+    assert_eq!(session.cracked_columns(), 1);
+    assert_eq!(session.adaptive().total_crack_stats().queries, 1);
+    let before = session.adaptive().total_crack_stats();
+    session
+        .execute_one("select count(*) from r where a < 300")
+        .unwrap();
+    let delta = session.adaptive().total_crack_stats().delta_since(&before);
+    assert_eq!(
+        (delta.queries, delta.cracks, delta.tuples_touched),
+        (1, 0, 0),
+        "the repeat query on r is still index-only"
+    );
+}
+
+#[test]
+fn insert_select_into_an_existing_table_keeps_it_cracked() {
+    let (mut session, _, a) = tapestry_session(1_000, 5);
+    session
+        .execute_one("select count(*) from r where a < 300")
+        .unwrap();
+    assert_eq!(session.cracked_columns(), 1);
+    let out = session
+        .execute_one("insert into r select * from r where a >= 100 and a < 200")
+        .unwrap();
+    let copied = a.iter().filter(|&&v| (100..200).contains(&v)).count();
+    assert_eq!(out.to_string(), format!("inserted {copied} rows into r"));
+    assert_eq!(session.cracked_columns(), 1, "no cold rebuild");
+    assert_eq!(session.adaptive().total_crack_stats().queries, 2);
+    let out = session
+        .execute_one("select count(*) from r where a >= 100 and a < 200")
+        .unwrap();
+    assert_eq!(out.rows().unwrap()[0][0], 2 * copied as i64);
+}
+
+#[test]
+fn a_rejected_statement_changes_neither_rows_nor_cracked_state() {
+    let mut session = two_cracked_tables();
+    let before = session.adaptive().total_crack_stats();
+    for sql in [
+        "insert into dup select a, a from r",
+        "insert into r values (1)",
+        "insert into t select a from r",
+        "create table r (x integer)",
+        "drop table zzz",
+        "delete from zzz",
+    ] {
+        let err = session.execute_one(sql).unwrap_err();
+        assert!(matches!(err, SqlError::Semantic { .. }), "{sql}: {err:?}");
+    }
+    assert_eq!(session.adaptive().catalog().names(), vec!["r", "t"]);
+    assert_eq!(session.cracked_columns(), 2);
+    assert_eq!(session.adaptive().total_crack_stats(), before);
+    for table in ["r", "t"] {
+        let out = session
+            .execute_one(&format!("select count(*) from {table}"))
+            .unwrap();
+        assert_eq!(out.rows().unwrap()[0][0], 1_000);
+    }
+}
