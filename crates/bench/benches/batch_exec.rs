@@ -3,11 +3,12 @@
 //!
 //! * `batch_exec_select` — the same warm, narrow range selects answered
 //!   one predicate at a time (per-query latch + per-query OID allocation)
-//!   vs through the batch entry points ([`AdaptiveDb::select_batch`] on
-//!   the plain cracker, [`ConcurrentColumn::select_oids_batch_into`] on
-//!   the latched copies), across all three concurrency modes. The latched
-//!   modes run the storm across [`threads`] threads so latch traffic is
-//!   real contention, not just instruction count.
+//!   vs through the batch entry points: [`AdaptiveDb::select_batch`]
+//!   from one thread (the `plain` legs — the db's single-lock column,
+//!   uncontended) and [`ConcurrentColumn::select_oids_batch_into`]
+//!   across [`threads`] threads under both latching modes (the `single`
+//!   and `sharded` legs), so latch traffic there is real contention, not
+//!   just instruction count.
 //! * `batch_exec_prepared` — the SQL front-end's amortization ladder:
 //!   re-parsing the statement text per query, binding a [`Prepared`] plan
 //!   per query, and handing all bindings to
@@ -207,9 +208,9 @@ fn batched_vs_stmt(c: &mut Criterion) {
     // scheduler noise the median needs depth to reject.
     g.sample_size(if smoke() { 3 } else { 20 });
 
-    // Plain cracker: single-threaded, through the engine's db entry
-    // points (one `select_conjunctive` per statement vs one
-    // `select_batch` per chunk).
+    // One thread through the engine's db entry points (one
+    // `select_conjunctive` per statement vs one `select_batch` per
+    // chunk): the db's single-lock column with nobody to contend with.
     g.bench_function(BenchmarkId::new("plain", "stmt"), |b| {
         b.iter_batched_ref(
             || warm_db(&base, &preds),
@@ -236,7 +237,7 @@ fn batched_vs_stmt(c: &mut Criterion) {
         )
     });
 
-    // Latched copies: the same storm across threads, per-query latching
+    // The same storm across threads, per-query latching
     // vs per-batch (single-lock) / per-shard-per-batch (sharded).
     for (label, mode) in [
         ("single", ConcurrencyMode::SingleLock),

@@ -5,7 +5,8 @@
 //!   changed: every payload's fingerprint matches, so the commit is just
 //!   log creation + manifest rename (the incremental fast path).
 //! * `recovery/checkpoint_dirty` — an epoch after real work: the cracked
-//!   copies' fingerprints changed, so their piece maps re-serialize.
+//!   column's fingerprint changed, so its snapshot (one per column)
+//!   re-serializes.
 //! * `recovery/log_append` — one redo-logged staged insert at a group
 //!   commit interval of 64 (the amortized-fsync configuration).
 //! * `recovery/recover` — full recovery: manifest → payloads → piece-map
@@ -51,8 +52,8 @@ fn scratch(name: &str) -> PathBuf {
 
 const HOT: (i64, i64) = (3_000, 3_600);
 
-/// A db whose plain and shared cracked copies are warmed by a spread of
-/// selects (so checkpoints carry a real piece map).
+/// A db whose cracked column is warmed by a spread of selects (so
+/// checkpoints carry a real piece map).
 fn warm_db(base: &[i64]) -> AdaptiveDb {
     let mut db = AdaptiveDb::new();
     db.register(Table::from_int_columns("t", vec![("v", base.to_vec())]).expect("columns align"))
@@ -66,7 +67,6 @@ fn warm_db(base: &[i64]) -> AdaptiveDb {
     let hot = cracker_core::RangePred::half_open(HOT.0, HOT.1);
     db.select(&RangeQuery::new("t", "v", hot), OutputMode::Count)
         .expect("registered");
-    db.shared_cracker("t", "v").expect("registered").count(hot);
     db
 }
 

@@ -3,7 +3,7 @@
 //! the front-end, (c) count qualifying tuples. 1M-row, 2-column tapestry
 //! table, range queries `low ≤ A < high` of varying selectivity.
 //!
-//! Substitution note (see DESIGN.md): the paper ran MySQL, PostgreSQL,
+//! Substitution note (see the `engine::profile` module doc): the paper ran MySQL, PostgreSQL,
 //! SQLite and MonetDB out of the box. Here one physical scan engine
 //! produces the counters, and the per-system [`EngineProfile`]s replay
 //! them into modeled response times calibrated to the cost ranges the

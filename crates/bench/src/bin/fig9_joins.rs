@@ -7,7 +7,8 @@
 //! solution — an expensive nested-loop join"; or they break outright,
 //! "running out of optimizer resource space".
 //!
-//! Substitution note (DESIGN.md): all three regimes run on this library's
+//! Substitution note (as in `engine::profile`, no foreign engines are
+//! shipped): all three regimes run on this library's
 //! own executor — a hash-join chain (the MonetDB-like line), a budgeted
 //! optimizer that degrades to nested loops beyond 12 joins (the
 //! traditional line) and errors out beyond 96 (the breaking line). N is

@@ -886,6 +886,16 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         }
     }
 
+    /// True when inserts or deletes are staged but not yet merged (see
+    /// [`CrackerColumn::has_pending_updates`]).
+    pub fn has_pending_updates(&self) -> bool {
+        let pending = CrackerColumn::has_pending_updates;
+        match self {
+            ConcurrentColumn::Single(c) => c.read_with(pending),
+            ConcurrentColumn::Sharded(c) => c.read_shards(pending).contains(&true),
+        }
+    }
+
     /// Fold staged updates into the store.
     pub fn merge_pending(&self) {
         match self {

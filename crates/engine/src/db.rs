@@ -3,17 +3,24 @@
 //! §3 positions the cracker "between the semantic analyzer and the query
 //! optimizer" so that it "could be integrated easily into existing
 //! systems". [`AdaptiveDb`] is that integration for this engine: it owns a
-//! [`DbCatalog`] of base tables, lazily creates a cracked copy of each
+//! [`DbCatalog`] of base tables, lazily creates the cracked copy of each
 //! column the first time a predicate touches it (MonetDB's cracker module
 //! does the same on first use), routes selections/joins/group-bys through
 //! the Ξ/^/Ω operators, and records every crack in a lineage graph.
+//!
+//! A column has exactly **one** cracked copy — the paper's one cracker
+//! index per attribute — and it is the latched
+//! [`ConcurrentColumn`]: SQL, the `select*` entry points, staged updates,
+//! worker threads holding a [`shared_cracker`](AdaptiveDb::shared_cracker)
+//! handle, checkpoints and recovery all see the same piece map and the
+//! same pending overlay.
 
 use crate::admission::{AdmissionGate, AdmissionPermit};
 use crate::catalog::DbCatalog;
 use crate::cost::RunStats;
 use crate::durability::{
-    cracker_key, not_attached, not_replayable, shared_key, table_key, DbMeta, Durability,
-    TableMeta, DB_META_VERSION, META_KEY,
+    column_key, not_attached, not_replayable, table_key, DbMeta, Durability, TableMeta,
+    DB_META_VERSION, META_KEY,
 };
 use crate::error::{EngineError, EngineResult};
 use crate::exec::batch::{refine_conjunct, BlockScratch};
@@ -25,9 +32,9 @@ use cracker_core::join::{join_matched, wedge_crack, PairColumn};
 use cracker_core::lineage::{CrackOp, LineageGraph, PieceId};
 use cracker_core::sideways::CrackerMap;
 use cracker_core::{
-    ColumnSnapshot, ConcurrencyMode, ConcurrentColumn, ConcurrentSnapshot, CrackerColumn,
-    CrackerConfig, KernelPolicy, RangePred,
+    ConcurrencyMode, ConcurrentColumn, ConcurrentSnapshot, CrackerConfig, KernelPolicy, RangePred,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -38,18 +45,18 @@ use storage::{CheckpointStore, Manifest, StorageError};
 
 /// A database whose physical organization adapts to the queries it
 /// receives.
+///
+/// Invariant: **one cracked copy per column, latched.** `columns` is the
+/// only map of single-column cracked state; every query path, every staged
+/// update and every checkpoint goes through the entry it holds.
 pub struct AdaptiveDb {
     catalog: DbCatalog,
     config: CrackerConfig,
-    /// How concurrently shared cracked columns are latched.
+    /// How cracked columns are latched.
     concurrency: ConcurrencyMode,
-    /// Cracked copies, keyed by `(table, column)`; created on first use.
-    crackers: HashMap<(String, String), CrackerColumn<i64>>,
-    /// Latched cracked copies for multi-threaded readers, keyed the same
-    /// way and created on first use under the configured
-    /// [`ConcurrencyMode`]. Independent of `crackers`: the single-threaded
-    /// operator paths never pay for latching.
-    shared: HashMap<(String, String), ConcurrentColumn<i64>>,
+    /// The cracked copy of each column, keyed by `(table, column)`; built
+    /// at first touch under the configured [`ConcurrencyMode`].
+    columns: HashMap<(String, String), ConcurrentColumn<i64>>,
     /// Sideways cracker maps, keyed by `(table, head, tail)`; created on
     /// first `select_project` over that attribute pair.
     maps: HashMap<(String, String, String), CrackerMap<i64>>,
@@ -79,8 +86,7 @@ impl AdaptiveDb {
             catalog: DbCatalog::new(),
             config,
             concurrency: ConcurrencyMode::default(),
-            crackers: HashMap::new(),
-            shared: HashMap::new(),
+            columns: HashMap::new(),
             maps: HashMap::new(),
             lineage: LineageGraph::new(),
             roots: HashMap::new(),
@@ -90,15 +96,14 @@ impl AdaptiveDb {
         }
     }
 
-    /// Builder: set the latching scheme used for columns handed out by
-    /// [`shared_cracker`](Self::shared_cracker). Applies to columns shared
-    /// from now on; already-shared columns keep their mode.
+    /// Builder: set the latching scheme of every column cracked from now
+    /// on; already-cracked columns keep their mode.
     pub fn with_concurrency(mut self, mode: ConcurrencyMode) -> Self {
         self.concurrency = mode;
         self
     }
 
-    /// The concurrency mode in force for newly shared columns.
+    /// The concurrency mode in force for newly cracked columns.
     pub fn concurrency(&self) -> ConcurrencyMode {
         self.concurrency
     }
@@ -109,7 +114,7 @@ impl AdaptiveDb {
     /// (env override → CPU detection → per-piece-size-band calibration →
     /// skew guard). Combined with
     /// [`with_concurrency`](Self::with_concurrency), this puts the same
-    /// kernels under the plain, single-lock, and sharded paths alike.
+    /// kernels under the single-lock and sharded columns alike.
     pub fn with_kernel(mut self, kernel: KernelPolicy) -> Self {
         self.config.kernel = kernel;
         self
@@ -176,56 +181,31 @@ impl AdaptiveDb {
 
     /// Number of columns that have been cracked so far.
     pub fn cracked_columns(&self) -> usize {
-        self.crackers.len()
+        self.columns.len()
     }
 
-    /// Fetch (creating on first use) the cracked copy of a column.
-    fn cracker(&mut self, table: &str, column: &str) -> EngineResult<&mut CrackerColumn<i64>> {
-        let key = (table.to_owned(), column.to_owned());
-        if !self.crackers.contains_key(&key) {
-            let t = self.catalog.table(table)?;
-            let vals = t.ints(column)?.to_vec();
-            self.crackers
-                .insert(key.clone(), CrackerColumn::with_config(vals, self.config));
-        }
-        // lint: allow(unwrap) — the miss branch above just inserted the key
-        Ok(self.crackers.get_mut(&key).expect("inserted above"))
-    }
-
-    /// Fetch (creating on first use, under the configured
-    /// [`ConcurrencyMode`]) the latched cracked copy of a column. The
-    /// returned handle answers queries through `&self`, so callers can fan
-    /// it out across threads (e.g. `std::thread::scope`) and let
-    /// concurrent crackers proceed under the column's latching protocol.
+    /// Fetch (building at first touch, under the configured
+    /// [`ConcurrencyMode`]) the cracked copy of a column — the one handle
+    /// every path here goes through. It answers queries through `&self`,
+    /// so callers can fan it out across threads (e.g.
+    /// `std::thread::scope`) and let concurrent queries crack under the
+    /// column's latching protocol.
     ///
-    /// Like every cracked copy here, the shared copy snapshots the base
-    /// table's values at first touch; updates staged *earlier* through
-    /// [`stage_insert`](Self::stage_insert) /
-    /// [`stage_delete`](Self::stage_delete) live in the single-threaded
-    /// cracker copy and are not replayed into it. Updates staged *after*
-    /// both copies exist are forwarded to both, so the two query paths
-    /// agree from then on.
+    /// The copy snapshots the base table's values at first touch; updates
+    /// staged through [`stage_insert`](Self::stage_insert) /
+    /// [`stage_delete`](Self::stage_delete) live in its pending overlay.
     pub fn shared_cracker(
         &mut self,
         table: &str,
         column: &str,
     ) -> EngineResult<&ConcurrentColumn<i64>> {
-        let key = (table.to_owned(), column.to_owned());
-        if !self.shared.contains_key(&key) {
-            let t = self.catalog.table(table)?;
-            let vals = t.ints(column)?.to_vec();
-            self.shared.insert(
-                key.clone(),
-                ConcurrentColumn::build(vals, self.config, self.concurrency),
-            );
+        match self.columns.entry((table.to_owned(), column.to_owned())) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => {
+                let vals = self.catalog.table(table)?.ints(column)?.to_vec();
+                Ok(e.insert(ConcurrentColumn::build(vals, self.config, self.concurrency)))
+            }
         }
-        // lint: allow(unwrap) — the miss branch above just inserted the key
-        Ok(self.shared.get(&key).expect("inserted above"))
-    }
-
-    /// Number of columns shared for concurrent access so far.
-    pub fn shared_columns(&self) -> usize {
-        self.shared.len()
     }
 
     /// Answer a single-attribute range query, cracking as a side effect.
@@ -241,7 +221,7 @@ impl AdaptiveDb {
     /// The body [`select`](Self::select) and
     /// [`select_governed`](Self::select_governed) share: crack `q`'s
     /// column — polling `governor`, when there is one, at every safe
-    /// crack-step boundary — and account the run.
+    /// boundary — and account the run.
     fn run_select(
         &mut self,
         q: &RangeQuery,
@@ -249,27 +229,28 @@ impl AdaptiveDb {
         governor: Option<&Governor>,
     ) -> EngineResult<(Vec<u32>, RunStats)> {
         let start = Instant::now();
-        let col = self.cracker(&q.table, &q.attr)?;
-        let before = *col.stats();
-        let sel = match governor {
-            None => col.select(q.pred),
-            Some(g) => match col.select_guarded(q.pred, &g.as_guard()) {
-                Some(sel) => sel,
-                None => {
-                    g.check()?;
-                    unreachable!("the guard failed but the governor reports no violation");
-                }
-            },
+        let col = self.shared_cracker(&q.table, &q.attr)?;
+        let before = col.stats();
+        // An ungoverned count reads the piece map alone; every other
+        // shape materializes the OIDs and counts them.
+        let oids = match governor {
+            None if mode == OutputMode::Count => None,
+            None => Some(col.select_oids(q.pred)),
+            Some(g) => Self::select_guarded(col, &[q.pred], g)?.pop(),
         };
-        let delta = col.stats().delta_since(&before);
+        let count = match &oids {
+            Some(oids) => oids.len(),
+            None => col.count(q.pred),
+        };
         let oids = match mode {
             OutputMode::Count => Vec::new(),
-            _ => col.selection_oids(&sel),
+            _ => oids.unwrap_or_default(),
         };
+        let delta = col.stats().delta_since(&before);
         let mut stats = RunStats {
             tuples_read: delta.tuples_touched + delta.edge_scanned,
             tuples_written: delta.tuples_moved,
-            result_count: sel.count() as u64,
+            result_count: count as u64,
             ..Default::default()
         };
         if mode == OutputMode::Materialize {
@@ -280,6 +261,27 @@ impl AdaptiveDb {
         Ok((oids, stats))
     }
 
+    /// The one governed select body — [`select_governed`](Self::select_governed),
+    /// [`select_batch_governed`](Self::select_batch_governed) and
+    /// [`select_morsel`](Self::select_morsel)'s single-lock arm all end
+    /// here: answer `preds` on `col`, polling the governor between
+    /// predicates (and, in single-lock mode, between crack steps). A batch
+    /// stopped mid-flight surfaces the governor's typed error; completed
+    /// cracks are kept but nothing partial is returned.
+    fn select_guarded(
+        col: &ConcurrentColumn<i64>,
+        preds: &[RangePred<i64>],
+        governor: &Governor,
+    ) -> EngineResult<Vec<Vec<u32>>> {
+        let mut outs = vec![Vec::new(); preds.len()];
+        let done = col.select_oids_batch_guarded(preds, &mut outs, &governor.as_guard());
+        if done < preds.len() {
+            governor.check()?;
+            unreachable!("the guard failed but the governor reports no violation");
+        }
+        Ok(outs)
+    }
+
     /// Answer a conjunction of range predicates over one table — the
     /// multi-attribute case the paper's strolling profile explores ("a
     /// user will ... try out different attributes").
@@ -287,10 +289,9 @@ impl AdaptiveDb {
     /// Every referenced column is still cracked (each query remains an
     /// index builder), but the intersection is block-at-a-time instead of
     /// per-tuple hash probes: the most selective predicate's OIDs are
-    /// materialized once through the scratch-buffer API, then each
-    /// residual predicate is evaluated over [`BLOCK_OIDS`]-sized gathers
-    /// of its base column through the configured
-    /// [`cracker_core::kernel`], so SIMD sees full blocks
+    /// materialized once, then each residual predicate is evaluated over
+    /// [`BLOCK_OIDS`]-sized gathers of its base column through the
+    /// configured [`cracker_core::kernel`], so SIMD sees full blocks
     /// ([`refine_conjunct`]). A residual column with staged updates falls
     /// back to intersecting its overlay-aware materialized answer.
     ///
@@ -304,31 +305,33 @@ impl AdaptiveDb {
             let n = self.catalog.table(table)?.len() as u32;
             return Ok((0..n).collect());
         }
-        // Crack every column, keeping only the layout snapshots (counts
-        // come free from the selections — no materialization yet).
-        let mut sels = Vec::with_capacity(preds.len());
-        for (attr, pred) in preds {
-            let col = self.cracker(table, attr)?;
-            sels.push(col.select(*pred));
+        // Crack every column and size its answer (counts come free from
+        // the piece map — no materialization yet); the smallest drives.
+        // A lone predicate is its own driver and cracks while selecting.
+        let mut driver = 0;
+        if preds.len() > 1 {
+            let mut fewest = usize::MAX;
+            for (i, (attr, pred)) in preds.iter().enumerate() {
+                let count = self.shared_cracker(table, attr)?.count(*pred);
+                if count < fewest {
+                    (driver, fewest) = (i, count);
+                }
+            }
         }
-        let driver = (0..preds.len())
-            .min_by_key(|&i| sels[i].count())
-            .expect("preds is non-empty"); // lint: allow(unwrap) — empty preds returned early
-        let key = |attr: &str| (table.to_owned(), attr.to_owned());
         let mut out = Vec::new();
-        self.crackers[&key(preds[driver].0)].selection_oids_into(&sels[driver], &mut out);
+        self.shared_cracker(table, preds[driver].0)?
+            .select_oids_into(preds[driver].1, &mut out);
         let kernel = self.config.kernel.resolve();
         for (i, (attr, pred)) in preds.iter().enumerate() {
             if i == driver {
                 continue;
             }
-            let col = &self.crackers[&key(attr)];
+            let col = &self.columns[&(table.to_owned(), (*attr).to_owned())];
             if col.has_pending_updates() {
                 // Overlay-aware fallback: this column's answer can differ
                 // from its base values, so intersect the materialized
                 // (pending-corrected) OID set instead.
-                let mut other = Vec::new();
-                col.selection_oids_into(&sels[i], &mut other);
+                let mut other = col.select_oids(*pred);
                 other.sort_unstable();
                 out.retain(|o| other.binary_search(o).is_ok());
             } else {
@@ -340,33 +343,11 @@ impl AdaptiveDb {
         Ok(out)
     }
 
-    /// Answer a batch of range predicates over one column through the
-    /// single-threaded cracked copy — the plain-column leg of the batch
-    /// executor (no latches to amortize here; the saving is the shared
-    /// plan and scratch reuse in the layers above).
-    pub fn select_batch(
-        &mut self,
-        table: &str,
-        attr: &str,
-        preds: &[RangePred<i64>],
-    ) -> EngineResult<Vec<Vec<u32>>> {
-        let col = self.cracker(table, attr)?;
-        Ok(preds
-            .iter()
-            .map(|p| {
-                let mut out = Vec::new();
-                col.select_oids_into(*p, &mut out);
-                out
-            })
-            .collect())
-    }
-
-    /// Answer a batch of range predicates through the latched shared copy
-    /// under amortized locking: one lock acquisition per batch
-    /// (single-lock mode) or one latch acquisition per touched shard per
-    /// batch (sharded mode) — see
+    /// Answer a batch of range predicates over one column under amortized
+    /// locking: one lock acquisition per batch (single-lock mode) or one
+    /// latch acquisition per touched shard per batch (sharded mode) — see
     /// [`ConcurrentColumn::select_oids_batch`].
-    pub fn shared_select_batch(
+    pub fn select_batch(
         &mut self,
         table: &str,
         attr: &str,
@@ -418,13 +399,13 @@ impl AdaptiveDb {
         self.run_select(q, mode, Some(governor))
     }
 
-    /// [`shared_select_batch`](Self::shared_select_batch) under a
-    /// [`Governor`]: admission is bounded by the remaining deadline
-    /// budget and the governor is polled between predicates (and, in
-    /// single-lock mode, between crack steps). A batch stopped mid-flight
-    /// surfaces the governor's typed error; completed work is kept but
-    /// nothing partial is returned.
-    pub fn shared_select_batch_governed(
+    /// [`select_batch`](Self::select_batch) under a [`Governor`]:
+    /// admission is bounded by the remaining deadline budget and the
+    /// governor is polled between predicates (and, in single-lock mode,
+    /// between crack steps). A batch stopped mid-flight surfaces the
+    /// governor's typed error; completed work is kept but nothing partial
+    /// is returned.
+    pub fn select_batch_governed(
         &mut self,
         table: &str,
         attr: &str,
@@ -436,15 +417,7 @@ impl AdaptiveDb {
         let gate = self.admission.clone();
         let _permit = Self::admit_governed(gate.as_deref(), governor, session)?;
         governor.check()?;
-        let col = self.shared_cracker(table, attr)?;
-        let guard = governor.as_guard();
-        let mut outs: Vec<Vec<u32>> = preds.iter().map(|_| Vec::new()).collect();
-        let done = col.select_oids_batch_guarded(preds, &mut outs, &guard);
-        if done < preds.len() {
-            governor.check()?;
-            unreachable!("the guard failed but the governor reports no violation");
-        }
-        Ok(outs)
+        Self::select_guarded(self.shared_cracker(table, attr)?, preds, governor)
     }
 
     /// Equi-join two tables on integer attributes via the ^ cracker:
@@ -574,10 +547,10 @@ impl AdaptiveDb {
         self.maps.len()
     }
 
-    /// Stage a row insertion: the new value is appended to every cracked
-    /// copy of the column — the single-threaded one and, if already built,
-    /// the shared latched one — and the base table is left untouched
-    /// (append-only experiment surface).
+    /// Stage a row insertion: the new value joins the pending overlay of
+    /// the column's cracked copy (built now if this is its first touch)
+    /// and the base table is left untouched (append-only experiment
+    /// surface).
     /// With durability attached, the update is appended to the redo log
     /// *before* it is applied (write-ahead): a failed append stages
     /// nothing, so the in-memory state never runs ahead of what recovery
@@ -592,7 +565,7 @@ impl AdaptiveDb {
         oid: u32,
         value: i64,
     ) -> EngineResult<()> {
-        self.cracker(table, column)?;
+        self.shared_cracker(table, column)?;
         if let Some(dur) = self.durability.as_mut() {
             dur.log.append(&WalRecord::Insert {
                 table: table.to_owned(),
@@ -601,21 +574,17 @@ impl AdaptiveDb {
                 value,
             })?;
         }
-        self.cracker(table, column)?.insert(oid, value);
-        let key = (table.to_owned(), column.to_owned());
-        if let Some(shared) = self.shared.get(&key) {
-            shared.insert(oid, value);
-        }
+        self.shared_cracker(table, column)?.insert(oid, value);
         Ok(())
     }
 
-    /// Stage a row deletion in every cracked copy of the column. Returns
-    /// whether the single-threaded copy knew the OID. Logged write-ahead
+    /// Stage a row deletion in the column's cracked copy. Returns
+    /// whether the copy knew the OID. Logged write-ahead
     /// like [`stage_insert`](Self::stage_insert) — and, like it, only
     /// after the target column resolves; deletes of unknown OIDs in a
     /// *valid* column are logged too — replaying one is a harmless no-op.
     pub fn stage_delete(&mut self, table: &str, column: &str, oid: u32) -> EngineResult<bool> {
-        self.cracker(table, column)?;
+        self.shared_cracker(table, column)?;
         if let Some(dur) = self.durability.as_mut() {
             dur.log.append(&WalRecord::Delete {
                 table: table.to_owned(),
@@ -623,19 +592,14 @@ impl AdaptiveDb {
                 oid,
             })?;
         }
-        let found = self.cracker(table, column)?.delete(oid);
-        let key = (table.to_owned(), column.to_owned());
-        if let Some(shared) = self.shared.get(&key) {
-            shared.delete(oid);
-        }
-        Ok(found)
+        Ok(self.shared_cracker(table, column)?.delete(oid))
     }
 
     /// Stage a batch of row insertions into one column, amortizing the
     /// per-update overheads of [`stage_insert`](Self::stage_insert):
     /// with durability attached the whole batch becomes **one** redo-log
     /// group append (one buffered write, one group-commit decision), and
-    /// the shared latched copy absorbs it through
+    /// the cracked copy absorbs it through
     /// `ConcurrentColumn::insert_batch` — one lock acquisition
     /// (single-lock mode) or one write latch per touched shard (sharded
     /// mode) instead of one per row.
@@ -654,7 +618,7 @@ impl AdaptiveDb {
         if rows.is_empty() {
             return Ok(());
         }
-        self.cracker(table, column)?;
+        self.shared_cracker(table, column)?;
         if let Some(dur) = self.durability.as_mut() {
             let recs: Vec<WalRecord> = rows
                 .iter()
@@ -667,23 +631,16 @@ impl AdaptiveDb {
                 .collect();
             dur.log.append_batch(&recs)?;
         }
-        let col = self.cracker(table, column)?;
-        for &(oid, value) in rows {
-            col.insert(oid, value);
-        }
-        let key = (table.to_owned(), column.to_owned());
-        if let Some(shared) = self.shared.get(&key) {
-            shared.insert_batch(rows);
-        }
+        self.shared_cracker(table, column)?.insert_batch(rows);
         Ok(())
     }
 
     /// Append whole rows to a base table: the catalog's table is swapped
     /// for a grown incarnation (new rows take the next dense OIDs), and
-    /// every *already-cracked* copy of each column — single-threaded and
-    /// shared — absorbs its slice of the new rows through the staged
-    /// overlay via [`stage_insert_batch`](Self::stage_insert_batch), so
-    /// cracked state survives the append instead of being rebuilt.
+    /// each *already-cracked* column absorbs its slice of the new rows
+    /// through the staged overlay via
+    /// [`stage_insert_batch`](Self::stage_insert_batch), so cracked state
+    /// survives the append instead of being rebuilt.
     /// Returns the OID of the first appended row.
     ///
     /// Rows are validated against the schema (arity, all-int) before
@@ -719,10 +676,7 @@ impl AdaptiveDb {
         // live cracked state (or a WAL to feed) need staging.
         for (i, name) in names.iter().enumerate() {
             let key = (table.to_owned(), name.clone());
-            if self.crackers.contains_key(&key)
-                || self.shared.contains_key(&key)
-                || self.durability.is_some()
-            {
+            if self.columns.contains_key(&key) || self.durability.is_some() {
                 let batch: Vec<(u32, i64)> = rows
                     .iter()
                     .enumerate()
@@ -740,7 +694,7 @@ impl AdaptiveDb {
 
     /// Delete the rows at `oids` from a base table in place: every base
     /// column is compacted in one pass and the survivors are renumbered
-    /// densely, so the table's cracked copies, shared copies and sideways
+    /// densely, so the table's cracked copies and sideways
     /// maps — whose OIDs are now stale — are dropped and rebuilt at their
     /// next first touch. Other tables keep their cracked state. OIDs
     /// beyond the table (and repeats) are ignored; returns the number of
@@ -769,8 +723,8 @@ impl AdaptiveDb {
         Ok(removed)
     }
 
-    /// Drop a base table together with its cracked copies, shared copies,
-    /// sideways maps and lineage root. Refused while durability is
+    /// Drop a base table together with its cracked copies, sideways maps
+    /// and lineage root. Refused while durability is
     /// attached: a redo record naming the dropped table would make
     /// [`recover`](Self::recover) fail with `UnknownTable`.
     pub fn drop_table(&mut self, table: &str) -> EngineResult<()> {
@@ -785,12 +739,11 @@ impl AdaptiveDb {
 
     /// Drop every cracked structure built over `table`'s OIDs.
     fn forget_cracked_state(&mut self, table: &str) {
-        self.crackers.retain(|(t, _), _| t != table);
-        self.shared.retain(|(t, _), _| t != table);
+        self.columns.retain(|(t, _), _| t != table);
         self.maps.retain(|(t, _, _), _| t != table);
     }
 
-    /// Morsel-parallel OID selection over the shared cracked copy of a
+    /// Morsel-parallel OID selection over the cracked copy of a
     /// column — the engine face of [`crate::exec::morsel`]. On a sharded
     /// column the predicate's touched shards are claimed by up to
     /// `workers` threads (extra workers ride non-blocking admission
@@ -810,10 +763,7 @@ impl AdaptiveDb {
     ) -> EngineResult<Vec<u32>> {
         governor.check()?;
         let gate = self.admission.clone();
-        self.shared_cracker(table, attr)?;
-        let key = (table.to_owned(), attr.to_owned());
-        // lint: allow(unwrap) — shared_cracker above created the entry
-        let col = self.shared.get(&key).expect("created above");
+        let col = self.shared_cracker(table, attr)?;
         match col.as_sharded() {
             Some(sharded) => crate::exec::morsel::morsel_select_oids(
                 sharded,
@@ -822,16 +772,9 @@ impl AdaptiveDb {
                 gate.as_deref().map(|g| (g, session)),
                 governor,
             ),
-            None => {
-                let guard = governor.as_guard();
-                let mut outs = vec![Vec::new()];
-                let done = col.select_oids_batch_guarded(&[pred], &mut outs, &guard);
-                if done < 1 {
-                    governor.check()?;
-                    unreachable!("the guard failed but the governor reports no violation");
-                }
-                Ok(outs.pop().unwrap_or_default())
-            }
+            None => Ok(Self::select_guarded(col, &[pred], governor)?
+                .pop()
+                .unwrap_or_default()),
         }
     }
 
@@ -861,7 +804,7 @@ impl AdaptiveDb {
         self.durability.as_ref().map(|d| d.epoch)
     }
 
-    /// Take an incremental checkpoint: base tables, every cracked copy's
+    /// Take an incremental checkpoint: base tables, every cracked column's
     /// piece map, and the pending overlay become durable atomically, and
     /// the redo log rotates to the new epoch. Payloads whose content
     /// fingerprint is unchanged since the previous epoch are carried
@@ -923,16 +866,13 @@ impl AdaptiveDb {
                 columns: t.schema().names().iter().map(|s| s.to_string()).collect(),
             });
         }
-        let mut crackers: Vec<(String, String)> = self.crackers.keys().cloned().collect();
-        crackers.sort();
-        let mut shared: Vec<(String, String)> = self.shared.keys().cloned().collect();
-        shared.sort();
+        let mut columns: Vec<(String, String)> = self.columns.keys().cloned().collect();
+        columns.sort();
         let meta = DbMeta {
             version: DB_META_VERSION,
             concurrency_shards: shards,
             tables,
-            crackers,
-            shared,
+            columns,
         };
         let mut w = store.begin()?;
         w.put(META_KEY, &format!("{meta:?}"), &meta)?;
@@ -947,18 +887,10 @@ impl AdaptiveDb {
                 w.put(&table_key(&tm.name, c), &format!("n{}", vals.len()), &vals)?;
             }
         }
-        for (t, c) in &meta.crackers {
-            let col = &self.crackers[&(t.clone(), c.clone())];
+        for key in &meta.columns {
+            let col = &self.columns[key];
             w.put(
-                &cracker_key(t, c),
-                &ColumnSnapshot::fingerprint(col),
-                &ColumnSnapshot::capture(col),
-            )?;
-        }
-        for (t, c) in &meta.shared {
-            let col = &self.shared[&(t.clone(), c.clone())];
-            w.put(
-                &shared_key(t, c),
+                &column_key(&key.0, &key.1),
                 &ConcurrentSnapshot::fingerprint(col),
                 &ConcurrentSnapshot::capture(col),
             )?;
@@ -1014,19 +946,12 @@ impl AdaptiveDb {
             }
             db.register(Table::from_int_columns(&tm.name, cols)?)?;
         }
-        for (t, c) in &meta.crackers {
-            let snap: ColumnSnapshot = store.read_payload(entry(&cracker_key(t, c))?)?;
+        for (t, c) in &meta.columns {
+            let snap: ConcurrentSnapshot = store.read_payload(entry(&column_key(t, c))?)?;
             let col = snap
                 .restore(config)
-                .map_err(|e| format_err(format!("cracker {t}.{c}: {e}")))?;
-            db.crackers.insert((t.clone(), c.clone()), col);
-        }
-        for (t, c) in &meta.shared {
-            let snap: ConcurrentSnapshot = store.read_payload(entry(&shared_key(t, c))?)?;
-            let col = snap
-                .restore(config)
-                .map_err(|e| format_err(format!("shared {t}.{c}: {e}")))?;
-            db.shared.insert((t.clone(), c.clone()), col);
+                .map_err(|e| format_err(format!("column {t}.{c}: {e}")))?;
+            db.columns.insert((t.clone(), c.clone()), col);
         }
         // Replay the overlay log on top of the checkpoint, truncating any
         // torn tail so the reopened log can keep appending safely.
@@ -1135,14 +1060,10 @@ impl AdaptiveDb {
         self.durability.as_ref().and_then(|d| d.log.poisoned())
     }
 
-    /// Aggregate crack statistics across all cracked columns, including
-    /// the concurrently shared ones.
+    /// Aggregate crack statistics across all cracked columns.
     pub fn total_crack_stats(&self) -> cracker_core::CrackStats {
         let mut acc = cracker_core::CrackStats::default();
-        for c in self.crackers.values() {
-            acc.absorb(c.stats());
-        }
-        for c in self.shared.values() {
+        for c in self.columns.values() {
             acc.absorb(&c.stats());
         }
         acc
@@ -1160,8 +1081,17 @@ mod tests {
     use super::*;
     use crate::error::EngineError;
 
+    const MODES: [ConcurrencyMode; 2] = [
+        ConcurrencyMode::SingleLock,
+        ConcurrencyMode::Sharded { shards: 4 },
+    ];
+
     fn db() -> AdaptiveDb {
-        let mut db = AdaptiveDb::new();
+        db_in(ConcurrencyMode::default())
+    }
+
+    fn db_in(mode: ConcurrencyMode) -> AdaptiveDb {
+        let mut db = AdaptiveDb::new().with_concurrency(mode);
         db.register(
             Table::from_int_columns(
                 "r",
@@ -1216,43 +1146,43 @@ mod tests {
 
     #[test]
     fn conjunctive_selection_intersects_columns() {
-        let mut db = db();
-        // a >= 50 (oids 0..=49) AND k < 3 (oids where oid%10 < 3).
-        let got = db
-            .select_conjunctive("r", &[("a", RangePred::ge(50)), ("k", RangePred::lt(3))])
-            .unwrap();
-        let want: Vec<u32> = (0..100u32)
-            .filter(|&o| (99 - o as i64) >= 50 && (o as i64 % 10) < 3)
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(db.cracked_columns(), 2, "both columns cracked");
+        for mode in MODES {
+            let mut db = db_in(mode);
+            // a >= 50 (oids 0..=49) AND k < 3 (oids where oid%10 < 3).
+            let got = db
+                .select_conjunctive("r", &[("a", RangePred::ge(50)), ("k", RangePred::lt(3))])
+                .unwrap();
+            let want: Vec<u32> = (0..100u32)
+                .filter(|&o| (99 - o as i64) >= 50 && (o as i64 % 10) < 3)
+                .collect();
+            assert_eq!(got, want, "{mode:?}");
+            assert_eq!(db.cracked_columns(), 2, "both columns cracked");
+            // A lone conjunct drives itself, cracking as it selects.
+            let got = db
+                .select_conjunctive("r", &[("a", RangePred::between(10, 19))])
+                .unwrap();
+            assert_eq!(got, (80..90).collect::<Vec<u32>>(), "{mode:?}");
+        }
     }
 
     #[test]
     fn conjunctive_selection_survives_staged_updates() {
-        let mut db = db();
-        // Driver column `a` gains a staged insert; residual column `k`
-        // gains a staged delete — the refine path must drop the unknown
-        // OID and the fallback path must honor the overlay.
-        db.stage_insert("r", "a", 500, 75).unwrap();
-        let got = db
-            .select_conjunctive(
-                "r",
-                &[("a", RangePred::between(70, 80)), ("k", RangePred::lt(5))],
-            )
-            .unwrap();
-        let want: Vec<u32> = (0..100u32)
-            .filter(|&o| (70..=80).contains(&(99 - o as i64)) && (o as i64 % 10) < 5)
-            .collect();
-        assert_eq!(got, want, "staged insert unknown to k must not qualify");
-        assert!(db.stage_delete("r", "k", *want.first().unwrap()).unwrap());
-        let got = db
-            .select_conjunctive(
-                "r",
-                &[("a", RangePred::between(70, 80)), ("k", RangePred::lt(5))],
-            )
-            .unwrap();
-        assert_eq!(got, want[1..], "k's staged delete must be honored");
+        for mode in MODES {
+            let mut db = db_in(mode);
+            // Driver column `a` gains a staged insert; residual column `k`
+            // gains a staged delete — the refine path must drop the unknown
+            // OID and the fallback path must honor the overlay.
+            db.stage_insert("r", "a", 500, 75).unwrap();
+            let preds = [("a", RangePred::between(70, 80)), ("k", RangePred::lt(5))];
+            let got = db.select_conjunctive("r", &preds).unwrap();
+            let want: Vec<u32> = (0..100u32)
+                .filter(|&o| (70..=80).contains(&(99 - o as i64)) && (o as i64 % 10) < 5)
+                .collect();
+            assert_eq!(got, want, "{mode:?}: insert unknown to k must not qualify");
+            assert!(db.stage_delete("r", "k", *want.first().unwrap()).unwrap());
+            let got = db.select_conjunctive("r", &preds).unwrap();
+            assert_eq!(got, want[1..], "{mode:?}: k's staged delete is honored");
+        }
     }
 
     #[test]
@@ -1268,17 +1198,12 @@ mod tests {
             let mut db = AdaptiveDb::new().with_concurrency(mode);
             db.register(Table::from_int_columns("t", vec![("v", vals.clone())]).unwrap())
                 .unwrap();
-            let batch = db.shared_select_batch("t", "v", &preds).unwrap();
-            let plain = db.select_batch("t", "v", &preds).unwrap();
-            for ((pred, shared), plain) in preds.iter().zip(batch).zip(plain) {
-                let mut shared = shared;
-                let mut plain = plain;
-                shared.sort_unstable();
-                plain.sort_unstable();
-                assert_eq!(shared, plain, "{mode:?} pred {pred:?}");
+            let batch = db.select_batch("t", "v", &preds).unwrap();
+            for (pred, mut batched) in preds.iter().zip(batch) {
+                batched.sort_unstable();
                 let mut stmt = db.shared_cracker("t", "v").unwrap().select_oids(*pred);
                 stmt.sort_unstable();
-                assert_eq!(shared, stmt, "{mode:?} pred {pred:?}");
+                assert_eq!(batched, stmt, "{mode:?} pred {pred:?}");
             }
         }
     }
@@ -1350,17 +1275,27 @@ mod tests {
 
     #[test]
     fn staged_updates_flow_through_selects() {
-        let mut db = db();
-        let q = RangeQuery::new("r", "a", RangePred::ge(1000));
-        let (oids, _) = db.select(&q, OutputMode::Stream).unwrap();
-        assert!(oids.is_empty());
-        db.stage_insert("r", "a", 500, 2000).unwrap();
-        let (oids, stats) = db.select(&q, OutputMode::Stream).unwrap();
-        assert_eq!(oids, vec![500]);
-        assert_eq!(stats.result_count, 1);
-        assert!(db.stage_delete("r", "a", 500).unwrap());
-        let (oids, _) = db.select(&q, OutputMode::Stream).unwrap();
-        assert!(oids.is_empty());
+        for mode in MODES {
+            let mut db = db_in(mode);
+            let q = RangeQuery::new("r", "a", RangePred::ge(1000));
+            let (oids, _) = db.select(&q, OutputMode::Stream).unwrap();
+            assert!(oids.is_empty());
+            db.stage_insert("r", "a", 500, 2000).unwrap();
+            let (oids, stats) = db.select(&q, OutputMode::Stream).unwrap();
+            assert_eq!(oids, vec![500], "{mode:?}");
+            assert_eq!(stats.result_count, 1);
+            // Deletes reach a staged row and a base row (oid 15 is a = 84).
+            assert!(db.stage_delete("r", "a", 500).unwrap());
+            assert!(db.stage_delete("r", "a", 15).unwrap());
+            let q = RangeQuery::new("r", "a", RangePred::ge(84));
+            let (_, stats) = db.select(&q, OutputMode::Count).unwrap();
+            assert_eq!(stats.result_count, 15, "{mode:?}");
+            // An update staged before a column's first touch is in the
+            // handle that first touch hands out.
+            db.stage_insert("r", "k", 500, 2000).unwrap();
+            let col = db.shared_cracker("r", "k").unwrap();
+            assert_eq!(col.count(RangePred::ge(1000)), 1, "{mode:?}");
+        }
     }
 
     #[test]
@@ -1395,7 +1330,7 @@ mod tests {
         let pred = RangePred::between(10, 19);
         let mut sideways = db.select_project("r", "a", "k", pred).unwrap();
         sideways.sort_unstable();
-        // OID path through the plain cracker.
+        // OID path through the cracked column.
         let q = RangeQuery::new("r", "a", pred);
         let (oids, _) = db.select(&q, OutputMode::Stream).unwrap();
         let k_col: Vec<i64> = (0..100).map(|i| i % 10).collect();
@@ -1424,7 +1359,7 @@ mod tests {
             assert_eq!(db.concurrency(), mode);
             db.register(Table::from_int_columns("t", vec![("v", vals.clone())]).unwrap())
                 .unwrap();
-            assert_eq!(db.shared_columns(), 0);
+            assert_eq!(db.cracked_columns(), 0);
             {
                 let col = db.shared_cracker("t", "v").unwrap();
                 let vals = &vals;
@@ -1443,8 +1378,11 @@ mod tests {
                 });
                 col.validate().unwrap();
             }
-            assert_eq!(db.shared_columns(), 1);
-            assert!(db.total_crack_stats().queries > 0, "shared stats flow in");
+            assert_eq!(db.cracked_columns(), 1);
+            assert!(
+                db.total_crack_stats().queries > 0,
+                "the handle's stats flow in"
+            );
             assert!(db.shared_cracker("t", "zzz").is_err());
             assert!(db.shared_cracker("zzz", "v").is_err());
         }
@@ -1452,13 +1390,16 @@ mod tests {
 
     #[test]
     fn kernel_choice_reaches_every_concurrency_mode() {
-        // The same query stream through plain, single-lock, and sharded
-        // columns with every member of the kernel family forced: all
-        // paths agree, and the plain cracker really runs the requested
-        // kernel (SIMD degrades to branch-free where the CPU lacks a
+        // The same query through single-lock and sharded columns with
+        // every member of the kernel family forced: all agree with the
+        // oracle (SIMD degrades to branch-free where the CPU lacks a
         // vector tier — still the same answers).
         let vals: Vec<i64> = (0..5_000).map(|i| (i * 131) % 5_000).collect();
-        let mut answers = Vec::new();
+        let pred = RangePred::between(1_000, 2_000);
+        let mut want: Vec<u32> = (0..5_000u32)
+            .filter(|&o| pred.matches(vals[o as usize]))
+            .collect();
+        want.sort_unstable();
         for kernel in [
             KernelPolicy::Scalar,
             KernelPolicy::BranchFree,
@@ -1473,44 +1414,12 @@ mod tests {
                 assert_eq!(db.kernel_policy(), kernel);
                 db.register(Table::from_int_columns("t", vec![("v", vals.clone())]).unwrap())
                     .unwrap();
-                // Plain path.
-                let q = RangeQuery::new("t", "v", RangePred::between(1_000, 2_000));
-                let (mut plain, _) = db.select(&q, OutputMode::Stream).unwrap();
-                plain.sort_unstable();
-                // Latched path under `mode`.
-                let mut shared = db
-                    .shared_cracker("t", "v")
-                    .unwrap()
-                    .select_oids(RangePred::between(1_000, 2_000));
-                shared.sort_unstable();
-                assert_eq!(plain, shared, "{kernel:?}/{mode:?}");
-                answers.push(plain);
+                let q = RangeQuery::new("t", "v", pred);
+                let (mut got, _) = db.select(&q, OutputMode::Stream).unwrap();
+                got.sort_unstable();
+                assert_eq!(got, want, "{kernel:?}/{mode:?}");
             }
         }
-        assert!(answers.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn staged_updates_forward_to_the_shared_copy() {
-        let mut db = AdaptiveDb::new().with_concurrency(ConcurrencyMode::Sharded { shards: 4 });
-        db.register(Table::from_int_columns("t", vec![("v", (0..100).collect())]).unwrap())
-            .unwrap();
-        let band = RangePred::between(10, 20);
-        // Build both copies, then stage updates through the db surface.
-        assert_eq!(db.shared_cracker("t", "v").unwrap().count(band), 11);
-        db.stage_insert("t", "v", 500, 15).unwrap();
-        assert_eq!(
-            db.shared_cracker("t", "v").unwrap().count(band),
-            12,
-            "insert staged after the shared copy exists must reach it"
-        );
-        assert!(db.stage_delete("t", "v", 500).unwrap());
-        assert!(db.stage_delete("t", "v", 15).unwrap());
-        assert_eq!(db.shared_cracker("t", "v").unwrap().count(band), 10);
-        // The single-threaded path agrees.
-        let q = RangeQuery::new("t", "v", band);
-        let (_, stats) = db.select(&q, OutputMode::Count).unwrap();
-        assert_eq!(stats.result_count, 10);
     }
 
     #[test]
@@ -1544,10 +1453,8 @@ mod tests {
 
         // The governed batch path agrees with the ungoverned batch.
         let preds = vec![RangePred::between(10, 40), RangePred::between(50, 80)];
-        let governed = db
-            .shared_select_batch_governed("r", "a", &preds, &g, 1)
-            .unwrap();
-        let plain = db.shared_select_batch("r", "a", &preds).unwrap();
+        let governed = db.select_batch_governed("r", "a", &preds, &g, 1).unwrap();
+        let plain = db.select_batch("r", "a", &preds).unwrap();
         assert_eq!(governed, plain);
     }
 
@@ -1571,8 +1478,6 @@ mod tests {
         let mut db = AdaptiveDb::new().with_concurrency(ConcurrencyMode::Sharded { shards: 4 });
         db.register(Table::from_int_columns("t", vec![("v", (0..1000).collect())]).unwrap())
             .unwrap();
-        // Build both copies so the batch must reach each of them.
-        db.shared_cracker("t", "v").unwrap();
         db.select(
             &RangeQuery::new("t", "v", RangePred::lt(100)),
             OutputMode::Count,
@@ -1583,7 +1488,6 @@ mod tests {
         db.stage_insert_batch("t", "v", &[]).unwrap();
         let band = RangePred::between(0, 996);
         let want = 1000 - 3 + rows.len(); // base 997..=999 excluded
-        assert_eq!(db.shared_cracker("t", "v").unwrap().count(band), want);
         let (_, stats) = db
             .select(&RangeQuery::new("t", "v", band), OutputMode::Count)
             .unwrap();
@@ -1672,10 +1576,7 @@ mod tests {
         // Nothing to remove: nothing changes, cracked state included.
         assert_eq!(db.delete_rows("r", &[]).unwrap(), 0);
         assert_eq!(db.delete_rows("r", &[100, 7_000]).unwrap(), 0);
-        assert_eq!(
-            (db.cracked_columns(), db.shared_columns(), db.map_count()),
-            (2, 1, 1)
-        );
+        assert_eq!((db.cracked_columns(), db.map_count()), (3, 1));
         // Repeats and out-of-range OIDs count once or not at all.
         assert_eq!(db.delete_rows("r", &[0, 99, 0, 100]).unwrap(), 2);
         let r = db.catalog().table("r").unwrap();
@@ -1683,8 +1584,8 @@ mod tests {
         assert_eq!(r.ints("a").unwrap()[0], 98, "old OID 1 is the new OID 0");
         assert_eq!(r.ints("k").unwrap()[97], 8, "columns stay aligned");
         assert_eq!(
-            (db.cracked_columns(), db.shared_columns(), db.map_count()),
-            (1, 0, 0),
+            (db.cracked_columns(), db.map_count()),
+            (1, 0),
             "r's copies are stale, s keeps its own"
         );
         assert_eq!(db.total_crack_stats().queries, 1, "s's counters survive");
@@ -1742,6 +1643,58 @@ mod tests {
         assert_eq!(db.catalog().table("r").unwrap().len(), 100);
         assert_eq!(db.catalog().len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn superseded_meta_formats_are_refused_typed() {
+        // A directory written before the one-copy-per-column format (meta
+        // version 1: `crackers` + `shared` lists, `cracker/…` and `shared/…`
+        // payloads) must be refused as `PersistFormat` — never a panic, never
+        // a silently cold database.
+        #[derive(serde::Serialize)]
+        struct MetaV1 {
+            version: u32,
+            concurrency_shards: u64,
+            tables: Vec<TableMeta>,
+            crackers: Vec<(String, String)>,
+            shared: Vec<(String, String)>,
+        }
+        fn refused(tag: &str, meta: &impl serde::Serialize) -> String {
+            let dir = std::env::temp_dir()
+                .join(format!("dbcracker-db-meta-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut store = CheckpointStore::open(&dir).unwrap();
+            let mut w = store.begin().unwrap();
+            w.put(META_KEY, tag, meta).unwrap();
+            w.put("cracker/t/v", "n0", &Vec::<i64>::new()).unwrap();
+            w.commit().unwrap();
+            let got = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1);
+            let _ = std::fs::remove_dir_all(&dir);
+            match got {
+                Err(EngineError::Storage(StorageError::PersistFormat(msg))) => msg,
+                Err(other) => panic!("{tag}: expected PersistFormat, got {other}"),
+                Ok(_) => panic!("{tag}: a superseded directory must not recover"),
+            }
+        }
+        // The v1 shape: no `columns` list to decode.
+        let v1 = MetaV1 {
+            version: 1,
+            concurrency_shards: 0,
+            tables: Vec::new(),
+            crackers: vec![("t".to_string(), "v".to_string())],
+            shared: Vec::new(),
+        };
+        let msg = refused("v1", &v1);
+        assert!(msg.contains("columns"), "{msg}");
+        // The current shape under a version this build does not write.
+        let stale = DbMeta {
+            version: DB_META_VERSION - 1,
+            concurrency_shards: 0,
+            tables: Vec::new(),
+            columns: Vec::new(),
+        };
+        let msg = refused("version", &stale);
+        assert!(msg.contains("version"), "{msg}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! checkpoint + redo log:
 //!
 //! * [`AdaptiveDb::checkpoint`](crate::AdaptiveDb::checkpoint) writes the
-//!   base tables, every cracked copy's piece map, and the pending-update
-//!   overlay into an atomic [`storage::checkpoint`] epoch — unchanged
+//!   base tables, each cracked column's piece map (one snapshot per
+//!   column), and the pending-update overlay into an atomic [`storage::checkpoint`] epoch — unchanged
 //!   payloads (per a content fingerprint) are carried forward without
 //!   rewriting;
 //! * between checkpoints, staged inserts/deletes are appended to the
@@ -25,8 +25,10 @@ use storage::fault::RetryPolicy;
 use storage::wal::RedoLog;
 use storage::{CheckpointStore, Manifest, StorageError};
 
-/// Version tag of the [`DbMeta`] payload.
-pub const DB_META_VERSION: u32 = 1;
+/// Version tag of the [`DbMeta`] payload. Version 1 listed two cracked
+/// copies per column under two key prefixes; a v1 directory is refused as
+/// a typed [`StorageError::PersistFormat`].
+pub const DB_META_VERSION: u32 = 2;
 
 /// Manifest key under which the database-level metadata payload lives.
 pub const META_KEY: &str = "__meta__";
@@ -52,10 +54,9 @@ pub struct DbMeta {
     pub concurrency_shards: u64,
     /// Registered tables, sorted by name.
     pub tables: Vec<TableMeta>,
-    /// `(table, column)` keys of single-threaded cracked copies.
-    pub crackers: Vec<(String, String)>,
-    /// `(table, column)` keys of latched shared cracked copies.
-    pub shared: Vec<(String, String)>,
+    /// `(table, column)` keys of the cracked columns, sorted. Snapshots
+    /// live under [`column_key`] entries.
+    pub columns: Vec<(String, String)>,
 }
 
 /// Manifest key of a base-table column payload (`Vec<i64>`).
@@ -63,16 +64,10 @@ pub fn table_key(table: &str, column: &str) -> String {
     format!("table/{table}/{column}")
 }
 
-/// Manifest key of a single-threaded cracked copy's
-/// [`cracker_core::ColumnSnapshot`].
-pub fn cracker_key(table: &str, column: &str) -> String {
-    format!("cracker/{table}/{column}")
-}
-
-/// Manifest key of a shared cracked copy's
+/// Manifest key of a cracked column's
 /// [`cracker_core::ConcurrentSnapshot`].
-pub fn shared_key(table: &str, column: &str) -> String {
-    format!("shared/{table}/{column}")
+pub fn column_key(table: &str, column: &str) -> String {
+    format!("column/{table}/{column}")
 }
 
 /// The live durability handle an [`AdaptiveDb`](crate::AdaptiveDb)

@@ -1,10 +1,10 @@
 //! Engine cost profiles — reproducing the *spread between systems*.
 //!
 //! Figure 1 and §5.1 of the paper measure MySQL, PostgreSQL, SQLite and
-//! MonetDB out of the box. We cannot ship four foreign C code bases, so —
-//! per the substitution rule documented in DESIGN.md — the comparative
-//! figures are regenerated by replaying our engine's *counters* through a
-//! per-system cost profile. The constants are calibrated to the ranges the
+//! MonetDB out of the box. We cannot ship four foreign C code bases, so
+//! the comparative figures are regenerated by replaying our engine's
+//! *counters* through a per-system cost profile (the substitution the
+//! `fig1_selectivity` and `fig9_joins` bins cite). The constants are calibrated to the ranges the
 //! paper reports: "materialization of a temporary table ... ranges from 40
 //! to 1200 ms per table. On top of this, the DBMS needs anywhere between 3
 //! to 250 ms/10000 tuples to evaluate the predicate and create the tuple

@@ -2,18 +2,18 @@
 //!
 //! `workload::scenario` defines the op streams and the differential
 //! oracle; this module plugs the engine's access paths into that harness
-//! so single-threaded, single-lock, and sharded executions all replay the
+//! so unlatched, single-lock, and sharded executions all replay the
 //! same seeded scenario:
 //!
 //! * [`CrackEngine`] implements `ScenarioExecutor` directly — the default
 //!   (unlatched) column path;
 //! * [`DbScenarioRunner`] replays a scenario through a registered
-//!   [`AdaptiveDb`] table: selects go to the latched
+//!   [`AdaptiveDb`] table: selects and updates
+//!   ([`AdaptiveDb::stage_insert`] / [`AdaptiveDb::stage_delete`]) meet
+//!   in the column's one cracked copy, the latched
 //!   [`cracker_core::ConcurrentColumn`] built under the db's
-//!   [`ConcurrencyMode`] (single-lock or sharded), while updates go
-//!   through [`AdaptiveDb::stage_insert`] / [`AdaptiveDb::stage_delete`],
-//!   which mirror them into *every* cracked copy — exactly the bookkeeping
-//!   a production path would exercise.
+//!   [`ConcurrencyMode`] (single-lock or sharded) — exactly the
+//!   bookkeeping a production path would exercise.
 
 use cracker_core::ConcurrencyMode;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -94,7 +94,7 @@ pub struct ChaosReport {
 
 /// Replays a scenario through a full [`AdaptiveDb`]: catalog-registered
 /// table, latched concurrent column per the db's [`ConcurrencyMode`], and
-/// staged updates mirrored into every cracked copy.
+/// staged updates in that column's overlay.
 pub struct DbScenarioRunner {
     db: AdaptiveDb,
     mode: ConcurrencyMode,
@@ -106,8 +106,8 @@ pub struct DbScenarioRunner {
 impl DbScenarioRunner {
     /// Register the scenario's base column as table
     /// [`SCENARIO_TABLE`]`.`[`SCENARIO_COLUMN`] in a fresh db running
-    /// under `mode`, and eagerly build the latched cracked copy so the
-    /// replay measures steady-state bookkeeping, not first-touch setup.
+    /// under `mode`, and eagerly build its cracked copy so the replay
+    /// measures steady-state bookkeeping, not first-touch setup.
     pub fn new<S: Scenario + ?Sized>(scenario: &S, mode: ConcurrencyMode) -> EngineResult<Self> {
         let mut db = AdaptiveDb::new().with_concurrency(mode);
         db.register(Table::from_int_columns(
@@ -182,7 +182,7 @@ impl DbScenarioRunner {
     pub fn run_select_batch(&mut self, windows: &[Window]) -> Vec<Vec<u32>> {
         let preds: Vec<_> = windows.iter().map(|w| w.to_pred()).collect();
         self.db
-            .shared_select_batch(SCENARIO_TABLE, SCENARIO_COLUMN, &preds)
+            .select_batch(SCENARIO_TABLE, SCENARIO_COLUMN, &preds)
             // lint: allow(unwrap) — the constructor registers this column
             .expect("scenario column registered at construction")
     }
@@ -312,7 +312,7 @@ impl DbScenarioRunner {
         }
         self.db
             .shared_cracker(SCENARIO_TABLE, SCENARIO_COLUMN)
-            .map_err(|e| format!("final: shared cracker lost: {e}"))?
+            .map_err(|e| format!("final: cracked column lost: {e}"))?
             .validate()
             .map_err(|e| format!("final: column invalid after chaos replay: {e}"))?;
         Ok(report)
@@ -332,7 +332,7 @@ impl DbScenarioRunner {
         if cancel {
             let governor = Governor::unbounded();
             governor.token().cancel();
-            return match self.db.shared_select_batch_governed(
+            return match self.db.select_batch_governed(
                 SCENARIO_TABLE,
                 SCENARIO_COLUMN,
                 &preds,
@@ -350,7 +350,7 @@ impl DbScenarioRunner {
         }
         if deadline {
             let governor = Governor::with_deadline(Duration::ZERO);
-            return match self.db.shared_select_batch_governed(
+            return match self.db.select_batch_governed(
                 SCENARIO_TABLE,
                 SCENARIO_COLUMN,
                 &preds,
@@ -375,7 +375,7 @@ impl DbScenarioRunner {
             );
             let blocker = gate.try_admit(BLOCKER_SESSION);
             let governor = Governor::with_deadline(Duration::from_millis(20));
-            let res = self.db.shared_select_batch_governed(
+            let res = self.db.select_batch_governed(
                 SCENARIO_TABLE,
                 SCENARIO_COLUMN,
                 &preds,
@@ -396,7 +396,7 @@ impl DbScenarioRunner {
         if panic {
             self.db
                 .shared_cracker(SCENARIO_TABLE, SCENARIO_COLUMN)
-                .map_err(|e| format!("step {step}: shared cracker lost: {e}"))?
+                .map_err(|e| format!("step {step}: cracked column lost: {e}"))?
                 .arm_panic_on_crack(0);
         }
         // An armed panic may only fire on a *later* select (this one may
@@ -405,7 +405,7 @@ impl DbScenarioRunner {
         let governor = Governor::unbounded();
         let db = &mut self.db;
         let res = catch_unwind(AssertUnwindSafe(|| {
-            db.shared_select_batch_governed(
+            db.select_batch_governed(
                 SCENARIO_TABLE,
                 SCENARIO_COLUMN,
                 &preds,
@@ -418,7 +418,7 @@ impl DbScenarioRunner {
                 report.panics += 1;
                 self.db
                     .shared_cracker(SCENARIO_TABLE, SCENARIO_COLUMN)
-                    .map_err(|e| format!("step {step}: shared cracker lost: {e}"))?
+                    .map_err(|e| format!("step {step}: cracked column lost: {e}"))?
                     .validate()
                     .map_err(|e| format!("step {step}: column invalid after panic: {e}"))?;
                 Ok(())
@@ -502,7 +502,7 @@ mod tests {
             assert_eq!(report.selects, 32);
             assert!(report.inserts + report.deletes > 0, "mix really updated");
             let db = runner.into_db();
-            assert_eq!(db.shared_columns(), 1);
+            assert_eq!(db.cracked_columns(), 1);
             assert!(db.total_crack_stats().queries > 0);
         }
     }

@@ -119,7 +119,7 @@ fn is_store_artifact(name: &str) -> bool {
 /// One payload recorded in a [`Manifest`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ManifestEntry {
-    /// Logical key (e.g. `cracker/scenario/v`).
+    /// Logical key (e.g. `column/scenario/v`).
     pub key: String,
     /// Payload file name inside the checkpoint directory.
     pub file: String,

@@ -2,7 +2,7 @@
 //! answered through the latch-amortized batch entry points must be
 //! indistinguishable from the same predicates answered one statement at
 //! a time — identical (sorted) OID sets *and* an identical final cracked
-//! layout — across the plain, single-lock, and sharded flavours. The
+//! layout — across the single-lock and sharded flavours. The
 //! scenario roster is also replayed through the batch path against the
 //! sorted-vector oracle, and the prepared-statement pipeline is pinned
 //! to literal SQL execution.
@@ -269,27 +269,31 @@ proptest! {
         }
     }
 
-    /// The engine's plain-column batch leg agrees with per-statement
-    /// conjunctive selection (the single-predicate degenerate case).
+    /// The engine's batch entry point agrees with per-statement
+    /// conjunctive selection (the single-predicate degenerate case) under
+    /// both lock modes.
     #[test]
     fn prop_adaptive_db_batch_matches_statement_selects(
         vals in proptest::collection::vec(-120i64..120, 16..160),
         preds in proptest::collection::vec((-130i64..130, 1i64..60), 1..24),
+        shards in 1usize..6,
     ) {
         let preds: Vec<RangePred<i64>> = preds
             .iter()
             .map(|&(lo, w)| RangePred::half_open(lo, lo + w))
             .collect();
         let table = || Table::from_int_columns("t", vec![("v", vals.clone())]).expect("aligned");
-        let mut stmt_db = AdaptiveDb::new();
-        let mut batch_db = AdaptiveDb::new();
-        stmt_db.register(table()).expect("fresh catalog");
-        batch_db.register(table()).expect("fresh catalog");
-        let batched = batch_db.select_batch("t", "v", &preds).expect("batch select");
-        for (p, mut b) in preds.iter().zip(batched) {
-            let s = stmt_db.select_conjunctive("t", &[("v", *p)]).expect("select");
-            b.sort_unstable();
-            prop_assert_eq!(s, b, "pred {:?}", p);
+        for mode in [ConcurrencyMode::SingleLock, ConcurrencyMode::Sharded { shards }] {
+            let mut stmt_db = AdaptiveDb::new().with_concurrency(mode);
+            let mut batch_db = AdaptiveDb::new().with_concurrency(mode);
+            stmt_db.register(table()).expect("fresh catalog");
+            batch_db.register(table()).expect("fresh catalog");
+            let batched = batch_db.select_batch("t", "v", &preds).expect("batch select");
+            for (p, mut b) in preds.iter().zip(batched) {
+                let s = stmt_db.select_conjunctive("t", &[("v", *p)]).expect("select");
+                b.sort_unstable();
+                prop_assert_eq!(s, b, "{:?} pred {:?}", mode, p);
+            }
         }
     }
 }

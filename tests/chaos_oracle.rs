@@ -52,28 +52,23 @@ fn db_with_table(base: &[i64], mode: ConcurrencyMode) -> AdaptiveDb {
     db
 }
 
-/// Both query paths must be oracle-identical on every probe window and
-/// the shared piece map must pass full validation.
+/// The db must be oracle-identical on every probe window and its piece
+/// map must pass full validation.
 fn assert_matches_oracle(db: &mut AdaptiveDb, oracle: &SortedOracle, windows: &[Window]) {
     for &w in windows {
-        let want = oracle.select_oids(w);
-        let (mut plain, _) = db
+        let (mut got, _) = db
             .select(
                 &RangeQuery::new(TABLE, COLUMN, w.to_pred()),
                 OutputMode::Stream,
             )
             .unwrap();
-        plain.sort_unstable();
-        assert_eq!(plain, want, "plain path diverged on [{}, {})", w.lo, w.hi);
-        let mut latched = db
-            .shared_cracker(TABLE, COLUMN)
-            .unwrap()
-            .select_oids(w.to_pred());
-        latched.sort_unstable();
+        got.sort_unstable();
         assert_eq!(
-            latched, want,
-            "shared path diverged on [{}, {})",
-            w.lo, w.hi
+            got,
+            oracle.select_oids(w),
+            "db diverged on [{}, {})",
+            w.lo,
+            w.hi
         );
     }
     db.shared_cracker(TABLE, COLUMN)
@@ -112,79 +107,86 @@ fn every_fault_point_retries_to_success_or_surfaces_typed_errors() {
     ];
     let mut fault_failures = 0usize;
     let mut fault_retried_away = 0usize;
-    for (pi, &point) in fault::ALL_POINTS.iter().enumerate() {
-        for (ki, &kind) in kinds.iter().enumerate() {
-            let tag = format!("point{pi}-kind{ki}");
-            let dir = scratch(&tag);
-            let mut oracle = SortedOracle::new(&base);
-            let mut db = db_with_table(&base, ConcurrencyMode::SingleLock);
-            let mut mix = Mix(100 + (pi * 7 + ki) as u64);
-            // Crack both copies so checkpoints carry real piece maps.
-            for _ in 0..4 {
-                let w = mix.window(n as i64, 200);
-                db.select(
-                    &RangeQuery::new(TABLE, COLUMN, w.to_pred()),
-                    OutputMode::Count,
-                )
-                .unwrap();
-                db.shared_cracker(TABLE, COLUMN).unwrap().count(w.to_pred());
-            }
-            db.attach_durability(&dir, 1).unwrap();
-            assert!(
-                db.arm_io_fault(point, 0, kind, 1),
-                "{tag}: {point} must be armable once durability is attached"
-            );
-            let mut hit_error = false;
-            // Updates exercise the wal.* points; the checkpoint exercises
-            // the ckpt.* points (and wal.open at log rotation).
-            for i in 0..6u32 {
-                let oid = n as u32 + i;
-                match db.stage_insert(TABLE, COLUMN, oid, i as i64) {
-                    Ok(()) => oracle.insert(oid, i as i64),
-                    Err(e) => {
-                        assert_typed(&format!("{tag}: insert under {point}"), &e);
-                        hit_error = true;
+    for (mi, mode) in [
+        ConcurrencyMode::SingleLock,
+        ConcurrencyMode::Sharded { shards: 4 },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for (pi, &point) in fault::ALL_POINTS.iter().enumerate() {
+            for (ki, &kind) in kinds.iter().enumerate() {
+                let tag = format!("point{pi}-kind{ki}-mode{mi}");
+                let dir = scratch(&tag);
+                let mut oracle = SortedOracle::new(&base);
+                let mut db = db_with_table(&base, mode);
+                let mut mix = Mix(100 + (pi * 7 + ki) as u64);
+                // Crack first so checkpoints carry a real piece map.
+                for _ in 0..4 {
+                    let w = mix.window(n as i64, 200);
+                    db.select(
+                        &RangeQuery::new(TABLE, COLUMN, w.to_pred()),
+                        OutputMode::Count,
+                    )
+                    .unwrap();
+                }
+                db.attach_durability(&dir, 1).unwrap();
+                assert!(
+                    db.arm_io_fault(point, 0, kind, 1),
+                    "{tag}: {point} must be armable once durability is attached"
+                );
+                let mut hit_error = false;
+                // Updates exercise the wal.* points; the checkpoint exercises
+                // the ckpt.* points (and wal.open at log rotation).
+                for i in 0..6u32 {
+                    let oid = n as u32 + i;
+                    match db.stage_insert(TABLE, COLUMN, oid, i as i64) {
+                        Ok(()) => oracle.insert(oid, i as i64),
+                        Err(e) => {
+                            assert_typed(&format!("{tag}: insert under {point}"), &e);
+                            hit_error = true;
+                        }
                     }
                 }
+                if let Err(e) = db.checkpoint() {
+                    assert_typed(&format!("{tag}: checkpoint under {point}"), &e);
+                    hit_error = true;
+                }
+                // The fault has fired (fires = 1) by now if its point was on
+                // the path. A poisoned log heals at the next successful
+                // rotation; give it two chances before requiring clean flow.
+                let mut rounds = 0;
+                while db.wal_poisoned().is_some() && rounds < 2 {
+                    let _ = db.checkpoint();
+                    rounds += 1;
+                }
+                assert!(
+                    db.wal_poisoned().is_none(),
+                    "{tag}: log stayed poisoned after two rotations"
+                );
+                match db.stage_insert(TABLE, COLUMN, n as u32 + 50, 7) {
+                    Ok(()) => oracle.insert(n as u32 + 50, 7),
+                    Err(e) => panic!("{tag}: update after degradation window: {e}"),
+                }
+                assert!(
+                    db.io_faults_injected() >= 1,
+                    "{tag}: the armed fault never fired — {point} is not on the durable path"
+                );
+                if hit_error {
+                    fault_failures += 1;
+                } else {
+                    fault_retried_away += 1;
+                }
+                // The survived database answers right...
+                let probes: Vec<Window> = (0..6).map(|_| mix.window(n as i64, 350)).collect();
+                assert_matches_oracle(&mut db, &oracle, &probes);
+                drop(db);
+                // ...and so does a recovery from whatever it left on disk.
+                let mut rec = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1)
+                    .unwrap_or_else(|e| panic!("{tag}: recovery after {kind:?} at {point}: {e}"));
+                assert_matches_oracle(&mut rec, &oracle, &probes);
+                std::fs::remove_dir_all(&dir).ok();
             }
-            if let Err(e) = db.checkpoint() {
-                assert_typed(&format!("{tag}: checkpoint under {point}"), &e);
-                hit_error = true;
-            }
-            // The fault has fired (fires = 1) by now if its point was on
-            // the path. A poisoned log heals at the next successful
-            // rotation; give it two chances before requiring clean flow.
-            let mut rounds = 0;
-            while db.wal_poisoned().is_some() && rounds < 2 {
-                let _ = db.checkpoint();
-                rounds += 1;
-            }
-            assert!(
-                db.wal_poisoned().is_none(),
-                "{tag}: log stayed poisoned after two rotations"
-            );
-            match db.stage_insert(TABLE, COLUMN, n as u32 + 50, 7) {
-                Ok(()) => oracle.insert(n as u32 + 50, 7),
-                Err(e) => panic!("{tag}: update after degradation window: {e}"),
-            }
-            assert!(
-                db.io_faults_injected() >= 1,
-                "{tag}: the armed fault never fired — {point} is not on the durable path"
-            );
-            if hit_error {
-                fault_failures += 1;
-            } else {
-                fault_retried_away += 1;
-            }
-            // The survived database answers right...
-            let probes: Vec<Window> = (0..6).map(|_| mix.window(n as i64, 350)).collect();
-            assert_matches_oracle(&mut db, &oracle, &probes);
-            drop(db);
-            // ...and so does a recovery from whatever it left on disk.
-            let mut rec = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1)
-                .unwrap_or_else(|e| panic!("{tag}: recovery after {kind:?} at {point}: {e}"));
-            assert_matches_oracle(&mut rec, &oracle, &probes);
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
     // Transient kinds (EIO, short write) retry away under the default

@@ -4,10 +4,12 @@
 //! replay, piece maps must validate, and the recovered store must answer
 //! *warm* (at cracked cost, not full-scan cost). See `PERSISTENCE.md`.
 
+use dbcracker::engine::durability::{column_key, META_KEY};
 use dbcracker::engine::scenario::{SCENARIO_COLUMN, SCENARIO_TABLE};
 use dbcracker::engine::{AdaptiveDb, DbScenarioRunner, OutputMode, RangeQuery, Table};
 use dbcracker::prelude::*;
-use std::path::PathBuf;
+use dbcracker::storage::CheckpointStore;
+use std::path::{Path, PathBuf};
 
 const TABLE: &str = "t";
 const COLUMN: &str = "v";
@@ -49,27 +51,23 @@ fn db_with_table(base: &[i64], mode: ConcurrencyMode) -> AdaptiveDb {
     db
 }
 
-/// The recovered db must give oracle-identical answers on both query
-/// paths (plain cracker and latched shared cracker) for every probe
-/// window, and its piece maps must pass full validation.
+/// The recovered db must give oracle-identical answers for every probe
+/// window, and its piece map must pass full validation.
 fn assert_matches_oracle(db: &mut AdaptiveDb, oracle: &SortedOracle, windows: &[Window]) {
     for &w in windows {
-        let want = oracle.select_oids(w);
-        let (mut plain, _) = db
+        let (mut got, _) = db
             .select(
                 &RangeQuery::new(TABLE, COLUMN, w.to_pred()),
                 OutputMode::Stream,
             )
             .unwrap();
-        plain.sort_unstable();
-        assert_eq!(plain, want, "plain path diverged on [{}, {})", w.lo, w.hi);
-        let shared = db.shared_cracker(TABLE, COLUMN).unwrap();
-        let mut latched = shared.select_oids(w.to_pred());
-        latched.sort_unstable();
+        got.sort_unstable();
         assert_eq!(
-            latched, want,
-            "shared path diverged on [{}, {})",
-            w.lo, w.hi
+            got,
+            oracle.select_oids(w),
+            "recovered db diverged on [{}, {})",
+            w.lo,
+            w.hi
         );
     }
     db.shared_cracker(TABLE, COLUMN)
@@ -90,8 +88,8 @@ fn checkpoint_recover_roundtrip_matches_oracle_in_both_modes() {
         let mut oracle = SortedOracle::new(&base);
         let mut db = db_with_table(&base, mode);
         let mut mix = Mix(7);
-        // Crack both copies before attaching, so the checkpoint carries a
-        // non-trivial piece map.
+        // Crack before attaching, so the checkpoint carries a non-trivial
+        // piece map.
         for _ in 0..12 {
             let w = mix.window(n as i64, 400);
             db.select(
@@ -99,7 +97,6 @@ fn checkpoint_recover_roundtrip_matches_oracle_in_both_modes() {
                 OutputMode::Count,
             )
             .unwrap();
-            db.shared_cracker(TABLE, COLUMN).unwrap().count(w.to_pred());
         }
         db.attach_durability(&dir, 1).unwrap();
         // Updates after the initial checkpoint live only in the redo log.
@@ -151,7 +148,8 @@ fn checkpoint_sees_overlay_swap_that_preserves_length() {
     let dir = scratch("overlay-swap");
     let mut oracle = SortedOracle::new(&base);
     let mut db = db_with_table(&base, ConcurrencyMode::SingleLock);
-    // Create the shared copy up front so staged updates forward to it.
+    // Touch the column up front so the initial checkpoint already holds
+    // its payload.
     db.shared_cracker(TABLE, COLUMN).unwrap();
     db.attach_durability(&dir, 1).unwrap();
 
@@ -193,8 +191,6 @@ fn rejected_update_leaves_no_poison_record_in_the_log() {
     let dir = scratch("poison");
     let mut oracle = SortedOracle::new(&base);
     let mut db = db_with_table(&base, ConcurrencyMode::SingleLock);
-    // Create the shared copy up front so staged updates forward to it.
-    db.shared_cracker(TABLE, COLUMN).unwrap();
     db.attach_durability(&dir, 1).unwrap();
     db.stage_insert(TABLE, COLUMN, n as u32, 7).unwrap();
     oracle.insert(n as u32, 7);
@@ -226,10 +222,15 @@ fn crash_at_every_checkpoint_boundary_recovers_to_last_durable_state() {
     let base = base_column(n);
     let mut committed = 0;
     let mut died = 0;
-    for k in 0..10u32 {
-        let dir = scratch(&format!("ckpt-crash-{k}"));
+    for case in 0..20u32 {
+        // Every countdown under each latching mode.
+        let (k, mode) = match case {
+            0..=9 => (case, ConcurrencyMode::SingleLock),
+            _ => (case - 10, ConcurrencyMode::Sharded { shards: 4 }),
+        };
+        let dir = scratch(&format!("ckpt-crash-{case}"));
         let mut oracle = SortedOracle::new(&base);
-        let mut db = db_with_table(&base, ConcurrencyMode::SingleLock);
+        let mut db = db_with_table(&base, mode);
         let mut mix = Mix(1000 + k as u64);
         db.attach_durability(&dir, 1).unwrap();
         for _ in 0..6 {
@@ -239,7 +240,6 @@ fn crash_at_every_checkpoint_boundary_recovers_to_last_durable_state() {
                 OutputMode::Count,
             )
             .unwrap();
-            db.shared_cracker(TABLE, COLUMN).unwrap().count(w.to_pred());
         }
         for i in 0..20u32 {
             let oid = n as u32 + i;
@@ -293,6 +293,22 @@ fn crash_mid_log_append_loses_only_the_torn_record() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Manifest keys of the cracked-column payloads in `dir`'s committed
+/// checkpoint (everything but the meta payload and the base tables).
+fn cracked_payload_keys(dir: &Path) -> Vec<String> {
+    let manifest = CheckpointStore::open(dir)
+        .unwrap()
+        .manifest()
+        .unwrap()
+        .expect("a committed checkpoint");
+    manifest
+        .entries
+        .into_iter()
+        .map(|e| e.key)
+        .filter(|k| k != META_KEY && !k.starts_with("table/"))
+        .collect()
+}
+
 #[test]
 fn recovery_is_warm_not_cold() {
     // The whole point of checkpointing the piece map: a recovered store
@@ -300,61 +316,63 @@ fn recovery_is_warm_not_cold() {
     // are pinned via touched-tuple counters, not wall clock.
     let n = 50_000;
     let base = base_column(n);
-    let dir = scratch("warm");
-    let mut db = db_with_table(&base, ConcurrencyMode::SingleLock);
     let hot = Window::new(20_000, 20_600);
-    let mut mix = Mix(5);
-    for _ in 0..30 {
-        let w = mix.window(n as i64, 800);
-        db.select(
-            &RangeQuery::new(TABLE, COLUMN, w.to_pred()),
-            OutputMode::Count,
-        )
-        .unwrap();
+    let hot_query = RangeQuery::new(TABLE, COLUMN, hot.to_pred());
+    for (mode, tag) in [
+        (ConcurrencyMode::SingleLock, "single"),
+        (ConcurrencyMode::Sharded { shards: 4 }, "sharded"),
+    ] {
+        let dir = scratch(&format!("warm-{tag}"));
+        let mut db = db_with_table(&base, mode);
+        let mut mix = Mix(5);
+        for _ in 0..30 {
+            let w = mix.window(n as i64, 800);
+            db.select(
+                &RangeQuery::new(TABLE, COLUMN, w.to_pred()),
+                OutputMode::Count,
+            )
+            .unwrap();
+        }
+        db.select(&hot_query, OutputMode::Count).unwrap();
+        let pieces_before = db.shared_cracker(TABLE, COLUMN).unwrap().piece_count();
+        db.attach_durability(&dir, 1).unwrap();
+        // Staged after the checkpoint, so recovery replays them from the
+        // redo log — into the restored column, not into a second cold one.
+        db.stage_insert(TABLE, COLUMN, n as u32, -1).unwrap();
+        assert!(db.stage_delete(TABLE, COLUMN, 3).unwrap());
+        let cracked_before = db.cracked_columns();
+        drop(db);
+
+        let mut rec = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1).unwrap();
+        assert_eq!(rec.cracked_columns(), cracked_before, "{tag}");
+        assert_eq!(
+            rec.shared_cracker(TABLE, COLUMN).unwrap().piece_count(),
+            pieces_before,
+            "{tag}: every crack boundary must survive recovery"
+        );
+        // One cracked copy per column, so one snapshot per column.
+        rec.checkpoint().unwrap();
+        assert_eq!(
+            cracked_payload_keys(&dir),
+            vec![column_key(TABLE, COLUMN)],
+            "{tag}"
+        );
+        // Warm: repeating the hot query on the recovered db.
+        let before = rec.total_crack_stats().tuples_touched;
+        rec.select(&hot_query, OutputMode::Count).unwrap();
+        let warm_cost = rec.total_crack_stats().tuples_touched - before;
+
+        // Cold: the same query on a fresh, never-cracked db.
+        let mut cold = db_with_table(&base, mode);
+        cold.select(&hot_query, OutputMode::Count).unwrap();
+        let cold_cost = cold.total_crack_stats().tuples_touched;
+
+        assert!(
+            warm_cost * 10 < cold_cost,
+            "{tag}: recovered query touched {warm_cost} tuples; cold scan touched {cold_cost} — recovery came back cold"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
-    db.select(
-        &RangeQuery::new(TABLE, COLUMN, hot.to_pred()),
-        OutputMode::Count,
-    )
-    .unwrap();
-    let pieces_before = {
-        let shared = db.shared_cracker(TABLE, COLUMN).unwrap();
-        shared.count(hot.to_pred());
-        shared.piece_count()
-    };
-    db.attach_durability(&dir, 1).unwrap();
-    drop(db);
-
-    let mut rec = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1).unwrap();
-    assert_eq!(
-        rec.shared_cracker(TABLE, COLUMN).unwrap().piece_count(),
-        pieces_before,
-        "every crack boundary must survive recovery"
-    );
-    // Warm: repeating the hot query on the recovered plain cracker.
-    let before = rec.total_crack_stats().tuples_touched;
-    rec.select(
-        &RangeQuery::new(TABLE, COLUMN, hot.to_pred()),
-        OutputMode::Count,
-    )
-    .unwrap();
-    let warm_cost = rec.total_crack_stats().tuples_touched - before;
-
-    // Cold: the same query on a fresh, never-cracked db.
-    let mut cold = db_with_table(&base, ConcurrencyMode::SingleLock);
-    let before = cold.total_crack_stats().tuples_touched;
-    cold.select(
-        &RangeQuery::new(TABLE, COLUMN, hot.to_pred()),
-        OutputMode::Count,
-    )
-    .unwrap();
-    let cold_cost = cold.total_crack_stats().tuples_touched - before;
-
-    assert!(
-        warm_cost * 10 < cold_cost,
-        "recovered query touched {warm_cost} tuples; cold scan touched {cold_cost} — recovery came back cold"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

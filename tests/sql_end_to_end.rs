@@ -537,9 +537,11 @@ fn a_delete_leaves_other_tables_cracked_state_alone() {
         .execute_one("select count(*) from r where a < 300")
         .unwrap();
     let delta = session.adaptive().total_crack_stats().delta_since(&before);
+    // Index-only: both boundaries exist, so the answer comes off the read
+    // latch without entering the cracking select (`queries` counts those).
     assert_eq!(
         (delta.queries, delta.cracks, delta.tuples_touched),
-        (1, 0, 0),
+        (0, 0, 0),
         "the repeat query on r is still index-only"
     );
 }
