@@ -10,10 +10,18 @@
 //!   and `sharded` legs), so latch traffic there is real contention, not
 //!   just instruction count.
 //! * `batch_exec_prepared` — the SQL front-end's amortization ladder:
-//!   re-parsing the statement text per query, binding a [`Prepared`] plan
+//!   statement text with literals per query, binding a [`Prepared`] plan
 //!   per query, and handing all bindings to
 //!   [`SqlSession::execute_prepared_many`] so the whole batch rides one
-//!   cracked-column pass.
+//!   cracked-column pass. The first leg keeps the id
+//!   `reparse_per_query` (so `bench_diff` pairs it across commits) but no
+//!   longer re-parses: `execute_one(text)` normalizes the text to its
+//!   shape and hits the session's plan cache, so what the leg measures
+//!   over `prepared_per_query` is the `format!`, the normalizer and one
+//!   map lookup per query. Expected: 1.3–1.5× `prepared_per_query`
+//!   (about 0.4 µs a query on top of a 1 µs prepared query), and below
+//!   what `prepared_per_query` cost before plans stopped being cloned per
+//!   bind.
 //! * `batch_exec_admission` — reader p95 latency (via `iter_custom`)
 //!   while an update-heavy writer session bursts staged inserts/deletes,
 //!   with the [`AdmissionGate`] off vs on. The gate's per-session cap

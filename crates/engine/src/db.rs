@@ -34,7 +34,6 @@ use cracker_core::sideways::CrackerMap;
 use cracker_core::{
     ConcurrencyMode, ConcurrentColumn, ConcurrentSnapshot, CrackerConfig, KernelPolicy, RangePred,
 };
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -57,6 +56,9 @@ pub struct AdaptiveDb {
     /// The cracked copy of each column, keyed by `(table, column)`; built
     /// at first touch under the configured [`ConcurrencyMode`].
     columns: HashMap<(String, String), ConcurrentColumn<i64>>,
+    /// The key `columns` is probed with: names are copied into its two
+    /// buffers, so a probe allocates nothing.
+    probe: (String, String),
     /// Sideways cracker maps, keyed by `(table, head, tail)`; created on
     /// first `select_project` over that attribute pair.
     maps: HashMap<(String, String, String), CrackerMap<i64>>,
@@ -87,6 +89,7 @@ impl AdaptiveDb {
             config,
             concurrency: ConcurrencyMode::default(),
             columns: HashMap::new(),
+            probe: Default::default(),
             maps: HashMap::new(),
             lineage: LineageGraph::new(),
             roots: HashMap::new(),
@@ -199,13 +202,13 @@ impl AdaptiveDb {
         table: &str,
         column: &str,
     ) -> EngineResult<&ConcurrentColumn<i64>> {
-        match self.columns.entry((table.to_owned(), column.to_owned())) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => {
-                let vals = self.catalog.table(table)?.ints(column)?.to_vec();
-                Ok(e.insert(ConcurrentColumn::build(vals, self.config, self.concurrency)))
-            }
+        set_key(&mut self.probe, table, column);
+        if !self.columns.contains_key(&self.probe) {
+            let vals = self.catalog.table(table)?.ints(column)?.to_vec();
+            let col = ConcurrentColumn::build(vals, self.config, self.concurrency);
+            self.columns.insert(self.probe.clone(), col);
         }
+        Ok(&self.columns[&self.probe])
     }
 
     /// Answer a single-attribute range query, cracking as a side effect.
@@ -236,7 +239,7 @@ impl AdaptiveDb {
         let oids = match governor {
             None if mode == OutputMode::Count => None,
             None => Some(col.select_oids(q.pred)),
-            Some(g) => Self::select_guarded(col, &[q.pred], g)?.pop(),
+            Some(g) => Self::select_guarded(col, &[q.pred], g, &g.as_guard())?.pop(),
         };
         let count = match &oids {
             Some(oids) => oids.len(),
@@ -267,17 +270,25 @@ impl AdaptiveDb {
     /// here: answer `preds` on `col`, polling the governor between
     /// predicates (and, in single-lock mode, between crack steps). A batch
     /// stopped mid-flight surfaces the governor's typed error; completed
-    /// cracks are kept but nothing partial is returned.
+    /// cracks are kept but nothing partial is returned. `keep_going` is
+    /// the governor's own guard in every caller; one that stops while the
+    /// governor reports no violation has broken that, which is reported
+    /// as [`EngineError::Invariant`], not a panic.
     fn select_guarded(
         col: &ConcurrentColumn<i64>,
         preds: &[RangePred<i64>],
         governor: &Governor,
+        keep_going: &dyn Fn() -> bool,
     ) -> EngineResult<Vec<Vec<u32>>> {
         let mut outs = vec![Vec::new(); preds.len()];
-        let done = col.select_oids_batch_guarded(preds, &mut outs, &governor.as_guard());
+        let done = col.select_oids_batch_guarded(preds, &mut outs, keep_going);
         if done < preds.len() {
             governor.check()?;
-            unreachable!("the guard failed but the governor reports no violation");
+            return Err(EngineError::Invariant(format!(
+                "the guard stopped the batch after {done} of {} selects \
+                 but the governor reports no violation",
+                preds.len()
+            )));
         }
         Ok(outs)
     }
@@ -326,7 +337,8 @@ impl AdaptiveDb {
             if i == driver {
                 continue;
             }
-            let col = &self.columns[&(table.to_owned(), (*attr).to_owned())];
+            set_key(&mut self.probe, table, attr);
+            let col = &self.columns[&self.probe];
             if col.has_pending_updates() {
                 // Overlay-aware fallback: this column's answer can differ
                 // from its base values, so intersect the materialized
@@ -417,7 +429,8 @@ impl AdaptiveDb {
         let gate = self.admission.clone();
         let _permit = Self::admit_governed(gate.as_deref(), governor, session)?;
         governor.check()?;
-        Self::select_guarded(self.shared_cracker(table, attr)?, preds, governor)
+        let col = self.shared_cracker(table, attr)?;
+        Self::select_guarded(col, preds, governor, &governor.as_guard())
     }
 
     /// Equi-join two tables on integer attributes via the ^ cracker:
@@ -675,8 +688,8 @@ impl AdaptiveDb {
         // log append must leave the base as it was. Only columns with
         // live cracked state (or a WAL to feed) need staging.
         for (i, name) in names.iter().enumerate() {
-            let key = (table.to_owned(), name.clone());
-            if self.columns.contains_key(&key) || self.durability.is_some() {
+            set_key(&mut self.probe, table, name);
+            if self.columns.contains_key(&self.probe) || self.durability.is_some() {
                 let batch: Vec<(u32, i64)> = rows
                     .iter()
                     .enumerate()
@@ -772,9 +785,11 @@ impl AdaptiveDb {
                 gate.as_deref().map(|g| (g, session)),
                 governor,
             ),
-            None => Ok(Self::select_guarded(col, &[pred], governor)?
-                .pop()
-                .unwrap_or_default()),
+            None => Ok(
+                Self::select_guarded(col, &[pred], governor, &governor.as_guard())?
+                    .pop()
+                    .unwrap_or_default(),
+            ),
         }
     }
 
@@ -1068,6 +1083,14 @@ impl AdaptiveDb {
         }
         acc
     }
+}
+
+/// Overwrite a `(table, column)` key in place, keeping its buffers.
+fn set_key(key: &mut (String, String), table: &str, column: &str) {
+    key.0.clear();
+    key.0.push_str(table);
+    key.1.clear();
+    key.1.push_str(column);
 }
 
 impl Default for AdaptiveDb {
@@ -1456,6 +1479,30 @@ mod tests {
         let governed = db.select_batch_governed("r", "a", &preds, &g, 1).unwrap();
         let plain = db.select_batch("r", "a", &preds).unwrap();
         assert_eq!(governed, plain);
+    }
+
+    #[test]
+    fn a_guard_that_stops_under_a_clean_governor_is_a_typed_error() {
+        for mode in MODES {
+            let mut db = db_in(mode);
+            let col = db.shared_cracker("r", "a").unwrap();
+            let preds = [RangePred::lt(10), RangePred::ge(90)];
+            let clean = Governor::unbounded();
+            let err = AdaptiveDb::select_guarded(col, &preds, &clean, &|| false).unwrap_err();
+            assert!(
+                matches!(err, EngineError::Invariant(_)),
+                "{mode:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("after 0 of 2 selects"), "{err}");
+            assert!(!err.is_transient() && !err.is_overload() && !err.is_corruption());
+            // The governor's own verdict still wins when it has one.
+            clean.token().cancel();
+            let err = AdaptiveDb::select_guarded(col, &preds, &clean, &|| false).unwrap_err();
+            assert_eq!(err, EngineError::Cancelled);
+            // Nothing was cracked, and the column still answers.
+            assert_eq!(col.stats().cracks, 0);
+            assert_eq!(col.count(preds[0]), 10);
+        }
     }
 
     #[test]

@@ -58,6 +58,10 @@ pub enum EngineError {
         /// How long the query waited before giving up.
         waited: std::time::Duration,
     },
+    /// The engine found its own state contradicting itself — a bug in
+    /// this program, not in the request. Nothing partial was returned;
+    /// the message says which condition broke.
+    Invariant(String),
 }
 
 impl fmt::Display for EngineError {
@@ -87,6 +91,7 @@ impl fmt::Display for EngineError {
                 f,
                 "admission gate overloaded: all {capacity} sessions busy for {waited:?}"
             ),
+            EngineError::Invariant(what) => write!(f, "internal invariant broken: {what}"),
         }
     }
 }

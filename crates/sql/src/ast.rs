@@ -137,7 +137,9 @@ pub enum Expr {
     Or(Box<Expr>, Box<Expr>),
     /// Negation.
     Not(Box<Expr>),
-    /// A binary comparison.
+    /// A binary comparison. `col [NOT] BETWEEN low AND high` parses to the
+    /// two comparisons it abbreviates (`col >= low AND col <= high`, under
+    /// a [`Expr::Not`] when negated), each spanning the whole BETWEEN.
     Cmp {
         /// Left operand.
         left: Operand,
@@ -148,20 +150,6 @@ pub enum Expr {
         /// Source location of the whole comparison.
         span: Span,
     },
-    /// `col [NOT] BETWEEN low AND high` (inclusive on both ends, as in
-    /// standard SQL).
-    Between {
-        /// Tested column.
-        col: ColumnRef,
-        /// Lower bound.
-        low: i64,
-        /// Upper bound.
-        high: i64,
-        /// True for `NOT BETWEEN`.
-        negated: bool,
-        /// Source location.
-        span: Span,
-    },
 }
 
 impl Expr {
@@ -170,7 +158,7 @@ impl Expr {
         match self {
             Expr::And(l, r) | Expr::Or(l, r) => l.span().merge(r.span()),
             Expr::Not(e) => e.span(),
-            Expr::Cmp { span, .. } | Expr::Between { span, .. } => *span,
+            Expr::Cmp { span, .. } => *span,
         }
     }
 }

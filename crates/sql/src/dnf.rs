@@ -8,7 +8,8 @@
 //!    predicate over one column, an equi-join literal between two columns,
 //!    or a constant;
 //! 2. **negation pushdown** — `NOT` is eliminated by negating comparison
-//!    operators (`≠` and `NOT BETWEEN` split into two-range disjunctions);
+//!    operators (`≠` splits into a two-range disjunction, and so does
+//!    `NOT BETWEEN`, which the parser hands over as `NOT (≥ AND ≤)`);
 //! 3. **distribution** — `AND` is distributed over `OR`, with a term cap
 //!    guarding against the exponential blowup the paper's introduction
 //!    warns would hit "the catalog of pieces and their role in query plan
@@ -108,33 +109,6 @@ fn normalize(expr: &Expr, negate: bool) -> SqlResult<Nnf> {
             } else {
                 Nnf::Or(vec![l, r])
             })
-        }
-        Expr::Between {
-            col,
-            low,
-            high,
-            negated,
-            ..
-        } => {
-            let exclude = *negated != negate; // XOR: effective negation
-            if exclude {
-                // NOT BETWEEN: v < low OR v > high.
-                Ok(Nnf::Or(vec![
-                    Nnf::Lit(NormLit::Range {
-                        col: col.clone(),
-                        pred: RangePred::lt(*low),
-                    }),
-                    Nnf::Lit(NormLit::Range {
-                        col: col.clone(),
-                        pred: RangePred::gt(*high),
-                    }),
-                ]))
-            } else {
-                Ok(Nnf::Lit(NormLit::Range {
-                    col: col.clone(),
-                    pred: RangePred::between(*low, *high),
-                }))
-            }
         }
         Expr::Cmp {
             left,
@@ -547,9 +521,6 @@ mod tests {
             Expr::And(l, r) => eval_expr(l, v) && eval_expr(r, v),
             Expr::Or(l, r) => eval_expr(l, v) || eval_expr(r, v),
             Expr::Not(i) => !eval_expr(i, v),
-            Expr::Between {
-                low, high, negated, ..
-            } => (*low..=*high).contains(&v) != *negated,
             Expr::Cmp {
                 left, op, right, ..
             } => {

@@ -7,8 +7,28 @@
 //! every `SELECT` leaves the store a little better partitioned for the
 //! next one.
 //!
-//! The session holds nothing but the database: DDL/DML mutates the
-//! [`AdaptiveDb`]'s catalog in place, taking the conservative end of the
+//! **The text path is normalize → cache → bind → run.** A SELECT handed
+//! to [`SqlSession::execute_one`] (or alone to [`SqlSession::execute`]) is
+//! first reduced to its *shape* by [`crate::token`]'s normalizer — words
+//! case-folded, spacing and comments collapsed, every integer operand of a
+//! comparison or `BETWEEN` replaced by `?` and its value kept as a bind —
+//! and the shape keys a small per-session map of [`Prepared`] plans. A
+//! miss prepares the shape once; a hit lexes, parses and lowers nothing:
+//! it binds the values into a scratch of range predicates and runs the
+//! plan down the evaluator chosen when it was prepared. Literal text,
+//! cached text, statements that arrive parsed and user-prepared
+//! statements all end in that one body (`Prepared::run`). What the shape
+//! cannot carry *declines* and is parsed from the original text, so its
+//! errors read as written: a first keyword other than `SELECT`, a second
+//! statement, a source `?`, an integer anywhere but a comparison
+//! (`LIMIT n`), a literal that overflows `i64`, and a shape whose prepare
+//! fails (`1 > 2` becomes `? > ?`) — remembered, so the failed prepare is
+//! paid once. A plan holds resolved names, so only a schema change can
+//! stale it: `CREATE`, `DROP` and an `INSERT ... SELECT` that creates its
+//! target empty the map; `INSERT ... VALUES` and `DELETE` evict nothing.
+//!
+//! Beyond those plans the session holds nothing but the database: DDL/DML
+//! mutates the [`AdaptiveDb`]'s catalog in place, taking the conservative end of the
 //! paper's open update question only where it must. `INSERT` swaps the
 //! table for a grown incarnation (one copy of that table's columns, no
 //! other table touched) and stages the new rows into the table's cracked
@@ -22,9 +42,10 @@ use crate::ast::{SelectStmt, Statement};
 use crate::error::{Span, SqlError, SqlResult};
 use crate::lower::{lower_select, LoweredSelect, OutputCol, Resolved};
 use crate::parser::{parse, parse_one};
+use crate::token::normalize;
 use cracker_core::{CrackerConfig, RangePred};
 use engine::query::{AggFunc, QueryTerm};
-use engine::{AdaptiveDb, Table};
+use engine::{AdaptiveDb, DbCatalog, Table};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -118,17 +139,87 @@ impl fmt::Display for QueryOutput {
 }
 
 /// A prepared SELECT: parsed, normalized and resolved once, with `?`
-/// placeholders left as bind-time slots. Produced by
-/// [`SqlSession::prepare`]; executed (any number of times, with different
-/// values) by [`SqlSession::execute_prepared`] and
+/// placeholders left as bind-time slots, and its evaluator chosen once
+/// (the private `path` field, an `AccessPath`): literal text, cached text
+/// and user-prepared statements all run the plan through the same body.
+/// Produced by [`SqlSession::prepare`]; executed (any number of times,
+/// with different values) by [`SqlSession::execute_prepared`] and
 /// [`SqlSession::execute_prepared_many`].
 #[derive(Debug, Clone)]
 pub struct Prepared {
     lowered: LoweredSelect,
     limit: Option<usize>,
+    path: AccessPath,
+}
+
+/// The evaluator a plan takes, resolved when it is prepared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AccessPath {
+    /// `SELECT count(*) FROM t WHERE a <range>` without `LIMIT`: the
+    /// cracked column's piece map answers; no OID is materialized.
+    CountRange,
+    /// `SELECT b FROM t WHERE a <range>`: one column projected under one
+    /// single-column predicate — exactly the shape a cracker map answers
+    /// with a contiguous copy instead of one random access per OID.
+    Sideways,
+    /// Any other single-table rows or aggregates, over the qualifying
+    /// OIDs.
+    SingleTable,
+    /// `GROUP BY`.
+    Grouped,
+    /// A join path.
+    Join,
+}
+
+impl AccessPath {
+    fn of(lowered: &LoweredSelect, limit: Option<usize>) -> AccessPath {
+        if lowered.group_by.is_some() {
+            return AccessPath::Grouped;
+        }
+        if lowered.terms.iter().any(|t| !t.joins.is_empty()) {
+            return AccessPath::Join;
+        }
+        let ([term], [output]) = (&lowered.terms[..], &lowered.outputs[..]) else {
+            return AccessPath::SingleTable;
+        };
+        let [sel] = &term.selections[..] else {
+            return AccessPath::SingleTable;
+        };
+        match output {
+            OutputCol::Column { source, .. } if source.1 != sel.attr => AccessPath::Sideways,
+            OutputCol::Aggregate {
+                func: AggFunc::Count,
+                arg: None,
+                ..
+            } if limit.is_none() => AccessPath::CountRange,
+            _ => AccessPath::SingleTable,
+        }
+    }
 }
 
 impl Prepared {
+    /// Lower a parsed SELECT against `catalog` and pick its evaluator.
+    fn new(select: &SelectStmt, catalog: &DbCatalog) -> SqlResult<Prepared> {
+        let lowered = lower_select(select, catalog)?;
+        let path = AccessPath::of(&lowered, select.limit);
+        Ok(Prepared {
+            lowered,
+            limit: select.limit,
+            path,
+        })
+    }
+
+    /// [`new`](Self::new) from source text holding one SELECT.
+    fn from_text(src: &str, catalog: &DbCatalog) -> SqlResult<Prepared> {
+        match parse_one(src)? {
+            Statement::Select(select) => Prepared::new(&select, catalog),
+            _ => Err(SqlError::unsupported(
+                "only SELECT statements can be prepared",
+                Span::default(),
+            )),
+        }
+    }
+
     /// Number of `?` placeholders each execution must bind.
     pub fn param_count(&self) -> usize {
         self.lowered.param_count
@@ -138,11 +229,100 @@ impl Prepared {
     pub fn lowered(&self) -> &LoweredSelect {
         &self.lowered
     }
+
+    /// Bind `params` into `preds` (the caller's scratch) and evaluate.
+    fn run(
+        &self,
+        db: &mut AdaptiveDb,
+        preds: &mut Vec<RangePred<i64>>,
+        params: &[i64],
+    ) -> SqlResult<QueryOutput> {
+        let l = &self.lowered;
+        l.bind_into(params, preds)?;
+        // The two one-range paths index what `AccessPath::of` matched.
+        let mut out = match self.path {
+            AccessPath::CountRange => {
+                let sel = &l.terms[0].selections[0];
+                let count = db.shared_cracker(&sel.table, &sel.attr)?.count(preds[0]);
+                QueryOutput::Table {
+                    columns: vec![l.outputs[0].label().to_owned()],
+                    rows: vec![vec![count as i64]],
+                }
+            }
+            AccessPath::Sideways => {
+                let (term, sel) = (&l.terms[0], &l.terms[0].selections[0]);
+                let vals =
+                    db.select_project(&sel.table, &sel.attr, &term.projection[0], preds[0])?;
+                QueryOutput::Table {
+                    columns: vec![l.outputs[0].label().to_owned()],
+                    rows: vals.into_iter().map(|v| vec![v]).collect(),
+                }
+            }
+            AccessPath::SingleTable => {
+                let oids = all_term_oids(db, l, preds)?;
+                emit_single_table(db, l, &oids)?
+            }
+            AccessPath::Grouped => run_grouped(db, l, preds)?,
+            AccessPath::Join => run_join(db, l, preds)?,
+        };
+        // LIMIT caps the delivered rows; the cracking already happened
+        // (reorganization is a side effect of evaluation, not delivery).
+        if let (Some(n), QueryOutput::Table { rows, .. }) = (self.limit, &mut out) {
+            rows.truncate(n);
+        }
+        Ok(out)
+    }
+}
+
+/// Statement shapes a session keeps plans for; past this many the cache
+/// starts over.
+const PLAN_CACHE_CAPACITY: usize = 128;
+
+/// Counters of a session's plan cache, as
+/// [`SqlSession::plan_cache_stats`] reports them. Every text handed to
+/// [`SqlSession::execute`] / [`SqlSession::execute_one`] counts once, as a
+/// hit, a miss or a decline.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Statements that ran a cached plan: no lexing, parsing or lowering.
+    pub hits: u64,
+    /// Statements whose shape was new: prepared once, then run.
+    pub misses: u64,
+    /// Statements that took the uncached path: not one literal SELECT the
+    /// cache can express, or a shape whose prepare failed before.
+    pub declined: u64,
+    /// Entries dropped by a schema change or by the cache filling up.
+    pub evictions: u64,
+    /// Shapes cached now, unpreparable ones included.
+    pub entries: usize,
+}
+
+/// The per-session statement cache: normalized text → plan.
+#[derive(Default)]
+struct PlanCache {
+    /// `None` remembers a shape whose prepare failed, so the failure is
+    /// paid once and every repeat goes straight to the uncached path.
+    plans: HashMap<String, Option<Prepared>>,
+    /// The shape and literals of the statement being looked up, reused.
+    key: String,
+    binds: Vec<i64>,
+    stats: PlanCacheStats,
+}
+
+impl PlanCache {
+    /// Forget every plan: resolved names may no longer mean what they did.
+    fn clear(&mut self) {
+        self.stats.evictions += self.plans.len() as u64;
+        self.plans.clear();
+    }
 }
 
 /// An interactive SQL session over an adaptive (cracking) database.
 pub struct SqlSession {
     db: AdaptiveDb,
+    cache: PlanCache,
+    /// The running statement's bound predicates, reused.
+    bound: Vec<RangePred<i64>>,
 }
 
 impl SqlSession {
@@ -155,6 +335,8 @@ impl SqlSession {
     pub fn with_config(config: CrackerConfig) -> Self {
         SqlSession {
             db: AdaptiveDb::with_config(config),
+            cache: PlanCache::default(),
+            bound: Vec::new(),
         }
     }
 
@@ -195,6 +377,7 @@ impl SqlSession {
         let (names, values): (Vec<String>, Vec<Vec<i64>>) = columns.into_iter().unzip();
         let columns = names.iter().map(String::as_str).zip(values).collect();
         self.db.register(Table::from_int_columns(name, columns)?)?;
+        self.cache.clear();
         Ok(())
     }
 
@@ -215,10 +398,23 @@ impl SqlSession {
         self.db.cracked_columns()
     }
 
+    /// What the plan cache has done for this session so far.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        PlanCacheStats {
+            entries: self.cache.plans.len(),
+            ..self.cache.stats
+        }
+    }
+
     /// Execute every statement in `src`, returning one output per
-    /// statement. The whole source is parsed before any statement runs,
-    /// so a syntax error anywhere leaves the session untouched.
+    /// statement. A lone literal SELECT goes through the plan cache like
+    /// [`Self::execute_one`]; otherwise the whole source is parsed before
+    /// any statement runs, so a syntax error anywhere leaves the session
+    /// untouched.
     pub fn execute(&mut self, src: &str) -> SqlResult<Vec<QueryOutput>> {
+        if let Some(out) = self.execute_cached(src) {
+            return Ok(vec![out?]);
+        }
         let stmts = parse(src)?;
         self.execute_batch(&stmts)
     }
@@ -237,10 +433,45 @@ impl SqlSession {
         Ok(out)
     }
 
-    /// Execute a source text expected to hold exactly one statement.
+    /// Execute a source text expected to hold exactly one statement. A
+    /// literal SELECT goes through the plan cache — normalize → cache →
+    /// bind → run, see the [module docs](self) for what declines;
+    /// everything else is parsed and run from the text as written.
     pub fn execute_one(&mut self, src: &str) -> SqlResult<QueryOutput> {
+        if let Some(out) = self.execute_cached(src) {
+            return out;
+        }
         let stmt = parse_one(src)?;
         self.run_statement(&stmt)
+    }
+
+    /// Run `src` from the plan cache; `None` declines.
+    fn execute_cached(&mut self, src: &str) -> Option<SqlResult<QueryOutput>> {
+        let SqlSession { db, cache, bound } = self;
+        if !normalize(src, &mut cache.key, &mut cache.binds) {
+            cache.stats.declined += 1;
+            return None;
+        }
+        let plan = match cache.plans.get(cache.key.as_str()) {
+            Some(plan) => {
+                match plan {
+                    Some(_) => cache.stats.hits += 1,
+                    None => cache.stats.declined += 1,
+                }
+                plan
+            }
+            None => {
+                cache.stats.misses += 1;
+                if cache.plans.len() >= PLAN_CACHE_CAPACITY {
+                    cache.clear();
+                }
+                // A shape that does not prepare reports its error from
+                // the original text; this one's spans point into the key.
+                let plan = Prepared::from_text(&cache.key, db.catalog()).ok();
+                cache.plans.entry(cache.key.clone()).or_insert(plan)
+            }
+        };
+        plan.as_ref().map(|plan| plan.run(db, bound, &cache.binds))
     }
 
     /// Prepare a SELECT: parse, normalize and resolve once, leaving `?`
@@ -250,18 +481,7 @@ impl SqlSession {
     /// experiment shape (`A < v1 < v2 < A+w`) without re-lowering per
     /// query.
     pub fn prepare(&self, src: &str) -> SqlResult<Prepared> {
-        let stmt = parse_one(src)?;
-        let Statement::Select(select) = stmt else {
-            return Err(SqlError::unsupported(
-                "only SELECT statements can be prepared",
-                Span::default(),
-            ));
-        };
-        let lowered = lower_select(&select, self.db.catalog())?;
-        Ok(Prepared {
-            lowered,
-            limit: select.limit,
-        })
+        Prepared::from_text(src, self.db.catalog())
     }
 
     /// Execute a prepared SELECT with one set of parameter values.
@@ -270,8 +490,7 @@ impl SqlSession {
         prepared: &Prepared,
         params: &[i64],
     ) -> SqlResult<QueryOutput> {
-        let bound = prepared.lowered.bind(params)?;
-        self.run_lowered(&bound, prepared.limit)
+        prepared.run(&mut self.db, &mut self.bound, params)
     }
 
     /// Execute a prepared SELECT once per binding, returning one output
@@ -317,15 +536,15 @@ impl SqlSession {
         }
         let mut preds = Vec::with_capacity(bindings.len());
         for b in bindings {
-            preds.push(l.bind_single_pred(b)?);
+            l.bind_into(b, &mut self.bound)?;
+            preds.push(self.bound[0]);
         }
         let sel = &l.terms[0].selections[0];
-        let (table, attr) = (sel.table.clone(), sel.attr.clone());
-        let oid_batches = self.db.select_batch(&table, &attr, &preds)?;
+        let oid_batches = self.db.select_batch(&sel.table, &sel.attr, &preds)?;
         let mut out = Vec::with_capacity(oid_batches.len());
         for mut oids in oid_batches {
             oids.sort_unstable();
-            let mut o = self.emit_single_table(l, &oids)?;
+            let mut o = emit_single_table(&self.db, l, &oids)?;
             if let (Some(n), QueryOutput::Table { rows, .. }) = (prepared.limit, &mut o) {
                 rows.truncate(n);
             }
@@ -349,6 +568,7 @@ impl SqlSession {
             Statement::DropTable { name, span } => {
                 self.table(name, *span)?;
                 self.db.drop_table(name)?;
+                self.cache.clear();
                 format!("dropped table {name}")
             }
             Statement::InsertValues { table, rows, span } => {
@@ -434,11 +654,8 @@ impl SqlSession {
                         *span,
                     ));
                 }
-                let doomed = if lowered.terms.is_empty() {
-                    Vec::new()
-                } else {
-                    self.all_term_oids(&lowered)?
-                };
+                lowered.bind_into(&[], &mut self.bound)?;
+                let doomed = all_term_oids(&mut self.db, &lowered, &self.bound)?;
                 let deleted = self.db.delete_rows(table, &doomed)?;
                 format!("deleted {deleted} rows from {table}")
             }
@@ -446,463 +663,437 @@ impl SqlSession {
         Ok(QueryOutput::Affected { message })
     }
 
+    /// A SELECT that arrives parsed: prepare from the AST, then run the
+    /// prepared plan.
     fn run_select(&mut self, stmt: &SelectStmt) -> SqlResult<QueryOutput> {
-        let lowered = lower_select(stmt, self.db.catalog())?;
-        self.run_lowered(&lowered, stmt.limit)
-    }
-
-    /// Dispatch a fully bound lowered plan to the right evaluator.
-    fn run_lowered(
-        &mut self,
-        lowered: &LoweredSelect,
-        limit: Option<usize>,
-    ) -> SqlResult<QueryOutput> {
-        if lowered.param_count > 0 {
+        let plan = Prepared::new(stmt, self.db.catalog())?;
+        if plan.param_count() > 0 {
             return Err(SqlError::unsupported(
                 format!(
                     "{} unbound parameter placeholder(s) — prepare the \
                      statement and bind values",
-                    lowered.param_count
+                    plan.param_count()
                 ),
                 Span::default(),
             ));
         }
-        let mut out = if lowered.group_by.is_some() {
-            self.run_grouped(lowered)?
-        } else if lowered.terms.iter().any(|t| !t.joins.is_empty()) {
-            self.run_join(lowered)?
-        } else {
-            self.run_single_table(lowered)?
-        };
-        // LIMIT caps the delivered rows; the cracking already happened
-        // (reorganization is a side effect of evaluation, not delivery).
-        if let (Some(n), QueryOutput::Table { rows, .. }) = (limit, &mut out) {
-            rows.truncate(n);
+        plan.run(&mut self.db, &mut self.bound, &[])
+    }
+}
+
+/// Each term of a plan with its bound predicates: `preds` holds one per
+/// selection, counted across the terms in order.
+fn bound_terms<'a>(
+    lowered: &'a LoweredSelect,
+    mut preds: &'a [RangePred<i64>],
+) -> impl Iterator<Item = (&'a QueryTerm, &'a [RangePred<i64>])> {
+    lowered.terms.iter().map(move |term| {
+        let (mine, rest) = preds.split_at(term.selections.len());
+        preds = rest;
+        (term, mine)
+    })
+}
+
+/// Qualifying OIDs of one term's selections over `table` (cracks as a
+/// side effect).
+fn term_oids(
+    db: &mut AdaptiveDb,
+    table: &str,
+    term: &QueryTerm,
+    preds: &[RangePred<i64>],
+) -> SqlResult<Vec<u32>> {
+    let conjuncts = (term.selections.iter().zip(preds))
+        .filter(|(s, _)| s.table == table)
+        .map(|(s, pred)| (s.attr.as_str(), *pred));
+    // One or two conjuncts — every shape but the rare wide conjunction —
+    // go down on the stack.
+    let n = conjuncts.clone().count();
+    let oids = if n <= 2 {
+        let mut few = [("", RangePred::with_bounds(None, None)); 2];
+        for (slot, conjunct) in few.iter_mut().zip(conjuncts) {
+            *slot = conjunct;
         }
-        Ok(out)
+        db.select_conjunctive(table, &few[..n])?
+    } else {
+        db.select_conjunctive(table, &conjuncts.collect::<Vec<_>>())?
+    };
+    Ok(oids)
+}
+
+/// Union of qualifying OIDs over all DNF terms of a single-table plan;
+/// empty when the WHERE clause is unsatisfiable (no terms).
+fn all_term_oids(
+    db: &mut AdaptiveDb,
+    lowered: &LoweredSelect,
+    preds: &[RangePred<i64>],
+) -> SqlResult<Vec<u32>> {
+    let table = &lowered.tables[0];
+    if let [term] = &lowered.terms[..] {
+        return term_oids(db, table, term, preds);
+    }
+    let mut acc: BTreeSet<u32> = BTreeSet::new();
+    for (term, preds) in bound_terms(lowered, preds) {
+        acc.extend(term_oids(db, table, term, preds)?);
+    }
+    Ok(acc.into_iter().collect())
+}
+
+/// Materialize a single-table output (star, aggregate or plain-column
+/// projection) from its qualifying OIDs. Shared by the
+/// statement-at-a-time path and the prepared batch path.
+fn emit_single_table(
+    db: &AdaptiveDb,
+    lowered: &LoweredSelect,
+    oids: &[u32],
+) -> SqlResult<QueryOutput> {
+    let t = db.catalog().table(&lowered.tables[0])?;
+
+    // Header resolution: empty outputs means `SELECT *`.
+    if lowered.outputs.is_empty() {
+        let columns: Vec<String> = t.schema().names().iter().map(|s| s.to_string()).collect();
+        let rows = project_rows(t, oids, &columns)?;
+        return Ok(QueryOutput::Table { columns, rows });
     }
 
-    /// Qualifying OIDs of one single-table DNF term (cracks as a side
-    /// effect).
-    fn term_oids(&mut self, table: &str, term: &QueryTerm) -> SqlResult<Vec<u32>> {
-        let preds: Vec<(&str, RangePred<i64>)> = term
-            .selections
-            .iter()
-            .map(|s| (s.attr.as_str(), s.pred))
-            .collect();
-        Ok(self.db.select_conjunctive(table, &preds)?)
-    }
-
-    /// Union of qualifying OIDs over all DNF terms.
-    fn all_term_oids(&mut self, lowered: &LoweredSelect) -> SqlResult<Vec<u32>> {
-        let table = lowered.tables[0].clone();
-        if lowered.terms.len() == 1 {
-            return self.term_oids(&table, &lowered.terms[0]);
-        }
-        let mut acc: BTreeSet<u32> = BTreeSet::new();
-        for term in &lowered.terms {
-            acc.extend(self.term_oids(&table, term)?);
-        }
-        Ok(acc.into_iter().collect())
-    }
-
-    fn run_single_table(&mut self, lowered: &LoweredSelect) -> SqlResult<QueryOutput> {
-        let table = lowered.tables[0].clone();
-
-        // Sideways fast path: `SELECT b FROM t WHERE a <range>` projects
-        // one column under one single-column predicate — exactly the
-        // shape a cracker map answers with a contiguous copy instead of
-        // one random access per OID.
-        if lowered.terms.len() == 1 && lowered.outputs.len() == 1 {
-            let term = &lowered.terms[0];
-            if term.selections.len() == 1 {
-                if let OutputCol::Column { label, source } = &lowered.outputs[0] {
-                    let sel = &term.selections[0];
-                    if source.1 != sel.attr {
-                        let vals = self
-                            .db
-                            .select_project(&table, &sel.attr, &source.1, sel.pred)?;
-                        return Ok(QueryOutput::Table {
-                            columns: vec![label.clone()],
-                            rows: vals.into_iter().map(|v| vec![v]).collect(),
-                        });
-                    }
-                }
-            }
-        }
-
-        let oids = if lowered.terms.is_empty() {
-            Vec::new()
-        } else {
-            self.all_term_oids(lowered)?
-        };
-        self.emit_single_table(lowered, &oids)
-    }
-
-    /// Materialize a single-table output (star, aggregate or plain-column
-    /// projection) from its qualifying OIDs. Shared by the
-    /// statement-at-a-time path and the prepared batch path.
-    fn emit_single_table(&self, lowered: &LoweredSelect, oids: &[u32]) -> SqlResult<QueryOutput> {
-        let table = &lowered.tables[0];
-
-        // Header resolution: empty outputs means `SELECT *`.
-        if lowered.outputs.is_empty() {
-            let t = self.db.catalog().table(table)?;
-            let columns: Vec<String> = t.schema().names().iter().map(|s| s.to_string()).collect();
-            let rows = project_rows(t, oids, &columns)?;
-            return Ok(QueryOutput::Table { columns, rows });
-        }
-
-        let aggregates: Vec<&OutputCol> = lowered
-            .outputs
-            .iter()
-            .filter(|o| matches!(o, OutputCol::Aggregate { .. }))
-            .collect();
-        if !aggregates.is_empty() {
-            if aggregates.len() != lowered.outputs.len() {
-                return Err(SqlError::semantic(
-                    "mixing plain columns with aggregates requires GROUP BY",
-                    Span::default(),
-                ));
-            }
-            let t = self.db.catalog().table(table)?;
-            let mut row = Vec::with_capacity(aggregates.len());
-            for agg in &aggregates {
-                let OutputCol::Aggregate { func, arg, .. } = agg else {
-                    unreachable!("filtered above")
-                };
-                row.push(fold_aggregate(t, oids, *func, arg.as_ref())?);
-            }
-            return Ok(QueryOutput::Table {
-                columns: lowered
-                    .outputs
-                    .iter()
-                    .map(|o| o.label().to_string())
-                    .collect(),
-                rows: vec![row],
-            });
-        }
-
-        // Plain column projection.
-        let columns: Vec<String> = lowered
-            .outputs
-            .iter()
-            .map(|o| o.label().to_string())
-            .collect();
-        let sources: Vec<String> = lowered
-            .outputs
-            .iter()
-            .map(|o| match o {
-                OutputCol::Column { source, .. } => source.1.clone(),
-                OutputCol::Aggregate { .. } => unreachable!("no aggregates here"),
-            })
-            .collect();
-        let t = self.db.catalog().table(table)?;
-        let rows = project_rows(t, oids, &sources)?;
-        Ok(QueryOutput::Table { columns, rows })
-    }
-
-    fn run_grouped(&mut self, lowered: &LoweredSelect) -> SqlResult<QueryOutput> {
-        // lint: allow(unwrap) — run_select dispatches here only when group_by is set
-        let (g_table, g_col) = lowered.group_by.clone().expect("caller checked group_by");
-        if lowered.tables.len() > 1 || lowered.terms.iter().any(|t| !t.joins.is_empty()) {
-            return Err(SqlError::unsupported(
-                "GROUP BY over a join (group the materialized join result instead)",
+    let columns: Vec<String> = lowered
+        .outputs
+        .iter()
+        .map(|o| o.label().to_string())
+        .collect();
+    let aggregates: Vec<&OutputCol> = lowered
+        .outputs
+        .iter()
+        .filter(|o| matches!(o, OutputCol::Aggregate { .. }))
+        .collect();
+    if !aggregates.is_empty() {
+        if aggregates.len() != lowered.outputs.len() {
+            return Err(SqlError::semantic(
+                "mixing plain columns with aggregates requires GROUP BY",
                 Span::default(),
             ));
         }
-
-        let has_filter =
-            lowered.terms.iter().any(|t| !t.selections.is_empty()) || lowered.terms.len() != 1;
-
-        // Per-group values for every aggregate output, keyed by group value.
-        let mut groups: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
-        let agg_outputs: Vec<(AggFunc, Option<Resolved>)> = lowered
-            .outputs
-            .iter()
-            .filter_map(|o| match o {
-                OutputCol::Aggregate { func, arg, .. } => Some((*func, arg.clone())),
-                OutputCol::Column { .. } => None,
-            })
-            .collect();
-
-        if !has_filter {
-            // No WHERE: route through the Ω cracker.
-            for (i, (func, arg)) in agg_outputs.iter().enumerate() {
-                let pairs = self.db.group_aggregate(
-                    &g_table,
-                    &g_col,
-                    *func,
-                    arg.as_ref().map(|(_, c)| c.as_str()),
-                )?;
-                for (g, v) in pairs {
-                    groups
-                        .entry(g)
-                        .or_insert_with(|| vec![0; agg_outputs.len()])[i] = v;
-                }
-            }
-            if agg_outputs.is_empty() {
-                // Pure `SELECT k ... GROUP BY k`: distinct groups via Ω.
-                let pairs = self
-                    .db
-                    .group_aggregate(&g_table, &g_col, AggFunc::Count, None)?;
-                for (g, _) in pairs {
-                    groups.entry(g).or_default();
-                }
-            }
-        } else {
-            // WHERE + GROUP BY: crack for the selection, then aggregate the
-            // qualifying tuples.
-            let oids = self.all_term_oids(lowered)?;
-            let t = self.db.catalog().table(&g_table)?;
-            let g_vals = t.ints(&g_col)?;
-            let mut member_oids: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-            for &o in &oids {
-                member_oids.entry(g_vals[o as usize]).or_default().push(o);
-            }
-            for (g, members) in &member_oids {
-                let mut row = Vec::with_capacity(agg_outputs.len());
-                for (func, arg) in &agg_outputs {
-                    row.push(fold_aggregate(t, members, *func, arg.as_ref())?);
-                }
-                groups.insert(*g, row);
-            }
-        }
-
-        // Assemble rows in output order.
-        let columns: Vec<String> = lowered
-            .outputs
-            .iter()
-            .map(|o| o.label().to_string())
-            .collect();
-        let mut rows = Vec::with_capacity(groups.len());
-        for (g, aggs) in &groups {
-            let mut row = Vec::with_capacity(lowered.outputs.len());
-            let mut agg_i = 0;
-            for o in &lowered.outputs {
-                match o {
-                    OutputCol::Column { .. } => row.push(*g),
-                    OutputCol::Aggregate { .. } => {
-                        row.push(aggs[agg_i]);
-                        agg_i += 1;
-                    }
-                }
-            }
-            rows.push(row);
-        }
-        Ok(QueryOutput::Table { columns, rows })
-    }
-
-    /// Evaluate a join-path term: left-deep over the ^ cracker, one
-    /// [`AdaptiveDb::join`] per step, attaching one new table at a time
-    /// (the paper's "join-path through the database schema", §3.1). Each
-    /// intermediate is a vector of OID tuples aligned with the list of
-    /// joined tables; cycle-closing steps become semijoin filters.
-    fn run_join(&mut self, lowered: &LoweredSelect) -> SqlResult<QueryOutput> {
-        if lowered.terms.len() != 1 {
-            return Err(SqlError::unsupported(
-                "OR across join queries (run the disjuncts separately)",
-                Span::default(),
-            ));
-        }
-        let term = &lowered.terms[0];
-
-        // Per-table conjunctive filters (cracking each referenced column).
-        let mut side_oids: BTreeMap<String, HashSet<u32>> = BTreeMap::new();
-        for table in &lowered.tables {
-            let preds: Vec<(&str, RangePred<i64>)> = term
-                .selections
-                .iter()
-                .filter(|s| s.table == *table)
-                .map(|s| (s.attr.as_str(), s.pred))
-                .collect();
-            let oids = self.db.select_conjunctive(table, &preds)?;
-            side_oids.insert(table.clone(), oids.into_iter().collect());
-        }
-
-        // Order the join steps so each attaches exactly one new table
-        // (lowering validated connectivity, so this always terminates).
-        let mut joined: Vec<String> = vec![lowered.tables[0].clone()];
-        let mut pending: Vec<_> = term.joins.clone();
-        let mut attach_steps = Vec::new(); // (step, new-table-is-right)
-        let mut cycle_steps = Vec::new();
-        while !pending.is_empty() {
-            let before = pending.len();
-            pending.retain(|j| {
-                let l_in = joined.contains(&j.left);
-                let r_in = joined.contains(&j.right);
-                match (l_in, r_in) {
-                    (true, true) => {
-                        cycle_steps.push(j.clone());
-                        false
-                    }
-                    (true, false) => {
-                        joined.push(j.right.clone());
-                        attach_steps.push((j.clone(), true));
-                        false
-                    }
-                    (false, true) => {
-                        joined.push(j.left.clone());
-                        attach_steps.push((j.clone(), false));
-                        false
-                    }
-                    (false, false) => true, // not reachable yet; retry
-                }
-            });
-            debug_assert!(
-                pending.len() < before,
-                "lowering guarantees a connected join path"
-            );
-        }
-
-        // Left-deep evaluation: rows are OID tuples aligned with `joined`.
-        let mut rows: Vec<Vec<u32>> = Vec::new();
-        let mut first = true;
-        for (step, new_is_right) in &attach_steps {
-            let pairs = self
-                .db
-                .join(&step.left, &step.left_attr, &step.right, &step.right_attr)?;
-            let keep_l = &side_oids[&step.left];
-            let keep_r = &side_oids[&step.right];
-            let pairs: Vec<(u32, u32)> = pairs
-                .into_iter()
-                .filter(|(l, r)| keep_l.contains(l) && keep_r.contains(r))
-                .collect();
-            let (existing_table, existing_of_pair): (&str, PairSide) = if *new_is_right {
-                (&step.left, |p| p.0)
-            } else {
-                (&step.right, |p| p.1)
+        let mut row = Vec::with_capacity(aggregates.len());
+        for agg in &aggregates {
+            let OutputCol::Aggregate { func, arg, .. } = agg else {
+                unreachable!("filtered above")
             };
-            let new_of_pair: PairSide = if *new_is_right { |p| p.1 } else { |p| p.0 };
-            if first {
-                // Seed with the first step's pairs directly, in `joined`
-                // order (existing table first).
-                rows = pairs
-                    .iter()
-                    .map(|p| vec![existing_of_pair(p), new_of_pair(p)])
-                    .collect();
-                first = false;
-                continue;
-            }
-            // Hash the new side by the existing table's OID and extend.
-            let mut matches: HashMap<u32, Vec<u32>> = HashMap::new();
-            for p in &pairs {
-                matches
-                    .entry(existing_of_pair(p))
-                    .or_default()
-                    .push(new_of_pair(p));
-            }
-            let idx = joined
-                .iter()
-                .position(|t| t == existing_table)
-                .expect("attach order puts the existing table in `joined`"); // lint: allow(unwrap) — see message
-            let mut next = Vec::new();
-            for row in &rows {
-                if let Some(news) = matches.get(&row[idx]) {
-                    for &n in news {
-                        let mut r = row.clone();
-                        r.push(n);
-                        next.push(r);
-                    }
-                }
-            }
-            rows = next;
+            row.push(fold_aggregate(t, oids, *func, arg.as_ref())?);
         }
-
-        // Cycle-closing steps filter the assembled rows.
-        for step in &cycle_steps {
-            let pairs: HashSet<(u32, u32)> = self
-                .db
-                .join(&step.left, &step.left_attr, &step.right, &step.right_attr)?
-                .into_iter()
-                .collect();
-            // lint: allow(unwrap) — the join planner only emits tables already attached
-            let li = joined.iter().position(|t| *t == step.left).expect("joined");
-            let ri = joined
-                .iter()
-                .position(|t| *t == step.right)
-                .expect("joined"); // lint: allow(unwrap) — same planner invariant
-            rows.retain(|row| pairs.contains(&(row[li], row[ri])));
-        }
-        rows.sort_unstable();
-
-        // COUNT(*) over the join.
-        if lowered.outputs.len() == 1 {
-            if let OutputCol::Aggregate {
-                func: AggFunc::Count,
-                arg: None,
-                label,
-            } = &lowered.outputs[0]
-            {
-                return Ok(QueryOutput::Table {
-                    columns: vec![label.clone()],
-                    rows: vec![vec![rows.len() as i64]],
-                });
-            }
-        }
-        if lowered
-            .outputs
-            .iter()
-            .any(|o| matches!(o, OutputCol::Aggregate { .. }))
-        {
-            return Err(SqlError::unsupported(
-                "aggregates other than COUNT(*) over a join",
-                Span::default(),
-            ));
-        }
-
-        // Column projection over the joined tuples. `SELECT *`
-        // concatenates the schemas in join order, qualifying names that
-        // appear in more than one table.
-        let mut columns = Vec::new();
-        let mut getters: Vec<(usize, String)> = Vec::new(); // (table idx, column)
-        if lowered.outputs.is_empty() {
-            for (ti, tname) in joined.iter().enumerate() {
-                let t = self.db.catalog().table(tname)?;
-                for name in t.schema().names() {
-                    let clash = joined.iter().enumerate().any(|(oi, other)| {
-                        oi != ti
-                            && self
-                                .db
-                                .catalog()
-                                .table(other)
-                                .is_ok_and(|ot| ot.schema().position(name).is_some())
-                    });
-                    columns.push(if clash {
-                        format!("{tname}.{name}")
-                    } else {
-                        name.to_string()
-                    });
-                    getters.push((ti, name.to_string()));
-                }
-            }
-        } else {
-            for o in &lowered.outputs {
-                let OutputCol::Column { label, source } = o else {
-                    unreachable!("aggregates rejected above")
-                };
-                columns.push(label.clone());
-                let ti = joined
-                    .iter()
-                    .position(|t| *t == source.0)
-                    .expect("resolution checked FROM membership"); // lint: allow(unwrap) — see message
-                getters.push((ti, source.1.clone()));
-            }
-        }
-        let mut out_rows = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let mut out = Vec::with_capacity(getters.len());
-            for (ti, col) in &getters {
-                let t = self.db.catalog().table(&joined[*ti])?;
-                out.push(t.ints(col)?[row[*ti] as usize]);
-            }
-            out_rows.push(out);
-        }
-        Ok(QueryOutput::Table {
+        return Ok(QueryOutput::Table {
             columns,
-            rows: out_rows,
-        })
+            rows: vec![row],
+        });
     }
+
+    // Plain column projection.
+    let sources: Vec<String> = lowered
+        .outputs
+        .iter()
+        .map(|o| match o {
+            OutputCol::Column { source, .. } => source.1.clone(),
+            OutputCol::Aggregate { .. } => unreachable!("no aggregates here"),
+        })
+        .collect();
+    let rows = project_rows(t, oids, &sources)?;
+    Ok(QueryOutput::Table { columns, rows })
+}
+
+fn run_grouped(
+    db: &mut AdaptiveDb,
+    lowered: &LoweredSelect,
+    preds: &[RangePred<i64>],
+) -> SqlResult<QueryOutput> {
+    // lint: allow(unwrap) — `AccessPath::of` routes here only when group_by is set
+    let (g_table, g_col) = lowered.group_by.clone().expect("caller checked group_by");
+    if lowered.tables.len() > 1 || lowered.terms.iter().any(|t| !t.joins.is_empty()) {
+        return Err(SqlError::unsupported(
+            "GROUP BY over a join (group the materialized join result instead)",
+            Span::default(),
+        ));
+    }
+
+    let has_filter =
+        lowered.terms.iter().any(|t| !t.selections.is_empty()) || lowered.terms.len() != 1;
+
+    // Per-group values for every aggregate output, keyed by group value.
+    let mut groups: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+    let agg_outputs: Vec<(AggFunc, Option<Resolved>)> = lowered
+        .outputs
+        .iter()
+        .filter_map(|o| match o {
+            OutputCol::Aggregate { func, arg, .. } => Some((*func, arg.clone())),
+            OutputCol::Column { .. } => None,
+        })
+        .collect();
+
+    if !has_filter {
+        // No WHERE: route through the Ω cracker.
+        for (i, (func, arg)) in agg_outputs.iter().enumerate() {
+            let pairs = db.group_aggregate(
+                &g_table,
+                &g_col,
+                *func,
+                arg.as_ref().map(|(_, c)| c.as_str()),
+            )?;
+            for (g, v) in pairs {
+                groups
+                    .entry(g)
+                    .or_insert_with(|| vec![0; agg_outputs.len()])[i] = v;
+            }
+        }
+        if agg_outputs.is_empty() {
+            // Pure `SELECT k ... GROUP BY k`: distinct groups via Ω.
+            let pairs = db.group_aggregate(&g_table, &g_col, AggFunc::Count, None)?;
+            for (g, _) in pairs {
+                groups.entry(g).or_default();
+            }
+        }
+    } else {
+        // WHERE + GROUP BY: crack for the selection, then aggregate the
+        // qualifying tuples.
+        let oids = all_term_oids(db, lowered, preds)?;
+        let t = db.catalog().table(&g_table)?;
+        let g_vals = t.ints(&g_col)?;
+        let mut member_oids: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
+        for &o in &oids {
+            member_oids.entry(g_vals[o as usize]).or_default().push(o);
+        }
+        for (g, members) in &member_oids {
+            let mut row = Vec::with_capacity(agg_outputs.len());
+            for (func, arg) in &agg_outputs {
+                row.push(fold_aggregate(t, members, *func, arg.as_ref())?);
+            }
+            groups.insert(*g, row);
+        }
+    }
+
+    // Assemble rows in output order.
+    let columns: Vec<String> = lowered
+        .outputs
+        .iter()
+        .map(|o| o.label().to_string())
+        .collect();
+    let mut rows = Vec::with_capacity(groups.len());
+    for (g, aggs) in &groups {
+        let mut row = Vec::with_capacity(lowered.outputs.len());
+        let mut agg_i = 0;
+        for o in &lowered.outputs {
+            match o {
+                OutputCol::Column { .. } => row.push(*g),
+                OutputCol::Aggregate { .. } => {
+                    row.push(aggs[agg_i]);
+                    agg_i += 1;
+                }
+            }
+        }
+        rows.push(row);
+    }
+    Ok(QueryOutput::Table { columns, rows })
+}
+
+/// Evaluate a join-path term: left-deep over the ^ cracker, one
+/// [`AdaptiveDb::join`] per step, attaching one new table at a time
+/// (the paper's "join-path through the database schema", §3.1). Each
+/// intermediate is a vector of OID tuples aligned with the list of
+/// joined tables; cycle-closing steps become semijoin filters.
+fn run_join(
+    db: &mut AdaptiveDb,
+    lowered: &LoweredSelect,
+    preds: &[RangePred<i64>],
+) -> SqlResult<QueryOutput> {
+    if lowered.terms.len() != 1 {
+        return Err(SqlError::unsupported(
+            "OR across join queries (run the disjuncts separately)",
+            Span::default(),
+        ));
+    }
+    let term = &lowered.terms[0];
+
+    // Per-table conjunctive filters (cracking each referenced column).
+    let mut side_oids: BTreeMap<String, HashSet<u32>> = BTreeMap::new();
+    for table in &lowered.tables {
+        let oids = term_oids(db, table, term, preds)?;
+        side_oids.insert(table.clone(), oids.into_iter().collect());
+    }
+
+    // Order the join steps so each attaches exactly one new table
+    // (lowering validated connectivity, so this always terminates).
+    let mut joined: Vec<String> = vec![lowered.tables[0].clone()];
+    let mut pending: Vec<_> = term.joins.clone();
+    let mut attach_steps = Vec::new(); // (step, new-table-is-right)
+    let mut cycle_steps = Vec::new();
+    while !pending.is_empty() {
+        let before = pending.len();
+        pending.retain(|j| {
+            let l_in = joined.contains(&j.left);
+            let r_in = joined.contains(&j.right);
+            match (l_in, r_in) {
+                (true, true) => {
+                    cycle_steps.push(j.clone());
+                    false
+                }
+                (true, false) => {
+                    joined.push(j.right.clone());
+                    attach_steps.push((j.clone(), true));
+                    false
+                }
+                (false, true) => {
+                    joined.push(j.left.clone());
+                    attach_steps.push((j.clone(), false));
+                    false
+                }
+                (false, false) => true, // not reachable yet; retry
+            }
+        });
+        debug_assert!(
+            pending.len() < before,
+            "lowering guarantees a connected join path"
+        );
+    }
+
+    // Left-deep evaluation: rows are OID tuples aligned with `joined`.
+    let mut rows: Vec<Vec<u32>> = Vec::new();
+    let mut first = true;
+    for (step, new_is_right) in &attach_steps {
+        let pairs = db.join(&step.left, &step.left_attr, &step.right, &step.right_attr)?;
+        let keep_l = &side_oids[&step.left];
+        let keep_r = &side_oids[&step.right];
+        let pairs: Vec<(u32, u32)> = pairs
+            .into_iter()
+            .filter(|(l, r)| keep_l.contains(l) && keep_r.contains(r))
+            .collect();
+        let (existing_table, existing_of_pair): (&str, PairSide) = if *new_is_right {
+            (&step.left, |p| p.0)
+        } else {
+            (&step.right, |p| p.1)
+        };
+        let new_of_pair: PairSide = if *new_is_right { |p| p.1 } else { |p| p.0 };
+        if first {
+            // Seed with the first step's pairs directly, in `joined`
+            // order (existing table first).
+            rows = pairs
+                .iter()
+                .map(|p| vec![existing_of_pair(p), new_of_pair(p)])
+                .collect();
+            first = false;
+            continue;
+        }
+        // Hash the new side by the existing table's OID and extend.
+        let mut matches: HashMap<u32, Vec<u32>> = HashMap::new();
+        for p in &pairs {
+            matches
+                .entry(existing_of_pair(p))
+                .or_default()
+                .push(new_of_pair(p));
+        }
+        let idx = joined
+            .iter()
+            .position(|t| t == existing_table)
+            .expect("attach order puts the existing table in `joined`"); // lint: allow(unwrap) — see message
+        let mut next = Vec::new();
+        for row in &rows {
+            if let Some(news) = matches.get(&row[idx]) {
+                for &n in news {
+                    let mut r = row.clone();
+                    r.push(n);
+                    next.push(r);
+                }
+            }
+        }
+        rows = next;
+    }
+
+    // Cycle-closing steps filter the assembled rows.
+    for step in &cycle_steps {
+        let pairs: HashSet<(u32, u32)> = db
+            .join(&step.left, &step.left_attr, &step.right, &step.right_attr)?
+            .into_iter()
+            .collect();
+        // lint: allow(unwrap) — the join planner only emits tables already attached
+        let li = joined.iter().position(|t| *t == step.left).expect("joined");
+        let ri = joined
+            .iter()
+            .position(|t| *t == step.right)
+            .expect("joined"); // lint: allow(unwrap) — same planner invariant
+        rows.retain(|row| pairs.contains(&(row[li], row[ri])));
+    }
+    rows.sort_unstable();
+
+    // COUNT(*) over the join.
+    if lowered.outputs.len() == 1 {
+        if let OutputCol::Aggregate {
+            func: AggFunc::Count,
+            arg: None,
+            label,
+        } = &lowered.outputs[0]
+        {
+            return Ok(QueryOutput::Table {
+                columns: vec![label.clone()],
+                rows: vec![vec![rows.len() as i64]],
+            });
+        }
+    }
+    if lowered
+        .outputs
+        .iter()
+        .any(|o| matches!(o, OutputCol::Aggregate { .. }))
+    {
+        return Err(SqlError::unsupported(
+            "aggregates other than COUNT(*) over a join",
+            Span::default(),
+        ));
+    }
+
+    // Column projection over the joined tuples. `SELECT *`
+    // concatenates the schemas in join order, qualifying names that
+    // appear in more than one table.
+    let mut columns = Vec::new();
+    let mut getters: Vec<(usize, String)> = Vec::new(); // (table idx, column)
+    if lowered.outputs.is_empty() {
+        for (ti, tname) in joined.iter().enumerate() {
+            let t = db.catalog().table(tname)?;
+            for name in t.schema().names() {
+                let clash = joined.iter().enumerate().any(|(oi, other)| {
+                    oi != ti
+                        && db
+                            .catalog()
+                            .table(other)
+                            .is_ok_and(|ot| ot.schema().position(name).is_some())
+                });
+                columns.push(if clash {
+                    format!("{tname}.{name}")
+                } else {
+                    name.to_string()
+                });
+                getters.push((ti, name.to_string()));
+            }
+        }
+    } else {
+        for o in &lowered.outputs {
+            let OutputCol::Column { label, source } = o else {
+                unreachable!("aggregates rejected above")
+            };
+            columns.push(label.clone());
+            let ti = joined
+                .iter()
+                .position(|t| *t == source.0)
+                .expect("resolution checked FROM membership"); // lint: allow(unwrap) — see message
+            getters.push((ti, source.1.clone()));
+        }
+    }
+    let mut out_rows = Vec::with_capacity(rows.len());
+    for row in &rows {
+        let mut out = Vec::with_capacity(getters.len());
+        for (ti, col) in &getters {
+            let t = db.catalog().table(&joined[*ti])?;
+            out.push(t.ints(col)?[row[*ti] as usize]);
+        }
+        out_rows.push(out);
+    }
+    Ok(QueryOutput::Table {
+        columns,
+        rows: out_rows,
+    })
 }
 
 impl Default for SqlSession {
@@ -1407,6 +1598,13 @@ mod tests {
         assert!(matches!(err, SqlError::Unsupported { .. }));
     }
 
+    /// Run one statement the way no cache can see it: parsed, then handed
+    /// over as an AST.
+    fn uncached(s: &mut SqlSession, sql: &str) -> QueryOutput {
+        let stmts = crate::parser::parse(sql).unwrap();
+        s.execute_batch(&stmts).unwrap().remove(0)
+    }
+
     /// Sort rows so outputs compare as multisets (row order is
     /// unspecified across execution paths).
     fn sorted_rows(out: &QueryOutput) -> Vec<Vec<i64>> {
@@ -1429,6 +1627,41 @@ mod tests {
         }
         // Wrong arity fails without running anything.
         assert!(s.execute_prepared(&p, &[1]).is_err());
+
+        // BETWEEN bounds bind like the `>=` / `<=` pair they abbreviate:
+        // ordinary, inverted (empty), negative and extreme bounds.
+        let inside = s
+            .prepare("select a from r where a between ? and ?")
+            .unwrap();
+        let outside = s
+            .prepare("select a from r where a not between ? and ?")
+            .unwrap();
+        assert_eq!((inside.param_count(), outside.param_count()), (2, 2));
+        for (lo, hi) in [
+            (10, 20),
+            (20, 10),
+            (-5, 3),
+            (95, i64::MAX),
+            (i64::MIN + 1, 4),
+            (50, 50),
+        ] {
+            for (plan, negated, not) in [(&inside, false, ""), (&outside, true, "not ")] {
+                let got = s.execute_prepared(plan, &[lo, hi]).unwrap();
+                let text = format!("select a from r where a {not}between {lo} and {hi}");
+                let want = uncached(&mut s, &text);
+                assert_eq!(sorted_rows(&got), sorted_rows(&want), "{text}");
+                let oracle: Vec<Vec<i64>> = (0..100)
+                    .filter(|a| (lo..=hi).contains(a) != negated)
+                    .map(|a| vec![a])
+                    .collect();
+                assert_eq!(sorted_rows(&got), oracle, "{text}");
+            }
+        }
+        // One bound literal, one bound.
+        let p = s
+            .prepare("select count(*) from r where a between 90 and ?")
+            .unwrap();
+        assert_eq!(rows(&s.execute_prepared(&p, &[94]).unwrap()), &[vec![5]]);
     }
 
     #[test]
@@ -1518,5 +1751,173 @@ mod tests {
         let outs = s.execute_batch(&stmts).unwrap();
         assert_eq!(outs.len(), 2);
         assert_eq!(rows(&outs[1])[0][0], 1);
+    }
+
+    const SHAPES: [&str; 4] = [
+        "select count(*) from r where a >= {lo} and a < {hi}",
+        "select k from r where a >= {lo} and a < {hi}",
+        "select * from r where k >= {lo} and k < {hi}",
+        "select count(*) from r where a >= {lo} and a < {hi} and k >= 2 and k < 7",
+    ];
+
+    fn fill(shape: &str, lo: i64, hi: i64) -> String {
+        shape
+            .replace("{lo}", &lo.to_string())
+            .replace("{hi}", &hi.to_string())
+    }
+
+    #[test]
+    fn a_repeated_shape_is_prepared_once() {
+        let mut s = session();
+        let mut twin = session();
+        for i in 0..1_000i64 {
+            for shape in SHAPES {
+                let text = fill(shape, i % 97, i % 97 + i % 13);
+                let got = s.execute_one(&text).unwrap();
+                assert_eq!(sorted_rows(&got), sorted_rows(&uncached(&mut twin, &text)));
+            }
+        }
+        // The share of the stream that has the property the cache needs —
+        // "this text, minus its literals, was seen before" — counted by
+        // the program itself: every statement but each shape's first.
+        assert_eq!(
+            s.plan_cache_stats(),
+            PlanCacheStats {
+                hits: 3_996,
+                misses: 4,
+                declined: 0,
+                evictions: 0,
+                entries: 4,
+            }
+        );
+        assert_eq!(twin.plan_cache_stats(), PlanCacheStats::default());
+        assert_eq!(
+            s.adaptive().total_crack_stats(),
+            twin.adaptive().total_crack_stats()
+        );
+    }
+
+    #[test]
+    fn a_schema_change_evicts_and_a_stale_plan_never_runs() {
+        let mut s = SqlSession::new();
+        let text = "select b from t where a < 5";
+        s.execute("create table t (a integer, b integer); insert into t values (1, 10), (9, 90)")
+            .unwrap();
+        assert_eq!(rows(&s.execute_one(text).unwrap()), &[vec![10]]);
+        assert_eq!(s.plan_cache_stats().entries, 1);
+        s.execute_one("drop table t").unwrap();
+        // Gone: the error is the uncached path's, span in *this* text.
+        let err = s.execute_one(text).unwrap_err();
+        assert!(err.to_string().contains("unknown table"), "{err}");
+        assert_eq!(err.span().unwrap().fragment(text), "t");
+        s.execute("create table t (a integer, c integer); insert into t values (2, 20)")
+            .unwrap();
+        // Back under another schema: a plan that resolved `b` must not run.
+        let spaced = "select   b\nfrom t where a < 5";
+        let err = s.execute_one(spaced).unwrap_err();
+        assert!(matches!(err, SqlError::Semantic { .. }), "{err:?}");
+        assert!(
+            err.to_string().contains("no FROM table has a column \"b\""),
+            "{err}"
+        );
+        assert_eq!(err.span().unwrap().fragment(spaced), "b");
+        let stats = s.plan_cache_stats();
+        assert_eq!((stats.evictions, stats.entries), (2, 1), "{stats:?}");
+        assert_eq!(
+            rows(&s.execute_one("select c from t where a < 5").unwrap()),
+            &[vec![20]]
+        );
+        // `INSERT ... SELECT` into a table it creates is a schema change too.
+        let before = s.plan_cache_stats();
+        s.execute_one("insert into u select a, c from t").unwrap();
+        let after = s.plan_cache_stats();
+        assert_eq!(after.entries, 0);
+        assert_eq!(after.evictions, before.evictions + before.entries as u64);
+        // ... and into one that exists is not.
+        s.execute_one("select c from t where a < 5").unwrap();
+        s.execute_one("insert into u select a, c from t").unwrap();
+        assert_eq!(s.plan_cache_stats().entries, 1);
+    }
+
+    #[test]
+    fn inserts_and_deletes_keep_plans_and_plans_see_the_new_rows() {
+        let mut s = session();
+        let q = |lo: i64| format!("select count(*) from r where a >= {lo}");
+        assert_eq!(rows(&s.execute_one(&q(90)).unwrap()), &[vec![10]]);
+        s.execute_one("insert into r values (1, 500), (2, 501)")
+            .unwrap();
+        assert_eq!(rows(&s.execute_one(&q(95)).unwrap()), &[vec![7]]);
+        s.execute_one("delete from r where a >= 99").unwrap();
+        assert_eq!(rows(&s.execute_one(&q(98)).unwrap()), &[vec![1]]);
+        let stats = s.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 1, 0));
+        assert_eq!(stats.declined, 2, "the INSERT and the DELETE");
+    }
+
+    #[test]
+    fn a_shape_that_does_not_prepare_is_tried_once() {
+        let mut s = session();
+        let mut twin = session();
+        let texts = [
+            "select * from r where a < {n} and 1 > 2",
+            "select * from r where zzz < {n}",
+            "select k, count(*) from nowhere where a < {n}",
+        ];
+        for round in 0..5 {
+            for text in texts {
+                let text = text.replace("{n}", &round.to_string());
+                let want = crate::parser::parse(&text).and_then(|stmts| twin.execute_batch(&stmts));
+                let got = s.execute(&text);
+                assert_eq!(got, want, "{text}");
+            }
+        }
+        let stats = s.plan_cache_stats();
+        assert_eq!((stats.misses, stats.hits), (3, 0));
+        assert_eq!(stats.declined, 12, "every repeat goes straight to the text");
+        assert_eq!(stats.entries, 3);
+    }
+
+    #[test]
+    fn a_full_cache_starts_over_and_keeps_answering() {
+        let mut s = session();
+        // Distinct shapes: a growing run of conjuncts.
+        let shape = |n: usize| {
+            let tail = " and a < 1000".repeat(n);
+            format!("select count(*) from r where a >= 90{tail}")
+        };
+        for n in 0..PLAN_CACHE_CAPACITY + 10 {
+            assert_eq!(rows(&s.execute_one(&shape(n)).unwrap()), &[vec![10]], "{n}");
+        }
+        let stats = s.plan_cache_stats();
+        assert_eq!(stats.misses as usize, PLAN_CACHE_CAPACITY + 10);
+        assert_eq!(stats.evictions as usize, PLAN_CACHE_CAPACITY);
+        assert_eq!(stats.entries, 10);
+        // The survivors hit, the evicted are prepared again.
+        assert_eq!(
+            rows(&s.execute_one(&shape(PLAN_CACHE_CAPACITY + 5)).unwrap()),
+            &[vec![10]]
+        );
+        assert_eq!(rows(&s.execute_one(&shape(3)).unwrap()), &[vec![10]]);
+        let stats = s.plan_cache_stats();
+        assert_eq!((stats.hits, stats.entries), (1, 11));
+    }
+
+    #[test]
+    fn execute_with_one_statement_takes_the_cache_and_with_several_does_not() {
+        let mut s = session();
+        let one = "select count(*) from r where a < 10;";
+        assert_eq!(s.execute(one).unwrap().len(), 1);
+        assert_eq!(s.execute(one).unwrap(), vec![s.execute_one(one).unwrap()]);
+        assert_eq!(s.plan_cache_stats().hits, 2);
+        let two = "select count(*) from r where a < 10; select count(*) from r where a < 20";
+        assert_eq!(s.execute(two).unwrap().len(), 2);
+        let stats = s.plan_cache_stats();
+        assert_eq!((stats.hits, stats.declined), (2, 1));
+        // What declines still reports from its own text.
+        let err = s.execute_one("select * from r where a < ?").unwrap_err();
+        assert!(err.to_string().contains("unbound"), "{err}");
+        let src = "select * from r where a < 5 limit -1";
+        let err = s.execute_one(src).unwrap_err();
+        assert_eq!(err.span().unwrap().fragment(src), "1");
     }
 }

@@ -63,14 +63,14 @@ pub struct LoweredSelect {
     pub param_count: usize,
 }
 
-/// One unbound `?` placeholder of a lowered SELECT: which term and column
-/// it constrains, and how.
+/// One unbound `?` placeholder of a lowered SELECT: which selection it
+/// constrains, and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamSlot {
-    /// Index into [`LoweredSelect::terms`].
-    pub term: usize,
-    /// The constrained column.
-    pub target: Resolved,
+    /// The constrained selection: its position among the plan's
+    /// selections, counted across [`LoweredSelect::terms`] in order — the
+    /// index [`LoweredSelect::bind_into`] gives its predicate.
+    pub sel: usize,
     /// Comparison operator (column on the left; never [`CmpOp::Ne`] —
     /// normalization splits `≠` into two slots).
     pub op: CmpOp,
@@ -99,7 +99,6 @@ fn count_params(expr: &Expr) -> usize {
                 walk(r, max);
             }
             Expr::Not(i) => walk(i, max),
-            Expr::Between { .. } => {}
             Expr::Cmp { left, right, .. } => {
                 for o in [left, right] {
                     if let Operand::Param { idx } = o {
@@ -115,41 +114,37 @@ fn count_params(expr: &Expr) -> usize {
 }
 
 impl LoweredSelect {
-    /// Bind parameter values, producing a fully concrete plan: each slot's
-    /// comparison is intersected into its term's selection predicate (the
-    /// same per-column folding literal conjuncts get). The receiver is the
+    /// Bind parameter values into `preds`: one predicate per selection,
+    /// counted across [`terms`](Self::terms) in order, each slot's
+    /// comparison intersected into its selection's predicate (the same
+    /// per-column folding literal conjuncts get). The receiver is the
     /// reusable prepared form — parse, normalize and resolve once, bind
-    /// and execute many times.
-    pub fn bind(&self, params: &[i64]) -> SqlResult<LoweredSelect> {
+    /// and execute many times — and `preds` the caller's scratch: a bind
+    /// copies predicates, never the plan.
+    pub fn bind_into(&self, params: &[i64], preds: &mut Vec<RangePred<i64>>) -> SqlResult<()> {
         self.check_param_count(params)?;
-        let mut bound = self.clone();
+        preds.clear();
+        let selections = self.terms.iter().flat_map(|t| &t.selections);
+        preds.extend(selections.map(|s| s.pred));
         for slot in &self.slots {
-            let pred = pred_for(slot.op, params[slot.param]);
-            let sel = bound.terms[slot.term]
-                .selections
-                .iter_mut()
-                .find(|s| s.table == slot.target.0 && s.attr == slot.target.1)
-                // lint: allow(unwrap) — bind() seeded one selection per slot
-                .expect("lowering seeds a selection for every parameter slot");
-            sel.pred = intersect(sel.pred, pred);
+            let pred = &mut preds[slot.sel];
+            *pred = intersect(*pred, pred_for(slot.op, params[slot.param]));
+        }
+        Ok(())
+    }
+
+    /// [`bind_into`](Self::bind_into) as a fully concrete copy of the plan.
+    pub fn bind(&self, params: &[i64]) -> SqlResult<LoweredSelect> {
+        let mut preds = Vec::new();
+        self.bind_into(params, &mut preds)?;
+        let mut bound = self.clone();
+        let selections = bound.terms.iter_mut().flat_map(|t| &mut t.selections);
+        for (sel, pred) in selections.zip(preds) {
+            sel.pred = pred;
         }
         bound.slots.clear();
         bound.param_count = 0;
         Ok(bound)
-    }
-
-    /// [`bind`](Self::bind) specialized for the prepared-batch shape (one
-    /// term, one selection): returns just the bound predicate of
-    /// `terms[0].selections[0]`, skipping the per-binding plan clone a
-    /// full `bind` pays. Callers must have checked the shape; indexing
-    /// panics otherwise.
-    pub(crate) fn bind_single_pred(&self, params: &[i64]) -> SqlResult<RangePred<i64>> {
-        self.check_param_count(params)?;
-        let mut pred = self.terms[0].selections[0].pred;
-        for slot in &self.slots {
-            pred = intersect(pred, pred_for(slot.op, params[slot.param]));
-        }
-        Ok(pred)
     }
 
     fn check_param_count(&self, params: &[i64]) -> SqlResult<()> {
@@ -311,16 +306,19 @@ pub fn lower_select(stmt: &SelectStmt, schema: &dyn SchemaProvider) -> SqlResult
     };
     let mut terms = Vec::with_capacity(dnf_terms.len());
     let mut slots = Vec::new();
-    for (idx, lits) in dnf_terms.iter().enumerate() {
-        terms.push(lower_term(
+    let mut selections = 0;
+    for lits in &dnf_terms {
+        let term = lower_term(
             stmt,
             schema,
             lits,
             group_by.as_ref(),
             &outputs,
-            idx,
+            selections,
             &mut slots,
-        )?);
+        )?;
+        selections += term.selections.len();
+        terms.push(term);
     }
 
     Ok(LoweredSelect {
@@ -396,11 +394,12 @@ fn lower_term(
     lits: &[NormLit],
     group_by: Option<&Resolved>,
     outputs: &[OutputCol],
-    term_idx: usize,
+    first_sel: usize,
     slots: &mut Vec<ParamSlot>,
 ) -> SqlResult<QueryTerm> {
     // Fold range literals into one predicate per resolved column.
     let mut ranges: BTreeMap<Resolved, RangePred<i64>> = BTreeMap::new();
+    let mut params = Vec::new();
     let mut joins = Vec::new();
     for lit in lits {
         match lit {
@@ -412,18 +411,14 @@ fn lower_term(
                 *entry = intersect(*entry, *pred);
             }
             NormLit::ParamRange { col, op, param } => {
-                // Seed an unbounded selection for the column so bind()
-                // has a predicate to tighten, and record the slot.
+                // Seed an unbounded selection for the column so a bind
+                // has a predicate to tighten; its slot is recorded once
+                // every column of the term has its place.
                 let key = resolve(col, &stmt.tables, schema)?;
                 ranges
                     .entry(key.clone())
                     .or_insert(RangePred::with_bounds(None, None));
-                slots.push(ParamSlot {
-                    term: term_idx,
-                    target: key,
-                    op: *op,
-                    param: *param,
-                });
+                params.push((key, *op, *param));
             }
             NormLit::Join { left, right } => {
                 let l = resolve(left, &stmt.tables, schema)?;
@@ -480,6 +475,14 @@ fn lower_term(
         }
     }
 
+    for (key, op, param) in params {
+        let place = ranges.range(..&key).count();
+        slots.push(ParamSlot {
+            sel: first_sel + place,
+            op,
+            param,
+        });
+    }
     let selections = ranges
         .into_iter()
         .map(|((table, attr), pred)| RangeQuery::new(table, attr, pred))
@@ -726,18 +729,39 @@ mod tests {
     }
 
     #[test]
-    fn bind_single_pred_agrees_with_full_bind() {
+    fn bind_into_agrees_with_full_bind() {
+        let mut preds = vec![RangePred::eq(7)];
         for (src, params) in [
             ("select * from r where a >= ? and a < ?", vec![3i64, 9]),
             ("select * from r where a >= 3 and a < ?", vec![9]),
             ("select * from r where a >= 3 and a < ?", vec![2]),
+            // Slots land on the right selection across columns and terms.
+            (
+                "select * from r where k = ? and a < ? or b > ?",
+                vec![1, 2, 3],
+            ),
+            (
+                "select * from r where b > ? or k = ? and a < ?",
+                vec![1, 2, 3],
+            ),
         ] {
             let l = lower(src).unwrap();
-            let full = l.bind(&params).unwrap().terms[0].selections[0].pred;
-            assert_eq!(l.bind_single_pred(&params).unwrap(), full, "{src}");
+            l.bind_into(&params, &mut preds).unwrap();
+            let full = l.bind(&params).unwrap();
+            let want: Vec<_> = (full.terms.iter())
+                .flat_map(|t| t.selections.iter().map(|s| s.pred))
+                .collect();
+            assert_eq!(preds, want, "{src}");
         }
+        let l = lower("select * from r where k = ? and a < ? or b > ?").unwrap();
+        l.bind_into(&[1, 2, 3], &mut preds).unwrap();
+        assert_eq!(
+            preds,
+            vec![RangePred::lt(2), RangePred::eq(1), RangePred::gt(3)],
+            "term 0 is (a, k) in column order, term 1 is (b)"
+        );
         let l = lower("select * from r where a < ?").unwrap();
-        assert!(l.bind_single_pred(&[]).is_err(), "arity is checked");
+        assert!(l.bind_into(&[], &mut preds).is_err(), "arity is checked");
     }
 
     #[test]

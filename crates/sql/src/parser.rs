@@ -17,9 +17,10 @@
 //! expr        := and_expr (OR and_expr)*
 //! and_expr    := not_expr (AND not_expr)*
 //! not_expr    := NOT not_expr | primary
-//! primary     := '(' expr ')' | colref [NOT] BETWEEN int AND int
+//! primary     := '(' expr ')' | colref [NOT] BETWEEN bound AND bound
 //!              | operand cmp operand
-//! operand     := colref | int | '?'
+//! operand     := colref | bound
+//! bound       := int | '?'
 //! colref      := ident ['.' ident]
 //! int         := ['-'] INT
 //! ```
@@ -468,15 +469,27 @@ impl Parser {
                     ))
                 }
             };
-            let (low, _) = self.int_literal()?;
+            // Desugared where it is parsed: `c BETWEEN lo AND hi` is
+            // `c >= lo AND c <= hi`, and `NOT BETWEEN` its negation, so a
+            // bound may be anything a comparison operand may — a `?` too.
+            let low = self.between_bound()?;
             self.expect(Tok::And)?;
-            let (high, end) = self.int_literal()?;
-            return Ok(Expr::Between {
-                col,
-                low,
-                high,
-                negated,
-                span: start.merge(end),
+            let high = self.between_bound()?;
+            let span = start.merge(self.prev_span());
+            let side = |op, right| Expr::Cmp {
+                left: Operand::Column(col.clone()),
+                op,
+                right,
+                span,
+            };
+            let inside = Expr::And(
+                Box::new(side(CmpOp::Ge, low)),
+                Box::new(side(CmpOp::Le, high)),
+            );
+            return Ok(if negated {
+                Expr::Not(Box::new(inside))
+            } else {
+                inside
             });
         }
         let op = match self.advance() {
@@ -513,6 +526,14 @@ impl Parser {
         self.tokens
             .get(self.pos.saturating_sub(1))
             .map_or(Span::default(), |t| t.span)
+    }
+
+    /// One bound of a BETWEEN: an integer literal or a `?`.
+    fn between_bound(&mut self) -> SqlResult<Operand> {
+        if self.check(&Tok::Param) {
+            return self.operand();
+        }
+        Ok(Operand::Literal(self.int_literal()?.0))
     }
 
     fn operand(&mut self) -> SqlResult<Operand> {
@@ -614,28 +635,78 @@ mod tests {
         assert!(matches!(&stmts[2], Statement::DropTable { name, .. } if name == "r"));
     }
 
+    /// The `(op, right operand)` pairs of a desugared BETWEEN's two sides.
+    fn between_sides(e: &Expr) -> Vec<(CmpOp, Operand)> {
+        let Expr::And(low, high) = e else {
+            panic!("expected the two sides of a BETWEEN, got {e:?}")
+        };
+        [low, high]
+            .map(|side| match &**side {
+                Expr::Cmp {
+                    left: Operand::Column(c),
+                    op,
+                    right,
+                    ..
+                } if c.column == "a" => (*op, right.clone()),
+                other => panic!("{other:?}"),
+            })
+            .to_vec()
+    }
+
     #[test]
     fn between_and_not_between() {
         let s = sel("select * from r where a between 3 and 9");
-        assert!(matches!(
-            s.filter.unwrap(),
-            Expr::Between {
-                low: 3,
-                high: 9,
-                negated: false,
-                ..
-            }
-        ));
+        assert_eq!(
+            between_sides(&s.filter.unwrap()),
+            vec![
+                (CmpOp::Ge, Operand::Literal(3)),
+                (CmpOp::Le, Operand::Literal(9))
+            ]
+        );
         let s = sel("select * from r where a not between -5 and 9");
-        assert!(matches!(
-            s.filter.unwrap(),
-            Expr::Between {
-                low: -5,
-                high: 9,
-                negated: true,
-                ..
-            }
-        ));
+        let Some(Expr::Not(inside)) = s.filter else {
+            panic!("NOT BETWEEN negates the range")
+        };
+        assert_eq!(
+            between_sides(&inside),
+            vec![
+                (CmpOp::Ge, Operand::Literal(-5)),
+                (CmpOp::Le, Operand::Literal(9))
+            ]
+        );
+        // Both sides span the whole BETWEEN.
+        let src = "select * from r where a between 3 and 9";
+        let Some(Expr::And(low, _)) = sel(src).filter else {
+            panic!()
+        };
+        assert_eq!(low.span().fragment(src), "a between 3 and 9");
+    }
+
+    #[test]
+    fn between_bounds_take_parameters() {
+        let s = sel("select * from r where a between ? and 9 and a not between -1 and ?");
+        let Some(Expr::And(first, second)) = s.filter else {
+            panic!("two BETWEENs under one AND")
+        };
+        assert_eq!(
+            between_sides(&first),
+            vec![
+                (CmpOp::Ge, Operand::Param { idx: 0 }),
+                (CmpOp::Le, Operand::Literal(9))
+            ]
+        );
+        let Expr::Not(inside) = *second else {
+            panic!("NOT BETWEEN negates the range")
+        };
+        assert_eq!(
+            between_sides(&inside),
+            vec![
+                (CmpOp::Ge, Operand::Literal(-1)),
+                (CmpOp::Le, Operand::Param { idx: 1 })
+            ]
+        );
+        // A column is not a bound.
+        assert!(parse("select * from r where a between k and 9").is_err());
     }
 
     #[test]
@@ -763,7 +834,6 @@ mod tests {
                         }
                     }
                 }
-                Expr::Between { .. } => {}
             }
         }
         collect(&s.filter.unwrap(), &mut idxs);

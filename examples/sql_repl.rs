@@ -12,8 +12,8 @@
 //! paper's "incremental buildup of a search accelerator, driven by actual
 //! queries" (§2.2), watchable live.
 //!
-//! Meta-commands: `\d` lists tables, `\stats` prints crack statistics,
-//! `\q` quits.
+//! Meta-commands: `\d` lists tables, `\stats` prints crack statistics and
+//! the plan cache's counters, `\q` quits.
 
 use dbcracker::prelude::*;
 use std::io::{self, BufRead, Write};
@@ -73,14 +73,21 @@ fn main() {
             }
             "\\stats" => {
                 let s = session.adaptive().total_crack_stats();
+                let plans = session.plan_cache_stats();
                 println!(
                     "queries={} cracks={} tuples_touched={} tuples_moved={} \
-                     cracked_columns={}",
+                     cracked_columns={} plan_hits={} plan_misses={} plan_declined={} \
+                     plan_evictions={} plan_entries={}",
                     s.queries,
                     s.cracks,
                     s.tuples_touched,
                     s.tuples_moved,
-                    session.cracked_columns()
+                    session.cracked_columns(),
+                    plans.hits,
+                    plans.misses,
+                    plans.declined,
+                    plans.evictions,
+                    plans.entries
                 );
                 continue;
             }

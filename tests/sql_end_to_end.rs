@@ -224,6 +224,13 @@ impl NaiveTable {
         self.rows.iter().filter(keep).cloned().collect()
     }
 
+    /// Rows whose `a` and `b` satisfy `keep`.
+    fn filter(&self, keep: impl Fn(i64, i64) -> bool) -> Vec<Vec<i64>> {
+        let (a, b) = (self.pos("a"), self.pos("b"));
+        let keep = |row: &&Vec<i64>| keep(row[a], row[b]);
+        self.rows.iter().filter(keep).cloned().collect()
+    }
+
     fn project(&self, rows: &[Vec<i64>], cols: &[&str]) -> Vec<Vec<i64>> {
         rows.iter()
             .map(|r| cols.iter().map(|c| r[self.pos(c)]).collect())
@@ -268,14 +275,23 @@ fn sorted(mut rows: Vec<Vec<i64>>) -> Vec<Vec<i64>> {
 #[derive(Debug)]
 enum Expect {
     Rows(Vec<Vec<i64>>),
+    /// `LIMIT n`: any `n` of these rows (all of them if there are fewer).
+    AnyOf(Vec<Vec<i64>>, usize),
     Ack(String),
     SemanticError,
+    /// A source `?` outside a prepared statement.
+    UnboundParameter,
 }
 
 #[test]
 fn generated_dml_and_selects_match_a_naive_row_store() {
     let mut rng = SmallRng::seed_from_u64(0xC4AC);
-    let mut session = SqlSession::new();
+    // `text` runs every statement from its text, so its SELECTs go through
+    // the plan cache; `parsed` is handed ASTs, which no cache can see.
+    let mut sessions = Twins {
+        text: SqlSession::new(),
+        parsed: SqlSession::new(),
+    };
     let mut naive: BTreeMap<&'static str, NaiveTable> = BTreeMap::new();
     let seed_rows: Vec<Vec<i64>> = (0..300)
         .map(|_| {
@@ -287,16 +303,11 @@ fn generated_dml_and_selects_match_a_naive_row_store() {
         })
         .collect();
     let column = |i: usize| seed_rows.iter().map(|r| r[i]).collect::<Vec<i64>>();
-    session
-        .load_table(
-            "r",
-            vec![
-                ("k".into(), column(0)),
-                ("a".into(), column(1)),
-                ("b".into(), column(2)),
-            ],
-        )
-        .unwrap();
+    for session in [&mut sessions.text, &mut sessions.parsed] {
+        let columns = ["k", "a", "b"].iter().enumerate();
+        let columns = columns.map(|(i, name)| (name.to_string(), column(i)));
+        session.load_table("r", columns.collect()).unwrap();
+    }
     naive.insert(
         "r",
         NaiveTable {
@@ -315,114 +326,117 @@ fn generated_dml_and_selects_match_a_naive_row_store() {
             "r"
         };
         let arity = naive[target].cols.len();
-        let (kind, sql, expect): (&str, String, Expect) = match rng.gen_range(0..100) {
-            0..=13 => {
-                let rows: Vec<Vec<i64>> = (0..rng.gen_range(1..=4))
-                    .map(|_| (0..arity).map(|_| rng.gen_range(0..1000)).collect())
-                    .collect();
-                let sql = format!("insert into {target} values {}", values_sql(&rows));
-                let ack = format!("inserted {} rows into {target}", rows.len());
-                naive.get_mut(target).unwrap().rows.extend(rows);
-                ("insert values", sql, Expect::Ack(ack))
-            }
-            14..=17 => {
-                let sql = format!("insert into {target} values (1, 2), (3)");
-                ("ragged insert", sql, Expect::SemanticError)
-            }
-            18..=27 => {
-                // Creates t2(a, b) when it does not exist, appends otherwise.
-                let preds = vec![range(&mut rng, "a", 150)];
-                let r = &naive["r"];
-                let rows = r.project(&r.matching(&preds), &["a", "b"]);
-                let sql = format!("insert into t2 select a, b from r{}", where_sql(&preds));
-                let ack = format!("inserted {} rows into t2", rows.len());
-                naive
-                    .entry("t2")
-                    .or_insert_with(|| NaiveTable {
-                        cols: vec!["a", "b"],
-                        rows: Vec::new(),
-                    })
-                    .rows
-                    .extend(rows);
-                ("insert select", sql, Expect::Ack(ack))
-            }
-            28..=34 => {
-                let preds = vec![range(&mut rng, "b", 60)];
-                let rows = naive["r"].matching(&preds);
-                let sql = format!("insert into r select * from r{}", where_sql(&preds));
-                let ack = format!("inserted {} rows into r", rows.len());
-                naive.get_mut("r").unwrap().rows.extend(rows);
-                ("insert select into itself", sql, Expect::Ack(ack))
-            }
-            35..=37 => {
-                let sql = if rng.gen_range(0..2) == 0 {
-                    "insert into r select a, b from r where a < 500"
-                } else {
-                    "insert into dup select a, a from r"
-                };
-                ("rejected insert select", sql.into(), Expect::SemanticError)
-            }
-            38..=47 => {
-                let mut preds = vec![range(&mut rng, "a", 120)];
-                if rng.gen_range(0..3) == 0 {
-                    preds.push(range(&mut rng, "b", 600));
+        let (kind, sql, expect): (&str, String, Expect) = 'kind: {
+            match rng.gen_range(0..100) {
+                0..=13 => {
+                    let rows: Vec<Vec<i64>> = (0..rng.gen_range(1..=4))
+                        .map(|_| (0..arity).map(|_| rng.gen_range(0..1000)).collect())
+                        .collect();
+                    let sql = format!("insert into {target} values {}", values_sql(&rows));
+                    let ack = format!("inserted {} rows into {target}", rows.len());
+                    naive.get_mut(target).unwrap().rows.extend(rows);
+                    ("insert values", sql, Expect::Ack(ack))
                 }
-                let t = naive.get_mut("r").unwrap();
-                let doomed = t.matching(&preds);
-                t.rows.retain(|row| !doomed.contains(row));
-                let doomed = doomed.len();
-                let sql = format!("delete from r{}", where_sql(&preds));
-                (
-                    "ranged delete",
-                    sql,
-                    Expect::Ack(format!("deleted {doomed} rows from r")),
-                )
-            }
-            48..=50 => {
-                let expect = match naive.get_mut("t2") {
-                    Some(t) => {
-                        let n = std::mem::take(&mut t.rows).len();
-                        Expect::Ack(format!("deleted {n} rows from t2"))
-                    }
-                    None => Expect::SemanticError,
-                };
-                ("delete without where", "delete from t2".into(), expect)
-            }
-            51..=54 => {
-                let expect = if has_t2 {
-                    Expect::SemanticError
-                } else {
-                    naive.insert(
-                        "t2",
-                        NaiveTable {
+                14..=17 => {
+                    let sql = format!("insert into {target} values (1, 2), (3)");
+                    ("ragged insert", sql, Expect::SemanticError)
+                }
+                18..=27 => {
+                    // Creates t2(a, b) when it does not exist, appends otherwise.
+                    let preds = vec![range(&mut rng, "a", 150)];
+                    let r = &naive["r"];
+                    let rows = r.project(&r.matching(&preds), &["a", "b"]);
+                    let sql = format!("insert into t2 select a, b from r{}", where_sql(&preds));
+                    let ack = format!("inserted {} rows into t2", rows.len());
+                    naive
+                        .entry("t2")
+                        .or_insert_with(|| NaiveTable {
                             cols: vec!["a", "b"],
                             rows: Vec::new(),
-                        },
-                    );
-                    Expect::Ack("created table t2".into())
-                };
-                (
-                    "create",
-                    "create table t2 (a integer, b integer)".into(),
-                    expect,
-                )
-            }
-            55..=57 => {
-                let expect = match naive.remove("t2") {
-                    Some(_) => Expect::Ack("dropped table t2".into()),
-                    None => Expect::SemanticError,
-                };
-                ("drop", "drop table t2".into(), expect)
-            }
-            pick => {
-                let t = &naive[target];
-                let one = vec![range(&mut rng, "a", 200)];
-                let two = vec![range(&mut rng, "a", 400), range(&mut rng, "b", 400)];
-                let count = |rows: Vec<Vec<i64>>| vec![vec![rows.len() as i64]];
-                let select = |what: &str, preds: &Conjunct| {
-                    format!("select {what} from {target}{}", where_sql(preds))
-                };
-                let (kind, sql, rows) = match pick % 6 {
+                        })
+                        .rows
+                        .extend(rows);
+                    ("insert select", sql, Expect::Ack(ack))
+                }
+                28..=34 => {
+                    let preds = vec![range(&mut rng, "b", 60)];
+                    let rows = naive["r"].matching(&preds);
+                    let sql = format!("insert into r select * from r{}", where_sql(&preds));
+                    let ack = format!("inserted {} rows into r", rows.len());
+                    naive.get_mut("r").unwrap().rows.extend(rows);
+                    ("insert select into itself", sql, Expect::Ack(ack))
+                }
+                35..=37 => {
+                    let sql = if rng.gen_range(0..2) == 0 {
+                        "insert into r select a, b from r where a < 500"
+                    } else {
+                        "insert into dup select a, a from r"
+                    };
+                    ("rejected insert select", sql.into(), Expect::SemanticError)
+                }
+                38..=47 => {
+                    let mut preds = vec![range(&mut rng, "a", 120)];
+                    if rng.gen_range(0..3) == 0 {
+                        preds.push(range(&mut rng, "b", 600));
+                    }
+                    let t = naive.get_mut("r").unwrap();
+                    let doomed = t.matching(&preds);
+                    t.rows.retain(|row| !doomed.contains(row));
+                    let doomed = doomed.len();
+                    let sql = format!("delete from r{}", where_sql(&preds));
+                    (
+                        "ranged delete",
+                        sql,
+                        Expect::Ack(format!("deleted {doomed} rows from r")),
+                    )
+                }
+                48..=50 => {
+                    let expect = match naive.get_mut("t2") {
+                        Some(t) => {
+                            let n = std::mem::take(&mut t.rows).len();
+                            Expect::Ack(format!("deleted {n} rows from t2"))
+                        }
+                        None => Expect::SemanticError,
+                    };
+                    ("delete without where", "delete from t2".into(), expect)
+                }
+                51..=54 => {
+                    let expect = if has_t2 {
+                        Expect::SemanticError
+                    } else {
+                        naive.insert(
+                            "t2",
+                            NaiveTable {
+                                cols: vec!["a", "b"],
+                                rows: Vec::new(),
+                            },
+                        );
+                        Expect::Ack("created table t2".into())
+                    };
+                    (
+                        "create",
+                        "create table t2 (a integer, b integer)".into(),
+                        expect,
+                    )
+                }
+                55..=57 => {
+                    let expect = match naive.remove("t2") {
+                        Some(_) => Expect::Ack("dropped table t2".into()),
+                        None => Expect::SemanticError,
+                    };
+                    ("drop", "drop table t2".into(), expect)
+                }
+                pick => {
+                    let t = &naive[target];
+                    let one = vec![range(&mut rng, "a", 200)];
+                    let two = vec![range(&mut rng, "a", 400), range(&mut rng, "b", 400)];
+                    let count = |rows: Vec<Vec<i64>>| vec![vec![rows.len() as i64]];
+                    let select = |what: &str, preds: &Conjunct| {
+                        format!("select {what} from {target}{}", where_sql(preds))
+                    };
+                    let (x, y) = (rng.gen_range(-20..1000), rng.gen_range(-20..1000));
+                    let n: i64 = rng.gen_range(0..12);
+                    let (kind, sql, rows) = match pick % 18 {
                     0 => ("count", select("count(*)", &one), count(t.matching(&one))),
                     1 => ("star", select("*", &one), t.matching(&one)),
                     2 => {
@@ -438,7 +452,7 @@ fn generated_dml_and_selects_match_a_naive_row_store() {
                         count(t.matching(&two)),
                     ),
                     4 => ("conjunct star", select("*", &two), t.matching(&two)),
-                    _ => {
+                    5 => {
                         let preds = if rng.gen_range(0..2) == 0 {
                             Vec::new()
                         } else {
@@ -455,56 +469,187 @@ fn generated_dml_and_selects_match_a_naive_row_store() {
                         let rows = groups.iter().map(|(k, g)| vec![*k, g.0, g.1]).collect();
                         ("group by", sql, rows)
                     }
+                    // Shapes the plan cache must strip, fold or decline right.
+                    6 => (
+                        "literal on the left",
+                        format!("select * from {target} where {x} <= a and {y} > b"),
+                        t.filter(|a, b| x <= a && y > b),
+                    ),
+                    7 => (
+                        "negative literals",
+                        format!("select count(*) from {target} where a > -{n} and b >= - 15 and a < {y}"),
+                        count(t.filter(|a, b| a > -n && b >= -15 && a < y)),
+                    ),
+                    8 => (
+                        "not equal",
+                        format!("select a from {target} where a <> {x} and b != {y}"),
+                        t.project(&t.filter(|a, b| a != x && b != y), &["a"]),
+                    ),
+                    9 => (
+                        "negation",
+                        format!("select * from {target} where not (a >= {x} and a < {y}) and not b < {n}"),
+                        t.filter(|a, b| !(a >= x && a < y) && b >= n),
+                    ),
+                    10 => (
+                        "two ranges of one column",
+                        format!("select count(*) from {target} where a < {x} or a >= {y}"),
+                        count(t.filter(|a, _| a < x || a >= y)),
+                    ),
+                    11 => (
+                        "between",
+                        format!("select b from {target} where a between {x} and {y} or b not between {n} and 990"),
+                        t.project(&t.filter(|a, b| (x..=y).contains(&a) || !(n..=990).contains(&b)), &["b"]),
+                    ),
+                    12 => (
+                        "empty range",
+                        format!("select * from {target} where a < {n} and a > {}", n + 6),
+                        Vec::new(),
+                    ),
+                    13 => (
+                        "constant conjunct",
+                        format!("select * from {target} where a < {x} and 1 > 2"),
+                        Vec::new(),
+                    ),
+                    14 => {
+                        let sql = format!("select * from {target} where a >= {x} limit {n}");
+                        let expect = Expect::AnyOf(t.filter(|a, _| a >= x), n as usize);
+                        break 'kind ("limit", sql, expect);
+                    }
+                    15 => {
+                        // One shape, spelled the plain way first and then
+                        // with its case, spacing and comments changed: the
+                        // second spelling must find the first one's plan.
+                        let plain = select("count(*)", &one);
+                        let rows = count(t.matching(&one));
+                        sessions.check(step, &plain, Expect::Rows(rows.clone()));
+                        let (_, lo, hi) = one[0];
+                        let sql = format!(
+                            "SELECT  Count ( * )\nFROM {target} -- the table\n\tWHERE a>={lo} AND a<{hi} ;"
+                        );
+                        let hits = sessions.text.plan_cache_stats().hits;
+                        sessions.check(step, &sql, Expect::Rows(rows.clone()));
+                        assert_eq!(sessions.text.plan_cache_stats().hits, hits + 1, "{sql}");
+                        ("respelled", sql, rows)
+                    }
+                    16 => {
+                        let sql = format!("select count(*) from r, t2 where r.a = t2.a and r.b < {x}");
+                        let expect = match naive.get("t2") {
+                            Some(t2) => {
+                                let r = &naive["r"];
+                                let pairs = r.filter(|_, b| b < x).iter().map(|row| {
+                                    let same_a = |other: &&Vec<i64>| other[0] == row[1];
+                                    t2.rows.iter().filter(same_a).count() as i64
+                                }).sum();
+                                Expect::Rows(vec![vec![pairs]])
+                            }
+                            None => Expect::SemanticError,
+                        };
+                        break 'kind ("join", sql, expect);
+                    }
+                    _ => {
+                        let sql = format!("select * from {target} where a < ? and b < {x}");
+                        break 'kind ("source parameter", sql, Expect::UnboundParameter);
+                    }
                 };
-                (kind, sql, Expect::Rows(rows))
+                    (kind, sql, Expect::Rows(rows))
+                }
             }
         };
         *kinds.entry(kind).or_default() += 1;
-        check(&mut session, step, &sql, expect);
-        check_tables(&mut session, step, &sql, &naive);
+        sessions.check(step, &sql, expect);
+        sessions.check_tables(step, &sql, &naive);
     }
     // The generator reached every statement kind it knows.
-    assert_eq!(kinds.len(), 15, "{kinds:?}");
+    assert_eq!(kinds.len(), 27, "{kinds:?}");
     assert!(kinds.values().all(|&n| n >= 3), "{kinds:?}");
+    // The text session answered from cached plans, dropped them at every
+    // schema change, and sent to the uncached path what it had to.
+    let cache = sessions.text.plan_cache_stats();
+    assert!(cache.hits > cache.misses && cache.misses > 27, "{cache:?}");
+    assert!(cache.evictions > 0 && cache.declined > 0, "{cache:?}");
+    assert_eq!(sessions.parsed.plan_cache_stats().hits, 0);
 }
 
-/// Run one statement and compare its outcome with the naive store's.
-fn check(session: &mut SqlSession, step: usize, sql: &str, expect: Expect) {
-    let got = session.execute_one(sql);
-    match (got, expect) {
-        (Ok(QueryOutput::Table { rows, .. }), Expect::Rows(want)) => {
-            assert_eq!(sorted(rows), sorted(want), "step {step}: {sql}")
-        }
-        (Ok(QueryOutput::Affected { message }), Expect::Ack(want)) => {
-            assert_eq!(message, want, "step {step}: {sql}")
-        }
-        (Err(SqlError::Semantic { .. }), Expect::SemanticError) => {}
-        (got, want) => panic!("step {step}: {sql}\n  got {got:?}\n  want {want:?}"),
-    }
+/// Two sessions fed the same statements: `text` as SQL text — through the
+/// plan cache — and `parsed` as ASTs, which bypass it. They must be
+/// indistinguishable from outside.
+struct Twins {
+    text: SqlSession,
+    parsed: SqlSession,
 }
 
-/// After every statement: same tables, same rows in each.
-fn check_tables(
-    session: &mut SqlSession,
-    step: usize,
-    sql: &str,
-    naive: &BTreeMap<&'static str, NaiveTable>,
-) {
-    let names: Vec<&str> = naive.keys().copied().collect();
-    assert_eq!(
-        session.adaptive().catalog().names(),
-        names,
-        "step {step}: {sql}"
-    );
-    for (name, table) in naive {
-        let out = session
-            .execute_one(&format!("select * from {name}"))
-            .unwrap();
+impl Twins {
+    /// Run one statement on both sessions; compare the outcomes with each
+    /// other (rows, typed error with its message and span, crack counters)
+    /// and with the naive store's.
+    fn check(&mut self, step: usize, sql: &str, expect: Expect) {
+        let got = self.text.execute_one(sql);
+        let twin = sql::parse(sql)
+            .and_then(|stmts| self.parsed.execute_batch(&stmts))
+            .map(|mut outs| outs.remove(0));
+        match (&got, &twin) {
+            (
+                Ok(QueryOutput::Table { columns, rows }),
+                Ok(QueryOutput::Table {
+                    columns: twin_columns,
+                    rows: twin_rows,
+                }),
+            ) => {
+                assert_eq!(columns, twin_columns, "step {step}: {sql}");
+                let (rows, twin_rows) = (sorted(rows.clone()), sorted(twin_rows.clone()));
+                assert_eq!(rows, twin_rows, "step {step}: {sql}");
+            }
+            _ => assert_eq!(got, twin, "step {step}: {sql}"),
+        }
         assert_eq!(
-            sorted(out.rows().unwrap().to_vec()),
-            sorted(table.rows.clone()),
-            "step {step}: table {name} after {sql}"
+            self.text.adaptive().total_crack_stats(),
+            self.parsed.adaptive().total_crack_stats(),
+            "step {step}: {sql} cracked the two stores differently"
         );
+        match (got, expect) {
+            (Ok(QueryOutput::Table { rows, .. }), Expect::Rows(want)) => {
+                assert_eq!(sorted(rows), sorted(want), "step {step}: {sql}")
+            }
+            (Ok(QueryOutput::Table { rows, .. }), Expect::AnyOf(pool, n)) => {
+                assert_eq!(rows.len(), n.min(pool.len()), "step {step}: {sql}");
+                let mut pool = sorted(pool);
+                for row in rows {
+                    let at = pool.binary_search(&row);
+                    let at = at.unwrap_or_else(|_| panic!("step {step}: {sql}: stray row {row:?}"));
+                    pool.remove(at);
+                }
+            }
+            (Ok(QueryOutput::Affected { message }), Expect::Ack(want)) => {
+                assert_eq!(message, want, "step {step}: {sql}")
+            }
+            (Err(SqlError::Semantic { .. }), Expect::SemanticError) => {}
+            (Err(SqlError::Unsupported { msg, .. }), Expect::UnboundParameter)
+                if msg.contains("unbound parameter") => {}
+            (got, want) => panic!("step {step}: {sql}\n  got {got:?}\n  want {want:?}"),
+        }
+    }
+
+    /// After every statement: same tables, same rows in each.
+    fn check_tables(&mut self, step: usize, sql: &str, naive: &BTreeMap<&'static str, NaiveTable>) {
+        let names: Vec<&str> = naive.keys().copied().collect();
+        for session in [&mut self.text, &mut self.parsed] {
+            assert_eq!(
+                session.adaptive().catalog().names(),
+                names,
+                "step {step}: {sql}"
+            );
+        }
+        for (name, table) in naive {
+            let out = self
+                .text
+                .execute_one(&format!("select * from {name}"))
+                .unwrap();
+            assert_eq!(
+                sorted(out.rows().unwrap().to_vec()),
+                sorted(table.rows.clone()),
+                "step {step}: table {name} after {sql}"
+            );
+        }
     }
 }
 
