@@ -1,10 +1,10 @@
 //! Ablations over the cracker design knobs: crack-in-three vs. two
 //! successive crack-in-twos, the cut-off granule, the piece-budget fusion
-//! policies, and the kernel axis — the scalar / branch-free / SIMD
-//! family across cold-crack (including a >256k-tuple "large band" shape,
-//! the vector kernels' home turf), crack_select-shaped, and
-//! scenario_mix-shaped workloads. On hosts without AVX2 the `simd` label
-//! measures its documented branch-free fallback.
+//! policies, and the kernel axis — the scalar and SIMD kernels across
+//! cold-crack (including a memory-spanning 1M-tuple shape, the vector
+//! kernels' home turf), crack_select-shaped, and scenario_mix-shaped
+//! workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
+//! measures the scalar loops a second time.
 //!
 //! `BENCH_SMOKE=1` shrinks the column and op counts so CI can run this as
 //! a smoke test; pass `--json` to record medians as `BENCH_ablation.json`
@@ -48,10 +48,9 @@ fn run_sequence(cfg: CrackerConfig, vals: &[i64], seq: &[workload::Window]) {
     }
 }
 
-const KERNELS: [(&str, KernelPolicy); 3] = [
+const KERNELS: [(&str, KernelPolicy); 2] = [
     ("scalar", KernelPolicy::Scalar),
-    ("branchfree", KernelPolicy::BranchFree),
-    ("simd", KernelPolicy::Simd),
+    ("simd", KernelPolicy::Auto),
 ];
 
 /// Crack-in-three (single pass) vs. two crack-in-twos per range query.
@@ -114,16 +113,10 @@ fn fresh_column(counter: &std::cell::Cell<u64>) -> Vec<i64> {
     Tapestry::generate(n(), 1, seed).column(0).to_vec()
 }
 
-/// The kernel family on a single cold crack-in-three over a virgin
-/// random column — the branch-misprediction worst case the predicated
-/// DNF kernel targets. The column never shrinks below twice the
-/// kernel's three-way predication floor (`THREE_WAY_MIN` in
-/// `cracker_core::kernel`): at the plain smoke size the skew guard
-/// would route both labels through the scalar sweep and this comparison
-/// would carry no kernel signal.
+/// Both kernels on a single cold crack-in-three over a virgin random
+/// column — the branch-misprediction worst case of the scalar sweep.
 fn kernel_cold_crack(c: &mut Criterion) {
-    let n3 = n().max(2 * 32_768);
-    let (lo, hi) = (n3 as i64 / 4, 3 * n3 as i64 / 4);
+    let (lo, hi) = (n() as i64 / 4, 3 * n() as i64 / 4);
     let mut g = c.benchmark_group("ablation_kernel_cold_crack");
     g.sample_size(20);
     for (label, kernel) in KERNELS {
@@ -131,12 +124,7 @@ fn kernel_cold_crack(c: &mut Criterion) {
         let ctr = std::cell::Cell::new(0u64);
         g.bench_function(label, |b| {
             b.iter_batched(
-                || {
-                    let seed = 0xAB1A + ctr.get();
-                    ctr.set(ctr.get() + 1);
-                    let vals = Tapestry::generate(n3, 1, seed).column(0).to_vec();
-                    CrackerColumn::with_config(vals, cfg)
-                },
+                || CrackerColumn::with_config(fresh_column(&ctr), cfg),
                 |mut col| col.select(RangePred::between(lo, hi)),
                 BatchSize::LargeInput,
             )
@@ -145,10 +133,8 @@ fn kernel_cold_crack(c: &mut Criterion) {
     g.finish();
 }
 
-/// The kernel family on a single cold one-sided crack — a pure
-/// crack-in-two over a virgin column in the 32k–256k calibration band,
-/// the branchless cyclic-Lomuto kernel's home turf (PR 4's acceptance
-/// benchmark).
+/// Both kernels on a single cold one-sided crack — a pure crack-in-two
+/// over a virgin column (PR 4's acceptance benchmark).
 fn kernel_cold_crack_two(c: &mut Criterion) {
     let mid = n() as i64 / 2;
     let mut g = c.benchmark_group("ablation_kernel_cold_crack_two");
@@ -167,11 +153,10 @@ fn kernel_cold_crack_two(c: &mut Criterion) {
     g.finish();
 }
 
-/// The kernel family on a cold crack-in-two over a piece in the largest
-/// calibration band (>256k tuples; the committed full-size runs use 1M) —
-/// the acceptance benchmark for the SIMD kernels: a memory-spanning
-/// balanced partition where 4-wide compare + compress-permute lanes beat
-/// the one-tuple-per-iteration branch-free rotate.
+/// Both kernels on a cold crack-in-two over a memory-spanning piece (the
+/// committed full-size runs use 1M tuples) — the acceptance benchmark for
+/// the SIMD kernels: a balanced partition where 4-wide compare +
+/// compress-permute lanes beat the one-branch-per-tuple scalar loop.
 fn kernel_cold_crack_two_large(c: &mut Criterion) {
     let n_large = if smoke() { 300_000 } else { 1_000_000 };
     let mid = n_large as i64 / 2;
@@ -196,7 +181,7 @@ fn kernel_cold_crack_two_large(c: &mut Criterion) {
     g.finish();
 }
 
-/// The kernel family over a full crack_select-shaped query sequence
+/// Both kernels over a full crack_select-shaped query sequence
 /// (the strolling MQS profile): cold cracks up front, boundary reuse and
 /// ever-smaller pieces toward the tail. Fresh data per sample, same
 /// window sequence.
@@ -218,7 +203,7 @@ fn kernel_crack_select(c: &mut Criterion) {
     g.finish();
 }
 
-/// The kernel family under scenario_mix shapes: a shifting hot set
+/// Both kernels under scenario_mix shapes: a shifting hot set
 /// (fresh crack storms every relocation) and an update-heavy mix (overlay
 /// filtering and merges in the loop). Replayed single-threaded against a
 /// plain column, with the OID buffer reused across ops via

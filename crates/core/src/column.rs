@@ -99,9 +99,7 @@ pub struct CrackerColumn<T> {
     oids: Vec<u32>,
     index: CrackerIndex<T>,
     config: CrackerConfig,
-    /// The kernel the hot loops run, resolved once from `config.kernel`
-    /// (the banded dispatcher then re-dispatches per piece size on every
-    /// call).
+    /// The kernel the hot loops run, resolved once from `config.kernel`.
     kernel: CrackKernel,
     stats: CrackStats,
     sorted: SortedPieces,

@@ -24,10 +24,10 @@
 //! winner's boundaries. (The same protocol, generalized to per-shard
 //! latches, is [`crate::sharded::ShardedCrackerColumn`].)
 //!
-//! The wrapped column inherits its crack kernel (scalar / branch-free /
-//! SIMD, or the per-piece-size-band dispatcher — [`crate::kernel`]) from
-//! the `CrackerConfig` it is built with, so the single-lock path runs
-//! exactly the same hot loops as the plain and sharded paths.
+//! The wrapped column inherits its crack kernel (scalar or SIMD —
+//! [`crate::kernel`]) from the `CrackerConfig` it is built with, so the
+//! single-lock path runs exactly the same hot loops as the plain and
+//! sharded paths.
 //!
 //! The lock itself comes from the [`crate::sync`] facade (lockdep): under
 //! `LOCK_ANALYSIS=1` every acquisition here is checked for order

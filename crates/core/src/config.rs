@@ -60,11 +60,10 @@ pub struct CrackerConfig {
     /// thereafter cracked by binary search with zero tuple movement
     /// (progressive refinement, see [`crate::sorted`]). `0` disables.
     pub sort_below: usize,
-    /// Which crack kernel the column's hot loops run (scalar, predicated
-    /// branch-free, SIMD vector lanes, or the per-piece-size-band
-    /// dispatcher; see [`crate::kernel`]). Resolved once at column
-    /// construction: `Auto` consults `CRACKER_KERNEL`, then falls to the
-    /// lazily calibrated band table.
+    /// Which crack kernel the column's hot loops run (see
+    /// [`crate::kernel`]). Resolved once at column construction: `Auto`
+    /// is the AVX2 vector kernels where the CPU has them and the scalar
+    /// loops elsewhere, `Scalar` forces the scalar loops.
     pub kernel: KernelPolicy,
 }
 
@@ -125,8 +124,8 @@ impl CrackerConfig {
         self
     }
 
-    /// Builder: choose the crack kernel (scalar, branch-free, SIMD,
-    /// banded, or auto-selected).
+    /// Builder: choose the crack kernel (scalar, or auto-selected from
+    /// the CPU).
     pub fn with_kernel(mut self, kernel: KernelPolicy) -> Self {
         self.kernel = kernel;
         self
@@ -154,13 +153,13 @@ mod tests {
             .with_max_pieces(100)
             .with_fusion(FusionPolicy::LeastRecentlyUsed)
             .with_merge_threshold(10)
-            .with_kernel(KernelPolicy::BranchFree);
+            .with_kernel(KernelPolicy::Scalar);
         assert_eq!(c.mode, CrackMode::TwoWay);
         assert_eq!(c.min_piece_size, 64);
         assert_eq!(c.max_pieces, 100);
         assert_eq!(c.fusion, FusionPolicy::LeastRecentlyUsed);
         assert_eq!(c.merge_threshold, 10);
-        assert_eq!(c.kernel, KernelPolicy::BranchFree);
+        assert_eq!(c.kernel, KernelPolicy::Scalar);
     }
 
     #[test]

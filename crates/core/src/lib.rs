@@ -78,7 +78,7 @@ pub use column::{CrackerColumn, Selection};
 pub use concurrent::SharedCrackerColumn;
 pub use config::{CrackMode, CrackerConfig, FusionPolicy};
 pub use index::CrackerIndex;
-pub use kernel::{simd_supported, CrackKernel, KernelPolicy, BAND_UPPER};
+pub use kernel::{simd_supported, CrackKernel, KernelPolicy};
 pub use paged::PagedCracker;
 pub use policy::{CrackPolicy, PolicyCracker};
 pub use pred::RangePred;

@@ -66,10 +66,9 @@
 //! answers without a single index probe (and without cracking).
 //!
 //! Every shard is built from the same `CrackerConfig`, so the crack
-//! kernel selected there (scalar / branch-free / SIMD / banded,
-//! [`crate::kernel`]) runs inside every shard — a faster single-shard
-//! kernel multiplies through the whole latching scheme, and the band
-//! dispatcher sees each shard's own (smaller) piece sizes.
+//! kernel selected there (scalar or SIMD, [`crate::kernel`]) runs inside
+//! every shard — a faster single-shard kernel multiplies through the
+//! whole latching scheme.
 
 use crate::column::{CrackerColumn, Selection};
 use crate::concurrent::SharedCrackerColumn;

@@ -1,18 +1,16 @@
-//! Explicit SIMD crack kernels: AVX2 (with an SSE4.2 tier for the
-//! two-way partition) behind runtime CPU detection.
+//! Explicit SIMD crack kernels: AVX2 behind runtime CPU detection.
 //!
-//! This module is the vector-lane tier of the three-way kernel family
-//! ([`crate::kernel`]): where the branch-free kernels replace data
-//! branches with scalar arithmetic (one tuple per iteration), these
-//! kernels process 4 tuples per iteration (2 on the SSE4.2 tier) with
-//! `core::arch::x86_64` intrinsics — `vpcmpgtq` compares, sign-bit
-//! `movemask` extraction, and LUT-driven compress permutes — inside
-//! `#[target_feature]` functions selected once per process via
+//! This module is the vector half of the two-kernel family
+//! ([`crate::kernel`]): where the scalar loops of [`crate::crack`] take
+//! one data-dependent branch per tuple, these kernels process 4 tuples
+//! per iteration with `core::arch::x86_64` intrinsics — `vpcmpgtq`
+//! compares, sign-bit `movemask` extraction, and LUT-driven compress
+//! permutes — inside `#[target_feature]` functions guarded by
 //! `is_x86_feature_detected!`. Everything is stable Rust; on non-x86-64
-//! hosts, on CPUs without the detected features, on value types without a
+//! hosts, on CPUs without AVX2 + popcnt, on value types without a 64-bit
 //! vector compare (`i32`/`u32`/`OrdF64`), or below the [`SIMD_MIN`] size
-//! floor, every entry point returns `None`/`false` and the caller falls
-//! back to the portable branch-free kernels.
+//! floor, every entry point returns `None`/`false` and the caller runs
+//! the scalar loop.
 //!
 //! # Kernels
 //!
@@ -47,11 +45,11 @@
 //!   recover the displacement total. `moved` is always the canonical
 //!   destination-displacement count — the number of tuples that were
 //!   not already inside their destination piece, the same accounting
-//!   the two-way kernels report. The scalar and branch-free three-way
-//!   sweeps count Dutch-flag *swaps* instead, which can exceed the
-//!   displacement count (middle-class tuples shuffle along multiple
-//!   times), so three-way `moved` is pinned per-kernel-family, not
-//!   across families; see the `kernel` module docs.
+//!   the two-way kernels report. The scalar three-way sweep counts
+//!   Dutch-flag *swaps* instead, which can exceed the displacement count
+//!   (middle-class tuples shuffle along multiple times), so three-way
+//!   `moved` is pinned per kernel, not across the two; see the `kernel`
+//!   module docs.
 //! * **Residual scan** (`scan_into`): 4-lane predicate masks
 //!   (lower/upper bound compares folded into one nibble) with a
 //!   fast path for all-matching chunks.
@@ -59,18 +57,19 @@
 //!   probed 4 OIDs at a time with a masked `vpgatherqq` over the bitmap
 //!   words plus per-lane variable shifts; out-of-range OIDs are masked
 //!   off (matching `OidSet::contains`'s bounds behavior). The live-tuple
-//!   walk (`for_each_live`) stays on the branch-free chunk path: its cost
-//!   is dominated by the per-hit `emit` callback, not the probe.
+//!   walk (`for_each_live`) has no vector form: its cost is dominated by
+//!   the per-hit `emit` callback, not the probe.
 //!
 //! `u64` columns ride the `i64` kernels through the order-preserving
 //! sign-flip bijection (`x ^ i64::MIN`): loaded vectors are flipped only
 //! for the compare, never in memory.
 
-// The workspace forbids unsafe code; this module and the branch-free
-// kernels in `kernel.rs` are the audited exceptions. Every unsafe block
-// carries a SAFETY comment, the loops' cursor invariants are stated
-// inline, and the kernel-equivalence proptests pin every kernel to the
-// scalar reference across splits, multisets, answer sets, and `moved`.
+// The workspace forbids unsafe code; this module is the one kernel file
+// where the rule is waived (`sync.rs` holds the only other waiver in the
+// crate). Every unsafe block carries a SAFETY comment, the loops' cursor
+// invariants are stated inline, and the kernel-equivalence proptests pin
+// every kernel to the scalar reference across splits, multisets, answer
+// sets, and `moved`.
 #![allow(unsafe_code)]
 
 use crate::crack::BoundaryKey;
@@ -84,51 +83,23 @@ use std::ops::Range;
 use std::arch::x86_64::*;
 
 /// Pieces below this many tuples never take a vector kernel: the fixed
-/// costs (detection indirection, block buffering, scalar flush)
-/// outweigh the lane win, and the per-band calibration routes such
-/// pieces to the scalar loop anyway. Must stay ≥ two partition blocks
-/// plus a tail (see `crack_two_avx2`).
+/// costs (block buffering, scalar flush) outweigh the lane win, and the
+/// scalar loop's branches recover fast on a cache-resident piece. Must
+/// stay ≥ two partition blocks plus a tail (see `crack_two_avx2`).
 pub(crate) const SIMD_MIN: usize = 128;
 
-/// The vector tier the running CPU supports, detected once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SimdLevel {
-    /// 4×64-bit lanes: AVX2 `vpcmpgtq`/`vpermd` (plus `popcnt`).
-    Avx2,
-    /// 2×64-bit lanes: SSE4.2 `pcmpgtq` + SSSE3 `pshufb` (plus
-    /// `popcnt`). Two-way partition only; the other kernels fall back.
-    Sse42,
-}
-
-/// Runtime CPU detection, cached for the process lifetime.
-pub(crate) fn level() -> Option<SimdLevel> {
+/// True when the running CPU has the vector tier: AVX2 `vpcmpgtq` /
+/// `vpermd` plus `popcnt`. (`is_x86_feature_detected!` caches its answer,
+/// so this is a couple of relaxed loads per call.)
+pub(crate) fn available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        use std::sync::OnceLock;
-        static LEVEL: OnceLock<Option<SimdLevel>> = OnceLock::new();
-        *LEVEL.get_or_init(|| {
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
-                Some(SimdLevel::Avx2)
-            } else if is_x86_feature_detected!("sse4.2")
-                && is_x86_feature_detected!("ssse3")
-                && is_x86_feature_detected!("popcnt")
-            {
-                Some(SimdLevel::Sse42)
-            } else {
-                None
-            }
-        })
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        None
+        false
     }
-}
-
-/// True when at least one vector tier is available — the hook the
-/// per-band calibration uses to decide whether `Simd` is a candidate.
-pub(crate) fn available() -> bool {
-    level().is_some()
 }
 
 /// Reinterpret a `CrackValue` slice as `i64` lanes when the type has a
@@ -183,8 +154,8 @@ fn before_scalar(x: i64, pivot: i64, flip: i64, lte: bool) -> bool {
     }
 }
 
-/// Vector two-way partition entry point: `Some(split)` when a vector
-/// tier handled the piece, `None` to fall back (unsupported CPU or
+/// Vector two-way partition entry point: `Some(split)` when the vector
+/// kernel handled the piece, `None` to fall back (unsupported CPU or
 /// value type, or a piece under the size floor). The contract is the
 /// scalar kernel's: same split, same per-piece multisets, `moved`
 /// incremented by the canonical crossing-pair count.
@@ -198,29 +169,19 @@ pub(crate) fn crack_two<T: CrackValue>(
 ) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
     {
-        let lvl = level()?;
-        if hi - lo < SIMD_MIN {
+        if !available() || hi - lo < SIMD_MIN {
             return None;
         }
         let (lanes, flip) = lanes_mut(vals)?;
         let (pivot, lte) = key_bits(key, flip);
         debug_assert!(lo <= hi && hi <= lanes.len() && lanes.len() == oids.len());
-        // SAFETY: `level()` proved the required target features are
-        // available on this CPU; bounds are asserted above.
+        // SAFETY: `available()` proved AVX2 and popcnt are present on
+        // this CPU; bounds are asserted above.
         unsafe {
-            Some(match (lvl, lte) {
-                (SimdLevel::Avx2, false) => {
-                    crack_two_avx2::<false>(lanes, oids, lo, hi, pivot, flip, moved)
-                }
-                (SimdLevel::Avx2, true) => {
-                    crack_two_avx2::<true>(lanes, oids, lo, hi, pivot, flip, moved)
-                }
-                (SimdLevel::Sse42, false) => {
-                    crack_two_sse42::<false>(lanes, oids, lo, hi, pivot, flip, moved)
-                }
-                (SimdLevel::Sse42, true) => {
-                    crack_two_sse42::<true>(lanes, oids, lo, hi, pivot, flip, moved)
-                }
+            Some(if lte {
+                crack_two_avx2::<true>(lanes, oids, lo, hi, pivot, flip, moved)
+            } else {
+                crack_two_avx2::<false>(lanes, oids, lo, hi, pivot, flip, moved)
             })
         }
     }
@@ -231,7 +192,7 @@ pub(crate) fn crack_two<T: CrackValue>(
     }
 }
 
-/// Vector three-way partition entry point (AVX2 only): `Some((p1, p2))`
+/// Vector three-way partition entry point: `Some((p1, p2))`
 /// or `None` to fall back. Splits and per-piece multisets match the
 /// scalar sweep; `moved` is incremented by the canonical
 /// destination-displacement count (see the module docs).
@@ -246,7 +207,7 @@ pub(crate) fn crack_three<T: CrackValue>(
 ) -> Option<(usize, usize)> {
     #[cfg(target_arch = "x86_64")]
     {
-        if level()? != SimdLevel::Avx2 || hi - lo < SIMD_MIN {
+        if !available() || hi - lo < SIMD_MIN {
             return None;
         }
         let flip = lane_flip::<T>()?;
@@ -257,7 +218,7 @@ pub(crate) fn crack_three<T: CrackValue>(
         // populations) before anything moves.
         let (c1, c3) = {
             let (lanes, _) = lanes_mut(vals)?;
-            // SAFETY: AVX2 (and popcnt) verified by `level()`; bounds
+            // SAFETY: AVX2 (and popcnt) verified by `available()`; bounds
             // asserted above.
             unsafe { count3_avx2(lanes, lo, hi, p1v, lte1, p2v, lte2, flip) }
         };
@@ -267,10 +228,10 @@ pub(crate) fn crack_three<T: CrackValue>(
             return Some((split1, split2));
         }
 
-        // Middle-dominance guard — the three-way sibling of the
-        // branch-free skew guard, but exact, because the counting pass
-        // has already fixed the class populations. Contracting query
-        // sequences (MQS homerun) crack pieces where ≥ 7/8 of the
+        // Middle-dominance guard — exact, not sampled, because the
+        // counting pass has already fixed the class populations.
+        // Contracting query sequences (MQS homerun) crack pieces where
+        // ≥ 7/8 of the
         // tuples stay in the middle region; the scalar sweep never
         // moves a middle-class tuple (one cheap pass whose rare
         // branches predict well), while the compress-scatter would
@@ -320,7 +281,7 @@ pub(crate) fn crack_three<T: CrackValue>(
     }
 }
 
-/// Vector residual scan over a cut-off piece (AVX2 only): appends the
+/// Vector residual scan over a cut-off piece: appends the
 /// absolute positions in `range` matching `pred` to `out`, in ascending
 /// order — exactly the scalar filter's output. Returns `false` to fall
 /// back.
@@ -332,14 +293,14 @@ pub(crate) fn scan_into<T: CrackValue>(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if level() != Some(SimdLevel::Avx2) || range.len() < SIMD_MIN {
+        if !available() || range.len() < SIMD_MIN {
             return false;
         }
         let Some((lanes, flip)) = lanes_ref(vals) else {
             return false;
         };
-        // Same bound→key mapping as the branch-free scan: matched ⇔
-        // !lo_key.before(v) && hi_key.before(v).
+        // Express the bounds as boundary keys so each test is one
+        // compare: matched ⇔ !lo_key.before(v) && hi_key.before(v).
         let lo_key = pred.low.map(|b| {
             let k = if b.inclusive {
                 BoundaryKey::lt(b.value)
@@ -357,7 +318,7 @@ pub(crate) fn scan_into<T: CrackValue>(
             key_bits(k, flip)
         });
         debug_assert!(range.end <= lanes.len());
-        // SAFETY: AVX2 verified by `level()`; `range` is in bounds.
+        // SAFETY: AVX2 verified by `available()`; `range` is in bounds.
         unsafe { scan_avx2(lanes, range, lo_key, hi_key, flip, out) };
         true
     }
@@ -368,17 +329,17 @@ pub(crate) fn scan_into<T: CrackValue>(
     }
 }
 
-/// Vector pending-delete overlay count (AVX2 only): how many of `oids`
+/// Vector pending-delete overlay count: how many of `oids`
 /// are in `deleted`. Returns `None` to fall back.
 pub(crate) fn count_deleted(oids: &[u32], deleted: &OidSet) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
     {
-        if level()? != SimdLevel::Avx2 || oids.len() < SIMD_MIN || deleted.has_sparse() {
+        if !available() || oids.len() < SIMD_MIN || deleted.has_sparse() {
             // The gather only probes the dense bitmap; members in the
             // sparse side set need the scalar probe.
             return None;
         }
-        // SAFETY: AVX2 verified by `level()`.
+        // SAFETY: AVX2 verified by `available()`.
         Some(unsafe { count_deleted_avx2(oids, deleted.words()) })
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -408,18 +369,11 @@ static OID_FRONT: [[u8; 16]; 16] = build_oid_shuf(true);
 /// As [`OID_FRONT`] but to the back.
 #[cfg(target_arch = "x86_64")]
 static OID_BACK: [[u8; 16]; 16] = build_oid_shuf(false);
-/// `pshufb` byte masks compressing the 64-bit lanes named by a 2-bit
-/// mask to the front of an xmm register (SSE4.2 tier).
-#[cfg(target_arch = "x86_64")]
-static QW_FRONT: [[u8; 16]; 4] = build_qw_shuf(true);
-/// As [`QW_FRONT`] but to the back.
-#[cfg(target_arch = "x86_64")]
-static QW_BACK: [[u8; 16]; 4] = build_qw_shuf(false);
 
 /// Lane order for a compress: masked lanes first (front) or last
 /// (back), relative order preserved on both sides.
-const fn lane_order<const N: usize>(mask: usize, front: bool) -> [usize; N] {
-    let mut order = [0usize; N];
+const fn lane_order(mask: usize, front: bool) -> [usize; 4] {
+    let mut order = [0usize; 4];
     let mut slot = 0;
     // Two passes over the lanes: the selected group is placed first for
     // a front compress and last for a back compress, relative order
@@ -428,7 +382,7 @@ const fn lane_order<const N: usize>(mask: usize, front: bool) -> [usize; N] {
     while pass < 2 {
         let want_selected = if front { pass == 0 } else { pass == 1 };
         let mut j = 0;
-        while j < N {
+        while j < 4 {
             if ((mask >> j) & 1 == 1) == want_selected {
                 order[slot] = j;
                 slot += 1;
@@ -445,7 +399,7 @@ const fn build_perm64(front: bool) -> [[u32; 8]; 16] {
     let mut out = [[0u32; 8]; 16];
     let mut m = 0;
     while m < 16 {
-        let order: [usize; 4] = lane_order::<4>(m, front);
+        let order = lane_order(m, front);
         let mut k = 0;
         while k < 4 {
             out[m][2 * k] = (2 * order[k]) as u32;
@@ -462,32 +416,12 @@ const fn build_oid_shuf(front: bool) -> [[u8; 16]; 16] {
     let mut out = [[0u8; 16]; 16];
     let mut m = 0;
     while m < 16 {
-        let order: [usize; 4] = lane_order::<4>(m, front);
+        let order = lane_order(m, front);
         let mut k = 0;
         while k < 4 {
             let mut b = 0;
             while b < 4 {
                 out[m][4 * k + b] = (4 * order[k] + b) as u8;
-                b += 1;
-            }
-            k += 1;
-        }
-        m += 1;
-    }
-    out
-}
-
-/// Build the `pshufb` LUT for 2×64-bit compresses (SSE4.2 tier).
-const fn build_qw_shuf(front: bool) -> [[u8; 16]; 4] {
-    let mut out = [[0u8; 16]; 4];
-    let mut m = 0;
-    while m < 4 {
-        let order: [usize; 2] = lane_order::<2>(m, front);
-        let mut k = 0;
-        while k < 2 {
-            let mut b = 0;
-            while b < 8 {
-                out[m][8 * k + b] = (8 * order[k] + b) as u8;
                 b += 1;
             }
             k += 1;
@@ -1169,179 +1103,6 @@ unsafe fn count_deleted_avx2(oids: &[u32], words: &[u64]) -> usize {
     cnt
 }
 
-// ---------------------------------------------------------------------
-// SSE4.2 tier: two-way partition only.
-// ---------------------------------------------------------------------
-
-/// The 2-bit "belongs before" mask of one xmm chunk.
-///
-/// # Safety
-/// Caller guarantees SSE4.2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-unsafe fn mask2_before<const LTE: bool>(v: __m128i, pv: __m128i, fv: __m128i) -> usize {
-    let x = _mm_xor_si128(v, fv);
-    let m = if LTE {
-        (!_mm_movemask_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(x, pv)))) & 0x3
-    } else {
-        _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpgt_epi64(pv, x)))
-    };
-    m as usize
-}
-
-/// SSE4.2 two-way partition: the AVX2 algorithm at 2 lanes per
-/// register (`pcmpgtq` compares, `pshufb` compresses). The counting
-/// pass is a plain scalar reduction (LLVM vectorizes it under the
-/// enabled features).
-///
-/// # Safety
-/// As [`crack_two_avx2`], with SSE4.2+SSSE3+popcnt.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2,ssse3,popcnt")]
-#[allow(clippy::too_many_arguments)] // kernel entry point: partition state arrives unpacked by design
-unsafe fn crack_two_sse42<const LTE: bool>(
-    lanes: &mut [i64],
-    oids: &mut [u32],
-    lo: usize,
-    hi: usize,
-    pivot: i64,
-    flip: i64,
-    moved: &mut u64,
-) -> usize {
-    let mut c = 0usize;
-    for &x in &lanes[lo..hi] {
-        c += before_scalar(x, pivot, flip, LTE) as usize;
-    }
-    let split = lo + c;
-    if c == 0 || split == hi {
-        return split;
-    }
-    let mut misplaced = 0usize;
-
-    let n = 2usize;
-    let len = hi - lo;
-    let tail = len % n;
-    let hi_vec = hi - tail;
-    let vp = lanes.as_mut_ptr();
-    let op = oids.as_mut_ptr();
-    let pv = _mm_set1_epi64x(pivot);
-    let fv = _mm_set1_epi64x(flip);
-
-    let mut tail_v = [0i64; 2];
-    let mut tail_o = [0u32; 2];
-    // SAFETY: `tail < 2` elements copied from `[hi_vec, hi)`.
-    unsafe {
-        std::ptr::copy_nonoverlapping(vp.add(hi_vec), tail_v.as_mut_ptr(), tail);
-        std::ptr::copy_nonoverlapping(op.add(hi_vec), tail_o.as_mut_ptr(), tail);
-    }
-    // SAFETY: the spans `[lo, lo+2)` and `[hi_vec-2, hi_vec)` are in
-    // bounds and disjoint (`SIMD_MIN ≥ 64`). OID pairs travel as 8-byte
-    // loads/stores in the low half of an xmm.
-    let (vf, of, vl, ol) = unsafe {
-        (
-            _mm_loadu_si128(vp.add(lo) as *const __m128i),
-            _mm_loadl_epi64(op.add(lo) as *const __m128i),
-            _mm_loadu_si128(vp.add(hi_vec - 2) as *const __m128i),
-            _mm_loadl_epi64(op.add(hi_vec - 2) as *const __m128i),
-        )
-    };
-    let mut l_read = lo + n;
-    let mut r_read = hi_vec - n;
-    let mut l_write = lo;
-    let mut r_write = hi;
-
-    // SAFETY: same invariant as `crack_two_avx2` with register width 2:
-    // both frees are ≥ 2 before each pair of stores, so the full-width
-    // value store (16 bytes) and the 8-byte OID store stay inside the
-    // free window. The side choice is arithmetic (cmov), not a branch,
-    // for the reason documented there.
-    unsafe {
-        while l_read < r_read {
-            let from_left = (l_read - l_write <= r_write - r_read) as usize;
-            let src = from_left * l_read + (1 - from_left) * (r_read - n);
-            l_read += n * from_left;
-            r_read -= n * (1 - from_left);
-            let v = _mm_loadu_si128(vp.add(src) as *const __m128i);
-            let o = _mm_loadl_epi64(op.add(src) as *const __m128i);
-            let m = mask2_before::<LTE>(v, pv, fv);
-            let pos_ge = (((src >= split) as usize) | (((src + 1 >= split) as usize) << 1)) & 0x3;
-            misplaced += ((m & pos_ge) as u32).count_ones() as usize;
-            let cl = (m as u32).count_ones() as usize;
-            let vl_c = _mm_shuffle_epi8(v, _mm_loadu_si128(QW_FRONT[m].as_ptr() as *const __m128i));
-            let ol_c =
-                _mm_shuffle_epi8(o, _mm_loadu_si128(OID_FRONT[m].as_ptr() as *const __m128i));
-            _mm_storeu_si128(vp.add(l_write) as *mut __m128i, vl_c);
-            _mm_storel_epi64(op.add(l_write) as *mut __m128i, ol_c);
-            let mr = (!m) & 0x3;
-            let vr_c = _mm_shuffle_epi8(v, _mm_loadu_si128(QW_BACK[mr].as_ptr() as *const __m128i));
-            // OID back-compress at 2 lanes: lane order `[unselected,
-            // selected]` in the low 8 bytes.
-            let or_c =
-                _mm_shuffle_epi8(o, _mm_loadu_si128(OID_BACK2[mr].as_ptr() as *const __m128i));
-            _mm_storeu_si128(vp.add(r_write - n) as *mut __m128i, vr_c);
-            _mm_storel_epi64(op.add(r_write - n) as *mut __m128i, or_c);
-            l_write += cl;
-            r_write -= n - cl;
-        }
-    }
-    debug_assert_eq!(l_read, r_read);
-
-    let mut buf_v = [0i64; 4];
-    let mut buf_o = [0u32; 4];
-    // SAFETY: the stack buffers match the store widths.
-    unsafe {
-        _mm_storeu_si128(buf_v.as_mut_ptr() as *mut __m128i, vf);
-        _mm_storel_epi64(buf_o.as_mut_ptr() as *mut __m128i, of);
-        _mm_storeu_si128(buf_v.as_mut_ptr().add(2) as *mut __m128i, vl);
-        _mm_storel_epi64(buf_o.as_mut_ptr().add(2) as *mut __m128i, ol);
-    }
-    // SAFETY: 4 + tail tuples remain and the free window exactly fits
-    // them.
-    unsafe {
-        for k in 0..4 {
-            let src = if k < 2 { lo + k } else { hi_vec - 4 + k };
-            let b = before_scalar(buf_v[k], pivot, flip, LTE);
-            misplaced += (b && src >= split) as usize;
-            place_scalar(vp, op, buf_v[k], buf_o[k], b, &mut l_write, &mut r_write);
-        }
-        for k in 0..tail {
-            let b = before_scalar(tail_v[k], pivot, flip, LTE);
-            misplaced += (b && hi_vec + k >= split) as usize;
-            place_scalar(vp, op, tail_v[k], tail_o[k], b, &mut l_write, &mut r_write);
-        }
-    }
-    debug_assert_eq!(l_write, r_write);
-    debug_assert_eq!(l_write, split);
-    *moved += 2 * misplaced as u64;
-    split
-}
-
-/// `pshufb` byte masks compressing 2×32-bit OID lanes (packed in the
-/// low 8 bytes) named by a 2-bit mask to the **back** of the pair.
-#[cfg(target_arch = "x86_64")]
-static OID_BACK2: [[u8; 16]; 4] = build_oid2_back();
-
-/// Build [`OID_BACK2`].
-#[cfg(target_arch = "x86_64")]
-const fn build_oid2_back() -> [[u8; 16]; 4] {
-    let mut out = [[0u8; 16]; 4];
-    let mut m = 0;
-    while m < 4 {
-        let order: [usize; 2] = lane_order::<2>(m, false);
-        let mut k = 0;
-        while k < 2 {
-            let mut b = 0;
-            while b < 4 {
-                out[m][4 * k + b] = (4 * order[k] + b) as u8;
-                b += 1;
-            }
-            k += 1;
-        }
-        m += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1350,8 +1111,8 @@ mod tests {
     fn lane_order_tables_are_permutations() {
         let mut m = 0;
         while m < 16 {
-            let front: [usize; 4] = lane_order::<4>(m, true);
-            let back: [usize; 4] = lane_order::<4>(m, false);
+            let front = lane_order(m, true);
+            let back = lane_order(m, false);
             let mut seen_f = [false; 4];
             let mut seen_b = [false; 4];
             for k in 0..4 {
@@ -1381,8 +1142,9 @@ mod tests {
 
     #[test]
     fn detection_is_stable() {
-        assert_eq!(level(), level());
-        assert_eq!(available(), level().is_some());
+        assert_eq!(available(), available());
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(!available());
     }
 
     #[test]
@@ -1412,81 +1174,6 @@ mod tests {
         .is_none());
     }
 
-    /// The SSE4.2 tier never runs through normal dispatch on an AVX2
-    /// host, so its ~100-line unsafe loop would otherwise ship
-    /// untested everywhere that matters; SSE4.2 is present on every
-    /// AVX2 CPU, so drive the function directly.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn sse42_tier_matches_scalar_driven_directly() {
-        if !(is_x86_feature_detected!("sse4.2")
-            && is_x86_feature_detected!("ssse3")
-            && is_x86_feature_detected!("popcnt"))
-        {
-            return;
-        }
-        let data = |n: usize, seed: u64| -> Vec<i64> {
-            let mut x = 0x2545_F491_4F6C_DD1Du64 ^ seed;
-            (0..n)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x >> 20) as i64
-                })
-                .collect()
-        };
-        // Sizes straddling the block structure (odd tails, sub-minimum
-        // handled by the caller, so start at SIMD_MIN) and both
-        // equal-side flags; plus one run in the u64 flip domain.
-        for (n, lte, flip) in [
-            (128usize, false, 0i64),
-            (129, true, 0),
-            (257, false, 0),
-            (400, true, 0),
-            (321, false, i64::MIN),
-        ] {
-            let vals = data(n, n as u64 * 31 + lte as u64);
-            let mut sorted: Vec<i64> = vals.iter().map(|&v| v ^ flip).collect();
-            sorted.sort_unstable();
-            let pivot = sorted[n / 2];
-            let mut sv: Vec<i64> = vals.clone();
-            let mut so: Vec<u32> = (0..n as u32).collect();
-            let mut sm = 0u64;
-            // Scalar reference in the compare domain.
-            for v in sv.iter_mut() {
-                *v ^= flip;
-            }
-            let key = if lte {
-                BoundaryKey::le(pivot)
-            } else {
-                BoundaryKey::lt(pivot)
-            };
-            let sp = crate::crack::crack_two(&mut sv, &mut so, 0, n, key, &mut sm);
-            let mut xv = vals.clone();
-            let mut xo: Vec<u32> = (0..n as u32).collect();
-            let mut xm = 0u64;
-            // SAFETY: features checked above; full-slice bounds.
-            let xp = unsafe {
-                if lte {
-                    crack_two_sse42::<true>(&mut xv, &mut xo, 0, n, pivot, flip, &mut xm)
-                } else {
-                    crack_two_sse42::<false>(&mut xv, &mut xo, 0, n, pivot, flip, &mut xm)
-                }
-            };
-            assert_eq!(sp, xp, "n={n} lte={lte}: split diverged");
-            assert_eq!(sm, xm, "n={n} lte={lte}: moved diverged");
-            for (i, &oid) in xo.iter().enumerate() {
-                assert_eq!(xv[i], vals[oid as usize], "oids must travel");
-            }
-            let mut left: Vec<i64> = xv[..xp].iter().map(|&v| v ^ flip).collect();
-            let mut want: Vec<i64> = sv[..sp].to_vec();
-            left.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(left, want, "n={n} lte={lte}: left multiset diverged");
-        }
-    }
-
     #[test]
     fn u64_rides_the_sign_flip() {
         if !available() {
@@ -1511,7 +1198,7 @@ mod tests {
             assert_eq!(v[i], vals[oid as usize]);
         }
 
-        // Crack-in-three across the sign bit too (AVX2 hosts).
+        // Crack-in-three across the sign bit too.
         let (k1, k2) = (
             BoundaryKey::lt(vals[n / 4]),
             BoundaryKey::le(vals[2 * n / 3]),

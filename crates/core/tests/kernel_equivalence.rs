@@ -1,39 +1,38 @@
-//! Kernel equivalence suite: the branch-free and SIMD kernels — and the
-//! banded dispatcher that mixes them per piece size — are pinned to the
-//! scalar kernels across every concurrency mode a cracked column can run
-//! under (plain, single-lock, sharded).
+//! Kernel equivalence suite: the SIMD kernels (`KernelPolicy::Auto` on an
+//! AVX2 host) are pinned to the scalar kernels across every concurrency
+//! mode a cracked column can run under (plain, single-lock, sharded). On
+//! a host without AVX2 `Auto` *is* the scalar kernel and the suite
+//! compares it with itself.
 //!
 //! What is pinned at which strength:
 //!
-//! * **Everywhere, all kernels**: split positions (piece boundaries),
-//!   core ranges, sorted answer sets, whole-column `(oid, value)`
-//!   multisets, and the arrangement-independent cost counters
-//!   (`queries`, `cracks`, `tuples_touched`, `edge_scanned`, `merges`).
-//! * **Per invocation, all kernels**: two-way `moved` — every kernel
-//!   reports the canonical crossing-pair count (pinned here on virgin
-//!   first cracks and exhaustively in `cracker_core::kernel`'s
-//!   proptests).
-//! * **Scalar ↔ branch-free only**: three-way arrangement and swap-count
-//!   `moved` (those two sweeps are trace-identical). The SIMD three-way
-//!   kernel reports the canonical destination-displacement count
-//!   instead, pinned against an oracle in the kernel proptests; so
-//!   `tuples_moved` is compared across families only where no
+//! * **Everywhere**: split positions (piece boundaries), core ranges,
+//!   sorted answer sets, whole-column `(oid, value)` multisets, and the
+//!   arrangement-independent cost counters (`queries`, `cracks`,
+//!   `tuples_touched`, `edge_scanned`, `merges`).
+//! * **Per invocation**: two-way `moved` — both kernels report the
+//!   canonical crossing-pair count (pinned here on virgin first cracks
+//!   and exhaustively in `cracker_core::kernel`'s proptests).
+//! * **Not across kernels**: three-way `moved`. The scalar sweep counts
+//!   its swaps, the SIMD three-way kernel reports the canonical
+//!   destination-displacement count, pinned against an oracle in the
+//!   kernel proptests; so `tuples_moved` is compared only where no
 //!   crack-in-three could have diverged.
 //! * **Per sequence**: the arrangement *within* a piece is
 //!   kernel-specific (pieces are unordered sets by construction), so
 //!   from the second crack on, each kernel partitions a
 //!   differently-arranged piece and the *cumulative* `tuples_moved` may
-//!   legitimately drift between families. Everything cracking observes
-//!   stays pinned.
+//!   legitimately drift. Everything cracking observes stays pinned.
 //!
-//! The deterministic tests drive the band-boundary piece sizes (4k±1,
-//! 32k±1 — the edges of the calibration table's bands) so the banded
-//! dispatcher's per-band kernel switches are exercised on both sides of
-//! each boundary.
+//! The table-driven test drives the places the two kernels part ways:
+//! piece lengths around the vector size floor (128) and its 4-lane /
+//! 32-tuple block structure, extreme keys, degenerate ranges, and the
+//! `u64` sign-flip seam.
 
+use cracker_core::crack::BoundaryKey;
 use cracker_core::{
-    simd_supported, ConcurrencyMode, ConcurrentColumn, CrackKernel, CrackMode, CrackerColumn,
-    CrackerConfig, KernelPolicy, RangePred,
+    simd_supported, ConcurrencyMode, ConcurrentColumn, CrackKernel, CrackMode, CrackValue,
+    CrackerColumn, CrackerConfig, KernelPolicy, RangePred,
 };
 use proptest::prelude::*;
 
@@ -41,44 +40,32 @@ fn cfg(kernel: KernelPolicy) -> CrackerConfig {
     CrackerConfig::new().with_kernel(kernel)
 }
 
-/// Every forced policy of the kernel family (Auto excluded: it obeys the
-/// CRACKER_KERNEL env override CI's matrix legs set, which would make
-/// these comparisons env-dependent).
-const POLICIES: [KernelPolicy; 4] = [
-    KernelPolicy::Scalar,
-    KernelPolicy::BranchFree,
-    KernelPolicy::Simd,
-    KernelPolicy::Banded,
-];
+/// Both policies, the scalar reference first.
+const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Scalar, KernelPolicy::Auto];
 
 #[test]
 fn kernel_policy_flows_through_every_construction_path() {
     let vals: Vec<i64> = (0..100).rev().collect();
-    let col = CrackerColumn::with_config(vals.clone(), cfg(KernelPolicy::BranchFree));
-    assert_eq!(col.kernel(), CrackKernel::BranchFree);
     let col = CrackerColumn::with_config(vals.clone(), cfg(KernelPolicy::Scalar));
     assert_eq!(col.kernel(), CrackKernel::Scalar);
-    // Forced SIMD resolves to the vector kernel exactly where the CPU
-    // has a vector tier, and to its branch-free fallback elsewhere —
-    // the graceful-degradation contract CI's simd leg relies on.
-    let col = CrackerColumn::with_config(vals.clone(), cfg(KernelPolicy::Simd));
+    // Auto is the vector kernel exactly where the CPU has AVX2 + popcnt,
+    // and the scalar loops elsewhere.
     let expect = if simd_supported() {
         CrackKernel::Simd
     } else {
-        CrackKernel::BranchFree
+        CrackKernel::Scalar
     };
+    let col = CrackerColumn::with_config(vals.clone(), cfg(KernelPolicy::Auto));
     assert_eq!(col.kernel(), expect);
-    let col = CrackerColumn::with_config(vals.clone(), cfg(KernelPolicy::Banded));
-    assert_eq!(col.kernel(), CrackKernel::Banded);
-    let col = CrackerColumn::from_pairs(
-        vals.clone(),
-        (0..100).collect(),
-        cfg(KernelPolicy::BranchFree),
-    );
-    assert_eq!(col.kernel(), CrackKernel::BranchFree);
+    assert_eq!(CrackerColumn::new(vals.clone()).kernel(), expect);
+    let col =
+        CrackerColumn::from_pairs(vals.clone(), (0..100).collect(), cfg(KernelPolicy::Scalar));
+    assert_eq!(col.kernel(), CrackKernel::Scalar);
+    let col = CrackerColumn::from_pairs(vals, (0..100).collect(), cfg(KernelPolicy::Auto));
+    assert_eq!(col.kernel(), expect);
 }
 
-/// One query sequence, the whole kernel family, every concurrency mode:
+/// One query sequence, both kernels, every concurrency mode:
 /// all executions must agree with the oracle and with each other.
 #[test]
 fn all_three_concurrency_modes_agree_under_every_kernel() {
@@ -124,7 +111,7 @@ fn all_three_concurrency_modes_agree_under_every_kernel() {
 
 /// The concurrent wrappers must produce kernel-independent physical cost
 /// accounting too: same cracks, same tuples touched, for the same
-/// single-threaded op sequence — across the whole family.
+/// single-threaded op sequence — under either kernel.
 #[test]
 fn stats_are_kernel_independent_in_every_mode() {
     let vals: Vec<i64> = (0..30_000).map(|i| (i * 7919) % 30_000).collect();
@@ -161,111 +148,192 @@ fn stats_are_kernel_independent_in_every_mode() {
     }
 }
 
-/// Band-boundary piece sizes (4k±1, 32k±1): a virgin column whose first
-/// crack is exactly at / just across each calibration-band edge, driven
-/// under every policy and every concurrency mode. The banded dispatcher
-/// switches kernels across these edges; nothing observable may change.
-#[test]
-fn band_boundary_pieces_agree_across_the_family() {
-    for n in [4_095usize, 4_096, 4_097, 32_767, 32_768, 32_769] {
-        let vals: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % n as i64).collect();
-        let mid = n as i64 / 2;
-        let preds = [
-            RangePred::ge(mid),
-            RangePred::between(mid / 2, mid + mid / 2),
-        ];
-        // Reference: the scalar plain column.
-        let mut reference: Option<Vec<Vec<u32>>> = None;
-        for kernel in POLICIES {
-            let mut answers = Vec::new();
-            let mut plain = CrackerColumn::with_config(vals.clone(), cfg(kernel));
-            for pred in &preds {
-                let mut got = plain.select_oids(*pred);
-                got.sort_unstable();
-                answers.push(got);
-            }
-            plain.validate().unwrap();
-            for mode in [
-                ConcurrencyMode::SingleLock,
-                ConcurrencyMode::Sharded { shards: 4 },
-            ] {
-                let col = ConcurrentColumn::build(vals.clone(), cfg(kernel), mode);
-                for (i, pred) in preds.iter().enumerate() {
-                    let mut got = col.select_oids(*pred);
-                    got.sort_unstable();
-                    assert_eq!(
-                        got, answers[i],
-                        "n={n} {kernel:?}/{mode:?} diverged from plain"
-                    );
-                }
-                col.validate().unwrap();
-            }
-            match &reference {
-                None => reference = Some(answers),
-                Some(want) => assert_eq!(want, &answers, "n={n} {kernel:?} answers diverged"),
-            }
-        }
-    }
-}
-
-/// The banded dispatcher driven directly at the band edges: the raw
-/// two-way partition must keep the canonical split/moved/multiset
-/// contract on both sides of every band boundary (where the calibrated
-/// kernel may change).
-#[test]
-fn banded_crack_two_keeps_the_contract_at_band_edges() {
-    for n in [4_095usize, 4_096, 4_097, 32_767, 32_768, 32_769] {
-        let vals: Vec<i64> = (0..n as i64).map(|i| (i * 104_729) % n as i64).collect();
-        let key_mid = n as i64 / 2;
-        let mut results = Vec::new();
-        for kernel in [CrackKernel::Scalar, CrackKernel::Banded] {
-            let mut v = vals.clone();
-            let mut o: Vec<u32> = (0..n as u32).collect();
-            let mut moved = 0u64;
-            let p = kernel.crack_two(
-                &mut v,
-                &mut o,
-                0,
-                n,
-                cracker_core::crack::BoundaryKey::lt(key_mid),
-                &mut moved,
-            );
-            assert!(v[..p].iter().all(|&x| x < key_mid));
-            assert!(v[p..].iter().all(|&x| x >= key_mid));
-            for (i, &oid) in o.iter().enumerate() {
-                assert_eq!(v[i], vals[oid as usize], "n={n}: oids must travel");
-            }
-            results.push((p, moved));
-        }
-        assert_eq!(results[0], results[1], "n={n}: split/moved diverged");
-    }
-}
-
 /// The cracker-index boundaries as `(value, equal-side, split position)`
 /// triples — the split-position fingerprint the kernels must share.
-fn boundaries(col: &CrackerColumn<i64>) -> Vec<(i64, bool, usize)> {
+fn boundaries<T: CrackValue>(col: &CrackerColumn<T>) -> Vec<(T, bool, usize)> {
     col.index()
         .boundaries()
         .map(|(k, info)| (k.value, k.lte, info.pos))
         .collect()
 }
 
-/// The whole column as a sorted `(oid, value)` multiset.
-fn multiset(col: &CrackerColumn<i64>) -> Vec<(u32, i64)> {
-    let mut pairs: Vec<(u32, i64)> = col
-        .oids()
-        .iter()
-        .copied()
-        .zip(col.values().iter().copied())
-        .collect();
+/// Parallel `oids` / `vals` slices as a sorted `(oid, value)` multiset.
+fn pairs<T: CrackValue>(oids: &[u32], vals: &[T]) -> Vec<(u32, T)> {
+    let mut pairs: Vec<(u32, T)> = oids.iter().copied().zip(vals.iter().copied()).collect();
     pairs.sort_unstable();
     pairs
 }
 
+/// The whole column as a sorted `(oid, value)` multiset.
+fn multiset<T: CrackValue>(col: &CrackerColumn<T>) -> Vec<(u32, T)> {
+    pairs(col.oids(), col.values())
+}
+
+/// One sorted `(oid, value)` multiset per piece, in piece order.
+fn piece_multisets<T: CrackValue>(col: &CrackerColumn<T>) -> Vec<Vec<(u32, T)>> {
+    let mut cuts: Vec<usize> = boundaries(col).iter().map(|b| b.2).collect();
+    cuts.push(col.len());
+    let mut start = 0;
+    cuts.iter()
+        .map(|&end| {
+            let piece = pairs(&col.oids()[start..end], &col.values()[start..end]);
+            start = end;
+            piece
+        })
+        .collect()
+}
+
+/// One row of the table below: a virgin column under both kernels. The
+/// raw two-way partition around every `key` must give the same split,
+/// the same `moved` and the same multiset on each side; then, in both
+/// crack modes, the `preds` run in sequence must leave the same splits,
+/// per-piece multisets and answer sets — the oracle's answer sets.
+fn scalar_and_auto_agree<T: CrackValue>(
+    vals: &[T],
+    keys: &[BoundaryKey<T>],
+    preds: &[RangePred<T>],
+) {
+    let n = vals.len();
+    for &key in keys {
+        let mut sides = Vec::new();
+        for kernel in POLICIES.map(KernelPolicy::resolve) {
+            let mut v = vals.to_vec();
+            let mut o: Vec<u32> = (0..n as u32).collect();
+            let mut moved = 0u64;
+            let p = kernel.crack_two(&mut v, &mut o, 0, n, key, &mut moved);
+            assert!(v[..p].iter().all(|&x| key.before(x)), "n={n} {key:?}");
+            assert!(v[p..].iter().all(|&x| !key.before(x)), "n={n} {key:?}");
+            for (i, &oid) in o.iter().enumerate() {
+                assert_eq!(v[i], vals[oid as usize], "n={n}: oids must travel");
+            }
+            sides.push((p, moved, pairs(&o[..p], &v[..p]), pairs(&o[p..], &v[p..])));
+        }
+        assert_eq!(
+            sides[0], sides[1],
+            "n={n} {key:?}: two-way contract diverged"
+        );
+    }
+    for mode in [CrackMode::TwoWay, CrackMode::ThreeWay] {
+        let [mut scalar, mut auto] =
+            POLICIES.map(|k| CrackerColumn::with_config(vals.to_vec(), cfg(k).with_mode(mode)));
+        for pred in preds {
+            let mut want: Vec<u32> = (0..n as u32)
+                .filter(|&o| pred.matches(vals[o as usize]))
+                .collect();
+            want.sort_unstable();
+            let [got_s, got_a] = [&mut scalar, &mut auto].map(|col| {
+                let mut got = col.select_oids(*pred);
+                got.sort_unstable();
+                got
+            });
+            assert_eq!(got_s, want, "n={n} {mode:?} {pred:?}: scalar vs oracle");
+            assert_eq!(got_a, want, "n={n} {mode:?} {pred:?}: auto vs oracle");
+            assert_eq!(
+                boundaries(&scalar),
+                boundaries(&auto),
+                "n={n} {mode:?} {pred:?}: splits diverged"
+            );
+            assert_eq!(
+                piece_multisets(&scalar),
+                piece_multisets(&auto),
+                "n={n} {mode:?} {pred:?}: per-piece multisets diverged"
+            );
+        }
+        scalar.validate().unwrap();
+        auto.validate().unwrap();
+    }
+}
+
+/// Where the kernels part ways, driven as a table: piece lengths around
+/// the vector floor (128), its 4-lane chunks and 32-tuple blocks; the
+/// extreme keys with both equal-side flags; an all-equal column; point,
+/// empty and inverted ranges; and a `u64` column straddling 2^63, where
+/// the vector compare runs behind a sign flip.
+#[test]
+fn scalar_and_auto_agree_on_boundary_cases() {
+    for n in [0usize, 1, 3, 4, 5, 127, 128, 129, 131, 1_023, 1_024, 1_025] {
+        let m = n.max(1) as i64;
+        let vals: Vec<i64> = (0..n as i64).map(|i| (i * 7_919) % m - m / 2).collect();
+        let keys = [
+            BoundaryKey::lt(i64::MIN),
+            BoundaryKey::le(i64::MIN),
+            BoundaryKey::lt(i64::MAX),
+            BoundaryKey::le(i64::MAX),
+            BoundaryKey::lt(0),
+            BoundaryKey::le(0),
+            BoundaryKey::le(m / 4),
+        ];
+        let preds = [
+            RangePred::between(-m / 4, m / 4),
+            RangePred::eq(m / 8),
+            RangePred::half_open(m / 8, m / 8),
+            RangePred::between(m / 3, -m / 3),
+            RangePred::between(i64::MIN, i64::MAX),
+            RangePred::with_bounds(Some((i64::MIN, false)), Some((i64::MAX, false))),
+            RangePred::ge(m / 3),
+            RangePred::lt(-m / 3),
+        ];
+        scalar_and_auto_agree(&vals, &keys, &preds);
+
+        // Extreme values *in the column*, not only in the keys.
+        let mut edged = vals.clone();
+        for (i, v) in edged.iter_mut().enumerate() {
+            match i % 5 {
+                0 => *v = i64::MIN,
+                1 => *v = i64::MAX,
+                _ => {}
+            }
+        }
+        scalar_and_auto_agree(&edged, &keys, &preds);
+
+        // An all-equal column: every key puts everything on one side.
+        let same = vec![7i64; n];
+        let keys = [BoundaryKey::lt(7), BoundaryKey::le(7), BoundaryKey::lt(8)];
+        let preds = [
+            RangePred::eq(7),
+            RangePred::between(8, 9),
+            RangePred::half_open(7, 7),
+            RangePred::between(9, 5),
+            RangePred::le(7),
+        ];
+        scalar_and_auto_agree(&same, &keys, &preds);
+
+        // `u64` straddling 2^63: an unsigned compare must not be fooled
+        // by the `i64` lanes the vector kernel reinterprets it as.
+        let seam = 1u64 << 63;
+        let vals: Vec<u64> = (0..n as u64)
+            .map(|i| {
+                seam.wrapping_add((i * 7_919) % n.max(1) as u64)
+                    .wrapping_sub(n as u64 / 2)
+            })
+            .collect();
+        let keys = [
+            BoundaryKey::lt(seam),
+            BoundaryKey::le(seam),
+            BoundaryKey::le(seam - 1),
+            BoundaryKey::lt(0),
+            BoundaryKey::le(0),
+            BoundaryKey::lt(u64::MAX),
+            BoundaryKey::le(u64::MAX),
+        ];
+        let q = n as u64 / 4;
+        let preds = [
+            RangePred::between(seam - q, seam + q),
+            RangePred::eq(seam),
+            RangePred::half_open(seam, seam),
+            RangePred::between(seam + q, seam - q),
+            RangePred::between(0, u64::MAX),
+            RangePred::ge(seam),
+            RangePred::lt(seam),
+        ];
+        scalar_and_auto_agree(&vals, &keys, &preds);
+    }
+}
+
 proptest! {
     /// The central pin, on the plain column: after every query of an
-    /// arbitrary sequence (any crack mode, any cut-off), the whole
-    /// kernel family has produced identical split positions, identical
+    /// arbitrary sequence (any crack mode, any cut-off), both kernels
+    /// have produced identical split positions, identical
     /// core ranges and answer sets, an identical whole-column multiset,
     /// and identical touched/scanned/crack accounting.
     #[test]
@@ -321,10 +389,10 @@ proptest! {
                 // Identical arrangement-independent accounting; `moved`
                 // is additionally pinned on the virgin column when the
                 // first query needed a single *two-way* crack — the one
-                // case where every kernel partitioned the identical
-                // input under the family-wide canonical two-way count
-                // (a crack-in-three's `moved` is family-specific, and
-                // later cracks see kernel-specific arrangements).
+                // case where both kernels partitioned the identical
+                // input under the shared canonical two-way count (a
+                // crack-in-three's `moved` is kernel-specific, and later
+                // cracks see kernel-specific arrangements).
                 let (ss, so) = (scalar.stats(), col.stats());
                 if first && ss.cracks <= 1 && !three_way {
                     prop_assert_eq!(
@@ -408,7 +476,7 @@ proptest! {
     }
 
     /// Single-lock and sharded wrappers replay the same op stream under
-    /// the whole family; answers must match position-for-position (the
+    /// both kernels; answers must match position-for-position (the
     /// wrappers are deterministic when driven single-threaded).
     #[test]
     fn prop_concurrent_modes_agree_across_kernels(

@@ -111,11 +111,10 @@ impl AdaptiveDb {
         self.concurrency
     }
 
-    /// Builder: choose the crack kernel (scalar / branch-free / SIMD /
-    /// banded / auto) for every column cracked from now on — the
-    /// engine-level face of [`cracker_core::kernel`]'s runtime selection
-    /// (env override → CPU detection → per-piece-size-band calibration →
-    /// skew guard). Combined with
+    /// Builder: choose the crack kernel (`Auto`: the AVX2 vector kernels
+    /// where the CPU has them, else the scalar loops; `Scalar`: the
+    /// scalar loops) for every column cracked from now on — the
+    /// engine-level face of [`cracker_core::kernel`]. Combined with
     /// [`with_concurrency`](Self::with_concurrency), this puts the same
     /// kernels under the single-lock and sharded columns alike.
     pub fn with_kernel(mut self, kernel: KernelPolicy) -> Self {
@@ -1414,21 +1413,15 @@ mod tests {
     #[test]
     fn kernel_choice_reaches_every_concurrency_mode() {
         // The same query through single-lock and sharded columns with
-        // every member of the kernel family forced: all agree with the
-        // oracle (SIMD degrades to branch-free where the CPU lacks a
-        // vector tier — still the same answers).
+        // either kernel policy: both agree with the oracle (`Auto` is the
+        // scalar loops where the CPU lacks AVX2 — still the same answers).
         let vals: Vec<i64> = (0..5_000).map(|i| (i * 131) % 5_000).collect();
         let pred = RangePred::between(1_000, 2_000);
         let mut want: Vec<u32> = (0..5_000u32)
             .filter(|&o| pred.matches(vals[o as usize]))
             .collect();
         want.sort_unstable();
-        for kernel in [
-            KernelPolicy::Scalar,
-            KernelPolicy::BranchFree,
-            KernelPolicy::Simd,
-            KernelPolicy::Banded,
-        ] {
+        for kernel in [KernelPolicy::Scalar, KernelPolicy::Auto] {
             for mode in [
                 ConcurrencyMode::SingleLock,
                 ConcurrencyMode::Sharded { shards: 4 },

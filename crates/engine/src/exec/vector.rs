@@ -440,8 +440,8 @@ impl VectorOperator for VecTableScan {
 }
 
 /// Block-at-a-time filter over a range predicate: integer lanes are
-/// scanned by a [`CrackKernel`] residual scan (the same SIMD/branch-free
-/// loops that serve crack-time border pieces), other lanes fall back to
+/// scanned by a [`CrackKernel`] residual scan (the same SIMD or scalar
+/// loop that serves crack-time border pieces), other lanes fall back to
 /// a scalar loop with tuple-mode `as_int()` semantics.
 pub struct VecFilter {
     input: Box<dyn VectorOperator>,
