@@ -4,7 +4,8 @@
 //! cold-crack (including a memory-spanning 1M-tuple shape, the vector
 //! kernels' home turf), crack_select-shaped, and scenario_mix-shaped
 //! workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
-//! measures the scalar loops a second time.
+//! measures the scalar loops a second time. The `ablation_merge` legs time
+//! one update merge of staged inserts or staged deletes.
 //!
 //! `BENCH_SMOKE=1` shrinks the column and op counts so CI can run this as
 //! a smoke test; pass `--json` to record medians as `BENCH_ablation.json`
@@ -272,6 +273,57 @@ fn kernel_scenario_mix(c: &mut Criterion) {
     g.finish();
 }
 
+/// One update merge of 1 024 staged rows into a 1 M-row column cracked
+/// into ~1 000 pieces: staged inserts spread over the whole domain, then
+/// staged deletes of spread OIDs. Only `merge_pending` is timed. In the
+/// insert leg the column has grown once before, so its arrays have spare
+/// capacity, as they do in steady-state ingest after the first merge.
+fn merge(c: &mut Criterion) {
+    const STAGED: usize = 1024;
+    let n_large = if smoke() { 100_000 } else { 1_000_000 };
+    // Spread positions: a multiplicative hash of the counter into 0..n.
+    let spread =
+        |i: usize| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as usize % n_large;
+    let mut base = CrackerColumn::new(Tapestry::generate(n_large, 1, 0x3E26).column(0).to_vec());
+    for q in 0..500 {
+        let lo = spread(q) as i64;
+        base.select(RangePred::between(lo, lo + n_large as i64 / 2_000));
+    }
+    let mut g = c.benchmark_group("ablation_merge");
+    g.sample_size(10);
+    g.bench_function(format!("inserts_{STAGED}"), |b| {
+        b.iter_batched(
+            || {
+                // A clone's arrays are exactly full; one merged row
+                // doubles their capacity, untimed.
+                let mut col = base.clone();
+                col.insert(n_large as u32, 0);
+                col.merge_pending();
+                for i in 0..STAGED {
+                    col.insert((n_large + 1 + i) as u32, spread(i + 7) as i64);
+                }
+                col
+            },
+            |mut col| col.merge_pending(),
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function(format!("deletes_{STAGED}"), |b| {
+        b.iter_batched(
+            || {
+                let mut col = base.clone();
+                for i in 0..STAGED {
+                    col.delete(spread(i + 11) as u32);
+                }
+                col
+            },
+            |mut col| col.merge_pending(),
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 /// Materialize a scenario into its base column and op stream (seeded, so
 /// every kernel replays the identical mix).
 fn materialize<S: Scenario>(mut s: S) -> (Vec<i64>, Vec<Op>) {
@@ -289,6 +341,7 @@ criterion_group!(
     kernel_cold_crack_two,
     kernel_cold_crack_two_large,
     kernel_crack_select,
-    kernel_scenario_mix
+    kernel_scenario_mix,
+    merge
 );
 criterion_main!(benches);

@@ -74,10 +74,16 @@ impl<T: CrackValue> CrackerIndex<T> {
         self.n
     }
 
-    /// Update the slot count (after an update merge changed the column
-    /// length). All boundary positions must already be consistent.
-    pub fn set_slots(&mut self, n: usize) {
-        self.n = n;
+    /// Rewrite every boundary position and the slot count in one sweep —
+    /// the update merge's relayout, which keeps every key and its recency.
+    /// `ends` holds each piece's end slot in slot order: one per boundary,
+    /// then the new slot count.
+    pub fn set_piece_ends(&mut self, ends: &[usize]) {
+        debug_assert_eq!(ends.len(), self.piece_count(), "one end per piece");
+        for (info, &end) in self.bounds.values_mut().zip(ends) {
+            info.pos = end;
+        }
+        self.n = ends.last().copied().unwrap_or(0);
     }
 
     /// Number of boundaries.
@@ -199,20 +205,6 @@ impl<T: CrackValue> CrackerIndex<T> {
             upper: None,
         });
         out
-    }
-
-    /// Rebuild all boundary positions from scratch given the (re-sorted
-    /// into pieces) value array — used after an update merge. Positions are
-    /// recomputed by counting values before each key.
-    pub fn rebuild_positions(&mut self, vals: &[T]) {
-        self.n = vals.len();
-        let keys: Vec<BoundaryKey<T>> = self.bounds.keys().copied().collect();
-        for key in keys {
-            let pos = vals.iter().filter(|&&v| key.before(v)).count();
-            if let Some(info) = self.bounds.get_mut(&key) {
-                info.pos = pos;
-            }
-        }
     }
 
     /// Check every index invariant against the actual values. Test/debug
@@ -418,14 +410,19 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_positions_recomputes_after_data_change() {
+    fn set_piece_ends_moves_boundaries_and_keeps_recency() {
         let mut idx: CrackerIndex<i64> = CrackerIndex::new(4);
         idx.insert(BoundaryKey::lt(10), 2);
+        idx.next_tick();
+        idx.insert(BoundaryKey::lt(20), 3);
         // Column grew: two more small values arrived (already clustered).
         let vals = vec![1i64, 5, 7, 9, 15, 20];
-        idx.rebuild_positions(&vals);
+        idx.set_piece_ends(&[4, 5, 6]);
         assert_eq!(idx.slots(), 6);
         assert_eq!(idx.peek(BoundaryKey::lt(10)), Some(4));
+        assert_eq!(idx.peek(BoundaryKey::lt(20)), Some(5));
+        let ticks: Vec<u64> = idx.boundaries().map(|(_, i)| i.last_used).collect();
+        assert_eq!(ticks, vec![0, 1], "a relayout is not a use");
         assert!(idx.validate(&vals).is_ok());
     }
 

@@ -18,6 +18,9 @@ pub struct CrackStats {
     /// Tuples inspected while partitioning border pieces ("reads").
     pub tuples_touched: u64,
     /// Tuples relocated by swaps ("writes"; each swap moves two tuples).
+    /// An update merge counts the tuples it writes: its staged inserts,
+    /// the piece heads its ripple shifts, and the tuples its delete
+    /// compaction slides left.
     pub tuples_moved: u64,
     /// Tuples scanned inside cut-off pieces to filter residual edges.
     pub edge_scanned: u64,

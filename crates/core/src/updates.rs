@@ -5,12 +5,18 @@
 //! already hints at (Figure 7 shows dedicated `inserted` and `deleted`
 //! areas): updates are staged in pending areas that every select consults,
 //! and a **merge** folds them into the cracked store when the staging area
-//! exceeds a threshold. The merge re-buckets every live tuple into its
-//! piece — an `O(n log p)` rewrite that preserves all existing boundaries,
-//! so the investment in cracking survives the update burst.
+//! exceeds a threshold. The merge preserves every existing boundary, so
+//! the investment in cracking survives the update burst, and it works in
+//! place with the ripple idea of Idreos, Kersten & Manegold, "Updating a
+//! Cracked Database" (SIGMOD 2007), applied to the whole staged batch:
+//! `k` inserts over `p` pieces cost `O(k log p + k log k + p)` and write
+//! at most `Σ min(S_j, len_j) + k` tuples, where `S_j` is the number of
+//! inserts landing before piece `j`. They do not cost `O(n)`, apart from
+//! the arrays' amortized doubling when they run out of capacity. Staged
+//! deletes add one `O(n)` compaction pass; that pass runs only when
+//! deletes are staged.
 
 use crate::column::CrackerColumn;
-use crate::crack::BoundaryKey;
 use crate::pred::RangePred;
 use crate::value_trait::CrackValue;
 
@@ -238,74 +244,140 @@ impl<T: CrackValue> CrackerColumn<T> {
         self.pending.len()
     }
 
-    /// Fold all staged updates into the cracked store, preserving every
-    /// existing boundary.
+    /// Fold all staged updates into the cracked store in place, preserving
+    /// every existing boundary.
     ///
-    /// Every live tuple is assigned to its piece by binary search over the
-    /// boundary keys (`O(log p)` per tuple), buckets are concatenated in
-    /// piece order, and boundary positions are recomputed from the bucket
-    /// sizes. Tuple order *within* a piece is not significant (pieces are
-    /// unordered sets by construction), so this rewrite preserves all
-    /// select answers — a property the test-suite checks against the
-    /// oracle.
+    /// Staged inserts cost `O(k log p + k log k + p)` and write at most
+    /// `Σ min(S_j, len_j) + k` tuples, all of them counted in
+    /// [`CrackStats::tuples_moved`](crate::stats::CrackStats). The column
+    /// grows by `k` slots; it is not rewritten. Three steps:
+    ///
+    /// 1. **Deletes.** This step runs only when deletes are staged. Each
+    ///    piece is compacted leftwards in one pass over the column, and
+    ///    its new end is recorded.
+    /// 2. **Tag the inserts.** Each surviving insert is tagged with its
+    ///    piece (binary search over the boundary keys), the inserts are
+    ///    sorted by piece, and `vals` / `oids` grow by `k` at the tail.
+    /// 3. **Ripple, back to front.** Piece `j` must shift right by `S_j`,
+    ///    the number of inserts landing in earlier pieces. A piece is an
+    ///    unordered set, so only its first `min(S_j, len_j)` tuples move,
+    ///    into the gap at its tail. Its own inserts are written behind
+    ///    them. Its new end is `end_j + S_{j+1}`, which is also where the
+    ///    boundary above it now sits.
+    ///
+    /// # In-place argument
+    ///
+    /// A destination never overwrites a tuple that has not moved yet.
+    /// When piece `j` is placed, every piece above it has already moved
+    /// to its final home, which starts at `end_j + S_{j+1}`. The slots
+    /// `[end_j, end_j + S_{j+1})` are therefore dead: they are old slots of
+    /// the pieces above, whose tuples have been copied out, plus the grown
+    /// tail. Every write for piece `j` lands inside that window. If
+    /// `S_j ≤ len_j`, the moved head goes to `[end_j, end_j + S_j)`. If
+    /// `S_j > len_j`, the whole piece goes to `[start_j + S_j, end_j + S_j)`,
+    /// which starts past `end_j`. The inserts fill the rest of the window.
+    /// Pieces below `j` sit below `start_j` and are not touched, and a
+    /// copy's source and destination never overlap. The compaction in
+    /// step 1 is a plain stable filter: its write cursor never passes its
+    /// read cursor.
+    ///
+    /// # Panic ordering
+    ///
+    /// All allocation happens before the first tuple moves: the boundary
+    /// list, the tagged inserts, their sort and the `reserve` for the
+    /// grown tail. Only then is the staging area taken. A panic in any of
+    /// these steps leaves the column and its staged updates as they were.
+    /// When the arrays already have spare capacity for `k` more slots,
+    /// they are not reallocated.
     pub fn merge_pending(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let (inserts, deletes) = self.pending.take();
-        let keys: Vec<BoundaryKey<T>> = {
-            let (_, _, index) = self.arrays_mut();
-            index.boundaries().map(|(k, _)| *k).collect()
-        };
-        let piece_of = |v: T, keys: &[BoundaryKey<T>]| -> usize {
+        let index = self.index();
+        let mut keys = Vec::with_capacity(index.boundary_count());
+        let mut ends = Vec::with_capacity(index.piece_count());
+        for (key, info) in index.boundaries() {
+            keys.push(*key);
+            ends.push(info.pos);
+        }
+        ends.push(self.len());
+        // A re-staged OID that is also pending deletion is dropped, not
+        // merged: the delete wins.
+        let deleted = self.pending.deleted_set();
+        let mut inserts: Vec<(usize, T, u32)> = self
+            .pending
+            .staged_inserts()
+            .iter()
+            .filter(|&&(oid, _)| !deleted.contains(oid))
             // Piece index = number of boundaries the value lies at or after.
-            keys.partition_point(|k| !k.before(v))
-        };
-        let n_pieces = keys.len() + 1;
-        let mut buckets: Vec<Vec<(T, u32)>> = vec![Vec::new(); n_pieces];
-        {
-            let (vals, oids, _) = self.arrays_mut();
-            for i in 0..vals.len() {
-                if !deletes.contains(oids[i]) {
-                    buckets[piece_of(vals[i], &keys)].push((vals[i], oids[i]));
+            .map(|&(oid, v)| (keys.partition_point(|key| !key.before(v)), v, oid))
+            .collect();
+        inserts.sort_unstable_by_key(|&(piece, _, _)| piece);
+        let (vals, oids, _) = self.arrays_mut();
+        vals.reserve(inserts.len());
+        oids.reserve(inserts.len());
+        // Nothing allocates from here on.
+        let (_, deletes) = self.pending.take();
+        let (vals, oids, index) = self.arrays_mut();
+        let mut moved = 0u64;
+
+        if !deletes.is_empty() {
+            let (mut read, mut write) = (0, 0);
+            for end in ends.iter_mut() {
+                while read < *end {
+                    if !deletes.contains(oids[read]) {
+                        if write != read {
+                            vals[write] = vals[read];
+                            oids[write] = oids[read];
+                            moved += 1;
+                        }
+                        write += 1;
+                    }
+                    read += 1;
                 }
+                *end = write;
             }
+            vals.truncate(write);
+            oids.truncate(write);
         }
-        for (oid, v) in inserts {
-            if !deletes.contains(oid) {
-                buckets[piece_of(v, &keys)].push((v, oid));
+
+        vals.extend(inserts.iter().map(|&(_, v, _)| v));
+        oids.extend(inserts.iter().map(|&(_, _, oid)| oid));
+        // `hi` = inserts landing in piece `j` or below = S_{j+1}.
+        let mut hi = inserts.len();
+        for j in (0..ends.len()).rev() {
+            if hi == 0 {
+                // No insert lands at or below this piece: it and every
+                // piece before it stay where they are.
+                break;
             }
+            let mut lo = hi;
+            while lo > 0 && inserts[lo - 1].0 == j {
+                lo -= 1;
+            }
+            // `lo` = S_j, the shift of piece `j`.
+            let start = if j == 0 { 0 } else { ends[j - 1] };
+            let end = ends[j];
+            let head = lo.min(end - start);
+            vals.copy_within(start..start + head, end + lo - head);
+            oids.copy_within(start..start + head, end + lo - head);
+            for (slot, &(_, v, oid)) in (end + lo..).zip(&inserts[lo..hi]) {
+                vals[slot] = v;
+                oids[slot] = oid;
+            }
+            moved += (head + hi - lo) as u64;
+            ends[j] = end + hi;
+            hi = lo;
         }
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        let mut new_vals = Vec::with_capacity(total);
-        let mut new_oids = Vec::with_capacity(total);
-        let mut positions = Vec::with_capacity(keys.len());
-        for (i, bucket) in buckets.into_iter().enumerate() {
-            for (v, o) in bucket {
-                new_vals.push(v);
-                new_oids.push(o);
-            }
-            if i < keys.len() {
-                positions.push(new_vals.len());
-            }
-        }
-        {
-            let (vals, oids, index) = self.arrays_mut();
-            *vals = new_vals;
-            *oids = new_oids;
-            index.set_slots(total);
-            for (key, pos) in keys.iter().zip(positions) {
-                index.set_position(*key, pos);
-            }
-        }
-        // The rewrite fills pieces in scan order: intra-piece sortedness
-        // is not preserved, so all refinement flags are dropped.
+        index.set_piece_ends(&ends);
+
+        // Moved heads land at their piece's tail, so intra-piece
+        // sortedness is not preserved: all refinement flags are dropped.
         self.sorted_mut().clear();
-        let moved = total as u64;
         let s = self.stats_mut();
         s.merges += 1;
         s.tuples_moved += moved;
-        debug_assert!(self.validate().is_ok());
+        debug_assert!(self.index().check_pieces(self.values()).is_ok());
     }
 }
 
@@ -313,7 +385,156 @@ impl<T: CrackValue> CrackerColumn<T> {
 mod tests {
     use super::*;
     use crate::config::CrackerConfig;
+    use crate::crack::BoundaryKey;
+    use crate::sharded::{ConcurrencyMode, ConcurrentColumn};
+    use proptest::collection::vec;
     use proptest::prelude::*;
+
+    /// The merge this module shipped before the ripple, kept as the
+    /// differential reference: every live tuple is binary-searched into
+    /// its piece, and the buckets are concatenated in piece order. It is
+    /// `O(n log p)` and rewrites the whole column.
+    fn rebucket_merge<T: CrackValue>(c: &mut CrackerColumn<T>) {
+        if c.pending.is_empty() {
+            return;
+        }
+        let (inserts, deletes) = c.pending.take();
+        let keys: Vec<BoundaryKey<T>> = c.index().boundaries().map(|(k, _)| *k).collect();
+        let piece_of = |v: T| keys.partition_point(|k| !k.before(v));
+        let mut buckets: Vec<Vec<(T, u32)>> = vec![Vec::new(); keys.len() + 1];
+        for (&v, &oid) in c.values().iter().zip(c.oids()) {
+            if !deletes.contains(oid) {
+                buckets[piece_of(v)].push((v, oid));
+            }
+        }
+        for (oid, v) in inserts {
+            if !deletes.contains(oid) {
+                buckets[piece_of(v)].push((v, oid));
+            }
+        }
+        let mut ends = Vec::with_capacity(buckets.len());
+        let (vals, oids, index) = c.arrays_mut();
+        vals.clear();
+        oids.clear();
+        for bucket in buckets {
+            for (v, oid) in bucket {
+                vals.push(v);
+                oids.push(oid);
+            }
+            ends.push(vals.len());
+        }
+        index.set_piece_ends(&ends);
+        c.sorted_mut().clear();
+        let total = c.len() as u64;
+        let s = c.stats_mut();
+        s.merges += 1;
+        s.tuples_moved += total;
+    }
+
+    /// Key → position map and the sorted `(value, oid)` multiset of every
+    /// piece: what two merges of the same column must agree on.
+    type Layout = (Vec<(BoundaryKey<i64>, usize)>, Vec<Vec<(i64, u32)>>);
+
+    fn layout(c: &CrackerColumn<i64>) -> Layout {
+        let keys = c.index().boundaries().map(|(k, i)| (*k, i.pos)).collect();
+        let pieces = c
+            .index()
+            .pieces()
+            .iter()
+            .map(|p| {
+                let mut m: Vec<(i64, u32)> = c.values()[p.start..p.end]
+                    .iter()
+                    .copied()
+                    .zip(c.oids()[p.start..p.end].iter().copied())
+                    .collect();
+                m.sort_unstable();
+                m
+            })
+            .collect();
+        (keys, pieces)
+    }
+
+    /// `Σ min(S_j, len_j) + k` for the inserts staged on `c`: what a merge
+    /// of them may write, when no deletes are staged.
+    fn ripple_bound(c: &CrackerColumn<i64>) -> u64 {
+        let keys: Vec<BoundaryKey<i64>> = c.index().boundaries().map(|(k, _)| *k).collect();
+        let mut per_piece = vec![0usize; keys.len() + 1];
+        for &(_, v) in c.pending.staged_inserts() {
+            per_piece[keys.partition_point(|k| !k.before(v))] += 1;
+        }
+        let (mut before, mut bound) = (0usize, 0usize);
+        for (piece, count) in c.index().pieces().iter().zip(per_piece) {
+            bound += before.min(piece.len());
+            before += count;
+        }
+        (bound + before) as u64
+    }
+
+    /// A copy of every cracked column behind `col` (one per shard).
+    fn columns(col: &ConcurrentColumn<i64>) -> Vec<CrackerColumn<i64>> {
+        match col {
+            ConcurrentColumn::Single(c) => vec![c.read_with(CrackerColumn::clone)],
+            ConcurrentColumn::Sharded(c) => c.read_shards(CrackerColumn::clone),
+        }
+    }
+
+    /// `n` distinct values cracked into `pieces` pieces by one-sided
+    /// selects, with room for `spare` more tuples in both arrays.
+    fn cracked(n: usize, pieces: usize, spare: usize) -> CrackerColumn<i64> {
+        let mut vals = Vec::with_capacity(n + spare);
+        vals.extend((0..n as i64).map(|i| (i * 7919) % n as i64));
+        let mut oids = Vec::with_capacity(n + spare);
+        oids.extend(0..n as u32);
+        let mut c = CrackerColumn::from_pairs(vals, oids, CrackerConfig::default());
+        for lo in (1..pieces).map(|j| (j * n / pieces) as i64) {
+            c.select(RangePred::lt(lo));
+        }
+        assert_eq!(c.piece_count(), pieces);
+        c
+    }
+
+    #[test]
+    fn merge_into_the_last_piece_moves_exactly_the_inserts_in_place() {
+        let (n, k) = (10_000, 64);
+        let mut c = cracked(n, 100, k);
+        let (vals_at, oids_at) = (c.values().as_ptr(), c.oids().as_ptr());
+        for i in 0..k {
+            c.insert((n + i) as u32, (n + i) as i64);
+        }
+        let before = c.stats().tuples_moved;
+        c.merge_pending();
+        assert_eq!(
+            c.stats().tuples_moved - before,
+            k as u64,
+            "only the inserts"
+        );
+        assert_eq!(c.values().as_ptr(), vals_at, "spare capacity: no realloc");
+        assert_eq!(c.oids().as_ptr(), oids_at, "spare capacity: no realloc");
+        assert_eq!(c.len(), n + k);
+        assert_eq!(c.piece_count(), 100);
+        c.validate().unwrap();
+        assert_eq!(c.count(RangePred::ge(n as i64)), k);
+    }
+
+    #[test]
+    fn merge_of_spread_inserts_writes_the_ripple_bound_not_the_column() {
+        let (n, k) = (10_000, 64);
+        let mut c = cracked(n, 100, k);
+        let (vals_at, oids_at) = (c.values().as_ptr(), c.oids().as_ptr());
+        for i in 0..k {
+            c.insert((n + i) as u32, (i * n / k) as i64);
+        }
+        let bound = ripple_bound(&c);
+        let before = c.stats().tuples_moved;
+        c.merge_pending();
+        assert_eq!(c.stats().tuples_moved - before, bound);
+        // About k/2 per piece: far below the n + k of a rewrite.
+        assert!(bound < n as u64 / 2, "ripple bound {bound} is not small");
+        assert_eq!(c.values().as_ptr(), vals_at);
+        assert_eq!(c.oids().as_ptr(), oids_at);
+        c.validate().unwrap();
+        assert_eq!(c.count(RangePred::between(0, n as i64)), n + k);
+    }
 
     #[test]
     fn oidset_inserts_probes_and_counts() {
@@ -540,6 +761,96 @@ mod tests {
             c.merge_pending();
             c.validate().map_err(TestCaseError::fail)?;
             prop_assert_eq!(c.len(), model.len());
+        }
+
+        /// The ripple merge against the re-bucketing reference, through
+        /// both latched column modes: random cracks (inclusive and
+        /// exclusive keys, keys outside the data, so empty pieces), then
+        /// random inserts (equal to keys, below the minimum, above the
+        /// maximum) and deletes (of cracked tuples, of staged inserts, of
+        /// a whole piece, of everything).
+        #[test]
+        fn prop_ripple_merge_matches_rebucketing_reference(
+            orig in vec(-20i64..20, 0..150),
+            cracks in vec((-25i64..25, 0i64..12, proptest::bool::ANY, proptest::bool::ANY), 0..12),
+            updates in vec((0u8..5, -30i64..30, 0usize..400), 0..60),
+            delete_all_one_in_ten in 0u8..10,
+        ) {
+            for mode in [ConcurrencyMode::SingleLock, ConcurrencyMode::Sharded { shards: 4 }] {
+                let col = ConcurrentColumn::build(orig.clone(), CrackerConfig::default(), mode);
+                for &(lo, width, inc_lo, inc_hi) in &cracks {
+                    col.count(RangePred::with_bounds(Some((lo, inc_lo)), Some((lo + width, inc_hi))));
+                }
+                let mut cracked: Vec<u32> = (0..orig.len() as u32).collect();
+                let mut staged: Vec<u32> = Vec::new();
+                let mut next_oid = orig.len() as u32;
+                for &(kind, v, pick) in &updates {
+                    match kind {
+                        0 | 1 => {
+                            col.insert(next_oid, v);
+                            staged.push(next_oid);
+                            next_oid += 1;
+                        }
+                        2 if !cracked.is_empty() => {
+                            let oid = cracked.swap_remove(pick % cracked.len());
+                            prop_assert!(col.delete(oid));
+                        }
+                        3 if !staged.is_empty() => {
+                            let oid = staged.swap_remove(pick % staged.len());
+                            prop_assert!(col.delete(oid));
+                        }
+                        4 => {
+                            let pieces: Vec<Vec<u32>> = columns(&col)
+                                .iter()
+                                .flat_map(|c| {
+                                    c.index()
+                                        .pieces()
+                                        .into_iter()
+                                        .map(|p| c.oids()[p.start..p.end].to_vec())
+                                        .collect::<Vec<_>>()
+                                })
+                                .collect();
+                            for oid in &pieces[pick % pieces.len()] {
+                                if let Some(i) = cracked.iter().position(|o| o == oid) {
+                                    cracked.swap_remove(i);
+                                    prop_assert!(col.delete(*oid));
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                if delete_all_one_in_ten == 0 {
+                    for oid in cracked.drain(..).chain(staged.drain(..)) {
+                        prop_assert!(col.delete(oid));
+                    }
+                }
+
+                let mut reference = columns(&col);
+                let pins: Vec<(u64, Option<u64>)> = reference
+                    .iter()
+                    .map(|c| {
+                        let bound = (!c.pending.has_deletes()).then(|| ripple_bound(c));
+                        (c.stats().tuples_moved, bound)
+                    })
+                    .collect();
+                col.merge_pending();
+                col.validate().map_err(TestCaseError::fail)?;
+                for c in &mut reference {
+                    rebucket_merge(c);
+                }
+                let merged = columns(&col);
+                prop_assert_eq!(merged.len(), reference.len());
+                for ((got, want), (moved_before, bound)) in merged.iter().zip(&reference).zip(pins) {
+                    got.index().check_pieces(got.values()).map_err(TestCaseError::fail)?;
+                    prop_assert_eq!(got.pending_len(), 0);
+                    prop_assert_eq!(got.stats().merges, want.stats().merges);
+                    prop_assert_eq!(layout(got), layout(want), "{:?}", mode);
+                    if let Some(bound) = bound {
+                        prop_assert!(got.stats().tuples_moved - moved_before <= bound);
+                    }
+                }
+            }
         }
     }
 }
