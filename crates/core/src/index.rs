@@ -179,7 +179,9 @@ impl<T: CrackValue> CrackerIndex<T> {
     }
 
     /// Iterate boundaries in key order.
-    pub fn boundaries(&self) -> impl Iterator<Item = (&BoundaryKey<T>, &BoundaryInfo)> {
+    pub fn boundaries(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&BoundaryKey<T>, &BoundaryInfo)> + Clone {
         self.bounds.iter()
     }
 

@@ -1,23 +1,27 @@
-//! Serializable crack-state records — the piece-map export/import layer
-//! behind the durability subsystem (see `PERSISTENCE.md` at the
-//! repository root).
+//! Crack-state records — the piece-map export/import layer behind the
+//! durability subsystem (see `PERSISTENCE.md` at the repository root).
 //!
 //! The paper treats the cracker index as a session-local auxiliary
 //! structure (§5.2); keeping a restarted store *warm* means persisting
 //! exactly three things per cracked column: the physically reorganized
 //! value/OID arrays, the boundary map (key + split position — tiny), and
-//! the pending-update overlay. [`ColumnSnapshot`] captures those from a
-//! [`CrackerColumn`] and rebuilds one on recovery; [`ConcurrentSnapshot`]
-//! does the same for either latching mode of a [`ConcurrentColumn`].
+//! the pending-update overlay. [`ColumnSnapshot::encode`] writes those
+//! straight from a live [`CrackerColumn`] into a checkpoint payload body,
+//! with no intermediate copy; [`ColumnSnapshot::decode`] reads them back
+//! and [`ColumnSnapshot::restore`] rebuilds the column from them.
+//! [`ConcurrentSnapshot`] does the same for either latching mode of a
+//! [`ConcurrentColumn`], reading one shard at a time under its read
+//! latch. The bytes of each field are [`storage::codec`]'s: this module
+//! only fixes their order.
 //!
 //! Restore never trusts the snapshot: boundary positions are re-validated
 //! against the actual values in `O(n + p)`
 //! ([`CrackerIndex::check_pieces`]) and the sharded range invariant is
-//! re-checked ([`ShardedCrackerColumn::from_parts`]), so a corrupt or
-//! tampered checkpoint fails loudly instead of yielding a silently wrong
-//! column. Recency ticks and cost counters are deliberately *not*
-//! persisted — they restart at zero, which only delays LRU fusion and
-//! resets instrumentation, never answers.
+//! re-checked ([`ShardedCrackerColumn::from_parts`]), so a tampered
+//! checkpoint that still passes its checksum fails loudly instead of
+//! yielding a silently wrong column. Recency ticks and cost counters are
+//! deliberately *not* persisted — they restart at zero, which only delays
+//! LRU fusion and resets instrumentation, never answers.
 //!
 //! Records are concrete over `i64` (the engine's cracked-attribute type):
 //! keeping the on-disk schema monomorphic makes the checkpoint format a
@@ -29,11 +33,12 @@ use crate::config::CrackerConfig;
 use crate::crack::BoundaryKey;
 use crate::index::CrackerIndex;
 use crate::sharded::{ConcurrentColumn, ShardedCrackerColumn};
-use serde::{Deserialize, Serialize};
+use storage::codec::{self, Reader};
+use storage::{StorageError, StorageResult};
 
 /// One crack boundary as persisted: the [`BoundaryKey`] flattened next to
 /// its split position. Recency is not persisted (see the module doc).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundaryRecord {
     /// Boundary value.
     pub value: i64,
@@ -54,9 +59,9 @@ impl BoundaryRecord {
     }
 }
 
-/// Everything worth persisting about one [`CrackerColumn`]: the cracked
-/// arrays, the piece map, and the pending-update overlay.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Everything worth persisting about one [`CrackerColumn`], decoded: the
+/// cracked arrays, the piece map, and the pending-update overlay.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnSnapshot {
     /// Cracked values in physical (piece) order.
     pub values: Vec<i64>,
@@ -71,28 +76,54 @@ pub struct ColumnSnapshot {
 }
 
 impl ColumnSnapshot {
-    /// Capture the persistent state of `col`.
-    pub fn capture(col: &CrackerColumn<i64>) -> Self {
-        let mut pending_deletes: Vec<u32> = col.pending.deleted_set().iter().collect();
-        pending_deletes.sort_unstable();
-        ColumnSnapshot {
-            values: col.values().to_vec(),
-            oids: col.oids().to_vec(),
-            boundaries: col
-                .index()
-                .boundaries()
-                .map(|(k, info)| BoundaryRecord {
-                    value: k.value,
-                    lte: k.lte,
-                    pos: info.pos,
-                })
-                .collect(),
-            pending_inserts: col.pending.staged_inserts().to_vec(),
-            pending_deletes,
+    /// Append the persistent state of `col` to a payload body, read
+    /// straight from its arrays: values, OIDs, the boundaries as three
+    /// parallel arrays (value, `lte`, position), the staged inserts as
+    /// two (OID, value), and the sorted pending deletes.
+    pub fn encode(col: &CrackerColumn<i64>, buf: &mut Vec<u8>) {
+        codec::put_ints(buf, col.values());
+        codec::put_ints(buf, col.oids());
+        let bounds = col.index().boundaries();
+        codec::put_int_iter(buf, bounds.clone().map(|(k, _)| k.value));
+        codec::put_int_iter(buf, bounds.clone().map(|(k, _)| i64::from(k.lte)));
+        codec::put_int_iter(buf, bounds.map(|(_, info)| info.pos as i64));
+        let inserts = col.pending.staged_inserts();
+        codec::put_int_iter(buf, inserts.iter().map(|&(oid, _)| i64::from(oid)));
+        codec::put_int_iter(buf, inserts.iter().map(|&(_, v)| v));
+        codec::put_ints(buf, &sorted_deletes(col));
+    }
+
+    /// Read one column's state written by [`encode`](Self::encode).
+    pub fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+        let values = r.ints()?;
+        let oids = r.ints()?;
+        let (keys, lte, pos) = (r.ints()?, r.ints::<bool>()?, r.ints()?);
+        let (insert_oids, insert_values) = (r.ints::<u32>()?, r.ints::<i64>()?);
+        let pending_deletes = r.ints()?;
+        if lte.len() != keys.len() || pos.len() != keys.len() {
+            return Err(StorageError::PersistFormat(
+                "boundary arrays differ in length".to_string(),
+            ));
         }
+        if insert_values.len() != insert_oids.len() {
+            return Err(StorageError::PersistFormat(
+                "staged insert arrays differ in length".to_string(),
+            ));
+        }
+        let boundaries = (keys.into_iter().zip(lte).zip(pos))
+            .map(|((value, lte), pos)| BoundaryRecord { value, lte, pos })
+            .collect();
+        Ok(ColumnSnapshot {
+            values,
+            oids,
+            boundaries,
+            pending_inserts: insert_oids.into_iter().zip(insert_values).collect(),
+            pending_deletes,
+        })
     }
 
     /// Rebuild a column from this snapshot, re-validating every invariant.
+    /// The arrays move into the column; nothing is copied.
     ///
     /// The piece map is re-imposed boundary by boundary and then checked
     /// against the actual values ([`CrackerIndex::check_pieces`]); the
@@ -100,7 +131,7 @@ impl ColumnSnapshot {
     /// insert/delete disjointness invariant is re-established by
     /// construction. Any inconsistency is an error — a recovered column is
     /// either exactly the captured one or refused.
-    pub fn restore(&self, config: CrackerConfig) -> Result<CrackerColumn<i64>, String> {
+    pub fn restore(self, config: CrackerConfig) -> Result<CrackerColumn<i64>, String> {
         if self.values.len() != self.oids.len() {
             return Err(format!(
                 "column snapshot misaligned: {} values vs {} oids",
@@ -108,26 +139,26 @@ impl ColumnSnapshot {
                 self.oids.len()
             ));
         }
-        let mut col = CrackerColumn::from_pairs(self.values.clone(), self.oids.clone(), config);
+        let n = self.values.len();
+        let mut col = CrackerColumn::from_pairs(self.values, self.oids, config);
         {
             let index = col.index_mut();
             for b in &self.boundaries {
-                if b.pos > self.values.len() {
+                if b.pos > n {
                     return Err(format!(
-                        "boundary {:?} position {} beyond column end {}",
+                        "boundary {:?} position {} beyond column end {n}",
                         b.key(),
                         b.pos,
-                        self.values.len()
                     ));
                 }
                 index.set_position(b.key(), b.pos);
             }
         }
         col.index().check_pieces(col.values())?;
-        for &(oid, v) in &self.pending_inserts {
+        for (oid, v) in self.pending_inserts {
             col.insert(oid, v);
         }
-        for &oid in &self.pending_deletes {
+        for oid in self.pending_deletes {
             if !col.delete(oid) {
                 return Err(format!(
                     "pending delete references unknown oid {oid} — snapshot corrupt"
@@ -140,7 +171,7 @@ impl ColumnSnapshot {
     /// Cheap dirty-tracking fingerprint of a column's persistent state:
     /// two snapshots of the same column are byte-identical whenever its
     /// fingerprints match, so an unchanged fingerprint lets the
-    /// checkpoint layer skip re-serializing a warm column. Layout changes
+    /// checkpoint layer skip re-encoding a warm column. Layout changes
     /// are counter-based (cracks/fusions/merges are monotone); the
     /// overlay is covered by a content hash, *not* its length — the
     /// overlay length is not monotone (deleting a staged insert cancels
@@ -172,7 +203,7 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 /// Content hash of a column's pending-update overlay: the staged inserts
 /// in staging order plus the pending-delete set in sorted order, each
 /// section prefixed by its length so no two distinct overlays share an
-/// encoding. Two columns hash equal exactly when their captured
+/// encoding. Two columns hash equal exactly when their encoded
 /// `pending_inserts`/`pending_deletes` would be equal — the property the
 /// fingerprint needs and the raw overlay *length* cannot provide.
 fn overlay_hash(col: &CrackerColumn<i64>) -> u64 {
@@ -183,8 +214,7 @@ fn overlay_hash(col: &CrackerColumn<i64>) -> u64 {
         fnv1a(&mut h, &oid.to_le_bytes());
         fnv1a(&mut h, &v.to_le_bytes());
     }
-    let mut deletes: Vec<u32> = col.pending.deleted_set().iter().collect();
-    deletes.sort_unstable();
+    let deletes = sorted_deletes(col);
     fnv1a(&mut h, &(deletes.len() as u64).to_le_bytes());
     for oid in deletes {
         fnv1a(&mut h, &oid.to_le_bytes());
@@ -192,10 +222,19 @@ fn overlay_hash(col: &CrackerColumn<i64>) -> u64 {
     h
 }
 
+/// The pending-delete set of `col` in ascending order (a canonical
+/// encoding of a set kept in no particular order).
+fn sorted_deletes(col: &CrackerColumn<i64>) -> Vec<u32> {
+    let mut deletes: Vec<u32> = col.pending.deleted_set().iter().collect();
+    deletes.sort_unstable();
+    deletes
+}
+
 /// The persistent state of a [`ConcurrentColumn`] under either latching
-/// mode: a single-lock column is one [`ColumnSnapshot`]; a sharded column
-/// is its split points plus one snapshot per shard in ascending order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// mode, decoded: a single-lock column is one [`ColumnSnapshot`]; a
+/// sharded column is its split points plus one snapshot per shard in
+/// ascending order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConcurrentSnapshot {
     /// True for [`ShardedCrackerColumn`]; false for the single-lock mode.
     pub sharded: bool,
@@ -206,49 +245,76 @@ pub struct ConcurrentSnapshot {
 }
 
 impl ConcurrentSnapshot {
-    /// Capture the persistent state of `col` (read latches only, one
-    /// shard at a time in ascending order).
-    pub fn capture(col: &ConcurrentColumn<i64>) -> Self {
+    /// Append the persistent state of `col` to a payload body: the mode
+    /// tag, the split points and the shard count, then each shard's
+    /// [`ColumnSnapshot::encode`], taken under that shard's read latch one
+    /// shard at a time in ascending order.
+    pub fn encode(col: &ConcurrentColumn<i64>, buf: &mut Vec<u8>) {
         match col {
-            ConcurrentColumn::Single(c) => ConcurrentSnapshot {
-                sharded: false,
-                splits: Vec::new(),
-                shards: vec![c.read_with(ColumnSnapshot::capture)],
-            },
-            ConcurrentColumn::Sharded(s) => ConcurrentSnapshot {
-                sharded: true,
-                splits: s.splits().to_vec(),
-                shards: s.read_shards(ColumnSnapshot::capture),
-            },
+            ConcurrentColumn::Single(c) => {
+                codec::put_u8(buf, 0);
+                codec::put_ints::<i64>(buf, &[]);
+                codec::put_u64(buf, 1);
+                c.read_with(|c| ColumnSnapshot::encode(c, buf));
+            }
+            ConcurrentColumn::Sharded(s) => {
+                codec::put_u8(buf, 1);
+                codec::put_ints(buf, s.splits());
+                codec::put_u64(buf, s.splits().len() as u64 + 1);
+                s.read_shards(|c| ColumnSnapshot::encode(c, buf));
+            }
         }
+    }
+
+    /// Decode a payload body written by [`encode`](Self::encode); the
+    /// whole body must be consumed.
+    pub fn decode(body: &[u8]) -> StorageResult<Self> {
+        let mut r = Reader::new(body);
+        let sharded = match r.u8()? {
+            0 => false,
+            1 => true,
+            t => {
+                return Err(StorageError::PersistFormat(format!(
+                    "unknown concurrency tag {t}"
+                )));
+            }
+        };
+        let splits = r.ints()?;
+        let n = r.count()?;
+        let mut shards = Vec::with_capacity(n);
+        for _ in 0..n {
+            shards.push(ColumnSnapshot::decode(&mut r)?);
+        }
+        r.finish()?;
+        Ok(ConcurrentSnapshot {
+            sharded,
+            splits,
+            shards,
+        })
     }
 
     /// Rebuild a concurrent column, re-validating per-shard piece maps
     /// and the sharded range invariant.
-    pub fn restore(&self, config: CrackerConfig) -> Result<ConcurrentColumn<i64>, String> {
+    pub fn restore(self, config: CrackerConfig) -> Result<ConcurrentColumn<i64>, String> {
         if !self.sharded {
-            if self.shards.len() != 1 {
-                return Err(format!(
-                    "single-lock snapshot must hold exactly one shard, got {}",
-                    self.shards.len()
-                ));
-            }
             if !self.splits.is_empty() {
                 return Err("single-lock snapshot must not carry splits".to_string());
             }
-            let col = self.shards[0].restore(config)?;
+            let Ok([shard]) = <[ColumnSnapshot; 1]>::try_from(self.shards) else {
+                return Err("single-lock snapshot must hold exactly one shard".to_string());
+            };
             return Ok(ConcurrentColumn::Single(SharedCrackerColumn::from_column(
-                col,
+                shard.restore(config)?,
             )));
         }
         let mut columns = Vec::with_capacity(self.shards.len());
-        for (i, snap) in self.shards.iter().enumerate() {
+        for (i, snap) in self.shards.into_iter().enumerate() {
             columns.push(
                 snap.restore(config)
                     .map_err(|e| format!("shard {i}: {e}"))?,
             );
         }
-        let sharded = ShardedCrackerColumn::from_parts(self.splits.clone(), columns)?;
+        let sharded = ShardedCrackerColumn::from_parts(self.splits, columns)?;
         Ok(ConcurrentColumn::Sharded(sharded))
     }
 
@@ -282,6 +348,26 @@ mod tests {
     use crate::pred::RangePred;
     use crate::sharded::ConcurrencyMode;
 
+    /// What a checkpoint of `col` decodes to.
+    fn capture(col: &CrackerColumn<i64>) -> ColumnSnapshot {
+        let mut buf = Vec::new();
+        ColumnSnapshot::encode(col, &mut buf);
+        let mut r = Reader::new(&buf);
+        let snap = ColumnSnapshot::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        snap
+    }
+
+    fn encode_concurrent(col: &ConcurrentColumn<i64>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        ConcurrentSnapshot::encode(col, &mut buf);
+        buf
+    }
+
+    fn capture_concurrent(col: &ConcurrentColumn<i64>) -> ConcurrentSnapshot {
+        ConcurrentSnapshot::decode(&encode_concurrent(col)).unwrap()
+    }
+
     fn warmed_column() -> CrackerColumn<i64> {
         let mut c = CrackerColumn::new((0..500).rev().collect::<Vec<i64>>());
         c.select(RangePred::between(100, 200));
@@ -296,8 +382,8 @@ mod tests {
     #[test]
     fn column_snapshot_roundtrip_preserves_layout_and_overlay() {
         let col = warmed_column();
-        let snap = ColumnSnapshot::capture(&col);
-        let restored = snap.restore(*col.config()).unwrap();
+        let snap = capture(&col);
+        let restored = snap.clone().restore(*col.config()).unwrap();
         assert_eq!(restored.values(), col.values());
         assert_eq!(restored.oids(), col.oids());
         assert_eq!(restored.piece_count(), col.piece_count());
@@ -305,13 +391,13 @@ mod tests {
         restored.validate().unwrap();
         // Snapshot of the restored column is identical: capture∘restore
         // is idempotent.
-        assert_eq!(ColumnSnapshot::capture(&restored), snap);
+        assert_eq!(capture(&restored), snap);
     }
 
     #[test]
     fn restored_column_answers_like_the_original() {
         let col = warmed_column();
-        let snap = ColumnSnapshot::capture(&col);
+        let snap = capture(&col);
         let mut restored = snap.restore(*col.config()).unwrap();
         let mut original = col;
         for pred in [
@@ -331,7 +417,7 @@ mod tests {
     #[test]
     fn tampered_boundary_position_is_rejected() {
         let col = warmed_column();
-        let mut snap = ColumnSnapshot::capture(&col);
+        let mut snap = capture(&col);
         snap.boundaries[0].pos += 1;
         assert!(snap.restore(*col.config()).is_err());
     }
@@ -339,15 +425,15 @@ mod tests {
     #[test]
     fn misaligned_and_out_of_range_snapshots_are_rejected() {
         let col = warmed_column();
-        let mut snap = ColumnSnapshot::capture(&col);
+        let mut snap = capture(&col);
         snap.oids.pop();
         assert!(snap.restore(*col.config()).is_err());
 
-        let mut snap = ColumnSnapshot::capture(&col);
+        let mut snap = capture(&col);
         snap.boundaries[0].pos = snap.values.len() + 7;
         assert!(snap.restore(*col.config()).is_err());
 
-        let mut snap = ColumnSnapshot::capture(&col);
+        let mut snap = capture(&col);
         snap.pending_deletes.push(999_999);
         assert!(snap.restore(*col.config()).is_err());
     }
@@ -404,8 +490,8 @@ mod tests {
             col.count(RangePred::between(500, 1_500));
             col.insert(90_000, 1_000);
             col.delete(17);
-            let snap = ConcurrentSnapshot::capture(&col);
-            let restored = snap.restore(CrackerConfig::default()).unwrap();
+            let snap = capture_concurrent(&col);
+            let restored = snap.clone().restore(CrackerConfig::default()).unwrap();
             assert_eq!(restored.mode(), col.mode(), "mode {mode:?}");
             assert_eq!(restored.piece_count(), col.piece_count());
             for pred in [
@@ -424,7 +510,7 @@ mod tests {
             // comparable only within one column's lifetime — but the
             // *snapshot* of the restored overlay/layout must match.
             assert_eq!(
-                ConcurrentSnapshot::capture(&restored).shards.len(),
+                capture_concurrent(&restored).shards.len(),
                 snap.shards.len()
             );
         }
@@ -438,7 +524,7 @@ mod tests {
             CrackerConfig::default(),
             ConcurrencyMode::Sharded { shards: 4 },
         );
-        let good = ConcurrentSnapshot::capture(&col);
+        let good = capture_concurrent(&col);
 
         let mut snap = good.clone();
         snap.shards.pop();
@@ -456,6 +542,82 @@ mod tests {
         let mut snap = good;
         snap.sharded = false;
         assert!(snap.restore(CrackerConfig::default()).is_err());
+    }
+
+    #[test]
+    fn a_flipped_value_or_oid_passes_check_pieces_but_not_the_checksum() {
+        // One crack at 500: the first piece holds values below 500, so
+        // flipping the low bit of its first value keeps it there, and
+        // nothing checks OIDs against values at all.
+        let col = ConcurrentColumn::build(
+            (0..1_000).rev().collect(),
+            CrackerConfig::default(),
+            ConcurrencyMode::SingleLock,
+        );
+        col.count(RangePred::lt(500));
+        let body = encode_concurrent(&col);
+        let mut frame = Vec::new();
+        let start = codec::begin_frame(&mut frame);
+        frame.extend_from_slice(&body);
+        codec::end_frame(&mut frame, start, codec::FrameKind::Payload);
+        // Body layout: tag (1), empty splits (17), shard count (8), then
+        // the values array (17-byte head, 2-byte offsets for 0..1000) and
+        // the OIDs array (same).
+        let first_value = 1 + 17 + 8 + 17;
+        let first_oid = first_value + 2 * 1_000 + 17;
+        for at in [first_value, first_oid] {
+            let mut flipped = body.clone();
+            flipped[at] ^= 1;
+            let snap = ConcurrentSnapshot::decode(&flipped).unwrap();
+            assert_ne!(snap, capture_concurrent(&col));
+            snap.restore(CrackerConfig::default())
+                .expect("the piece map cannot see this flip");
+            let mut flipped = frame.clone();
+            flipped[codec::HEADER_LEN + at] ^= 1;
+            let err = codec::open_frame(&flipped, codec::FrameKind::Payload).unwrap_err();
+            assert!(err.to_string().contains("checksum"), "{err}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+        #[test]
+        fn decode_and_restore_are_total(
+            junk in proptest::collection::vec(0u8..=255, 0..96),
+            shards in 0usize..3,
+        ) {
+            // Arbitrary bytes, every truncation of a real payload body and
+            // every single-bit flip of it: decode is a typed error or a
+            // snapshot, and restore refuses or rebuilds — never a panic.
+            let mode = match shards {
+                0 => ConcurrencyMode::SingleLock,
+                n => ConcurrencyMode::Sharded { shards: n + 1 },
+            };
+            let col = ConcurrentColumn::build(
+                (0..40).map(|i| (i * 7) % 40).collect(),
+                CrackerConfig::default(),
+                mode,
+            );
+            col.count(RangePred::between(10, 20));
+            col.insert(90, 15);
+            col.delete(3);
+            let body = encode_concurrent(&col);
+            let mut inputs = vec![junk];
+            inputs.extend((0..body.len()).map(|cut| body[..cut].to_vec()));
+            for bit in 0..body.len() * 8 {
+                let mut flipped = body.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                inputs.push(flipped);
+            }
+            for bytes in inputs {
+                match ConcurrentSnapshot::decode(&bytes) {
+                    Ok(snap) => {
+                        let _ = snap.restore(CrackerConfig::default());
+                    }
+                    Err(e) => proptest::prop_assert!(matches!(e, StorageError::PersistFormat(_))),
+                }
+            }
+        }
     }
 
     #[test]

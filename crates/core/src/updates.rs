@@ -32,13 +32,15 @@ use crate::value_trait::CrackValue;
 /// double the current size plus a fixed slack). Members beyond that —
 /// e.g. one delete of a huge surrogate OID — go to a sparse side set,
 /// keeping memory proportional to the dense cluster actually in use
-/// rather than to `max_oid / 8`.
+/// rather than to `max_oid / 8`. When the bitmap grows, every side-set
+/// member it now covers moves into it, so the side set only ever holds
+/// OIDs beyond the bitmap and a probe of a covered OID never hashes.
 #[derive(Debug, Clone, Default)]
 pub struct OidSet {
     /// Bit `oid % 64` of `words[oid / 64]` marks membership of the dense
     /// prefix.
     words: Vec<u64>,
-    /// Outlier members the growth rule kept out of the bitmap.
+    /// Members beyond the bitmap that the growth rule kept out of it.
     sparse: std::collections::HashSet<u32>,
     /// Number of distinct members (both representations).
     len: usize,
@@ -65,13 +67,7 @@ impl OidSet {
                 self.len += fresh as usize;
                 return fresh;
             }
-            self.words.resize(w + 1, 0);
-        }
-        // The bitmap may have grown over a word whose OID sits in the
-        // side set; migrate it so each member lives in one place.
-        if !self.sparse.is_empty() && self.sparse.remove(&oid) {
-            self.words[w] |= bit;
-            return false;
+            self.grow((w + 1).max(self.words.len() * 2));
         }
         let fresh = self.words[w] & bit == 0;
         self.words[w] |= bit;
@@ -79,13 +75,31 @@ impl OidSet {
         fresh
     }
 
+    /// Grow the bitmap to `words` words and move every side-set member it
+    /// now covers into it. Growth at least doubles, so the side set is
+    /// walked `O(log max_oid)` times in all.
+    fn grow(&mut self, words: usize) {
+        self.words.resize(words, 0);
+        let bits = &mut self.words;
+        self.sparse
+            .retain(|&oid| match bits.get_mut(oid as usize / 64) {
+                Some(word) => {
+                    *word |= 1 << (oid % 64);
+                    false
+                }
+                None => true,
+            });
+    }
+
     /// Is `oid` a member? One bounds check plus one word probe; the
-    /// sparse side set is consulted only when it is non-empty.
+    /// sparse side set is consulted only for OIDs beyond the bitmap, and
+    /// only when it is non-empty.
     #[inline(always)]
     pub fn contains(&self, oid: u32) -> bool {
-        let w = oid as usize / 64;
-        (w < self.words.len() && self.words[w] & (1 << (oid % 64)) != 0)
-            || (!self.sparse.is_empty() && self.sparse.contains(&oid))
+        match self.words.get(oid as usize / 64) {
+            Some(word) => word & (1 << (oid % 64)) != 0,
+            None => !self.sparse.is_empty() && self.sparse.contains(&oid),
+        }
     }
 
     /// Number of members.
@@ -99,8 +113,9 @@ impl OidSet {
         &self.words
     }
 
-    /// True when any member lives in the sparse side set: the SIMD
-    /// overlay probe only covers the dense bitmap and must fall back.
+    /// True when any member lives in the sparse side set, i.e. beyond the
+    /// bitmap: the SIMD overlay probe only covers the dense bitmap and
+    /// must fall back.
     pub(crate) fn has_sparse(&self) -> bool {
         !self.sparse.is_empty()
     }
@@ -588,6 +603,32 @@ mod tests {
         assert!(s.contains(outlier));
         assert!(!s.insert(outlier), "still a member after migration");
         assert_eq!(s.len(), 80_000);
+    }
+
+    #[test]
+    fn oidset_growth_moves_covered_spills_into_the_bitmap() {
+        let mut s = OidSet::new();
+        let far: Vec<u32> = (1..=40).map(|i| i * 100_003).collect();
+        for &oid in &far {
+            assert!(s.insert(oid));
+        }
+        assert!(s.has_sparse(), "far OIDs spill past the growth rule");
+        // A dense run of deletes grows the bitmap past every spill.
+        for oid in 0..4_100_000 {
+            if oid % 3 == 0 {
+                s.insert(oid);
+            }
+        }
+        assert!(!s.has_sparse(), "every spill is covered now");
+        for &oid in &far {
+            assert!(s.contains(oid), "{oid} lost in the move");
+            assert!(!s.insert(oid), "{oid} counted twice");
+        }
+        let dense = (0..4_100_000u32).filter(|o| o % 3 == 0).count();
+        let spilled_off_the_run = far.iter().filter(|&&o| o % 3 != 0).count();
+        assert_eq!(s.len(), dense + spilled_off_the_run);
+        assert_eq!(s.iter().count(), s.len());
+        assert!(!s.contains(1) && !s.contains(4_100_001));
     }
 
     #[test]

@@ -38,6 +38,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
+use storage::codec::{self, Reader};
 use storage::fault::{FaultKind, RetryPolicy};
 use storage::wal::{RedoLog, WalRecord};
 use storage::{CheckpointStore, Manifest, StorageError};
@@ -863,8 +864,11 @@ impl AdaptiveDb {
         }
     }
 
-    /// Serialize the whole database into one checkpoint epoch. Only
-    /// integer columns are supported — a non-int base column is a loud
+    /// Write the whole database into one checkpoint epoch. Each payload
+    /// is encoded straight from the live arrays — base columns as the
+    /// catalog holds them, cracked columns under their read latches —
+    /// and only when its fingerprint changed. Only integer columns are
+    /// supported — a non-int base column is a loud
     /// [`EngineError::WrongColumnType`], never a silently partial
     /// checkpoint.
     fn write_checkpoint(&self, store: &mut CheckpointStore) -> EngineResult<Manifest> {
@@ -889,7 +893,7 @@ impl AdaptiveDb {
             columns,
         };
         let mut w = store.begin()?;
-        w.put(META_KEY, &format!("{meta:?}"), &meta)?;
+        w.put(META_KEY, &format!("{meta:?}"), |buf| meta.encode(buf))?;
         // While durability is attached a base table only ever grows at
         // its end (`delete_rows` / `drop_table` refuse), so cardinality is
         // a sufficient fingerprint: an unchanged count means unchanged
@@ -897,8 +901,12 @@ impl AdaptiveDb {
         for tm in &meta.tables {
             let t = self.catalog.table(&tm.name)?;
             for c in &tm.columns {
-                let vals = t.ints(c)?.to_vec();
-                w.put(&table_key(&tm.name, c), &format!("n{}", vals.len()), &vals)?;
+                let vals = t.ints(c)?;
+                w.put(
+                    &table_key(&tm.name, c),
+                    &format!("n{}", vals.len()),
+                    |buf| codec::put_ints(buf, vals),
+                )?;
             }
         }
         for key in &meta.columns {
@@ -906,7 +914,7 @@ impl AdaptiveDb {
             w.put(
                 &column_key(&key.0, &key.1),
                 &ConcurrentSnapshot::fingerprint(col),
-                &ConcurrentSnapshot::capture(col),
+                |buf| ConcurrentSnapshot::encode(col, buf),
             )?;
         }
         Ok(w.commit()?)
@@ -940,13 +948,7 @@ impl AdaptiveDb {
                 .entry(key)
                 .ok_or_else(|| format_err(format!("manifest lacks payload {key:?}")))
         };
-        let meta: DbMeta = store.read_payload(entry(META_KEY)?)?;
-        if meta.version != DB_META_VERSION {
-            return Err(format_err(format!(
-                "unsupported db meta version {}",
-                meta.version
-            )));
-        }
+        let meta = DbMeta::decode(store.read_payload(entry(META_KEY)?)?.body())?;
         let mode = match meta.concurrency_shards {
             0 => ConcurrencyMode::SingleLock,
             n => ConcurrencyMode::Sharded { shards: n as usize },
@@ -955,14 +957,18 @@ impl AdaptiveDb {
         for tm in &meta.tables {
             let mut cols = Vec::with_capacity(tm.columns.len());
             for c in &tm.columns {
-                let vals: Vec<i64> = store.read_payload(entry(&table_key(&tm.name, c))?)?;
+                let payload = store.read_payload(entry(&table_key(&tm.name, c))?)?;
+                let mut r = Reader::new(payload.body());
+                let vals: Vec<i64> = r.ints()?;
+                r.finish()?;
                 cols.push((c.as_str(), vals));
             }
             db.register(Table::from_int_columns(&tm.name, cols)?)?;
         }
         for (t, c) in &meta.columns {
-            let snap: ConcurrentSnapshot = store.read_payload(entry(&column_key(t, c))?)?;
-            let col = snap
+            let payload = store.read_payload(entry(&column_key(t, c))?)?;
+            let col = ConcurrentSnapshot::decode(payload.body())
+                .map_err(|e| format_err(format!("column {t}.{c}: {e}")))?
                 .restore(config)
                 .map_err(|e| format_err(format!("column {t}.{c}: {e}")))?;
             db.columns.insert((t.clone(), c.clone()), col);
@@ -1687,27 +1693,17 @@ mod tests {
 
     #[test]
     fn superseded_meta_formats_are_refused_typed() {
-        // A directory written before the one-copy-per-column format (meta
-        // version 1: `crackers` + `shared` lists, `cracker/…` and `shared/…`
-        // payloads) must be refused as `PersistFormat` — never a panic, never
-        // a silently cold database.
-        #[derive(serde::Serialize)]
-        struct MetaV1 {
-            version: u32,
-            concurrency_shards: u64,
-            tables: Vec<TableMeta>,
-            crackers: Vec<(String, String)>,
-            shared: Vec<(String, String)>,
-        }
-        fn refused(tag: &str, meta: &impl serde::Serialize) -> String {
+        // A directory this build does not write must be refused as
+        // `PersistFormat` — never a panic, never a silently cold database.
+        // Meta versions 1 (two cracked copies per column) and 2 wrote JSON
+        // payloads, which are not frames; a frame of the current shape
+        // under another version number is refused by that number.
+        fn refused(tag: &str, write: impl FnOnce(&Path)) -> String {
             let dir = std::env::temp_dir()
                 .join(format!("dbcracker-db-meta-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let mut store = CheckpointStore::open(&dir).unwrap();
-            let mut w = store.begin().unwrap();
-            w.put(META_KEY, tag, meta).unwrap();
-            w.put("cracker/t/v", "n0", &Vec::<i64>::new()).unwrap();
-            w.commit().unwrap();
+            std::fs::create_dir_all(&dir).unwrap();
+            write(&dir);
             let got = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1);
             let _ = std::fs::remove_dir_all(&dir);
             match got {
@@ -1716,25 +1712,98 @@ mod tests {
                 Ok(_) => panic!("{tag}: a superseded directory must not recover"),
             }
         }
-        // The v1 shape: no `columns` list to decode.
-        let v1 = MetaV1 {
-            version: 1,
-            concurrency_shards: 0,
-            tables: Vec::new(),
-            crackers: vec![("t".to_string(), "v".to_string())],
-            shared: Vec::new(),
+        // A JSON-era directory, as those versions laid it out.
+        let json_era = |meta: &'static str| {
+            move |dir: &Path| {
+                let file = "__meta__-d8b0aa4b4a07b9e7.1.json";
+                std::fs::write(dir.join(file), meta).unwrap();
+                let manifest = format!(
+                    r#"{{"version":1,"epoch":1,"entries":[{{"key":"__meta__","file":"{file}","fingerprint":"f"}}],"log":"wal.1.log"}}"#
+                );
+                std::fs::write(dir.join("MANIFEST.json"), manifest).unwrap();
+                std::fs::write(dir.join("wal.1.log"), b"").unwrap();
+            }
         };
-        let msg = refused("v1", &v1);
-        assert!(msg.contains("columns"), "{msg}");
-        // The current shape under a version this build does not write.
-        let stale = DbMeta {
-            version: DB_META_VERSION - 1,
-            concurrency_shards: 0,
-            tables: Vec::new(),
-            columns: Vec::new(),
+        let v1 = r#"{"version":1,"concurrency_shards":0,"tables":[],"crackers":[["t","v"]],"shared":[]}"#;
+        let msg = refused("v1", json_era(v1));
+        assert!(msg.contains("__meta__") && msg.contains("magic"), "{msg}");
+        let v2 = r#"{"version":2,"concurrency_shards":0,"tables":[],"columns":[]}"#;
+        let msg = refused("v2", json_era(v2));
+        assert!(msg.contains("__meta__") && msg.contains("magic"), "{msg}");
+        let msg = refused("version", |dir| {
+            let stale = DbMeta {
+                version: DB_META_VERSION - 1,
+                concurrency_shards: 0,
+                tables: Vec::new(),
+                columns: Vec::new(),
+            };
+            let mut store = CheckpointStore::open(dir).unwrap();
+            let mut w = store.begin().unwrap();
+            w.put(META_KEY, "f", |buf| stale.encode(buf)).unwrap();
+            w.commit().unwrap();
+        });
+        assert!(msg.contains("version 2"), "{msg}");
+    }
+
+    #[test]
+    fn meta_decode_is_total() {
+        // Every truncation and single-bit flip of a real meta body, and
+        // arbitrary bytes: a typed error or a meta, never a panic.
+        let mut body = Vec::new();
+        DbMeta {
+            version: DB_META_VERSION,
+            concurrency_shards: 4,
+            tables: vec![TableMeta {
+                name: "r".into(),
+                columns: vec!["k".into(), "a".into()],
+            }],
+            columns: vec![("r".into(), "a".into())],
+        }
+        .encode(&mut body);
+        let mut inputs: Vec<Vec<u8>> = (0..body.len()).map(|cut| body[..cut].to_vec()).collect();
+        for bit in 0..body.len() * 8 {
+            let mut flipped = body.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            inputs.push(flipped);
+        }
+        inputs.extend((0..64u8).map(|n| (0..n).map(|i| i.wrapping_mul(n) ^ 0x5a).collect()));
+        for bytes in &inputs {
+            if let Err(e) = DbMeta::decode(bytes) {
+                assert!(matches!(e, StorageError::PersistFormat(_)), "{e}");
+            }
+        }
+        assert!(DbMeta::decode(&body).is_ok());
+    }
+
+    #[test]
+    fn a_clean_checkpoint_rewrites_no_payload() {
+        let dir = std::env::temp_dir().join(format!("dbcracker-db-clean-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = db();
+        db.select(
+            &RangeQuery::new("r", "a", RangePred::lt(50)),
+            OutputMode::Count,
+        )
+        .unwrap();
+        db.attach_durability(&dir, 1).unwrap();
+        let files = |dir: &Path| {
+            let m = CheckpointStore::open(dir)
+                .unwrap()
+                .manifest()
+                .unwrap()
+                .unwrap();
+            m.entries.into_iter().map(|e| e.file).collect::<Vec<_>>()
         };
-        let msg = refused("version", &stale);
-        assert!(msg.contains("version"), "{msg}");
+        let before = files(&dir);
+        assert_eq!(db.checkpoint().unwrap(), 2);
+        assert_eq!(files(&dir), before, "every payload carried forward");
+        db.stage_insert("r", "a", 100, 7).unwrap();
+        db.checkpoint().unwrap();
+        let after = files(&dir);
+        let changed: Vec<_> = after.iter().filter(|f| !before.contains(f)).collect();
+        assert_eq!(changed.len(), 1, "only the cracked column is rewritten");
+        assert!(changed[0].starts_with("column_r_a-"), "{changed:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!
 //! * [`AdaptiveDb::checkpoint`](crate::AdaptiveDb::checkpoint) writes the
 //!   base tables, each cracked column's piece map (one snapshot per
-//!   column), and the pending-update overlay into an atomic [`storage::checkpoint`] epoch — unchanged
-//!   payloads (per a content fingerprint) are carried forward without
-//!   rewriting;
+//!   column), and the pending-update overlay into an atomic
+//!   [`storage::checkpoint`] epoch. Each payload is a checksummed
+//!   [`storage::codec`] frame encoded straight from the live arrays, and
+//!   only when its content fingerprint changed: an unchanged payload is
+//!   carried forward without being read, copied or rewritten;
 //! * between checkpoints, staged inserts/deletes are appended to the
 //!   epoch's redo log *before* being applied (write-ahead), fsync'd on the
 //!   configured group-commit interval;
@@ -20,22 +22,23 @@
 //!   paid for, never cold and never silently wrong.
 
 use crate::error::{EngineError, EngineResult};
-use serde::{Deserialize, Serialize};
+use storage::codec::{self, Reader};
 use storage::fault::RetryPolicy;
 use storage::wal::RedoLog;
-use storage::{CheckpointStore, Manifest, StorageError};
+use storage::{CheckpointStore, Manifest, StorageError, StorageResult};
 
-/// Version tag of the [`DbMeta`] payload. Version 1 listed two cracked
-/// copies per column under two key prefixes; a v1 directory is refused as
-/// a typed [`StorageError::PersistFormat`].
-pub const DB_META_VERSION: u32 = 2;
+/// Version tag of the [`DbMeta`] payload. Versions 1 (two cracked copies
+/// per column) and 2 (JSON payloads) are refused as a typed
+/// [`StorageError::PersistFormat`]: a version-2 directory's payloads are
+/// not frames, and a frame that names another version fails here.
+pub const DB_META_VERSION: u32 = 3;
 
 /// Manifest key under which the database-level metadata payload lives.
 pub const META_KEY: &str = "__meta__";
 
 /// One registered table in a checkpoint: its name and column names, in
 /// schema order. Column payloads live under [`table_key`] entries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableMeta {
     /// Table name.
     pub name: String,
@@ -46,7 +49,7 @@ pub struct TableMeta {
 /// The database-level metadata payload of a checkpoint: everything
 /// [`AdaptiveDb::recover`](crate::AdaptiveDb::recover) needs to know which
 /// other payloads to read and how to rebuild the in-memory shape.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbMeta {
     /// Payload format version.
     pub version: u32,
@@ -59,7 +62,65 @@ pub struct DbMeta {
     pub columns: Vec<(String, String)>,
 }
 
-/// Manifest key of a base-table column payload (`Vec<i64>`).
+impl DbMeta {
+    /// Append this payload's body: the version first, so a reader can
+    /// refuse another version before it parses anything else.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        codec::put_u64(buf, u64::from(self.version));
+        codec::put_u64(buf, self.concurrency_shards);
+        codec::put_u64(buf, self.tables.len() as u64);
+        for t in &self.tables {
+            codec::put_str(buf, &t.name);
+            codec::put_u64(buf, t.columns.len() as u64);
+            for c in &t.columns {
+                codec::put_str(buf, c);
+            }
+        }
+        codec::put_u64(buf, self.columns.len() as u64);
+        for (t, c) in &self.columns {
+            codec::put_str(buf, t);
+            codec::put_str(buf, c);
+        }
+    }
+
+    /// Decode a payload body written by [`encode`](Self::encode) under
+    /// [`DB_META_VERSION`]; any other version is refused.
+    pub fn decode(body: &[u8]) -> StorageResult<Self> {
+        let mut r = Reader::new(body);
+        let version = r.u64()?;
+        if version != u64::from(DB_META_VERSION) {
+            return Err(StorageError::PersistFormat(format!(
+                "unsupported db meta version {version}"
+            )));
+        }
+        let concurrency_shards = r.u64()?;
+        let n = r.count()?;
+        let mut tables = Vec::with_capacity(n);
+        for _ in 0..n {
+            let name = r.str()?;
+            let n = r.count()?;
+            let mut columns = Vec::with_capacity(n);
+            for _ in 0..n {
+                columns.push(r.str()?);
+            }
+            tables.push(TableMeta { name, columns });
+        }
+        let n = r.count()?;
+        let mut columns = Vec::with_capacity(n);
+        for _ in 0..n {
+            columns.push((r.str()?, r.str()?));
+        }
+        r.finish()?;
+        Ok(DbMeta {
+            version: DB_META_VERSION,
+            concurrency_shards,
+            tables,
+            columns,
+        })
+    }
+}
+
+/// Manifest key of a base-table column payload (one integer array).
 pub fn table_key(table: &str, column: &str) -> String {
     format!("table/{table}/{column}")
 }

@@ -4,8 +4,10 @@
 //!
 //! A [`CheckpointStore`] owns a directory. Each checkpoint writes one
 //! payload file per logical key plus a `MANIFEST.json` naming them; the
-//! manifest is the *only* commit point. Every file lands via the same
-//! protocol: serialize to a sibling temp file, fsync, rename into place,
+//! manifest is the *only* commit point. A payload file is one checksummed
+//! [`crate::codec`] frame whose body the caller encodes; the manifest is
+//! the store's own small JSON commit record. Every file lands via the same
+//! protocol: write a sibling temp file, fsync, rename into place,
 //! fsync the directory — so at any crash instant the directory contains
 //! either the previous complete checkpoint or the new one, never a torn
 //! mixture. Payloads are written under epoch-stamped names and the old
@@ -14,11 +16,11 @@
 //! incremental at once.
 //!
 //! **Dirty tracking:** callers pass an opaque fingerprint with each
-//! payload. When the previous manifest recorded the same fingerprint for
-//! the same key, the old payload file is carried forward by reference and
-//! the payload is not re-serialized — a warm column whose crack state
-//! didn't change between checkpoints costs one string compare, not an
-//! `O(n)` rewrite.
+//! payload, and an encoder that writes its body. When the previous
+//! manifest recorded the same fingerprint for the same key, the old
+//! payload file is carried forward by reference and the encoder never
+//! runs — a warm column whose crack state didn't change between
+//! checkpoints costs one string compare, not an `O(n)` copy or rewrite.
 //!
 //! **Log rotation:** committing a checkpoint creates a fresh, empty
 //! redo-log file for the new epoch and records its name in the manifest.
@@ -48,9 +50,10 @@
 //! succeeded. Hard faults (ENOSPC, corruption) propagate typed on first
 //! occurrence and the previous epoch stays authoritative.
 
+use crate::codec::{self, Frame, FrameKind};
 use crate::error::{StorageError, StorageResult};
 use crate::fault::{self, sibling_tmp_path, FaultInjector, RetryPolicy};
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -78,11 +81,11 @@ fn payload_file_name(key: &str, epoch: u64) -> String {
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
     clean.truncate(48);
-    format!("{clean}-{:016x}.{epoch}.json", fnv(key))
+    format!("{clean}-{:016x}.{epoch}.bin", fnv(key))
 }
 
 /// True when `name` matches one of the store's own file-name patterns:
-/// `MANIFEST.json`, a payload `<key>-<16 hex>.<epoch>.json`, a redo log
+/// `MANIFEST.json`, a payload `<key>-<16 hex>.<epoch>.bin`, a redo log
 /// `wal.<epoch>.log`, or any of their `.tmp` staging siblings. GC only
 /// ever touches these — a foreign file a caller colocates in the
 /// checkpoint directory (e.g. a `persist` catalog snapshot, also
@@ -99,7 +102,7 @@ fn is_store_artifact(name: &str) -> bool {
     {
         return all_digits(epoch);
     }
-    if let Some(rest) = base.strip_suffix(".json") {
+    if let Some(rest) = base.strip_suffix(".bin") {
         // `<sanitized key>-<16 hex FNV>.<epoch>` (see `payload_file_name`).
         let Some((head, epoch)) = rest.rsplit_once('.') else {
             return false;
@@ -160,6 +163,9 @@ pub struct CheckpointStore {
     /// Retry policy for transient faults (each retry restarts the
     /// enclosing durable sequence from scratch).
     retry: RetryPolicy,
+    /// Encode buffer, kept across payloads and epochs so a dirty
+    /// checkpoint does not fault in a fresh multi-megabyte buffer.
+    scratch: Vec<u8>,
 }
 
 impl CheckpointStore {
@@ -172,6 +178,7 @@ impl CheckpointStore {
             crash_after: None,
             injector: FaultInjector::new(),
             retry: RetryPolicy::default(),
+            scratch: Vec::new(),
         })
     }
 
@@ -226,9 +233,11 @@ impl CheckpointStore {
     /// silently treated as empty.
     pub fn manifest(&self) -> StorageResult<Option<Manifest>> {
         let path = self.dir.join(MANIFEST_NAME);
-        let Some(doc) = fault::read_to_string_opt(&path)? else {
+        let Some(bytes) = fault::read_bytes_opt(&path)? else {
             return Ok(None);
         };
+        let doc = String::from_utf8(bytes)
+            .map_err(|_| StorageError::PersistFormat("manifest is not UTF-8".to_string()))?;
         let manifest: Manifest =
             serde_json::from_str(&doc).map_err(|e| StorageError::PersistFormat(e.to_string()))?;
         if manifest.version != MANIFEST_VERSION {
@@ -240,14 +249,18 @@ impl CheckpointStore {
         Ok(Some(manifest))
     }
 
-    /// Deserialize the payload a manifest entry points at.
-    pub fn read_payload<T: DeserializeOwned>(&self, entry: &ManifestEntry) -> StorageResult<T> {
-        let doc = fault::read_to_string(
-            &format!("payload {:?}", entry.key),
-            &self.dir.join(&entry.file),
-        )?;
-        serde_json::from_str(&doc)
-            .map_err(|e| StorageError::PersistFormat(format!("payload {:?}: {e}", entry.key)))
+    /// Read the payload a manifest entry points at, verified: the file
+    /// must be exactly one [`codec`] frame whose checksum matches. A
+    /// missing file is [`StorageError::PersistIo`]; any other defect is
+    /// [`StorageError::PersistFormat`].
+    pub fn read_payload(&self, entry: &ManifestEntry) -> StorageResult<Frame> {
+        let what = format!("payload {:?}", entry.key);
+        let bytes = fault::read_bytes_opt(&self.dir.join(&entry.file))?
+            .ok_or_else(|| StorageError::PersistIo(format!("{what}: {} missing", entry.file)))?;
+        Frame::open(bytes, FrameKind::Payload).map_err(|e| match e {
+            StorageError::PersistFormat(m) => StorageError::PersistFormat(format!("{what}: {m}")),
+            other => other,
+        })
     }
 
     /// Absolute path of the redo log a manifest names.
@@ -295,14 +308,16 @@ impl CheckpointWriter<'_> {
         self.reused
     }
 
-    /// Stage `payload` under `key`. Returns `true` when the payload was
-    /// actually (re-)serialized, `false` when the previous epoch's file
-    /// was carried forward because `fingerprint` is unchanged.
-    pub fn put<T: Serialize>(
+    /// Stage a payload under `key`. The fingerprint is compared first:
+    /// when the previous epoch recorded the same one, its file is carried
+    /// forward, `encode` never runs, and this returns `false`. Otherwise
+    /// `encode` appends the payload's body to the buffer it is handed,
+    /// the store frames and writes it, and this returns `true`.
+    pub fn put(
         &mut self,
         key: &str,
         fingerprint: &str,
-        payload: &T,
+        encode: impl FnOnce(&mut Vec<u8>),
     ) -> StorageResult<bool> {
         if let Some(prev) = self
             .prev
@@ -321,9 +336,14 @@ impl CheckpointWriter<'_> {
             }
         }
         let file = payload_file_name(key, self.epoch);
-        let doc =
-            serde_json::to_string(payload).map_err(|e| StorageError::Persist(e.to_string()))?;
-        self.write_with_injection(&file, doc.as_bytes())?;
+        let mut buf = std::mem::take(&mut self.store.scratch);
+        buf.clear();
+        let start = codec::begin_frame(&mut buf);
+        encode(&mut buf);
+        codec::end_frame(&mut buf, start, FrameKind::Payload);
+        let written = self.write_with_injection(&file, &buf);
+        self.store.scratch = buf;
+        written?;
         self.entries.push(ManifestEntry {
             key: key.to_string(),
             file,
@@ -451,6 +471,15 @@ impl CheckpointWriter<'_> {
 mod tests {
     use super::*;
 
+    fn ints(vals: &[i64]) -> impl FnOnce(&mut Vec<u8>) + '_ {
+        move |buf| codec::put_ints(buf, vals)
+    }
+
+    fn read_ints(store: &CheckpointStore, entry: &ManifestEntry) -> Vec<i64> {
+        let frame = store.read_payload(entry).unwrap();
+        codec::Reader::new(frame.body()).ints().unwrap()
+    }
+
     fn tmp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("dbcracker-ckpt-{name}-{}", std::process::id()));
@@ -465,15 +494,15 @@ mod tests {
         assert!(store.manifest().unwrap().is_none());
         let mut w = store.begin().unwrap();
         assert_eq!(w.epoch(), 1);
-        assert!(w.put("col/a", "f1", &vec![1i64, 2, 3]).unwrap());
-        assert!(w.put("col/b", "f9", &vec![9i64]).unwrap());
+        assert!(w.put("col/a", "f1", ints(&[1, 2, 3])).unwrap());
+        assert!(w.put("col/b", "f9", ints(&[9])).unwrap());
         let m = w.commit().unwrap();
         assert_eq!(m.epoch, 1);
         assert_eq!(m.log, "wal.1.log");
         assert!(store.log_path(&m).exists());
         let m2 = store.manifest().unwrap().unwrap();
         assert_eq!(m, m2);
-        let a: Vec<i64> = store.read_payload(m2.entry("col/a").unwrap()).unwrap();
+        let a = read_ints(&store, m2.entry("col/a").unwrap());
         assert_eq!(a, vec![1, 2, 3]);
         fs::remove_dir_all(dir).ok();
     }
@@ -483,18 +512,18 @@ mod tests {
         let dir = tmp_dir("reuse");
         let mut store = CheckpointStore::open(&dir).unwrap();
         let mut w = store.begin().unwrap();
-        w.put("col/a", "f1", &vec![1i64, 2]).unwrap();
-        w.put("col/b", "f1", &vec![5i64]).unwrap();
+        w.put("col/a", "f1", ints(&[1, 2])).unwrap();
+        w.put("col/b", "f1", ints(&[5])).unwrap();
         let m1 = w.commit().unwrap();
         let file_a = m1.entry("col/a").unwrap().file.clone();
 
         let mut w = store.begin().unwrap();
         assert!(
-            !w.put("col/a", "f1", &vec![1i64, 2]).unwrap(),
+            !w.put("col/a", "f1", ints(&[1, 2])).unwrap(),
             "clean: reused"
         );
         assert!(
-            w.put("col/b", "f2", &vec![6i64]).unwrap(),
+            w.put("col/b", "f2", ints(&[6])).unwrap(),
             "dirty: rewritten"
         );
         assert_eq!(w.reused(), 1);
@@ -508,8 +537,35 @@ mod tests {
         // Old epoch's b-payload and log were garbage-collected.
         assert!(!dir.join(&m1.entry("col/b").unwrap().file).exists());
         assert!(!dir.join(&m1.log).exists());
-        let b: Vec<i64> = store.read_payload(m2.entry("col/b").unwrap()).unwrap();
+        let b = read_ints(&store, m2.entry("col/b").unwrap());
         assert_eq!(b, vec![6]);
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_clean_epoch_runs_no_encoder() {
+        let dir = tmp_dir("encoder-calls");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let calls = std::cell::Cell::new(0);
+        let counted = |v: i64| {
+            let calls = &calls;
+            move |buf: &mut Vec<u8>| {
+                calls.set(calls.get() + 1);
+                codec::put_ints(buf, &[v]);
+            }
+        };
+        let mut w = store.begin().unwrap();
+        w.put("col/a", "f1", counted(1)).unwrap();
+        w.put("col/b", "f1", counted(2)).unwrap();
+        w.commit().unwrap();
+        assert_eq!(calls.get(), 2, "a first epoch encodes every payload");
+        calls.set(0);
+        let mut w = store.begin().unwrap();
+        w.put("col/a", "f1", counted(1)).unwrap();
+        w.put("col/b", "f1", counted(2)).unwrap();
+        let m = w.commit().unwrap();
+        assert_eq!(calls.get(), 0, "a clean epoch encodes nothing");
+        assert_eq!(read_ints(&store, m.entry("col/b").unwrap()), vec![2]);
         fs::remove_dir_all(dir).ok();
     }
 
@@ -518,11 +574,11 @@ mod tests {
         let dir = tmp_dir("dropped");
         let mut store = CheckpointStore::open(&dir).unwrap();
         let mut w = store.begin().unwrap();
-        w.put("col/a", "f1", &1i64).unwrap();
-        w.put("col/b", "f1", &2i64).unwrap();
+        w.put("col/a", "f1", ints(&[1])).unwrap();
+        w.put("col/b", "f1", ints(&[2])).unwrap();
         w.commit().unwrap();
         let mut w = store.begin().unwrap();
-        w.put("col/a", "f1", &1i64).unwrap();
+        w.put("col/a", "f1", ints(&[1])).unwrap();
         let m = w.commit().unwrap();
         assert!(m.entry("col/b").is_none());
         fs::remove_dir_all(dir).ok();
@@ -533,7 +589,7 @@ mod tests {
         let dir = tmp_dir("gc-foreign");
         let mut store = CheckpointStore::open(&dir).unwrap();
         let mut w = store.begin().unwrap();
-        w.put("col/a", "f1", &vec![1i64]).unwrap();
+        w.put("col/a", "f1", ints(&[1])).unwrap();
         let m1 = w.commit().unwrap();
         // Foreign files a caller colocates in the directory — including
         // .json/.log/.tmp names that the old suffix-based GC destroyed.
@@ -543,7 +599,7 @@ mod tests {
         }
         // Dirty payload forces a rewrite, making epoch 1's file stale.
         let mut w = store.begin().unwrap();
-        w.put("col/a", "f2", &vec![2i64]).unwrap();
+        w.put("col/a", "f2", ints(&[2])).unwrap();
         let m2 = w.commit().unwrap();
         for f in &foreign {
             assert!(dir.join(f).exists(), "GC must not delete foreign {f}");
@@ -588,14 +644,14 @@ mod tests {
         let dir = tmp_dir("crash");
         let mut store = CheckpointStore::open(&dir).unwrap();
         let mut w = store.begin().unwrap();
-        w.put("col/a", "v1", &vec![1i64]).unwrap();
+        w.put("col/a", "v1", ints(&[1])).unwrap();
         let m1 = w.commit().unwrap();
         for k in 0..32 {
             store.set_crash_after(k);
             let attempt = (|| -> StorageResult<Manifest> {
                 let mut w = store.begin()?;
-                w.put("col/a", "v2", &vec![2i64])?;
-                w.put("col/c", "v1", &vec![3i64])?;
+                w.put("col/a", "v2", ints(&[2]))?;
+                w.put("col/c", "v1", ints(&[3]))?;
                 w.commit()
             })();
             store.clear_crash_after();
@@ -604,13 +660,13 @@ mod tests {
                     // Crashed: epoch 1 must still be the durable state.
                     let m = store.manifest().unwrap().unwrap();
                     assert_eq!(m, m1, "crash at op {k} corrupted the manifest");
-                    let a: Vec<i64> = store.read_payload(m.entry("col/a").unwrap()).unwrap();
+                    let a = read_ints(&store, m.entry("col/a").unwrap());
                     assert_eq!(a, vec![1], "crash at op {k} corrupted a payload");
                     assert!(store.log_path(&m).exists(), "crash at op {k} lost the log");
                 }
                 Ok(m) => {
                     // The countdown outlived the commit: fully durable.
-                    let a: Vec<i64> = store.read_payload(m.entry("col/a").unwrap()).unwrap();
+                    let a = read_ints(&store, m.entry("col/a").unwrap());
                     assert_eq!(a, vec![2]);
                     assert!(k >= 7, "a full 2-payload commit takes at least 8 ops");
                     break;
@@ -633,16 +689,79 @@ mod tests {
     }
 
     #[test]
+    fn manifest_decode_is_total() {
+        // Every truncation of a valid manifest, every single-bit flip of
+        // it, and arbitrary bytes: a typed error or a manifest, never a
+        // panic. (JSON carries no checksum, so a flip inside a string can
+        // still parse; the payloads it names are checksummed.)
+        let dir = tmp_dir("manifest-total");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut w = store.begin().unwrap();
+        w.put("col/a", "f1", ints(&[1])).unwrap();
+        w.commit().unwrap();
+        let good = fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        let mut inputs: Vec<Vec<u8>> = (0..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        for bit in 0..good.len() * 8 {
+            let mut flipped = good.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            inputs.push(flipped);
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..64 {
+            inputs.push(
+                (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x as u8
+                    })
+                    .collect(),
+            );
+        }
+        for bytes in inputs {
+            fs::write(dir.join(MANIFEST_NAME), &bytes).unwrap();
+            let got = store.manifest();
+            assert!(
+                matches!(got, Ok(_) | Err(StorageError::PersistFormat(_))),
+                "{got:?} from {bytes:?}"
+            );
+        }
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_payload_bit_is_refused_by_the_checksum() {
+        let dir = tmp_dir("flip");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut w = store.begin().unwrap();
+        w.put("col/a", "f1", ints(&[10, 20, 30])).unwrap();
+        let m = w.commit().unwrap();
+        let path = dir.join(&m.entry("col/a").unwrap().file);
+        let mut bytes = fs::read(&path).unwrap();
+        // The last offset of the array, the value 30, becomes 31.
+        let last = bytes.len() - codec::TRAILER_LEN - 1;
+        bytes[last] ^= 1;
+        fs::write(&path, &bytes).unwrap();
+        let err = store.read_payload(m.entry("col/a").unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::PersistFormat(msg) if msg.contains("checksum")),
+            "{err}"
+        );
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn missing_payload_is_an_io_error() {
         let dir = tmp_dir("missing");
         let store = CheckpointStore::open(&dir).unwrap();
         let entry = ManifestEntry {
             key: "col/a".into(),
-            file: "nope.json".into(),
+            file: "nope.bin".into(),
             fingerprint: "f".into(),
         };
         assert!(matches!(
-            store.read_payload::<Vec<i64>>(&entry).unwrap_err(),
+            store.read_payload(&entry).unwrap_err(),
             StorageError::PersistIo(_)
         ));
         fs::remove_dir_all(dir).ok();
@@ -658,10 +777,10 @@ mod tests {
             .injector_mut()
             .arm(fault::CKPT_PAYLOAD_WRITE, 0, FaultKind::Eio, 1);
         let mut w = store.begin().unwrap();
-        w.put("col/a", "f1", &vec![7i64, 8]).unwrap();
+        w.put("col/a", "f1", ints(&[7, 8])).unwrap();
         let m = w.commit().unwrap();
         assert_eq!(store.faults_injected(), 1, "the armed fault fired");
-        let a: Vec<i64> = store.read_payload(m.entry("col/a").unwrap()).unwrap();
+        let a = read_ints(&store, m.entry("col/a").unwrap());
         assert_eq!(a, vec![7, 8], "retried write landed the full payload");
         fs::remove_dir_all(dir).ok();
     }
@@ -676,11 +795,11 @@ mod tests {
             .injector_mut()
             .arm(fault::CKPT_PAYLOAD_WRITE, 0, FaultKind::ShortWrite, 1);
         let mut w = store.begin().unwrap();
-        w.put("col/a", "f1", &vec![1i64, 2, 3, 4, 5]).unwrap();
+        w.put("col/a", "f1", ints(&[1, 2, 3, 4, 5])).unwrap();
         let m = w.commit().unwrap();
         // The retry recreated the temp file from scratch, so the torn
         // half-write cannot have leaked into the durable payload.
-        let a: Vec<i64> = store.read_payload(m.entry("col/a").unwrap()).unwrap();
+        let a = read_ints(&store, m.entry("col/a").unwrap());
         assert_eq!(a, vec![1, 2, 3, 4, 5]);
         fs::remove_dir_all(dir).ok();
     }
@@ -691,7 +810,7 @@ mod tests {
         let dir = tmp_dir("retry-exhaust");
         let mut store = CheckpointStore::open(&dir).unwrap();
         let mut w = store.begin().unwrap();
-        w.put("col/a", "f1", &vec![1i64]).unwrap();
+        w.put("col/a", "f1", ints(&[1])).unwrap();
         let m1 = w.commit().unwrap();
         // Epoch 2: the manifest fsync fails more times than the policy
         // tolerates, so the commit must fail transiently — and epoch 1
@@ -701,13 +820,13 @@ mod tests {
             .injector_mut()
             .arm(fault::CKPT_MANIFEST_FSYNC, 0, FaultKind::FsyncFail, 10);
         let mut w = store.begin().unwrap();
-        w.put("col/a", "f2", &vec![2i64]).unwrap();
+        w.put("col/a", "f2", ints(&[2])).unwrap();
         let err = w.commit().unwrap_err();
         assert!(err.is_transient(), "{err}");
         store.injector_mut().disarm_all();
         let m = store.manifest().unwrap().unwrap();
         assert_eq!(m, m1, "failed commit must not move the manifest");
-        let a: Vec<i64> = store.read_payload(m.entry("col/a").unwrap()).unwrap();
+        let a = read_ints(&store, m.entry("col/a").unwrap());
         assert_eq!(a, vec![1]);
         fs::remove_dir_all(dir).ok();
     }
@@ -722,7 +841,7 @@ mod tests {
             .injector_mut()
             .arm(fault::CKPT_PAYLOAD_WRITE, 0, FaultKind::Enospc, 1);
         let mut w = store.begin().unwrap();
-        let err = w.put("col/a", "f1", &vec![1i64]).unwrap_err();
+        let err = w.put("col/a", "f1", ints(&[1])).unwrap_err();
         assert!(matches!(err, StorageError::DiskFull(_)), "{err}");
         drop(w);
         assert_eq!(

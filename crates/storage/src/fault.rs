@@ -310,10 +310,10 @@ const fn libc_enospc() -> i32 {
 // stays airtight.
 // ---------------------------------------------------------------------
 
-/// Read `path` to a string, mapping absence to `None`.
-pub fn read_to_string_opt(path: &Path) -> StorageResult<Option<String>> {
-    match std::fs::read_to_string(path) {
-        Ok(doc) => Ok(Some(doc)),
+/// Read `path` to bytes, mapping absence to `None`.
+pub fn read_bytes_opt(path: &Path) -> StorageResult<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(StorageError::PersistIo(e.to_string())),
     }

@@ -32,6 +32,7 @@
 //!   checkpoints (manifest + per-key payload files) and an append-only redo
 //!   log for the pending-update overlay, so crack state recovers *warm*
 //!   after a crash (protocol in `PERSISTENCE.md` at the repository root);
+//!   [`codec`] is the checksummed binary format both write;
 //! * [`page`] / [`pool`] / [`paged`] — the disk-block layer: fixed-size
 //!   pages on a simulated disk, a CLOCK buffer pool with IO counters, and
 //!   a paged integer column — the substrate that makes §3.4.2's
@@ -46,6 +47,7 @@ pub mod accel;
 pub mod bat;
 pub mod catalog;
 pub mod checkpoint;
+pub mod codec;
 pub mod error;
 pub mod fault;
 pub mod heap;
