@@ -1,8 +1,8 @@
 //! Ablations over the cracker design knobs: crack-in-three vs. two
 //! successive crack-in-twos, the cut-off granule, the piece-budget fusion
 //! policies, and the kernel axis — the scalar and SIMD kernels across
-//! cold-crack (including a memory-spanning 1M-tuple shape, the vector
-//! kernels' home turf), crack_select-shaped, and scenario_mix-shaped
+//! cold-crack (including memory-spanning 1M- and 2M-tuple shapes, the
+//! vector kernels' home turf), crack_select-shaped, and scenario_mix-shaped
 //! workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
 //! measures the scalar loops a second time. The `ablation_merge` legs time
 //! one update merge of staged inserts or staged deletes.
@@ -182,6 +182,35 @@ fn kernel_cold_crack_two_large(c: &mut Criterion) {
     g.finish();
 }
 
+/// Both kernels on a cold crack-in-three over a virgin 2M-tuple piece at a
+/// 0.1 % window — the e2e `cold_start` workload's first crack, where the
+/// vector kernel's two in-place passes run over memory the column has
+/// only just filled.
+fn kernel_cold_crack_three_large(c: &mut Criterion) {
+    let n_large = if smoke() { 300_000 } else { 2_000_000 };
+    let lo = n_large as i64 / 2;
+    let hi = lo + n_large as i64 / 1_000;
+    let mut g = c.benchmark_group("ablation_kernel_cold_crack_three_large");
+    g.sample_size(20);
+    for (label, kernel) in KERNELS {
+        let cfg = CrackerConfig::new().with_kernel(kernel);
+        let ctr = std::cell::Cell::new(0u64);
+        g.bench_function(label, |b| {
+            b.iter_batched(
+                || {
+                    let seed = 0x3C01D + ctr.get();
+                    ctr.set(ctr.get() + 1);
+                    let vals = Tapestry::generate(n_large, 1, seed).column(0).to_vec();
+                    CrackerColumn::with_config(vals, cfg)
+                },
+                |mut col| col.select(RangePred::between(lo, hi)),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 /// Both kernels over a full crack_select-shaped query sequence
 /// (the strolling MQS profile): cold cracks up front, boundary reuse and
 /// ever-smaller pieces toward the tail. Fresh data per sample, same
@@ -340,6 +369,7 @@ criterion_group!(
     kernel_cold_crack,
     kernel_cold_crack_two,
     kernel_cold_crack_two_large,
+    kernel_cold_crack_three_large,
     kernel_crack_select,
     kernel_scenario_mix,
     merge

@@ -453,7 +453,7 @@ impl<T: CrackValue> CrackerColumn<T> {
             }
         });
 
-        // Single-pass crack-in-three: both boundaries are new and land in
+        // Crack-in-three: both boundaries are new and land in
         // the same virgin piece.
         if let (Some(k1), Some(k2)) = (start_key, end_key) {
             if self.config.mode == crate::config::CrackMode::ThreeWay

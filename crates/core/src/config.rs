@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub enum CrackMode {
     /// Two successive two-way cracks (one per bound).
     TwoWay,
-    /// A single-pass three-way partition when both bounds land in the same
+    /// One three-way partition when both bounds land in the same
     /// piece — the paper's "second version \[of\] selection-cracking that
     /// yields three pieces" (§3.1).
     ThreeWay,
@@ -42,7 +42,7 @@ pub enum FusionPolicy {
 /// Tuning knobs for a [`crate::column::CrackerColumn`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CrackerConfig {
-    /// Two-way vs. single-pass three-way cracking for range predicates.
+    /// Two-way vs. three-way cracking for range predicates.
     pub mode: CrackMode,
     /// Pieces at or below this size are never cracked further; the residual
     /// filtering is done by scanning inside the piece. Models the paper's

@@ -27,14 +27,14 @@
 //! which cracking never observes (pieces are unordered sets). Two-way
 //! `moved` is identical bit for bit: the canonical crossing-pair count, 2
 //! per pair, i.e. the number of tuples that were not already inside their
-//! destination piece. Three-way `moved` is the one documented difference:
-//! the scalar Dutch-flag sweep counts its *swaps* (trace-defined:
-//! middle-class tuples shuffle along repeatedly), the vector
-//! compress-scatter reports the **destination-displacement count** — the
-//! two-way semantics — because reproducing the swap count would mean
-//! simulating the scalar sweep. Each is deterministic and pinned by an
-//! oracle in the equivalence suites; a three-way crack the vector kernel
-//! declines reports the scalar count.
+//! destination piece. Three-way `moved` is trace-defined for both kernels,
+//! and so differs between them: the scalar Dutch-flag sweep counts 2 per
+//! *swap* (middle-class tuples may shuffle along repeatedly). The vector
+//! kernel is one of two traces. On a middle-dominant piece, or one it
+//! declines, it is the scalar sweep, swap count and all. Otherwise it is
+//! two vector two-way cracks, `k1` over the piece and then `k2` over its
+//! right part, and `moved` is the sum of their crossing-pair counts. Both
+//! routes are pinned bit for bit in this module's proptests.
 //!
 //! # The selection rule
 //!
@@ -57,10 +57,11 @@
 //! one, and no sampled balance probe decides between the kernels. The one
 //! data-dependent route left is exact, not sampled, and lives in
 //! `simd::crack_three`: its counting pass already fixes the class
-//! populations, and when ≥ 7/8 of a piece stays in the middle region
-//! (every crack of a contracting sequence) the data movement is handed to
-//! the scalar sweep, which never moves a middle-class tuple, while the
-//! displacement `moved` is still computed exactly.
+//! populations, and when ≥ 9/10 of a piece stays in the middle region
+//! (every crack of a contracting sequence) the crack is the scalar sweep,
+//! which never moves a middle-class tuple, rather than two vector passes
+//! that each rewrite their whole range (`simd::SWEEP_SHARE` holds the
+//! measurement).
 
 use crate::crack::{self, BoundaryKey};
 use crate::pred::RangePred;
@@ -147,11 +148,12 @@ impl CrackKernel {
         crack::crack_two(vals, oids, lo, hi, key, moved)
     }
 
-    /// Single-pass three-way partition of `vals[lo..hi]` around `k1 ≤ k2`;
+    /// Three-way in-place partition of `vals[lo..hi]` around `k1 ≤ k2`;
     /// returns the absolute `(p1, p2)` split positions. Both kernels
-    /// produce the same splits and per-piece multisets; the scalar sweep
-    /// reports its swap count as `moved`, the vector kernel the canonical
-    /// destination-displacement count (see the module docs).
+    /// produce the same splits and per-piece multisets; `moved` is
+    /// trace-defined: the scalar sweep's swap count, or for the vector
+    /// kernel's two-pass route the two passes' crossing-pair counts (see
+    /// the module docs).
     // Mirrors `crack::crack_three`'s signature plus the receiver.
     #[allow(clippy::too_many_arguments)]
     #[inline]
@@ -375,26 +377,22 @@ mod tests {
         }
         assert_eq!(results[0], results[1]);
 
-        // The one guard left: a middle-dominant three-way crack (≥ 7/8 of
-        // the piece stays put) hands its data movement to the scalar
-        // sweep — same arrangement as the scalar kernel — while `moved`
-        // stays the exact displacement count.
+        // The one guard left: a middle-dominant three-way crack (≥ 9/10
+        // of the piece stays put) is the scalar sweep — same arrangement,
+        // same swap-count `moved` as the scalar kernel.
         let (k1, k2) = (
             BoundaryKey::lt(n as i64 / 100),
             BoundaryKey::le(n as i64 - n as i64 / 100),
         );
-        let mut arrangements = Vec::new();
+        let mut traces = Vec::new();
         for k in KERNELS {
             let mut v = vals.clone();
             let mut o: Vec<u32> = (0..n as u32).collect();
             let mut moved = 0u64;
-            let (p1, p2) = k.crack_three(&mut v, &mut o, 0, n, k1, k2, &mut moved);
-            if k == CrackKernel::Simd && simd_supported() {
-                assert_eq!(moved, displaced_oracle(&vals, 0, n, k1, k2, p1, p2));
-            }
-            arrangements.push((p1, p2, v, o));
+            let splits = k.crack_three(&mut v, &mut o, 0, n, k1, k2, &mut moved);
+            traces.push((splits, v, o, moved));
         }
-        assert_eq!(arrangements[0], arrangements[1]);
+        assert_eq!(traces[0], traces[1]);
     }
 
     #[test]
@@ -432,7 +430,8 @@ mod tests {
 
     /// The canonical destination-displacement count for a three-way
     /// partition of `vals[lo..hi)`: tuples whose original position lies
-    /// outside the region their class ends up in.
+    /// outside the region their class ends up in. With `k1 == k2` and
+    /// `p1 == p2` it is the two-way count.
     fn displaced_oracle(
         vals: &[i64],
         lo: usize,
@@ -576,53 +575,73 @@ mod tests {
             }
         }
 
-        /// The vector three-way partition, driven directly at sizes that
-        /// clear its floor: splits and multisets match scalar, and its
-        /// `moved` equals the destination-displacement oracle.
+        /// The vector three-way crack is, bit for bit, one of two traces:
+        /// on a middle-dominant piece (or one the vector path declines)
+        /// the scalar sweep, otherwise `Simd.crack_two(k1)` over the
+        /// piece followed by `Simd.crack_two(k2)` over its right part —
+        /// same splits, arrangement, OIDs and `moved`. The sweep's swap
+        /// count is at least the destination-displacement count; each
+        /// vector pass's `moved` is exactly the two-way displacement of
+        /// that pass's input. (The sum of the two can fall short of the
+        /// three-way displacement: the first pass rearranges the right
+        /// part before the second sees it.) `squeeze` pulls both keys
+        /// toward the ends so the sweep route is drawn often; `edge` 1 / 2
+        /// moves `k1` below / `k2` above every value, so the left
+        /// (`c1 == 0`) / right (`c3 == 0`) region is empty; `n` straddles
+        /// `SIMD_MIN` for both the piece and the second pass.
         #[test]
-        fn prop_simd_crack_three_moved_is_the_displacement_count(
+        fn prop_simd_crack_three_is_the_sweep_or_two_vector_cracks(
             seed in 0u64..1000,
-            n in 64usize..600,
+            n in 64usize..1200,
             fa in 0.0f64..1.0,
             fb in 0.0f64..1.0,
+            squeeze in proptest::bool::ANY,
+            edge in 0u8..6,
             lte1 in proptest::bool::ANY,
             lte2 in proptest::bool::ANY,
         ) {
             let vals = pseudo_random(n, seed ^ 0xC0FFEE);
             let mut sorted = vals.clone();
             sorted.sort_unstable();
-            let (va, vb) = (
-                sorted[((fa * (n - 1) as f64) as usize).min(n - 1)],
-                sorted[((fb * (n - 1) as f64) as usize).min(n - 1)],
-            );
-            let (k1, k2) = keys(va, lte1, vb, lte2);
-            let mut sv = vals.clone();
-            let mut so: Vec<u32> = (0..n as u32).collect();
-            let mut sm = 0u64;
-            let scalar = crack::crack_three(&mut sv, &mut so, 0, n, k1, k2, &mut sm);
-            let mut xv = vals.clone();
-            let mut xo: Vec<u32> = (0..n as u32).collect();
-            let mut xm = 0u64;
-            // Drive the vector path directly; on hosts without AVX2 the
-            // dispatch returns None and there is nothing to pin.
-            if let Some((p1, p2)) = simd::crack_three(&mut xv, &mut xo, 0, n, k1, k2, &mut xm) {
-                prop_assert_eq!(scalar, (p1, p2), "split pair diverged");
+            let (fa, fb) = if squeeze { (fa * 0.1, 1.0 - fb * 0.1) } else { (fa, fb) };
+            let pick = |f: f64| sorted[((f * (n - 1) as f64) as usize).min(n - 1)];
+            let (a, b) = match edge {
+                1 => (i64::MIN, pick(fb)),
+                2 => (pick(fa), i64::MAX),
+                _ => (pick(fa), pick(fb)),
+            };
+            let (k1, k2) = keys(a, lte1, b, lte2);
+            let c1 = vals.iter().filter(|&&x| k1.before(x)).count();
+            let c3 = vals.iter().filter(|&&x| !k2.before(x)).count();
+            let sweep = !simd_supported()
+                || n < simd::SIMD_MIN
+                || (c1 + c3) * simd::SWEEP_SHARE <= n;
+
+            let fresh = || (vals.clone(), (0..n as u32).collect::<Vec<u32>>(), 0u64);
+            let (mut wv, mut wo, mut wm) = fresh();
+            let want = if sweep {
+                let splits =
+                    CrackKernel::Scalar.crack_three(&mut wv, &mut wo, 0, n, k1, k2, &mut wm);
+                prop_assert!(wm >= displaced_oracle(&vals, 0, n, k1, k2, splits.0, splits.1));
+                splits
+            } else {
+                let p1 = CrackKernel::Simd.crack_two(&mut wv, &mut wo, 0, n, k1, &mut wm);
+                prop_assert_eq!(wm, displaced_oracle(&vals, 0, n, k1, k1, p1, p1));
+                let mid = wv.clone();
+                let p2 = CrackKernel::Simd.crack_two(&mut wv, &mut wo, p1, n, k2, &mut wm);
                 prop_assert_eq!(
-                    xm,
-                    displaced_oracle(&vals, 0, n, k1, k2, p1, p2),
-                    "SIMD three-way moved must be the displacement count"
+                    wm,
+                    displaced_oracle(&vals, 0, n, k1, k1, p1, p1)
+                        + displaced_oracle(&mid, p1, n, k2, k2, p2, p2)
                 );
-                for (i, &oid) in xo.iter().enumerate() {
-                    prop_assert_eq!(xv[i], vals[oid as usize]);
-                }
-                for (a, b) in [(0, p1), (p1, p2), (p2, n)] {
-                    let mut got: Vec<i64> = xv[a..b].to_vec();
-                    let mut want: Vec<i64> = sv[a..b].to_vec();
-                    got.sort_unstable();
-                    want.sort_unstable();
-                    prop_assert_eq!(got, want, "region multiset diverged");
-                }
-            }
+                (p1, p2)
+            };
+            let (mut xv, mut xo, mut xm) = fresh();
+            let got = CrackKernel::Simd.crack_three(&mut xv, &mut xo, 0, n, k1, k2, &mut xm);
+            prop_assert_eq!(got, want, "split pair diverged (sweep route: {})", sweep);
+            prop_assert_eq!(&xv, &wv, "arrangement diverged (sweep route: {})", sweep);
+            prop_assert_eq!(&xo, &wo, "OIDs diverged (sweep route: {})", sweep);
+            prop_assert_eq!(xm, wm, "moved diverged (sweep route: {})", sweep);
         }
 
         /// Scan kernels emit identical position lists for arbitrary

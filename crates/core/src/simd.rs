@@ -16,7 +16,8 @@
 //!
 //! * **Two-way partition** (`crack_two`): a counting pass (vector
 //!   compare + lane-popcount) fixes the split position up front, then a
-//!   block-bidirectional in-place compress partition walks both ends
+//!   block-bidirectional in-place compress partition
+//!   (`partition_two_avx2`, which takes the split) walks both ends
 //!   inward: one block from each end is buffered to open write room,
 //!   each iteration reads a 32-tuple block from whichever side has less
 //!   free space (one amortized, rather than per-chunk, branch) and
@@ -32,24 +33,19 @@
 //!   high→low so its stores chase its loads); the two buffered blocks
 //!   and the `len % 32` tail are placed scalarly at the end, when the
 //!   remaining free space exactly fits them.
-//! * **Three-way partition** (`crack_three`): a counting pass (two
-//!   compares per chunk) fixes both split positions, then one pass
-//!   compress-scatters each class into three thread-local scratch
-//!   regions (each padded by one register so full-width stores stay in
-//!   bounds) which are copied back contiguously. Middle-dominant pieces
-//!   (≥ 7/8 of the tuples staying put, the shape every contracting
-//!   query sequence produces) skip the scatter: the counting pass has
-//!   already fixed the exact class populations, so the data movement is
-//!   delegated to the scalar sweep — which never moves a middle-class
-//!   tuple — while two small extra counts over the outer regions
-//!   recover the displacement total. `moved` is always the canonical
-//!   destination-displacement count — the number of tuples that were
-//!   not already inside their destination piece, the same accounting
-//!   the two-way kernels report. The scalar three-way sweep counts
-//!   Dutch-flag *swaps* instead, which can exceed the displacement count
-//!   (middle-class tuples shuffle along multiple times), so three-way
-//!   `moved` is pinned per kernel, not across the two; see the `kernel`
-//!   module docs.
+//! * **Three-way partition** (`crack_three`): one counting pass (two
+//!   compares per chunk) fixes both split positions, then two in-place
+//!   two-way partitions run with those splits passed in: `[lo, hi)` at
+//!   `k1`, then `[split1, hi)` at `k2`. No scratch is allocated. The
+//!   trace, `moved` included, is the trace of `crack_two(k1)` followed by
+//!   `crack_two(k2)`, and a second pass shorter than [`SIMD_MIN`] runs
+//!   the scalar two-way loop as `crack_two` would. Middle-dominant pieces
+//!   (at most `1 /` [`SWEEP_SHARE`] of the tuples leaving the middle
+//!   region, the shape every contracting query sequence produces) run
+//!   the scalar Dutch-flag sweep instead: it never moves a middle-class
+//!   tuple, and the counting pass has already told exactly which case
+//!   this is. That route reports the sweep's swap count as `moved`; see
+//!   the `kernel` module docs.
 //! * **Residual scan** (`scan_into`): 4-lane predicate masks
 //!   (lower/upper bound compares folded into one nibble) with a
 //!   fast path for all-matching chunks.
@@ -85,8 +81,30 @@ use std::arch::x86_64::*;
 /// Pieces below this many tuples never take a vector kernel: the fixed
 /// costs (block buffering, scalar flush) outweigh the lane win, and the
 /// scalar loop's branches recover fast on a cache-resident piece. Must
-/// stay ≥ two partition blocks plus a tail (see `crack_two_avx2`).
+/// stay ≥ two partition blocks plus a tail (see `partition_two_avx2`).
 pub(crate) const SIMD_MIN: usize = 128;
+
+/// Middle-dominance guard of the three-way crack: when at most
+/// `1 / SWEEP_SHARE` of a piece leaves the middle region, the crack is the
+/// scalar sweep, not the two vector passes. The sweep reads the piece
+/// once and pays a branch miss and a swap per outer tuple; each vector
+/// pass rewrites its whole range. Two-pass time ÷ sweep time on one fresh
+/// random piece, outer tuples split evenly between the two sides, medians
+/// of 15 interleaved runs on a 2-vCPU AVX2 Xeon VM:
+///
+/// | middle share | 16 k | 64 k | 200 k | 1 M | 2 M |
+/// |---|---|---|---|---|---|
+/// | 85 % | 0.71 | 0.67 | 0.68 | 0.88 | 0.93 |
+/// | 87.5 % | 0.80 | 0.73 | 0.79 | 0.92 | 1.05 |
+/// | 90 % | 0.92 | 0.84 | 0.89 | 0.93 | 1.24 |
+/// | 95 % | 1.28 | 1.28 | 1.41 | 1.45 | 1.61 |
+/// | 99 % | 2.28 | 1.85 | 1.85 | 1.85 | 1.54 |
+///
+/// Over four such runs the 90 % row read 0.84–1.16 up to 1 M and
+/// 0.92–1.28 at 2 M: the crossover is ~90 % middle at every size. A
+/// one-sided piece (`c1` or `c3` zero) runs one vector pass, not two, and
+/// breaks even near 97 %; it is not special-cased.
+pub(crate) const SWEEP_SHARE: usize = 10;
 
 /// True when the running CPU has the vector tier: AVX2 `vpcmpgtq` /
 /// `vpermd` plus `popcnt`. (`is_x86_feature_detected!` caches its answer,
@@ -176,13 +194,17 @@ pub(crate) fn crack_two<T: CrackValue>(
         let (pivot, lte) = key_bits(key, flip);
         debug_assert!(lo <= hi && hi <= lanes.len() && lanes.len() == oids.len());
         // SAFETY: `available()` proved AVX2 and popcnt are present on
-        // this CPU; bounds are asserted above.
+        // this CPU; bounds are asserted above, and the split handed to the
+        // partition is the exact count of "before" tuples in `lo..hi`.
         unsafe {
-            Some(if lte {
-                crack_two_avx2::<true>(lanes, oids, lo, hi, pivot, flip, moved)
-            } else {
-                crack_two_avx2::<false>(lanes, oids, lo, hi, pivot, flip, moved)
-            })
+            let split = lo
+                + if lte {
+                    count_before_avx2::<true>(lanes, lo, hi, pivot, flip)
+                } else {
+                    count_before_avx2::<false>(lanes, lo, hi, pivot, flip)
+                };
+            partition_two(lanes, oids, lo, hi, split, (pivot, lte), flip, moved);
+            Some(split)
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -192,10 +214,11 @@ pub(crate) fn crack_two<T: CrackValue>(
     }
 }
 
-/// Vector three-way partition entry point: `Some((p1, p2))`
-/// or `None` to fall back. Splits and per-piece multisets match the
-/// scalar sweep; `moved` is incremented by the canonical
-/// destination-displacement count (see the module docs).
+/// Vector three-way partition entry point: `Some((p1, p2))` or `None` to
+/// fall back. Splits and per-piece multisets match the scalar sweep. The
+/// result is, bit for bit, one of two traces (see the module docs): the
+/// scalar sweep (middle-dominant pieces) or `crack_two(k1)` over the
+/// piece followed by `crack_two(k2)` over its right part.
 pub(crate) fn crack_three<T: CrackValue>(
     vals: &mut [T],
     oids: &mut [u32],
@@ -210,69 +233,43 @@ pub(crate) fn crack_three<T: CrackValue>(
         if !available() || hi - lo < SIMD_MIN {
             return None;
         }
-        let flip = lane_flip::<T>()?;
-        let (p1v, lte1) = key_bits(k1, flip);
-        let (p2v, lte2) = key_bits(k2, flip);
-        debug_assert!(lo <= hi && hi <= vals.len() && vals.len() == oids.len());
-        // Counting pass: fixes both split positions (and the class
-        // populations) before anything moves.
-        let (c1, c3) = {
-            let (lanes, _) = lanes_mut(vals)?;
-            // SAFETY: AVX2 (and popcnt) verified by `available()`; bounds
-            // asserted above.
-            unsafe { count3_avx2(lanes, lo, hi, p1v, lte1, p2v, lte2, flip) }
-        };
+        let (lanes, flip) = lanes_mut(vals)?;
+        let (p1, p2) = (key_bits(k1, flip), key_bits(k2, flip));
+        debug_assert!(lo <= hi && hi <= lanes.len() && lanes.len() == oids.len());
+        // Counting pass: fixes both split positions before anything moves.
+        // SAFETY: AVX2 (and popcnt) verified by `available()`; bounds
+        // asserted above.
+        let (c1, c3) = unsafe { count3_avx2(lanes, lo, hi, p1, p2, flip) };
         let (split1, split2) = (lo + c1, hi - c3);
         if c1 == 0 && c3 == 0 {
-            // Everything is middle-class: no movement, no displacement.
+            // Everything is middle-class: nothing moves.
             return Some((split1, split2));
         }
-
-        // Middle-dominance guard — exact, not sampled, because the
-        // counting pass has already fixed the class populations.
-        // Contracting query sequences (MQS homerun) crack pieces where
-        // ≥ 7/8 of the
-        // tuples stay in the middle region; the scalar sweep never
-        // moves a middle-class tuple (one cheap pass whose rare
-        // branches predict well), while the compress-scatter would
-        // still push every tuple through scratch and back. Delegate the
-        // data movement to the scalar sweep in the original typed
-        // domain (an i64 sweep over reinterpreted u64 bits would order
-        // the sign bit wrongly), and keep this kernel's
-        // destination-displacement `moved` contract by deriving the
-        // count from the two small outer regions alone: with `a_l`/`a_g`
-        // the L/G-class populations of the final left region and
-        // `c_l`/`c_g` those of the final right region, the mismatches
-        // are `(|left| - a_l) + (|right| - c_g)` in the outer regions
-        // plus the L/G tuples stranded in the middle,
-        // `(c1 - a_l - c_l) + (c3 - a_g - c_g)`.
-        if (c1 + c3) * 8 <= hi - lo {
-            let (a_l, a_g, c_l, c_g) = {
-                let (lanes, _) = lanes_mut(vals)?;
-                // SAFETY: both count ranges are within `lo..hi`.
-                unsafe {
-                    let (a_l, a_g) = count3_avx2(lanes, lo, split1, p1v, lte1, p2v, lte2, flip);
-                    let (c_l, c_g) = count3_avx2(lanes, split2, hi, p1v, lte1, p2v, lte2, flip);
-                    (a_l, a_g, c_l, c_g)
-                }
-            };
-            let displaced =
-                (split1 - lo - a_l) + (hi - split2 - c_g) + (c1 - a_l - c_l) + (c3 - a_g - c_g);
-            let mut swap_moved = 0u64;
-            let splits = crate::crack::crack_three(vals, oids, lo, hi, k1, k2, &mut swap_moved);
+        if (c1 + c3) * SWEEP_SHARE <= hi - lo {
+            // Middle-dominant (see `SWEEP_SHARE`): the scalar sweep, run
+            // in the original typed domain (an i64 sweep over
+            // reinterpreted u64 bits would order the sign bit wrongly).
+            let splits = crate::crack::crack_three(vals, oids, lo, hi, k1, k2, moved);
             debug_assert_eq!(splits, (split1, split2));
-            *moved += displaced as u64;
             return Some(splits);
         }
-
-        let (lanes, _) = lanes_mut(vals)?;
-        // SAFETY: as above; `c1`/`c3` are the exact class populations of
-        // `lanes[lo..hi)` just counted.
+        // Two in-place two-way partitions: `[lo, hi)` at `k1`, then the
+        // rest, `[split1, hi)`, at `k2`. `k1 ≤ k2`, so the "before k2"
+        // tuples of the rest are exactly the middle class and the second
+        // split is `split2`.
+        // SAFETY: as above; `c1` is the exact "before k1" count of
+        // `lo..hi`, and after the first pass `c3` is the exact "after k2"
+        // count of `split1..hi`, which is ≥ `SIMD_MIN` long.
         unsafe {
-            Some(crack_three_avx2(
-                lanes, oids, lo, hi, p1v, lte1, p2v, lte2, flip, c1, c3, moved,
-            ))
+            partition_two(lanes, oids, lo, hi, split1, p1, flip, moved);
+            if hi - split1 >= SIMD_MIN {
+                partition_two(lanes, oids, split1, hi, split2, p2, flip, moved);
+                return Some((split1, split2));
+            }
         }
+        let p = crate::crack::crack_two(vals, oids, split1, hi, k2, moved);
+        debug_assert_eq!(p, split2);
+        Some((split1, split2))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -557,37 +554,61 @@ unsafe fn place_scalar(
     }
 }
 
-/// AVX2 two-way partition of `lanes[lo..hi)` / `oids[lo..hi)`; returns
-/// the split. See the module docs for the algorithm and the in-place
-/// safety argument.
+/// [`partition_two_avx2`] for a compare-domain key `(pivot, lte)`.
 ///
 /// # Safety
-/// Caller guarantees AVX2+popcnt, `lo ≤ hi ≤ lanes.len() == oids.len()`,
-/// and `hi - lo ≥ SIMD_MIN`.
+/// As [`partition_two_avx2`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,popcnt")]
 #[allow(clippy::too_many_arguments)] // kernel entry point: partition state arrives unpacked by design
-unsafe fn crack_two_avx2<const LTE: bool>(
+unsafe fn partition_two(
     lanes: &mut [i64],
     oids: &mut [u32],
     lo: usize,
     hi: usize,
+    split: usize,
+    (pivot, lte): (i64, bool),
+    flip: i64,
+    moved: &mut u64,
+) {
+    // SAFETY: the caller upholds `partition_two_avx2`'s contract.
+    unsafe {
+        if lte {
+            partition_two_avx2::<true>(lanes, oids, lo, hi, split, pivot, flip, moved)
+        } else {
+            partition_two_avx2::<false>(lanes, oids, lo, hi, split, pivot, flip, moved)
+        }
+    }
+}
+
+/// AVX2 two-way partition of `lanes[lo..hi)` / `oids[lo..hi)` around a
+/// split the caller has already counted. See the module docs for the
+/// algorithm and the in-place safety argument.
+///
+/// # Safety
+/// Caller guarantees AVX2+popcnt, `lo ≤ hi ≤ lanes.len() == oids.len()`,
+/// `hi - lo ≥ SIMD_MIN`, and that `split - lo` is the exact number of
+/// "before" tuples in `lanes[lo..hi)`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+#[allow(clippy::too_many_arguments)] // kernel entry point: partition state arrives unpacked by design
+unsafe fn partition_two_avx2<const LTE: bool>(
+    lanes: &mut [i64],
+    oids: &mut [u32],
+    lo: usize,
+    hi: usize,
+    split: usize,
     pivot: i64,
     flip: i64,
     moved: &mut u64,
-) -> usize {
-    // Counting pass: fixes the split up front. The canonical
-    // crossing-pair `moved` (each "before" tuple stranded at or beyond
-    // the split pairs with one "after" tuple stranded below it) is
-    // accumulated inside the partition pass, which sees every tuple's
-    // original position exactly once.
-    // SAFETY: the range is within `lo..hi`.
-    let c = unsafe { count_before_avx2::<LTE>(lanes, lo, hi, pivot, flip) };
-    let split = lo + c;
-    if c == 0 || split == hi {
+) {
+    if split == lo || split == hi {
         // One-sided: nothing can be misplaced, nothing to move.
-        return split;
+        return;
     }
+    // The canonical crossing-pair `moved` (each "before" tuple stranded
+    // at or beyond the split pairs with one "after" tuple stranded below
+    // it) is accumulated inside the pass, which sees every tuple's
+    // original position exactly once.
     let mut misplaced = 0usize;
 
     // Block size: the read side is chosen once per block (one branch
@@ -715,7 +736,6 @@ unsafe fn crack_two_avx2<const LTE: bool>(
     debug_assert_eq!(l_write, r_write);
     debug_assert_eq!(l_write, split);
     *moved += 2 * misplaced as u64;
-    split
 }
 
 /// The 4-bit mask of chunk lanes whose absolute position is `≥ bound`,
@@ -723,96 +743,30 @@ unsafe fn crack_two_avx2<const LTE: bool>(
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn pos_mask_ge(pos: usize, bound: usize) -> usize {
-    0xF & !pos_mask_below(pos, bound)
-}
-
-/// Elements per class buffer the three-way scratch may keep across
-/// cracks (~2 MB values + 1 MB OIDs per class at the cap); larger
-/// allocations are released after the copyback.
-#[cfg(target_arch = "x86_64")]
-const SCRATCH_RETAIN: usize = 262_144;
-
-/// Thread-local scratch for the three-way compress-scatter: one
-/// (values, oids) buffer pair per output class.
-#[cfg(target_arch = "x86_64")]
-struct ThreeWayScratch {
-    vals: [Vec<i64>; 3],
-    oids: [Vec<u32>; 3],
-}
-
-#[cfg(target_arch = "x86_64")]
-thread_local! {
-    static SCRATCH3: std::cell::RefCell<ThreeWayScratch> =
-        const {
-            std::cell::RefCell::new(ThreeWayScratch {
-                vals: [Vec::new(), Vec::new(), Vec::new()],
-                oids: [Vec::new(), Vec::new(), Vec::new()],
-            })
-        };
-}
-
-/// The 4-bit masks `(before_k1, !before_k2)` of one ymm chunk.
-///
-/// # Safety
-/// Caller guarantees AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn masks3(
-    v: __m256i,
-    p1: __m256i,
-    lte1: bool,
-    p2: __m256i,
-    lte2: bool,
-    fv: __m256i,
-) -> (usize, usize) {
-    let x = _mm256_xor_si256(v, fv);
-    let m_l = if lte1 {
-        (!_mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(x, p1)))) & 0xF
-    } else {
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(p1, x)))
-    } as usize;
-    // G-class: !before_k2 — for `lte2` that is `x > p2`, otherwise
-    // `x ≥ p2` ⇔ !(p2 > x).
-    let m_g = if lte2 {
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(x, p2))) as usize
-    } else {
-        (!_mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(p2, x))) & 0xF) as usize
-    };
-    (m_l, m_g)
-}
-
-/// The 4-bit mask of chunk lanes whose absolute position is `< bound`,
-/// for a chunk starting at `pos` (lane `j` is position `pos + j`).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn pos_mask_below(pos: usize, bound: usize) -> usize {
     if bound <= pos {
-        0
-    } else if bound >= pos + 4 {
         0xF
+    } else if bound >= pos + 4 {
+        0
     } else {
-        (1 << (bound - pos)) - 1
+        0xF & !((1 << (bound - pos)) - 1)
     }
 }
 
-/// The L- and G-class populations of `lanes[from..to)` — the counting
-/// pass that fixes a three-way partition's split positions (and, run
-/// over a sub-range, the per-region populations the middle-dominance
-/// guard's displacement formula needs).
+/// The L- and G-class populations of `lanes[from..to)`: the lanes before
+/// `k1`, and the lanes not before `k2` — the counting pass that fixes a
+/// three-way partition's split positions. Keys are compare-domain
+/// `(pivot, lte)` pairs.
 ///
 /// # Safety
 /// Caller guarantees AVX2+popcnt and `from ≤ to ≤ lanes.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
-#[allow(clippy::too_many_arguments)] // kernel entry point: partition state arrives unpacked by design
 unsafe fn count3_avx2(
     lanes: &[i64],
     from: usize,
     to: usize,
-    p1v: i64,
-    lte1: bool,
-    p2v: i64,
-    lte2: bool,
+    (p1v, lte1): (i64, bool),
+    (p2v, lte2): (i64, bool),
     flip: i64,
 ) -> (usize, usize) {
     let p1 = _mm256_set1_epi64x(p1v);
@@ -824,172 +778,30 @@ unsafe fn count3_avx2(
     // SAFETY: `i + 4 <= to` bounds every load.
     unsafe {
         while i + 4 <= to {
-            let v = _mm256_loadu_si256(ptr.add(i) as *const __m256i);
-            let (m_l, m_g) = masks3(v, p1, lte1, p2, lte2, fv);
+            let x = _mm256_xor_si256(_mm256_loadu_si256(ptr.add(i) as *const __m256i), fv);
+            let m_l = if lte1 {
+                (!_mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(x, p1)))) & 0xF
+            } else {
+                _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(p1, x)))
+            };
+            // G-class: !before_k2 — for `lte2` that is `x > p2`, otherwise
+            // `x ≥ p2` ⇔ !(p2 > x).
+            let m_g = if lte2 {
+                _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(x, p2)))
+            } else {
+                (!_mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(p2, x)))) & 0xF
+            };
             c1 += (m_l as u32).count_ones() as usize;
             c3 += (m_g as u32).count_ones() as usize;
             i += 4;
         }
     }
     while i < to {
-        let x = lanes[i] ^ flip;
-        let is_l = if lte1 { x <= p1v } else { x < p1v };
-        let is_g = if lte2 { x > p2v } else { x >= p2v };
-        c1 += is_l as usize;
-        c3 += is_g as usize;
+        c1 += before_scalar(lanes[i], p1v, flip, lte1) as usize;
+        c3 += !before_scalar(lanes[i], p2v, flip, lte2) as usize;
         i += 1;
     }
     (c1, c3)
-}
-
-/// AVX2 three-way partition, after the counting pass: compress-scatter
-/// into the thread-local scratch, copy back contiguously. Returns the
-/// split pair; `moved` gains the destination-displacement count.
-///
-/// # Safety
-/// Caller guarantees AVX2+popcnt, `lo ≤ hi ≤ lanes.len() == oids.len()`,
-/// `hi - lo ≥ SIMD_MIN`, `k1 ≤ k2` (compare-domain), and that
-/// `c1`/`c3` are the exact L/G-class populations of `lanes[lo..hi)`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,popcnt")]
-#[allow(clippy::too_many_arguments)] // kernel entry point: partition state arrives unpacked by design
-unsafe fn crack_three_avx2(
-    lanes: &mut [i64],
-    oids: &mut [u32],
-    lo: usize,
-    hi: usize,
-    p1v: i64,
-    lte1: bool,
-    p2v: i64,
-    lte2: bool,
-    flip: i64,
-    c1: usize,
-    c3: usize,
-    moved: &mut u64,
-) -> (usize, usize) {
-    let p1 = _mm256_set1_epi64x(p1v);
-    let p2 = _mm256_set1_epi64x(p2v);
-    let fv = _mm256_set1_epi64x(flip);
-    let vp = lanes.as_mut_ptr();
-    let op = oids.as_mut_ptr();
-    let split1 = lo + c1;
-    let split2 = hi - c3;
-
-    let counts = [c1, split2 - split1, c3];
-    SCRATCH3.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        let scratch = &mut *scratch;
-        for ((vbuf, obuf), &cnt) in scratch
-            .vals
-            .iter_mut()
-            .zip(scratch.oids.iter_mut())
-            .zip(counts.iter())
-        {
-            // One register of slack so full-width compress stores stay
-            // inside the allocation.
-            let need = cnt + 4;
-            if vbuf.capacity() < need {
-                vbuf.reserve(need - vbuf.len());
-                obuf.reserve(need - obuf.len());
-            }
-        }
-        let dv: [*mut i64; 3] = std::array::from_fn(|r| scratch.vals[r].as_mut_ptr());
-        let do_: [*mut u32; 3] = std::array::from_fn(|r| scratch.oids[r].as_mut_ptr());
-        let mut cur = [0usize; 3];
-        let mut displaced = 0usize;
-
-        // Scatter pass.
-        let mut i = lo;
-        // SAFETY: loads are bounded by `i + 4 <= hi`; scratch stores are
-        // bounded by `cur[r] + 4 ≤ counts[r] + 4 ≤` the reserved
-        // capacity (each class cursor can only advance to its final
-        // population).
-        unsafe {
-            while i + 4 <= hi {
-                let v = _mm256_loadu_si256(vp.add(i) as *const __m256i);
-                let o = _mm_loadu_si128(op.add(i) as *const __m128i);
-                let (m_l, m_g) = masks3(v, p1, lte1, p2, lte2, fv);
-                let m_m = 0xF & !(m_l | m_g);
-                // Displacement: lanes whose class region differs from
-                // the region their position already lies in.
-                let pos_l = pos_mask_below(i, split1);
-                let pos_m = pos_mask_below(i, split2) & !pos_l;
-                let pos_g = 0xF & !(pos_l | pos_m);
-                displaced += ((m_l & !pos_l) as u32).count_ones() as usize
-                    + ((m_m & !pos_m) as u32).count_ones() as usize
-                    + ((m_g & !pos_g) as u32).count_ones() as usize;
-                // Unconditional compress-store for every class: an
-                // empty class stores garbage at its cursor and advances
-                // it by zero (overwritten by the next store), which is
-                // cheaper than a data-dependent "is this class present"
-                // branch per chunk.
-                for (r, m) in [(0usize, m_l), (1, m_m), (2, m_g)] {
-                    let vc = _mm256_permutevar8x32_epi32(
-                        v,
-                        _mm256_loadu_si256(PERM64_FRONT[m].as_ptr() as *const __m256i),
-                    );
-                    let oc = _mm_shuffle_epi8(
-                        o,
-                        _mm_loadu_si128(OID_FRONT[m].as_ptr() as *const __m128i),
-                    );
-                    _mm256_storeu_si256(dv[r].add(cur[r]) as *mut __m256i, vc);
-                    _mm_storeu_si128(do_[r].add(cur[r]) as *mut __m128i, oc);
-                    cur[r] += (m as u32).count_ones() as usize;
-                }
-                i += 4;
-            }
-            while i < hi {
-                let x = lanes[i] ^ flip;
-                let is_l = if lte1 { x <= p1v } else { x < p1v };
-                let is_g = if lte2 { x > p2v } else { x >= p2v };
-                let r = if is_l {
-                    0
-                } else if is_g {
-                    2
-                } else {
-                    1
-                };
-                let in_region = match r {
-                    0 => i < split1,
-                    1 => (split1..split2).contains(&i),
-                    _ => i >= split2,
-                };
-                displaced += !in_region as usize;
-                *dv[r].add(cur[r]) = lanes[i];
-                *do_[r].add(cur[r]) = oids[i];
-                cur[r] += 1;
-                i += 1;
-            }
-        }
-        debug_assert_eq!(cur, counts);
-
-        // Copy back: the three class regions are contiguous.
-        let starts = [lo, split1, split2];
-        // SAFETY: each scratch prefix of `cnt` elements was fully
-        // initialized by the scatter pass, and each destination range
-        // lies inside `[lo, hi)`.
-        unsafe {
-            for ((&sv, &so), (&start, &cnt)) in dv
-                .iter()
-                .zip(do_.iter())
-                .zip(starts.iter().zip(counts.iter()))
-            {
-                std::ptr::copy_nonoverlapping(sv, vp.add(start), cnt);
-                std::ptr::copy_nonoverlapping(so, op.add(start), cnt);
-            }
-        }
-        // Don't let one huge cold crack pin its scratch for the thread's
-        // lifetime: pieces only shrink after the first few queries, so
-        // capacity beyond the retention cap is dead weight.
-        for (vbuf, obuf) in scratch.vals.iter_mut().zip(scratch.oids.iter_mut()) {
-            if vbuf.capacity() > SCRATCH_RETAIN {
-                vbuf.shrink_to(SCRATCH_RETAIN);
-                obuf.shrink_to(SCRATCH_RETAIN);
-            }
-        }
-        *moved += displaced as u64;
-    });
-    (split1, split2)
 }
 
 /// AVX2 residual scan: emit matching absolute positions in ascending

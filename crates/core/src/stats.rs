@@ -17,7 +17,11 @@ pub struct CrackStats {
     pub cracks: usize,
     /// Tuples inspected while partitioning border pieces ("reads").
     pub tuples_touched: u64,
-    /// Tuples relocated by swaps ("writes"; each swap moves two tuples).
+    /// Tuples relocated ("writes"). A two-way crack counts the tuples
+    /// that were not already inside their destination piece (2 per
+    /// crossing pair). A three-way crack counts by its trace: the scalar
+    /// sweep 2 per swap; the vector kernel's two-pass route the sum of its
+    /// two two-way counts, so a tuple both passes relocate counts twice.
     /// An update merge counts the tuples it writes: its staged inserts,
     /// the piece heads its ripple shifts, and the tuples its delete
     /// compaction slides left.

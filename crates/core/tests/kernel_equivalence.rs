@@ -13,11 +13,12 @@
 //! * **Per invocation**: two-way `moved` — both kernels report the
 //!   canonical crossing-pair count (pinned here on virgin first cracks
 //!   and exhaustively in `cracker_core::kernel`'s proptests).
-//! * **Not across kernels**: three-way `moved`. The scalar sweep counts
-//!   its swaps, the SIMD three-way kernel reports the canonical
-//!   destination-displacement count, pinned against an oracle in the
-//!   kernel proptests; so `tuples_moved` is compared only where no
-//!   crack-in-three could have diverged.
+//! * **Not across kernels**: three-way `moved`. It is trace-defined: the
+//!   scalar sweep counts its swaps, and the SIMD three-way kernel is
+//!   either that sweep or two SIMD two-way cracks (pinned here per
+//!   invocation on the table below, and in the kernel proptests); so
+//!   `tuples_moved` is compared only where no crack-in-three could have
+//!   diverged.
 //! * **Per sequence**: the arrangement *within* a piece is
 //!   kernel-specific (pieces are unordered sets by construction), so
 //!   from the second crack on, each kernel partitions a
@@ -26,8 +27,10 @@
 //!
 //! The table-driven test drives the places the two kernels part ways:
 //! piece lengths around the vector size floor (128) and its 4-lane /
-//! 32-tuple block structure, extreme keys, degenerate ranges, and the
-//! `u64` sign-flip seam.
+//! 32-tuple block structure, extreme keys, degenerate ranges, the
+//! `u64` sign-flip seam, and three-way key pairs that take each route of
+//! the vector crack-in-three (the sweep, two passes, an empty outer
+//! region, a second pass under the size floor).
 
 use cracker_core::crack::BoundaryKey;
 use cracker_core::{
@@ -213,6 +216,60 @@ fn scalar_and_auto_agree<T: CrackValue>(
             "n={n} {key:?}: two-way contract diverged"
         );
     }
+    // The raw three-way partition over every ordered key pair: the same
+    // splits and per-region multisets, and `Auto`'s trace (arrangement,
+    // OIDs, `moved`) is either the scalar sweep's or that of two `Auto`
+    // two-way cracks, `k1` over the piece and then `k2` over its right
+    // part. A piece the vector path declines is the sweep; one with at
+    // least half its tuples outside the middle region is never
+    // middle-dominant, so it is the two passes; in between the guard
+    // chooses.
+    let fresh = || (vals.to_vec(), (0..n as u32).collect::<Vec<u32>>(), 0u64);
+    let auto = KernelPolicy::Auto.resolve();
+    for (i, &a) in keys.iter().enumerate() {
+        for &b in &keys[i..] {
+            let (k1, k2) = (a.min(b), a.max(b));
+            let [sweep, got] = POLICIES.map(|policy| {
+                let (mut v, mut o, mut moved) = fresh();
+                let splits = policy
+                    .resolve()
+                    .crack_three(&mut v, &mut o, 0, n, k1, k2, &mut moved);
+                (splits, v, o, moved)
+            });
+            let regions = |(s, v, o, _): &((usize, usize), Vec<T>, Vec<u32>, u64)| {
+                let (p1, p2) = *s;
+                (
+                    *s,
+                    pairs(&o[..p1], &v[..p1]),
+                    pairs(&o[p1..p2], &v[p1..p2]),
+                    pairs(&o[p2..], &v[p2..]),
+                )
+            };
+            assert_eq!(
+                regions(&sweep),
+                regions(&got),
+                "n={n} {k1:?} {k2:?}: three-way contract diverged"
+            );
+            let (mut v, mut o, mut moved) = fresh();
+            let p1 = auto.crack_two(&mut v, &mut o, 0, n, k1, &mut moved);
+            let p2 = auto.crack_two(&mut v, &mut o, p1, n, k2, &mut moved);
+            let two_passes = ((p1, p2), v, o, moved);
+            let outer = p1 + (n - p2);
+            let (is_sweep, is_two) = (got == sweep, got == two_passes);
+            let route_ok = if auto == CrackKernel::Scalar || n < 128 {
+                is_sweep
+            } else if 2 * outer >= n {
+                is_two
+            } else {
+                is_sweep || is_two
+            };
+            assert!(
+                route_ok,
+                "n={n} {k1:?} {k2:?}: three-way trace is not the expected route \
+                 (sweep: {is_sweep}, two passes: {is_two})"
+            );
+        }
+    }
     for mode in [CrackMode::TwoWay, CrackMode::ThreeWay] {
         let [mut scalar, mut auto] =
             POLICIES.map(|k| CrackerColumn::with_config(vals.to_vec(), cfg(k).with_mode(mode)));
@@ -262,6 +319,14 @@ fn scalar_and_auto_agree_on_boundary_cases() {
             BoundaryKey::lt(0),
             BoundaryKey::le(0),
             BoundaryKey::le(m / 4),
+            // Paired with each other and the keys above: a middle-dominant
+            // piece (the sweep route), a second pass under `SIMD_MIN`
+            // with tuples on both of its sides, and — with `lt(MIN)` /
+            // `le(MAX)` — an empty left (`c1 == 0`) or right (`c3 == 0`)
+            // region.
+            BoundaryKey::lt(-m / 2 + m / 20),
+            BoundaryKey::lt(m / 2 - m / 10),
+            BoundaryKey::le(m / 2 - m / 20),
         ];
         let preds = [
             RangePred::between(-m / 4, m / 4),
@@ -315,6 +380,9 @@ fn scalar_and_auto_agree_on_boundary_cases() {
             BoundaryKey::le(0),
             BoundaryKey::lt(u64::MAX),
             BoundaryKey::le(u64::MAX),
+            BoundaryKey::lt(seam - n as u64 / 2 + n as u64 / 20),
+            BoundaryKey::lt(seam + n as u64 / 2 - n as u64 / 10),
+            BoundaryKey::le(seam + n as u64 / 2 - n as u64 / 20),
         ];
         let q = n as u64 / 4;
         let preds = [
