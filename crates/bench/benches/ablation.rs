@@ -5,7 +5,8 @@
 //! vector kernels' home turf), crack_select-shaped, and scenario_mix-shaped
 //! workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
 //! measures the scalar loops a second time. The `ablation_merge` legs time
-//! one update merge of staged inserts or staged deletes.
+//! one update merge of staged inserts or staged deletes, and one base-table
+//! delete with the select after it.
 //!
 //! `BENCH_SMOKE=1` shrinks the column and op counts so CI can run this as
 //! a smoke test; pass `--json` to record medians as `BENCH_ablation.json`
@@ -15,7 +16,7 @@ use cracker_core::{
     CrackMode, CrackerColumn, CrackerConfig, FusionPolicy, KernelPolicy, RangePred,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use engine::{CrackEngine, OutputMode, QueryEngine};
+use engine::{AdaptiveDb, CrackEngine, OutputMode, QueryEngine, RangeQuery, Table};
 use workload::scenario::{Op, Scenario, Shift, ShiftingHotSet, UpdateHeavy};
 use workload::strolling::{strolling_sequence, StrollMode};
 use workload::{Contraction, Mqs, Tapestry};
@@ -347,6 +348,41 @@ fn merge(c: &mut Criterion) {
                 col
             },
             |mut col| col.merge_pending(),
+            BatchSize::LargeInput,
+        )
+    });
+    // The same column as a one-column table, cracked by the same windows:
+    // a 50-row `delete_rows`, then the first select after it, together —
+    // the whole price a `DELETE` puts on a cracked column, whether the
+    // copy is rebuilt cold or compacted and renumbered in place.
+    let vals = Tapestry::generate(n_large, 1, 0x3E26).column(0).to_vec();
+    let windows: Vec<RangeQuery> = (0..500)
+        .map(|q| {
+            let lo = spread(q) as i64;
+            RangeQuery::new(
+                "r",
+                "a",
+                RangePred::between(lo, lo + n_large as i64 / 2_000),
+            )
+        })
+        .collect();
+    let doomed: Vec<u32> = (0..50).map(|i| spread(i + 13) as u32).collect();
+    g.bench_function("delete_renumber", |b| {
+        b.iter_batched_ref(
+            || {
+                let mut db = AdaptiveDb::new();
+                let table = Table::from_int_columns("r", vec![("a", vals.clone())]);
+                db.register(table.expect("one column")).expect("fresh name");
+                for q in &windows {
+                    db.select(q, OutputMode::Count).expect("known column");
+                }
+                db
+            },
+            |db| {
+                db.delete_rows("r", &doomed).expect("no durability");
+                db.select(&windows[0], OutputMode::Count)
+                    .expect("known column")
+            },
             BatchSize::LargeInput,
         )
     });

@@ -41,6 +41,7 @@ use crate::config::CrackerConfig;
 use crate::pred::RangePred;
 use crate::stats::CrackStats;
 use crate::sync::{lockdep, LockGroup, RwLock};
+use crate::updates::Renumbering;
 use crate::value_trait::CrackValue;
 
 /// Lockdep class of the column-wide latch.
@@ -300,6 +301,12 @@ impl<T: CrackValue> SharedCrackerColumn<T> {
     /// Fold staged updates into the store (exclusive).
     pub fn merge_pending(&self) {
         self.inner.write().merge_pending();
+    }
+
+    /// Follow a base-table delete in place (exclusive); see
+    /// [`CrackerColumn::compact_renumber`].
+    pub fn compact_renumber(&self, doomed: &Renumbering) {
+        self.inner.write().compact_renumber(doomed);
     }
 
     /// Snapshot of the cost counters.

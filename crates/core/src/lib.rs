@@ -87,5 +87,5 @@ pub use sideways::{CrackerMap, SidewaysCracker};
 pub use snapshot::{BoundaryRecord, ColumnSnapshot, ConcurrentSnapshot};
 pub use stats::CrackStats;
 pub use stochastic::{StochasticCracker, StochasticPolicy};
-pub use updates::OidSet;
+pub use updates::{OidSet, Renumbering};
 pub use value_trait::{CrackValue, OrdF64};

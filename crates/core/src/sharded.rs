@@ -76,6 +76,7 @@ use crate::config::CrackerConfig;
 use crate::pred::RangePred;
 use crate::stats::CrackStats;
 use crate::sync::{lockdep, LockGroup, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use crate::updates::Renumbering;
 use crate::value_trait::CrackValue;
 
 /// Upper bound on the number of values sampled to choose shard splits.
@@ -631,6 +632,15 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
         }
     }
 
+    /// Follow a base-table delete in every shard (one exclusive latch at
+    /// a time, ascending). OIDs are global, so every shard applies the
+    /// same map; see [`CrackerColumn::compact_renumber`].
+    pub fn compact_renumber(&self, doomed: &Renumbering) {
+        for shard in &self.shards {
+            shard.write().compact_renumber(doomed);
+        }
+    }
+
     /// Chaos hook: arm the first shard's panic-on-crack countdown (see
     /// [`CrackerColumn::arm_panic_on_crack`]). Arming one shard keeps the
     /// blast radius of one `arm` call at exactly one panic — the countdown
@@ -900,6 +910,15 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         match self {
             ConcurrentColumn::Single(c) => c.merge_pending(),
             ConcurrentColumn::Sharded(c) => c.merge_pending(),
+        }
+    }
+
+    /// Follow a base-table delete in place; see
+    /// [`CrackerColumn::compact_renumber`].
+    pub fn compact_renumber(&self, doomed: &Renumbering) {
+        match self {
+            ConcurrentColumn::Single(c) => c.compact_renumber(doomed),
+            ConcurrentColumn::Sharded(c) => c.compact_renumber(doomed),
         }
     }
 

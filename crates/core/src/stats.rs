@@ -24,7 +24,8 @@ pub struct CrackStats {
     /// two two-way counts, so a tuple both passes relocate counts twice.
     /// An update merge counts the tuples it writes: its staged inserts,
     /// the piece heads its ripple shifts, and the tuples its delete
-    /// compaction slides left.
+    /// compaction slides left. A base-table delete's compaction
+    /// (`compact_renumber`) counts the tuples it slides left too.
     pub tuples_moved: u64,
     /// Tuples scanned inside cut-off pieces to filter residual edges.
     pub edge_scanned: u64,

@@ -15,6 +15,14 @@
 //! the arrays' amortized doubling when they run out of capacity. Staged
 //! deletes add one `O(n)` compaction pass; that pass runs only when
 //! deletes are staged.
+//!
+//! A delete from the *base* table is the other kind: the table compacts
+//! its columns and renumbers the survivors densely, so every OID above a
+//! deleted row moves down. [`CrackerColumn::compact_renumber`] follows it
+//! in place with the same compaction pass, under a different per-tuple
+//! map: a doomed tuple is dropped, a survivor's OID becomes
+//! `oid − rank(oid)` ([`Renumbering`]). Every boundary, and the pending
+//! overlay, survives; the next select is an index lookup, not a re-copy.
 
 use crate::column::CrackerColumn;
 use crate::pred::RangePred;
@@ -137,6 +145,88 @@ impl OidSet {
     }
 }
 
+/// The OID map of a delete from a dense OID space: doomed OIDs go, and
+/// every survivor moves down to `oid − rank(oid)`, where `rank(oid)`
+/// counts the doomed OIDs below it — what a base table that compacts its
+/// columns does to its row numbers. It holds one bit per OID up to the
+/// largest doomed one, each 64-bit word paired with the count of doomed
+/// OIDs before it, so a lookup is one word probe (plus a popcount in the
+/// rare word that holds a doomed OID).
+#[derive(Debug, Clone, Default)]
+pub struct Renumbering {
+    /// For word `w`: the doomed bits of OIDs `64·w ..`, and the number of
+    /// doomed OIDs below `64·w`.
+    words: Vec<(u64, u32)>,
+    /// Number of doomed OIDs: the shift of every OID beyond the bitmap.
+    doomed: u32,
+}
+
+impl Renumbering {
+    /// The map that removes `doomed` (any order; repeats count once). It
+    /// takes 16 bytes per 64 OIDs up to the largest doomed one, so the
+    /// caller bounds them (`delete_rows` by the table's length).
+    pub fn new(doomed: &[u32]) -> Self {
+        let len = doomed.iter().max().map_or(0, |&max| max as usize / 64 + 1);
+        let mut words = vec![(0u64, 0u32); len];
+        for &oid in doomed {
+            words[oid as usize / 64].0 |= 1 << (oid % 64);
+        }
+        let mut doomed = 0;
+        for (bits, below) in &mut words {
+            *below = doomed;
+            doomed += bits.count_ones();
+        }
+        Renumbering { words, doomed }
+    }
+
+    /// Where `oid` moves; `None` when it is doomed.
+    #[inline(always)]
+    pub fn map(&self, oid: u32) -> Option<u32> {
+        let Some(&(bits, below)) = self.words.get(oid as usize / 64) else {
+            return Some(oid - self.doomed);
+        };
+        if bits == 0 {
+            return Some(oid - below);
+        }
+        let bit = 1u64 << (oid % 64);
+        (bits & bit == 0).then(|| oid - below - (bits & (bit - 1)).count_ones())
+    }
+}
+
+/// Compact every piece leftwards in one stable pass over `vals` / `oids`:
+/// a tuple whose OID `map` sends to `Some(new)` is kept with OID `new`,
+/// the rest are dropped. `ends` holds each piece's end slot and is
+/// rewritten to the new ends. The write cursor never passes the read
+/// cursor, so the pass is in place. Every kept tuple is written back, so
+/// the keep test is the loop's only branch. Returns the number of tuples
+/// that changed slot: every kept tuple after the first dropped one.
+fn compact_pieces<T: Copy>(
+    vals: &mut Vec<T>,
+    oids: &mut Vec<u32>,
+    ends: &mut [usize],
+    map: impl Fn(u32) -> Option<u32>,
+) -> u64 {
+    let (mut read, mut write, mut first_gap) = (0, 0, None);
+    for end in ends.iter_mut() {
+        // Sliced to the piece end, the loop condition bounds the reads.
+        let (vals, oids) = (&mut vals[..*end], &mut oids[..*end]);
+        while read < vals.len() {
+            if let Some(oid) = map(oids[read]) {
+                vals[write] = vals[read];
+                oids[write] = oid;
+                write += 1;
+            } else {
+                first_gap.get_or_insert(read);
+            }
+            read += 1;
+        }
+        *end = write;
+    }
+    vals.truncate(write);
+    oids.truncate(write);
+    first_gap.map_or(0, |gap| (write - gap) as u64)
+}
+
 /// Staging areas for not-yet-merged updates.
 #[derive(Debug, Clone, Default)]
 pub struct PendingUpdates<T> {
@@ -230,6 +320,17 @@ impl<T: CrackValue> PendingUpdates<T> {
             std::mem::take(&mut self.deletes),
         )
     }
+
+    /// Follow a base-table delete: doomed staged inserts and pending
+    /// deletes are dropped, the rest renumbered.
+    fn renumber(&mut self, doomed: &Renumbering) {
+        self.inserts
+            .retain_mut(|(oid, _)| doomed.map(*oid).map(|new| *oid = new).is_some());
+        let deletes = std::mem::take(&mut self.deletes);
+        for new in deletes.iter().filter_map(|oid| doomed.map(oid)) {
+            self.deletes.insert(new);
+        }
+    }
 }
 
 impl<T: CrackValue> CrackerColumn<T> {
@@ -259,6 +360,35 @@ impl<T: CrackValue> CrackerColumn<T> {
         self.pending.len()
     }
 
+    /// Each piece's end slot, in slot order: one per boundary, then the
+    /// column length.
+    fn piece_ends(&self) -> Vec<usize> {
+        let ends = self.index().boundaries().map(|(_, info)| info.pos);
+        ends.chain([self.len()]).collect()
+    }
+
+    /// Follow a delete from the base table this column copies, in place:
+    /// one pass compacts every piece leftwards, dropping the tuples whose
+    /// OIDs `doomed` removes and renumbering each survivor to
+    /// `oid − rank(oid)`. The pending overlay follows the same map. Every
+    /// boundary survives, so the next select is a warm index lookup.
+    ///
+    /// The pass is `O(n)` and sequential over the arrays the column
+    /// already has: nothing is copied or cracked. Pieces may become
+    /// empty; they keep their boundaries. Sorted-piece flags are keyed by
+    /// piece start, and starts move, so they are dropped, as a merge
+    /// drops them.
+    pub fn compact_renumber(&mut self, doomed: &Renumbering) {
+        let mut ends = self.piece_ends();
+        let (vals, oids, index) = self.arrays_mut();
+        let moved = compact_pieces(vals, oids, &mut ends, |oid| doomed.map(oid));
+        index.set_piece_ends(&ends);
+        self.sorted_mut().clear();
+        self.pending.renumber(doomed);
+        self.stats_mut().tuples_moved += moved;
+        debug_assert!(self.index().check_pieces(self.values()).is_ok());
+    }
+
     /// Fold all staged updates into the cracked store in place, preserving
     /// every existing boundary.
     ///
@@ -269,7 +399,9 @@ impl<T: CrackValue> CrackerColumn<T> {
     ///
     /// 1. **Deletes.** This step runs only when deletes are staged. Each
     ///    piece is compacted leftwards in one pass over the column, and
-    ///    its new end is recorded.
+    ///    its new end is recorded. It is the pass
+    ///    [`compact_renumber`](Self::compact_renumber) runs, with every
+    ///    surviving OID kept as it is.
     /// 2. **Tag the inserts.** Each surviving insert is tagged with its
     ///    piece (binary search over the boundary keys), the inserts are
     ///    sorted by piece, and `vals` / `oids` grow by `k` at the tail.
@@ -308,14 +440,8 @@ impl<T: CrackValue> CrackerColumn<T> {
         if self.pending.is_empty() {
             return;
         }
-        let index = self.index();
-        let mut keys = Vec::with_capacity(index.boundary_count());
-        let mut ends = Vec::with_capacity(index.piece_count());
-        for (key, info) in index.boundaries() {
-            keys.push(*key);
-            ends.push(info.pos);
-        }
-        ends.push(self.len());
+        let keys: Vec<_> = self.index().boundaries().map(|(key, _)| *key).collect();
+        let mut ends = self.piece_ends();
         // A re-staged OID that is also pending deletion is dropped, not
         // merged: the delete wins.
         let deleted = self.pending.deleted_set();
@@ -337,23 +463,8 @@ impl<T: CrackValue> CrackerColumn<T> {
         let mut moved = 0u64;
 
         if !deletes.is_empty() {
-            let (mut read, mut write) = (0, 0);
-            for end in ends.iter_mut() {
-                while read < *end {
-                    if !deletes.contains(oids[read]) {
-                        if write != read {
-                            vals[write] = vals[read];
-                            oids[write] = oids[read];
-                            moved += 1;
-                        }
-                        write += 1;
-                    }
-                    read += 1;
-                }
-                *end = write;
-            }
-            vals.truncate(write);
-            oids.truncate(write);
+            let live = |oid| (!deletes.contains(oid)).then_some(oid);
+            moved += compact_pieces(vals, oids, &mut ends, live);
         }
 
         vals.extend(inserts.iter().map(|&(_, v, _)| v));
@@ -404,6 +515,7 @@ mod tests {
     use crate::sharded::{ConcurrencyMode, ConcurrentColumn};
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// The merge this module shipped before the ripple, kept as the
     /// differential reference: every live tuple is binary-searched into
@@ -893,5 +1005,148 @@ mod tests {
                 }
             }
         }
+
+        /// `compact_renumber` against a filter-then-renumber reference,
+        /// through both latched column modes, with and without sorted
+        /// pieces: random cracks, then staged inserts and deletes, then a
+        /// base delete whose doomed OIDs fall in the cracked area, in the
+        /// staged inserts, on the rank bitmap's word boundaries, and below
+        /// survivors beyond the largest of them.
+        #[test]
+        fn prop_compact_renumber_matches_filter_and_renumber_reference(
+            orig in vec(-20i64..20, 0..260),
+            cracks in vec((-25i64..25, 0i64..12, proptest::bool::ANY, proptest::bool::ANY), 0..12),
+            inserts in vec(-30i64..30, 0..24),
+            staged_deletes in vec(0usize..400, 0..8),
+            doomed in vec(prop_oneof![
+                0u32..300,
+                (1u32..5).prop_map(|w| 64 * w - 1),
+                (1u32..5).prop_map(|w| 64 * w),
+            ], 0..40),
+            sort_below in prop_oneof![Just(0usize), 1usize..24],
+            probes in vec((-25i64..25, 0i64..20), 1..6),
+        ) {
+            let n = orig.len() as u32;
+            let config = CrackerConfig::default().with_sort_below(sort_below);
+            let doomed_set: BTreeSet<u32> = doomed.iter().copied().collect();
+            let renumber = |oid: u32| {
+                let rank = doomed_set.range(..oid).count() as u32;
+                (!doomed_set.contains(&oid)).then_some(oid - rank)
+            };
+            for mode in [ConcurrencyMode::SingleLock, ConcurrencyMode::Sharded { shards: 4 }] {
+                let col = ConcurrentColumn::build(orig.clone(), config, mode);
+                for &(lo, width, inc_lo, inc_hi) in &cracks {
+                    col.count(RangePred::with_bounds(Some((lo, inc_lo)), Some((lo + width, inc_hi))));
+                }
+                // The naive store: OID → value.
+                let mut model: BTreeMap<u32, i64> = (0..n).zip(orig.iter().copied()).collect();
+                for (oid, &v) in (n..).zip(&inserts) {
+                    col.insert(oid, v);
+                    model.insert(oid, v);
+                }
+                for &pick in &staged_deletes {
+                    if let Some(&oid) = model.keys().nth(pick % model.len().max(1)) {
+                        prop_assert!(col.delete(oid));
+                        model.remove(&oid);
+                    }
+                }
+
+                let before = columns(&col);
+                col.compact_renumber(&Renumbering::new(&doomed));
+                col.validate().map_err(TestCaseError::fail)?;
+                for (got, was) in columns(&col).iter().zip(&before) {
+                    got.index().check_pieces(got.values()).map_err(TestCaseError::fail)?;
+                    let keys = |c: &CrackerColumn<i64>| -> Vec<BoundaryKey<i64>> {
+                        c.index().boundaries().map(|(k, _)| *k).collect()
+                    };
+                    prop_assert_eq!(keys(got), keys(was), "{:?}", mode);
+                    for (p, q) in got.index().pieces().iter().zip(was.index().pieces()) {
+                        let pairs = |c: &CrackerColumn<i64>, s: usize, e: usize| -> Vec<(i64, u32)> {
+                            c.values()[s..e].iter().copied().zip(c.oids()[s..e].iter().copied()).collect()
+                        };
+                        let mut want: Vec<(i64, u32)> = (pairs(was, q.start, q.end).into_iter())
+                            .filter_map(|(v, oid)| Some((v, renumber(oid)?)))
+                            .collect();
+                        let mut have = pairs(got, p.start, p.end);
+                        want.sort_unstable();
+                        have.sort_unstable();
+                        prop_assert_eq!(have, want, "{:?}", mode);
+                    }
+                    let staged: Vec<(u32, i64)> = (was.pending.staged_inserts().iter())
+                        .filter_map(|&(oid, v)| Some((renumber(oid)?, v)))
+                        .collect();
+                    prop_assert_eq!(got.pending.staged_inserts(), &staged[..]);
+                    let deleted = |set: &OidSet| set.iter().collect::<BTreeSet<u32>>();
+                    let want: BTreeSet<u32> = (deleted(was.pending.deleted_set()).into_iter())
+                        .filter_map(renumber)
+                        .collect();
+                    prop_assert_eq!(deleted(got.pending.deleted_set()), want);
+                }
+
+                let model: BTreeMap<u32, i64> = (model.into_iter())
+                    .filter_map(|(oid, v)| Some((renumber(oid)?, v)))
+                    .collect();
+                for merged in [false, true] {
+                    if merged {
+                        col.merge_pending();
+                        col.validate().map_err(TestCaseError::fail)?;
+                    }
+                    for &(lo, width) in &probes {
+                        let pred = RangePred::between(lo, lo + width);
+                        let mut got = col.select_oids(pred);
+                        got.sort_unstable();
+                        let want: Vec<u32> = (model.iter())
+                            .filter(|(_, &v)| pred.matches(v))
+                            .map(|(&oid, _)| oid)
+                            .collect();
+                        prop_assert_eq!(got, want, "{:?} merged={}", mode, merged);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn renumbering_matches_the_rank_definition_across_word_boundaries() {
+        let doomed = [200, 0, 63, 64, 127, 64, 191, 192];
+        let set: BTreeSet<u32> = doomed.iter().copied().collect();
+        let r = Renumbering::new(&doomed);
+        for oid in 0..400 {
+            let want = (!set.contains(&oid)).then(|| oid - set.range(..oid).count() as u32);
+            assert_eq!(r.map(oid), want, "oid {oid}");
+        }
+        assert_eq!(Renumbering::new(&[]).map(7), Some(7));
+    }
+
+    #[test]
+    fn compact_renumber_keeps_every_boundary_and_drops_the_sorted_flags() {
+        let cfg = CrackerConfig::new().with_sort_below(40);
+        let mut c = CrackerColumn::with_config((0..100).rev().collect::<Vec<i64>>(), cfg);
+        for lo in [20, 40, 60, 80] {
+            c.select(RangePred::lt(lo));
+        }
+        c.select(RangePred::lt(30)); // sorts the 20-wide piece [20, 40)
+        let pieces = c.piece_count();
+        assert!(!c.sorted_ref().is_empty());
+        // Row `i` holds `99 - i`: drop the values 99, 75, 35, 34 and all of
+        // [0, 20) (a whole piece).
+        let doomed: Vec<u32> = [0, 24, 64, 65].into_iter().chain(80..100).collect();
+        c.compact_renumber(&Renumbering::new(&doomed));
+        c.validate().unwrap();
+        assert_eq!(c.piece_count(), pieces);
+        assert!(c.sorted_ref().is_empty(), "flags are keyed by moved starts");
+        assert_eq!(c.len(), 76);
+        let queries = c.stats().queries;
+        assert_eq!(c.count(RangePred::lt(20)), 0);
+        assert_eq!(c.count(RangePred::between(20, 39)), 18);
+        assert_eq!(
+            c.try_select_readonly(RangePred::lt(80)).unwrap().count(),
+            57
+        );
+        // Old OID 1 (value 98) is now OID 0; old OID 79 (value 20) has four
+        // doomed OIDs below it and is now OID 75.
+        assert_eq!(c.select_oids(RangePred::eq(98)), vec![0]);
+        assert_eq!(c.select_oids(RangePred::eq(20)), vec![75]);
+        assert_eq!(c.stats().queries - queries, 4);
     }
 }

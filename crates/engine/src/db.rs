@@ -33,6 +33,7 @@ use cracker_core::lineage::{CrackOp, LineageGraph, PieceId};
 use cracker_core::sideways::CrackerMap;
 use cracker_core::{
     ConcurrencyMode, ConcurrentColumn, ConcurrentSnapshot, CrackerConfig, KernelPolicy, RangePred,
+    Renumbering,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -185,6 +186,12 @@ impl AdaptiveDb {
     /// Number of columns that have been cracked so far.
     pub fn cracked_columns(&self) -> usize {
         self.columns.len()
+    }
+
+    /// The cracked copy of a column, if a query has built one: a
+    /// read-only look at its piece map and counters, never a first touch.
+    pub fn cracked_column(&self, table: &str, column: &str) -> Option<&ConcurrentColumn<i64>> {
+        self.columns.get(&(table.to_owned(), column.to_owned()))
     }
 
     /// Fetch (building at first touch, under the configured
@@ -707,11 +714,14 @@ impl AdaptiveDb {
 
     /// Delete the rows at `oids` from a base table in place: every base
     /// column is compacted in one pass and the survivors are renumbered
-    /// densely, so the table's cracked copies and sideways
-    /// maps — whose OIDs are now stale — are dropped and rebuilt at their
-    /// next first touch. Other tables keep their cracked state. OIDs
-    /// beyond the table (and repeats) are ignored; returns the number of
-    /// rows removed, and a call that removes none changes nothing.
+    /// densely. Each of the table's cracked copies follows in place
+    /// ([`ConcurrentColumn::compact_renumber`]): the doomed tuples leave
+    /// their pieces, the survivors and the pending overlay take the new
+    /// OIDs, and every boundary stays, so the next select is warm. The
+    /// table's sideways maps are dropped and rebuilt at their next
+    /// `select_project`. Other tables are not touched. OIDs beyond the
+    /// table (and repeats) are ignored; returns the number of rows
+    /// removed, and a call that removes none changes nothing.
     ///
     /// Refused while durability is attached: recovery replays only the
     /// update overlay, and a checkpoint fingerprints a base column by its
@@ -722,18 +732,18 @@ impl AdaptiveDb {
             return Err(not_replayable("delete_rows"));
         }
         let t = self.catalog.table_mut(table)?;
-        let mut doomed = vec![false; t.len()];
-        for &oid in oids {
-            if let Some(d) = doomed.get_mut(oid as usize) {
-                *d = true;
-            }
+        let mut doomed = oids.to_vec();
+        doomed.retain(|&oid| (oid as usize) < t.len());
+        doomed.sort_unstable();
+        doomed.dedup();
+        if !doomed.is_empty() {
+            t.remove_rows(&doomed);
+            let renumbering = Renumbering::new(&doomed);
+            let cracked = self.columns.iter().filter(|((name, _), _)| name == table);
+            cracked.for_each(|(_, col)| col.compact_renumber(&renumbering));
+            self.maps.retain(|(t, _, _), _| t != table);
         }
-        let removed = doomed.iter().filter(|&&d| d).count();
-        if removed > 0 {
-            t.retain_rows(|oid| !doomed[oid]);
-            self.forget_cracked_state(table);
-        }
-        Ok(removed)
+        Ok(doomed.len())
     }
 
     /// Drop a base table together with its cracked copies, sideways maps
@@ -746,14 +756,9 @@ impl AdaptiveDb {
         }
         self.catalog.drop_table(table)?;
         self.roots.remove(table);
-        self.forget_cracked_state(table);
-        Ok(())
-    }
-
-    /// Drop every cracked structure built over `table`'s OIDs.
-    fn forget_cracked_state(&mut self, table: &str) {
         self.columns.retain(|(t, _), _| t != table);
         self.maps.retain(|(t, _, _), _| t != table);
+        Ok(())
     }
 
     /// Morsel-parallel OID selection over the cracked copy of a
@@ -1108,6 +1113,7 @@ impl Default for AdaptiveDb {
 mod tests {
     use super::*;
     use crate::error::EngineError;
+    use std::collections::BTreeMap;
 
     const MODES: [ConcurrencyMode; 2] = [
         ConcurrencyMode::SingleLock,
@@ -1604,49 +1610,141 @@ mod tests {
         );
     }
 
+    /// The cracked answer to `pred` over `table.attr`, sorted.
+    fn cracked_oids(
+        db: &mut AdaptiveDb,
+        table: &str,
+        attr: &str,
+        pred: RangePred<i64>,
+    ) -> Vec<u32> {
+        let q = RangeQuery::new(table, attr, pred);
+        let mut oids = db.select(&q, OutputMode::Stream).unwrap().0;
+        oids.sort_unstable();
+        oids
+    }
+
+    /// What `pred` selects from the `oid → value` model, sorted.
+    fn model_oids(model: &BTreeMap<u32, i64>, pred: RangePred<i64>) -> Vec<u32> {
+        let hits = model.iter().filter(|(_, &v)| pred.matches(v));
+        hits.map(|(&oid, _)| oid).collect()
+    }
+
+    /// `table.attr` as an `oid → value` model.
+    fn base_model(db: &AdaptiveDb, table: &str, attr: &str) -> BTreeMap<u32, i64> {
+        let vals = db.catalog().table(table).unwrap().ints(attr).unwrap();
+        (0..).zip(vals.iter().copied()).collect()
+    }
+
     #[test]
-    fn delete_rows_compacts_one_table_and_forgets_only_its_cracked_state() {
-        let mut db = db();
-        let crack = |db: &mut AdaptiveDb, table: &str, attr: &str| {
-            let q = RangeQuery::new(table, attr, RangePred::lt(3));
-            db.select(&q, OutputMode::Count).unwrap();
-        };
-        crack(&mut db, "r", "a");
-        crack(&mut db, "s", "k");
-        db.shared_cracker("r", "k").unwrap();
-        db.select_project("r", "a", "k", RangePred::lt(10)).unwrap();
-        assert!(matches!(
-            db.delete_rows("zzz", &[0]),
-            Err(EngineError::UnknownTable(_))
-        ));
-        // Nothing to remove: nothing changes, cracked state included.
-        assert_eq!(db.delete_rows("r", &[]).unwrap(), 0);
-        assert_eq!(db.delete_rows("r", &[100, 7_000]).unwrap(), 0);
-        assert_eq!((db.cracked_columns(), db.map_count()), (3, 1));
-        // Repeats and out-of-range OIDs count once or not at all.
-        assert_eq!(db.delete_rows("r", &[0, 99, 0, 100]).unwrap(), 2);
-        let r = db.catalog().table("r").unwrap();
-        assert_eq!(r.len(), 98);
-        assert_eq!(r.ints("a").unwrap()[0], 98, "old OID 1 is the new OID 0");
-        assert_eq!(r.ints("k").unwrap()[97], 8, "columns stay aligned");
-        assert_eq!(
-            (db.cracked_columns(), db.map_count()),
-            (1, 0),
-            "r's copies are stale, s keeps its own"
-        );
-        assert_eq!(db.total_crack_stats().queries, 1, "s's counters survive");
-        // The next first touch snapshots the compacted base.
-        let q = RangeQuery::new("r", "a", RangePred::ge(98));
-        assert_eq!(db.select(&q, OutputMode::Stream).unwrap().0, vec![0]);
-        // All rows.
-        let all: Vec<u32> = (0..98).collect();
-        assert_eq!(db.delete_rows("r", &all).unwrap(), 98);
-        assert!(db.catalog().table("r").unwrap().is_empty());
-        assert_eq!(
-            db.select_conjunctive("r", &[("a", RangePred::ge(0))])
-                .unwrap(),
-            vec![]
-        );
+    fn delete_rows_compacts_one_table_and_keeps_its_cracked_state() {
+        let preds = [
+            RangePred::lt(3),
+            RangePred::between(20, 60),
+            RangePred::ge(90),
+        ];
+        for mode in MODES {
+            let mut db = db_in(mode);
+            for pred in preds {
+                cracked_oids(&mut db, "r", "a", pred);
+            }
+            cracked_oids(&mut db, "s", "k", RangePred::lt(3));
+            db.shared_cracker("r", "k").unwrap();
+            db.select_project("r", "a", "k", RangePred::lt(10)).unwrap();
+            assert!(matches!(
+                db.delete_rows("zzz", &[0]),
+                Err(EngineError::UnknownTable(_))
+            ));
+            // Nothing to remove: nothing changes.
+            assert_eq!(db.delete_rows("r", &[]).unwrap(), 0);
+            assert_eq!(db.delete_rows("r", &[100, 7_000]).unwrap(), 0);
+            assert_eq!((db.cracked_columns(), db.map_count()), (3, 1));
+            let pieces = |db: &AdaptiveDb| db.cracked_column("r", "a").unwrap().piece_count();
+            let s_stats = |db: &AdaptiveDb| db.cracked_column("s", "k").unwrap().stats();
+            let (pieces_before, s_before) = (pieces(&db), s_stats(&db));
+            // Repeats and out-of-range OIDs count once or not at all.
+            assert_eq!(db.delete_rows("r", &[99, 0, 40, 0, 100]).unwrap(), 3);
+            let r = db.catalog().table("r").unwrap();
+            assert_eq!(r.len(), 97);
+            assert_eq!(r.ints("a").unwrap()[0], 98, "old OID 1 is the new OID 0");
+            assert_eq!(r.ints("k").unwrap()[96], 8, "columns stay aligned");
+            // The copies stay with every boundary; the sideways map goes.
+            assert_eq!((db.cracked_columns(), db.map_count()), (3, 0), "{mode:?}");
+            assert_eq!(pieces(&db), pieces_before, "{mode:?}");
+            assert_eq!(s_stats(&db), s_before, "s is not touched");
+            // Repeat ranges are index-only and see the renumbered base.
+            let before = db.total_crack_stats();
+            for pred in preds {
+                let want = model_oids(&base_model(&db, "r", "a"), pred);
+                assert_eq!(cracked_oids(&mut db, "r", "a", pred), want, "{mode:?}");
+            }
+            let delta = db.total_crack_stats().delta_since(&before);
+            assert_eq!(
+                (delta.queries, delta.cracks, delta.tuples_touched),
+                (0, 0, 0)
+            );
+            // `k` was copied but never cracked: it follows too.
+            let want = model_oids(&base_model(&db, "r", "k"), RangePred::eq(8));
+            assert_eq!(cracked_oids(&mut db, "r", "k", RangePred::eq(8)), want);
+            // All rows.
+            let all: Vec<u32> = (0..97).collect();
+            assert_eq!(db.delete_rows("r", &all).unwrap(), 97);
+            assert!(db.catalog().table("r").unwrap().is_empty());
+            assert_eq!(pieces(&db), pieces_before);
+            assert_eq!(
+                db.select_conjunctive("r", &[("a", RangePred::ge(0))])
+                    .unwrap(),
+                vec![]
+            );
+        }
+    }
+
+    #[test]
+    fn delete_rows_renumbers_the_staged_api_updates_it_meets() {
+        let preds = [RangePred::between(20, 60), RangePred::ge(0)];
+        for mode in MODES {
+            let mut db = db_in(mode);
+            cracked_oids(&mut db, "r", "a", preds[0]);
+            // Row `i` has `a = 99 - i`. Stage a delete the `DELETE` keeps
+            // (50), one it removes as well (10), and inserts beyond the
+            // table, which shift by the whole count.
+            let mut model = base_model(&db, "r", "a");
+            for oid in [50, 10] {
+                assert!(db.stage_delete("r", "a", oid).unwrap());
+                model.remove(&oid);
+            }
+            for (oid, v) in [(200, 45), (300, -5)] {
+                db.stage_insert("r", "a", oid, v).unwrap();
+                model.insert(oid, v);
+            }
+            let doomed = [10, 30, 70];
+            assert_eq!(db.delete_rows("r", &doomed).unwrap(), 3);
+            let rank = |oid: u32| doomed.iter().filter(|&&d| d < oid).count() as u32;
+            let model: BTreeMap<u32, i64> = (model.into_iter())
+                .filter(|(oid, _)| !doomed.contains(oid))
+                .map(|(oid, v)| (oid - rank(oid), v))
+                .collect();
+            for pred in preds {
+                assert_eq!(
+                    cracked_oids(&mut db, "r", "a", pred),
+                    model_oids(&model, pred)
+                );
+            }
+            let col = db.shared_cracker("r", "a").unwrap();
+            assert!(
+                col.has_pending_updates(),
+                "{mode:?}: the overlay stays staged"
+            );
+            let pieces = col.piece_count();
+            col.merge_pending();
+            col.validate().unwrap();
+            assert_eq!(col.piece_count(), pieces, "{mode:?}");
+            for pred in preds {
+                assert_eq!(
+                    cracked_oids(&mut db, "r", "a", pred),
+                    model_oids(&model, pred)
+                );
+            }
+        }
     }
 
     #[test]

@@ -141,11 +141,12 @@ impl Table {
         Ok(())
     }
 
-    /// Keep only the rows whose OID `keep` accepts, compacting every
-    /// column in one pass; survivors are renumbered densely from 0.
-    pub fn retain_rows(&mut self, keep: impl Fn(usize) -> bool) {
+    /// Remove the rows at the `doomed` OIDs (ascending, distinct, each
+    /// below [`len`](Self::len)), compacting every column in one pass;
+    /// survivors are renumbered densely from 0.
+    pub fn remove_rows(&mut self, doomed: &[u32]) {
         for col in &mut self.columns {
-            Arc::make_mut(col).retain_positions(&keep);
+            Arc::make_mut(col).remove_positions(doomed);
         }
     }
 
@@ -250,7 +251,7 @@ mod tests {
             Err(EngineError::RaggedColumns(_))
         ));
         assert_eq!(t.len(), 5, "a ragged batch appends nothing");
-        t.retain_rows(|oid| oid % 2 == 0);
+        t.remove_rows(&[1, 3]);
         assert_eq!(t.ints("k").unwrap(), &[1, 3, 5]);
         assert_eq!(t.row(2).unwrap(), vec![Atom::Int(5), Atom::Int(50)]);
         // A non-int column refuses the whole batch.

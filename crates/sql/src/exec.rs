@@ -33,8 +33,9 @@
 //! table for a grown incarnation (one copy of that table's columns, no
 //! other table touched) and stages the new rows into the table's cracked
 //! copies, which stay warm; `DELETE` compacts the table's base
-//! columns (OIDs stay dense) and starts *that table's* cracked copies
-//! over; `CREATE`/`DROP` register and remove one table. No statement
+//! columns (OIDs stay dense) and compacts and renumbers *that table's*
+//! cracked copies in place, so they stay warm too, every boundary kept;
+//! `CREATE`/`DROP` register and remove one table. No statement
 //! touches another table's cracked state, and every statement is
 //! validated before it changes anything.
 

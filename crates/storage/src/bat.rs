@@ -420,27 +420,28 @@ impl Bat {
         Ok(())
     }
 
-    /// Keep only the BUNs at the positions `keep` accepts, compacting in
-    /// one pass (not one shift per removed BUN). A dense head stays dense
-    /// — survivors are renumbered from its base, which is what aligned
-    /// table columns sharing one OID space need; an explicit head keeps
-    /// the survivors' OIDs.
-    pub fn retain_positions(&mut self, keep: impl Fn(usize) -> bool) {
-        fn retain_at<T>(v: &mut Vec<T>, keep: &impl Fn(usize) -> bool) {
-            let mut pos = 0;
-            v.retain(|_| {
-                pos += 1;
-                keep(pos - 1)
-            });
+    /// Remove the BUNs at the `doomed` positions (ascending, distinct,
+    /// each below [`len`](Self::len)), compacting in one pass: each run of
+    /// survivors between two doomed positions moves left once, by a
+    /// `copy_within`. A dense head stays dense — survivors are renumbered
+    /// from its base, which is what aligned table columns sharing one OID
+    /// space need; an explicit head keeps the survivors' OIDs.
+    pub fn remove_positions(&mut self, doomed: &[u32]) {
+        fn remove_at<T: Copy>(v: &mut Vec<T>, doomed: &[u32]) {
+            for (i, &gap) in doomed.iter().enumerate() {
+                let next = doomed.get(i + 1).map_or(v.len(), |&p| p as usize);
+                v.copy_within(gap as usize + 1..next, gap as usize - i);
+            }
+            v.truncate(v.len() - doomed.len());
         }
         if let HeadColumn::Explicit(oids) = &mut self.head {
-            retain_at(oids, &keep);
+            remove_at(oids, doomed);
         }
         match &mut self.tail {
-            TailData::Int(v) => retain_at(v, &keep),
-            TailData::Float(v) => retain_at(v, &keep),
-            TailData::Str { refs, .. } => retain_at(refs, &keep),
-            TailData::Oid(v) => retain_at(v, &keep),
+            TailData::Int(v) => remove_at(v, doomed),
+            TailData::Float(v) => remove_at(v, doomed),
+            TailData::Str { refs, .. } => remove_at(refs, doomed),
+            TailData::Oid(v) => remove_at(v, doomed),
         }
         self.invalidate();
     }
@@ -602,7 +603,7 @@ mod tests {
             &[3, 0, 1, 2, 4],
             "accelerators dropped"
         );
-        b.retain_positions(|p| p % 2 == 0);
+        b.remove_positions(&[1, 3]);
         assert!(b.head().is_dense(), "survivors are renumbered");
         assert_eq!(b.ints().unwrap(), &[10, 30, 40]);
         assert_eq!(b.oid_at(2).unwrap(), 2);
@@ -615,10 +616,33 @@ mod tests {
             Bat::with_explicit_head("x", vec![7, 3, 9], TailData::Int(vec![1, 2, 3])).unwrap();
         b.append_ints([4, 5]).unwrap();
         assert_eq!(b.head(), &HeadColumn::Explicit(vec![7, 3, 9, 10, 11]));
-        b.retain_positions(|p| p != 1 && p != 3);
+        b.remove_positions(&[1, 3]);
         assert_eq!(b.head(), &HeadColumn::Explicit(vec![7, 9, 11]));
         assert_eq!(b.ints().unwrap(), &[1, 3, 5]);
         b.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn remove_positions_matches_a_filter_at_the_edges() {
+        let vals: Vec<i64> = (0..10).map(|v| v * 10).collect();
+        for doomed in [
+            vec![],
+            vec![0],
+            vec![9],
+            vec![0, 1, 2],
+            vec![3, 4, 8, 9],
+            vec![1, 5, 7],
+            (0..10).collect(),
+        ] {
+            let mut b = Bat::from_ints("r_a", vals.clone());
+            b.remove_positions(&doomed);
+            let want: Vec<i64> = (0..10u32)
+                .filter(|p| !doomed.contains(p))
+                .map(|p| vals[p as usize])
+                .collect();
+            assert_eq!(b.ints().unwrap(), want.as_slice(), "{doomed:?}");
+            assert!(b.head().is_dense());
+        }
     }
 
     #[test]

@@ -556,7 +556,17 @@ fn generated_dml_and_selects_match_a_naive_row_store() {
             }
         };
         *kinds.entry(kind).or_default() += 1;
+        let cracked = |s: &Twins| [s.text.cracked_columns(), s.parsed.cracked_columns()];
+        let before = cracked(&sessions);
         sessions.check(step, &sql, expect);
+        if kind.contains("delete") {
+            // A delete keeps the table's cracked copies warm.
+            let after = cracked(&sessions);
+            assert!(
+                after[0] >= before[0] && after[1] >= before[1],
+                "step {step}: {sql}"
+            );
+        }
         sessions.check_tables(step, &sql, &naive);
     }
     // The generator reached every statement kind it knows.
@@ -669,26 +679,117 @@ fn two_cracked_tables() -> SqlSession {
     session
 }
 
+/// Piece count and counters of `table.a`'s cracked copy.
+fn cracked_a(session: &SqlSession, table: &str) -> (usize, CrackStats) {
+    let col = session.adaptive().cracked_column(table, "a").unwrap();
+    (col.piece_count(), col.stats())
+}
+
+/// `select count(*) from {table} where {clause}`.
+fn count_where(session: &mut SqlSession, table: &str, clause: &str) -> i64 {
+    let sql = format!("select count(*) from {table} where {clause}");
+    session.execute_one(&sql).unwrap().rows().unwrap()[0][0]
+}
+
 #[test]
 fn a_delete_leaves_other_tables_cracked_state_alone() {
     let mut session = two_cracked_tables();
+    // Crack `t.a` where the delete's probe will look, so the delete
+    // itself cracks nothing.
+    count_where(&mut session, "t", "a >= 900");
+    let (r_before, t_pieces) = (cracked_a(&session, "r"), cracked_a(&session, "t").0);
     session.execute_one("delete from t where a >= 900").unwrap();
-    // The probe select cracked `t.a` once more, then the delete dropped
-    // t's copy — its OIDs are stale. r's copy and its counters stay.
-    assert_eq!(session.cracked_columns(), 1);
-    assert_eq!(session.adaptive().total_crack_stats().queries, 1);
+    // t's copy was compacted and renumbered in place, keeping every
+    // boundary; r's was not touched at all.
+    assert_eq!(session.cracked_columns(), 2);
+    assert_eq!(cracked_a(&session, "t").0, t_pieces);
+    assert_eq!(cracked_a(&session, "r"), r_before);
     let before = session.adaptive().total_crack_stats();
-    session
-        .execute_one("select count(*) from r where a < 300")
-        .unwrap();
+    // `(table, clause, lo, hi)`: the clause keeps `lo <= a < hi`.
+    let cases = [
+        ("r", "a < 300", i64::MIN, 300),
+        ("t", "a < 300", i64::MIN, 300),
+        ("t", "a >= 900", 900, i64::MAX),
+    ];
+    for (table, clause, lo, hi) in cases {
+        let got = count_where(&mut session, table, clause);
+        let base = session.adaptive().catalog().table(table).unwrap();
+        let want = base.ints("a").unwrap().iter();
+        let want = want.filter(|v| (lo..hi).contains(*v)).count();
+        assert_eq!(got, want as i64, "{table}: {clause}");
+    }
     let delta = session.adaptive().total_crack_stats().delta_since(&before);
     // Index-only: both boundaries exist, so the answer comes off the read
     // latch without entering the cracking select (`queries` counts those).
     assert_eq!(
         (delta.queries, delta.cracks, delta.tuples_touched),
         (0, 0, 0),
-        "the repeat query on r is still index-only"
+        "the repeat queries on r and t are still index-only"
     );
+    assert_eq!(count_where(&mut session, "t", "a >= 900"), 0);
+}
+
+#[test]
+fn a_delete_reaches_rows_still_staged_by_an_insert() {
+    let mut session = SqlSession::with_config(CrackerConfig::default().with_merge_threshold(64));
+    let mut naive: Vec<Vec<i64>> = (0..1_000).map(|i| vec![i, (i * 7919) % 1_000]).collect();
+    let columns = (0..2).map(|c| {
+        (
+            ["k", "a"][c].to_string(),
+            naive.iter().map(|r| r[c]).collect(),
+        )
+    });
+    session.load_table("r", columns.collect()).unwrap();
+    let insert = |session: &mut SqlSession, naive: &mut Vec<Vec<i64>>, rows: Vec<Vec<i64>>| {
+        let sql = format!("insert into r values {}", values_sql(&rows));
+        session.execute_one(&sql).unwrap();
+        naive.extend(rows);
+    };
+    let check = |session: &mut SqlSession, naive: &[Vec<i64>]| {
+        for (lo, hi) in [(400, 600), (500, 550), (0, 2_000)] {
+            let sql = format!("select * from r where a >= {lo} and a < {hi}");
+            let rows = session.execute_one(&sql).unwrap().rows().unwrap().to_vec();
+            let want = naive.iter().filter(|r| (lo..hi).contains(&r[1]));
+            assert_eq!(sorted(rows), sorted(want.cloned().collect()), "{sql}");
+        }
+    };
+    count_where(&mut session, "r", "a >= 400 and a < 600");
+    // Twenty staged rows (below the merge threshold), five of them in the
+    // range the delete removes, beside fifty cracked rows.
+    insert(
+        &mut session,
+        &mut naive,
+        (0..20).map(|i| vec![2_000 + i, 450 + 10 * i]).collect(),
+    );
+    count_where(&mut session, "r", "a >= 500 and a < 550");
+    let (pieces, _) = cracked_a(&session, "r");
+    session
+        .execute_one("delete from r where a >= 500 and a < 550")
+        .unwrap();
+    naive.retain(|r| !(500..550).contains(&r[1]));
+    let col = session.adaptive().cracked_column("r", "a").unwrap();
+    assert!(
+        col.has_pending_updates(),
+        "the surviving inserts stay staged"
+    );
+    assert_eq!((session.cracked_columns(), col.piece_count()), (1, pieces));
+    check(&mut session, &naive);
+    // Push the staging area past the threshold: the next select merges,
+    // keeping every boundary.
+    let (pieces, before) = cracked_a(&session, "r");
+    insert(
+        &mut session,
+        &mut naive,
+        (0..64).map(|i| vec![3_000 + i, 15 * i]).collect(),
+    );
+    check(&mut session, &naive);
+    let (after, stats) = cracked_a(&session, "r");
+    assert_eq!((after, stats.merges), (pieces, before.merges + 1));
+    assert!(!session
+        .adaptive()
+        .cracked_column("r", "a")
+        .unwrap()
+        .has_pending_updates());
 }
 
 #[test]
