@@ -83,7 +83,7 @@ pub use paged::PagedCracker;
 pub use policy::{CrackPolicy, PolicyCracker};
 pub use pred::RangePred;
 pub use sharded::{ConcurrencyMode, ConcurrentColumn, ShardedCrackerColumn, ShardedSelection};
-pub use sideways::{CrackerMap, SidewaysCracker};
+pub use sideways::CrackerMap;
 pub use snapshot::{BoundaryRecord, ColumnSnapshot, ConcurrentSnapshot};
 pub use stats::CrackStats;
 pub use stochastic::{StochasticCracker, StochasticPolicy};

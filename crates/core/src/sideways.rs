@@ -1,35 +1,38 @@
-//! Sideways cracking: cracker maps for multi-column queries.
+//! Sideways cracking: a cracker map for multi-column queries, kept as a
+//! standalone experiment structure.
 //!
 //! The Ψ cracker of §3.1 splits relations vertically, "each vertical
 //! fragment include\[s\] ... a unique surrogate (oid), that allows simple
-//! reconstruction by means of a natural 1:1-join". That reconstruction
-//! join is exactly where a cracked column-store hurts: after Ξ-cracking
-//! the selection column, its tuples sit in *cracked* (shuffled) order, so
-//! projecting any other attribute of the qualifying tuples means one
-//! random access per OID — a cache-miss per tuple, potentially costlier
-//! than the scan cracking saved.
+//! reconstruction by means of a natural 1:1-join". After Ξ-cracking the
+//! selection column its tuples sit in *cracked* (shuffled) order, so
+//! projecting another attribute of the qualifying tuples means one random
+//! access per OID.
 //!
-//! **Cracker maps** (the follow-on technique of Idreos et al.,
-//! *Self-organizing tuple reconstruction in a column-store*, SIGMOD 2009)
-//! fix this sideways: for each (selection attribute, projection
-//! attribute) pair `A→B` actually used by queries, a [`CrackerMap`]
-//! stores the `B` values *physically aligned with the cracked order of
-//! `A`* and cracks them together. A selection on `A` then yields the
-//! qualifying `B` values as one contiguous slice — tuple reconstruction
-//! cost drops to a memcpy, and the map network stays query-driven: maps
-//! are created lazily on first use, exactly like every other cracker in
-//! this library.
+//! A **cracker map** (Idreos, Kersten & Manegold, *Self-organizing tuple
+//! reconstruction in column-stores*, SIGMOD 2009) stores, for one
+//! (selection attribute, projection attribute) pair `A→B`, the `B` values
+//! *physically aligned with the cracked order of `A`* and cracks them
+//! together. A selection on `A` then yields the qualifying `B` values as
+//! one contiguous slice.
 //!
-//! [`SidewaysCracker`] manages the map set for one head attribute; the
-//! `ext_sideways` experiment measures the contiguous-projection payoff
-//! against OID-based reconstruction.
+//! The engine does not use [`CrackerMap`]: `AdaptiveDb::select_project`
+//! cracks the head column's one cracked copy and gathers the tail from
+//! the base by OID. A map is a second cracked copy of the head plus a
+//! tail copy (20 bytes per row), cracked by its own scalar loop, with no
+//! update overlay, no latch and no checkpoint. On the e2e `warm_explore`
+//! workload (2-vCPU VM, 10 alternating pairs), whose sideways selects
+//! return at most 200 of 2 M rows, dropping the maps cut peak RSS per
+//! user byte by 20 % and raised throughput by 9 %. The shape itself got
+//! slower: its p50 rose from 5.2 to 8.1 µs, mostly the OID sort and the
+//! cold OID copy of the SQL single-table path. The map's contiguous copy
+//! wins on such selects, and more so on wide windows; the `ext_sideways`
+//! experiment and the extensions bench keep that comparison.
 
 use crate::crack::BoundaryKey;
 use crate::index::CrackerIndex;
 use crate::pred::RangePred;
 use crate::stats::CrackStats;
 use crate::value_trait::CrackValue;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// One head→tail cracker map: tail values kept physically aligned with
@@ -83,21 +86,6 @@ impl<T: CrackValue> CrackerMap<T> {
         &self.stats
     }
 
-    /// Number of pieces in the map's cracker index.
-    pub fn piece_count(&self) -> usize {
-        self.index.piece_count()
-    }
-
-    /// The head values in cracked order (test/inspection surface).
-    pub fn head_values(&self) -> &[T] {
-        &self.head
-    }
-
-    /// The OIDs in cracked order, parallel to both value arrays.
-    pub fn oids(&self) -> &[u32] {
-        &self.oids
-    }
-
     /// Select on the head attribute, cracking the map; the answer is the
     /// slot range whose **tail** values (and OIDs) are contiguous.
     pub fn select(&mut self, pred: RangePred<T>) -> Range<usize> {
@@ -135,12 +123,6 @@ impl<T: CrackValue> CrackerMap<T> {
     /// point of the map — no per-OID random access.
     pub fn project(&self, slots: Range<usize>) -> &[T] {
         &self.tail[slots]
-    }
-
-    /// Select and project in one call.
-    pub fn select_project(&mut self, pred: RangePred<T>) -> &[T] {
-        let r = self.select(pred);
-        self.project(r)
     }
 
     /// Find or create the split position for `key` (two-way crack over
@@ -185,68 +167,6 @@ impl<T: CrackValue> CrackerMap<T> {
             return Err("map arrays misaligned".into());
         }
         Ok(())
-    }
-}
-
-/// The map set for one head (selection) attribute: one [`CrackerMap`] per
-/// projected attribute, created lazily on first use.
-#[derive(Debug, Clone)]
-pub struct SidewaysCracker<T> {
-    head: Vec<T>,
-    maps: BTreeMap<String, CrackerMap<T>>,
-}
-
-impl<T: CrackValue> SidewaysCracker<T> {
-    /// A cracker for selections on the given head column.
-    pub fn new(head: Vec<T>) -> Self {
-        SidewaysCracker {
-            head,
-            maps: BTreeMap::new(),
-        }
-    }
-
-    /// Number of maps materialized so far.
-    pub fn map_count(&self) -> usize {
-        self.maps.len()
-    }
-
-    /// The map for a projected attribute, if it exists yet.
-    pub fn map(&self, tail_name: &str) -> Option<&CrackerMap<T>> {
-        self.maps.get(tail_name)
-    }
-
-    /// `SELECT tail FROM t WHERE head IN pred` — creates the `head→tail`
-    /// map on first use (copying both columns once, like the first crack
-    /// of any column), cracks it, and returns the contiguous tail slice.
-    ///
-    /// `fetch_tail` supplies the tail column values in OID order; it is
-    /// only invoked when the map does not exist yet.
-    pub fn select_project<'a>(
-        &'a mut self,
-        tail_name: &str,
-        fetch_tail: impl FnOnce() -> Vec<T>,
-        pred: RangePred<T>,
-    ) -> &'a [T] {
-        let head = &self.head;
-        let map = self
-            .maps
-            .entry(tail_name.to_owned())
-            .or_insert_with(|| CrackerMap::new(head.clone(), fetch_tail()));
-        let r = map.select(pred);
-        map.project(r)
-    }
-
-    /// Aggregate crack statistics over all maps.
-    pub fn total_stats(&self) -> CrackStats {
-        let mut acc = CrackStats::default();
-        for m in self.maps.values() {
-            let s = m.stats();
-            acc.queries += s.queries;
-            acc.cracks += s.cracks;
-            acc.tuples_touched += s.tuples_touched;
-            acc.tuples_moved += s.tuples_moved;
-        }
-        acc
     }
 }
 
@@ -298,9 +218,9 @@ mod tests {
         // Invariant: at every slot, tail == head*10+1 and oid recovers the
         // original pair.
         for i in 0..m.len() {
-            let h = m.head_values()[i];
+            let h = m.head[i];
             assert_eq!(m.project(i..i + 1)[0], h * 10 + 1);
-            let oid = m.oids()[i] as usize;
+            let oid = m.oids[i] as usize;
             assert_eq!(head[oid], h);
         }
     }
@@ -330,67 +250,6 @@ mod tests {
     #[should_panic(expected = "align")]
     fn misaligned_columns_panic() {
         CrackerMap::new(vec![1i64, 2], vec![1i64]);
-    }
-
-    #[test]
-    fn sideways_cracker_materializes_maps_lazily() {
-        let n = 1_000;
-        let head: Vec<i64> = (0..n).rev().collect();
-        let b: Vec<i64> = (0..n).map(|i| i * 2).collect();
-        let c: Vec<i64> = (0..n).map(|i| i * 3).collect();
-        let mut sw = SidewaysCracker::new(head.clone());
-        assert_eq!(sw.map_count(), 0);
-
-        let got_b = sw
-            .select_project("b", || b.clone(), RangePred::between(100, 199))
-            .to_vec();
-        assert_eq!(sw.map_count(), 1);
-        let mut got_b_sorted = got_b;
-        got_b_sorted.sort_unstable();
-        assert_eq!(
-            got_b_sorted,
-            oracle(&head, &b, &RangePred::between(100, 199))
-        );
-
-        // A second projected attribute gets its own map, answering the
-        // same predicate independently.
-        let got_c = sw
-            .select_project("c", || c.clone(), RangePred::between(100, 199))
-            .to_vec();
-        assert_eq!(sw.map_count(), 2);
-        assert_eq!(got_c.len(), 100);
-        let mut got_c_sorted = got_c.clone();
-        got_c_sorted.sort_unstable();
-        assert_eq!(
-            got_c_sorted,
-            oracle(&head, &c, &RangePred::between(100, 199))
-        );
-
-        // Both maps answer row-aligned: pairing b/2 with c/3 recovers the
-        // same tuple set.
-        let got_b2 = sw
-            .select_project(
-                "b",
-                || unreachable!("map exists"),
-                RangePred::between(100, 199),
-            )
-            .to_vec();
-        let rows_b: std::collections::BTreeSet<i64> = got_b2.iter().map(|v| v / 2).collect();
-        let rows_c: std::collections::BTreeSet<i64> = got_c.iter().map(|v| v / 3).collect();
-        assert_eq!(rows_b, rows_c, "maps agree on the qualifying tuple set");
-    }
-
-    #[test]
-    fn stats_aggregate_across_maps() {
-        let head: Vec<i64> = (0..100).collect();
-        let mut sw = SidewaysCracker::new(head);
-        sw.select_project("b", || (0..100).collect(), RangePred::lt(50));
-        sw.select_project("c", || (0..100).collect(), RangePred::ge(50));
-        let s = sw.total_stats();
-        assert_eq!(s.queries, 2);
-        assert!(s.cracks >= 2);
-        assert!(sw.map("b").is_some());
-        assert!(sw.map("zzz").is_none());
     }
 
     proptest! {
@@ -427,8 +286,8 @@ mod tests {
             }
             // Every slot still holds an original (head, tail, oid) triple.
             for i in 0..m.len() {
-                let oid = m.oids()[i] as usize;
-                prop_assert_eq!(m.head_values()[i], pairs[oid].0);
+                let oid = m.oids[i] as usize;
+                prop_assert_eq!(m.head[i], pairs[oid].0);
                 prop_assert_eq!(m.project(i..i + 1)[0], pairs[oid].1);
             }
         }

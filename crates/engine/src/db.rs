@@ -30,7 +30,6 @@ use crate::table::Table;
 use cracker_core::group::{aggregate_groups, omega_crack};
 use cracker_core::join::{join_matched, wedge_crack, PairColumn};
 use cracker_core::lineage::{CrackOp, LineageGraph, PieceId};
-use cracker_core::sideways::CrackerMap;
 use cracker_core::{
     ConcurrencyMode, ConcurrentColumn, ConcurrentSnapshot, CrackerConfig, KernelPolicy, RangePred,
     Renumbering,
@@ -47,9 +46,9 @@ use storage::{CheckpointStore, Manifest, StorageError};
 /// A database whose physical organization adapts to the queries it
 /// receives.
 ///
-/// Invariant: **one cracked copy per column, latched.** `columns` is the
-/// only map of single-column cracked state; every query path, every staged
-/// update and every checkpoint goes through the entry it holds.
+/// Invariant: **one cracked copy per column, latched.** `columns` holds
+/// all the cracked state there is; every query path, every staged update
+/// and every checkpoint goes through the entry it holds.
 pub struct AdaptiveDb {
     catalog: DbCatalog,
     config: CrackerConfig,
@@ -61,9 +60,6 @@ pub struct AdaptiveDb {
     /// The key `columns` is probed with: names are copied into its two
     /// buffers, so a probe allocates nothing.
     probe: (String, String),
-    /// Sideways cracker maps, keyed by `(table, head, tail)`; created on
-    /// first `select_project` over that attribute pair.
-    maps: HashMap<(String, String, String), CrackerMap<i64>>,
     /// Lineage roots per table, created on registration.
     lineage: LineageGraph,
     roots: HashMap<String, PieceId>,
@@ -92,7 +88,6 @@ impl AdaptiveDb {
             concurrency: ConcurrencyMode::default(),
             columns: HashMap::new(),
             probe: Default::default(),
-            maps: HashMap::new(),
             lineage: LineageGraph::new(),
             roots: HashMap::new(),
             scratch: BlockScratch::new(),
@@ -183,7 +178,8 @@ impl AdaptiveDb {
         &self.lineage
     }
 
-    /// Number of columns that have been cracked so far.
+    /// Number of columns that have been cracked so far: every cracked
+    /// structure this database holds.
     pub fn cracked_columns(&self) -> usize {
         self.columns.len()
     }
@@ -534,13 +530,13 @@ impl AdaptiveDb {
         Ok(result)
     }
 
-    /// `SELECT tail FROM table WHERE head IN pred`, answered sideways: a
-    /// cracker map keeps the `tail` values physically aligned with the
-    /// cracked order of `head`, so the projection comes back as one
-    /// contiguous copy instead of a random access per qualifying OID (the
-    /// Ψ surrogate join's hidden cost). The map is created on first use,
-    /// copying both columns once — the same lazy-first-touch convention
-    /// as every other cracker here.
+    /// `SELECT tail FROM table WHERE head IN pred`: `head`'s one cracked
+    /// copy selects the OIDs (cracking as a side effect, honouring its
+    /// staged updates) and `tail` is gathered from the base by OID —
+    /// §3.1's reconstruction "by means of a natural 1:1-join" on the
+    /// surrogate. Values come in the order the cracked copy yields the
+    /// OIDs. OIDs with no base row (staged inserts beyond the table) are
+    /// dropped, as in [`refine_conjunct`].
     pub fn select_project(
         &mut self,
         table: &str,
@@ -548,23 +544,14 @@ impl AdaptiveDb {
         tail: &str,
         pred: RangePred<i64>,
     ) -> EngineResult<Vec<i64>> {
-        let key = (table.to_owned(), head.to_owned(), tail.to_owned());
-        if !self.maps.contains_key(&key) {
-            let t = self.catalog.table(table)?;
-            let head_vals = t.ints(head)?.to_vec();
-            let tail_vals = t.ints(tail)?.to_vec();
-            self.maps
-                .insert(key.clone(), CrackerMap::new(head_vals, tail_vals));
-        }
-        // lint: allow(unwrap) — the miss branch above just inserted the key
-        let map = self.maps.get_mut(&key).expect("inserted above");
-        let r = map.select(pred);
-        Ok(map.project(r).to_vec())
-    }
-
-    /// Number of sideways cracker maps materialized so far.
-    pub fn map_count(&self) -> usize {
-        self.maps.len()
+        // Resolve `tail` first: an unknown tail must not first-touch `head`.
+        self.catalog.table(table)?.ints(tail)?;
+        let oids = self.shared_cracker(table, head)?.select_oids(pred);
+        let tail = self.catalog.table(table)?.ints(tail)?;
+        Ok(oids
+            .iter()
+            .filter_map(|&o| tail.get(o as usize).copied())
+            .collect())
     }
 
     /// Stage a row insertion: the new value joins the pending overlay of
@@ -664,10 +651,7 @@ impl AdaptiveDb {
     /// Returns the OID of the first appended row.
     ///
     /// Rows are validated against the schema (arity, all-int) before
-    /// anything is staged or logged. Sideways cracker maps over the table
-    /// are invalidated — they snapshot two columns at once and cannot
-    /// absorb a one-column overlay; the next `select_project` rebuilds
-    /// them over the grown base.
+    /// anything is staged or logged.
     pub fn append_rows(&mut self, table: &str, rows: &[Vec<i64>]) -> EngineResult<u32> {
         let t = self.catalog.table(table)?;
         let names: Vec<String> = t.schema().names().iter().map(|s| s.to_string()).collect();
@@ -706,9 +690,6 @@ impl AdaptiveDb {
             }
         }
         *self.catalog.table_mut(table)? = grown;
-        // Sideways maps snapshot (head, tail) pairs; invalidate rather
-        // than serve answers missing the appended rows.
-        self.maps.retain(|(t, _, _), _| t != table);
         Ok(start)
     }
 
@@ -717,9 +698,8 @@ impl AdaptiveDb {
     /// densely. Each of the table's cracked copies follows in place
     /// ([`ConcurrentColumn::compact_renumber`]): the doomed tuples leave
     /// their pieces, the survivors and the pending overlay take the new
-    /// OIDs, and every boundary stays, so the next select is warm. The
-    /// table's sideways maps are dropped and rebuilt at their next
-    /// `select_project`. Other tables are not touched. OIDs beyond the
+    /// OIDs, and every boundary stays, so the next select is warm. Other
+    /// tables are not touched. OIDs beyond the
     /// table (and repeats) are ignored; returns the number of rows
     /// removed, and a call that removes none changes nothing.
     ///
@@ -741,13 +721,12 @@ impl AdaptiveDb {
             let renumbering = Renumbering::new(&doomed);
             let cracked = self.columns.iter().filter(|((name, _), _)| name == table);
             cracked.for_each(|(_, col)| col.compact_renumber(&renumbering));
-            self.maps.retain(|(t, _, _), _| t != table);
         }
         Ok(doomed.len())
     }
 
-    /// Drop a base table together with its cracked copies, sideways maps
-    /// and lineage root. Refused while durability is
+    /// Drop a base table together with its cracked copies and lineage
+    /// root. Refused while durability is
     /// attached: a redo record naming the dropped table would make
     /// [`recover`](Self::recover) fail with `UnknownTable`.
     pub fn drop_table(&mut self, table: &str) -> EngineResult<()> {
@@ -757,7 +736,6 @@ impl AdaptiveDb {
         self.catalog.drop_table(table)?;
         self.roots.remove(table);
         self.columns.retain(|(t, _), _| t != table);
-        self.maps.retain(|(t, _, _), _| t != table);
         Ok(())
     }
 
@@ -1359,27 +1337,60 @@ mod tests {
 
     #[test]
     fn sideways_select_project_agrees_with_oid_path() {
-        let mut db = db();
-        // Sideways: b-values (column k) of tuples with a in [10, 19].
-        let pred = RangePred::between(10, 19);
-        let mut sideways = db.select_project("r", "a", "k", pred).unwrap();
-        sideways.sort_unstable();
-        // OID path through the cracked column.
-        let q = RangeQuery::new("r", "a", pred);
-        let (oids, _) = db.select(&q, OutputMode::Stream).unwrap();
-        let k_col: Vec<i64> = (0..100).map(|i| i % 10).collect();
-        let mut via_oids: Vec<i64> = oids.iter().map(|&o| k_col[o as usize]).collect();
-        via_oids.sort_unstable();
-        assert_eq!(sideways, via_oids);
-        assert_eq!(db.map_count(), 1);
-        // A second pair creates a second map; a repeat reuses the first.
-        db.select_project("r", "k", "a", RangePred::lt(3)).unwrap();
-        db.select_project("r", "a", "k", RangePred::lt(3)).unwrap();
-        assert_eq!(db.map_count(), 2);
-        // Unknown names error.
-        assert!(db.select_project("zzz", "a", "k", pred).is_err());
-        assert!(db.select_project("r", "zzz", "k", pred).is_err());
-        assert!(db.select_project("r", "a", "zzz", pred).is_err());
+        for mode in MODES {
+            let mut db = db_in(mode);
+            // k-values of the tuples with a in [10, 19].
+            let pred = RangePred::between(10, 19);
+            let got = sideways(&mut db, pred);
+            // OID path through the same cracked column.
+            let k = base_model(&db, "r", "k");
+            let oids = cracked_oids(&mut db, "r", "a", pred);
+            let mut via_oids: Vec<i64> = oids.iter().map(|o| k[o]).collect();
+            via_oids.sort_unstable();
+            assert_eq!(got, via_oids, "{mode:?}");
+            assert_eq!(got, model_tails(&db, pred), "{mode:?}");
+            // One cracked structure: `a`'s copy. `k` is only gathered.
+            assert_eq!(db.cracked_columns(), 1, "{mode:?}");
+            assert!(db.cracked_column("r", "k").is_none());
+            // A repeat is index-only.
+            let before = db.total_crack_stats();
+            assert_eq!(sideways(&mut db, pred), got);
+            let delta = db.total_crack_stats().delta_since(&before);
+            assert_eq!((delta.cracks, delta.tuples_touched), (0, 0), "{mode:?}");
+            // Unknown names error; an unknown tail touches nothing.
+            assert!(db.select_project("zzz", "a", "k", pred).is_err());
+            assert!(db.select_project("r", "zzz", "k", pred).is_err());
+            assert!(db.select_project("r", "k", "zzz", pred).is_err());
+            assert!(db.cracked_column("r", "k").is_none(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn select_project_excludes_a_staged_delete() {
+        for mode in MODES {
+            let mut db = db_in(mode);
+            // Row `i` has `a = 99 - i` and `k = i % 10`: a >= 90 is rows 0..=9.
+            let pred = RangePred::ge(90);
+            assert_eq!(sideways(&mut db, pred), (0..10).collect::<Vec<_>>());
+            assert!(db.stage_delete("r", "a", 3).unwrap());
+            let want: Vec<i64> = (0..10).filter(|&k| k != 3).collect();
+            assert_eq!(sideways(&mut db, pred), want, "{mode:?}");
+            // `select` on the same range agrees.
+            let oids = cracked_oids(&mut db, "r", "a", pred);
+            assert_eq!(oids.len(), want.len(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn select_project_skips_staged_inserts_beyond_the_table() {
+        for mode in MODES {
+            let mut db = db_in(mode);
+            // OID 200 has an `a` value but no base row, so no `k` value.
+            db.stage_insert("r", "a", 200, 95).unwrap();
+            let pred = RangePred::ge(90);
+            assert_eq!(cracked_oids(&mut db, "r", "a", pred).len(), 11);
+            assert_eq!(sideways(&mut db, pred), model_tails(&db, pred), "{mode:?}");
+        }
     }
 
     #[test]
@@ -1551,63 +1562,57 @@ mod tests {
 
     #[test]
     fn append_rows_grows_base_and_cracked_copies() {
-        let mut db = db();
-        // Crack `a`, build a sideways map, then append whole rows.
-        db.select(
-            &RangeQuery::new("r", "a", RangePred::ge(50)),
-            OutputMode::Count,
-        )
-        .unwrap();
-        db.select_project("r", "a", "k", RangePred::lt(10)).unwrap();
-        assert_eq!(db.map_count(), 1);
-        let start = db.append_rows("r", &[vec![3, 200], vec![7, 201]]).unwrap();
-        assert_eq!(start, 100);
-        assert_eq!(db.catalog().table("r").unwrap().len(), 102);
-        assert_eq!(
-            db.catalog().table("r").unwrap().ints("a").unwrap()[100],
-            200
-        );
-        // The cracked copy of `a` saw the new rows via the overlay.
-        let (oids, _) = db
-            .select(
-                &RangeQuery::new("r", "a", RangePred::ge(200)),
-                OutputMode::Stream,
+        for mode in MODES {
+            let mut db = db_in(mode);
+            // Crack `a` through a count and a sideways select, then append
+            // whole rows.
+            db.select(
+                &RangeQuery::new("r", "a", RangePred::ge(50)),
+                OutputMode::Count,
             )
             .unwrap();
-        assert_eq!(oids, vec![100, 101]);
-        // `k` was never cracked: its first touch snapshots the grown base.
-        let (oids, _) = db
-            .select(
-                &RangeQuery::new("r", "k", RangePred::eq(7)),
-                OutputMode::Stream,
-            )
-            .unwrap();
-        assert!(oids.contains(&101), "appended k=7 row visible: {oids:?}");
-        // Sideways maps were invalidated; the rebuilt one sees the rows.
-        assert_eq!(db.map_count(), 0);
-        let tails = db
-            .select_project("r", "a", "k", RangePred::ge(200))
-            .unwrap();
-        assert_eq!(tails.len(), 2);
-        // Ragged rows are rejected before anything is staged.
-        assert!(db.append_rows("r", &[vec![1]]).is_err());
-        assert_eq!(db.append_rows("r", &[]).unwrap(), 102);
-        // An empty table (what `CREATE TABLE` registers) grows from OID 0,
-        // cracked or not.
-        db.register(Table::from_int_columns("e", vec![("x", vec![]), ("y", vec![])]).unwrap())
-            .unwrap();
-        let count = |db: &mut AdaptiveDb, pred| {
-            let q = RangeQuery::new("e", "x", pred);
-            db.select(&q, OutputMode::Count).unwrap().1.result_count
-        };
-        assert_eq!(db.append_rows("e", &[vec![1, 10]]).unwrap(), 0);
-        assert_eq!(count(&mut db, RangePred::ge(0)), 1);
-        assert_eq!(db.append_rows("e", &[vec![2, 20], vec![3, 30]]).unwrap(), 1);
-        assert_eq!(count(&mut db, RangePred::ge(2)), 2);
-        assert_eq!(
-            db.catalog().table("e").unwrap().ints("y").unwrap(),
-            &[10, 20, 30]
-        );
+            let narrow = RangePred::lt(10);
+            sideways(&mut db, narrow);
+            assert_eq!(db.cracked_columns(), 1);
+            let start = db.append_rows("r", &[vec![3, 200], vec![7, 5]]).unwrap();
+            assert_eq!(start, 100);
+            assert_eq!(db.catalog().table("r").unwrap().len(), 102);
+            assert_eq!(
+                db.catalog().table("r").unwrap().ints("a").unwrap()[100],
+                200
+            );
+            // The sideways repeat rides `a`'s overlay: it sees the new row
+            // and cracks nothing.
+            let before = db.total_crack_stats();
+            assert_eq!(sideways(&mut db, narrow), model_tails(&db, narrow));
+            assert!(sideways(&mut db, narrow).contains(&7), "{mode:?}");
+            let delta = db.total_crack_stats().delta_since(&before);
+            assert_eq!((delta.cracks, delta.tuples_touched), (0, 0), "{mode:?}");
+            // The cracked copy of `a` saw the new rows via the overlay.
+            assert_eq!(cracked_oids(&mut db, "r", "a", RangePred::ge(200)), [100]);
+            // `k` was never cracked: its first touch snapshots the grown base.
+            let oids = cracked_oids(&mut db, "r", "k", RangePred::eq(7));
+            assert!(oids.contains(&101), "appended k=7 row visible: {oids:?}");
+            // Ragged rows are rejected before anything is staged.
+            assert!(db.append_rows("r", &[vec![1]]).is_err());
+            assert_eq!(db.append_rows("r", &[]).unwrap(), 102);
+            // An empty table (what `CREATE TABLE` registers) grows from OID
+            // 0, cracked or not.
+            db.register(Table::from_int_columns("e", vec![("x", vec![]), ("y", vec![])]).unwrap())
+                .unwrap();
+            let count = |db: &mut AdaptiveDb, pred| {
+                let q = RangeQuery::new("e", "x", pred);
+                db.select(&q, OutputMode::Count).unwrap().1.result_count
+            };
+            assert_eq!(db.append_rows("e", &[vec![1, 10]]).unwrap(), 0);
+            assert_eq!(count(&mut db, RangePred::ge(0)), 1);
+            assert_eq!(db.append_rows("e", &[vec![2, 20], vec![3, 30]]).unwrap(), 1);
+            assert_eq!(count(&mut db, RangePred::ge(2)), 2);
+            assert_eq!(
+                db.catalog().table("e").unwrap().ints("y").unwrap(),
+                &[10, 20, 30]
+            );
+        }
     }
 
     /// The cracked answer to `pred` over `table.attr`, sorted.
@@ -1635,6 +1640,22 @@ mod tests {
         (0..).zip(vals.iter().copied()).collect()
     }
 
+    /// `select_project("r", "a", "k", pred)`, sorted.
+    fn sideways(db: &mut AdaptiveDb, pred: RangePred<i64>) -> Vec<i64> {
+        let mut tails = db.select_project("r", "a", "k", pred).unwrap();
+        tails.sort_unstable();
+        tails
+    }
+
+    /// `k` of the base rows of `r` whose `a` matches `pred`, sorted.
+    fn model_tails(db: &AdaptiveDb, pred: RangePred<i64>) -> Vec<i64> {
+        let k = base_model(db, "r", "k");
+        let oids = model_oids(&base_model(db, "r", "a"), pred);
+        let mut tails: Vec<i64> = oids.iter().map(|o| k[o]).collect();
+        tails.sort_unstable();
+        tails
+    }
+
     #[test]
     fn delete_rows_compacts_one_table_and_keeps_its_cracked_state() {
         let preds = [
@@ -1649,7 +1670,8 @@ mod tests {
             }
             cracked_oids(&mut db, "s", "k", RangePred::lt(3));
             db.shared_cracker("r", "k").unwrap();
-            db.select_project("r", "a", "k", RangePred::lt(10)).unwrap();
+            let narrow = RangePred::lt(10);
+            sideways(&mut db, narrow);
             assert!(matches!(
                 db.delete_rows("zzz", &[0]),
                 Err(EngineError::UnknownTable(_))
@@ -1657,7 +1679,7 @@ mod tests {
             // Nothing to remove: nothing changes.
             assert_eq!(db.delete_rows("r", &[]).unwrap(), 0);
             assert_eq!(db.delete_rows("r", &[100, 7_000]).unwrap(), 0);
-            assert_eq!((db.cracked_columns(), db.map_count()), (3, 1));
+            assert_eq!(db.cracked_columns(), 3);
             let pieces = |db: &AdaptiveDb| db.cracked_column("r", "a").unwrap().piece_count();
             let s_stats = |db: &AdaptiveDb| db.cracked_column("s", "k").unwrap().stats();
             let (pieces_before, s_before) = (pieces(&db), s_stats(&db));
@@ -1667,16 +1689,19 @@ mod tests {
             assert_eq!(r.len(), 97);
             assert_eq!(r.ints("a").unwrap()[0], 98, "old OID 1 is the new OID 0");
             assert_eq!(r.ints("k").unwrap()[96], 8, "columns stay aligned");
-            // The copies stay with every boundary; the sideways map goes.
-            assert_eq!((db.cracked_columns(), db.map_count()), (3, 0), "{mode:?}");
+            // The copies stay with every boundary.
+            assert_eq!(db.cracked_columns(), 3, "{mode:?}");
             assert_eq!(pieces(&db), pieces_before, "{mode:?}");
             assert_eq!(s_stats(&db), s_before, "s is not touched");
-            // Repeat ranges are index-only and see the renumbered base.
+            // Repeat ranges, the sideways one too, are index-only and see
+            // the renumbered base.
             let before = db.total_crack_stats();
             for pred in preds {
                 let want = model_oids(&base_model(&db, "r", "a"), pred);
                 assert_eq!(cracked_oids(&mut db, "r", "a", pred), want, "{mode:?}");
             }
+            let want = model_tails(&db, narrow);
+            assert_eq!(sideways(&mut db, narrow), want, "{mode:?}");
             let delta = db.total_crack_stats().delta_since(&before);
             assert_eq!(
                 (delta.queries, delta.cracks, delta.tuples_touched),
@@ -1761,7 +1786,7 @@ mod tests {
         ));
         db.drop_table("r").unwrap();
         assert_eq!(db.catalog().names(), vec!["s"]);
-        assert_eq!((db.cracked_columns(), db.map_count()), (1, 0));
+        assert_eq!(db.cracked_columns(), 1);
         assert!(db.select_conjunctive("r", &[]).is_err());
         // The name is free again, and a join over it records lineage anew.
         db.register(Table::from_int_columns("r", vec![("k", vec![1, 2])]).unwrap())
@@ -1902,6 +1927,29 @@ mod tests {
         assert_eq!(changed.len(), 1, "only the cracked column is rewritten");
         assert!(changed[0].starts_with("column_r_a-"), "{changed:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sideways_range_answers_warm_after_recovery() {
+        for (i, mode) in MODES.into_iter().enumerate() {
+            let dir = std::env::temp_dir()
+                .join(format!("dbcracker-db-sideways-{i}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut db = db_in(mode);
+            db.attach_durability(&dir, 1).unwrap();
+            let pred = RangePred::between(20, 60);
+            let want = model_tails(&db, pred);
+            assert_eq!(sideways(&mut db, pred), want);
+            db.checkpoint().unwrap();
+            drop(db);
+            let mut rec = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1).unwrap();
+            let before = rec.total_crack_stats();
+            assert_eq!(sideways(&mut rec, pred), want, "{mode:?}");
+            let delta = rec.total_crack_stats().delta_since(&before);
+            assert_eq!((delta.cracks, delta.tuples_touched), (0, 0), "{mode:?}");
+            assert_eq!(rec.cracked_columns(), 1);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

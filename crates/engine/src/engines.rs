@@ -492,12 +492,10 @@ mod tests {
             let s = e.run(RangePred::between(lo, lo + 2500), OutputMode::Count);
             let io = s.tuple_io();
             // The first query's range starts at the domain edge, so it
-            // barely reorganizes anything and the *second* query is the
-            // peak investment under some kernel families' `moved`
-            // accounting (the SIMD crack-in-three reports destination
-            // displacement, not Dutch-flag swaps). Amortization — the
-            // property under test — must hold from there on under every
-            // kernel.
+            // barely reorganizes anything: the *second* query, the first
+            // to crack the interior, is the peak investment. Amortization
+            // — the property under test — must hold from there on under
+            // every kernel.
             if step >= 2 {
                 assert!(
                     io <= prev_io || io < 5000,

@@ -159,12 +159,10 @@ enum AccessPath {
     /// `SELECT count(*) FROM t WHERE a <range>` without `LIMIT`: the
     /// cracked column's piece map answers; no OID is materialized.
     CountRange,
-    /// `SELECT b FROM t WHERE a <range>`: one column projected under one
-    /// single-column predicate — exactly the shape a cracker map answers
-    /// with a contiguous copy instead of one random access per OID.
-    Sideways,
     /// Any other single-table rows or aggregates, over the qualifying
-    /// OIDs.
+    /// OIDs. `SELECT b FROM t WHERE a <range>` is one of them: `a`'s one
+    /// cracked copy selects the OIDs and `b` is gathered from the base by
+    /// OID, §3.1's reconstruction on the surrogate.
     SingleTable,
     /// `GROUP BY`.
     Grouped,
@@ -180,19 +178,15 @@ impl AccessPath {
         if lowered.terms.iter().any(|t| !t.joins.is_empty()) {
             return AccessPath::Join;
         }
-        let ([term], [output]) = (&lowered.terms[..], &lowered.outputs[..]) else {
-            return AccessPath::SingleTable;
-        };
-        let [sel] = &term.selections[..] else {
-            return AccessPath::SingleTable;
-        };
-        match output {
-            OutputCol::Column { source, .. } if source.1 != sel.attr => AccessPath::Sideways,
-            OutputCol::Aggregate {
-                func: AggFunc::Count,
-                arg: None,
-                ..
-            } if limit.is_none() => AccessPath::CountRange,
+        match (&lowered.terms[..], &lowered.outputs[..]) {
+            (
+                [term],
+                [OutputCol::Aggregate {
+                    func: AggFunc::Count,
+                    arg: None,
+                    ..
+                }],
+            ) if term.selections.len() == 1 && limit.is_none() => AccessPath::CountRange,
             _ => AccessPath::SingleTable,
         }
     }
@@ -240,23 +234,14 @@ impl Prepared {
     ) -> SqlResult<QueryOutput> {
         let l = &self.lowered;
         l.bind_into(params, preds)?;
-        // The two one-range paths index what `AccessPath::of` matched.
         let mut out = match self.path {
+            // Indexes what `AccessPath::of` matched: one term, one range.
             AccessPath::CountRange => {
                 let sel = &l.terms[0].selections[0];
                 let count = db.shared_cracker(&sel.table, &sel.attr)?.count(preds[0]);
                 QueryOutput::Table {
                     columns: vec![l.outputs[0].label().to_owned()],
                     rows: vec![vec![count as i64]],
-                }
-            }
-            AccessPath::Sideways => {
-                let (term, sel) = (&l.terms[0], &l.terms[0].selections[0]);
-                let vals =
-                    db.select_project(&sel.table, &sel.attr, &term.projection[0], preds[0])?;
-                QueryOutput::Table {
-                    columns: vec![l.outputs[0].label().to_owned()],
-                    rows: vals.into_iter().map(|v| vec![v]).collect(),
                 }
             }
             AccessPath::SingleTable => {
@@ -1526,17 +1511,22 @@ mod tests {
     }
 
     #[test]
-    fn single_column_projection_takes_the_sideways_path() {
+    fn single_column_projection_cracks_the_selection_column() {
         let mut s = session();
         let out = s.execute_one("select k from r where a >= 95").unwrap();
         // a >= 95 ⇒ oids 0..=4 ⇒ k = oid % 10 ∈ {0..4}.
         let mut got: Vec<i64> = rows(&out).iter().map(|r| r[0]).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        // The query built a cracker map, not a plain cracked column.
-        assert_eq!(s.adaptive().map_count(), 1);
-        assert_eq!(s.cracked_columns(), 0);
-        // Projecting the selection column itself stays on the OID path.
+        // `a` is cracked; `k` is gathered from the base, never copied.
+        assert_eq!(s.cracked_columns(), 1);
+        assert!(s.adaptive().cracked_column("r", "k").is_none());
+        // A repeat is answered from the piece map alone.
+        let before = s.adaptive().total_crack_stats();
+        s.execute_one("select k from r where a >= 95").unwrap();
+        let delta = s.adaptive().total_crack_stats().delta_since(&before);
+        assert_eq!((delta.cracks, delta.tuples_touched), (0, 0));
+        // Projecting the selection column itself rides the same copy.
         let out = s.execute_one("select a from r where a >= 95").unwrap();
         assert_eq!(out.row_count(), 5);
         assert_eq!(s.cracked_columns(), 1);

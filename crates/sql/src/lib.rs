@@ -62,12 +62,12 @@
 //! // The range query cracked column `a` as a side effect.
 //! assert_eq!(session.cracked_columns(), 1);
 //!
-//! // Single-column projections go sideways: a cracker map keeps `k`
-//! // physically aligned with the cracked order of `a`.
+//! // Projecting another column rides the same cracked copy of `a`: its
+//! // OIDs select the rows and `k` is gathered from the base.
 //! session
 //!     .execute_one("select k from r where a between 10 and 20")
 //!     .unwrap();
-//! assert_eq!(session.adaptive().map_count(), 1);
+//! assert_eq!(session.cracked_columns(), 1);
 //! ```
 
 pub mod ast;

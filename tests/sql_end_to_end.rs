@@ -440,8 +440,8 @@ fn generated_dml_and_selects_match_a_naive_row_store() {
                     0 => ("count", select("count(*)", &one), count(t.matching(&one))),
                     1 => ("star", select("*", &one), t.matching(&one)),
                     2 => {
-                        // `b` under a predicate on `a` rides the cracker map;
-                        // `a` itself stays on the OID path.
+                        // `b` under a predicate on `a` is gathered by the
+                        // OIDs `a`'s cracked copy selects; so is `a` itself.
                         let col = if rng.gen_range(0..2) == 0 { "a" } else { "b" };
                         let rows = t.project(&t.matching(&one), &[col]);
                         ("single column", select(col, &one), rows)
