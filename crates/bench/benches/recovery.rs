@@ -14,6 +14,15 @@
 //! * `recovery/query_warm_recovered` vs `recovery/query_cold` — the
 //!   paper-level claim behind the subsystem: a recovered store repeats a
 //!   pre-crash query at cracked cost; a cold store pays the full scan.
+//! * `recovery/checkpoint_after_merges` — the checkpoint that follows
+//!   five forced merges of 1 024 staged inserts each into 1 M rows
+//!   cracked into ~1 k pieces (the merges are not timed). A ripple merge
+//!   shifts nearly every piece, so this is the dirty checkpoint a
+//!   durable ingest pays: the column's origin stays and only its delta
+//!   (the merge journal, the boundaries and the overlay) is written.
+//! * `recovery/recover_with_journal` — recovering that column after four
+//!   such checkpoints: the origin restores, then twenty journaled merges
+//!   replay and the boundaries cracked since are cracked again.
 //!
 //! `BENCH_SMOKE=1` shrinks data so CI can run this as a smoke test; pass
 //! `--json` to record medians (see the bench harness).
@@ -22,6 +31,7 @@ use cracker_core::CrackerConfig;
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use engine::{AdaptiveDb, OutputMode, RangeQuery, Table};
 use std::path::PathBuf;
+use std::time::Instant;
 
 fn smoke() -> bool {
     std::env::var_os("BENCH_SMOKE").is_some()
@@ -116,6 +126,82 @@ fn checkpoint_benches(c: &mut Criterion) {
     g.finish();
 }
 
+/// Rows of the merge legs.
+fn merge_rows() -> usize {
+    if smoke() {
+        20_000
+    } else {
+        1_000_000
+    }
+}
+
+/// `n` rows cracked into ~1 k pieces by 512 ranges, attached to `dir`
+/// with a group commit of 1 024 (the staged batches are not the subject).
+fn cracked_attached(n: usize, dir: &PathBuf) -> AdaptiveDb {
+    let mut db = AdaptiveDb::new();
+    let base = base_values(n);
+    db.register(Table::from_int_columns("t", vec![("v", base)]).expect("columns align"))
+        .expect("fresh catalog");
+    for k in 0..512i64 {
+        let lo = (k * 7_919 * 127) % (n as i64 - 600);
+        let q = RangeQuery::new("t", "v", cracker_core::RangePred::half_open(lo, lo + 600));
+        db.select(&q, OutputMode::Count).expect("registered");
+    }
+    db.attach_durability(dir, 1_024).expect("fresh dir");
+    db
+}
+
+/// Stage five batches of 1 024 inserts, forcing a merge after each.
+fn five_merges(db: &mut AdaptiveDb, next: &mut u32) {
+    let n = merge_rows() as u32;
+    for _ in 0..5 {
+        let rows: Vec<(u32, i64)> = (*next..*next + 1_024)
+            .map(|oid| (oid, i64::from(oid.wrapping_mul(2_654_435_761) % n)))
+            .collect();
+        *next += 1_024;
+        db.stage_insert_batch("t", "v", &rows).expect("attached");
+        db.shared_cracker("t", "v")
+            .expect("cracked")
+            .merge_pending();
+    }
+}
+
+fn merge_benches(c: &mut Criterion) {
+    let n = merge_rows();
+    let mut g = c.benchmark_group("recovery");
+    g.sample_size(if smoke() { 3 } else { 10 });
+
+    let dir = scratch("checkpoint-after-merges");
+    let mut db = cracked_attached(n, &dir);
+    let mut next = n as u32;
+    g.bench_function("checkpoint_after_merges", |b| {
+        b.iter_custom(|_| {
+            five_merges(&mut db, &mut next);
+            let t = Instant::now();
+            black_box(db.checkpoint().expect("attached"));
+            t.elapsed()
+        })
+    });
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = scratch("recover-with-journal");
+    let mut db = cracked_attached(n, &dir);
+    let mut next = n as u32;
+    for _ in 0..4 {
+        five_merges(&mut db, &mut next);
+        db.checkpoint().expect("attached");
+    }
+    drop(db);
+    g.bench_function("recover_with_journal", |b| {
+        b.iter(|| {
+            black_box(AdaptiveDb::recover(&dir, CrackerConfig::default(), 1).expect("durable"))
+        })
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    g.finish();
+}
+
 fn recover_benches(c: &mut Criterion) {
     let base = base_values(n());
     let mut g = c.benchmark_group("recovery");
@@ -172,5 +258,5 @@ fn recover_benches(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, checkpoint_benches, recover_benches);
+criterion_group!(benches, checkpoint_benches, recover_benches, merge_benches);
 criterion_main!(benches);

@@ -26,7 +26,7 @@ use crate::kernel::CrackKernel;
 use crate::pred::RangePred;
 use crate::sorted::SortedPieces;
 use crate::stats::CrackStats;
-use crate::updates::PendingUpdates;
+use crate::updates::{MergeJournal, PendingUpdates};
 use crate::value_trait::CrackValue;
 use std::ops::Range;
 
@@ -104,6 +104,9 @@ pub struct CrackerColumn<T> {
     stats: CrackStats,
     sorted: SortedPieces,
     pub(crate) pending: PendingUpdates<T>,
+    /// What the merges folded in since the last full checkpoint; `None`
+    /// while no durability layer asks for it.
+    pub(crate) journal: Option<MergeJournal<T>>,
     /// Chaos hook: crack countdown after which the column tears its own
     /// state and panics, simulating a kernel dying mid-reorganization.
     /// `None` (the default, and the state after firing) is a no-op.
@@ -129,6 +132,7 @@ impl<T: CrackValue> CrackerColumn<T> {
             stats: CrackStats::default(),
             sorted: SortedPieces::new(),
             pending: PendingUpdates::new(),
+            journal: None,
             panic_after: None,
         }
     }
@@ -150,6 +154,7 @@ impl<T: CrackValue> CrackerColumn<T> {
             stats: CrackStats::default(),
             sorted: SortedPieces::new(),
             pending: PendingUpdates::new(),
+            journal: None,
             panic_after: None,
         }
     }
@@ -602,6 +607,29 @@ impl<T: CrackValue> CrackerColumn<T> {
         self.stats.cracks += 1;
         self.index.insert(key, pos);
         Resolved::Exact(pos)
+    }
+
+    /// Crack the piece enclosing `key` at `key`, whatever its size, unless
+    /// `key` is already a boundary. Recovery re-imposes a recorded
+    /// boundary this way; the position it lands at depends only on the
+    /// piece's values, never on their order.
+    pub(crate) fn crack_at(&mut self, key: BoundaryKey<T>) {
+        if self.index.peek(key).is_some() {
+            return;
+        }
+        let piece = self.index.enclosing_piece(key);
+        self.sorted.remove(piece.start);
+        let pos = self.kernel.crack_two(
+            &mut self.vals,
+            &mut self.oids,
+            piece.start,
+            piece.end,
+            key,
+            &mut self.stats.tuples_moved,
+        );
+        self.stats.tuples_touched += piece.len() as u64;
+        self.stats.cracks += 1;
+        self.index.insert(key, pos);
     }
 
     /// Scan a cut-off piece, appending the positions matching `pred` into

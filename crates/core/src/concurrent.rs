@@ -340,6 +340,11 @@ impl<T: CrackValue> SharedCrackerColumn<T> {
     pub fn read_with<R>(&self, f: impl FnOnce(&CrackerColumn<T>) -> R) -> R {
         f(&self.inner.read())
     }
+
+    /// Run `f` against the wrapped column under the write latch.
+    pub fn write_with<R>(&self, f: impl FnOnce(&mut CrackerColumn<T>) -> R) -> R {
+        f(&mut self.inner.write())
+    }
 }
 
 #[cfg(test)]

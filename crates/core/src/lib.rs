@@ -84,8 +84,10 @@ pub use policy::{CrackPolicy, PolicyCracker};
 pub use pred::RangePred;
 pub use sharded::{ConcurrencyMode, ConcurrentColumn, ShardedCrackerColumn, ShardedSelection};
 pub use sideways::CrackerMap;
-pub use snapshot::{BoundaryRecord, ColumnSnapshot, ConcurrentSnapshot};
+pub use snapshot::{
+    BoundaryRecord, ColumnDelta, ColumnSnapshot, ConcurrentDelta, ConcurrentSnapshot,
+};
 pub use stats::CrackStats;
 pub use stochastic::{StochasticCracker, StochasticPolicy};
-pub use updates::{OidSet, Renumbering};
+pub use updates::{MergeJournal, OidSet, Renumbering};
 pub use value_trait::{CrackValue, OrdF64};

@@ -257,6 +257,12 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
         self.shards.iter().map(|s| f(&s.read())).collect()
     }
 
+    /// Run `f` over every shard's column in ascending shard order, one
+    /// write latch at a time.
+    pub fn write_shards(&self, mut f: impl FnMut(&mut CrackerColumn<T>)) {
+        self.shards.iter().for_each(|s| f(&mut s.write()));
+    }
+
     /// Number of shards actually realized.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -919,6 +925,36 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         match self {
             ConcurrentColumn::Single(c) => c.compact_renumber(doomed),
             ConcurrentColumn::Sharded(c) => c.compact_renumber(doomed),
+        }
+    }
+
+    /// Switch the merge journal of every shard on or off; see
+    /// [`CrackerColumn::set_journaling`].
+    pub fn set_journaling(&self, on: bool) {
+        self.write_each(|c| c.set_journaling(on));
+    }
+
+    /// Empty the merge journal of every shard; see
+    /// [`CrackerColumn::clear_journal`].
+    pub fn clear_journal(&self) {
+        self.write_each(CrackerColumn::clear_journal);
+    }
+
+    /// Entries in the merge journals of all shards together. `None` when
+    /// a shard is not journaling or a base-table delete compacted it: the
+    /// journal no longer describes the column.
+    pub fn journal_len(&self) -> Option<usize> {
+        let len = |c: &CrackerColumn<T>| c.journal().filter(|j| !j.compacted()).map(|j| j.len());
+        match self {
+            ConcurrentColumn::Single(c) => c.read_with(len),
+            ConcurrentColumn::Sharded(c) => c.read_shards(len).into_iter().sum(),
+        }
+    }
+
+    fn write_each(&self, f: impl FnMut(&mut CrackerColumn<T>)) {
+        match self {
+            ConcurrentColumn::Single(c) => c.write_with(f),
+            ConcurrentColumn::Sharded(c) => c.write_shards(f),
         }
     }
 

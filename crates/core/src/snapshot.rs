@@ -3,21 +3,34 @@
 //!
 //! The paper treats the cracker index as a session-local auxiliary
 //! structure (§5.2); keeping a restarted store *warm* means persisting
-//! exactly three things per cracked column: the physically reorganized
-//! value/OID arrays, the boundary map (key + split position — tiny), and
-//! the pending-update overlay. [`ColumnSnapshot::encode`] writes those
-//! straight from a live [`CrackerColumn`] into a checkpoint payload body,
-//! with no intermediate copy; [`ColumnSnapshot::decode`] reads them back
-//! and [`ColumnSnapshot::restore`] rebuilds the column from them.
-//! [`ConcurrentSnapshot`] does the same for either latching mode of a
-//! [`ConcurrentColumn`], reading one shard at a time under its read
-//! latch. The bytes of each field are [`storage::codec`]'s: this module
-//! only fixes their order.
+//! three things per cracked column: its tuples, the boundary map (key +
+//! split position — tiny), and the pending-update overlay. The tuples
+//! are persisted as an *origin* plus a journal:
+//!
+//! * [`ColumnSnapshot`] is the origin: the physically reorganized
+//!   value/OID arrays, with the boundaries and overlay of that moment.
+//!   [`ColumnSnapshot::encode`] writes them straight from a live
+//!   [`CrackerColumn`] into a checkpoint payload body, with no
+//!   intermediate copy; [`ColumnSnapshot::decode`] reads them back and
+//!   [`ColumnSnapshot::restore`] rebuilds the column from them.
+//! * [`ColumnDelta`] is what changed since: the column's
+//!   [`MergeJournal`] (the tuples each update merge inserted and
+//!   deleted), its current boundaries and its current overlay. A ripple
+//!   merge shifts nearly every piece, so the arrays differ almost
+//!   everywhere between two checkpoints while the journal and the
+//!   boundaries stay small. [`ColumnSnapshot::restore_with`] replays a
+//!   delta onto its origin.
+//!
+//! [`ConcurrentSnapshot`] and [`ConcurrentDelta`] do the same for either
+//! latching mode of a [`ConcurrentColumn`], reading one shard at a time
+//! under its read latch. The bytes of each field are
+//! [`storage::codec`]'s: this module only fixes their order.
 //!
 //! Restore never trusts the snapshot: boundary positions are re-validated
 //! against the actual values in `O(n + p)`
-//! ([`CrackerIndex::check_pieces`]) and the sharded range invariant is
-//! re-checked ([`ShardedCrackerColumn::from_parts`]), so a tampered
+//! ([`CrackerIndex::check_pieces`]), a replayed delta must put every
+//! boundary exactly where it records it, and the sharded range invariant
+//! is re-checked ([`ShardedCrackerColumn::from_parts`]), so a tampered
 //! checkpoint that still passes its checksum fails loudly instead of
 //! yielding a silently wrong column. Recency ticks and cost counters are
 //! deliberately *not* persisted — they restart at zero, which only delays
@@ -33,6 +46,8 @@ use crate::config::CrackerConfig;
 use crate::crack::BoundaryKey;
 use crate::index::CrackerIndex;
 use crate::sharded::{ConcurrentColumn, ShardedCrackerColumn};
+use crate::updates::MergeJournal;
+use std::collections::BTreeSet;
 use storage::codec::{self, Reader};
 use storage::{StorageError, StorageResult};
 
@@ -83,41 +98,19 @@ impl ColumnSnapshot {
     pub fn encode(col: &CrackerColumn<i64>, buf: &mut Vec<u8>) {
         codec::put_ints(buf, col.values());
         codec::put_ints(buf, col.oids());
-        let bounds = col.index().boundaries();
-        codec::put_int_iter(buf, bounds.clone().map(|(k, _)| k.value));
-        codec::put_int_iter(buf, bounds.clone().map(|(k, _)| i64::from(k.lte)));
-        codec::put_int_iter(buf, bounds.map(|(_, info)| info.pos as i64));
-        let inserts = col.pending.staged_inserts();
-        codec::put_int_iter(buf, inserts.iter().map(|&(oid, _)| i64::from(oid)));
-        codec::put_int_iter(buf, inserts.iter().map(|&(_, v)| v));
-        codec::put_ints(buf, &sorted_deletes(col));
+        put_boundaries_and_overlay(col, buf);
     }
 
     /// Read one column's state written by [`encode`](Self::encode).
     pub fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
         let values = r.ints()?;
         let oids = r.ints()?;
-        let (keys, lte, pos) = (r.ints()?, r.ints::<bool>()?, r.ints()?);
-        let (insert_oids, insert_values) = (r.ints::<u32>()?, r.ints::<i64>()?);
-        let pending_deletes = r.ints()?;
-        if lte.len() != keys.len() || pos.len() != keys.len() {
-            return Err(StorageError::PersistFormat(
-                "boundary arrays differ in length".to_string(),
-            ));
-        }
-        if insert_values.len() != insert_oids.len() {
-            return Err(StorageError::PersistFormat(
-                "staged insert arrays differ in length".to_string(),
-            ));
-        }
-        let boundaries = (keys.into_iter().zip(lte).zip(pos))
-            .map(|((value, lte), pos)| BoundaryRecord { value, lte, pos })
-            .collect();
+        let (boundaries, pending_inserts, pending_deletes) = read_boundaries_and_overlay(r)?;
         Ok(ColumnSnapshot {
             values,
             oids,
             boundaries,
-            pending_inserts: insert_oids.into_iter().zip(insert_values).collect(),
+            pending_inserts,
             pending_deletes,
         })
     }
@@ -155,16 +148,68 @@ impl ColumnSnapshot {
             }
         }
         col.index().check_pieces(col.values())?;
-        for (oid, v) in self.pending_inserts {
-            col.insert(oid, v);
+        restage(&mut col, self.pending_inserts, self.pending_deletes)?;
+        Ok(col)
+    }
+
+    /// Rebuild a column from this snapshot (its *origin*) and the
+    /// [`ColumnDelta`] written since, trusting neither:
+    ///
+    /// 1. restore the origin's arrays and piece map as
+    ///    [`restore`](Self::restore) does, without its overlay (the
+    ///    delta's supersedes it);
+    /// 2. replay the journaled merges through the ripple merge;
+    /// 3. drop the origin boundaries the delta lacks (fusion: no tuple
+    ///    moves);
+    /// 4. crack at every recorded boundary the origin lacks;
+    /// 5. check the column's length and every boundary's position
+    ///    against the delta's records;
+    /// 6. check the piece map and restage the delta's overlay.
+    ///
+    /// A piece's contents are fixed by the column's tuples and its
+    /// boundaries, so step 5 holds exactly when the replay reproduced the
+    /// checkpointed column piece by piece; the order inside a piece may
+    /// differ, which no select observes. Any mismatch is an error.
+    pub fn restore_with(
+        mut self,
+        delta: ColumnDelta,
+        config: CrackerConfig,
+    ) -> Result<CrackerColumn<i64>, String> {
+        self.pending_inserts.clear();
+        self.pending_deletes.clear();
+        let mut col = self.restore(config)?;
+        col.replay_journal(&delta.journal);
+        if col.len() != delta.len {
+            return Err(format!(
+                "journal replay left {} tuples, the delta records {}",
+                col.len(),
+                delta.len
+            ));
         }
-        for oid in self.pending_deletes {
-            if !col.delete(oid) {
+        let keep: BTreeSet<BoundaryKey<i64>> =
+            delta.boundaries.iter().map(BoundaryRecord::key).collect();
+        let stale: Vec<BoundaryKey<i64>> = (col.index().boundaries())
+            .map(|(key, _)| *key)
+            .filter(|key| !keep.contains(key))
+            .collect();
+        for key in stale {
+            col.fuse_boundary(key);
+        }
+        for key in bisection_order(keep.into_iter().collect()) {
+            col.crack_at(key);
+        }
+        for b in &delta.boundaries {
+            let at = col.index().peek(b.key());
+            if at != Some(b.pos) {
                 return Err(format!(
-                    "pending delete references unknown oid {oid} — snapshot corrupt"
+                    "boundary {:?} lands at {at:?} after replay, the delta records {}",
+                    b.key(),
+                    b.pos
                 ));
             }
         }
+        col.index().check_pieces(col.values())?;
+        restage(&mut col, delta.pending_inserts, delta.pending_deletes)?;
         Ok(col)
     }
 
@@ -190,6 +235,145 @@ impl ColumnSnapshot {
             overlay_hash(col)
         )
     }
+}
+
+/// The second half of a cracked column's checkpoint, decoded: what
+/// changed since its origin [`ColumnSnapshot`]. Content changes are the
+/// merges since the origin ([`MergeJournal`]); structure changes are
+/// captured by the current boundaries, which a ripple merge shifts all at
+/// once. Both are small next to the column: a delta holds no value or
+/// OID of a tuple that was not inserted or deleted.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ColumnDelta {
+    /// Tuples in the cracked area after the journaled merges.
+    pub len: usize,
+    /// The merges since the origin, in order.
+    pub journal: MergeJournal<i64>,
+    /// Crack boundaries in ascending key order.
+    pub boundaries: Vec<BoundaryRecord>,
+    /// Staged-but-unmerged inserts, in staging order.
+    pub pending_inserts: Vec<(u32, i64)>,
+    /// OIDs staged for deletion, sorted.
+    pub pending_deletes: Vec<u32>,
+}
+
+impl ColumnDelta {
+    /// Append the delta of `col` to a payload body: its length, its merge
+    /// journal (insert OIDs, insert values, deletes, and per-merge end
+    /// offsets into inserts and deletes) — empty unless `journal` is set
+    /// and the column keeps one — then its boundaries and overlay exactly
+    /// as [`ColumnSnapshot::encode`] writes them.
+    pub fn encode(col: &CrackerColumn<i64>, journal: bool, buf: &mut Vec<u8>) {
+        codec::put_u64(buf, col.len() as u64);
+        let empty = MergeJournal::default();
+        let j = col.journal().filter(|_| journal).unwrap_or(&empty);
+        codec::put_ints(buf, j.insert_oids());
+        codec::put_ints(buf, j.insert_values());
+        codec::put_ints(buf, j.deletes());
+        codec::put_int_iter(buf, j.ends().iter().map(|&(i, _)| i as i64));
+        codec::put_int_iter(buf, j.ends().iter().map(|&(_, d)| d as i64));
+        put_boundaries_and_overlay(col, buf);
+    }
+
+    /// Read one column's delta written by [`encode`](Self::encode).
+    pub fn decode(r: &mut Reader<'_>) -> StorageResult<Self> {
+        let len = usize::try_from(r.u64()?)
+            .map_err(|_| StorageError::PersistFormat("delta length overflows".to_string()))?;
+        let (oids, values, deletes) = (r.ints()?, r.ints()?, r.ints()?);
+        let (insert_ends, delete_ends) = (r.ints::<usize>()?, r.ints::<usize>()?);
+        if insert_ends.len() != delete_ends.len() {
+            return Err(StorageError::PersistFormat(
+                "journal end arrays differ in length".to_string(),
+            ));
+        }
+        let ends = insert_ends.into_iter().zip(delete_ends).collect();
+        let journal = MergeJournal::from_parts(oids, values, deletes, ends)
+            .map_err(StorageError::PersistFormat)?;
+        let (boundaries, pending_inserts, pending_deletes) = read_boundaries_and_overlay(r)?;
+        Ok(ColumnDelta {
+            len,
+            journal,
+            boundaries,
+            pending_inserts,
+            pending_deletes,
+        })
+    }
+}
+
+/// Ascending `keys` reordered middle first, then the middle of each half,
+/// and so on. Cracking in this order splits every piece near its middle,
+/// so each tuple is touched once per halving, `O(n log k)` for `k` new
+/// boundaries; ascending order rescans a piece's remainder at every key.
+fn bisection_order<K: Copy>(keys: Vec<K>) -> Vec<K> {
+    let mut out = Vec::with_capacity(keys.len());
+    let mut halves = vec![&keys[..]];
+    while let Some(half) = halves.pop() {
+        if let Some(&mid) = half.get(half.len() / 2) {
+            out.push(mid);
+            halves.push(&half[..half.len() / 2]);
+            halves.push(&half[half.len() / 2 + 1..]);
+        }
+    }
+    out
+}
+
+/// Append the boundaries of `col` as three parallel arrays (value, `lte`,
+/// position), its staged inserts as two (OID, value), and its sorted
+/// pending deletes.
+fn put_boundaries_and_overlay(col: &CrackerColumn<i64>, buf: &mut Vec<u8>) {
+    let bounds = col.index().boundaries();
+    codec::put_int_iter(buf, bounds.clone().map(|(k, _)| k.value));
+    codec::put_int_iter(buf, bounds.clone().map(|(k, _)| i64::from(k.lte)));
+    codec::put_int_iter(buf, bounds.map(|(_, info)| info.pos as i64));
+    let inserts = col.pending.staged_inserts();
+    codec::put_int_iter(buf, inserts.iter().map(|&(oid, _)| i64::from(oid)));
+    codec::put_int_iter(buf, inserts.iter().map(|&(_, v)| v));
+    codec::put_ints(buf, &sorted_deletes(col));
+}
+
+/// Boundaries, staged inserts and pending deletes, decoded.
+type BoundariesAndOverlay = (Vec<BoundaryRecord>, Vec<(u32, i64)>, Vec<u32>);
+
+/// Read what [`put_boundaries_and_overlay`] wrote.
+fn read_boundaries_and_overlay(r: &mut Reader<'_>) -> StorageResult<BoundariesAndOverlay> {
+    let (keys, lte, pos) = (r.ints()?, r.ints::<bool>()?, r.ints()?);
+    let (insert_oids, insert_values) = (r.ints::<u32>()?, r.ints::<i64>()?);
+    let pending_deletes = r.ints()?;
+    if lte.len() != keys.len() || pos.len() != keys.len() {
+        return Err(StorageError::PersistFormat(
+            "boundary arrays differ in length".to_string(),
+        ));
+    }
+    if insert_values.len() != insert_oids.len() {
+        return Err(StorageError::PersistFormat(
+            "staged insert arrays differ in length".to_string(),
+        ));
+    }
+    let boundaries = (keys.into_iter().zip(lte).zip(pos))
+        .map(|((value, lte), pos)| BoundaryRecord { value, lte, pos })
+        .collect();
+    let inserts = insert_oids.into_iter().zip(insert_values).collect();
+    Ok((boundaries, inserts, pending_deletes))
+}
+
+/// Re-stage a restored column's overlay through the public update API,
+/// so the insert/delete disjointness invariant holds by construction.
+fn restage(
+    col: &mut CrackerColumn<i64>,
+    inserts: Vec<(u32, i64)>,
+    deletes: Vec<u32>,
+) -> Result<(), String> {
+    for (oid, v) in inserts {
+        col.insert(oid, v);
+    }
+    for oid in deletes {
+        if !col.delete(oid) {
+            return Err(format!(
+                "pending delete references unknown oid {oid} — snapshot corrupt"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// FNV-1a over `bytes`, continuing from `h`.
@@ -250,42 +434,13 @@ impl ConcurrentSnapshot {
     /// [`ColumnSnapshot::encode`], taken under that shard's read latch one
     /// shard at a time in ascending order.
     pub fn encode(col: &ConcurrentColumn<i64>, buf: &mut Vec<u8>) {
-        match col {
-            ConcurrentColumn::Single(c) => {
-                codec::put_u8(buf, 0);
-                codec::put_ints::<i64>(buf, &[]);
-                codec::put_u64(buf, 1);
-                c.read_with(|c| ColumnSnapshot::encode(c, buf));
-            }
-            ConcurrentColumn::Sharded(s) => {
-                codec::put_u8(buf, 1);
-                codec::put_ints(buf, s.splits());
-                codec::put_u64(buf, s.splits().len() as u64 + 1);
-                s.read_shards(|c| ColumnSnapshot::encode(c, buf));
-            }
-        }
+        encode_shards(col, buf, ColumnSnapshot::encode);
     }
 
     /// Decode a payload body written by [`encode`](Self::encode); the
     /// whole body must be consumed.
     pub fn decode(body: &[u8]) -> StorageResult<Self> {
-        let mut r = Reader::new(body);
-        let sharded = match r.u8()? {
-            0 => false,
-            1 => true,
-            t => {
-                return Err(StorageError::PersistFormat(format!(
-                    "unknown concurrency tag {t}"
-                )));
-            }
-        };
-        let splits = r.ints()?;
-        let n = r.count()?;
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(ColumnSnapshot::decode(&mut r)?);
-        }
-        r.finish()?;
+        let (sharded, splits, shards) = decode_shards(body, ColumnSnapshot::decode)?;
         Ok(ConcurrentSnapshot {
             sharded,
             splits,
@@ -296,26 +451,33 @@ impl ConcurrentSnapshot {
     /// Rebuild a concurrent column, re-validating per-shard piece maps
     /// and the sharded range invariant.
     pub fn restore(self, config: CrackerConfig) -> Result<ConcurrentColumn<i64>, String> {
-        if !self.sharded {
-            if !self.splits.is_empty() {
-                return Err("single-lock snapshot must not carry splits".to_string());
-            }
-            let Ok([shard]) = <[ColumnSnapshot; 1]>::try_from(self.shards) else {
-                return Err("single-lock snapshot must hold exactly one shard".to_string());
-            };
-            return Ok(ConcurrentColumn::Single(SharedCrackerColumn::from_column(
-                shard.restore(config)?,
-            )));
+        let columns = (self.shards.into_iter().enumerate())
+            .map(|(i, snap)| snap.restore(config).map_err(|e| format!("shard {i}: {e}")))
+            .collect::<Result<_, _>>()?;
+        assemble(self.sharded, self.splits, columns)
+    }
+
+    /// Rebuild a concurrent column from this snapshot (the origin) and the
+    /// delta written since, shard by shard
+    /// ([`ColumnSnapshot::restore_with`]). The delta must describe the
+    /// same mode and shards as the origin.
+    pub fn restore_with(
+        self,
+        delta: ConcurrentDelta,
+        config: CrackerConfig,
+    ) -> Result<ConcurrentColumn<i64>, String> {
+        if (delta.sharded, &delta.splits, delta.shards.len())
+            != (self.sharded, &self.splits, self.shards.len())
+        {
+            return Err("the delta's shards differ from its origin's".to_string());
         }
-        let mut columns = Vec::with_capacity(self.shards.len());
-        for (i, snap) in self.shards.into_iter().enumerate() {
-            columns.push(
-                snap.restore(config)
-                    .map_err(|e| format!("shard {i}: {e}"))?,
-            );
-        }
-        let sharded = ShardedCrackerColumn::from_parts(self.splits, columns)?;
-        Ok(ConcurrentColumn::Sharded(sharded))
+        let columns = (self.shards.into_iter().zip(delta.shards).enumerate())
+            .map(|(i, (snap, delta))| {
+                snap.restore_with(delta, config)
+                    .map_err(|e| format!("shard {i}: {e}"))
+            })
+            .collect::<Result<_, _>>()?;
+        assemble(self.sharded, self.splits, columns)
     }
 
     /// Dirty-tracking fingerprint: the mode tag plus every shard's
@@ -333,6 +495,112 @@ impl ConcurrentSnapshot {
             }
         }
     }
+}
+
+/// The delta half of a [`ConcurrentColumn`]'s checkpoint, decoded: the
+/// mode and split points (which must match the origin's), then one
+/// [`ColumnDelta`] per shard.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ConcurrentDelta {
+    /// True for [`ShardedCrackerColumn`]; false for the single-lock mode.
+    pub sharded: bool,
+    /// Ascending split values (empty in single-lock mode).
+    pub splits: Vec<i64>,
+    /// Per-shard deltas (exactly one in single-lock mode).
+    pub shards: Vec<ColumnDelta>,
+}
+
+impl ConcurrentDelta {
+    /// Append the delta of `col` to a payload body: the same header as
+    /// [`ConcurrentSnapshot::encode`], then each shard's
+    /// [`ColumnDelta::encode`]. `journal` as there.
+    pub fn encode(col: &ConcurrentColumn<i64>, journal: bool, buf: &mut Vec<u8>) {
+        encode_shards(col, buf, |c, buf| ColumnDelta::encode(c, journal, buf));
+    }
+
+    /// Decode a payload body written by [`encode`](Self::encode); the
+    /// whole body must be consumed.
+    pub fn decode(body: &[u8]) -> StorageResult<Self> {
+        let (sharded, splits, shards) = decode_shards(body, ColumnDelta::decode)?;
+        Ok(ConcurrentDelta {
+            sharded,
+            splits,
+            shards,
+        })
+    }
+}
+
+/// Append the mode tag (0 single lock, 1 sharded), the split points and
+/// the shard count, then `shard` of each shard's column, taken under that
+/// shard's read latch one shard at a time in ascending order.
+fn encode_shards(
+    col: &ConcurrentColumn<i64>,
+    buf: &mut Vec<u8>,
+    mut shard: impl FnMut(&CrackerColumn<i64>, &mut Vec<u8>),
+) {
+    match col {
+        ConcurrentColumn::Single(c) => {
+            codec::put_u8(buf, 0);
+            codec::put_ints::<i64>(buf, &[]);
+            codec::put_u64(buf, 1);
+            c.read_with(|c| shard(c, buf));
+        }
+        ConcurrentColumn::Sharded(s) => {
+            codec::put_u8(buf, 1);
+            codec::put_ints(buf, s.splits());
+            codec::put_u64(buf, s.splits().len() as u64 + 1);
+            s.read_shards(|c| shard(c, buf));
+        }
+    }
+}
+
+/// Read what [`encode_shards`] wrote: the mode, the split points and each
+/// shard's `shard`. The whole body must be consumed.
+fn decode_shards<S>(
+    body: &[u8],
+    mut shard: impl FnMut(&mut Reader<'_>) -> StorageResult<S>,
+) -> StorageResult<(bool, Vec<i64>, Vec<S>)> {
+    let mut r = Reader::new(body);
+    let sharded = match r.u8()? {
+        0 => false,
+        1 => true,
+        t => {
+            return Err(StorageError::PersistFormat(format!(
+                "unknown concurrency tag {t}"
+            )));
+        }
+    };
+    let splits = r.ints()?;
+    let n = r.count()?;
+    let mut shards = Vec::with_capacity(n);
+    for _ in 0..n {
+        shards.push(shard(&mut r)?);
+    }
+    r.finish()?;
+    Ok((sharded, splits, shards))
+}
+
+/// Wrap restored shard columns in the latching mode they were saved
+/// under, re-checking its shape and, when sharded, the range invariant
+/// ([`ShardedCrackerColumn::from_parts`]).
+fn assemble(
+    sharded: bool,
+    splits: Vec<i64>,
+    columns: Vec<CrackerColumn<i64>>,
+) -> Result<ConcurrentColumn<i64>, String> {
+    if sharded {
+        let sharded = ShardedCrackerColumn::from_parts(splits, columns)?;
+        return Ok(ConcurrentColumn::Sharded(sharded));
+    }
+    if !splits.is_empty() {
+        return Err("single-lock snapshot must not carry splits".to_string());
+    }
+    let Ok([column]) = <[CrackerColumn<i64>; 1]>::try_from(columns) else {
+        return Err("single-lock snapshot must hold exactly one shard".to_string());
+    };
+    Ok(ConcurrentColumn::Single(SharedCrackerColumn::from_column(
+        column,
+    )))
 }
 
 /// Re-validate a restored index against values — re-exported convenience
@@ -579,6 +847,85 @@ mod tests {
         }
     }
 
+    /// What a delta checkpoint of `col` decodes to.
+    fn capture_delta(col: &CrackerColumn<i64>) -> ColumnDelta {
+        let mut buf = Vec::new();
+        ColumnDelta::encode(col, true, &mut buf);
+        let mut r = Reader::new(&buf);
+        let delta = ColumnDelta::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        delta
+    }
+
+    /// Boundaries with positions, and each piece's sorted `(value, oid)`
+    /// multiset.
+    type Layout = (Vec<(BoundaryKey<i64>, usize)>, Vec<Vec<(i64, u32)>>);
+
+    fn layout(c: &CrackerColumn<i64>) -> Layout {
+        let keys = c.index().boundaries().map(|(k, i)| (*k, i.pos)).collect();
+        let pieces = (c.index().pieces().iter())
+            .map(|p| {
+                let vals = c.values()[p.start..p.end].iter().copied();
+                let mut m: Vec<_> = vals.zip(c.oids()[p.start..p.end].iter().copied()).collect();
+                m.sort_unstable();
+                m
+            })
+            .collect();
+        (keys, pieces)
+    }
+
+    /// A cracked column journaling from its origin, then changed by two
+    /// merges (one reusing a deleted OID), new cracks and a fusion.
+    fn origin_and_changed() -> (ColumnSnapshot, CrackerColumn<i64>) {
+        let mut col = warmed_column();
+        col.set_journaling(true);
+        let origin = capture(&col);
+        col.merge_pending();
+        col.select(RangePred::between(300, 350));
+        col.insert(2_000, 320);
+        col.delete(7);
+        col.delete(1_000);
+        col.merge_pending();
+        col.insert(7, 5);
+        col.merge_pending();
+        assert!(col.fuse_boundary(BoundaryKey::lt(100)));
+        col.select(RangePred::lt(20));
+        col.insert(2_001, 60);
+        (origin, col)
+    }
+
+    #[test]
+    fn origin_plus_delta_restores_the_live_layout_and_overlay() {
+        let (origin, col) = origin_and_changed();
+        assert_eq!(col.journal().map(|j| j.ends().len()), Some(3));
+        let delta = capture_delta(&col);
+        let restored = origin.restore_with(delta, *col.config()).unwrap();
+        assert_eq!(layout(&restored), layout(&col));
+        assert_eq!(
+            restored.pending.staged_inserts(),
+            col.pending.staged_inserts()
+        );
+        restored.validate().unwrap();
+    }
+
+    #[test]
+    fn a_delta_without_its_journal_or_with_a_moved_boundary_is_refused() {
+        let (origin, col) = origin_and_changed();
+        let mut buf = Vec::new();
+        ColumnDelta::encode(&col, false, &mut buf);
+        let empty = ColumnDelta::decode(&mut Reader::new(&buf)).unwrap();
+        let err = origin
+            .clone()
+            .restore_with(empty, *col.config())
+            .unwrap_err();
+        assert!(err.contains("journal replay left"), "{err}");
+
+        let mut delta = capture_delta(&col);
+        delta.boundaries[1].pos += 1;
+        let err = origin.restore_with(delta, *col.config()).unwrap_err();
+        assert!(err.contains("after replay"), "{err}");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
         #[test]
@@ -601,14 +948,10 @@ mod tests {
             col.count(RangePred::between(10, 20));
             col.insert(90, 15);
             col.delete(3);
+            col.set_journaling(true);
             let body = encode_concurrent(&col);
-            let mut inputs = vec![junk];
-            inputs.extend((0..body.len()).map(|cut| body[..cut].to_vec()));
-            for bit in 0..body.len() * 8 {
-                let mut flipped = body.clone();
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                inputs.push(flipped);
-            }
+            let mut inputs = vec![junk.clone()];
+            inputs.extend(cuts_and_flips(&body));
             for bytes in inputs {
                 match ConcurrentSnapshot::decode(&bytes) {
                     Ok(snap) => {
@@ -617,7 +960,39 @@ mod tests {
                     Err(e) => proptest::prop_assert!(matches!(e, StorageError::PersistFormat(_))),
                 }
             }
+            // The same for the delta written after a merge, a crack and a
+            // fresh overlay, replayed onto the intact origin.
+            let origin = ConcurrentSnapshot::decode(&body).unwrap();
+            col.merge_pending();
+            col.count(RangePred::between(25, 30));
+            col.insert(91, 35);
+            col.delete(5);
+            let mut delta = Vec::new();
+            ConcurrentDelta::encode(&col, true, &mut delta);
+            let intact = ConcurrentDelta::decode(&delta).unwrap();
+            proptest::prop_assert!(origin.clone().restore_with(intact, CrackerConfig::default()).is_ok());
+            let mut inputs = vec![junk];
+            inputs.extend(cuts_and_flips(&delta));
+            for bytes in inputs {
+                match ConcurrentDelta::decode(&bytes) {
+                    Ok(delta) => {
+                        let _ = origin.clone().restore_with(delta, CrackerConfig::default());
+                    }
+                    Err(e) => proptest::prop_assert!(matches!(e, StorageError::PersistFormat(_))),
+                }
+            }
         }
+    }
+
+    /// Every truncation of `body` and every single-bit flip of it.
+    fn cuts_and_flips(body: &[u8]) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..body.len()).map(|cut| body[..cut].to_vec()).collect();
+        for bit in 0..body.len() * 8 {
+            let mut flipped = body.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            out.push(flipped);
+        }
+        out
     }
 
     #[test]

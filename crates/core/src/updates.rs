@@ -227,6 +227,129 @@ fn compact_pieces<T: Copy>(
     first_gap.map_or(0, |gap| (write - gap) as u64)
 }
 
+/// What the update merges folded into a column since its last full
+/// checkpoint: per merge, the `(oid, value)` inserts it wrote and the OIDs
+/// it deleted. Together with that checkpoint it reproduces the column's
+/// content, so a checkpoint can persist this small log instead of the
+/// whole permuted column (see `PERSISTENCE.md`, "Checkpoint rule").
+///
+/// A column records only while its journal is switched on
+/// ([`CrackerColumn::set_journaling`]). A base-table delete renumbers
+/// every OID, which no entry can describe: it empties the journal and
+/// marks it [`compacted`](Self::compacted) until the next
+/// [`CrackerColumn::clear_journal`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergeJournal<T> {
+    insert_oids: Vec<u32>,
+    insert_values: Vec<T>,
+    deletes: Vec<u32>,
+    /// Per merge: its end offsets into the insert and delete lists.
+    ends: Vec<(usize, usize)>,
+    compacted: bool,
+}
+
+impl<T> Default for MergeJournal<T> {
+    fn default() -> Self {
+        MergeJournal {
+            insert_oids: Vec::new(),
+            insert_values: Vec::new(),
+            deletes: Vec::new(),
+            ends: Vec::new(),
+            compacted: false,
+        }
+    }
+}
+
+impl<T: CrackValue> MergeJournal<T> {
+    /// Rebuild a journal from its flat lists and per-merge end offsets, as
+    /// a checkpoint stores it. The offsets must be ascending and end
+    /// inside the lists, and every insert needs its value.
+    pub fn from_parts(
+        insert_oids: Vec<u32>,
+        insert_values: Vec<T>,
+        deletes: Vec<u32>,
+        ends: Vec<(usize, usize)>,
+    ) -> Result<Self, String> {
+        if insert_oids.len() != insert_values.len() {
+            return Err("journal insert arrays differ in length".to_string());
+        }
+        let mut last = (0, 0);
+        for &(i, d) in &ends {
+            if i < last.0 || d < last.1 || i > insert_oids.len() || d > deletes.len() {
+                return Err(format!("journal batch end {:?} out of order", (i, d)));
+            }
+            last = (i, d);
+        }
+        if last != (insert_oids.len(), deletes.len()) {
+            return Err("journal batches do not cover the journal".to_string());
+        }
+        Ok(MergeJournal {
+            insert_oids,
+            insert_values,
+            deletes,
+            ends,
+            compacted: false,
+        })
+    }
+
+    /// Journaled inserts plus deletes.
+    pub fn len(&self) -> usize {
+        self.insert_oids.len() + self.deletes.len()
+    }
+
+    /// Nothing journaled?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether a base-table delete renumbered the column since the journal
+    /// was last cleared.
+    pub fn compacted(&self) -> bool {
+        self.compacted
+    }
+
+    /// OIDs of the journaled inserts, in merge order.
+    pub fn insert_oids(&self) -> &[u32] {
+        &self.insert_oids
+    }
+
+    /// Values of the journaled inserts, parallel to
+    /// [`insert_oids`](Self::insert_oids).
+    pub fn insert_values(&self) -> &[T] {
+        &self.insert_values
+    }
+
+    /// Journaled deletes, in merge order.
+    pub fn deletes(&self) -> &[u32] {
+        &self.deletes
+    }
+
+    /// Per merge, its end offsets into the insert and delete lists.
+    pub fn ends(&self) -> &[(usize, usize)] {
+        &self.ends
+    }
+
+    /// Per merge: its insert OIDs, insert values and deletes.
+    pub fn batches(&self) -> impl Iterator<Item = (&[u32], &[T], &[u32])> + '_ {
+        let starts = std::iter::once((0, 0)).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|((i0, d0), &(i1, d1))| {
+            (
+                &self.insert_oids[i0..i1],
+                &self.insert_values[i0..i1],
+                &self.deletes[d0..d1],
+            )
+        })
+    }
+
+    fn clear(&mut self) {
+        self.insert_oids.clear();
+        self.insert_values.clear();
+        self.deletes.clear();
+        self.ends.clear();
+        self.compacted = false;
+    }
+}
+
 /// Staging areas for not-yet-merged updates.
 #[derive(Debug, Clone, Default)]
 pub struct PendingUpdates<T> {
@@ -360,6 +483,58 @@ impl<T: CrackValue> CrackerColumn<T> {
         self.pending.len()
     }
 
+    /// Switch the [`MergeJournal`] on (starting empty) or off. Switching
+    /// it on again keeps what it holds.
+    pub fn set_journaling(&mut self, on: bool) {
+        match (on, self.journal.is_some()) {
+            (true, false) => self.journal = Some(MergeJournal::default()),
+            (false, true) => self.journal = None,
+            _ => {}
+        }
+    }
+
+    /// The merge journal, while journaling is on.
+    pub fn journal(&self) -> Option<&MergeJournal<T>> {
+        self.journal.as_ref()
+    }
+
+    /// Empty the journal (and drop its compacted mark): the column's
+    /// current content has just been persisted whole.
+    pub fn clear_journal(&mut self) {
+        if let Some(j) = self.journal.as_mut() {
+            j.clear();
+        }
+    }
+
+    /// Replay the merges `journal` recorded, in order: stage each batch's
+    /// deletes and inserts and merge them. Consecutive batches that name
+    /// disjoint OIDs merge as one, which leaves the same tuples behind
+    /// (no delete can reach an insert of its own group) at one ripple's
+    /// cost instead of one per batch.
+    pub(crate) fn replay_journal(&mut self, journal: &MergeJournal<T>) {
+        // Grow the arrays once, to their size after the journal: a merge's
+        // `reserve` would double them.
+        let (vals, oids, _) = self.arrays_mut();
+        vals.reserve_exact(journal.insert_oids.len());
+        oids.reserve_exact(journal.insert_oids.len());
+        let mut group = OidSet::new();
+        for (oids, values, deletes) in journal.batches() {
+            if oids.iter().chain(deletes).any(|&oid| group.contains(oid)) {
+                self.merge_pending();
+                group = OidSet::new();
+            }
+            for &oid in deletes {
+                group.insert(oid);
+                self.pending.stage_delete(oid);
+            }
+            for (&oid, &v) in oids.iter().zip(values) {
+                group.insert(oid);
+                self.pending.stage_insert(oid, v);
+            }
+        }
+        self.merge_pending();
+    }
+
     /// Each piece's end slot, in slot order: one per boundary, then the
     /// column length.
     fn piece_ends(&self) -> Vec<usize> {
@@ -385,6 +560,10 @@ impl<T: CrackValue> CrackerColumn<T> {
         index.set_piece_ends(&ends);
         self.sorted_mut().clear();
         self.pending.renumber(doomed);
+        if let Some(j) = self.journal.as_mut() {
+            j.clear();
+            j.compacted = true;
+        }
         self.stats_mut().tuples_moved += moved;
         debug_assert!(self.index().check_pieces(self.values()).is_ok());
     }
@@ -457,6 +636,12 @@ impl<T: CrackValue> CrackerColumn<T> {
         let (vals, oids, _) = self.arrays_mut();
         vals.reserve(inserts.len());
         oids.reserve(inserts.len());
+        if let Some(j) = self.journal.as_mut() {
+            j.insert_oids.extend(inserts.iter().map(|&(_, _, oid)| oid));
+            j.insert_values.extend(inserts.iter().map(|&(_, v, _)| v));
+            j.deletes.extend(self.pending.deleted_set().iter());
+            j.ends.push((j.insert_oids.len(), j.deletes.len()));
+        }
         // Nothing allocates from here on.
         let (_, deletes) = self.pending.take();
         let (vals, oids, index) = self.arrays_mut();
@@ -863,6 +1048,65 @@ mod tests {
         assert_eq!(c.len(), 8);
         assert_eq!(c.count(RangePred::lt(5)), 4);
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn the_journal_records_each_merge_only_while_switched_on() {
+        let mut c = CrackerColumn::new((0..10).collect::<Vec<i64>>());
+        c.insert(10, 4);
+        c.merge_pending();
+        assert!(c.journal().is_none(), "off by default");
+        c.set_journaling(true);
+        c.select(RangePred::lt(5));
+        c.insert(11, 7);
+        c.insert(12, 1);
+        c.delete(3);
+        c.merge_pending();
+        c.insert(3, 9);
+        c.merge_pending();
+        let j = c.journal().unwrap();
+        let batches: Vec<_> = j.batches().collect();
+        assert_eq!(batches.len(), 2);
+        let mut first: Vec<_> = batches[0].0.iter().zip(batches[0].1).collect();
+        first.sort_unstable();
+        assert_eq!(first, [(&11, &7), (&12, &1)]);
+        assert_eq!(batches[0].2, [3]);
+        assert_eq!(
+            (batches[1].0, batches[1].1, batches[1].2),
+            (&[3][..], &[9][..], &[][..])
+        );
+        assert_eq!((j.len(), j.compacted()), (4, false));
+        c.set_journaling(true);
+        assert_eq!(c.journal().unwrap().len(), 4, "switching on again keeps it");
+        c.compact_renumber(&Renumbering::new(&[0]));
+        let j = c.journal().unwrap();
+        assert_eq!((j.len(), j.compacted()), (0, true));
+        c.clear_journal();
+        assert!(!c.journal().unwrap().compacted());
+        c.set_journaling(false);
+        assert!(c.journal().is_none());
+    }
+
+    #[test]
+    fn replaying_a_journal_reproduces_every_piece() {
+        // Batch 2 deletes an insert of batch 1 and batch 3 re-inserts a
+        // deleted OID, so the replay cannot merge them as one.
+        let mut live = cracked(400, 8, 0);
+        let origin = live.clone();
+        live.set_journaling(true);
+        for (oid, v) in [(400, 17), (401, 390), (402, 201)] {
+            live.insert(oid, v);
+        }
+        live.delete(5);
+        live.merge_pending();
+        live.delete(401);
+        live.insert(403, 3);
+        live.merge_pending();
+        live.insert(5, 250);
+        live.merge_pending();
+        let mut replayed = origin;
+        replayed.replay_journal(live.journal().unwrap());
+        assert_eq!(layout(&replayed), layout(&live));
     }
 
     proptest! {

@@ -19,8 +19,8 @@ use crate::admission::{AdmissionGate, AdmissionPermit};
 use crate::catalog::DbCatalog;
 use crate::cost::RunStats;
 use crate::durability::{
-    column_key, not_attached, not_replayable, table_key, DbMeta, Durability, TableMeta,
-    DB_META_VERSION, META_KEY,
+    column_key, delta_key, not_attached, not_replayable, table_key, ColumnId, DbMeta, Durability,
+    TableMeta, DB_META_VERSION, META_KEY, ORIGIN_SHARE,
 };
 use crate::error::{EngineError, EngineResult};
 use crate::exec::batch::{refine_conjunct, BlockScratch};
@@ -31,8 +31,8 @@ use cracker_core::group::{aggregate_groups, omega_crack};
 use cracker_core::join::{join_matched, wedge_crack, PairColumn};
 use cracker_core::lineage::{CrackOp, LineageGraph, PieceId};
 use cracker_core::{
-    ConcurrencyMode, ConcurrentColumn, ConcurrentSnapshot, CrackerConfig, KernelPolicy, RangePred,
-    Renumbering,
+    ConcurrencyMode, ConcurrentColumn, ConcurrentDelta, ConcurrentSnapshot, CrackerConfig,
+    KernelPolicy, RangePred, Renumbering,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -209,6 +209,7 @@ impl AdaptiveDb {
         if !self.columns.contains_key(&self.probe) {
             let vals = self.catalog.table(table)?.ints(column)?.to_vec();
             let col = ConcurrentColumn::build(vals, self.config, self.concurrency);
+            col.set_journaling(self.durability.is_some());
             self.columns.insert(self.probe.clone(), col);
         }
         Ok(&self.columns[&self.probe])
@@ -786,14 +787,13 @@ impl AdaptiveDb {
         group_commit: usize,
     ) -> EngineResult<u64> {
         let mut store = CheckpointStore::open(dir.as_ref())?;
-        let manifest = self.write_checkpoint(&mut store)?;
+        let (manifest, origins) = self.write_checkpoint(&mut store, &HashMap::new())?;
         let epoch = manifest.epoch;
-        self.durability = Some(Durability::from_manifest(
-            store,
-            &manifest,
-            group_commit,
-            RetryPolicy::default(),
-        )?);
+        let mut dur =
+            Durability::from_manifest(store, &manifest, group_commit, RetryPolicy::default())?;
+        self.columns.values().for_each(|c| c.set_journaling(true));
+        self.adopt_origins(&mut dur, origins);
+        self.durability = Some(dur);
         Ok(epoch)
     }
 
@@ -806,7 +806,9 @@ impl AdaptiveDb {
     /// piece map, and the pending overlay become durable atomically, and
     /// the redo log rotates to the new epoch. Payloads whose content
     /// fingerprint is unchanged since the previous epoch are carried
-    /// forward without rewriting. Returns the committed epoch.
+    /// forward without rewriting, and a cracked column whose origin still
+    /// holds writes only its delta (see [`ORIGIN_SHARE`]). Returns the
+    /// committed epoch.
     ///
     /// On error the previous epoch (and its log) normally stays
     /// authoritative — updates keep appending to the old log, so nothing
@@ -820,9 +822,10 @@ impl AdaptiveDb {
     /// retrying `checkpoint()` produces an unambiguous epoch.
     pub fn checkpoint(&mut self) -> EngineResult<u64> {
         let mut dur = self.durability.take().ok_or_else(not_attached)?;
-        match self.write_checkpoint(&mut dur.store) {
-            Ok(manifest) => {
+        match self.write_checkpoint(&mut dur.store, &dur.origins) {
+            Ok((manifest, origins)) => {
                 let epoch = manifest.epoch;
+                self.adopt_origins(&mut dur, origins);
                 // Rotate the live log handle in place: its injector,
                 // retry policy, and group-commit carry over. On rotation
                 // failure the handle is poisoned (see
@@ -854,7 +857,17 @@ impl AdaptiveDb {
     /// supported — a non-int base column is a loud
     /// [`EngineError::WrongColumnType`], never a silently partial
     /// checkpoint.
-    fn write_checkpoint(&self, store: &mut CheckpointStore) -> EngineResult<Manifest> {
+    ///
+    /// A cracked column's origin is carried forward when `origins` names
+    /// the one the previous epoch holds and the column's journal is intact
+    /// and at most `1 / ORIGIN_SHARE` of its length; otherwise the origin
+    /// is rewritten whole, and its delta holds no journal. Returns the
+    /// manifest and the origins written, to adopt once it committed.
+    fn write_checkpoint(
+        &self,
+        store: &mut CheckpointStore,
+        origins: &HashMap<ColumnId, String>,
+    ) -> EngineResult<(Manifest, Vec<(ColumnId, String)>)> {
         let shards = match self.concurrency {
             ConcurrencyMode::SingleLock => 0,
             ConcurrencyMode::Sharded { shards } => shards as u64,
@@ -867,7 +880,7 @@ impl AdaptiveDb {
                 columns: t.schema().names().iter().map(|s| s.to_string()).collect(),
             });
         }
-        let mut columns: Vec<(String, String)> = self.columns.keys().cloned().collect();
+        let mut columns: Vec<ColumnId> = self.columns.keys().cloned().collect();
         columns.sort();
         let meta = DbMeta {
             version: DB_META_VERSION,
@@ -892,15 +905,43 @@ impl AdaptiveDb {
                 )?;
             }
         }
+        let mut written = Vec::new();
         for key in &meta.columns {
             let col = &self.columns[key];
+            let origin_key = column_key(&key.0, &key.1);
+            let fingerprint = ConcurrentSnapshot::fingerprint(col);
+            let small = col
+                .journal_len()
+                .is_some_and(|j| j * ORIGIN_SHARE <= col.len());
+            let kept = origins
+                .get(key)
+                .filter(|origin| small && w.carry(&origin_key, origin));
+            let origin = match kept {
+                Some(origin) => origin.clone(),
+                None => {
+                    w.put(&origin_key, &fingerprint, |buf| {
+                        ConcurrentSnapshot::encode(col, buf)
+                    })?;
+                    written.push((key.clone(), fingerprint.clone()));
+                    fingerprint.clone()
+                }
+            };
             w.put(
-                &column_key(&key.0, &key.1),
-                &ConcurrentSnapshot::fingerprint(col),
-                |buf| ConcurrentSnapshot::encode(col, buf),
+                &delta_key(&key.0, &key.1),
+                &format!("{fingerprint}@{origin}"),
+                |buf| ConcurrentDelta::encode(col, kept.is_some(), buf),
             )?;
         }
-        Ok(w.commit()?)
+        Ok((w.commit()?, written))
+    }
+
+    /// After a commit: the columns whose origin it wrote start an empty
+    /// journal from it.
+    fn adopt_origins(&self, dur: &mut Durability, written: Vec<(ColumnId, String)>) {
+        for (key, fingerprint) in written {
+            self.columns[&key].clear_journal();
+            dur.origins.insert(key, fingerprint);
+        }
     }
 
     /// Rebuild a database from the durability directory at `dir`: load the
@@ -949,11 +990,16 @@ impl AdaptiveDb {
             db.register(Table::from_int_columns(&tm.name, cols)?)?;
         }
         for (t, c) in &meta.columns {
-            let payload = store.read_payload(entry(&column_key(t, c))?)?;
-            let col = ConcurrentSnapshot::decode(payload.body())
-                .map_err(|e| format_err(format!("column {t}.{c}: {e}")))?
-                .restore(config)
-                .map_err(|e| format_err(format!("column {t}.{c}: {e}")))?;
+            let in_column = |e: String| format_err(format!("column {t}.{c}: {e}"));
+            // Each frame is a temporary, dropped once decoded: the origin's
+            // bytes are gone before the replay runs.
+            let origin =
+                ConcurrentSnapshot::decode(store.read_payload(entry(&column_key(t, c))?)?.body());
+            let delta =
+                ConcurrentDelta::decode(store.read_payload(entry(&delta_key(t, c))?)?.body());
+            let origin = origin.map_err(|e| in_column(e.to_string()))?;
+            let delta = delta.map_err(|e| in_column(e.to_string()))?;
+            let col = origin.restore_with(delta, config).map_err(in_column)?;
             db.columns.insert((t.clone(), c.clone()), col);
         }
         // Replay the overlay log on top of the checkpoint, truncating any
@@ -978,6 +1024,7 @@ impl AdaptiveDb {
             group_commit,
             RetryPolicy::default(),
         )?);
+        db.columns.values().for_each(|c| c.set_journaling(true));
         Ok(db)
     }
 
@@ -1820,7 +1867,8 @@ mod tests {
         // `PersistFormat` — never a panic, never a silently cold database.
         // Meta versions 1 (two cracked copies per column) and 2 wrote JSON
         // payloads, which are not frames; a frame of the current shape
-        // under another version number is refused by that number.
+        // under another version number — version 3, whose cracked columns
+        // have no delta — is refused by that number.
         fn refused(tag: &str, write: impl FnOnce(&Path)) -> String {
             let dir = std::env::temp_dir()
                 .join(format!("dbcracker-db-meta-{tag}-{}", std::process::id()));
@@ -1865,7 +1913,7 @@ mod tests {
             w.put(META_KEY, "f", |buf| stale.encode(buf)).unwrap();
             w.commit().unwrap();
         });
-        assert!(msg.contains("version 2"), "{msg}");
+        assert!(msg.contains("version 3"), "{msg}");
     }
 
     #[test]
@@ -1924,8 +1972,12 @@ mod tests {
         db.checkpoint().unwrap();
         let after = files(&dir);
         let changed: Vec<_> = after.iter().filter(|f| !before.contains(f)).collect();
-        assert_eq!(changed.len(), 1, "only the cracked column is rewritten");
-        assert!(changed[0].starts_with("column_r_a-"), "{changed:?}");
+        assert_eq!(
+            changed.len(),
+            1,
+            "only the cracked column's delta is rewritten"
+        );
+        assert!(changed[0].starts_with("delta_r_a-"), "{changed:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

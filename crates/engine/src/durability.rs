@@ -6,9 +6,11 @@
 //! checkpoint + redo log:
 //!
 //! * [`AdaptiveDb::checkpoint`](crate::AdaptiveDb::checkpoint) writes the
-//!   base tables, each cracked column's piece map (one snapshot per
-//!   column), and the pending-update overlay into an atomic
-//!   [`storage::checkpoint`] epoch. Each payload is a checksummed
+//!   base tables and each cracked column into an atomic
+//!   [`storage::checkpoint`] epoch. A cracked column is an *origin* (its
+//!   whole piece map, rewritten only under the rule at [`ORIGIN_SHARE`])
+//!   plus a small *delta*: the merges since the origin, the boundaries and
+//!   the pending-update overlay. Each payload is a checksummed
 //!   [`storage::codec`] frame encoded straight from the live arrays, and
 //!   only when its content fingerprint changed: an unchanged payload is
 //!   carried forward without being read, copied or rewritten;
@@ -16,22 +18,49 @@
 //!   epoch's redo log *before* being applied (write-ahead), fsync'd on the
 //!   configured group-commit interval;
 //! * [`AdaptiveDb::recover`](crate::AdaptiveDb::recover) reloads the last
-//!   committed epoch, restores every piece map with full validation
-//!   ([`cracker_core::snapshot`]), and replays the log — so the recovered
+//!   committed epoch, restores every origin, replays its delta and
+//!   checks the result ([`cracker_core::snapshot`]), and replays the log —
+//!   so the recovered
 //!   database answers *warm*, at the cracked cost the workload had already
 //!   paid for, never cold and never silently wrong.
 
 use crate::error::{EngineError, EngineResult};
+use std::collections::HashMap;
 use storage::codec::{self, Reader};
 use storage::fault::RetryPolicy;
 use storage::wal::RedoLog;
 use storage::{CheckpointStore, Manifest, StorageError, StorageResult};
 
 /// Version tag of the [`DbMeta`] payload. Versions 1 (two cracked copies
-/// per column) and 2 (JSON payloads) are refused as a typed
+/// per column), 2 (JSON payloads) and 3 (a cracked column without a
+/// [`delta_key`] payload) are refused as a typed
 /// [`StorageError::PersistFormat`]: a version-2 directory's payloads are
-/// not frames, and a frame that names another version fails here.
-pub const DB_META_VERSION: u32 = 3;
+/// not frames, and a frame that names another version fails here, so a
+/// reader that would ignore a delta never opens a directory that has one.
+pub const DB_META_VERSION: u32 = 4;
+
+/// A checkpoint rewrites a cracked column's origin payload once its merge
+/// journal holds more than `1 / ORIGIN_SHARE` of the column's length;
+/// below that it writes only the delta. At ⅛ the journal costs at most
+/// 1.5 bytes a tuple in memory (12 per entry) and the delta an eighth of
+/// the origin's bytes, while recovery replays up to n/8 journaled tuples.
+/// Measured at 1 M rows cracked into ~1 k pieces, single lock, one column,
+/// two runs on a 2-vCPU AVX2 Xeon VM (checkpoint: median of 5, each after
+/// one more merge of 32 rows; recovery: median of 5):
+///
+/// | journal share | entries | delta | delta checkpoint | recovery |
+/// |---|---|---|---|---|
+/// | 0 | 0 | 10 KB | 1.5–2.8 ms | 16.6–16.9 ms |
+/// | 1/64 | 15 k | 103 KB | 1.2–1.5 ms | 18.9–21.9 ms |
+/// | 1/32 | 31 k | 196 KB | 2.0–2.1 ms | 23.7–25.5 ms |
+/// | 1/16 | 62 k | 388 KB | 2.2–4.0 ms | 24.9–29.0 ms |
+/// | 1/8 | 125 k | 1.0 MB | 2.8–3.5 ms | 47.3–48.9 ms |
+///
+/// Rewriting the origin instead costs a full 8 MB payload (18.5 ms on
+/// `durable_ingest`). Past ⅛ the delta's write and the replay grow toward
+/// what the origin costs; well below it origins are rewritten more often
+/// for little recovery gain.
+pub const ORIGIN_SHARE: usize = 8;
 
 /// Manifest key under which the database-level metadata payload lives.
 pub const META_KEY: &str = "__meta__";
@@ -125,11 +154,20 @@ pub fn table_key(table: &str, column: &str) -> String {
     format!("table/{table}/{column}")
 }
 
-/// Manifest key of a cracked column's
+/// Manifest key of a cracked column's origin: a
 /// [`cracker_core::ConcurrentSnapshot`].
 pub fn column_key(table: &str, column: &str) -> String {
     format!("column/{table}/{column}")
 }
+
+/// Manifest key of a cracked column's delta since its origin: a
+/// [`cracker_core::ConcurrentDelta`].
+pub fn delta_key(table: &str, column: &str) -> String {
+    format!("delta/{table}/{column}")
+}
+
+/// A cracked column's `(table, column)` key.
+pub(crate) type ColumnId = (String, String);
 
 /// The live durability handle an [`AdaptiveDb`](crate::AdaptiveDb)
 /// carries once attached: the checkpoint store plus the redo log of the
@@ -145,6 +183,10 @@ pub struct Durability {
     pub(crate) retry: RetryPolicy,
     /// Epoch of the last committed checkpoint.
     pub(crate) epoch: u64,
+    /// Per cracked column, the fingerprint of the origin payload its merge
+    /// journal starts from. A column missing here, or whose manifest entry
+    /// carries another fingerprint, has its origin rewritten.
+    pub(crate) origins: HashMap<ColumnId, String>,
 }
 
 impl Durability {
@@ -166,6 +208,7 @@ impl Durability {
             log,
             retry,
             epoch: manifest.epoch,
+            origins: HashMap::new(),
         })
     }
 

@@ -319,21 +319,8 @@ impl CheckpointWriter<'_> {
         fingerprint: &str,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> StorageResult<bool> {
-        if let Some(prev) = self
-            .prev
-            .as_ref()
-            .and_then(|m| m.entry(key))
-            .filter(|e| e.fingerprint == fingerprint)
-        {
-            if self.store.dir.join(&prev.file).exists() {
-                self.entries.push(ManifestEntry {
-                    key: key.to_string(),
-                    file: prev.file.clone(),
-                    fingerprint: fingerprint.to_string(),
-                });
-                self.reused += 1;
-                return Ok(false);
-            }
+        if self.carry(key, fingerprint) {
+            return Ok(false);
         }
         let file = payload_file_name(key, self.epoch);
         let mut buf = std::mem::take(&mut self.store.scratch);
@@ -350,6 +337,21 @@ impl CheckpointWriter<'_> {
             fingerprint: fingerprint.to_string(),
         });
         Ok(true)
+    }
+
+    /// Carry the previous epoch's payload under `key` forward unchanged
+    /// when it was recorded with `fingerprint` and its file is present;
+    /// returns whether it was. Nothing is written.
+    pub fn carry(&mut self, key: &str, fingerprint: &str) -> bool {
+        let Some(prev) = (self.prev.as_ref())
+            .and_then(|m| m.entry(key))
+            .filter(|e| e.fingerprint == fingerprint && self.store.dir.join(&e.file).exists())
+        else {
+            return false;
+        };
+        self.entries.push(prev.clone());
+        self.reused += 1;
+        true
     }
 
     /// Atomically publish this epoch: create its empty redo log, then

@@ -4,7 +4,8 @@
 //! replay, piece maps must validate, and the recovered store must answer
 //! *warm* (at cracked cost, not full-scan cost). See `PERSISTENCE.md`.
 
-use dbcracker::engine::durability::{column_key, META_KEY};
+use dbcracker::cracker_core::{ConcurrentColumn, CrackerColumn, FusionPolicy};
+use dbcracker::engine::durability::{column_key, delta_key, META_KEY};
 use dbcracker::engine::scenario::{SCENARIO_COLUMN, SCENARIO_TABLE};
 use dbcracker::engine::{AdaptiveDb, DbScenarioRunner, OutputMode, RangeQuery, Table};
 use dbcracker::prelude::*;
@@ -13,6 +14,10 @@ use std::path::{Path, PathBuf};
 
 const TABLE: &str = "t";
 const COLUMN: &str = "v";
+const MODES: [(ConcurrencyMode, &str); 2] = [
+    (ConcurrencyMode::SingleLock, "single"),
+    (ConcurrencyMode::Sharded { shards: 4 }, "sharded"),
+];
 
 /// Fresh scratch directory for one test case (removed up front so reruns
 /// of a dirty tree start clean).
@@ -45,7 +50,11 @@ fn base_column(n: usize) -> Vec<i64> {
 }
 
 fn db_with_table(base: &[i64], mode: ConcurrencyMode) -> AdaptiveDb {
-    let mut db = AdaptiveDb::new().with_concurrency(mode);
+    db_configured(base, mode, CrackerConfig::default())
+}
+
+fn db_configured(base: &[i64], mode: ConcurrencyMode, config: CrackerConfig) -> AdaptiveDb {
+    let mut db = AdaptiveDb::with_config(config).with_concurrency(mode);
     db.register(Table::from_int_columns(TABLE, vec![(COLUMN, base.to_vec())]).unwrap())
         .unwrap();
     db
@@ -350,11 +359,12 @@ fn recovery_is_warm_not_cold() {
             pieces_before,
             "{tag}: every crack boundary must survive recovery"
         );
-        // One cracked copy per column, so one snapshot per column.
+        // One cracked copy per column, so one origin and one delta per
+        // column.
         rec.checkpoint().unwrap();
         assert_eq!(
             cracked_payload_keys(&dir),
-            vec![column_key(TABLE, COLUMN)],
+            vec![column_key(TABLE, COLUMN), delta_key(TABLE, COLUMN)],
             "{tag}"
         );
         // Warm: repeating the hot query on the recovered db.
@@ -371,6 +381,245 @@ fn recovery_is_warm_not_cold() {
             warm_cost * 10 < cold_cost,
             "{tag}: recovered query touched {warm_cost} tuples; cold scan touched {cold_cost} — recovery came back cold"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The payload file `dir`'s committed manifest holds under `key`.
+fn payload_file(dir: &Path, key: &str) -> String {
+    let manifest = CheckpointStore::open(dir).unwrap().manifest().unwrap();
+    manifest
+        .unwrap()
+        .entry(key)
+        .expect("a payload")
+        .file
+        .clone()
+}
+
+/// Per shard: the boundaries `(value, lte, position)` in key order and
+/// each piece's sorted `(value, oid)` multiset — what two columns with the
+/// same tuples and boundaries share, whatever the order inside a piece.
+type ShardLayout = (Vec<(i64, bool, usize)>, Vec<Vec<(i64, u32)>>);
+
+fn layout(col: &ConcurrentColumn<i64>) -> Vec<ShardLayout> {
+    let shard = |c: &CrackerColumn<i64>| {
+        let bounds = (c.index().boundaries())
+            .map(|(k, info)| (k.value, k.lte, info.pos))
+            .collect();
+        let pieces = (c.index().pieces().iter())
+            .map(|p| {
+                let vals = c.values()[p.start..p.end].iter().copied();
+                let mut piece: Vec<(i64, u32)> =
+                    vals.zip(c.oids()[p.start..p.end].iter().copied()).collect();
+                piece.sort_unstable();
+                piece
+            })
+            .collect();
+        (bounds, pieces)
+    };
+    match col {
+        ConcurrentColumn::Single(c) => vec![c.read_with(shard)],
+        ConcurrentColumn::Sharded(s) => s.read_shards(shard),
+    }
+}
+
+/// Stage `count` fresh inserts (OIDs from `*next`, values under 10 000)
+/// and, when `deletes`, one delete of a distinct base OID under 10 000 per
+/// fourth insert, on `db` and the oracle alike; then force the merge.
+fn stage_and_merge(
+    db: &mut AdaptiveDb,
+    oracle: &mut SortedOracle,
+    mix: &mut Mix,
+    next: &mut u32,
+    count: u32,
+    deletes: bool,
+) {
+    for _ in 0..count {
+        let value = (mix.next() % 10_000) as i64;
+        db.stage_insert(TABLE, COLUMN, *next, value).unwrap();
+        oracle.insert(*next, value);
+        if deletes && next.is_multiple_of(4) {
+            // Base OIDs, each named once: `next` never repeats.
+            let victim = (*next * 7_919) % 10_000;
+            assert_eq!(
+                db.stage_delete(TABLE, COLUMN, victim).unwrap(),
+                oracle.delete(victim)
+            );
+        }
+        *next += 1;
+    }
+    db.shared_cracker(TABLE, COLUMN).unwrap().merge_pending();
+}
+
+#[test]
+fn a_delta_checkpoint_recovers_the_live_piece_map_in_both_modes() {
+    // Cracks, staged inserts and deletes, forced merges and fusions
+    // between two checkpoints: the second writes only the delta. Recovery
+    // replays it onto the origin and must land on the live column's
+    // boundaries and positions and on each piece's `(value, oid)`
+    // multiset (the order inside a piece may differ: no select sees it),
+    // answer like the oracle, and repeat the last range index-only.
+    let n = 20_000;
+    let base = base_column(n);
+    let config = CrackerConfig::default()
+        .with_merge_threshold(256)
+        .with_max_pieces(24)
+        .with_fusion(FusionPolicy::LeastRecentlyUsed);
+    for (mode, tag) in MODES {
+        let dir = scratch(&format!("delta-{tag}"));
+        let mut oracle = SortedOracle::new(&base);
+        let mut db = db_configured(&base, mode, config);
+        let mut mix = Mix(17);
+        let crack = |db: &mut AdaptiveDb, mix: &mut Mix| {
+            let w = mix.window(n as i64, 600);
+            let q = RangeQuery::new(TABLE, COLUMN, w.to_pred());
+            db.select(&q, OutputMode::Count).unwrap();
+            q
+        };
+        for _ in 0..10 {
+            crack(&mut db, &mut mix);
+        }
+        db.attach_durability(&dir, 1).unwrap();
+        let origin = payload_file(&dir, &column_key(TABLE, COLUMN));
+        let before = db.total_crack_stats();
+        let mut next = n as u32;
+        let mut last = None;
+        for _ in 0..5 {
+            stage_and_merge(&mut db, &mut oracle, &mut mix, &mut next, 40, true);
+            for _ in 0..6 {
+                last = Some(crack(&mut db, &mut mix));
+            }
+        }
+        let d = db.total_crack_stats().delta_since(&before);
+        assert!(
+            d.merges >= 5 && d.fusions > 0 && d.cracks > 0,
+            "{tag}: {d:?}"
+        );
+        db.checkpoint().unwrap();
+        assert_eq!(
+            payload_file(&dir, &column_key(TABLE, COLUMN)),
+            origin,
+            "{tag}: the origin is carried forward, only the delta is written"
+        );
+        let live = layout(db.shared_cracker(TABLE, COLUMN).unwrap());
+        let last = last.unwrap();
+        // Staged after the checkpoint: only the redo log holds these.
+        for oid in next..next + 3 {
+            db.stage_insert(TABLE, COLUMN, oid, 77).unwrap();
+            oracle.insert(oid, 77);
+        }
+        drop(db);
+
+        let mut rec = AdaptiveDb::recover(&dir, config, 1).unwrap();
+        assert_eq!(
+            layout(rec.shared_cracker(TABLE, COLUMN).unwrap()),
+            live,
+            "{tag}"
+        );
+        let before = rec.total_crack_stats();
+        rec.select(&last, OutputMode::Count).unwrap();
+        let d = rec.total_crack_stats().delta_since(&before);
+        assert_eq!(
+            (d.cracks, d.tuples_touched),
+            (0, 0),
+            "{tag}: the repeat is index-only"
+        );
+        let probes: Vec<Window> = (0..20).map(|_| mix.window(n as i64, 900)).collect();
+        assert_matches_oracle(&mut rec, &oracle, &probes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn crossing_the_origin_share_rewrites_the_origin_and_empties_the_journal() {
+    // A journal up to an eighth of the column keeps the origin; past it
+    // the next checkpoint writes a fresh origin and starts the journal
+    // over.
+    let n = 4_000;
+    let base = base_column(n);
+    let config = CrackerConfig::default().with_merge_threshold(4_096);
+    for (mode, tag) in MODES {
+        let dir = scratch(&format!("share-{tag}"));
+        let mut oracle = SortedOracle::new(&base);
+        let mut db = db_configured(&base, mode, config);
+        let mut mix = Mix(23);
+        for _ in 0..8 {
+            let w = mix.window(n as i64, 300);
+            db.select(
+                &RangeQuery::new(TABLE, COLUMN, w.to_pred()),
+                OutputMode::Count,
+            )
+            .unwrap();
+        }
+        db.attach_durability(&dir, 1).unwrap();
+        let key = column_key(TABLE, COLUMN);
+        let origin = payload_file(&dir, &key);
+        let mut next = n as u32;
+        let journal = |db: &mut AdaptiveDb| db.shared_cracker(TABLE, COLUMN).unwrap().journal_len();
+
+        stage_and_merge(&mut db, &mut oracle, &mut mix, &mut next, 200, false);
+        db.checkpoint().unwrap();
+        assert_eq!(payload_file(&dir, &key), origin, "{tag}: 200 ≤ 4 200 / 8");
+        assert_eq!(journal(&mut db), Some(200), "{tag}");
+
+        stage_and_merge(&mut db, &mut oracle, &mut mix, &mut next, 400, false);
+        assert_eq!(journal(&mut db), Some(600), "{tag}: 600 > 4 600 / 8");
+        db.checkpoint().unwrap();
+        assert_ne!(payload_file(&dir, &key), origin, "{tag}: a fresh origin");
+        assert_eq!(journal(&mut db), Some(0), "{tag}");
+        drop(db);
+
+        let mut rec = AdaptiveDb::recover(&dir, config, 1).unwrap();
+        let probes: Vec<Window> = (0..12).map(|_| mix.window(n as i64, 500)).collect();
+        assert_matches_oracle(&mut rec, &oracle, &probes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_column_first_cracked_after_attach_gets_an_origin_at_its_first_checkpoint() {
+    let n = 4_000;
+    let base = base_column(n);
+    let config = CrackerConfig::default().with_merge_threshold(4_096);
+    for (mode, tag) in MODES {
+        let dir = scratch(&format!("late-{tag}"));
+        let mut oracle = SortedOracle::new(&base);
+        let mut db = db_configured(&base, mode, config);
+        db.attach_durability(&dir, 1).unwrap();
+        assert!(
+            cracked_payload_keys(&dir).is_empty(),
+            "{tag}: nothing cracked yet"
+        );
+        let mut mix = Mix(29);
+        let w = mix.window(n as i64, 300);
+        db.select(
+            &RangeQuery::new(TABLE, COLUMN, w.to_pred()),
+            OutputMode::Count,
+        )
+        .unwrap();
+        let mut next = n as u32;
+        stage_and_merge(&mut db, &mut oracle, &mut mix, &mut next, 50, false);
+        db.checkpoint().unwrap();
+        assert_eq!(
+            cracked_payload_keys(&dir),
+            vec![column_key(TABLE, COLUMN), delta_key(TABLE, COLUMN)],
+            "{tag}"
+        );
+        let origin = payload_file(&dir, &column_key(TABLE, COLUMN));
+        let journal = db.shared_cracker(TABLE, COLUMN).unwrap().journal_len();
+        assert_eq!(journal, Some(0), "{tag}: the origin holds the first merge");
+        stage_and_merge(&mut db, &mut oracle, &mut mix, &mut next, 50, false);
+        db.checkpoint().unwrap();
+        assert_eq!(
+            payload_file(&dir, &column_key(TABLE, COLUMN)),
+            origin,
+            "{tag}"
+        );
+        drop(db);
+
+        let mut rec = AdaptiveDb::recover(&dir, config, 1).unwrap();
+        let probes: Vec<Window> = (0..12).map(|_| mix.window(n as i64, 500)).collect();
+        assert_matches_oracle(&mut rec, &oracle, &probes);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -471,17 +720,40 @@ fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The delta payload of the hand-assembled directory below, with its
+/// second boundary recorded at `last_pos`.
+fn hand_delta(last_pos: u8) -> Vec<u8> {
+    let mut delta = vec![0]; // single-lock tag
+    bytes_from(&mut delta, 0, &[]); // no splits
+    le(&mut delta, 1); // one shard
+    le(&mut delta, 5); // five tuples after the journal
+    bytes_from(&mut delta, 5, &[0]); // journal: one insert, OID 5 …
+    bytes_from(&mut delta, 0, &[0]); // … value 0
+    bytes_from(&mut delta, 2, &[0]); // one delete, OID 2
+    bytes_from(&mut delta, 1, &[0]); // one merge: inserts end at 1 …
+    bytes_from(&mut delta, 1, &[0]); // … deletes end at 1
+    bytes_from(&mut delta, 1, &[0, 4]); // boundary values 1 and 5 …
+    bytes_from(&mut delta, 0, &[1, 0]); // … `v <= 1` and `v < 5` …
+    bytes_from(&mut delta, 2, &[0, last_pos - 2]); // … at positions 2, last_pos
+    bytes_from(&mut delta, 0, &[]); // no staged insert OIDs …
+    bytes_from(&mut delta, 0, &[]); // … nor values
+    bytes_from(&mut delta, 3, &[0]); // staged delete of OID 3
+    delta
+}
+
 #[test]
 fn a_hand_assembled_directory_recovers_to_the_expected_state() {
     // The on-disk format pinned byte by byte, independently of the
-    // encoder: table t(v) = [5, 1, 4, 2, 3], its cracked copy split at
-    // `v < 3` into [1, 2 | 5, 4, 3], a staged insert (oid 5, 0) and a
-    // staged delete of oid 2 in the snapshot, and one logged insert
-    // (oid 6, 10) in the redo log.
+    // encoder: table t(v) = [5, 1, 4, 2, 3]. Its origin is the cracked
+    // copy split at `v < 3` into [1, 2 | 5, 4, 3], with a staged insert
+    // (oid 5, 0) and a staged delete of oid 2. Its delta journals one
+    // merge of that overlay, leaving {1, 2, 0 | 5, 3}; drops `v < 3` and
+    // records `v <= 1` at 2 and `v < 5` at 4; and stages a delete of oid
+    // 3. The redo log holds one insert (oid 6, 10).
     let dir = scratch("hand-assembled");
     std::fs::create_dir_all(&dir).unwrap();
     let mut meta = Vec::new();
-    le(&mut meta, 3); // meta version
+    le(&mut meta, 4); // meta version
     le(&mut meta, 0); // single-lock
     le(&mut meta, 1); // one table …
     text(&mut meta, "t");
@@ -514,6 +786,7 @@ fn a_hand_assembled_directory_recovers_to_the_expected_state() {
         ("meta.bin", frame(1, &meta)),
         ("table.bin", frame(1, &base)),
         ("column.bin", frame(1, &column)),
+        ("delta.bin", frame(1, &hand_delta(4))),
         ("wal.1.log", frame(2, &redo)),
     ] {
         std::fs::write(dir.join(file), bytes).unwrap();
@@ -521,7 +794,8 @@ fn a_hand_assembled_directory_recovers_to_the_expected_state() {
     let manifest = r#"{"version":1,"epoch":1,"entries":[
         {"key":"__meta__","file":"meta.bin","fingerprint":"m"},
         {"key":"table/t/v","file":"table.bin","fingerprint":"n5"},
-        {"key":"column/t/v","file":"column.bin","fingerprint":"c"}],
+        {"key":"column/t/v","file":"column.bin","fingerprint":"c"},
+        {"key":"delta/t/v","file":"delta.bin","fingerprint":"d"}],
         "log":"wal.1.log"}"#;
     std::fs::write(dir.join("MANIFEST.json"), manifest).unwrap();
 
@@ -532,7 +806,14 @@ fn a_hand_assembled_directory_recovers_to_the_expected_state() {
     );
     assert_eq!(rec.cracked_columns(), 1);
     let col = rec.shared_cracker(TABLE, COLUMN).unwrap();
-    assert_eq!(col.piece_count(), 2, "the boundary at `v < 3` survived");
+    assert_eq!(
+        layout(col),
+        vec![(
+            vec![(1, true, 2), (5, false, 4)],
+            vec![vec![(0, 5), (1, 1)], vec![(2, 3), (3, 4)], vec![(5, 0)]]
+        )],
+        "the delta's boundaries over the journaled tuples"
+    );
     col.validate().unwrap();
     let mut oids = |lo: i64, hi: i64| {
         let (mut got, _) = rec
@@ -544,9 +825,21 @@ fn a_hand_assembled_directory_recovers_to_the_expected_state() {
         got.sort_unstable();
         got
     };
-    assert_eq!(oids(-100, 100), [0, 1, 3, 4, 5, 6], "oid 2 stays deleted");
-    assert_eq!(oids(-100, 3), [1, 3, 5], "staged insert 5 has value 0");
+    assert_eq!(oids(-100, 100), [0, 1, 4, 5, 6], "oids 2 and 3 are deleted");
+    assert_eq!(oids(-100, 3), [1, 5], "the journaled insert 5 has value 0");
     assert_eq!(oids(10, 11), [6], "the logged insert replayed");
+    drop(rec);
+
+    // A boundary position edited by hand, under a valid checksum: the
+    // replay puts `v < 5` at 4, and recovery refuses the record of 3.
+    std::fs::write(dir.join("delta.bin"), frame(1, &hand_delta(3))).unwrap();
+    match AdaptiveDb::recover(&dir, CrackerConfig::default(), 1) {
+        Err(dbcracker::engine::EngineError::Storage(
+            dbcracker::storage::StorageError::PersistFormat(m),
+        )) => assert!(m.contains("column t.v") && m.contains("records 3"), "{m}"),
+        Err(e) => panic!("expected PersistFormat, got {e}"),
+        Ok(_) => panic!("a misplaced boundary must not recover"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
