@@ -572,6 +572,21 @@ fn crossing_the_origin_share_rewrites_the_origin_and_empties_the_journal() {
         let mut rec = AdaptiveDb::recover(&dir, config, 1).unwrap();
         let probes: Vec<Window> = (0..12).map(|_| mix.window(n as i64, 500)).collect();
         assert_matches_oracle(&mut rec, &oracle, &probes);
+
+        // The first checkpoint after a recovery writes a fresh origin; the
+        // next one carries it, and the store recovers again.
+        let origin = payload_file(&dir, &key);
+        stage_and_merge(&mut rec, &mut oracle, &mut mix, &mut next, 50, false);
+        rec.checkpoint().unwrap();
+        let fresh = payload_file(&dir, &key);
+        assert_ne!(fresh, origin, "{tag}: an origin after the recovery");
+        stage_and_merge(&mut rec, &mut oracle, &mut mix, &mut next, 50, false);
+        rec.checkpoint().unwrap();
+        assert_eq!(payload_file(&dir, &key), fresh, "{tag}: then deltas");
+        assert_eq!(journal(&mut rec), Some(50), "{tag}");
+        drop(rec);
+        let mut rec = AdaptiveDb::recover(&dir, config, 1).unwrap();
+        assert_matches_oracle(&mut rec, &oracle, &probes);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
