@@ -7,6 +7,12 @@
 //!   (`unsafe fn` / `unsafe impl` / `unsafe trait` headers are
 //!   covered by `unsafe_op_in_unsafe_fn` + rustdoc `# Safety` sections
 //!   and are not re-checked here.)
+//! * **`unsafe-waiver`** — the workspace denies `unsafe_code`, and an
+//!   `allow(unsafe_code)` (or `expect(unsafe_code)`) attribute may
+//!   appear only in the files of `UNSAFE_WAIVERS`: the SIMD kernels,
+//!   the sync facade, and the huge-page advice in `storage::mem`. A new
+//!   waiver is a design decision, made by extending that list, not by
+//!   adding an attribute somewhere.
 //! * **`raw-sync`** — no construction or import of `parking_lot` /
 //!   `std::sync` mutexes, rwlocks, or condvars outside the
 //!   `cracker_core::sync` facade: all real latching must flow through
@@ -81,6 +87,14 @@ impl fmt::Display for Finding {
 /// a scheduler *out of* OS primitives (instrumenting those would be
 /// turtles all the way down).
 const RAW_SYNC_ALLOWED: &[&str] = &["crates/core/src/sync.rs", "crates/analysis/src/sched.rs"];
+
+/// The only files that may waive the workspace's `unsafe_code = "deny"`
+/// (the `unsafe-waiver` rule).
+const UNSAFE_WAIVERS: &[&str] = &[
+    "crates/core/src/simd.rs",
+    "crates/core/src/sync.rs",
+    "crates/storage/src/mem.rs",
+];
 
 /// Durability-layer files where the `durability-io` rule applies. The
 /// facade itself (`crates/storage/src/fault.rs`) is deliberately *not*
@@ -460,6 +474,7 @@ pub fn lint_source(rel: &Path, src: &str) -> Vec<Finding> {
     let rel_str = rel.to_string_lossy().replace('\\', "/");
     let is_bin = rel_str.contains("/src/bin/") || rel_str.ends_with("/main.rs");
     let raw_sync_exempt = RAW_SYNC_ALLOWED.iter().any(|p| rel_str.ends_with(p));
+    let may_waive_unsafe = UNSAFE_WAIVERS.iter().any(|p| rel_str.ends_with(p));
     let durability_scoped = DURABILITY_SCOPED.iter().any(|p| rel_str.ends_with(p));
     let exec_scoped = rel_str.contains("crates/engine/src/exec/");
     let mut findings = Vec::new();
@@ -497,6 +512,30 @@ pub fn lint_source(rel: &Path, src: &str) -> Vec<Finding> {
                 "unsafe-needs-safety",
                 "`unsafe` block without a `// SAFETY:` comment block directly above it".into(),
             );
+        }
+    }
+
+    // ---- unsafe-waiver: an `unsafe_code` lint name inside an `allow(` /
+    // `expect(` attribute, which may span lines or sit in a `cfg_attr`.
+    if !may_waive_unsafe {
+        let mut from = 0;
+        while let Some(found) = code[from..].find("unsafe_code") {
+            let pos = from + found;
+            from = pos + "unsafe_code".len();
+            if !word_at(code, pos, "unsafe_code") {
+                continue;
+            }
+            let attr = code[..pos].rfind('#').map_or("", |h| &code[h..pos]);
+            if !attr.contains(']') && (attr.contains("allow(") || attr.contains("expect(")) {
+                let line = 1 + code[..pos].bytes().filter(|b| *b == b'\n').count();
+                push(
+                    line,
+                    "unsafe-waiver",
+                    "`allow(unsafe_code)` outside the allow-listed files; keep unsafe code in \
+                     `simd.rs`, `sync.rs` or `storage::mem`, or extend `UNSAFE_WAIVERS`"
+                        .into(),
+                );
+            }
         }
     }
 
@@ -690,6 +729,43 @@ mod tests {
     fn unsafe_in_string_or_comment_is_ignored() {
         let src = "fn f() {\n    let s = \"unsafe { }\";\n    // unsafe { } in a comment\n}\n";
         assert!(rules(src).is_empty());
+    }
+
+    #[test]
+    fn unsafe_waiver_outside_the_list_is_flagged() {
+        let other = Path::new("crates/engine/src/db.rs");
+        for src in [
+            "// reason\n#![allow(unsafe_code)]\n",
+            "// reason\n#[allow(dead_code, unsafe_code)]\nfn f() {}\n",
+            "// reason\n#[cfg_attr(unix, expect(\n    unsafe_code\n))]\nfn f() {}\n",
+            "#[cfg(test)]\nmod tests {\n    // reason\n    #[allow(unsafe_code)]\n    fn t() {}\n}\n",
+        ] {
+            let found = lint_source(other, src);
+            assert_eq!(
+                found.iter().map(|f| f.rule).collect::<Vec<_>>(),
+                vec!["unsafe-waiver"],
+                "{src}"
+            );
+        }
+        let multi_line = "// reason\n#[allow(\n    dead_code,\n    unsafe_code,\n)]\nfn f() {}\n";
+        assert_eq!(lint_source(other, multi_line)[0].line, 4);
+    }
+
+    #[test]
+    fn unsafe_waiver_allowed_in_listed_files_and_denies_pass() {
+        let waiver = "// reason\n#![allow(unsafe_code)]\n";
+        for file in UNSAFE_WAIVERS {
+            assert!(lint_source(Path::new(file), waiver).is_empty(), "{file}");
+        }
+        let other = Path::new("crates/engine/src/db.rs");
+        for src in [
+            "#![forbid(unsafe_code)]\n",
+            "#![deny(unsafe_code)]\n#[allow(dead_code)] // reason\nfn f() {}\n",
+            "// allow(unsafe_code) in a comment\nfn f() { let s = \"#[allow(unsafe_code)]\"; }\n",
+            "#[allow(dead_code)] // reason\nfn unsafe_code() {}\n",
+        ] {
+            assert!(lint_source(other, src).is_empty(), "{src}");
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
 //! measures the scalar loops a second time. The `ablation_merge` legs time
 //! one update merge of staged inserts or staged deletes, and one base-table
-//! delete with the select after it.
+//! delete with the select after it. The `ablation_kernel_cold_first_touch`
+//! legs time a cracked copy's whole birth (copy, dense OIDs, first crack)
+//! with plain `to_vec` arrays against `storage::mem`'s huge-page-advised
+//! ones.
 //!
 //! `BENCH_SMOKE=1` shrinks the column and op counts so CI can run this as
 //! a smoke test; pass `--json` to record medians as `BENCH_ablation.json`
@@ -15,8 +18,12 @@
 use cracker_core::{
     CrackMode, CrackerColumn, CrackerConfig, FusionPolicy, KernelPolicy, RangePred,
 };
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, BatchSize, BenchmarkId, Criterion};
 use engine::{AdaptiveDb, CrackEngine, OutputMode, QueryEngine, RangeQuery, Table};
+use std::hint::black_box;
+use std::process::Command;
+use std::time::{Duration, Instant};
+use storage::mem;
 use workload::scenario::{Op, Scenario, Shift, ShiftingHotSet, UpdateHeavy};
 use workload::strolling::{strolling_sequence, StrollMode};
 use workload::{Contraction, Mqs, Tapestry};
@@ -210,6 +217,93 @@ fn kernel_cold_crack_three_large(c: &mut Criterion) {
         });
     }
     g.finish();
+}
+
+/// A cracked copy's first touch over a virgin 2M-tuple column, end to
+/// end: allocate and copy the values, fill the dense OIDs, and
+/// crack-in-three at a 0.1 % window — what `AdaptiveDb::shared_cracker`
+/// and the first select do for e2e `cold_start`'s first query. `to_vec`
+/// builds both arrays on 4 KiB pages, `storage_mem` through
+/// `storage::mem`'s huge-page advice. The samples are taken in a child
+/// process with the allocator pinned (see [`MALLOC_PIN`]).
+///
+/// The result depends on the host's transparent-huge-page mode
+/// (`/sys/kernel/mm/transparent_hugepage/enabled`), which the JSON report
+/// does not record: note it beside any committed numbers. The committed
+/// `BENCH_ablation.json` entries of this group were taken on a 2-vCPU
+/// Intel Xeon VM (AVX2 + AVX-512F), Linux 6.18 x86-64, THP `enabled
+/// [madvise]` / `defrag [madvise]`, rustc 1.95.0.
+fn kernel_cold_first_touch(c: &mut Criterion) {
+    let (key, value) = MALLOC_PIN;
+    let child = std::env::current_exe().and_then(|exe| {
+        Command::new(exe)
+            .arg(FIRST_TOUCH_CHILD)
+            .env(key, value)
+            .output()
+    });
+    let out = match child {
+        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).into_owned(),
+        Ok(out) => panic!("first-touch child failed: {}", out.status),
+        Err(e) => panic!("cannot start the first-touch child: {e}"),
+    };
+    let mut g = c.benchmark_group("ablation_kernel_cold_first_touch");
+    g.sample_size(FIRST_TOUCH_SAMPLES);
+    for (label, _) in FIRST_TOUCH {
+        let mut samples = out
+            .lines()
+            .filter_map(|l| l.strip_prefix(label)?.strip_prefix(' ')?.parse().ok())
+            .map(Duration::from_nanos);
+        g.bench_function(label, |b| {
+            b.iter_custom(|_| samples.next().expect("one child sample per iteration"))
+        });
+    }
+    g.finish();
+}
+
+/// The argument that makes the bench binary only take the first-touch
+/// samples and print them, one `label nanoseconds` line each.
+const FIRST_TOUCH_CHILD: &str = "--first-touch-samples";
+
+/// Timed births per variant, after one untimed warm-up.
+const FIRST_TOUCH_SAMPLES: usize = 20;
+
+/// Builds a cracked copy's `(values, oids)` arrays from a base column.
+type Build = fn(&[i64]) -> (Vec<i64>, Vec<u32>);
+
+/// The two ways to build a cracked copy's arrays.
+const FIRST_TOUCH: [(&str, Build); 2] = [
+    ("to_vec", |v| (v.to_vec(), (0..v.len() as u32).collect())),
+    ("storage_mem", |v| {
+        (mem::copy_of(v), mem::dense_oids(v.len()))
+    }),
+];
+
+/// glibc raises its `mmap` threshold to the size of every big buffer
+/// freed, so once one 2M-tuple column is dropped the next is served from
+/// recycled, already-faulted heap and no first touch is left to measure.
+/// The first-touch child runs with the threshold pinned at 1 MiB, as the
+/// e2e benchmark pins it, so every buffer of 1 MiB or more is fresh pages
+/// returned on free. The other legs keep the allocator's default.
+const MALLOC_PIN: (&str, &str) = ("MALLOC_MMAP_THRESHOLD_", "1048576");
+
+/// The first-touch child: time the warm-up and every sample of both
+/// variants and print them. Freeing the column is not timed.
+fn first_touch_samples() {
+    let n_large = if smoke() { 300_000 } else { 2_000_000 };
+    let lo = n_large as i64 / 2;
+    let hi = lo + n_large as i64 / 1_000;
+    let base = Tapestry::generate(n_large, 1, 0xF1257).column(0).to_vec();
+    for (label, build) in FIRST_TOUCH {
+        for _ in 0..=FIRST_TOUCH_SAMPLES {
+            let t = Instant::now();
+            let (vals, oids) = build(&base);
+            let mut col = CrackerColumn::from_pairs(vals, oids, CrackerConfig::new());
+            black_box(col.select(RangePred::between(lo, hi)));
+            let elapsed = t.elapsed();
+            drop(col);
+            println!("{label} {}", elapsed.as_nanos());
+        }
+    }
 }
 
 /// Both kernels over a full crack_select-shaped query sequence
@@ -406,8 +500,18 @@ criterion_group!(
     kernel_cold_crack_two,
     kernel_cold_crack_two_large,
     kernel_cold_crack_three_large,
+    kernel_cold_first_touch,
     kernel_crack_select,
     kernel_scenario_mix,
     merge
 );
-criterion_main!(benches);
+
+/// `criterion_main!`, plus the first-touch child's entry point.
+fn main() {
+    if std::env::args().any(|a| a == FIRST_TOUCH_CHILD) {
+        first_touch_samples();
+        return;
+    }
+    benches();
+    criterion::write_json_report();
+}

@@ -29,6 +29,7 @@ use crate::stats::CrackStats;
 use crate::updates::{MergeJournal, PendingUpdates};
 use crate::value_trait::CrackValue;
 use std::ops::Range;
+use storage::mem;
 
 /// Result of a cracked selection.
 ///
@@ -125,7 +126,7 @@ impl<T: CrackValue> CrackerColumn<T> {
         let n = vals.len();
         CrackerColumn {
             vals,
-            oids: (0..n as u32).collect(),
+            oids: mem::dense_oids(n),
             index: CrackerIndex::new(n),
             kernel: config.kernel.resolve(),
             config,

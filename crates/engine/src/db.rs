@@ -40,6 +40,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use storage::codec::{self, Reader};
 use storage::fault::{FaultKind, RetryPolicy};
+use storage::mem;
 use storage::wal::{RedoLog, WalRecord};
 use storage::{CheckpointStore, Manifest, StorageError};
 
@@ -207,7 +208,7 @@ impl AdaptiveDb {
     ) -> EngineResult<&ConcurrentColumn<i64>> {
         set_key(&mut self.probe, table, column);
         if !self.columns.contains_key(&self.probe) {
-            let vals = self.catalog.table(table)?.ints(column)?.to_vec();
+            let vals = mem::copy_of(self.catalog.table(table)?.ints(column)?);
             let col = ConcurrentColumn::build(vals, self.config, self.concurrency);
             col.set_journaling(self.durability.is_some());
             self.columns.insert(self.probe.clone(), col);

@@ -35,6 +35,7 @@
 //! failure is a typed [`StorageError::PersistFormat`].
 
 use crate::error::{StorageError, StorageResult};
+use crate::mem;
 
 /// First four bytes of every frame.
 const MAGIC: [u8; 4] = *b"DBCK";
@@ -494,7 +495,7 @@ impl<'a> Reader<'a> {
 }
 
 fn get_offsets<T: Int, const W: usize>(bytes: &[u8], min: i64) -> Option<Vec<T>> {
-    let mut out = Vec::with_capacity(bytes.len() / W);
+    let mut out = mem::column_vec(bytes.len() / W);
     for c in bytes.chunks_exact(W) {
         let mut w = [0u8; 8];
         w[..W].copy_from_slice(c);

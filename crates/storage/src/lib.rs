@@ -37,7 +37,10 @@
 //!   pages on a simulated disk, a CLOCK buffer pool with IO counters, and
 //!   a paged integer column — the substrate that makes §3.4.2's
 //!   "disk-blocks, being the slowest granularity in the system" a physical
-//!   boundary rather than a configuration knob.
+//!   boundary rather than a configuration knob;
+//! * [`mem`] — column-length arrays (cracked copies, dense OIDs, decoded
+//!   columns) allocated with huge-page advice, so a cracked copy's first
+//!   write is not dominated by page faults.
 //!
 //! The crate is deliberately free of any cracking logic: `cracker-core`
 //! builds on top of it, exactly as MonetDB's cracker module sits on top of
@@ -51,6 +54,7 @@ pub mod codec;
 pub mod error;
 pub mod fault;
 pub mod heap;
+pub mod mem;
 pub mod ops;
 pub mod page;
 pub mod paged;
