@@ -628,32 +628,50 @@ impl AdaptiveDb {
             return Ok(());
         }
         self.shared_cracker(table, column)?;
-        if let Some(dur) = self.durability.as_mut() {
-            let recs: Vec<WalRecord> = rows
-                .iter()
-                .map(|&(oid, value)| WalRecord::Insert {
-                    table: table.to_owned(),
-                    column: column.to_owned(),
-                    oid,
-                    value,
-                })
-                .collect();
-            dur.log.append_batch(&recs)?;
-        }
+        self.log_inserts(table, [(column, rows)])?;
         self.shared_cracker(table, column)?.insert_batch(rows);
         Ok(())
     }
 
-    /// Append whole rows to a base table: the catalog's table is swapped
-    /// for a grown incarnation (new rows take the next dense OIDs), and
-    /// each *already-cracked* column absorbs its slice of the new rows
-    /// through the staged overlay via
-    /// [`stage_insert_batch`](Self::stage_insert_batch), so cracked state
-    /// survives the append instead of being rebuilt.
+    /// Append every `(column, rows)` slice of `table` to the redo log as
+    /// **one** group append — a no-op without durability. The frame
+    /// carries one run per column, and it lands whole or not at all.
+    fn log_inserts<'a>(
+        &mut self,
+        table: &str,
+        slices: impl IntoIterator<Item = (&'a str, &'a [(u32, i64)])>,
+    ) -> EngineResult<()> {
+        if let Some(dur) = self.durability.as_mut() {
+            let recs: Vec<WalRecord> = slices
+                .into_iter()
+                .flat_map(|(column, rows)| {
+                    rows.iter().map(move |&(oid, value)| WalRecord::Insert {
+                        table: table.to_owned(),
+                        column: column.to_owned(),
+                        oid,
+                        value,
+                    })
+                })
+                .collect();
+            dur.log.append_batch(&recs)?;
+        }
+        Ok(())
+    }
+
+    /// Append whole rows to a base table, growing its columns in place
+    /// (new rows take the next dense OIDs); each *already-cracked* column
+    /// absorbs its slice of the new rows through the staged overlay, so
+    /// cracked state survives the append instead of being rebuilt.
     /// Returns the OID of the first appended row.
     ///
     /// Rows are validated against the schema (arity, all-int) before
-    /// anything is staged or logged.
+    /// anything is staged or logged. With durability attached, every
+    /// column's slice goes to the redo log in **one** group append
+    /// before any cracked copy or the base changes: a refused append
+    /// leaves the base, the cracked copies and the log as they were.
+    /// A base column shared with a [`BatView`](storage::BatView) is
+    /// copied once (the view keeps the old rows); an unshared one grows
+    /// by the rows appended.
     pub fn append_rows(&mut self, table: &str, rows: &[Vec<i64>]) -> EngineResult<u32> {
         let t = self.catalog.table(table)?;
         let names: Vec<String> = t.schema().names().iter().map(|s| s.to_string()).collect();
@@ -667,31 +685,25 @@ impl AdaptiveDb {
         if rows.is_empty() {
             return Ok(start);
         }
-        // Copy-on-write: `grown` shares the column `Arc`s with the
-        // registered table, so `append_int_rows` copies each column once
-        // and the registered table stays as it was until the swap below.
-        // `catalog.table_mut(table)?.append_int_rows(rows)` grows the
-        // columns in place instead; CHANGES.md (PR 12) says why that waits.
-        let mut grown = t.clone();
-        grown.append_int_rows(rows)?;
-        // Stage each column's slice into its cracked copies *before*
-        // swapping the base: cracked copies snapshot the base at first
-        // touch, so they must absorb the new rows as overlay entries (the
-        // grown base is what *future* first touches see), and a failed
-        // log append must leave the base as it was. Only columns with
-        // live cracked state (or a WAL to feed) need staging.
+        // Cracked copies snapshot the base at first touch, so they absorb
+        // the new rows as overlay entries (the grown base is what *future*
+        // first touches see). Only columns with live cracked state (or a
+        // log to feed, which replays into cracked copies) get a slice;
+        // each is resolved before anything is logged.
+        let mut slices: Vec<(&str, Vec<(u32, i64)>)> = Vec::new();
         for (i, name) in names.iter().enumerate() {
             set_key(&mut self.probe, table, name);
             if self.columns.contains_key(&self.probe) || self.durability.is_some() {
-                let batch: Vec<(u32, i64)> = rows
-                    .iter()
-                    .enumerate()
-                    .map(|(j, r)| (start + j as u32, r[i]))
-                    .collect();
-                self.stage_insert_batch(table, name, &batch)?;
+                self.shared_cracker(table, name)?;
+                let batch = rows.iter().zip(start..).map(|(r, oid)| (oid, r[i]));
+                slices.push((name, batch.collect()));
             }
         }
-        *self.catalog.table_mut(table)? = grown;
+        self.log_inserts(table, slices.iter().map(|(name, b)| (*name, &b[..])))?;
+        for (name, batch) in &slices {
+            self.shared_cracker(table, name)?.insert_batch(batch);
+        }
+        self.catalog.table_mut(table)?.append_int_rows(rows)?;
         Ok(start)
     }
 
@@ -1661,6 +1673,70 @@ mod tests {
                 &[10, 20, 30]
             );
         }
+    }
+
+    #[test]
+    fn a_refused_durable_append_stages_nothing() {
+        // Every column's slice rides one group append: a crash on it
+        // leaves the base, each cracked copy and the log as they were, and
+        // an append that lands reaches every column.
+        for crash_after in 0..3 {
+            let dir = std::env::temp_dir().join(format!(
+                "dbcracker-db-refused-append-{crash_after}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut db = db();
+            db.select(
+                &RangeQuery::new("r", "a", RangePred::ge(50)),
+                OutputMode::Count,
+            )
+            .unwrap();
+            db.attach_durability(&dir, 1).unwrap();
+            let logged = |db: &AdaptiveDb| {
+                let log = &db.durability.as_ref().unwrap().log;
+                (log.appended(), RedoLog::replay(log.path()).unwrap().len())
+            };
+            assert_eq!(logged(&db), (0, 0));
+            assert!(db.arm_log_crash(crash_after));
+            let got = db.append_rows("r", &[vec![3, 200], vec![7, 5]]);
+            assert_eq!(got.is_err(), crash_after == 0, "{got:?}");
+            let (rows, records) = if got.is_ok() { (102, 4) } else { (100, 0) };
+            assert_eq!(db.catalog().table("r").unwrap().len(), rows);
+            for column in ["k", "a"] {
+                let col = db.shared_cracker("r", column).unwrap();
+                assert_eq!(col.count(RangePred::ge(i64::MIN)), rows, "{column}");
+            }
+            assert_eq!(logged(&db), (records, records as usize));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn base_columns_grow_and_shrink_in_place() {
+        // An append or a delete on a column nobody else holds must not
+        // copy it: the `Arc` allocation stays the same.
+        let mut db = db();
+        let ptrs = |db: &AdaptiveDb| -> Vec<*const storage::Bat> {
+            let t = db.catalog().table("r").unwrap();
+            ["k", "a"]
+                .map(|c| Arc::as_ptr(t.column(c).unwrap()))
+                .to_vec()
+        };
+        let before = ptrs(&db);
+        db.append_rows("r", &[vec![3, 200], vec![7, 5]]).unwrap();
+        assert_eq!(ptrs(&db), before, "append_rows copied a base column");
+        db.delete_rows("r", &[0, 101]).unwrap();
+        assert_eq!(ptrs(&db), before, "delete_rows copied a base column");
+        // A column shared with a view is copied once and never mutated:
+        // the view still reports the rows it was taken over.
+        let view = db.catalog().table("r").unwrap().column_view("a").unwrap();
+        db.append_rows("r", &[vec![1, 1]]).unwrap();
+        assert_eq!(view.len(), 100);
+        assert_eq!(db.catalog().table("r").unwrap().len(), 101);
+        assert_eq!(Arc::as_ptr(view.parent()), before[1]);
+        assert_eq!(ptrs(&db)[0], before[0]);
+        assert_ne!(ptrs(&db)[1], before[1]);
     }
 
     /// The cracked answer to `pred` over `table.attr`, sorted.

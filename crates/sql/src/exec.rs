@@ -29,10 +29,10 @@
 //!
 //! Beyond those plans the session holds nothing but the database: DDL/DML
 //! mutates the [`AdaptiveDb`]'s catalog in place, taking the conservative end of the
-//! paper's open update question only where it must. `INSERT` swaps the
-//! table for a grown incarnation (one copy of that table's columns, no
-//! other table touched) and stages the new rows into the table's cracked
-//! copies, which stay warm; `DELETE` compacts the table's base
+//! paper's open update question only where it must. `INSERT` grows the
+//! table's base columns in place (an append, no copy, no other table
+//! touched) and stages the new rows into the table's cracked copies,
+//! which stay warm; `DELETE` compacts the table's base
 //! columns (OIDs stay dense) and compacts and renumbers *that table's*
 //! cracked copies in place, so they stay warm too, every boundary kept;
 //! `CREATE`/`DROP` register and remove one table. No statement
