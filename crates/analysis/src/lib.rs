@@ -9,7 +9,7 @@
 //!   flagging deadlocks, lost wakeups, assertion failures, and
 //!   post-condition violations with a replayable schedule trace.
 //! * [`models`] — sync-operation-faithful re-statements of the real
-//!   protocols (`ShardedCrackerColumn`'s two-phase select,
+//!   protocols (`ConcurrentColumn`'s two-phase select,
 //!   `AdmissionGate`'s condvar discipline), each paired with a
 //!   deliberately-broken sibling so the suite proves the explorer can
 //!   catch the bug class before trusting a clean run.

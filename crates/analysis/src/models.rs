@@ -11,7 +11,7 @@
 //!
 //! | model                      | production code                         | property                                   |
 //! |----------------------------|------------------------------------------|--------------------------------------------|
-//! | [`double_crack`]           | `SharedCrackerColumn::select` upgrade    | exactly one crack per cold predicate       |
+//! | [`double_crack`]           | `ConcurrentColumn` per-shard upgrade     | exactly one crack per cold predicate       |
 //! | [`double_crack_buggy`]     | (double-check deleted)                   | explorer finds a double-crack schedule     |
 //! | [`admission_gate`]         | `AdmissionGate::admit` / permit release  | no deadlock, permits conserved             |
 //! | [`admission_gate_buggy`]   | (unlock-then-sleep wait)                 | explorer finds the lost-wakeup deadlock    |
@@ -38,7 +38,7 @@ struct ColumnState {
     answers: Vec<u64>,
 }
 
-/// The two-phase sharded select from `ShardedCrackerColumn`
+/// The two-phase sharded select from `ConcurrentColumn`
 /// (`for_each_selection`): an optimistic all-shards read pass that bails
 /// at the first cold shard, then a per-shard read-probe →
 /// write-escalate pass whose write branch **re-checks** under the

@@ -4,10 +4,10 @@
 //! * `batch_exec_select` — the same warm, narrow range selects answered
 //!   one predicate at a time (per-query latch + per-query OID allocation)
 //!   vs through the batch entry points: [`AdaptiveDb::select_batch`]
-//!   from one thread (the `plain` legs — the db's single-lock column,
+//!   from one thread (the `plain` legs — the db's one-shard column,
 //!   uncontended) and [`ConcurrentColumn::select_oids_batch_into`]
-//!   across [`threads`] threads under both latching modes (the `single`
-//!   and `sharded` legs), so latch traffic there is real contention, not
+//!   across [`threads`] threads with one shard and with several (the
+//!   `single` and `sharded` legs), so latch traffic there is real contention, not
 //!   just instruction count.
 //! * `batch_exec_prepared` — the SQL front-end's amortization ladder:
 //!   statement text with literals per query, binding a [`Prepared`] plan
@@ -218,7 +218,7 @@ fn batched_vs_stmt(c: &mut Criterion) {
 
     // One thread through the engine's db entry points (one
     // `select_conjunctive` per statement vs one `select_batch` per
-    // chunk): the db's single-lock column with nobody to contend with.
+    // chunk): the db's one-shard column with nobody to contend with.
     g.bench_function(BenchmarkId::new("plain", "stmt"), |b| {
         b.iter_batched_ref(
             || warm_db(&base, &preds),
@@ -246,10 +246,10 @@ fn batched_vs_stmt(c: &mut Criterion) {
     });
 
     // The same storm across threads, per-query latching
-    // vs per-batch (single-lock) / per-shard-per-batch (sharded).
+    // vs per-batch (one shard) / per-shard-per-batch (sharded).
     for (label, mode) in [
-        ("single", ConcurrencyMode::SingleLock),
-        ("sharded", ConcurrencyMode::Sharded { shards: SHARDS }),
+        ("single", ConcurrencyMode::default()),
+        ("sharded", ConcurrencyMode { shards: SHARDS }),
     ] {
         g.bench_function(BenchmarkId::new(label, "stmt"), |b| {
             b.iter_batched(
@@ -351,7 +351,7 @@ fn reader_p95(base: &[i64], wins: &[RangePred<i64>], gated: bool) -> Duration {
     let writers = if smoke() { 4 } else { 16 };
     let readers = if smoke() { 2 } else { 4 };
     let burst = if smoke() { 128 } else { 1024 };
-    let mut db = AdaptiveDb::new().with_concurrency(ConcurrencyMode::Sharded { shards: SHARDS });
+    let mut db = AdaptiveDb::new().with_concurrency(ConcurrencyMode { shards: SHARDS });
     if gated {
         // Total sized so the per-session cap is what does the bounding.
         db = db.with_admission(AdmissionGate::new(readers + 2, 2));

@@ -121,13 +121,12 @@ fn morsel_scan(c: &mut Criterion) {
     let col = ConcurrentColumn::build(
         vals.clone(),
         CrackerConfig::default(),
-        ConcurrencyMode::Sharded { shards: 8 },
+        ConcurrencyMode { shards: 8 },
     );
     let pred = RangePred::between(n as i64 / 10, n as i64 * 7 / 10);
     // Warm: boundaries exist before timing, so both legs measure answer
     // delivery, not first cracks.
     black_box(col.select_oids(pred));
-    let sharded = col.as_sharded().expect("built sharded");
     let governor = Governor::unbounded();
 
     let mut g = c.benchmark_group("pipeline_morsel_scan");
@@ -151,7 +150,7 @@ fn morsel_scan(c: &mut Criterion) {
         b.iter(|| {
             // The block pipeline: morsel pool claims shards, output stays
             // columnar — one OID lane, one value lane.
-            let oids = morsel_select_oids(sharded, pred, 8, None, &governor).expect("unbounded");
+            let oids = morsel_select_oids(&col, pred, 8, None, &governor).expect("unbounded");
             let mut lane: Vec<i64> = Vec::with_capacity(oids.len());
             for &oid in &oids {
                 lane.push(vals[oid as usize]);

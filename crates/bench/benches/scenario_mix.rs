@@ -1,6 +1,6 @@
-//! Sharded vs single-lock under *moving* workloads: the scenario engine's
+//! Sharded vs one shard under *moving* workloads: the scenario engine's
 //! shifting-hot-set and update-heavy mixes replayed concurrently against
-//! [`ConcurrentColumn`] in both [`ConcurrencyMode`]s.
+//! [`ConcurrentColumn`] under both [`ConcurrencyMode`]s (1 and 64 shards).
 //!
 //! This is the first time the PR-2 concurrency work meets workloads it
 //! wasn't tuned on: a hot set that relocates every `period` queries keeps
@@ -79,8 +79,8 @@ fn scale(c: &mut Criterion, group: &str, base: &[i64], ops: &[Op]) {
     g.sample_size(if smoke() { 3 } else { 10 });
     for &t in &THREADS {
         for (label, mode) in [
-            ("single", ConcurrencyMode::SingleLock),
-            ("sharded", ConcurrencyMode::Sharded { shards: SHARDS }),
+            ("single", ConcurrencyMode::default()),
+            ("sharded", ConcurrencyMode { shards: SHARDS }),
         ] {
             g.bench_with_input(BenchmarkId::new(label, t), &t, |b, &t| {
                 b.iter_batched(

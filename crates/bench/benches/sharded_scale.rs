@@ -1,7 +1,8 @@
-//! Thread-scaling of the concurrent cracker: aggregate throughput of the
-//! per-shard-latched [`ShardedCrackerColumn`] versus the single-`RwLock`
-//! [`SharedCrackerColumn`] at 1/2/4/8 threads, under the MQS homerun
-//! profile and a Zipf-skewed ad-hoc workload.
+//! Thread-scaling of the concurrent cracker: aggregate throughput of a
+//! [`ConcurrentColumn`] with 64 shards (the `sharded/*` legs) versus one
+//! shard, one latch around the whole column (the `single/*` legs), at
+//! 1/2/4/8 threads, under the MQS homerun profile and a Zipf-skewed
+//! ad-hoc workload.
 //!
 //! The point under measurement is §4's promise made concurrent: with one
 //! global lock every boundary-miss serializes the whole column, while the
@@ -13,7 +14,7 @@
 //! `BENCH_SMOKE=1` shrinks the data and query counts so CI can run this as
 //! a smoke test; pass `--json` to record medians (see the bench harness).
 
-use cracker_core::{RangePred, ShardedCrackerColumn, SharedCrackerColumn};
+use cracker_core::{ConcurrentColumn, RangePred};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use workload::homerun::homerun_sequence;
 use workload::skew::zipf_column;
@@ -42,20 +43,13 @@ fn total_queries() -> usize {
     }
 }
 
-/// Run `preds`, split evenly across `threads`, against `col` (any column
-/// answering `count(&self, pred)` through a shared reference).
-fn storm<C: Sync>(
-    col: &C,
-    count: impl Fn(&C, RangePred<i64>) -> usize + Sync,
-    preds: &[RangePred<i64>],
-    threads: usize,
-) {
+/// Run `preds`, split evenly across `threads`, against `col`.
+fn storm(col: &ConcurrentColumn<i64>, preds: &[RangePred<i64>], threads: usize) {
     std::thread::scope(|s| {
         for chunk in preds.chunks(preds.len().div_ceil(threads)) {
-            let count = &count;
             s.spawn(move || {
                 for &pred in chunk {
-                    criterion::black_box(count(col, pred));
+                    criterion::black_box(col.count(pred));
                 }
             });
         }
@@ -102,20 +96,15 @@ fn scale(
         make_vals(seed)
     };
     for &t in &THREADS {
-        g.bench_with_input(BenchmarkId::new("single", t), &t, |b, &t| {
-            b.iter_batched(
-                || SharedCrackerColumn::new(fresh()),
-                |col| storm(&col, SharedCrackerColumn::count, preds, t),
-                criterion::BatchSize::LargeInput,
-            )
-        });
-        g.bench_with_input(BenchmarkId::new("sharded", t), &t, |b, &t| {
-            b.iter_batched(
-                || ShardedCrackerColumn::new(fresh(), SHARDS),
-                |col| storm(&col, ShardedCrackerColumn::count, preds, t),
-                criterion::BatchSize::LargeInput,
-            )
-        });
+        for (leg, shards) in [("single", 1), ("sharded", SHARDS)] {
+            g.bench_with_input(BenchmarkId::new(leg, t), &t, |b, &t| {
+                b.iter_batched(
+                    || ConcurrentColumn::new(fresh(), shards),
+                    |col| storm(&col, preds, t),
+                    criterion::BatchSize::LargeInput,
+                )
+            });
+        }
     }
     g.finish();
 }

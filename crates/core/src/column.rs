@@ -247,9 +247,9 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// Try to answer a range predicate **without mutating anything**:
     /// succeeds only when every needed boundary already exists in the
     /// index (exact boundary hits) and no pending updates are staged.
-    /// This is the read-only fast path the concurrent wrapper
-    /// ([`crate::concurrent`]) uses to let repeat queries proceed under a
-    /// shared lock.
+    /// This is the read-only fast path the latched column
+    /// ([`crate::sharded`]) uses to let repeat queries proceed under a
+    /// shared latch.
     pub fn try_select_readonly(&self, pred: RangePred<T>) -> Option<Selection> {
         if !self.pending.is_empty() {
             return None;
@@ -319,7 +319,7 @@ impl<T: CrackValue> CrackerColumn<T> {
         self.select_with_guard(pred, Some(keep_going))
     }
 
-    fn select_with_guard(
+    pub(crate) fn select_with_guard(
         &mut self,
         pred: RangePred<T>,
         guard: Option<&dyn Fn() -> bool>,

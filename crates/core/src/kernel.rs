@@ -44,8 +44,8 @@
 //! detected ([`simd_supported`]) gives `Simd`, anything else `Scalar` —
 //! and [`KernelPolicy::Scalar`] forces the reference loops. Nothing is
 //! timed and no environment variable is read: the same binary on the same
-//! CPU always runs the same kernel. Because every concurrency wrapper
-//! ([`crate::concurrent`], [`crate::sharded`]) and the engine build their
+//! CPU always runs the same kernel. Because the latched column
+//! ([`crate::sharded`]) and the engine build their
 //! columns through `CrackerConfig`, the choice flows to every crack path
 //! without further plumbing.
 //!

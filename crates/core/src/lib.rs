@@ -49,7 +49,6 @@
 //!   cracker produced which piece so originals remain reconstructible.
 
 pub mod column;
-pub mod concurrent;
 pub mod config;
 pub mod crack;
 pub mod export;
@@ -75,14 +74,13 @@ pub mod updates;
 pub mod value_trait;
 
 pub use column::{CrackerColumn, Selection};
-pub use concurrent::SharedCrackerColumn;
 pub use config::{CrackMode, CrackerConfig, FusionPolicy};
 pub use index::CrackerIndex;
 pub use kernel::{simd_supported, CrackKernel, KernelPolicy};
 pub use paged::PagedCracker;
 pub use policy::{CrackPolicy, PolicyCracker};
 pub use pred::RangePred;
-pub use sharded::{ConcurrencyMode, ConcurrentColumn, ShardedCrackerColumn, ShardedSelection};
+pub use sharded::{ConcurrencyMode, ConcurrentColumn, ShardedSelection};
 pub use sideways::CrackerMap;
 pub use snapshot::{
     BoundaryRecord, ColumnDelta, ColumnSnapshot, ConcurrentDelta, ConcurrentSnapshot,

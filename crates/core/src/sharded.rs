@@ -1,23 +1,26 @@
-//! A sharded, per-piece-latched concurrent cracker index.
+//! The latched cracked column: one cracker index per attribute, shared
+//! by many threads.
 //!
-//! [`crate::concurrent::SharedCrackerColumn`] serializes every
-//! boundary-miss behind one column-wide lock: two queries that would crack
-//! *different* pieces still queue on the same `RwLock`. §4 of the paper
-//! hints at the cure — cracking already clusters the store by value range,
-//! so the value domain itself is the natural unit of concurrency control.
-//! [`ShardedCrackerColumn`] makes that structural: the domain is
-//! range-partitioned at construction into S shards (split points chosen by
-//! sampling, like the paper's first-touch clustering), each shard an
-//! independently latched [`CrackerColumn`]. Concurrent crackers whose
-//! predicates land in disjoint shards proceed fully in parallel.
+//! Cracking turns reads into writes: the first query over a region
+//! physically reorganizes it, so a naive shared cracked column would
+//! serialize every query. §4 of the paper hints at the cure — cracking
+//! already clusters the store by value range, so the value domain itself
+//! is the natural unit of concurrency control. [`ConcurrentColumn`]
+//! range-partitions the domain at construction into S shards (split
+//! points chosen by sampling, like the paper's first-touch clustering),
+//! each shard an independently latched [`CrackerColumn`]. Concurrent
+//! crackers whose predicates land in disjoint shards proceed fully in
+//! parallel. One shard (the default, [`ConcurrencyMode::default`]) is one
+//! latch around the whole column, built straight from the values with no
+//! partition pass.
 //!
 //! # Latching protocol
 //!
 //! Every multi-shard operation touches shards in **ascending shard-index
 //! order** and acquires latches in that order only — the global latch
 //! order that makes deadlock impossible (any two operations contend on
-//! their common shards in the same sequence). A straddling select runs in
-//! two phases:
+//! their common shards in the same sequence). A select runs in two
+//! phases:
 //!
 //! 1. **Optimistic (shared)**: take the read latch of every touched shard
 //!    in ascending order and try [`CrackerColumn::try_select_readonly`] on
@@ -25,9 +28,7 @@
 //!    a consistent cross-shard snapshot and nothing was written.
 //! 2. **Pessimistic**: otherwise drop all read latches and re-visit the
 //!    touched shards in ascending order. Each shard is first re-tried
-//!    read-only under a fresh read latch (double-checked locking — a
-//!    contended thread never re-enters the cracking path for boundaries a
-//!    winner created while it waited, and shards that need no cracking
+//!    read-only under a fresh read latch (shards that need no cracking
 //!    keep admitting concurrent readers); only a shard that still misses
 //!    has its read latch dropped and its *write* latch taken, where the
 //!    read-only path is retried once more before falling through to the
@@ -35,13 +36,26 @@
 //!    shard after releasing its read latch never requests a lower index
 //!    than one already held, so the global ascending order is preserved.
 //!
+//! A predicate that touches one shard skips phase 1 — phase 2's first
+//! step is the same read-only try — and holds no staging buffers, so a
+//! warm answer allocates nothing.
+//!
+//! The retry under the write latch is the classic double-checked upgrade:
+//! between dropping the read latch and acquiring the write latch, a
+//! contending thread may have cracked the very boundaries this query
+//! needs. Without the recheck the loser would re-enter `select()` — a
+//! full piece scan for an answer that is already one index probe away,
+//! plus a spurious `CrackStats::queries` increment. With it, exactly one
+//! of N racing threads pays each shard's cracking cost of a cold
+//! predicate; the rest reuse the winner's boundaries.
+//!
 //! Single-shard operations (updates routed by value, per-shard merges)
 //! latch exactly one shard at a time and therefore compose with the
 //! ascending-order rule trivially.
 //!
 //! # Batched selects (latch amortization)
 //!
-//! [`ShardedCrackerColumn::select_oids_batch_into`] answers a whole batch
+//! [`ConcurrentColumn::select_oids_batch_into`] answers a whole batch
 //! of predicates in one pass over the shards: the batch is first bucketed
 //! by shard (each predicate contributing its clamped per-shard predicate
 //! to every shard it touches), then shards are visited in ascending index
@@ -69,9 +83,15 @@
 //! kernel selected there (scalar or SIMD, [`crate::kernel`]) runs inside
 //! every shard — a faster single-shard kernel multiplies through the
 //! whole latching scheme.
+//!
+//! The latches come from the [`crate::sync`] facade (lockdep): under
+//! `LOCK_ANALYSIS=1` every acquisition is checked for order inversions,
+//! upgrade-while-held, and the batch path's one-read-plus-one-write
+//! budget per shard. `CONCURRENCY.md` at the repository root documents
+//! the latch hierarchy and which invariants are checked mechanically vs.
+//! stress-tested.
 
 use crate::column::{CrackerColumn, Selection};
-use crate::concurrent::SharedCrackerColumn;
 use crate::config::CrackerConfig;
 use crate::pred::RangePred;
 use crate::stats::CrackStats;
@@ -87,6 +107,10 @@ const SPLIT_SAMPLE: usize = 4096;
 /// index discipline documented above is checked mechanically under
 /// `LOCK_ANALYSIS=1` (see [`crate::sync`] and `CONCURRENCY.md`).
 const LATCH_CLASS: &str = "shard";
+
+/// A cooperative-cancellation poll, when the caller has one (see
+/// [`CrackerColumn::select_guarded`]).
+type Guard<'a> = Option<&'a dyn Fn() -> bool>;
 
 /// A held shard latch of either strength (phase 2 mixes them: shards that
 /// need no cracking stay read-latched).
@@ -104,13 +128,30 @@ impl<T> Latch<'_, T> {
     }
 }
 
-/// Run a cracking select on one shard with panic containment: heal the
-/// shard (validate-or-rebuild its piece map) before letting the unwind
-/// continue, so a kernel dying mid-reorganization degrades that shard to
-/// cold instead of leaving it torn for every later query. The mirror of
-/// `SharedCrackerColumn`'s containment, per shard.
-fn select_contained<T: CrackValue>(column: &mut CrackerColumn<T>, pred: RangePred<T>) -> Selection {
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| column.select(pred)));
+/// The write-latched step of the protocol on one shard: retry the
+/// read-only path (a contending thread may have cracked the boundaries
+/// meanwhile), then run the cracking select, polling `keep_going` at its
+/// crack-step boundaries. `None` when `keep_going` stopped it; the shard
+/// then holds whole cracks only.
+///
+/// The select runs with **panic containment**: a kernel dying
+/// mid-reorganization would otherwise leave the shard torn for every
+/// later query (our locks don't poison). The unwind is caught, the shard
+/// healed — its piece map validated in `O(n+p)` and rebuilt cold if the
+/// panic left moves it does not describe — and only then propagated, so
+/// the panicking query still fails loudly but the shard degrades to cold
+/// instead of wedging.
+fn crack<T: CrackValue>(
+    column: &mut CrackerColumn<T>,
+    pred: RangePred<T>,
+    keep_going: Guard<'_>,
+) -> Option<Selection> {
+    if let Some(sel) = column.try_select_readonly(pred) {
+        return Some(sel);
+    }
+    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        column.select_with_guard(pred, keep_going)
+    }));
     match attempt {
         Ok(sel) => sel,
         Err(payload) => {
@@ -120,28 +161,29 @@ fn select_contained<T: CrackValue>(column: &mut CrackerColumn<T>, pred: RangePre
     }
 }
 
-/// How a concurrently shared cracked column is latched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConcurrencyMode {
-    /// One `RwLock` around the whole column
-    /// ([`SharedCrackerColumn`]).
-    #[default]
-    SingleLock,
-    /// Range-partitioned shards, each independently latched
-    /// ([`ShardedCrackerColumn`]).
-    Sharded {
-        /// Number of shards requested (the realized count can be lower
-        /// when the data has too few distinct values to split).
-        shards: usize,
-    },
+/// How a concurrently shared cracked column is latched: the number of
+/// value-range shards to build it with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConcurrencyMode {
+    /// Number of shards requested. One (the default) is one latch around
+    /// the whole column; the realized count can be lower than requested
+    /// when the data has too few distinct values to split, and 0 builds
+    /// one shard.
+    pub shards: usize,
+}
+
+impl Default for ConcurrencyMode {
+    fn default() -> Self {
+        ConcurrencyMode { shards: 1 }
+    }
 }
 
 /// A per-shard `Selection` together with the shard that produced it.
 ///
 /// The positions inside each [`Selection`] are relative to that shard's
-/// own value/OID arrays; the OIDs materialized from them are global. Like
-/// [`SharedCrackerColumn`]'s selections, this is a snapshot: it describes
-/// the physical layout at the moment the latches were held.
+/// own value/OID arrays; the OIDs materialized from them are global. This
+/// is a snapshot: it describes the physical layout at the moment the
+/// latches were held.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedSelection {
     /// `(shard index, selection within that shard)`, ascending by shard.
@@ -160,10 +202,11 @@ impl ShardedSelection {
     }
 }
 
-/// A cracker index partitioned into independently latched value-range
-/// shards.
+/// A cracker index partitioned into one or more independently latched
+/// value-range shards — the type the engine hands out for every cracked
+/// attribute.
 #[derive(Debug)]
-pub struct ShardedCrackerColumn<T> {
+pub struct ConcurrentColumn<T> {
     /// Ascending split values: shard `i` holds `splits[i-1] <= v <
     /// splits[i]` (first shard unbounded below, last unbounded above).
     splits: Vec<T>,
@@ -171,55 +214,62 @@ pub struct ShardedCrackerColumn<T> {
     shards: Vec<RwLock<CrackerColumn<T>>>,
 }
 
-impl<T: CrackValue> ShardedCrackerColumn<T> {
+impl<T: CrackValue> ConcurrentColumn<T> {
     /// Shard `vals` into (at most) `shards` range partitions with the
     /// default cracker configuration.
     pub fn new(vals: Vec<T>, shards: usize) -> Self {
-        Self::with_config(vals, CrackerConfig::default(), shards)
+        Self::build(vals, CrackerConfig::default(), ConcurrencyMode { shards })
     }
 
-    /// Shard `vals` with an explicit per-shard cracker configuration.
+    /// Shard `vals` under `mode` with an explicit per-shard cracker
+    /// configuration.
     ///
-    /// Split points are chosen by sampling up to [`SPLIT_SAMPLE`] values
+    /// Split points are chosen by sampling up to `SPLIT_SAMPLE` values
     /// at a fixed stride and taking equi-depth quantiles, so a skewed
     /// value distribution still yields balanced shard populations. OIDs
     /// are assigned densely (`0..n`) over the *original* order, exactly as
     /// [`CrackerColumn::new`] would, and travel with their values into the
-    /// owning shard.
-    pub fn with_config(vals: Vec<T>, config: CrackerConfig, shards: usize) -> Self {
-        let splits = sample_splits(&vals, shards);
-        let shard_count = splits.len() + 1;
-        let mut parts: Vec<(Vec<T>, Vec<u32>)> =
-            (0..shard_count).map(|_| (Vec::new(), Vec::new())).collect();
+    /// owning shard. With no splits the one shard is
+    /// [`CrackerColumn::with_config`] over `vals` itself: no partition
+    /// pass, and its dense OIDs come from `storage::mem`.
+    pub fn build(vals: Vec<T>, config: CrackerConfig, mode: ConcurrencyMode) -> Self {
+        let splits = sample_splits(&vals, mode.shards);
+        if splits.is_empty() {
+            return Self::assemble(splits, vec![CrackerColumn::with_config(vals, config)]);
+        }
+        let mut parts: Vec<(Vec<T>, Vec<u32>)> = (0..=splits.len())
+            .map(|_| (Vec::new(), Vec::new()))
+            .collect();
         for (i, v) in vals.into_iter().enumerate() {
             let s = splits.partition_point(|split| *split <= v);
             parts[s].0.push(v);
             parts[s].1.push(i as u32);
         }
-        let group = LockGroup::new();
-        let shards = parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, (v, o))| {
-                RwLock::with_class(
-                    CrackerColumn::from_pairs(v, o, config),
-                    LATCH_CLASS,
-                    i as u32,
-                    group,
-                )
-            })
+        let columns = (parts.into_iter())
+            .map(|(v, o)| CrackerColumn::from_pairs(v, o, config))
             .collect();
-        ShardedCrackerColumn { splits, shards }
+        Self::assemble(splits, columns)
     }
 
-    /// Reassemble a sharded column from previously exported parts — the
-    /// recovery constructor. `columns[i]` becomes shard `i` under the same
-    /// latch classes and ascending order keys as
-    /// [`with_config`](Self::with_config); `splits` must be strictly
-    /// ascending with `columns.len() == splits.len() + 1`. The per-shard
-    /// range invariant (every cracked value inside its shard's assigned
-    /// range) is checked here so a tampered checkpoint fails loudly
-    /// instead of producing a silently mis-routed column.
+    /// Latch `columns[i]` as shard `i`: one [`LockGroup`] per column,
+    /// ascending order keys.
+    fn assemble(splits: Vec<T>, columns: Vec<CrackerColumn<T>>) -> Self {
+        let group = LockGroup::new();
+        let shards = (columns.into_iter().enumerate())
+            .map(|(i, col)| RwLock::with_class(col, LATCH_CLASS, i as u32, group))
+            .collect();
+        ConcurrentColumn { splits, shards }
+    }
+
+    /// Reassemble a column from previously exported parts — the recovery
+    /// constructor. `columns[i]` becomes shard `i` under the same latch
+    /// classes and ascending order keys as [`build`](Self::build);
+    /// `splits` must be strictly ascending with `columns.len() ==
+    /// splits.len() + 1`. The per-shard range invariant (every cracked
+    /// value inside its shard's assigned range) is checked here so a
+    /// tampered checkpoint fails loudly instead of producing a silently
+    /// mis-routed column; with no splits it holds by construction, and the
+    /// pass over the values is skipped.
     pub fn from_parts(splits: Vec<T>, columns: Vec<CrackerColumn<T>>) -> Result<Self, String> {
         if columns.len() != splits.len() + 1 {
             return Err(format!(
@@ -231,24 +281,12 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
         if splits.windows(2).any(|w| w[0] >= w[1]) {
             return Err("split points must be strictly ascending".to_string());
         }
-        for (i, col) in columns.iter().enumerate() {
-            let lower = i.checked_sub(1).map(|j| splits[j]);
-            let upper = splits.get(i).copied();
-            for &v in col.values() {
-                if lower.is_some_and(|lo| v < lo) || upper.is_some_and(|hi| v >= hi) {
-                    return Err(format!(
-                        "shard {i}: value {v:?} outside range {lower:?}..{upper:?}"
-                    ));
-                }
+        if !splits.is_empty() {
+            for (i, col) in columns.iter().enumerate() {
+                check_range(i, &splits, col)?;
             }
         }
-        let group = LockGroup::new();
-        let shards = columns
-            .into_iter()
-            .enumerate()
-            .map(|(i, col)| RwLock::with_class(col, LATCH_CLASS, i as u32, group))
-            .collect();
-        Ok(ShardedCrackerColumn { splits, shards })
+        Ok(Self::assemble(splits, columns))
     }
 
     /// Run `f` over every shard's column in ascending shard order, one
@@ -306,23 +344,50 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
         }
     }
 
+    /// Phase 2 of the protocol on shard `i`: a read-only try under a fresh
+    /// read latch, else the write latch and [`crack`]. `None` when
+    /// `keep_going` stopped the crack.
+    fn latch_shard(
+        &self,
+        i: usize,
+        pred: RangePred<T>,
+        keep_going: Guard<'_>,
+    ) -> Option<(Latch<'_, T>, Selection)> {
+        let read = self.shards[i].read();
+        if let Some(sel) = read.try_select_readonly(pred) {
+            return Some((Latch::Read(read), sel));
+        }
+        drop(read);
+        let mut write = self.shards[i].write();
+        let sel = crack(&mut write, pred, keep_going)?;
+        Some((Latch::Write(write), sel))
+    }
+
     /// Run `consume` over the per-shard selections of `pred`, in ascending
     /// shard order, while the corresponding latches are held — the
-    /// two-phase protocol described in the module doc.
+    /// two-phase protocol described in the module doc. Returns false, with
+    /// `consume` never called, when `keep_going` stopped a crack.
     fn for_each_selection(
         &self,
         pred: RangePred<T>,
-        consume: &mut dyn FnMut(&CrackerColumn<T>, &Selection, usize),
-    ) {
+        keep_going: Guard<'_>,
+        mut consume: impl FnMut(&CrackerColumn<T>, &Selection, usize),
+    ) -> bool {
         if pred.is_empty_range() {
-            return;
+            return true;
         }
         let (first, last) = self.touched(&pred);
+        if first == last {
+            let Some((latch, sel)) = self.latch_shard(first, pred, keep_going) else {
+                return false;
+            };
+            consume(latch.col(), &sel, first);
+            return true;
+        }
         // Phase 1: optimistic — shared latches, ascending.
         {
             let mut guards = Vec::with_capacity(last - first + 1);
             let mut sels = Vec::with_capacity(last - first + 1);
-            let mut complete = true;
             for i in first..=last {
                 let guard = self.shards[i].read();
                 match guard.try_select_readonly(Self::shard_pred(&pred, i, first, last)) {
@@ -330,45 +395,64 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
                         guards.push(guard);
                         sels.push(sel);
                     }
-                    None => {
-                        complete = false;
-                        break;
-                    }
+                    None => break,
                 }
             }
-            if complete {
+            if sels.len() == last - first + 1 {
                 for (off, (guard, sel)) in guards.iter().zip(&sels).enumerate() {
                     consume(guard, sel, first + off);
                 }
-                return;
+                return true;
             }
         }
-        // Phase 2: pessimistic — ascending, per shard: retry read-only
-        // under a fresh read latch (keeping the shard open to concurrent
-        // readers when it needs no cracking), escalating to the write
-        // latch — with one more read-only retry under it — only on a
-        // persistent miss.
-        let mut guards: Vec<Latch<'_, T>> = Vec::with_capacity(last - first + 1);
-        let mut sels = Vec::with_capacity(last - first + 1);
+        // Phase 2: pessimistic — ascending, per shard.
+        let mut latched = Vec::with_capacity(last - first + 1);
         for i in first..=last {
             let p = Self::shard_pred(&pred, i, first, last);
-            let read = self.shards[i].read();
-            if let Some(sel) = read.try_select_readonly(p) {
-                guards.push(Latch::Read(read));
-                sels.push(sel);
-                continue;
-            }
-            drop(read);
-            let mut write = self.shards[i].write();
-            let sel = match write.try_select_readonly(p) {
-                Some(sel) => sel,
-                None => select_contained(&mut write, p),
+            let Some(shard) = self.latch_shard(i, p, keep_going) else {
+                return false;
             };
-            guards.push(Latch::Write(write));
-            sels.push(sel);
+            latched.push(shard);
         }
-        for (off, (guard, sel)) in guards.iter().zip(&sels).enumerate() {
-            consume(guard.col(), sel, first + off);
+        for (off, (latch, sel)) in latched.iter().enumerate() {
+            consume(latch.col(), sel, first + off);
+        }
+        true
+    }
+
+    /// Answer one shard's bucket of a batch: the prefix whose boundaries
+    /// exist under one read latch, the rest under one write latch with a
+    /// read-only double-check per predicate, so a cold predicate still
+    /// enters the cracking select() at most once.
+    fn answer_bucket(
+        shard: &RwLock<CrackerColumn<T>>,
+        jobs: impl Iterator<Item = (usize, RangePred<T>)> + Clone,
+        consume: &mut impl FnMut(usize, &CrackerColumn<T>, &Selection),
+    ) {
+        // Optimistic: consume straight off the shared latch until the
+        // first boundary miss (no staging buffer — each answer is final
+        // the moment its boundaries are known to exist).
+        let mut done = 0;
+        {
+            let read = shard.read();
+            for (idx, p) in jobs.clone() {
+                let Some(sel) = read.try_select_readonly(p) else {
+                    break;
+                };
+                consume(idx, &read, &sel);
+                done += 1;
+            }
+        }
+        let mut rest = jobs.skip(done).peekable();
+        if rest.peek().is_none() {
+            return;
+        }
+        let mut write = shard.write();
+        for (idx, p) in rest {
+            // Unguarded, the crack always completes.
+            if let Some(sel) = crack(&mut write, p, None) {
+                consume(idx, &write, &sel);
+            }
         }
     }
 
@@ -381,59 +465,32 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     fn for_each_selection_batch(
         &self,
         preds: &[RangePred<T>],
-        consume: &mut dyn FnMut(usize, &CrackerColumn<T>, &Selection),
+        mut consume: impl FnMut(usize, &CrackerColumn<T>, &Selection),
     ) {
         // Machine-checked form of the amortization contract: at most two
         // latch round-trips (one read + one write) per shard for the
         // whole batch (no-op unless lock analysis is on).
         let _budget = lockdep::LatchBudget::new(LATCH_CLASS, 2, "batch latch amortization");
+        let live = preds.iter().copied().enumerate();
+        let live = live.filter(|(_, p)| !p.is_empty_range());
+        if let [shard] = &self.shards[..] {
+            // One shard: the batch is its bucket, every predicate unclamped.
+            Self::answer_bucket(shard, live, &mut consume);
+            return;
+        }
         // Bucket the batch by shard: `work[s]` holds `(batch index,
         // clamped per-shard predicate)` for every predicate touching
         // shard `s`, in batch order.
         let mut work: Vec<Vec<(usize, RangePred<T>)>> = vec![Vec::new(); self.shards.len()];
-        for (idx, pred) in preds.iter().enumerate() {
-            if pred.is_empty_range() {
-                continue;
-            }
-            let (first, last) = self.touched(pred);
+        for (idx, pred) in live {
+            let (first, last) = self.touched(&pred);
             for (s, jobs) in work.iter_mut().enumerate().take(last + 1).skip(first) {
-                jobs.push((idx, Self::shard_pred(pred, s, first, last)));
+                jobs.push((idx, Self::shard_pred(&pred, s, first, last)));
             }
         }
-        for (s, jobs) in work.iter().enumerate() {
-            if jobs.is_empty() {
-                continue;
-            }
-            // Optimistic: consume straight off the shared latch until the
-            // first boundary miss (no staging buffer — each answer is
-            // final the moment its boundaries are known to exist).
-            let mut done = 0;
-            {
-                let read = self.shards[s].read();
-                for (idx, p) in jobs {
-                    match read.try_select_readonly(*p) {
-                        Some(sel) => {
-                            consume(*idx, &read, &sel);
-                            done += 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            if done == jobs.len() {
-                continue;
-            }
-            // Pessimistic: escalate to the write latch once for the
-            // remainder of the bucket, double-checking the read-only path
-            // per predicate so a cold predicate still enters the cracking
-            // select() at most once.
-            let mut write = self.shards[s].write();
-            for (idx, p) in &jobs[done..] {
-                let sel = match write.try_select_readonly(*p) {
-                    Some(sel) => sel,
-                    None => select_contained(&mut write, *p),
-                };
-                consume(*idx, &write, &sel);
+        for (shard, jobs) in self.shards.iter().zip(&work) {
+            if !jobs.is_empty() {
+                Self::answer_bucket(shard, jobs.iter().copied(), &mut consume);
             }
         }
     }
@@ -442,7 +499,7 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     /// read-latched only; crackers on disjoint shards run in parallel.
     pub fn count(&self, pred: RangePred<T>) -> usize {
         let mut total = 0usize;
-        self.for_each_selection(pred, &mut |_, sel, _| total += sel.count());
+        self.for_each_selection(pred, None, |_, sel, _| total += sel.count());
         total
     }
 
@@ -458,7 +515,7 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     /// twin of [`select_oids`](Self::select_oids); a warm query allocates
     /// nothing.
     pub fn select_oids_into(&self, pred: RangePred<T>, out: &mut Vec<u32>) {
-        self.for_each_selection(pred, &mut |col, sel, _| {
+        self.for_each_selection(pred, None, |col, sel, _| {
             col.selection_oids_into(sel, out);
         });
     }
@@ -470,7 +527,7 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     /// order preserved. See the module doc's latch-amortization section.
     pub fn select_oids_batch_into(&self, preds: &[RangePred<T>], outs: &mut [Vec<u32>]) {
         assert_eq!(preds.len(), outs.len(), "one output buffer per predicate");
-        self.for_each_selection_batch(preds, &mut |idx, col, sel| {
+        self.for_each_selection_batch(preds, |idx, col, sel| {
             col.selection_oids_into(sel, &mut outs[idx]);
         });
     }
@@ -485,15 +542,13 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
 
     /// The cancellable twin of
     /// [`select_oids_batch_into`](Self::select_oids_batch_into):
-    /// `keep_going` is polled before every predicate, and each predicate's
-    /// answer is all-or-nothing (a predicate's per-shard cracks each run
-    /// to completion — pieces are never left torn). Returns the number of
-    /// predicates fully answered — always a prefix; `outs` beyond it are
-    /// untouched. The poll sits at predicate granularity here (rather
-    /// than the single-lock path's crack-step granularity) because a
-    /// straddling predicate's partial cross-shard answer could not be
-    /// discarded without double-cracking; each per-shard crack remains an
-    /// atomic step either way.
+    /// `keep_going` is polled before every predicate and at every
+    /// crack-step boundary inside each shard's cold select
+    /// ([`CrackerColumn::select_guarded`], under that shard's write
+    /// latch). Returns the number of predicates fully answered — always a
+    /// prefix; `outs` beyond it are untouched. A stopped predicate leaves
+    /// its shards with every piece either untouched or fully cracked
+    /// (never torn), so later queries are unaffected.
     ///
     /// # Panics
     /// Panics if `preds` and `outs` differ in length.
@@ -505,10 +560,13 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     ) -> usize {
         assert_eq!(preds.len(), outs.len(), "one output buffer per predicate");
         for (i, (pred, out)) in preds.iter().zip(outs.iter_mut()).enumerate() {
-            if !keep_going() {
+            let answered = keep_going()
+                && self.for_each_selection(*pred, Some(keep_going), |col, sel, _| {
+                    col.selection_oids_into(sel, out);
+                });
+            if !answered {
                 return i;
             }
-            self.select_oids_into(*pred, out);
         }
         preds.len()
     }
@@ -517,7 +575,7 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     /// [`count`](Self::count).
     pub fn select_pairs(&self, pred: RangePred<T>) -> Vec<(u32, T)> {
         let mut out = Vec::new();
-        self.for_each_selection(pred, &mut |col, sel, _| {
+        self.for_each_selection(pred, None, |col, sel, _| {
             col.copy_selection_into(sel, &mut out);
         });
         out
@@ -527,7 +585,7 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     /// (see [`ShardedSelection`]). Cracks as a side effect where needed.
     pub fn select(&self, pred: RangePred<T>) -> ShardedSelection {
         let mut parts = Vec::new();
-        self.for_each_selection(pred, &mut |_, sel, shard| {
+        self.for_each_selection(pred, None, |_, sel, shard| {
             parts.push((shard, sel.clone()));
         });
         ShardedSelection { parts }
@@ -550,33 +608,32 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     /// to the shard exactly as [`select_oids`](Self::select_oids) would
     /// (border shards see the original bounds, interior shards the
     /// unbounded predicate), and the per-shard two-phase latch protocol is
-    /// followed: optimistic read latch, then write latch with a read-only
-    /// double-check. Shards outside the touched range contribute nothing.
+    /// followed, polling `keep_going` at the crack-step boundaries of a
+    /// cold select. Returns false, with `out` untouched, when it stopped
+    /// the crack. Shards outside the touched range contribute nothing.
     /// Because each call latches exactly one shard and the latch is
     /// released before the next claim, concurrent morsel workers never
     /// hold two shard latches at once — the ascending-order deadlock rule
     /// is satisfied vacuously.
-    pub fn select_shard_oids_into(&self, shard: usize, pred: RangePred<T>, out: &mut Vec<u32>) {
+    pub fn select_shard_oids_into(
+        &self,
+        shard: usize,
+        pred: RangePred<T>,
+        out: &mut Vec<u32>,
+        keep_going: &dyn Fn() -> bool,
+    ) -> bool {
         let Some((first, last)) = self.touched_shards(&pred) else {
-            return;
+            return true;
         };
         if shard < first || shard > last {
-            return;
+            return true;
         }
         let p = Self::shard_pred(&pred, shard, first, last);
-        {
-            let read = self.shards[shard].read();
-            if let Some(sel) = read.try_select_readonly(p) {
-                read.selection_oids_into(&sel, out);
-                return;
-            }
-        }
-        let mut write = self.shards[shard].write();
-        let sel = match write.try_select_readonly(p) {
-            Some(sel) => sel,
-            None => select_contained(&mut write, p),
+        let Some((latch, sel)) = self.latch_shard(shard, p, Some(keep_going)) else {
+            return false;
         };
-        write.selection_oids_into(&sel, out);
+        latch.col().selection_oids_into(&sel, out);
+        true
     }
 
     /// Stage an insert, routed to the shard owning `value` (one exclusive
@@ -609,13 +666,16 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
         }
     }
 
-    /// Stage a delete. The value (hence shard) of `oid` is unknown, so
-    /// shards are probed in ascending order — under a *read* latch, so the
-    /// scan doesn't stall readers of uninvolved shards — and only the
-    /// owning shard is write-latched to stage the delete. Returns whether
-    /// the OID was found (false also when a racing delete got there
-    /// first).
+    /// Stage a delete. With several shards the value (hence shard) of
+    /// `oid` is unknown, so shards are probed in ascending order — under a
+    /// *read* latch, so the scan doesn't stall readers of uninvolved
+    /// shards — and only the owning shard is write-latched to stage the
+    /// delete. Returns whether the OID was found (false also when a
+    /// racing delete got there first).
     pub fn delete(&self, oid: u32) -> bool {
+        if let [shard] = &self.shards[..] {
+            return shard.write().delete(oid);
+        }
         for shard in &self.shards {
             let present = {
                 let col = shard.read();
@@ -630,21 +690,49 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
         false
     }
 
+    /// True when inserts or deletes are staged but not yet merged in any
+    /// shard (see [`CrackerColumn::has_pending_updates`]).
+    pub fn has_pending_updates(&self) -> bool {
+        self.shards.iter().any(|s| s.read().has_pending_updates())
+    }
+
     /// Fold staged updates into every shard (one exclusive latch at a
     /// time, ascending).
     pub fn merge_pending(&self) {
-        for shard in &self.shards {
-            shard.write().merge_pending();
-        }
+        self.write_shards(CrackerColumn::merge_pending);
     }
 
     /// Follow a base-table delete in every shard (one exclusive latch at
     /// a time, ascending). OIDs are global, so every shard applies the
     /// same map; see [`CrackerColumn::compact_renumber`].
     pub fn compact_renumber(&self, doomed: &Renumbering) {
-        for shard in &self.shards {
-            shard.write().compact_renumber(doomed);
-        }
+        self.write_shards(|c| c.compact_renumber(doomed));
+    }
+
+    /// Switch the merge journal of every shard on or off; see
+    /// [`CrackerColumn::set_journaling`].
+    pub fn set_journaling(&self, on: bool) {
+        self.write_shards(|c| c.set_journaling(on));
+    }
+
+    /// Empty the merge journal of every shard; see
+    /// [`CrackerColumn::clear_journal`].
+    pub fn clear_journal(&self) {
+        self.write_shards(CrackerColumn::clear_journal);
+    }
+
+    /// Entries in the merge journals of all shards together. `None` when
+    /// a shard is not journaling or a base-table delete compacted it: the
+    /// journal no longer describes the column.
+    pub fn journal_len(&self) -> Option<usize> {
+        (self.shards.iter())
+            .map(|s| {
+                s.read()
+                    .journal()
+                    .filter(|j| !j.compacted())
+                    .map(|j| j.len())
+            })
+            .sum()
     }
 
     /// Chaos hook: arm the first shard's panic-on-crack countdown (see
@@ -653,9 +741,7 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     /// disarms itself when it fires, so later queries run clean — while
     /// still exercising the per-shard containment path.
     pub fn arm_panic_on_crack(&self, after: u32) {
-        if let Some(shard) = self.shards.first() {
-            shard.write().arm_panic_on_crack(after);
-        }
+        self.shards[0].write().arm_panic_on_crack(after);
     }
 
     /// Validate-or-rebuild every shard's piece map (see
@@ -664,9 +750,7 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
     /// when a contained panic unwinds through them.
     pub fn heal(&self) -> bool {
         let mut rebuilt = false;
-        for shard in &self.shards {
-            rebuilt |= shard.write().heal();
-        }
+        self.write_shards(|c| rebuilt |= c.heal());
         rebuilt
     }
 
@@ -701,15 +785,9 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
         for (i, shard) in self.shards.iter().enumerate() {
             let col = shard.read();
             col.validate().map_err(|e| format!("shard {i}: {e}"))?;
+            check_range(i, &self.splits, &col)?;
             let lower = i.checked_sub(1).map(|j| self.splits[j]);
             let upper = self.splits.get(i).copied();
-            for &v in col.values() {
-                if lower.is_some_and(|lo| v < lo) || upper.is_some_and(|hi| v >= hi) {
-                    return Err(format!(
-                        "shard {i}: value {v:?} outside range {lower:?}..{upper:?}"
-                    ));
-                }
-            }
             let range =
                 RangePred::with_bounds(lower.map(|lo| (lo, true)), upper.map(|hi| (hi, false)));
             let everything = RangePred::with_bounds(None, None);
@@ -720,6 +798,25 @@ impl<T: CrackValue> ShardedCrackerColumn<T> {
             }
         }
         Ok(())
+    }
+}
+
+/// Check that every cracked value of shard `i` lies inside the range
+/// `splits` assigns it.
+fn check_range<T: CrackValue>(
+    i: usize,
+    splits: &[T],
+    col: &CrackerColumn<T>,
+) -> Result<(), String> {
+    let lower = i.checked_sub(1).map(|j| splits[j]);
+    let upper = splits.get(i).copied();
+    match (col.values().iter())
+        .find(|&&v| lower.is_some_and(|lo| v < lo) || upper.is_some_and(|hi| v >= hi))
+    {
+        Some(v) => Err(format!(
+            "shard {i}: value {v:?} outside range {lower:?}..{upper:?}"
+        )),
+        None => Ok(()),
     }
 }
 
@@ -743,259 +840,6 @@ fn sample_splits<T: CrackValue>(vals: &[T], shards: usize) -> Vec<T> {
     splits
 }
 
-/// A latched cracked column under either concurrency mode — the type the
-/// engine hands out when several threads share one cracked attribute.
-// One long-lived handle per shared column; the size skew between the two
-// variants is irrelevant next to the column data behind them, and boxing
-// would put a pointer chase on every query.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum ConcurrentColumn<T> {
-    /// One column-wide `RwLock`.
-    Single(SharedCrackerColumn<T>),
-    /// Range-partitioned per-shard latches.
-    Sharded(ShardedCrackerColumn<T>),
-}
-
-impl<T: CrackValue> ConcurrentColumn<T> {
-    /// Build from `vals` under `mode`.
-    pub fn build(vals: Vec<T>, config: CrackerConfig, mode: ConcurrencyMode) -> Self {
-        match mode {
-            ConcurrencyMode::SingleLock => {
-                ConcurrentColumn::Single(SharedCrackerColumn::with_config(vals, config))
-            }
-            ConcurrencyMode::Sharded { shards } => {
-                ConcurrentColumn::Sharded(ShardedCrackerColumn::with_config(vals, config, shards))
-            }
-        }
-    }
-
-    /// The mode this column was built under.
-    pub fn mode(&self) -> ConcurrencyMode {
-        match self {
-            ConcurrentColumn::Single(_) => ConcurrencyMode::SingleLock,
-            ConcurrentColumn::Sharded(s) => ConcurrencyMode::Sharded {
-                shards: s.shard_count(),
-            },
-        }
-    }
-
-    /// Count qualifying tuples.
-    pub fn count(&self, pred: RangePred<T>) -> usize {
-        match self {
-            ConcurrentColumn::Single(c) => c.count(pred),
-            ConcurrentColumn::Sharded(c) => c.count(pred),
-        }
-    }
-
-    /// Qualifying OIDs (unordered).
-    pub fn select_oids(&self, pred: RangePred<T>) -> Vec<u32> {
-        match self {
-            ConcurrentColumn::Single(c) => c.select_oids(pred),
-            ConcurrentColumn::Sharded(c) => c.select_oids(pred),
-        }
-    }
-
-    /// Append the qualifying OIDs of `pred` to `out` (scratch-buffer
-    /// variant — no per-query allocation on a warm column).
-    pub fn select_oids_into(&self, pred: RangePred<T>, out: &mut Vec<u32>) {
-        match self {
-            ConcurrentColumn::Single(c) => c.select_oids_into(pred, out),
-            ConcurrentColumn::Sharded(c) => c.select_oids_into(pred, out),
-        }
-    }
-
-    /// Answer a batch of predicates under amortized locking, appending
-    /// the OIDs of `preds[i]` to `outs[i]`: one lock acquisition per
-    /// batch (single-lock mode) or one latch acquisition per touched
-    /// shard per batch (sharded mode).
-    pub fn select_oids_batch_into(&self, preds: &[RangePred<T>], outs: &mut [Vec<u32>]) {
-        match self {
-            ConcurrentColumn::Single(c) => c.select_oids_batch_into(preds, outs),
-            ConcurrentColumn::Sharded(c) => c.select_oids_batch_into(preds, outs),
-        }
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`select_oids_batch_into`](Self::select_oids_batch_into).
-    pub fn select_oids_batch(&self, preds: &[RangePred<T>]) -> Vec<Vec<u32>> {
-        match self {
-            ConcurrentColumn::Single(c) => c.select_oids_batch(preds),
-            ConcurrentColumn::Sharded(c) => c.select_oids_batch(preds),
-        }
-    }
-
-    /// The cancellable batch select: `keep_going` is polled at safe
-    /// boundaries (per predicate in both modes, plus per crack step in
-    /// single-lock mode) and the batch stops — piece maps valid, later
-    /// answers unaffected — once it reports false. Returns the number of
-    /// predicates fully answered, always a prefix of `preds`.
-    ///
-    /// # Panics
-    /// Panics if `preds` and `outs` differ in length.
-    pub fn select_oids_batch_guarded(
-        &self,
-        preds: &[RangePred<T>],
-        outs: &mut [Vec<u32>],
-        keep_going: &dyn Fn() -> bool,
-    ) -> usize {
-        match self {
-            ConcurrentColumn::Single(c) => c.select_oids_batch_guarded(preds, outs, keep_going),
-            ConcurrentColumn::Sharded(c) => c.select_oids_batch_guarded(preds, outs, keep_going),
-        }
-    }
-
-    /// Chaos hook: arm the panic-on-crack countdown (the first shard in
-    /// sharded mode). See [`CrackerColumn::arm_panic_on_crack`].
-    pub fn arm_panic_on_crack(&self, after: u32) {
-        match self {
-            ConcurrentColumn::Single(c) => c.arm_panic_on_crack(after),
-            ConcurrentColumn::Sharded(c) => c.arm_panic_on_crack(after),
-        }
-    }
-
-    /// Validate-or-rebuild the piece map(s); returns whether anything was
-    /// rebuilt. See [`CrackerColumn::heal`].
-    pub fn heal(&self) -> bool {
-        match self {
-            ConcurrentColumn::Single(c) => c.heal(),
-            ConcurrentColumn::Sharded(c) => c.heal(),
-        }
-    }
-
-    /// Stage an insert.
-    pub fn insert(&self, oid: u32, value: T) {
-        match self {
-            ConcurrentColumn::Single(c) => c.insert(oid, value),
-            ConcurrentColumn::Sharded(c) => c.insert(oid, value),
-        }
-    }
-
-    /// Stage a batch of inserts under amortized latching: one write-latch
-    /// acquisition total (single-lock mode) or one per touched shard
-    /// (sharded mode, ascending index order).
-    pub fn insert_batch(&self, rows: &[(u32, T)]) {
-        match self {
-            ConcurrentColumn::Single(c) => c.insert_batch(rows),
-            ConcurrentColumn::Sharded(c) => c.insert_batch(rows),
-        }
-    }
-
-    /// Stage a delete; returns whether the OID was found.
-    pub fn delete(&self, oid: u32) -> bool {
-        match self {
-            ConcurrentColumn::Single(c) => c.delete(oid),
-            ConcurrentColumn::Sharded(c) => c.delete(oid),
-        }
-    }
-
-    /// The sharded column behind this handle, when built in sharded mode
-    /// — the morsel scheduler needs the per-shard claim surface
-    /// ([`ShardedCrackerColumn::touched_shards`] /
-    /// [`ShardedCrackerColumn::select_shard_oids_into`]), which a
-    /// column-wide lock cannot offer.
-    pub fn as_sharded(&self) -> Option<&ShardedCrackerColumn<T>> {
-        match self {
-            ConcurrentColumn::Single(_) => None,
-            ConcurrentColumn::Sharded(c) => Some(c),
-        }
-    }
-
-    /// True when inserts or deletes are staged but not yet merged (see
-    /// [`CrackerColumn::has_pending_updates`]).
-    pub fn has_pending_updates(&self) -> bool {
-        let pending = CrackerColumn::has_pending_updates;
-        match self {
-            ConcurrentColumn::Single(c) => c.read_with(pending),
-            ConcurrentColumn::Sharded(c) => c.read_shards(pending).contains(&true),
-        }
-    }
-
-    /// Fold staged updates into the store.
-    pub fn merge_pending(&self) {
-        match self {
-            ConcurrentColumn::Single(c) => c.merge_pending(),
-            ConcurrentColumn::Sharded(c) => c.merge_pending(),
-        }
-    }
-
-    /// Follow a base-table delete in place; see
-    /// [`CrackerColumn::compact_renumber`].
-    pub fn compact_renumber(&self, doomed: &Renumbering) {
-        match self {
-            ConcurrentColumn::Single(c) => c.compact_renumber(doomed),
-            ConcurrentColumn::Sharded(c) => c.compact_renumber(doomed),
-        }
-    }
-
-    /// Switch the merge journal of every shard on or off; see
-    /// [`CrackerColumn::set_journaling`].
-    pub fn set_journaling(&self, on: bool) {
-        self.write_each(|c| c.set_journaling(on));
-    }
-
-    /// Empty the merge journal of every shard; see
-    /// [`CrackerColumn::clear_journal`].
-    pub fn clear_journal(&self) {
-        self.write_each(CrackerColumn::clear_journal);
-    }
-
-    /// Entries in the merge journals of all shards together. `None` when
-    /// a shard is not journaling or a base-table delete compacted it: the
-    /// journal no longer describes the column.
-    pub fn journal_len(&self) -> Option<usize> {
-        let len = |c: &CrackerColumn<T>| c.journal().filter(|j| !j.compacted()).map(|j| j.len());
-        match self {
-            ConcurrentColumn::Single(c) => c.read_with(len),
-            ConcurrentColumn::Sharded(c) => c.read_shards(len).into_iter().sum(),
-        }
-    }
-
-    fn write_each(&self, f: impl FnMut(&mut CrackerColumn<T>)) {
-        match self {
-            ConcurrentColumn::Single(c) => c.write_with(f),
-            ConcurrentColumn::Sharded(c) => c.write_shards(f),
-        }
-    }
-
-    /// Aggregate cost counters.
-    pub fn stats(&self) -> CrackStats {
-        match self {
-            ConcurrentColumn::Single(c) => c.stats(),
-            ConcurrentColumn::Sharded(c) => c.stats(),
-        }
-    }
-
-    /// Number of stored tuples.
-    pub fn len(&self) -> usize {
-        match self {
-            ConcurrentColumn::Single(c) => c.len(),
-            ConcurrentColumn::Sharded(c) => c.len(),
-        }
-    }
-
-    /// True when no tuples are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of pieces.
-    pub fn piece_count(&self) -> usize {
-        match self {
-            ConcurrentColumn::Single(c) => c.piece_count(),
-            ConcurrentColumn::Sharded(c) => c.piece_count(),
-        }
-    }
-
-    /// Validate all invariants (test/debug).
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
-            ConcurrentColumn::Single(c) => c.validate(),
-            ConcurrentColumn::Sharded(c) => c.validate(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,7 +859,7 @@ mod tests {
     #[test]
     fn sharded_answers_agree_with_oracle() {
         let vals: Vec<i64> = (0..10_000).map(|i| (i * 37) % 10_000).collect();
-        let col = ShardedCrackerColumn::new(vals.clone(), 8);
+        let col = ConcurrentColumn::new(vals.clone(), 8);
         assert_eq!(col.shard_count(), 8);
         assert_eq!(col.len(), vals.len());
         for (lo, hi) in [(0, 100), (4_990, 5_010), (9_000, 9_999), (0, 9_999)] {
@@ -1034,7 +878,7 @@ mod tests {
         // answered without cracking (their unbounded predicate needs no
         // boundary), so total cracks stay bounded by the two borders.
         let vals: Vec<i64> = (0..16_000).rev().collect();
-        let col = ShardedCrackerColumn::new(vals.clone(), 16);
+        let col = ConcurrentColumn::new(vals.clone(), 16);
         let pred = RangePred::between(1_500, 14_500);
         let n = col.count(pred);
         assert_eq!(n, 13_001);
@@ -1049,7 +893,7 @@ mod tests {
     #[test]
     fn one_sided_and_empty_predicates() {
         let vals: Vec<i64> = (0..1_000).map(|i| (i * 7) % 1_000).collect();
-        let col = ShardedCrackerColumn::new(vals.clone(), 4);
+        let col = ConcurrentColumn::new(vals.clone(), 4);
         for pred in [
             RangePred::lt(250),
             RangePred::le(250),
@@ -1069,17 +913,17 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_columns() {
-        let col: ShardedCrackerColumn<i64> = ShardedCrackerColumn::new(Vec::new(), 8);
+        let col: ConcurrentColumn<i64> = ConcurrentColumn::new(Vec::new(), 8);
         assert!(col.is_empty());
         assert_eq!(col.count(RangePred::between(0, 10)), 0);
-        let col = ShardedCrackerColumn::new(vec![5i64], 8);
+        let col = ConcurrentColumn::new(vec![5i64], 8);
         assert_eq!(col.count(RangePred::eq(5)), 1);
         col.validate().unwrap();
     }
 
     #[test]
     fn duplicates_collapse_split_points() {
-        let col = ShardedCrackerColumn::new(vec![7i64; 5_000], 16);
+        let col = ConcurrentColumn::new(vec![7i64; 5_000], 16);
         assert!(
             col.shard_count() <= 2,
             "constant data cannot be split 16 ways, got {} shards",
@@ -1092,7 +936,7 @@ mod tests {
     #[test]
     fn updates_route_to_owning_shards() {
         let vals: Vec<i64> = (0..4_000).collect();
-        let col = ShardedCrackerColumn::new(vals, 8);
+        let col = ConcurrentColumn::new(vals, 8);
         col.count(RangePred::between(100, 200)); // warm some boundaries
         col.insert(10_000, 150);
         col.insert(10_001, 3_999);
@@ -1111,7 +955,7 @@ mod tests {
     #[test]
     fn selection_stitching_counts_match() {
         let vals: Vec<i64> = (0..8_000).rev().collect();
-        let col = ShardedCrackerColumn::new(vals, 8);
+        let col = ConcurrentColumn::new(vals, 8);
         let pred = RangePred::between(1_000, 7_000);
         let stitched = col.select(pred);
         assert!(stitched.parts.len() > 1, "predicate must straddle shards");
@@ -1130,7 +974,7 @@ mod tests {
         // under each exclusive latch: racing threads on the same cold
         // straddling predicate perform each shard's cracking select once.
         let vals: Vec<i64> = (0..50_000).rev().collect();
-        let col = ShardedCrackerColumn::new(vals, 8);
+        let col = ConcurrentColumn::new(vals, 8);
         let threads = 8;
         let pred = RangePred::between(11_111, 38_888);
         let barrier = Barrier::new(threads);
@@ -1158,7 +1002,7 @@ mod tests {
     #[test]
     fn concurrent_disjoint_shards_stay_correct() {
         let vals: Vec<i64> = (0..40_000).map(|i| (i * 31) % 40_000).collect();
-        let col = ShardedCrackerColumn::new(vals.clone(), 8);
+        let col = ConcurrentColumn::new(vals.clone(), 8);
         std::thread::scope(|s| {
             for t in 0..8 {
                 let col = &col;
@@ -1178,19 +1022,11 @@ mod tests {
     #[test]
     fn concurrent_column_modes_agree() {
         let vals: Vec<i64> = (0..5_000).map(|i| (i * 13) % 5_000).collect();
-        let single = ConcurrentColumn::build(
-            vals.clone(),
-            CrackerConfig::default(),
-            ConcurrencyMode::SingleLock,
-        );
-        let sharded = ConcurrentColumn::build(
-            vals.clone(),
-            CrackerConfig::default(),
-            ConcurrencyMode::Sharded { shards: 8 },
-        );
-        assert_eq!(single.mode(), ConcurrencyMode::SingleLock);
-        assert!(matches!(sharded.mode(), ConcurrencyMode::Sharded { .. }));
-        for col in [&single, &sharded] {
+        let build = |mode| ConcurrentColumn::build(vals.clone(), CrackerConfig::default(), mode);
+        let one = build(ConcurrencyMode::default());
+        let sharded = build(ConcurrencyMode { shards: 8 });
+        assert_eq!((one.shard_count(), sharded.shard_count()), (1, 8));
+        for col in [&one, &sharded] {
             assert_eq!(col.len(), vals.len());
             assert!(!col.is_empty());
             let pred = RangePred::between(1_000, 2_000);
@@ -1211,8 +1047,8 @@ mod tests {
     #[test]
     fn batch_select_matches_statement_at_a_time_and_amortizes_latches() {
         let vals: Vec<i64> = (0..20_000).map(|i| (i * 29) % 20_000).collect();
-        let batch = ShardedCrackerColumn::new(vals.clone(), 8);
-        let single = ShardedCrackerColumn::new(vals, 8);
+        let batch = ConcurrentColumn::new(vals.clone(), 8);
+        let single = ConcurrentColumn::new(vals, 8);
         let preds: Vec<RangePred<i64>> = (0..32)
             .map(|i| RangePred::between(i * 550, i * 550 + 1_200))
             .collect();
@@ -1237,7 +1073,7 @@ mod tests {
     #[test]
     fn batch_select_handles_empty_and_unbounded_predicates() {
         let vals: Vec<i64> = (0..1_000).rev().collect();
-        let col = ShardedCrackerColumn::new(vals, 4);
+        let col = ConcurrentColumn::new(vals, 4);
         let preds = vec![
             RangePred::between(10, 5),          // empty range
             RangePred::with_bounds(None, None), // everything
@@ -1253,7 +1089,7 @@ mod tests {
     #[test]
     fn select_pairs_returns_global_oids_and_values() {
         let vals = vec![30i64, 10, 20, 40, 25];
-        let col = ShardedCrackerColumn::new(vals, 2);
+        let col = ConcurrentColumn::new(vals, 2);
         let mut pairs = col.select_pairs(RangePred::between(15, 35));
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(0, 30), (2, 20), (4, 25)]);
@@ -1262,7 +1098,7 @@ mod tests {
     #[test]
     fn a_panicking_crack_in_one_shard_is_contained_and_heals() {
         let vals: Vec<i64> = (0..4_000).map(|i| (i * 23) % 4_000).collect();
-        let col = ShardedCrackerColumn::new(vals.clone(), 4);
+        let col = ConcurrentColumn::new(vals.clone(), 4);
         col.count(RangePred::between(1_000, 3_000)); // crack boundaries
         col.arm_panic_on_crack(0);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1286,13 +1122,17 @@ mod tests {
 
     #[test]
     fn guarded_batch_cuts_short_between_predicates_only() {
+        // The name predates crack-step polling: the guard is now polled
+        // before every predicate *and* at the crack-step boundaries of
+        // each shard's cold select.
         let vals: Vec<i64> = (0..3_000).map(|i| (i * 41) % 3_000).collect();
-        let col = ShardedCrackerColumn::new(vals.clone(), 4);
+        let col = ConcurrentColumn::new(vals.clone(), 4);
         let preds: Vec<RangePred<i64>> = (0..5)
             .map(|i| RangePred::between(i * 500, i * 500 + 400))
             .collect();
-        // Sharded batches poll at predicate granularity: a predicate that
-        // starts runs on every shard it touches, so the guard admits two.
+        // Poll 1 admits predicate 0 (one shard, cold), poll 2 is its
+        // cold select's entry poll (a virgin piece cracks in three, one
+        // step), poll 3 refuses predicate 1.
         let polls = std::cell::Cell::new(0usize);
         let guard = || {
             polls.set(polls.get() + 1);
@@ -1300,7 +1140,8 @@ mod tests {
         };
         let mut outs: Vec<Vec<u32>> = preds.iter().map(|_| Vec::new()).collect();
         let done = col.select_oids_batch_guarded(&preds, &mut outs, &guard);
-        assert_eq!(done, 2, "exactly the admitted prefix completes");
+        assert_eq!(done, 1, "exactly the admitted prefix completes");
+        assert_eq!(polls.get(), 3);
         for (i, out) in outs.iter().enumerate() {
             if i < done {
                 let mut got = out.clone();
@@ -1316,5 +1157,237 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, oracle(&vals, pred));
         }
+    }
+
+    // One shard: the single-latch column every default engine column is.
+
+    fn count_oracle(vals: &[i64], pred: &RangePred<i64>) -> usize {
+        vals.iter().filter(|&&v| pred.matches(v)).count()
+    }
+
+    #[test]
+    fn readonly_fast_path_answers_repeat_queries() {
+        let col = ConcurrentColumn::new((0..1000).rev().collect::<Vec<i64>>(), 1);
+        let pred = RangePred::between(100, 200);
+        assert_eq!(col.count(pred), 101); // cracks (write path)
+        let cracks_before = col.stats().cracks;
+        let queries_before = col.stats().queries;
+        assert_eq!(col.count(pred), 101); // read-only fast path
+        assert_eq!(col.stats().cracks, cracks_before);
+        assert_eq!(
+            col.stats().queries,
+            queries_before,
+            "fast path does not even enter select()"
+        );
+    }
+
+    #[test]
+    fn pending_updates_disable_the_fast_path() {
+        let col = ConcurrentColumn::new((0..100).collect::<Vec<i64>>(), 1);
+        let pred = RangePred::between(10, 20);
+        col.count(pred);
+        col.insert(500, 15);
+        assert!(col.has_pending_updates());
+        // Fast path must not be used while an insert is staged.
+        assert_eq!(col.count(pred), 12);
+    }
+
+    #[test]
+    fn concurrent_readers_and_crackers_agree_with_oracle() {
+        let vals: Vec<i64> = (0..50_000).map(|i| (i * 31) % 50_000).collect();
+        let col = ConcurrentColumn::new(vals.clone(), 1);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let col = &col;
+                let vals = &vals;
+                s.spawn(move || {
+                    for q in 0..50 {
+                        let lo = ((t * 577 + q * 131) % 49_000) as i64;
+                        let pred = RangePred::between(lo, lo + 800);
+                        assert_eq!(col.count(pred), count_oracle(vals, &pred));
+                    }
+                });
+            }
+        });
+        col.validate().unwrap();
+    }
+
+    #[test]
+    fn concurrent_updates_and_queries_are_linearizable_at_count_level() {
+        // Writers insert values outside the queried band; readers must
+        // never see a torn store (counts over the fixed band stay exact).
+        let col = ConcurrentColumn::new((0..10_000).collect::<Vec<i64>>(), 1);
+        let band = RangePred::between(2_000, 3_000);
+        let expected = 1_001;
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let col = &col;
+                s.spawn(move || {
+                    for q in 0..100 {
+                        assert_eq!(col.count(band), expected, "query {q}");
+                    }
+                });
+            }
+            let col = &col;
+            s.spawn(move || {
+                for i in 0..500u32 {
+                    col.insert(20_000 + i, 50_000 + i as i64);
+                }
+                col.merge_pending();
+            });
+        });
+        col.validate().unwrap();
+        assert_eq!(col.len(), 10_500);
+        assert_eq!(col.count(band), expected);
+    }
+
+    #[test]
+    fn contended_cold_predicate_enters_select_exactly_once() {
+        // Regression for the contended-upgrade double-crack: N threads
+        // race on the same cold predicate; exactly one may enter the
+        // cracking select() (queries += 1), the rest must pick up the
+        // winner's boundaries via the double-checked read-only retry
+        // under the write latch.
+        let col = ConcurrentColumn::new((0..100_000).rev().collect::<Vec<i64>>(), 1);
+        let threads = 8;
+        for round in 0..20i64 {
+            let lo = round * 4_500;
+            let pred = RangePred::between(lo, lo + 1_000);
+            let expected = 1_001;
+            let before = col.stats().queries;
+            let barrier = Barrier::new(threads);
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let col = &col;
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        barrier.wait();
+                        // Exercise both upgrading entry points.
+                        if t % 2 == 0 {
+                            assert_eq!(col.count(pred), expected);
+                        } else {
+                            assert_eq!(col.select_oids(pred).len(), expected);
+                        }
+                    });
+                }
+            });
+            assert_eq!(
+                col.stats().queries,
+                before + 1,
+                "round {round}: a cold predicate must enter select() exactly once \
+                 across {threads} racing threads"
+            );
+        }
+        col.validate().unwrap();
+    }
+
+    #[test]
+    fn batch_select_matches_statement_at_a_time() {
+        let vals: Vec<i64> = (0..5_000).map(|i| (i * 17) % 5_000).collect();
+        let batch = ConcurrentColumn::new(vals.clone(), 1);
+        let single = ConcurrentColumn::new(vals, 1);
+        let preds: Vec<RangePred<i64>> = (0..20)
+            .map(|i| RangePred::between(i * 190, i * 190 + 400))
+            .collect();
+        let got = batch.select_oids_batch(&preds);
+        for (pred, mut oids) in preds.iter().zip(got) {
+            let mut expect = single.select_oids(*pred);
+            oids.sort_unstable();
+            expect.sort_unstable();
+            assert_eq!(oids, expect, "pred {pred:?}");
+        }
+        // Same boundaries were created either way.
+        assert_eq!(batch.piece_count(), single.piece_count());
+        // A warm batch is answered entirely on the read-latch fast path:
+        // select() is never re-entered.
+        let queries = batch.stats().queries;
+        let again = batch.select_oids_batch(&preds);
+        assert_eq!(again.len(), preds.len());
+        assert_eq!(batch.stats().queries, queries);
+        // Scratch variant appends into caller buffers.
+        let mut outs: Vec<Vec<u32>> = preds.iter().map(|_| Vec::new()).collect();
+        batch.select_oids_batch_into(&preds, &mut outs);
+        for (pred, out) in preds.iter().zip(&outs) {
+            assert_eq!(out.len(), batch.count(*pred), "pred {pred:?}");
+        }
+        batch.validate().unwrap();
+    }
+
+    #[test]
+    fn select_and_oids_work_through_the_wrapper() {
+        let col = ConcurrentColumn::new(vec![5i64, 1, 9, 3], 1);
+        let sel = col.select(RangePred::le(3));
+        assert_eq!(sel.count(), 2);
+        let mut oids = col.select_oids(RangePred::le(3));
+        oids.sort_unstable();
+        assert_eq!(oids, vec![1, 3]);
+        assert!(col.delete(1));
+        assert_eq!(col.count(RangePred::le(3)), 1);
+        assert!(!col.is_empty());
+        assert_eq!(col.len(), 4, "delete is staged, not yet merged");
+        col.merge_pending();
+        assert_eq!(col.len(), 3);
+    }
+
+    #[test]
+    fn a_panicking_crack_is_contained_and_the_column_heals() {
+        let vals: Vec<i64> = (0..2000).map(|i| (i * 29) % 2000).collect();
+        let col = ConcurrentColumn::new(vals.clone(), 1);
+        col.count(RangePred::between(500, 1500)); // crack some boundaries
+        col.arm_panic_on_crack(0);
+        // The injected panic tears a pair across pieces and unwinds; the
+        // containment heals the column and re-raises so the query still
+        // fails.
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            col.count(RangePred::between(100, 200))
+        }));
+        assert!(r.is_err(), "the panicking query must fail loudly");
+        // The latch is parking_lot-backed (no poisoning) and the column
+        // already healed: every later query answers from a cold rebuild.
+        col.validate().unwrap();
+        assert!(!col.heal(), "containment already healed the piece map");
+        for pred in [
+            RangePred::between(100, 200),
+            RangePred::between(500, 1500),
+            RangePred::le(50),
+        ] {
+            assert_eq!(col.count(pred), count_oracle(&vals, &pred), "pred {pred:?}");
+        }
+    }
+
+    #[test]
+    fn guarded_batch_stops_at_a_block_boundary_and_reports_the_prefix() {
+        let vals: Vec<i64> = (0..3000).map(|i| (i * 17) % 3000).collect();
+        let col = ConcurrentColumn::new(vals.clone(), 1);
+        // One crack at [1000, 2000] first, so the first guarded predicate
+        // has its two bounds in different pieces: two crack steps.
+        col.count(RangePred::between(1000, 2000));
+        let pieces = col.piece_count();
+        let preds: Vec<RangePred<i64>> = (0..6)
+            .map(|i| RangePred::between(500 + i * 400, 500 + i * 400 + 1000))
+            .collect();
+        // Poll 1 admits predicate 0, poll 2 enters its cold select, poll 3
+        // sits at the crack-step boundary after its low bound cracked.
+        let polls = std::cell::Cell::new(0usize);
+        let guard = || {
+            polls.set(polls.get() + 1);
+            polls.get() <= 2
+        };
+        let mut outs: Vec<Vec<u32>> = preds.iter().map(|_| Vec::new()).collect();
+        let done = col.select_oids_batch_guarded(&preds, &mut outs, &guard);
+        assert_eq!(done, 0, "stopped inside the first predicate's select");
+        assert_eq!(polls.get(), 3);
+        assert!(outs.iter().all(Vec::is_empty), "no partial output");
+        assert_eq!(col.piece_count(), pieces + 1, "the whole low crack is kept");
+        col.validate().unwrap();
+        // A later batch answers everything from the kept crack onwards.
+        let done = col.select_oids_batch_guarded(&preds, &mut outs, &|| true);
+        assert_eq!(done, preds.len());
+        for (pred, out) in preds.iter().zip(&outs) {
+            let mut got = out.clone();
+            got.sort_unstable();
+            assert_eq!(got, oracle(&vals, pred), "pred {pred:?}");
+        }
+        col.validate().unwrap();
     }
 }

@@ -21,8 +21,8 @@
 //!   boundaries stay small. [`ColumnSnapshot::restore_with`] replays a
 //!   delta onto its origin.
 //!
-//! [`ConcurrentSnapshot`] and [`ConcurrentDelta`] do the same for either
-//! latching mode of a [`ConcurrentColumn`], reading one shard at a time
+//! [`ConcurrentSnapshot`] and [`ConcurrentDelta`] do the same for a
+//! [`ConcurrentColumn`] of any shard count, reading one shard at a time
 //! under its read latch. The bytes of each field are
 //! [`storage::codec`]'s: this module only fixes their order.
 //!
@@ -30,7 +30,7 @@
 //! against the actual values in `O(n + p)`
 //! ([`CrackerIndex::check_pieces`]), a replayed delta must put every
 //! boundary exactly where it records it, and the sharded range invariant
-//! is re-checked ([`ShardedCrackerColumn::from_parts`]), so a tampered
+//! is re-checked ([`ConcurrentColumn::from_parts`]), so a tampered
 //! checkpoint that still passes its checksum fails loudly instead of
 //! yielding a silently wrong column. Recency ticks and cost counters are
 //! deliberately *not* persisted — they restart at zero, which only delays
@@ -41,11 +41,10 @@
 //! stable, documentable artifact.
 
 use crate::column::CrackerColumn;
-use crate::concurrent::SharedCrackerColumn;
 use crate::config::CrackerConfig;
 use crate::crack::BoundaryKey;
 use crate::index::CrackerIndex;
-use crate::sharded::{ConcurrentColumn, ShardedCrackerColumn};
+use crate::sharded::ConcurrentColumn;
 use crate::updates::MergeJournal;
 use std::collections::BTreeSet;
 use storage::codec::{self, Reader};
@@ -414,22 +413,18 @@ fn sorted_deletes(col: &CrackerColumn<i64>) -> Vec<u32> {
     deletes
 }
 
-/// The persistent state of a [`ConcurrentColumn`] under either latching
-/// mode, decoded: a single-lock column is one [`ColumnSnapshot`]; a
-/// sharded column is its split points plus one snapshot per shard in
-/// ascending order.
+/// The persistent state of a [`ConcurrentColumn`], decoded: its split
+/// points plus one snapshot per shard in ascending order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConcurrentSnapshot {
-    /// True for [`ShardedCrackerColumn`]; false for the single-lock mode.
-    pub sharded: bool,
-    /// Ascending split values (empty in single-lock mode).
+    /// Ascending split values (empty for one shard).
     pub splits: Vec<i64>,
-    /// Per-shard snapshots (exactly one in single-lock mode).
+    /// Per-shard snapshots.
     pub shards: Vec<ColumnSnapshot>,
 }
 
 impl ConcurrentSnapshot {
-    /// Append the persistent state of `col` to a payload body: the mode
+    /// Append the persistent state of `col` to a payload body: the shard
     /// tag, the split points and the shard count, then each shard's
     /// [`ColumnSnapshot::encode`], taken under that shard's read latch one
     /// shard at a time in ascending order.
@@ -440,12 +435,8 @@ impl ConcurrentSnapshot {
     /// Decode a payload body written by [`encode`](Self::encode); the
     /// whole body must be consumed.
     pub fn decode(body: &[u8]) -> StorageResult<Self> {
-        let (sharded, splits, shards) = decode_shards(body, ColumnSnapshot::decode)?;
-        Ok(ConcurrentSnapshot {
-            sharded,
-            splits,
-            shards,
-        })
+        let (splits, shards) = decode_shards(body, ColumnSnapshot::decode)?;
+        Ok(ConcurrentSnapshot { splits, shards })
     }
 
     /// Rebuild a concurrent column, re-validating per-shard piece maps
@@ -454,21 +445,19 @@ impl ConcurrentSnapshot {
         let columns = (self.shards.into_iter().enumerate())
             .map(|(i, snap)| snap.restore(config).map_err(|e| format!("shard {i}: {e}")))
             .collect::<Result<_, _>>()?;
-        assemble(self.sharded, self.splits, columns)
+        ConcurrentColumn::from_parts(self.splits, columns)
     }
 
     /// Rebuild a concurrent column from this snapshot (the origin) and the
     /// delta written since, shard by shard
     /// ([`ColumnSnapshot::restore_with`]). The delta must describe the
-    /// same mode and shards as the origin.
+    /// same shards as the origin.
     pub fn restore_with(
         self,
         delta: ConcurrentDelta,
         config: CrackerConfig,
     ) -> Result<ConcurrentColumn<i64>, String> {
-        if (delta.sharded, &delta.splits, delta.shards.len())
-            != (self.sharded, &self.splits, self.shards.len())
-        {
+        if (&delta.splits, delta.shards.len()) != (&self.splits, self.shards.len()) {
             return Err("the delta's shards differ from its origin's".to_string());
         }
         let columns = (self.shards.into_iter().zip(delta.shards).enumerate())
@@ -477,36 +466,30 @@ impl ConcurrentSnapshot {
                     .map_err(|e| format!("shard {i}: {e}"))
             })
             .collect::<Result<_, _>>()?;
-        assemble(self.sharded, self.splits, columns)
+        ConcurrentColumn::from_parts(self.splits, columns)
     }
 
-    /// Dirty-tracking fingerprint: the mode tag plus every shard's
+    /// Dirty-tracking fingerprint: the shard tag plus every shard's
     /// [`ColumnSnapshot::fingerprint`], in ascending shard order.
     pub fn fingerprint(col: &ConcurrentColumn<i64>) -> String {
-        match col {
-            ConcurrentColumn::Single(c) => {
-                format!("single:{}", c.read_with(ColumnSnapshot::fingerprint))
-            }
-            ConcurrentColumn::Sharded(s) => {
-                format!(
-                    "sharded:{}",
-                    s.read_shards(ColumnSnapshot::fingerprint).join("/")
-                )
-            }
-        }
+        let tag = if col.shard_count() == 1 {
+            "single"
+        } else {
+            "sharded"
+        };
+        let shards = col.read_shards(ColumnSnapshot::fingerprint);
+        format!("{tag}:{}", shards.join("/"))
     }
 }
 
 /// The delta half of a [`ConcurrentColumn`]'s checkpoint, decoded: the
-/// mode and split points (which must match the origin's), then one
+/// split points (which must match the origin's), then one
 /// [`ColumnDelta`] per shard.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConcurrentDelta {
-    /// True for [`ShardedCrackerColumn`]; false for the single-lock mode.
-    pub sharded: bool,
-    /// Ascending split values (empty in single-lock mode).
+    /// Ascending split values (empty for one shard).
     pub splits: Vec<i64>,
-    /// Per-shard deltas (exactly one in single-lock mode).
+    /// Per-shard deltas.
     pub shards: Vec<ColumnDelta>,
 }
 
@@ -521,16 +504,12 @@ impl ConcurrentDelta {
     /// Decode a payload body written by [`encode`](Self::encode); the
     /// whole body must be consumed.
     pub fn decode(body: &[u8]) -> StorageResult<Self> {
-        let (sharded, splits, shards) = decode_shards(body, ColumnDelta::decode)?;
-        Ok(ConcurrentDelta {
-            sharded,
-            splits,
-            shards,
-        })
+        let (splits, shards) = decode_shards(body, ColumnDelta::decode)?;
+        Ok(ConcurrentDelta { splits, shards })
     }
 }
 
-/// Append the mode tag (0 single lock, 1 sharded), the split points and
+/// Append the shard tag (0 one shard, 1 several), the split points and
 /// the shard count, then `shard` of each shard's column, taken under that
 /// shard's read latch one shard at a time in ascending order.
 fn encode_shards(
@@ -538,69 +517,37 @@ fn encode_shards(
     buf: &mut Vec<u8>,
     mut shard: impl FnMut(&CrackerColumn<i64>, &mut Vec<u8>),
 ) {
-    match col {
-        ConcurrentColumn::Single(c) => {
-            codec::put_u8(buf, 0);
-            codec::put_ints::<i64>(buf, &[]);
-            codec::put_u64(buf, 1);
-            c.read_with(|c| shard(c, buf));
-        }
-        ConcurrentColumn::Sharded(s) => {
-            codec::put_u8(buf, 1);
-            codec::put_ints(buf, s.splits());
-            codec::put_u64(buf, s.splits().len() as u64 + 1);
-            s.read_shards(|c| shard(c, buf));
-        }
-    }
+    codec::put_u8(buf, u8::from(col.shard_count() > 1));
+    codec::put_ints(buf, col.splits());
+    codec::put_u64(buf, col.shard_count() as u64);
+    col.read_shards(|c| shard(c, buf));
 }
 
-/// Read what [`encode_shards`] wrote: the mode, the split points and each
-/// shard's `shard`. The whole body must be consumed.
+/// Read what [`encode_shards`] wrote: the split points and each shard's
+/// `shard`. Tag 1 may describe any shard count (a several-shard request
+/// can realize one shard); tag 0 must describe one shard with no splits.
+/// The whole body must be consumed.
 fn decode_shards<S>(
     body: &[u8],
     mut shard: impl FnMut(&mut Reader<'_>) -> StorageResult<S>,
-) -> StorageResult<(bool, Vec<i64>, Vec<S>)> {
+) -> StorageResult<(Vec<i64>, Vec<S>)> {
+    let format_err = |msg: String| Err(StorageError::PersistFormat(msg));
     let mut r = Reader::new(body);
-    let sharded = match r.u8()? {
-        0 => false,
-        1 => true,
-        t => {
-            return Err(StorageError::PersistFormat(format!(
-                "unknown concurrency tag {t}"
-            )));
-        }
-    };
+    let tag = r.u8()?;
+    if tag > 1 {
+        return format_err(format!("unknown concurrency tag {tag}"));
+    }
     let splits = r.ints()?;
     let n = r.count()?;
+    if tag == 0 && (n, splits.len()) != (1, 0) {
+        return format_err("a one-shard body must hold one shard and no splits".to_string());
+    }
     let mut shards = Vec::with_capacity(n);
     for _ in 0..n {
         shards.push(shard(&mut r)?);
     }
     r.finish()?;
-    Ok((sharded, splits, shards))
-}
-
-/// Wrap restored shard columns in the latching mode they were saved
-/// under, re-checking its shape and, when sharded, the range invariant
-/// ([`ShardedCrackerColumn::from_parts`]).
-fn assemble(
-    sharded: bool,
-    splits: Vec<i64>,
-    columns: Vec<CrackerColumn<i64>>,
-) -> Result<ConcurrentColumn<i64>, String> {
-    if sharded {
-        let sharded = ShardedCrackerColumn::from_parts(splits, columns)?;
-        return Ok(ConcurrentColumn::Sharded(sharded));
-    }
-    if !splits.is_empty() {
-        return Err("single-lock snapshot must not carry splits".to_string());
-    }
-    let Ok([column]) = <[CrackerColumn<i64>; 1]>::try_from(columns) else {
-        return Err("single-lock snapshot must hold exactly one shard".to_string());
-    };
-    Ok(ConcurrentColumn::Single(SharedCrackerColumn::from_column(
-        column,
-    )))
+    Ok((splits, shards))
 }
 
 /// Re-validate a restored index against values — re-exported convenience
@@ -750,17 +697,14 @@ mod tests {
     #[test]
     fn concurrent_snapshot_roundtrip_both_modes() {
         let vals: Vec<i64> = (0..4_000).map(|i| (i * 37) % 4_000).collect();
-        for mode in [
-            ConcurrencyMode::SingleLock,
-            ConcurrencyMode::Sharded { shards: 4 },
-        ] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 4 }] {
             let col = ConcurrentColumn::build(vals.clone(), CrackerConfig::default(), mode);
             col.count(RangePred::between(500, 1_500));
             col.insert(90_000, 1_000);
             col.delete(17);
             let snap = capture_concurrent(&col);
             let restored = snap.clone().restore(CrackerConfig::default()).unwrap();
-            assert_eq!(restored.mode(), col.mode(), "mode {mode:?}");
+            assert_eq!(restored.splits(), col.splits(), "mode {mode:?}");
             assert_eq!(restored.piece_count(), col.piece_count());
             for pred in [
                 RangePred::between(500, 1_500),
@@ -790,7 +734,7 @@ mod tests {
         let col = ConcurrentColumn::build(
             vals,
             CrackerConfig::default(),
-            ConcurrencyMode::Sharded { shards: 4 },
+            ConcurrencyMode { shards: 4 },
         );
         let good = capture_concurrent(&col);
 
@@ -807,9 +751,10 @@ mod tests {
         snap.shards[0].values[0] = i64::MAX;
         assert!(snap.restore(CrackerConfig::default()).is_err());
 
-        let mut snap = good;
-        snap.sharded = false;
-        assert!(snap.restore(CrackerConfig::default()).is_err());
+        // Tag 0 (one shard) over a several-shard body is refused.
+        let mut body = encode_concurrent(&col);
+        body[0] = 0;
+        assert!(ConcurrentSnapshot::decode(&body).is_err());
     }
 
     #[test]
@@ -820,7 +765,7 @@ mod tests {
         let col = ConcurrentColumn::build(
             (0..1_000).rev().collect(),
             CrackerConfig::default(),
-            ConcurrencyMode::SingleLock,
+            ConcurrencyMode::default(),
         );
         col.count(RangePred::lt(500));
         let body = encode_concurrent(&col);
@@ -936,10 +881,7 @@ mod tests {
             // Arbitrary bytes, every truncation of a real payload body and
             // every single-bit flip of it: decode is a typed error or a
             // snapshot, and restore refuses or rebuilds — never a panic.
-            let mode = match shards {
-                0 => ConcurrencyMode::SingleLock,
-                n => ConcurrencyMode::Sharded { shards: n + 1 },
-            };
+            let mode = ConcurrencyMode { shards: shards + 1 };
             let col = ConcurrentColumn::build(
                 (0..40).map(|i| (i * 7) % 40).collect(),
                 CrackerConfig::default(),

@@ -1,10 +1,10 @@
 //! The workspace's sync facade: instrumented latches with **lockdep**.
 //!
-//! Every latch in the cracker's concurrency layer — the column-wide
-//! `RwLock` of [`crate::concurrent::SharedCrackerColumn`], the per-shard
-//! latches of [`crate::sharded::ShardedCrackerColumn`], and the
-//! mutex/condvar pair inside the engine's `AdmissionGate` — is constructed
-//! through this module instead of `parking_lot` / `std::sync` directly
+//! Every latch in the cracker's concurrency layer — the per-shard
+//! latches of [`crate::sharded::ConcurrentColumn`] (one shard is one
+//! column-wide latch) and the mutex/condvar pair inside the engine's
+//! `AdmissionGate` — is constructed through this module instead of
+//! `parking_lot` / `std::sync` directly
 //! (a hand-rolled lint, `cargo run -p analysis --bin lint`, enforces
 //! this). The wrappers are transparent pass-throughs until **lock
 //! analysis** is switched on, at which point every acquisition is checked

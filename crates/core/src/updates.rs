@@ -784,10 +784,7 @@ mod tests {
 
     /// A copy of every cracked column behind `col` (one per shard).
     fn columns(col: &ConcurrentColumn<i64>) -> Vec<CrackerColumn<i64>> {
-        match col {
-            ConcurrentColumn::Single(c) => vec![c.read_with(CrackerColumn::clone)],
-            ConcurrentColumn::Sharded(c) => c.read_shards(CrackerColumn::clone),
-        }
+        col.read_shards(CrackerColumn::clone)
     }
 
     /// `n` distinct values cracked into `pieces` pieces by one-sided
@@ -1173,7 +1170,7 @@ mod tests {
             updates in vec((0u8..5, -30i64..30, 0usize..400), 0..60),
             delete_all_one_in_ten in 0u8..10,
         ) {
-            for mode in [ConcurrencyMode::SingleLock, ConcurrencyMode::Sharded { shards: 4 }] {
+            for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 4 }] {
                 let col = ConcurrentColumn::build(orig.clone(), CrackerConfig::default(), mode);
                 for &(lo, width, inc_lo, inc_hi) in &cracks {
                     col.count(RangePred::with_bounds(Some((lo, inc_lo)), Some((lo + width, inc_hi))));
@@ -1277,7 +1274,7 @@ mod tests {
                 let rank = doomed_set.range(..oid).count() as u32;
                 (!doomed_set.contains(&oid)).then_some(oid - rank)
             };
-            for mode in [ConcurrencyMode::SingleLock, ConcurrencyMode::Sharded { shards: 4 }] {
+            for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 4 }] {
                 let col = ConcurrentColumn::build(orig.clone(), config, mode);
                 for &(lo, width, inc_lo, inc_hi) in &cracks {
                     col.count(RangePred::with_bounds(Some((lo, inc_lo)), Some((lo + width, inc_hi))));

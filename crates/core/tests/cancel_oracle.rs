@@ -1,9 +1,9 @@
-//! Cancellation never tears state and never changes later answers — in
-//! either concurrency mode.
+//! Cancellation never tears state and never changes later answers — on
+//! one shard and on several.
 //!
 //! The cooperative guard may fail at any poll: between predicates of a
-//! batch and (single-lock mode) between the two crack steps of one
-//! two-sided predicate. Wherever it fires, the contract of
+//! batch and, inside each shard's cold select, between the two crack
+//! steps of one two-sided predicate. Wherever it fires, the contract of
 //! `ROBUSTNESS.md` must hold:
 //!
 //! 1. the piece map still validates (every recorded boundary is true of
@@ -17,7 +17,7 @@
 //!
 //! The proptest drives the poll-failure point through the whole range of
 //! interesting positions, so the guard dies at the batch boundary, at the
-//! crack-step boundary, and nowhere at all, across both modes.
+//! crack-step boundary, and nowhere at all, across both shard counts.
 
 use cracker_core::{ConcurrencyMode, ConcurrentColumn, CrackerConfig, RangePred};
 use proptest::collection::vec;
@@ -35,10 +35,7 @@ fn oracle(orig: &[i64], pred: &RangePred<i64>) -> Vec<u32> {
 }
 
 fn modes() -> [ConcurrencyMode; 2] {
-    [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 4 },
-    ]
+    [ConcurrencyMode::default(), ConcurrencyMode { shards: 4 }]
 }
 
 proptest! {

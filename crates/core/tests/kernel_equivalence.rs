@@ -1,6 +1,6 @@
 //! Kernel equivalence suite: the SIMD kernels (`KernelPolicy::Auto` on an
 //! AVX2 host) are pinned to the scalar kernels across every concurrency
-//! mode a cracked column can run under (plain, single-lock, sharded). On
+//! mode a cracked column can run under (plain, one shard, sharded). On
 //! a host without AVX2 `Auto` *is* the scalar kernel and the suite
 //! compares it with itself.
 //!
@@ -81,13 +81,9 @@ fn all_three_concurrency_modes_agree_under_every_kernel() {
         .collect();
     for kernel in POLICIES {
         let mut plain = CrackerColumn::with_config(vals.clone(), cfg(kernel));
-        let single =
-            ConcurrentColumn::build(vals.clone(), cfg(kernel), ConcurrencyMode::SingleLock);
-        let sharded = ConcurrentColumn::build(
-            vals.clone(),
-            cfg(kernel),
-            ConcurrencyMode::Sharded { shards: 8 },
-        );
+        let single = ConcurrentColumn::build(vals.clone(), cfg(kernel), ConcurrencyMode::default());
+        let sharded =
+            ConcurrentColumn::build(vals.clone(), cfg(kernel), ConcurrencyMode { shards: 8 });
         for pred in &queries {
             let mut want: Vec<u32> = vals
                 .iter()
@@ -103,7 +99,7 @@ fn all_three_concurrency_modes_agree_under_every_kernel() {
             let mut c = sharded.select_oids(*pred);
             c.sort_unstable();
             assert_eq!(a, want, "plain/{kernel:?} disagrees with oracle");
-            assert_eq!(b, want, "single-lock/{kernel:?} disagrees with oracle");
+            assert_eq!(b, want, "one-shard/{kernel:?} disagrees with oracle");
             assert_eq!(c, want, "sharded/{kernel:?} disagrees with oracle");
         }
         plain.validate().unwrap();
@@ -118,10 +114,7 @@ fn all_three_concurrency_modes_agree_under_every_kernel() {
 #[test]
 fn stats_are_kernel_independent_in_every_mode() {
     let vals: Vec<i64> = (0..30_000).map(|i| (i * 7919) % 30_000).collect();
-    for mode in [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 8 },
-    ] {
+    for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }] {
         let mut per_kernel = Vec::new();
         for kernel in POLICIES {
             let col = ConcurrentColumn::build(vals.clone(), cfg(kernel), mode);
@@ -543,7 +536,7 @@ proptest! {
         }
     }
 
-    /// Single-lock and sharded wrappers replay the same op stream under
+    /// One-shard and sharded columns replay the same op stream under
     /// both kernels; answers must match position-for-position (the
     /// wrappers are deterministic when driven single-threaded).
     #[test]
@@ -552,7 +545,7 @@ proptest! {
         queries in proptest::collection::vec((-220i64..220, 0i64..80), 1..15),
         shards in 2usize..6,
     ) {
-        for mode in [ConcurrencyMode::SingleLock, ConcurrencyMode::Sharded { shards }] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards }] {
             let scalar = ConcurrentColumn::build(
                 orig.clone(), cfg(KernelPolicy::Scalar), mode);
             let others: Vec<ConcurrentColumn<i64>> = POLICIES[1..]

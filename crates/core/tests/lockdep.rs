@@ -6,13 +6,11 @@
 //! global lock-order graph. Keeping them here means neither leaks into
 //! unrelated suites. Every negative test uses throwaway class names
 //! (`neg-*`) so the poisoned graph edges never collide with the real
-//! classes (`column`, `shard`, `admission`), which the clean-run tests
+//! classes (`shard`, `admission`), which the clean-run tests
 //! exercise under full instrumentation in this same process.
 
 use cracker_core::sync::{lockdep, LockGroup, RwLock};
-use cracker_core::{
-    ConcurrencyMode, ConcurrentColumn, RangePred, ShardedCrackerColumn, SharedCrackerColumn,
-};
+use cracker_core::{ConcurrencyMode, ConcurrentColumn, RangePred};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -122,13 +120,13 @@ fn dataset(n: u32) -> Vec<i64> {
     (0..n).map(|i| i64::from((i * 37) % n)).collect()
 }
 
-/// The column-wide double-checked upgrade protocol of
-/// `SharedCrackerColumn` under contention: no upgrade-while-held, no
+/// The double-checked upgrade protocol of a one-shard column (one latch
+/// around the whole column) under contention: no upgrade-while-held, no
 /// order violation, exactly the answers the oracle predicts.
 #[test]
 fn shared_column_protocol_is_clean_under_lockdep() {
     lockdep::force_enable();
-    let col = Arc::new(SharedCrackerColumn::new(dataset(512)));
+    let col = Arc::new(ConcurrentColumn::new(dataset(512), 1));
     let mut handles = Vec::new();
     for t in 0..4i64 {
         let col = Arc::clone(&col);
@@ -154,7 +152,7 @@ fn shared_column_protocol_is_clean_under_lockdep() {
 #[test]
 fn sharded_column_protocol_is_clean_under_lockdep() {
     lockdep::force_enable();
-    let col = Arc::new(ShardedCrackerColumn::new(dataset(1024), 4));
+    let col = Arc::new(ConcurrentColumn::new(dataset(1024), 4));
     let mut handles = Vec::new();
     for t in 0..4i64 {
         let col = Arc::clone(&col);
@@ -177,17 +175,21 @@ fn sharded_column_protocol_is_clean_under_lockdep() {
     }
 }
 
-/// The `ConcurrentColumn` facade routes to both protocols; run it under
-/// instrumentation too so mode dispatch stays covered.
+/// `ConcurrentColumn::build` under both shard counts, with a guarded
+/// batch, under instrumentation too.
 #[test]
 fn concurrent_column_modes_are_clean_under_lockdep() {
     lockdep::force_enable();
-    for mode in [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 2 },
-    ] {
+    for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 2 }] {
         let col = ConcurrentColumn::build(dataset(256), Default::default(), mode);
         let oids = col.select_oids(RangePred::ge(128));
         assert_eq!(oids.len(), 128);
+        let preds = [RangePred::between(10, 40), RangePred::between(100, 200)];
+        let mut outs = vec![Vec::new(); preds.len()];
+        assert_eq!(
+            col.select_oids_batch_guarded(&preds, &mut outs, &|| true),
+            2
+        );
+        assert_eq!((outs[0].len(), outs[1].len()), (31, 101));
     }
 }

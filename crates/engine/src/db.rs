@@ -114,7 +114,7 @@ impl AdaptiveDb {
     /// scalar loops) for every column cracked from now on — the
     /// engine-level face of [`cracker_core::kernel`]. Combined with
     /// [`with_concurrency`](Self::with_concurrency), this puts the same
-    /// kernels under the single-lock and sharded columns alike.
+    /// kernels under every shard alike.
     pub fn with_kernel(mut self, kernel: KernelPolicy) -> Self {
         self.config.kernel = kernel;
         self
@@ -269,16 +269,15 @@ impl AdaptiveDb {
         Ok((oids, stats))
     }
 
-    /// The one governed select body — [`select_governed`](Self::select_governed),
-    /// [`select_batch_governed`](Self::select_batch_governed) and
-    /// [`select_morsel`](Self::select_morsel)'s single-lock arm all end
+    /// The one governed select body — [`select_governed`](Self::select_governed)
+    /// and [`select_batch_governed`](Self::select_batch_governed) both end
     /// here: answer `preds` on `col`, polling the governor between
-    /// predicates (and, in single-lock mode, between crack steps). A batch
-    /// stopped mid-flight surfaces the governor's typed error; completed
-    /// cracks are kept but nothing partial is returned. `keep_going` is
-    /// the governor's own guard in every caller; one that stops while the
-    /// governor reports no violation has broken that, which is reported
-    /// as [`EngineError::Invariant`], not a panic.
+    /// predicates and between crack steps. A batch stopped mid-flight
+    /// surfaces the governor's typed error; completed cracks are kept but
+    /// nothing partial is returned. `keep_going` is the governor's own
+    /// guard in every caller; one that stops while the governor reports
+    /// no violation has broken that, which is reported as
+    /// [`EngineError::Invariant`], not a panic.
     fn select_guarded(
         col: &ConcurrentColumn<i64>,
         preds: &[RangePred<i64>],
@@ -361,8 +360,7 @@ impl AdaptiveDb {
     }
 
     /// Answer a batch of range predicates over one column under amortized
-    /// locking: one lock acquisition per batch (single-lock mode) or one
-    /// latch acquisition per touched shard per batch (sharded mode) — see
+    /// locking: one latch acquisition per touched shard per batch — see
     /// [`ConcurrentColumn::select_oids_batch`].
     pub fn select_batch(
         &mut self,
@@ -418,8 +416,8 @@ impl AdaptiveDb {
 
     /// [`select_batch`](Self::select_batch) under a [`Governor`]:
     /// admission is bounded by the remaining deadline budget and the
-    /// governor is polled between predicates (and, in single-lock mode,
-    /// between crack steps). A batch stopped mid-flight surfaces the
+    /// governor is polled between predicates and between crack steps. A
+    /// batch stopped mid-flight surfaces the
     /// governor's typed error; completed work is kept but nothing partial
     /// is returned.
     pub fn select_batch_governed(
@@ -609,9 +607,8 @@ impl AdaptiveDb {
     /// with durability attached the whole batch becomes **one** redo-log
     /// group append (one buffered write, one group-commit decision), and
     /// the cracked copy absorbs it through
-    /// `ConcurrentColumn::insert_batch` — one lock acquisition
-    /// (single-lock mode) or one write latch per touched shard (sharded
-    /// mode) instead of one per row.
+    /// `ConcurrentColumn::insert_batch` — one write latch per touched
+    /// shard instead of one per row.
     ///
     /// The write-ahead contract is preserved batch-wide: the target
     /// column is resolved *before* anything is logged (a rejected batch
@@ -754,14 +751,12 @@ impl AdaptiveDb {
     }
 
     /// Morsel-parallel OID selection over the cracked copy of a
-    /// column — the engine face of [`crate::exec::morsel`]. On a sharded
-    /// column the predicate's touched shards are claimed by up to
-    /// `workers` threads (extra workers ride non-blocking admission
-    /// permits when a gate is installed); on a single-lock column the
-    /// query runs sequentially under the governor's guard — one big latch
-    /// has no morsels to hand out. Either way the governor is polled at
-    /// safe boundaries and a tripped guard surfaces its typed error with
-    /// no partial answer.
+    /// column — the engine face of [`crate::exec::morsel`]. The
+    /// predicate's touched shards are claimed by up to `workers` threads
+    /// (extra workers ride non-blocking admission permits when a gate is
+    /// installed); a one-shard column has one morsel, answered on the
+    /// caller's thread. The governor is polled at safe boundaries and a
+    /// tripped guard surfaces its typed error with no partial answer.
     pub fn select_morsel(
         &mut self,
         table: &str,
@@ -774,20 +769,8 @@ impl AdaptiveDb {
         governor.check()?;
         let gate = self.admission.clone();
         let col = self.shared_cracker(table, attr)?;
-        match col.as_sharded() {
-            Some(sharded) => crate::exec::morsel::morsel_select_oids(
-                sharded,
-                pred,
-                workers,
-                gate.as_deref().map(|g| (g, session)),
-                governor,
-            ),
-            None => Ok(
-                Self::select_guarded(col, &[pred], governor, &governor.as_guard())?
-                    .pop()
-                    .unwrap_or_default(),
-            ),
-        }
+        let gate = gate.as_deref().map(|g| (g, session));
+        crate::exec::morsel::morsel_select_oids(col, pred, workers, gate, governor)
     }
 
     /// Attach a durability directory: take an initial checkpoint of the
@@ -881,9 +864,10 @@ impl AdaptiveDb {
         store: &mut CheckpointStore,
         origins: &HashMap<ColumnId, String>,
     ) -> EngineResult<(Manifest, Vec<(ColumnId, String)>)> {
-        let shards = match self.concurrency {
-            ConcurrencyMode::SingleLock => 0,
-            ConcurrencyMode::Sharded { shards } => shards as u64,
+        // One shard is written as 0, as the format has always written it.
+        let shards = match self.concurrency.shards {
+            0 | 1 => 0,
+            n => n as u64,
         };
         let mut tables = Vec::new();
         for name in self.catalog.names() {
@@ -986,9 +970,8 @@ impl AdaptiveDb {
                 .ok_or_else(|| format_err(format!("manifest lacks payload {key:?}")))
         };
         let meta = DbMeta::decode(store.read_payload(entry(META_KEY)?)?.body())?;
-        let mode = match meta.concurrency_shards {
-            0 => ConcurrencyMode::SingleLock,
-            n => ConcurrencyMode::Sharded { shards: n as usize },
+        let mode = ConcurrencyMode {
+            shards: meta.concurrency_shards.max(1) as usize,
         };
         let mut db = AdaptiveDb::with_config(config).with_concurrency(mode);
         for tm in &meta.tables {
@@ -1153,10 +1136,8 @@ mod tests {
     use crate::error::EngineError;
     use std::collections::BTreeMap;
 
-    const MODES: [ConcurrencyMode; 2] = [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 4 },
-    ];
+    const MODES: [ConcurrencyMode; 2] =
+        [ConcurrencyMode { shards: 1 }, ConcurrencyMode { shards: 4 }];
 
     fn db() -> AdaptiveDb {
         db_in(ConcurrencyMode::default())
@@ -1263,10 +1244,7 @@ mod tests {
         let preds: Vec<RangePred<i64>> = (0..16)
             .map(|i| RangePred::between(i * 450, i * 450 + 900))
             .collect();
-        for mode in [
-            ConcurrencyMode::SingleLock,
-            ConcurrencyMode::Sharded { shards: 8 },
-        ] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }] {
             let mut db = AdaptiveDb::new().with_concurrency(mode);
             db.register(Table::from_int_columns("t", vec![("v", vals.clone())]).unwrap())
                 .unwrap();
@@ -1456,10 +1434,7 @@ mod tests {
     #[test]
     fn shared_cracker_modes_agree_and_fan_out_across_threads() {
         let vals: Vec<i64> = (0..10_000).map(|i| (i * 17) % 10_000).collect();
-        for mode in [
-            ConcurrencyMode::SingleLock,
-            ConcurrencyMode::Sharded { shards: 8 },
-        ] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }] {
             let mut db = AdaptiveDb::new().with_concurrency(mode);
             assert_eq!(db.concurrency(), mode);
             db.register(Table::from_int_columns("t", vec![("v", vals.clone())]).unwrap())
@@ -1495,7 +1470,7 @@ mod tests {
 
     #[test]
     fn kernel_choice_reaches_every_concurrency_mode() {
-        // The same query through single-lock and sharded columns with
+        // The same query through one-shard and sharded columns with
         // either kernel policy: both agree with the oracle (`Auto` is the
         // scalar loops where the CPU lacks AVX2 — still the same answers).
         let vals: Vec<i64> = (0..5_000).map(|i| (i * 131) % 5_000).collect();
@@ -1505,10 +1480,7 @@ mod tests {
             .collect();
         want.sort_unstable();
         for kernel in [KernelPolicy::Scalar, KernelPolicy::Auto] {
-            for mode in [
-                ConcurrencyMode::SingleLock,
-                ConcurrencyMode::Sharded { shards: 4 },
-            ] {
+            for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 4 }] {
                 let mut db = AdaptiveDb::new().with_kernel(kernel).with_concurrency(mode);
                 assert_eq!(db.kernel_policy(), kernel);
                 db.register(Table::from_int_columns("t", vec![("v", vals.clone())]).unwrap())
@@ -1598,7 +1570,7 @@ mod tests {
 
     #[test]
     fn batch_staging_matches_per_row_staging() {
-        let mut db = AdaptiveDb::new().with_concurrency(ConcurrencyMode::Sharded { shards: 4 });
+        let mut db = AdaptiveDb::new().with_concurrency(ConcurrencyMode { shards: 4 });
         db.register(Table::from_int_columns("t", vec![("v", (0..1000).collect())]).unwrap())
             .unwrap();
         db.select(
@@ -2071,6 +2043,17 @@ mod tests {
             assert_eq!(sideways(&mut db, pred), want);
             db.checkpoint().unwrap();
             drop(db);
+            // One shard writes the bytes the format always had for it:
+            // shard count 0 in the meta, tag 0 on each column's origin.
+            let store = CheckpointStore::open(&dir).unwrap();
+            let manifest = store.manifest().unwrap().unwrap();
+            let body = |key: &str| store.read_payload(manifest.entry(key).unwrap()).unwrap();
+            let meta = DbMeta::decode(body(META_KEY).body()).unwrap();
+            let (shards, tag) = if mode.shards == 1 { (0, 0) } else { (4, 1) };
+            assert_eq!(meta.concurrency_shards, shards, "{mode:?}");
+            for (t, c) in &meta.columns {
+                assert_eq!(body(&column_key(t, c)).body()[0], tag, "{mode:?}");
+            }
             let mut rec = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1).unwrap();
             let before = rec.total_crack_stats();
             assert_eq!(sideways(&mut rec, pred), want, "{mode:?}");
@@ -2084,10 +2067,7 @@ mod tests {
     #[test]
     fn select_morsel_agrees_with_sequential_in_both_modes() {
         let vals: Vec<i64> = (0..20_000).map(|i| (i * 7919) % 20_000).collect();
-        for mode in [
-            ConcurrencyMode::SingleLock,
-            ConcurrencyMode::Sharded { shards: 8 },
-        ] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }] {
             let mut db = AdaptiveDb::new()
                 .with_concurrency(mode)
                 .with_admission(AdmissionGate::new(8, 8));

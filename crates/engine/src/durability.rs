@@ -44,7 +44,7 @@ pub const DB_META_VERSION: u32 = 4;
 /// below that it writes only the delta. At ⅛ the journal costs at most
 /// 1.5 bytes a tuple in memory (12 per entry) and the delta an eighth of
 /// the origin's bytes, while recovery replays up to n/8 journaled tuples.
-/// Measured at 1 M rows cracked into ~1 k pieces, single lock, one column,
+/// Measured at 1 M rows cracked into ~1 k pieces, one shard, one column,
 /// two runs on a 2-vCPU AVX2 Xeon VM (checkpoint: median of 5, each after
 /// one more merge of 32 rows; recovery: median of 5):
 ///
@@ -82,7 +82,8 @@ pub struct TableMeta {
 pub struct DbMeta {
     /// Payload format version.
     pub version: u32,
-    /// Requested shard count of the concurrency mode; `0` = single lock.
+    /// Requested shard count of the concurrency mode. One shard (no
+    /// splits) is written as `0`; `0` and `1` both read as one shard.
     pub concurrency_shards: u64,
     /// Registered tables, sorted by name.
     pub tables: Vec<TableMeta>,

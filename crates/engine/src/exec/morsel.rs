@@ -1,6 +1,6 @@
 //! Morsel-driven intra-query parallelism for sharded scans.
 //!
-//! A selection over a [`ShardedCrackerColumn`] decomposes naturally into
+//! A selection over a [`ConcurrentColumn`] decomposes naturally into
 //! independent units of work: each shard in the predicate's touched
 //! range is answered under its own latch with a shard-clamped predicate
 //! (see `cracker_core::sharded`). This module turns those shards into
@@ -24,10 +24,8 @@
 //!   [`AdmissionGate::try_admit`] — under load the pool degrades to
 //!   sequential execution instead of queueing behind itself.
 //! * **Governor polls.** The cancel/deadline guard is polled before
-//!   every claim — morsel (≈ shard-block) granularity, the same
-//!   rationale as the sharded batch path: a shard's crack is an atomic
-//!   step, and a partial cross-shard answer could not be discarded
-//!   without double-cracking. On cancellation the whole query errors;
+//!   every claim and at the crack-step boundaries of each claimed
+//!   shard's cold select. On cancellation the whole query errors;
 //!   **no partial answer escapes** (workers' partial buffers are
 //!   dropped), though shards already cracked stay cracked — byproduct
 //!   work is never torn, merely kept.
@@ -39,7 +37,7 @@
 use crate::admission::AdmissionGate;
 use crate::error::EngineResult;
 use crate::governor::Governor;
-use cracker_core::{RangePred, ShardedCrackerColumn};
+use cracker_core::{ConcurrentColumn, RangePred};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Upper bound on morsel workers per query (including the caller's
@@ -53,7 +51,7 @@ pub const MAX_MORSEL_WORKERS: usize = 8;
 /// answered `(shard, oids)` fragments, or `None` when cancelled (the
 /// fragments are discarded — no partial answers).
 fn work_loop(
-    col: &ShardedCrackerColumn<i64>,
+    col: &ConcurrentColumn<i64>,
     pred: RangePred<i64>,
     next: &AtomicUsize,
     last: usize,
@@ -70,15 +68,17 @@ fn work_loop(
         }
         // lint: allow(per-tuple-alloc) — one buffer per claimed shard (morsel grain), kept as the fragment
         let mut oids = Vec::new();
-        col.select_shard_oids_into(shard, pred, &mut oids);
+        if !col.select_shard_oids_into(shard, pred, &mut oids, keep_going) {
+            return None;
+        }
         parts.push((shard, oids));
     }
 }
 
-/// Morsel-parallel `select_oids` over a sharded column with an explicit
+/// Morsel-parallel `select_oids` over a column's shards with an explicit
 /// `keep_going` guard — the testable core of
 /// [`morsel_select_oids`]. Returns `None` when the guard tripped before
-/// all morsels were claimed (no partial answer), `Some(oids)` in
+/// every morsel was answered (no partial answer), `Some(oids)` in
 /// sequential shard order otherwise.
 ///
 /// `workers` counts the caller's thread; values ≤ 1 run sequentially on
@@ -86,7 +86,7 @@ fn work_loop(
 /// the caller are spawned only when `gate` grants a permit without
 /// blocking, and the permits are RAII-released when the scope ends.
 pub fn morsel_select_oids_guarded(
-    col: &ShardedCrackerColumn<i64>,
+    col: &ConcurrentColumn<i64>,
     pred: RangePred<i64>,
     workers: usize,
     gate: Option<(&AdmissionGate, u64)>,
@@ -149,7 +149,7 @@ pub fn morsel_select_oids_guarded(
 /// error — with no partial answer — when it trips. See the module doc
 /// for the latch/permit discipline.
 pub fn morsel_select_oids(
-    col: &ShardedCrackerColumn<i64>,
+    col: &ConcurrentColumn<i64>,
     pred: RangePred<i64>,
     workers: usize,
     gate: Option<(&AdmissionGate, u64)>,
@@ -168,20 +168,11 @@ pub fn morsel_select_oids(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cracker_core::{ConcurrencyMode, ConcurrentColumn, CrackerConfig};
     use std::sync::atomic::AtomicU64;
 
-    fn sharded(n: i64, shards: usize) -> ShardedCrackerColumn<i64> {
+    fn sharded(n: i64, shards: usize) -> ConcurrentColumn<i64> {
         let vals: Vec<i64> = (0..n).map(|i| (i * 7919) % n).collect();
-        let col = ConcurrentColumn::build(
-            vals,
-            CrackerConfig::default(),
-            ConcurrencyMode::Sharded { shards },
-        );
-        match col {
-            ConcurrentColumn::Sharded(s) => s,
-            ConcurrentColumn::Single(_) => unreachable!("built sharded"),
-        }
+        ConcurrentColumn::new(vals, shards)
     }
 
     #[test]

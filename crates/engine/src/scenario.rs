@@ -2,7 +2,7 @@
 //!
 //! `workload::scenario` defines the op streams and the differential
 //! oracle; this module plugs the engine's access paths into that harness
-//! so unlatched, single-lock, and sharded executions all replay the
+//! so unlatched, one-shard and several-shard executions all replay the
 //! same seeded scenario:
 //!
 //! * [`CrackEngine`] implements `ScenarioExecutor` directly — the default
@@ -12,7 +12,7 @@
 //!   ([`AdaptiveDb::stage_insert`] / [`AdaptiveDb::stage_delete`]) meet
 //!   in the column's one cracked copy, the latched
 //!   [`cracker_core::ConcurrentColumn`] built under the db's
-//!   [`ConcurrencyMode`] (single-lock or sharded) — exactly the
+//!   [`ConcurrencyMode`] (its shard count) — exactly the
 //!   bookkeeping a production path would exercise.
 
 use cracker_core::ConcurrencyMode;
@@ -176,9 +176,9 @@ impl DbScenarioRunner {
 
     /// Answer a buffered batch of select windows in one call through the
     /// latched column's amortized batch path
-    /// ([`cracker_core::ConcurrentColumn::select_oids_batch`]): one lock
-    /// acquisition per batch (single-lock) or per touched shard per batch
-    /// (sharded). `results[i]` answers `windows[i]`.
+    /// ([`cracker_core::ConcurrentColumn::select_oids_batch`]): one latch
+    /// acquisition per touched shard per batch. `results[i]` answers
+    /// `windows[i]`.
     pub fn run_select_batch(&mut self, windows: &[Window]) -> Vec<Vec<u32>> {
         let preds: Vec<_> = windows.iter().map(|w| w.to_pred()).collect();
         self.db
@@ -490,10 +490,7 @@ mod tests {
 
     #[test]
     fn db_runner_replays_in_both_lock_modes() {
-        for mode in [
-            ConcurrencyMode::SingleLock,
-            ConcurrencyMode::Sharded { shards: 8 },
-        ] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }] {
             let mut scenario = UpdateHeavy::new(Mqs::paper_default(4_000, 32, 0.05), 3.0, 4, 17);
             let mut runner = DbScenarioRunner::new(&scenario, mode).expect("register");
             assert_eq!(runner.mode(), mode);
@@ -511,10 +508,7 @@ mod tests {
     fn chaos_replay_without_durability_stays_pinned_to_the_oracle() {
         // No durability: fault/checkpoint/restart actions are skipped but
         // cancellations, deadlines, shedding, and armed panics all fire.
-        for mode in [
-            ConcurrencyMode::SingleLock,
-            ConcurrencyMode::Sharded { shards: 4 },
-        ] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 4 }] {
             let mut scenario = UpdateHeavy::new(Mqs::paper_default(3_000, 48, 0.05), 2.0, 3, 11);
             let mut runner = DbScenarioRunner::new(&scenario, mode).expect("register");
             let schedule = workload::scenario::ChaosSchedule::seeded(200, 42, 0.6);
@@ -536,8 +530,8 @@ mod tests {
         // Interleave every disturbance kind with clean selects by hand
         // and pin each clean answer to an undisturbed twin runner.
         let make = || ZipfQueries::new(2_000, 800, 1.1, 40, 7);
-        let mut chaotic = DbScenarioRunner::new(&make(), ConcurrencyMode::SingleLock).unwrap();
-        let mut calm = DbScenarioRunner::new(&make(), ConcurrencyMode::SingleLock).unwrap();
+        let mut chaotic = DbScenarioRunner::new(&make(), ConcurrencyMode::default()).unwrap();
+        let mut calm = DbScenarioRunner::new(&make(), ConcurrencyMode::default()).unwrap();
         let mut scenario = make();
         // Disturb a different way on each step mod 5; step mod 5 == 4 and
         // updates replay identically in both runners.
@@ -577,9 +571,8 @@ mod tests {
         // The same seeded scenario replayed under each mode: per-select
         // result sets must match each other, not just the oracle.
         let make = || ShiftingHotSet::new(4_000, 64, 8, Shift::Drift { step: 1_000 }, 9);
-        let mut single = DbScenarioRunner::new(&make(), ConcurrencyMode::SingleLock).unwrap();
-        let mut sharded =
-            DbScenarioRunner::new(&make(), ConcurrencyMode::Sharded { shards: 4 }).unwrap();
+        let mut single = DbScenarioRunner::new(&make(), ConcurrencyMode::default()).unwrap();
+        let mut sharded = DbScenarioRunner::new(&make(), ConcurrencyMode { shards: 4 }).unwrap();
         let mut scenario = make();
         for op in &mut scenario {
             if let workload::scenario::Op::Select(w) = op {

@@ -108,7 +108,7 @@ impl Table {
     }
 
     /// Build a latched cracked copy of an integer column for concurrent
-    /// readers — single-lock or sharded per `mode`. The copy is detached:
+    /// readers, with `mode`'s shard count. The copy is detached:
     /// it carries this table's dense OIDs but does not observe later
     /// changes to the base BAT, exactly like the cracked copies
     /// [`crate::db::AdaptiveDb`] maintains.
@@ -279,10 +279,7 @@ mod tests {
     fn concurrent_column_carries_table_oids() {
         use cracker_core::RangePred;
         let t = Table::from_int_columns("r", vec![("a", vec![30, 10, 20, 40])]).unwrap();
-        for mode in [
-            ConcurrencyMode::SingleLock,
-            ConcurrencyMode::Sharded { shards: 2 },
-        ] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 2 }] {
             let col = t
                 .concurrent_column("a", CrackerConfig::default(), mode)
                 .unwrap();
@@ -292,7 +289,7 @@ mod tests {
             col.validate().unwrap();
         }
         assert!(t
-            .concurrent_column("zzz", CrackerConfig::default(), ConcurrencyMode::SingleLock)
+            .concurrent_column("zzz", CrackerConfig::default(), ConcurrencyMode::default())
             .is_err());
     }
 

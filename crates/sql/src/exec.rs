@@ -483,7 +483,7 @@ impl SqlSession {
     /// per binding. Single-table plans whose bindings all constrain one
     /// column ride the database's batch select — the cracked column
     /// answers the whole batch in one pass, under one latch acquisition
-    /// (one per touched shard in sharded mode); other shapes fall back to one
+    /// per touched shard; other shapes fall back to one
     /// [`Self::execute_prepared`] per binding. Row order within each
     /// output is unspecified, as everywhere in this engine (cracked
     /// answers come back in physical piece order).

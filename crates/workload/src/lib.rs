@@ -41,8 +41,8 @@
 //! widths, update values, delete victims) is derived from the constructor
 //! seed through fixed salts, so rebuilding a scenario with the same
 //! parameters replays a bit-identical base column and op stream — that is
-//! how one workload is replayed against many executors (single-lock,
-//! sharded, engine-level) and the oracle.
+//! how one workload is replayed against many executors (one shard,
+//! several shards, engine-level) and the oracle.
 
 pub mod distribution;
 pub mod hiking;

@@ -33,7 +33,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use cracker_core::{ConcurrentColumn, CrackerColumn, ShardedCrackerColumn, SharedCrackerColumn};
+use cracker_core::{ConcurrentColumn, CrackerColumn};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -515,45 +515,9 @@ impl ScenarioExecutor for CrackerColumn<i64> {
     }
 }
 
-impl ScenarioExecutor for SharedCrackerColumn<i64> {
-    fn label(&self) -> String {
-        "shared-single-lock".to_string()
-    }
-
-    fn run_select(&mut self, w: Window) -> Vec<u32> {
-        SharedCrackerColumn::select_oids(self, w.to_pred())
-    }
-
-    fn run_insert(&mut self, oid: u32, value: i64) {
-        SharedCrackerColumn::insert(self, oid, value);
-    }
-
-    fn run_delete(&mut self, oid: u32) -> bool {
-        SharedCrackerColumn::delete(self, oid)
-    }
-}
-
-impl ScenarioExecutor for ShardedCrackerColumn<i64> {
-    fn label(&self) -> String {
-        format!("sharded({})", self.shard_count())
-    }
-
-    fn run_select(&mut self, w: Window) -> Vec<u32> {
-        ShardedCrackerColumn::select_oids(self, w.to_pred())
-    }
-
-    fn run_insert(&mut self, oid: u32, value: i64) {
-        ShardedCrackerColumn::insert(self, oid, value);
-    }
-
-    fn run_delete(&mut self, oid: u32) -> bool {
-        ShardedCrackerColumn::delete(self, oid)
-    }
-}
-
 impl ScenarioExecutor for ConcurrentColumn<i64> {
     fn label(&self) -> String {
-        format!("concurrent({:?})", self.mode())
+        format!("concurrent({} shards)", self.shard_count())
     }
 
     fn run_select(&mut self, w: Window) -> Vec<u32> {

@@ -55,9 +55,7 @@ pub mod prelude {
         simd_supported, CrackKernel, CrackMode, CrackStats, CrackerColumn, CrackerConfig,
         FusionPolicy, KernelPolicy, RangePred,
     };
-    pub use cracker_core::{
-        ConcurrencyMode, ConcurrentColumn, ShardedCrackerColumn, SharedCrackerColumn,
-    };
+    pub use cracker_core::{ConcurrencyMode, ConcurrentColumn};
     pub use cracker_core::{CrackPolicy, PolicyCracker, StochasticCracker, StochasticPolicy};
     pub use engine::{
         ChaosReport, CrackEngine, DbCatalog, DbScenarioRunner, EngineProfile, OutputMode,

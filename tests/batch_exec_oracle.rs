@@ -2,7 +2,7 @@
 //! answered through the latch-amortized batch entry points must be
 //! indistinguishable from the same predicates answered one statement at
 //! a time — identical (sorted) OID sets *and* an identical final cracked
-//! layout — across the single-lock and sharded flavours. The
+//! layout — across the one-shard and sharded flavours. The
 //! scenario roster is also replayed through the batch path against the
 //! sorted-vector oracle, and the prepared-statement pipeline is pinned
 //! to literal SQL execution.
@@ -104,10 +104,7 @@ fn replay_batched(mode: ConcurrencyMode, mut scenario: Box<dyn Scenario<Item = O
 
 #[test]
 fn scenario_roster_replayed_through_the_batch_path_matches_the_oracle() {
-    for mode in [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 8 },
-    ] {
+    for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }] {
         for scenario in roster(0x6A) {
             replay_batched(mode, scenario);
         }
@@ -120,10 +117,7 @@ fn scenario_roster_replayed_through_the_batch_path_matches_the_oracle() {
 /// bounds, independent of per-shard reordering.
 #[test]
 fn batch_and_statement_replays_converge_to_the_same_piece_count() {
-    for mode in [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 8 },
-    ] {
+    for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }] {
         for (batched, mut one_at_a_time) in roster(0x6B).into_iter().zip(roster(0x6B)) {
             let name = batched.name();
             let mut stmt_runner =
@@ -248,7 +242,7 @@ proptest! {
             .iter()
             .map(|&(lo, w)| RangePred::half_open(lo, lo + w))
             .collect();
-        for mode in [ConcurrencyMode::SingleLock, ConcurrencyMode::Sharded { shards }] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards }] {
             let stmt = ConcurrentColumn::build(vals.clone(), CrackerConfig::default(), mode);
             let batch = ConcurrentColumn::build(vals.clone(), CrackerConfig::default(), mode);
             let batched = batch.select_oids_batch(&preds);
@@ -283,7 +277,7 @@ proptest! {
             .map(|&(lo, w)| RangePred::half_open(lo, lo + w))
             .collect();
         let table = || Table::from_int_columns("t", vec![("v", vals.clone())]).expect("aligned");
-        for mode in [ConcurrencyMode::SingleLock, ConcurrencyMode::Sharded { shards }] {
+        for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards }] {
             let mut stmt_db = AdaptiveDb::new().with_concurrency(mode);
             let mut batch_db = AdaptiveDb::new().with_concurrency(mode);
             stmt_db.register(table()).expect("fresh catalog");

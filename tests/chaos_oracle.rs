@@ -107,12 +107,9 @@ fn every_fault_point_retries_to_success_or_surfaces_typed_errors() {
     ];
     let mut fault_failures = 0usize;
     let mut fault_retried_away = 0usize;
-    for (mi, mode) in [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 4 },
-    ]
-    .into_iter()
-    .enumerate()
+    for (mi, mode) in [ConcurrencyMode::default(), ConcurrencyMode { shards: 4 }]
+        .into_iter()
+        .enumerate()
     {
         for (pi, &point) in fault::ALL_POINTS.iter().enumerate() {
             for (ki, &kind) in kinds.iter().enumerate() {
@@ -209,8 +206,8 @@ fn every_fault_point_retries_to_success_or_surfaces_typed_errors() {
 #[test]
 fn seeded_chaos_replay_stays_pinned_in_both_modes() {
     for (mode, tag) in [
-        (ConcurrencyMode::SingleLock, "single"),
-        (ConcurrencyMode::Sharded { shards: 4 }, "sharded"),
+        (ConcurrencyMode::default(), "single"),
+        (ConcurrencyMode { shards: 4 }, "sharded"),
     ] {
         let mut total = ChaosReport::default();
         for seed in [3u64, 17, 4242] {
@@ -250,8 +247,8 @@ fn seeded_chaos_replay_stays_pinned_in_both_modes() {
 #[test]
 fn disturbed_queries_never_alter_later_observable_results() {
     for (mode, tag) in [
-        (ConcurrencyMode::SingleLock, "single"),
-        (ConcurrencyMode::Sharded { shards: 4 }, "sharded"),
+        (ConcurrencyMode::default(), "single"),
+        (ConcurrencyMode { shards: 4 }, "sharded"),
     ] {
         let dir = scratch(&format!("no-trace-{tag}"));
         let make = || UpdateHeavy::new(Mqs::paper_default(3_000, 50, 0.05), 2.0, 3, 29);

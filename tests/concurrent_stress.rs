@@ -3,7 +3,6 @@
 //! Every thread checks every answer against the immutable oracle; the
 //! final structure must still satisfy all cracker invariants.
 
-use dbcracker::cracker_core::{ShardedCrackerColumn, SharedCrackerColumn};
 use dbcracker::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -16,7 +15,7 @@ fn oracle_count(vals: &[i64], pred: &RangePred<i64>) -> usize {
 fn parallel_query_storm_stays_correct() {
     let n = 50_000;
     let vals = Tapestry::generate(n, 1, 0xC0C0).column(0).to_vec();
-    let shared = SharedCrackerColumn::new(vals.clone());
+    let shared = ConcurrentColumn::new(vals.clone(), 1);
     let threads = 8;
     let queries_per_thread = 200;
 
@@ -63,7 +62,7 @@ fn readers_and_a_writer_interleave() {
     // exactly once the writer finishes.
     let n = 10_000;
     let vals: Vec<i64> = (0..n as i64).rev().collect();
-    let shared = SharedCrackerColumn::new(vals);
+    let shared = ConcurrentColumn::new(vals, 1);
 
     std::thread::scope(|s| {
         // Readers hammer a fixed hot range.
@@ -107,7 +106,7 @@ fn sharded_mixed_storm_stays_correct() {
     // phase followed by a full invariant validation.
     let n = 50_000usize;
     let vals = Tapestry::generate(n, 1, 0x5AAD).column(0).to_vec();
-    let col = ShardedCrackerColumn::new(vals.clone(), 16);
+    let col = ConcurrentColumn::new(vals.clone(), 16);
     assert_eq!(col.shard_count(), 16);
     let threads = 8;
 

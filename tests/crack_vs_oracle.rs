@@ -31,12 +31,9 @@ fn all_profiles() -> Vec<Profile> {
 }
 
 /// The three concurrency flavours of the cracked column, behind one
-/// scenario-executor surface: plain (unlatched), single-lock, sharded.
+/// scenario-executor surface: plain (unlatched), one shard, sharded.
 fn executors(column: &[i64]) -> Vec<(String, Box<dyn ScenarioExecutor>)> {
-    let modes = [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 8 },
-    ];
+    let modes = [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }];
     let mut execs: Vec<(String, Box<dyn ScenarioExecutor>)> = vec![(
         "plain".to_string(),
         Box::new(CrackerColumn::new(column.to_vec())),
@@ -107,7 +104,7 @@ fn strolling_sequences_agree_with_oracle() {
 #[test]
 fn all_profiles_agree_with_oracle_in_all_concurrency_modes() {
     // Not just the default column path: every MQS profile replayed
-    // against the plain, single-lock, and sharded crackers, with full
+    // against the plain, one-shard and sharded crackers, with full
     // OID-set comparison per query.
     for profile in all_profiles() {
         let mqs = Mqs {

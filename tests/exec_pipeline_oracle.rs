@@ -3,7 +3,7 @@
 //! from the tuple-at-a-time reference — identical rows for selections,
 //! projections, group-bys, and join chains up to 128 joins; identical
 //! Ξ-tap byproduct (kept *and* reject pieces); identical crack state
-//! left behind across the single-lock and sharded column
+//! left behind across the one-shard and sharded column
 //! flavours; and a cancelled morsel pool must surface no partial
 //! answer. Random operator trees are fuzzed through both pipelines.
 
@@ -230,7 +230,7 @@ fn xi_tap_byproduct_is_identical_in_both_pipelines() {
 }
 
 /// The pipeline choice must not perturb crack state: the same query
-/// stream through the single-lock and sharded flavours leaves
+/// stream through the one-shard and sharded flavours leaves
 /// identical piece counts and crack tallies whichever pipeline consumed
 /// the answers.
 #[test]
@@ -259,10 +259,7 @@ fn pipeline_choice_leaves_identical_crack_state_across_flavours() {
         let pieces = db.shared_cracker("t", "v").unwrap().piece_count();
         (outs, pieces, db.total_crack_stats().cracks)
     }
-    for mode in [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 8 },
-    ] {
+    for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }] {
         let (rows_v, pieces_v, cracks_v) = run(ExecMode::Vector, mode);
         let (rows_t, pieces_t, cracks_t) = run(ExecMode::Tuple, mode);
         assert_eq!(rows_v, rows_t, "{mode:?} answers");
@@ -279,27 +276,26 @@ fn pipeline_choice_leaves_identical_crack_state_across_flavours() {
 #[test]
 fn morsel_cancellation_yields_no_partial_answers() {
     let vals: Vec<i64> = (0..40_000).map(|i| (i * 131) % 40_000).collect();
-    let mut db = AdaptiveDb::new().with_concurrency(ConcurrencyMode::Sharded { shards: 8 });
+    let mut db = AdaptiveDb::new().with_concurrency(ConcurrencyMode { shards: 8 });
     db.register(Table::from_int_columns("t", vec![("v", vals)]).unwrap())
         .unwrap();
     let pred = RangePred::between(100, 35_000);
     {
         let col = db.shared_cracker("t", "v").unwrap();
-        let sharded = col.as_sharded().expect("built sharded");
         for cancel_at in 0..14u64 {
             let polls = AtomicU64::new(0);
-            let res = morsel_select_oids_guarded(sharded, pred, 8, None, &|| {
+            let res = morsel_select_oids_guarded(col, pred, 8, None, &|| {
                 polls.fetch_add(1, Ordering::Relaxed) < cancel_at
             });
             if let Some(oids) = res {
-                assert_eq!(oids, sharded.select_oids(pred), "complete or nothing");
+                assert_eq!(oids, col.select_oids(pred), "complete or nothing");
             }
             col.validate()
                 .expect("piece maps intact after cancellation");
         }
-        let full = morsel_select_oids_guarded(sharded, pred, 8, None, &|| true)
+        let full = morsel_select_oids_guarded(col, pred, 8, None, &|| true)
             .expect("untripped guard answers");
-        assert_eq!(full, sharded.select_oids(pred));
+        assert_eq!(full, col.select_oids(pred));
     }
     // The governed engine surface: typed error, no partial answer.
     let g = Governor::unbounded();

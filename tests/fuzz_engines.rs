@@ -1,10 +1,12 @@
 //! Property-based cross-engine fuzzing: five independent implementations
 //! of range selection — full scan, sorted binary search, kernel cracking,
-//! SQL-level fragment cracking, and the lock-guarded shared cracker —
+//! SQL-level fragment cracking, and the latched one-shard cracker —
 //! must agree on every answer for arbitrary data and query sequences,
 //! under arbitrary cracker configurations.
 
-use cracker_core::{CrackMode, CrackerConfig, FusionPolicy, RangePred, SharedCrackerColumn};
+use cracker_core::{
+    ConcurrencyMode, ConcurrentColumn, CrackMode, CrackerConfig, FusionPolicy, RangePred,
+};
 use engine::{CrackEngine, OutputMode, QueryEngine, ScanEngine, SortEngine, SqlLevelCracker};
 use proptest::prelude::*;
 
@@ -50,7 +52,7 @@ proptest! {
         let mut sort = SortEngine::new(vals.clone());
         let mut crack = CrackEngine::with_config(vals.clone(), cfg);
         let mut sql = SqlLevelCracker::new(vals.clone());
-        let shared = SharedCrackerColumn::with_config(vals.clone(), cfg);
+        let shared = ConcurrentColumn::build(vals.clone(), cfg, ConcurrencyMode::default());
         for (a, b, inc_lo, inc_hi) in queries {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             let pred = RangePred::with_bounds(Some((lo, inc_lo)), Some((hi, inc_hi)));

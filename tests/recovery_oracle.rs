@@ -15,8 +15,8 @@ use std::path::{Path, PathBuf};
 const TABLE: &str = "t";
 const COLUMN: &str = "v";
 const MODES: [(ConcurrencyMode, &str); 2] = [
-    (ConcurrencyMode::SingleLock, "single"),
-    (ConcurrencyMode::Sharded { shards: 4 }, "sharded"),
+    (ConcurrencyMode { shards: 1 }, "single"),
+    (ConcurrencyMode { shards: 4 }, "sharded"),
 ];
 
 /// Fresh scratch directory for one test case (removed up front so reruns
@@ -90,8 +90,8 @@ fn checkpoint_recover_roundtrip_matches_oracle_in_both_modes() {
     let n = 8_000;
     let base = base_column(n);
     for (mode, tag) in [
-        (ConcurrencyMode::SingleLock, "single"),
-        (ConcurrencyMode::Sharded { shards: 4 }, "sharded"),
+        (ConcurrencyMode::default(), "single"),
+        (ConcurrencyMode { shards: 4 }, "sharded"),
     ] {
         let dir = scratch(&format!("roundtrip-{tag}"));
         let mut oracle = SortedOracle::new(&base);
@@ -156,7 +156,7 @@ fn checkpoint_sees_overlay_swap_that_preserves_length() {
     let base = base_column(n);
     let dir = scratch("overlay-swap");
     let mut oracle = SortedOracle::new(&base);
-    let mut db = db_with_table(&base, ConcurrencyMode::SingleLock);
+    let mut db = db_with_table(&base, ConcurrencyMode::default());
     // Touch the column up front so the initial checkpoint already holds
     // its payload.
     db.shared_cracker(TABLE, COLUMN).unwrap();
@@ -199,7 +199,7 @@ fn rejected_update_leaves_no_poison_record_in_the_log() {
     let base = base_column(n);
     let dir = scratch("poison");
     let mut oracle = SortedOracle::new(&base);
-    let mut db = db_with_table(&base, ConcurrencyMode::SingleLock);
+    let mut db = db_with_table(&base, ConcurrencyMode::default());
     db.attach_durability(&dir, 1).unwrap();
     db.stage_insert(TABLE, COLUMN, n as u32, 7).unwrap();
     oracle.insert(n as u32, 7);
@@ -234,8 +234,8 @@ fn crash_at_every_checkpoint_boundary_recovers_to_last_durable_state() {
     for case in 0..20u32 {
         // Every countdown under each latching mode.
         let (k, mode) = match case {
-            0..=9 => (case, ConcurrencyMode::SingleLock),
-            _ => (case - 10, ConcurrencyMode::Sharded { shards: 4 }),
+            0..=9 => (case, ConcurrencyMode::default()),
+            _ => (case - 10, ConcurrencyMode { shards: 4 }),
         };
         let dir = scratch(&format!("ckpt-crash-{case}"));
         let mut oracle = SortedOracle::new(&base);
@@ -276,7 +276,7 @@ fn crash_mid_log_append_loses_only_the_torn_record() {
     let base = base_column(n);
     let dir = scratch("log-crash");
     let mut oracle = SortedOracle::new(&base);
-    let mut db = db_with_table(&base, ConcurrencyMode::SingleLock);
+    let mut db = db_with_table(&base, ConcurrencyMode::default());
     db.attach_durability(&dir, 1).unwrap();
     for i in 0..10u32 {
         let oid = n as u32 + i;
@@ -328,8 +328,8 @@ fn recovery_is_warm_not_cold() {
     let hot = Window::new(20_000, 20_600);
     let hot_query = RangeQuery::new(TABLE, COLUMN, hot.to_pred());
     for (mode, tag) in [
-        (ConcurrencyMode::SingleLock, "single"),
-        (ConcurrencyMode::Sharded { shards: 4 }, "sharded"),
+        (ConcurrencyMode::default(), "single"),
+        (ConcurrencyMode { shards: 4 }, "sharded"),
     ] {
         let dir = scratch(&format!("warm-{tag}"));
         let mut db = db_with_table(&base, mode);
@@ -417,10 +417,7 @@ fn layout(col: &ConcurrentColumn<i64>) -> Vec<ShardLayout> {
             .collect();
         (bounds, pieces)
     };
-    match col {
-        ConcurrentColumn::Single(c) => vec![c.read_with(shard)],
-        ConcurrentColumn::Sharded(s) => s.read_shards(shard),
-    }
+    col.read_shards(shard)
 }
 
 /// Stage `count` fresh inserts (OIDs from `*next`, values under 10 000)
@@ -645,8 +642,8 @@ fn scenario_replay_survives_a_mid_stream_restart() {
     // checkpoint + restart halfway, and differentially check every
     // post-restart select against the oracle.
     for (mode, tag) in [
-        (ConcurrencyMode::SingleLock, "single"),
-        (ConcurrencyMode::Sharded { shards: 4 }, "sharded"),
+        (ConcurrencyMode::default(), "single"),
+        (ConcurrencyMode { shards: 4 }, "sharded"),
     ] {
         let dir = scratch(&format!("scenario-{tag}"));
         let mut scenario = UpdateHeavy::new(Mqs::paper_default(6_000, 40, 0.05), 2.0, 3, 23);
@@ -863,7 +860,7 @@ fn a_flipped_bit_in_a_column_payload_is_refused_at_recovery() {
     let n = 2_000;
     let base = base_column(n);
     let dir = scratch("flipped");
-    let mut db = db_with_table(&base, ConcurrencyMode::SingleLock);
+    let mut db = db_with_table(&base, ConcurrencyMode::default());
     db.select(
         &RangeQuery::new(TABLE, COLUMN, Window::new(100, 900).to_pred()),
         OutputMode::Count,

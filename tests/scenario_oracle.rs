@@ -1,14 +1,12 @@
 //! The differential oracle harness: every scenario (skewed, shifting,
 //! update-heavy) replayed in lock-step against the sorted-vector oracle,
 //! across every concurrency flavour of the cracker — the plain
-//! (unlatched) column, the single-lock shared column, and the sharded
-//! per-shard-latched column — plus the engine-level runners. Result sets
+//! (unlatched) column, and the latched column with one shard and with
+//! several — plus the engine-level runners. Result sets
 //! are compared in full (sorted OID vectors, not counts) after every
 //! step; the first divergence fails with the scenario, step, and mode.
 
-use dbcracker::cracker_core::{
-    ConcurrencyMode, ConcurrentColumn, CrackerColumn, CrackerConfig, ShardedCrackerColumn,
-};
+use dbcracker::cracker_core::{ConcurrencyMode, ConcurrentColumn, CrackerColumn, CrackerConfig};
 use dbcracker::prelude::*;
 use proptest::prelude::*;
 
@@ -38,15 +36,15 @@ fn roster(seed: u64) -> Vec<Box<dyn Scenario<Item = Op>>> {
 /// coverage fails loudly.
 const ROSTER_LEN: usize = 4;
 
-/// The three concurrency flavours every scenario must survive.
+/// The three concurrency flavours every scenario must survive: the plain
+/// column, and the latched column with one shard and with eight.
 #[derive(Clone, Copy, Debug)]
 enum Mode {
     Plain,
-    SingleLock,
     Sharded(usize),
 }
 
-const MODES: [Mode; 3] = [Mode::Plain, Mode::SingleLock, Mode::Sharded(8)];
+const MODES: [Mode; 3] = [Mode::Plain, Mode::Sharded(1), Mode::Sharded(8)];
 
 fn replay(scenario: &mut dyn Scenario<Item = Op>, mode: Mode) {
     let name = scenario.name();
@@ -58,22 +56,9 @@ fn replay(scenario: &mut dyn Scenario<Item = Op>, mode: Mode) {
             col.validate().expect("plain column invariants");
             r
         }
-        Mode::SingleLock => {
-            let mut col = ConcurrentColumn::build(
-                base,
-                CrackerConfig::default(),
-                ConcurrencyMode::SingleLock,
-            );
-            let r = ScenarioRunner::run_differential(scenario, &mut col);
-            col.validate().expect("single-lock invariants");
-            r
-        }
         Mode::Sharded(shards) => {
-            let mut col = ConcurrentColumn::build(
-                base,
-                CrackerConfig::default(),
-                ConcurrencyMode::Sharded { shards },
-            );
+            let mut col =
+                ConcurrentColumn::build(base, CrackerConfig::default(), ConcurrencyMode { shards });
             let r = ScenarioRunner::run_differential(scenario, &mut col);
             col.validate().expect("sharded invariants");
             r
@@ -96,10 +81,7 @@ fn every_scenario_matches_the_oracle_in_every_mode() {
 
 #[test]
 fn engine_level_runners_match_the_oracle_in_both_lock_modes() {
-    for mode in [
-        ConcurrencyMode::SingleLock,
-        ConcurrencyMode::Sharded { shards: 8 },
-    ] {
+    for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 8 }] {
         for mut scenario in roster(0x0C) {
             let mut runner =
                 DbScenarioRunner::new(scenario.as_ref(), mode).expect("register scenario table");
@@ -142,7 +124,7 @@ fn sharded_merge_preserves_scenario_answers() {
     // After an update-heavy replay, folding the staged updates into the
     // cracked shards must not change any answer.
     let mut scenario = UpdateHeavy::new(Mqs::paper_default(10_000, 48, 0.05), 6.0, 8, 0x0F);
-    let col = ShardedCrackerColumn::new(scenario.base().to_vec(), 8);
+    let col = ConcurrentColumn::new(scenario.base().to_vec(), 8);
     let mut oracle = SortedOracle::new(scenario.base());
     let mut probes: Vec<Window> = Vec::new();
     for op in &mut scenario {
@@ -187,7 +169,7 @@ proptest! {
         ops in proptest::collection::vec((0i64..6, -70i64..70, 1i64..40), 1..50),
         shards in 1i64..6,
     ) {
-        let col = ShardedCrackerColumn::new(vals.clone(), shards as usize);
+        let col = ConcurrentColumn::new(vals.clone(), shards as usize);
         let mut oracle = SortedOracle::new(&vals);
         let mut live: Vec<u32> = (0..vals.len() as u32).collect();
         let mut next_oid = vals.len() as u32;

@@ -37,15 +37,15 @@ fn prelude_drives_the_full_pipeline() {
         engine.run(pred, OutputMode::Count).result_count,
     );
 
-    // Concurrency layer: both latched-column modes answer like the
-    // single-threaded engines.
-    let shared = SharedCrackerColumn::new(tapestry.column(0).to_vec());
-    let sharded = ShardedCrackerColumn::new(tapestry.column(0).to_vec(), 8);
+    // Concurrency layer: the latched column answers like the
+    // single-threaded engines with one shard and with several.
+    let shared = ConcurrentColumn::new(tapestry.column(0).to_vec(), 1);
+    let sharded = ConcurrentColumn::new(tapestry.column(0).to_vec(), 8);
     assert_eq!(shared.count(pred), sharded.count(pred));
     let concurrent = ConcurrentColumn::build(
         tapestry.column(0).to_vec(),
         CrackerConfig::default(),
-        ConcurrencyMode::Sharded { shards: 4 },
+        ConcurrencyMode { shards: 4 },
     );
     assert_eq!(concurrent.count(pred), shared.count(pred));
     concurrent.validate().expect("sharded invariants hold");
