@@ -35,8 +35,9 @@ use storage::mem;
 ///
 /// `core` is the contiguous cracked slot range; `edges` are matching slots
 /// inside uncracked (cut-off) border pieces; `pending_oids` are matching
-/// tuples still in the pending-insert staging area; `deleted_hits` counts
-/// tuples inside `core` that are pending deletion and must be discounted.
+/// tuples still in the pending-insert staging area, in value order;
+/// `deleted_hits` counts tuples inside `core` that are pending deletion
+/// and must be discounted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Selection {
     /// Contiguous range of matching slots.
@@ -44,7 +45,8 @@ pub struct Selection {
     /// Matching slots in cut-off border pieces (absolute positions, outside
     /// `core`, already filtered for pending deletes).
     pub edges: Vec<usize>,
-    /// OIDs of matching tuples in the pending-insert area.
+    /// OIDs of matching tuples in the pending-insert area, in value order
+    /// (ties in staging order).
     pub pending_oids: Vec<u32>,
     /// Matching tuples inside `core` that are pending deletion.
     pub deleted_hits: usize,
@@ -331,11 +333,12 @@ impl<T: CrackValue> CrackerColumn<T> {
         }
         self.stats.queries += 1;
         self.index.next_tick();
-        if self.pending.should_merge(self.config.merge_threshold) {
+        if self.merge_due() {
             self.merge_pending();
         }
         let mut sel = self.select_cracked(pred, guard)?;
-        // Pending updates overlay: scan the staging areas.
+        // Pending updates overlay: probe the staged inserts by value, and
+        // discount the pending deletes.
         if !self.pending.is_empty() {
             sel.pending_oids = self.pending.matching_inserts(&pred);
             if self.pending.has_deletes() {
@@ -356,7 +359,7 @@ impl<T: CrackValue> CrackerColumn<T> {
     }
 
     /// OIDs of all qualifying tuples, in physical order (core, then edges,
-    /// then pending inserts).
+    /// then pending inserts in value order).
     pub fn select_oids(&mut self, pred: RangePred<T>) -> Vec<u32> {
         let sel = self.select(pred);
         self.selection_oids(&sel)
@@ -425,11 +428,7 @@ impl<T: CrackValue> CrackerColumn<T> {
         for &p in &sel.edges {
             out.push((self.oids[p], self.vals[p]));
         }
-        for &oid in &sel.pending_oids {
-            if let Some(v) = self.pending.insert_value(oid) {
-                out.push((oid, v));
-            }
-        }
+        out.extend(self.pending.pairs_of(&sel.pending_oids));
     }
 
     /// The cracked-area part of a select: resolve both bounds, cracking

@@ -11,6 +11,17 @@
 use crate::kernel::KernelPolicy;
 use serde::{Deserialize, Serialize};
 
+/// A cracked column (each shard counted alone) merges its staged updates
+/// once they reach `max(merge_threshold, len / STAGE_SHARE)`. A ripple
+/// merge writes `Σ min(S_j, len_j)`, about `len` tuples once the staged
+/// rows outnumber the pieces, so at 1/64 it moves ~64 tuples per staged
+/// row. The staging area costs a select `O(log k)` at any size, so the
+/// share bounds the merge's amortized work and the staging area's memory
+/// (~1.6 % of the column's rows), not read latency. The checkpoint's
+/// counterpart is the engine's `ORIGIN_SHARE`, the share of a column its
+/// merge journal may reach before the origin is rewritten.
+pub const STAGE_SHARE: usize = 64;
+
 /// How a double-sided range predicate cracks a virgin piece.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CrackMode {
@@ -53,8 +64,10 @@ pub struct CrackerConfig {
     pub max_pieces: usize,
     /// Fusion heuristic used when `max_pieces` is exceeded.
     pub fusion: FusionPolicy,
-    /// Pending-update staging area size that forces a merge into the
-    /// cracked store on the next query.
+    /// The floor of the merge trigger: the next query merges the staged
+    /// updates into the cracked store once they reach
+    /// `max(merge_threshold, len / STAGE_SHARE)` ([`STAGE_SHARE`]). On a
+    /// small column the floor is the trigger.
     pub merge_threshold: usize,
     /// Pieces at or below this size are sorted in place on first touch and
     /// thereafter cracked by binary search with zero tuple movement
@@ -111,7 +124,7 @@ impl CrackerConfig {
         self
     }
 
-    /// Builder: set the pending-update merge threshold.
+    /// Builder: set the floor of the pending-update merge trigger.
     pub fn with_merge_threshold(mut self, n: usize) -> Self {
         self.merge_threshold = n.max(1);
         self

@@ -679,7 +679,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         for shard in &self.shards {
             let present = {
                 let col = shard.read();
-                col.pending.insert_value(oid).is_some() || col.oids().contains(&oid)
+                col.pending.has_insert(oid) || col.oids().contains(&oid)
             };
             if present {
                 // Re-checked under the write latch: a concurrent delete

@@ -83,7 +83,7 @@ pub struct ColumnSnapshot {
     pub oids: Vec<u32>,
     /// Crack boundaries in ascending key order.
     pub boundaries: Vec<BoundaryRecord>,
-    /// Staged-but-unmerged inserts, in staging order.
+    /// Staged-but-unmerged inserts, in value order (ties in staging order).
     pub pending_inserts: Vec<(u32, i64)>,
     /// OIDs staged for deletion (sorted for a canonical encoding).
     pub pending_deletes: Vec<u32>,
@@ -250,7 +250,7 @@ pub struct ColumnDelta {
     pub journal: MergeJournal<i64>,
     /// Crack boundaries in ascending key order.
     pub boundaries: Vec<BoundaryRecord>,
-    /// Staged-but-unmerged inserts, in staging order.
+    /// Staged-but-unmerged inserts, in value order (ties in staging order).
     pub pending_inserts: Vec<(u32, i64)>,
     /// OIDs staged for deletion, sorted.
     pub pending_deletes: Vec<u32>,
@@ -325,8 +325,8 @@ fn put_boundaries_and_overlay(col: &CrackerColumn<i64>, buf: &mut Vec<u8>) {
     codec::put_int_iter(buf, bounds.clone().map(|(k, _)| i64::from(k.lte)));
     codec::put_int_iter(buf, bounds.map(|(_, info)| info.pos as i64));
     let inserts = col.pending.staged_inserts();
-    codec::put_int_iter(buf, inserts.iter().map(|&(oid, _)| i64::from(oid)));
-    codec::put_int_iter(buf, inserts.iter().map(|&(_, v)| v));
+    codec::put_int_iter(buf, inserts.clone().map(|(oid, _)| i64::from(oid)));
+    codec::put_int_iter(buf, inserts.map(|(_, v)| v));
     codec::put_ints(buf, &sorted_deletes(col));
 }
 
@@ -384,7 +384,7 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 }
 
 /// Content hash of a column's pending-update overlay: the staged inserts
-/// in staging order plus the pending-delete set in sorted order, each
+/// in value order plus the pending-delete set in sorted order, each
 /// section prefixed by its length so no two distinct overlays share an
 /// encoding. Two columns hash equal exactly when their encoded
 /// `pending_inserts`/`pending_deletes` would be equal — the property the
@@ -393,7 +393,7 @@ fn overlay_hash(col: &CrackerColumn<i64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let inserts = col.pending.staged_inserts();
     fnv1a(&mut h, &(inserts.len() as u64).to_le_bytes());
-    for &(oid, v) in inserts {
+    for (oid, v) in inserts {
         fnv1a(&mut h, &oid.to_le_bytes());
         fnv1a(&mut h, &v.to_le_bytes());
     }
@@ -846,10 +846,10 @@ mod tests {
         let delta = capture_delta(&col);
         let restored = origin.restore_with(delta, *col.config()).unwrap();
         assert_eq!(layout(&restored), layout(&col));
-        assert_eq!(
-            restored.pending.staged_inserts(),
-            col.pending.staged_inserts()
-        );
+        assert!(restored
+            .pending
+            .staged_inserts()
+            .eq(col.pending.staged_inserts()));
         restored.validate().unwrap();
     }
 

@@ -4,15 +4,23 @@
 //! open questions of §2.2. We adopt the approach the paper's BAT layout
 //! already hints at (Figure 7 shows dedicated `inserted` and `deleted`
 //! areas): updates are staged in pending areas that every select consults,
-//! and a **merge** folds them into the cracked store when the staging area
-//! exceeds a threshold. The merge preserves every existing boundary, so
-//! the investment in cracking survives the update burst, and it works in
-//! place with the ripple idea of Idreos, Kersten & Manegold, "Updating a
-//! Cracked Database" (SIGMOD 2007), applied to the whole staged batch:
-//! `k` inserts over `p` pieces cost `O(k log p + k log k + p)` and write
-//! at most `Σ min(S_j, len_j) + k` tuples, where `S_j` is the number of
-//! inserts landing before piece `j`. They do not cost `O(n)`, apart from
-//! the arrays' amortized doubling when they run out of capacity. Staged
+//! and a **merge** folds them into the cracked store. The staged inserts
+//! are kept in value order, as in the value-ordered delta of Héman et al.,
+//! "Positional Update Handling in Column Stores" (SIGMOD 2010): staging
+//! one costs `O(log k)`, and a select's overlay is one range probe,
+//! `O(log k + matches)`, however many are staged. So the staging area may
+//! grow with the column: a merge runs once the staged updates reach
+//! `max(merge_threshold, n / STAGE_SHARE)` ([`STAGE_SHARE`]), which bounds
+//! the merge's work per staged row, not a read's latency.
+//!
+//! The merge preserves every existing boundary, so the investment in
+//! cracking survives the update burst, and it works in place with the
+//! ripple idea of Idreos, Kersten & Manegold, "Updating a Cracked
+//! Database" (SIGMOD 2007), applied to the whole staged batch: `k` inserts
+//! over `p` pieces arrive in value order, cost `O(k + p)` and write at most
+//! `Σ min(S_j, len_j) + k` tuples, where `S_j` is the number of inserts
+//! landing before piece `j`. They do not cost `O(n)`, apart from the
+//! arrays' amortized doubling when they run out of capacity. Staged
 //! deletes add one `O(n)` compaction pass; that pass runs only when
 //! deletes are staged.
 //!
@@ -25,8 +33,11 @@
 //! overlay, survives; the next select is an index lookup, not a re-copy.
 
 use crate::column::CrackerColumn;
+use crate::config::STAGE_SHARE;
 use crate::pred::RangePred;
 use crate::value_trait::CrackValue;
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 /// A set of OIDs backed by a growable bitmap: one bit per OID, so
 /// membership is a single O(1) word probe with no hashing — the
@@ -133,13 +144,20 @@ impl OidSet {
         self.len == 0
     }
 
-    /// Iterate all members in unspecified order — the export path for
-    /// checkpointing the pending-delete overlay.
+    /// Iterate all members: the bitmap's in ascending order, then the
+    /// side set's in no particular order — the export path for journaling
+    /// and checkpointing the pending-delete overlay. A word costs one test
+    /// when empty and one step per set bit otherwise.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         let dense = self.words.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64)
-                .filter(move |bit| bits & (1u64 << bit) != 0)
-                .map(move |bit| (w * 64 + bit) as u32)
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    (w * 64) as u32 + bit
+                })
+            })
         });
         dense.chain(self.sparse.iter().copied())
     }
@@ -353,8 +371,14 @@ impl<T: CrackValue> MergeJournal<T> {
 /// Staging areas for not-yet-merged updates.
 #[derive(Debug, Clone, Default)]
 pub struct PendingUpdates<T> {
-    /// Inserted `(oid, value)` pairs, not yet in the cracked area.
-    inserts: Vec<(u32, T)>,
+    /// Staged inserts, not yet in the cracked area: their OIDs keyed by
+    /// `(value, seq)`. Value order makes a select's overlay one range probe
+    /// and hands a merge its inserts piece by piece. `seq` numbers the
+    /// inserts in staging order, which breaks ties and keeps the OID out
+    /// of the key, so a renumbering rewrites OIDs in place.
+    inserts: BTreeMap<(T, u64), u32>,
+    /// The `seq` of the next staged insert.
+    next_seq: u64,
     /// OIDs pending deletion from the cracked area.
     deletes: OidSet,
 }
@@ -363,21 +387,24 @@ impl<T: CrackValue> PendingUpdates<T> {
     /// Empty staging areas.
     pub fn new() -> Self {
         PendingUpdates {
-            inserts: Vec::new(),
+            inserts: BTreeMap::new(),
+            next_seq: 0,
             deletes: OidSet::new(),
         }
     }
 
-    /// Stage an insert.
+    /// Stage an insert: `O(log k)` for `k` staged inserts.
     pub fn stage_insert(&mut self, oid: u32, value: T) {
-        self.inserts.push((oid, value));
+        self.inserts.insert((value, self.next_seq), oid);
+        self.next_seq += 1;
     }
 
     /// Stage a delete. If the OID is still in the insert staging area the
-    /// two cancel out immediately.
+    /// two cancel out immediately. The inserts are ordered by value, so
+    /// this walks all `k` of them.
     pub fn stage_delete(&mut self, oid: u32) {
         let before = self.inserts.len();
-        self.inserts.retain(|&(o, _)| o != oid);
+        self.inserts.retain(|_, &mut o| o != oid);
         if self.inserts.len() == before {
             self.deletes.insert(oid);
         }
@@ -409,35 +436,53 @@ impl<T: CrackValue> PendingUpdates<T> {
         self.inserts.len() + self.deletes.len()
     }
 
-    /// Should a merge run before the next query?
-    pub fn should_merge(&self, threshold: usize) -> bool {
-        self.len() >= threshold
+    /// All staged inserts as `(oid, value)`, in value order (ties in
+    /// staging order) — the order a merge writes them in, and the export
+    /// path for checkpointing the pending-insert overlay.
+    pub fn staged_inserts(&self) -> impl ExactSizeIterator<Item = (u32, T)> + Clone + '_ {
+        self.inserts.iter().map(|(&(v, _), &oid)| (oid, v))
     }
 
-    /// All staged inserts in staging order — the export path for
-    /// checkpointing the pending-insert overlay.
-    pub fn staged_inserts(&self) -> &[(u32, T)] {
-        &self.inserts
-    }
-
-    /// OIDs of staged inserts matching `pred`.
+    /// OIDs of staged inserts matching `pred`, in value order: one range
+    /// probe, `O(log k + matches)`, which allocates nothing when nothing
+    /// matches.
     pub fn matching_inserts(&self, pred: &RangePred<T>) -> Vec<u32> {
-        self.inserts
-            .iter()
-            .filter(|(_, v)| pred.matches(*v))
-            .map(|(o, _)| *o)
+        if pred.is_empty_range() {
+            // `BTreeMap::range` panics on an inverted range.
+            return Vec::new();
+        }
+        let low = match pred.low {
+            None => Unbounded,
+            Some(b) if b.inclusive => Included((b.value, 0)),
+            Some(b) => Excluded((b.value, u64::MAX)),
+        };
+        let high = match pred.high {
+            None => Unbounded,
+            Some(b) if b.inclusive => Included((b.value, u64::MAX)),
+            Some(b) => Excluded((b.value, 0)),
+        };
+        (self.inserts.range((low, high)))
+            .map(|(_, &oid)| oid)
             .collect()
     }
 
-    /// Value of a staged insert, by OID.
-    pub fn insert_value(&self, oid: u32) -> Option<T> {
-        self.inserts
-            .iter()
-            .find(|(o, _)| *o == oid)
-            .map(|(_, v)| *v)
+    /// Is an insert of `oid` staged? A walk over the staged inserts.
+    pub fn has_insert(&self, oid: u32) -> bool {
+        self.inserts.values().any(|&o| o == oid)
     }
 
-    fn take(&mut self) -> (Vec<(u32, T)>, OidSet) {
+    /// The staged `(oid, value)` pairs of `oids`, a result of
+    /// [`matching_inserts`](Self::matching_inserts): they are a run in
+    /// value order, so one walk finds them all. An OID names one row; if
+    /// it is staged under two values, the walk takes the lower.
+    pub fn pairs_of<'a>(&'a self, oids: &'a [u32]) -> impl Iterator<Item = (u32, T)> + 'a {
+        let mut want = oids.iter().peekable();
+        (self.staged_inserts())
+            .filter(move |(oid, _)| want.next_if_eq(&oid).is_some())
+            .take(oids.len())
+    }
+
+    fn take(&mut self) -> (BTreeMap<(T, u64), u32>, OidSet) {
         (
             std::mem::take(&mut self.inserts),
             std::mem::take(&mut self.deletes),
@@ -445,10 +490,11 @@ impl<T: CrackValue> PendingUpdates<T> {
     }
 
     /// Follow a base-table delete: doomed staged inserts and pending
-    /// deletes are dropped, the rest renumbered.
+    /// deletes are dropped, the rest renumbered. The OIDs are not part of
+    /// the inserts' key, so this is one in-place pass, `O(k)`.
     fn renumber(&mut self, doomed: &Renumbering) {
         self.inserts
-            .retain_mut(|(oid, _)| doomed.map(*oid).map(|new| *oid = new).is_some());
+            .retain(|_, oid| doomed.map(*oid).map(|new| *oid = new).is_some());
         let deletes = std::mem::take(&mut self.deletes);
         for new in deletes.iter().filter_map(|oid| doomed.map(oid)) {
             self.deletes.insert(new);
@@ -458,8 +504,8 @@ impl<T: CrackValue> PendingUpdates<T> {
 
 impl<T: CrackValue> CrackerColumn<T> {
     /// Stage the insertion of `(oid, value)`. Visible to queries
-    /// immediately (they scan the staging area); folded into the cracked
-    /// store by the next merge.
+    /// immediately (they probe the staging area by value); folded into
+    /// the cracked store by the next merge.
     pub fn insert(&mut self, oid: u32, value: T) {
         self.pending.stage_insert(oid, value);
     }
@@ -467,20 +513,26 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// Stage the deletion of `oid`. Returns `true` if the OID was found in
     /// either the cracked area or the insert staging area.
     pub fn delete(&mut self, oid: u32) -> bool {
-        if self.pending.insert_value(oid).is_some() {
+        let found = self.pending.has_insert(oid) || self.oids().contains(&oid);
+        if found {
             self.pending.stage_delete(oid);
-            return true;
         }
-        if self.oids().contains(&oid) {
-            self.pending.stage_delete(oid);
-            return true;
-        }
-        false
+        found
     }
 
     /// Number of staged (unmerged) updates.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Should a merge run before the next query? Once the staged updates
+    /// reach `max(merge_threshold, len / STAGE_SHARE)`: a merge writes
+    /// about `len` tuples once staged rows outnumber pieces, so that is
+    /// at most ~[`STAGE_SHARE`] tuple moves per staged row, and a select
+    /// probes the staging area in `O(log k)` however large it grows.
+    pub(crate) fn merge_due(&self) -> bool {
+        let trigger = self.config().merge_threshold.max(self.len() / STAGE_SHARE);
+        self.pending.len() >= trigger
     }
 
     /// Switch the [`MergeJournal`] on (starting empty) or off. Switching
@@ -523,9 +575,11 @@ impl<T: CrackValue> CrackerColumn<T> {
                 self.merge_pending();
                 group = OidSet::new();
             }
+            // No delete of a group names an insert staged in it, so
+            // nothing cancels.
             for &oid in deletes {
                 group.insert(oid);
-                self.pending.stage_delete(oid);
+                self.pending.deletes.insert(oid);
             }
             for (&oid, &v) in oids.iter().zip(values) {
                 group.insert(oid);
@@ -571,7 +625,7 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// Fold all staged updates into the cracked store in place, preserving
     /// every existing boundary.
     ///
-    /// Staged inserts cost `O(k log p + k log k + p)` and write at most
+    /// Staged inserts cost `O(k + p)`. They write at most
     /// `Σ min(S_j, len_j) + k` tuples, all of them counted in
     /// [`CrackStats::tuples_moved`](crate::stats::CrackStats). The column
     /// grows by `k` slots; it is not rewritten. Three steps:
@@ -581,9 +635,10 @@ impl<T: CrackValue> CrackerColumn<T> {
     ///    its new end is recorded. It is the pass
     ///    [`compact_renumber`](Self::compact_renumber) runs, with every
     ///    surviving OID kept as it is.
-    /// 2. **Tag the inserts.** Each surviving insert is tagged with its
-    ///    piece (binary search over the boundary keys), the inserts are
-    ///    sorted by piece, and `vals` / `oids` grow by `k` at the tail.
+    /// 2. **Tag the inserts.** The staging area hands them over in value
+    ///    order, so one walk over the boundary keys tags each surviving
+    ///    insert with its piece, and they come out sorted by piece.
+    ///    `vals` / `oids` grow by `k` at the tail.
     /// 3. **Ripple, back to front.** Piece `j` must shift right by `S_j`,
     ///    the number of inserts landing in earlier pieces. A piece is an
     ///    unordered set, so only its first `min(S_j, len_j)` tuples move,
@@ -610,9 +665,9 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// # Panic ordering
     ///
     /// All allocation happens before the first tuple moves: the boundary
-    /// list, the tagged inserts, their sort and the `reserve` for the
-    /// grown tail. Only then is the staging area taken. A panic in any of
-    /// these steps leaves the column and its staged updates as they were.
+    /// list, the tagged inserts and the `reserve` for the grown tail.
+    /// Only then is the staging area taken. A panic in any of these steps
+    /// leaves the column and its staged updates as they were.
     /// When the arrays already have spare capacity for `k` more slots,
     /// they are not reallocated.
     pub fn merge_pending(&mut self) {
@@ -624,15 +679,19 @@ impl<T: CrackValue> CrackerColumn<T> {
         // A re-staged OID that is also pending deletion is dropped, not
         // merged: the delete wins.
         let deleted = self.pending.deleted_set();
-        let mut inserts: Vec<(usize, T, u32)> = self
-            .pending
-            .staged_inserts()
-            .iter()
-            .filter(|&&(oid, _)| !deleted.contains(oid))
-            // Piece index = number of boundaries the value lies at or after.
-            .map(|&(oid, v)| (keys.partition_point(|key| !key.before(v)), v, oid))
+        // Piece index = number of boundaries the value lies at or after.
+        // The inserts come in value order, so each one's piece is at or
+        // after the one before it.
+        let mut piece = 0;
+        let inserts: Vec<(usize, T, u32)> = (self.pending.staged_inserts())
+            .filter(|&(oid, _)| !deleted.contains(oid))
+            .map(|(oid, v)| {
+                while keys.get(piece).is_some_and(|key| !key.before(v)) {
+                    piece += 1;
+                }
+                (piece, v, oid)
+            })
             .collect();
-        inserts.sort_unstable_by_key(|&(piece, _, _)| piece);
         let (vals, oids, _) = self.arrays_mut();
         vals.reserve(inserts.len());
         oids.reserve(inserts.len());
@@ -719,7 +778,7 @@ mod tests {
                 buckets[piece_of(v)].push((v, oid));
             }
         }
-        for (oid, v) in inserts {
+        for ((v, _), oid) in inserts {
             if !deletes.contains(oid) {
                 buckets[piece_of(v)].push((v, oid));
             }
@@ -771,7 +830,7 @@ mod tests {
     fn ripple_bound(c: &CrackerColumn<i64>) -> u64 {
         let keys: Vec<BoundaryKey<i64>> = c.index().boundaries().map(|(k, _)| *k).collect();
         let mut per_piece = vec![0usize; keys.len() + 1];
-        for &(_, v) in c.pending.staged_inserts() {
+        for (_, v) in c.pending.staged_inserts() {
             per_piece[keys.partition_point(|k| !k.before(v))] += 1;
         }
         let (mut before, mut bound) = (0usize, 0usize);
@@ -936,6 +995,28 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, vec![0, 63, 64, u32::MAX]);
         assert_eq!(s.iter().count(), s.len());
+    }
+
+    #[test]
+    fn oidset_iter_yields_exactly_the_members_dense_and_sparse() {
+        let mut s = OidSet::new();
+        // Full words, a lone top bit, empty words between, and spills past
+        // the bitmap.
+        let members: BTreeSet<u32> = (0..128)
+            .chain([191, 1_000, 4_095, 4_096])
+            .chain((5_000..9_000).step_by(37))
+            .chain([3_000_000, u32::MAX - 1, u32::MAX])
+            .collect();
+        for &oid in &members {
+            s.insert(oid);
+        }
+        assert!(s.has_sparse());
+        let got: Vec<u32> = s.iter().collect();
+        assert_eq!(got.len(), s.len(), "no repeats");
+        let dense: Vec<u32> = got.iter().copied().filter(|&o| o < 9_000).collect();
+        assert!(dense.windows(2).all(|w| w[0] < w[1]), "bitmap in order");
+        assert_eq!(got.into_iter().collect::<BTreeSet<u32>>(), members);
+        assert_eq!(OidSet::new().iter().count(), 0);
     }
 
     #[test]
@@ -1106,7 +1187,160 @@ mod tests {
         assert_eq!(layout(&replayed), layout(&live));
     }
 
+    /// Stage `count` fresh inserts on `col`, OIDs from `*next`, with values
+    /// spread over `[lo, lo + span)`.
+    fn stage(col: &ConcurrentColumn<i64>, next: &mut u32, count: usize, lo: i64, span: i64) {
+        for i in 0..count as i64 {
+            col.insert(*next, lo + i * 7_919 % span);
+            *next += 1;
+        }
+    }
+
+    #[test]
+    fn a_large_column_merges_once_a_sixty_fourth_of_it_is_staged() {
+        let n = 1usize << 17;
+        let trigger = n / STAGE_SHARE;
+        assert!(trigger > CrackerConfig::default().merge_threshold);
+        let col = ConcurrentColumn::build(
+            (0..n as i64).rev().collect(),
+            CrackerConfig::default(),
+            ConcurrencyMode::default(),
+        );
+        col.count(RangePred::lt(n as i64 / 2));
+        let mut next = n as u32;
+        stage(&col, &mut next, trigger - 1, 0, n as i64);
+        let everything = RangePred::ge(0);
+        assert_eq!(col.count(everything), n + trigger - 1);
+        assert_eq!(col.stats().merges, 0, "one row short of n / 64");
+        stage(&col, &mut next, 1, 0, n as i64);
+        assert_eq!(col.count(everything), n + trigger);
+        assert_eq!(col.stats().merges, 1, "merged at exactly n / 64");
+        assert!(!col.has_pending_updates());
+        col.validate().unwrap();
+    }
+
+    #[test]
+    fn a_small_column_still_merges_at_its_floor() {
+        let t = 10;
+        let cfg = CrackerConfig::new().with_merge_threshold(t);
+        let mut c = CrackerColumn::with_config((0..200).collect::<Vec<i64>>(), cfg);
+        assert!(c.len() / STAGE_SHARE < t);
+        for oid in 200..200 + t as u32 - 1 {
+            c.insert(oid, i64::from(oid) % 50);
+        }
+        assert_eq!(c.count(RangePred::lt(50)), 50 + t - 1);
+        assert_eq!(c.stats().merges, 0);
+        c.insert(999, 7);
+        assert_eq!(c.count(RangePred::lt(50)), 50 + t);
+        assert_eq!(c.stats().merges, 1, "merged at the floor");
+        assert_eq!(c.pending_len(), 0);
+    }
+
+    #[test]
+    fn each_shard_merges_at_a_sixty_fourth_of_its_own_length() {
+        let n = 1usize << 19;
+        let col = ConcurrentColumn::build(
+            (0..n as i64).collect(),
+            CrackerConfig::default(),
+            ConcurrencyMode { shards: 4 },
+        );
+        let splits = col.splits().to_vec();
+        let triggers = col.read_shards(|c| c.len() / STAGE_SHARE);
+        assert!(triggers
+            .iter()
+            .all(|&t| t > CrackerConfig::default().merge_threshold));
+        let merges = || col.read_shards(|c| c.stats().merges);
+        let everything = RangePred::ge(0);
+        let mut next = n as u32;
+        // Shard 0 one row short of its trigger, shard 3 at its trigger: the
+        // 4 095-odd rows staged in all are half of the whole column's n / 64.
+        stage(&col, &mut next, triggers[0] - 1, 0, splits[0]);
+        stage(
+            &col,
+            &mut next,
+            triggers[3],
+            splits[2],
+            n as i64 - splits[2],
+        );
+        assert!(((next as usize) - n) < n / STAGE_SHARE);
+        col.count(everything);
+        assert_eq!(merges(), vec![0, 0, 0, 1]);
+        stage(&col, &mut next, 1, 0, splits[0]);
+        assert_eq!(col.count(everything), next as usize);
+        assert_eq!(merges(), vec![1, 0, 0, 1]);
+        col.validate().unwrap();
+    }
+
+    /// A probe bound's value: a small domain, so values repeat, plus both
+    /// ends of `i64` and their neighbours.
+    fn probe_value() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            -6i64..6,
+            Just(i64::MIN),
+            Just(i64::MIN + 1),
+            Just(i64::MAX - 1),
+            Just(i64::MAX),
+        ]
+    }
+
+    /// Any range predicate: open, inclusive or exclusive bounds, empty and
+    /// inverted ranges, and `(v, v)` with both bounds exclusive.
+    fn any_pred() -> impl Strategy<Value = RangePred<i64>> {
+        let bound = || proptest::option::of((probe_value(), proptest::bool::ANY));
+        prop_oneof![
+            (bound(), bound()).prop_map(|(lo, hi)| RangePred::with_bounds(lo, hi)),
+            probe_value().prop_map(|v| RangePred::with_bounds(Some((v, false)), Some((v, false)))),
+        ]
+    }
+
     proptest! {
+        /// The ordered probe of the staged inserts against a linear filter
+        /// of a staging-order list, on fresh staging, after staged inserts
+        /// are cancelled by deletes of their OIDs, and after a base-table
+        /// delete renumbers them.
+        #[test]
+        fn prop_ordered_probe_equals_the_linear_filter(
+            staged in vec(probe_value(), 0..80),
+            cancels in vec(0u32..240, 0..20),
+            doomed in vec(0u32..240, 0..30),
+            preds in vec(any_pred(), 1..12),
+        ) {
+            let mut pending = PendingUpdates::new();
+            let mut list: Vec<(u32, i64)> = Vec::new();
+            // Every third OID, so cancels and dooms hit and miss, staged
+            // downwards, so ties in staging order are not ties in OID order.
+            for (oid, &v) in (0..240).rev().step_by(3).zip(&staged) {
+                pending.stage_insert(oid, v);
+                list.push((oid, v));
+            }
+            let check = |pending: &PendingUpdates<i64>, list: &[(u32, i64)]| {
+                for pred in &preds {
+                    // Value order, ties in staging order: a stable sort.
+                    let mut want: Vec<(u32, i64)> = (list.iter().copied())
+                        .filter(|&(_, v)| pred.matches(v))
+                        .collect();
+                    want.sort_by_key(|&(_, v)| v);
+                    let got = pending.matching_inserts(pred);
+                    let oids: Vec<u32> = want.iter().map(|&(oid, _)| oid).collect();
+                    prop_assert_eq!(&got, &oids, "{:?}", pred);
+                    prop_assert_eq!(pending.pairs_of(&got).collect::<Vec<_>>(), want);
+                }
+                Ok(())
+            };
+            check(&pending, &list)?;
+            for &oid in &cancels {
+                pending.stage_delete(oid);
+                list.retain(|&(o, _)| o != oid);
+            }
+            check(&pending, &list)?;
+            let renumbering = Renumbering::new(&doomed);
+            pending.renumber(&renumbering);
+            let list: Vec<(u32, i64)> = (list.into_iter())
+                .filter_map(|(oid, v)| Some((renumbering.map(oid)?, v)))
+                .collect();
+            check(&pending, &list)?;
+        }
+
         #[test]
         fn prop_interleaved_updates_and_queries_agree_with_oracle(
             orig in proptest::collection::vec(-40i64..40, 1..120),
@@ -1313,10 +1547,10 @@ mod tests {
                         have.sort_unstable();
                         prop_assert_eq!(have, want, "{:?}", mode);
                     }
-                    let staged: Vec<(u32, i64)> = (was.pending.staged_inserts().iter())
-                        .filter_map(|&(oid, v)| Some((renumber(oid)?, v)))
+                    let staged: Vec<(u32, i64)> = (was.pending.staged_inserts())
+                        .filter_map(|(oid, v)| Some((renumber(oid)?, v)))
                         .collect();
-                    prop_assert_eq!(got.pending.staged_inserts(), &staged[..]);
+                    prop_assert_eq!(got.pending.staged_inserts().collect::<Vec<_>>(), staged);
                     let deleted = |set: &OidSet| set.iter().collect::<BTreeSet<u32>>();
                     let want: BTreeSet<u32> = (deleted(was.pending.deleted_set()).into_iter())
                         .filter_map(renumber)

@@ -143,6 +143,86 @@ fn checkpoint_recover_roundtrip_matches_oracle_in_both_modes() {
     }
 }
 
+/// Copy every file of `dir` into a fresh `image`: what a crash of the
+/// live process leaves on disk once every append was acknowledged.
+fn crash_image(dir: &Path, image: &Path) {
+    std::fs::create_dir_all(image).unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+    }
+}
+
+#[test]
+fn an_overlay_past_the_old_merge_floor_survives_checkpoint_and_crash() {
+    // A column merges once `len / STAGE_SHARE` rows are staged, so a
+    // checkpoint taken mid-burst carries an overlay that grows with the
+    // column: here 1 600 staged inserts and 40 deletes go into the
+    // checkpoint and 800 more inserts into the redo log alone, against one
+    // shard's trigger of 3 125 (four shards take the floor, 1 024 each).
+    let n = 200_000;
+    let base = base_column(n);
+    for (mode, tag) in MODES {
+        let dir = scratch(&format!("big-overlay-{tag}"));
+        let image = scratch(&format!("big-overlay-{tag}-image"));
+        let mut oracle = SortedOracle::new(&base);
+        let mut db = db_with_table(&base, mode);
+        let mut mix = Mix(23);
+        for _ in 0..8 {
+            let w = mix.window(n as i64, 10_000);
+            let q = RangeQuery::new(TABLE, COLUMN, w.to_pred());
+            db.select(&q, OutputMode::Count).unwrap();
+        }
+        db.attach_durability(&dir, 1).unwrap();
+        let mut next = n as u32;
+        let mut stage = |db: &mut AdaptiveDb, oracle: &mut SortedOracle, batches: u32| {
+            for _ in 0..batches {
+                let rows: Vec<(u32, i64)> = (next..next + 100)
+                    .map(|oid| (oid, (mix.next() % n as u64) as i64))
+                    .collect();
+                db.stage_insert_batch(TABLE, COLUMN, &rows).unwrap();
+                for &(oid, v) in &rows {
+                    oracle.insert(oid, v);
+                }
+                next += 100;
+            }
+        };
+        stage(&mut db, &mut oracle, 16);
+        for victim in (0..40u32).map(|i| i * 4_999) {
+            assert_eq!(
+                db.stage_delete(TABLE, COLUMN, victim).unwrap(),
+                oracle.delete(victim)
+            );
+        }
+        // Cancel some staged inserts too.
+        for oid in (n as u32..n as u32 + 40).step_by(4) {
+            assert!(db.stage_delete(TABLE, COLUMN, oid).unwrap());
+            assert!(oracle.delete(oid));
+        }
+        db.checkpoint().unwrap();
+        stage(&mut db, &mut oracle, 8);
+        let staged: usize = (db.shared_cracker(TABLE, COLUMN).unwrap())
+            .read_shards(|c| c.pending_len())
+            .into_iter()
+            .sum();
+        assert_eq!(staged, 2_400 - 10 + 40, "{tag}: nothing merged");
+        crash_image(&dir, &image);
+        drop(db);
+
+        let mut rec = AdaptiveDb::recover(&image, CrackerConfig::default(), 1).unwrap();
+        let col = rec.shared_cracker(TABLE, COLUMN).unwrap();
+        let recovered: usize = col.read_shards(|c| c.pending_len()).into_iter().sum();
+        assert_eq!(recovered, staged, "{tag}: the overlay comes back staged");
+        let probes: Vec<Window> = (0..12).map(|_| mix.window(n as i64, 10_000)).collect();
+        assert_matches_oracle(&mut rec, &oracle, &probes);
+        assert_eq!(rec.total_crack_stats().merges, 0, "{tag}");
+        rec.shared_cracker(TABLE, COLUMN).unwrap().merge_pending();
+        assert_matches_oracle(&mut rec, &oracle, &probes);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&image).ok();
+    }
+}
+
 #[test]
 fn checkpoint_sees_overlay_swap_that_preserves_length() {
     // Regression for a fingerprint collision: deleting a staged insert
