@@ -5,8 +5,9 @@
 //! vector kernels' home turf), crack_select-shaped, and scenario_mix-shaped
 //! workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
 //! measures the scalar loops a second time. The `ablation_merge` legs time
-//! one update merge of staged inserts or staged deletes, and one base-table
-//! delete with the select after it. The `ablation_kernel_cold_first_touch`
+//! one update merge of staged inserts or staged deletes, and base-table
+//! deletes: 50 rows, which stage tombstones in every cracked copy, and
+//! `len / 64` rows, which fold them. The `ablation_kernel_cold_first_touch`
 //! legs time a cracked copy's whole birth (copy, dense OIDs, first crack)
 //! with plain `to_vec` arrays against `storage::mem`'s huge-page-advised
 //! ones.
@@ -402,6 +403,9 @@ fn kernel_scenario_mix(c: &mut Criterion) {
 /// staged deletes of spread OIDs. Only `merge_pending` is timed. In the
 /// insert leg the column has grown once before, so its arrays have spare
 /// capacity, as they do in steady-state ingest after the first merge.
+/// Then the base-table delete: a 50-row `delete_rows`, which stages
+/// tombstones, alone and with the select after it, and a `len / 64`-row
+/// one, which folds them, with the select after it.
 fn merge(c: &mut Criterion) {
     const STAGED: usize = 1024;
     let n_large = if smoke() { 100_000 } else { 1_000_000 };
@@ -460,18 +464,19 @@ fn merge(c: &mut Criterion) {
             )
         })
         .collect();
+    let cracked_table = || {
+        let mut db = AdaptiveDb::new();
+        let table = Table::from_int_columns("r", vec![("a", vals.clone())]);
+        db.register(table.expect("one column")).expect("fresh name");
+        for q in &windows {
+            db.select(q, OutputMode::Count).expect("known column");
+        }
+        db
+    };
     let doomed: Vec<u32> = (0..50).map(|i| spread(i + 13) as u32).collect();
     g.bench_function("delete_renumber", |b| {
         b.iter_batched_ref(
-            || {
-                let mut db = AdaptiveDb::new();
-                let table = Table::from_int_columns("r", vec![("a", vals.clone())]);
-                db.register(table.expect("one column")).expect("fresh name");
-                for q in &windows {
-                    db.select(q, OutputMode::Count).expect("known column");
-                }
-                db
-            },
+            cracked_table,
             |db| {
                 db.delete_rows("r", &doomed).expect("no durability");
                 db.select(&windows[0], OutputMode::Count)
@@ -480,6 +485,49 @@ fn merge(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
+    // A `DELETE` of n / 64 rows in one call: its tombstones reach the fold
+    // trigger at once, so the fold's one compaction pass over the base and
+    // the cracked copy runs, then the first select after it.
+    let fold: Vec<u32> = (0..n_large / 64).map(|i| (64 * i + 17) as u32).collect();
+    g.bench_function("delete_fold", |b| {
+        b.iter_batched_ref(
+            cracked_table,
+            |db| {
+                db.delete_rows("r", &fold).expect("no durability");
+                db.select(&windows[0], OutputMode::Count)
+                    .expect("known column")
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // 50 contiguous rows of a three-column table, one or all three of
+    // whose columns are cracked: only `delete_rows` is timed, the price a
+    // `DELETE` pays per cracked copy of its table.
+    let wide = Tapestry::generate(n_large, 3, 0x3E27);
+    let contiguous: Vec<u32> = (0..50).map(|i| (n_large / 3 + i) as u32).collect();
+    for cracked in [1, 3] {
+        g.bench_function(format!("delete_50_of_1m/{cracked}_cracked"), |b| {
+            b.iter_batched_ref(
+                || {
+                    let mut db = AdaptiveDb::new();
+                    let cols = ["a", "b", "c"].into_iter().enumerate();
+                    let cols = cols.map(|(i, name)| (name, wide.column(i).to_vec()));
+                    let table = Table::from_int_columns("r", cols.collect());
+                    db.register(table.expect("three columns"))
+                        .expect("fresh name");
+                    for attr in ["a", "b", "c"].into_iter().take(cracked) {
+                        for q in windows.iter().take(100) {
+                            let q = RangeQuery::new("r", attr, q.pred);
+                            db.select(&q, OutputMode::Count).expect("known column");
+                        }
+                    }
+                    db
+                },
+                |db| db.delete_rows("r", &contiguous).expect("no durability"),
+                BatchSize::LargeInput,
+            )
+        });
+    }
     g.finish();
 }
 

@@ -669,9 +669,10 @@ impl<T: CrackValue> ConcurrentColumn<T> {
     /// Stage a delete. With several shards the value (hence shard) of
     /// `oid` is unknown, so shards are probed in ascending order — under a
     /// *read* latch, so the scan doesn't stall readers of uninvolved
-    /// shards — and only the owning shard is write-latched to stage the
-    /// delete. Returns whether the OID was found (false also when a
-    /// racing delete got there first).
+    /// shards — for one that holds a row of it (a staged insert, or a
+    /// cracked tuple not already pending deletion), and only that shard is
+    /// write-latched to stage the delete. Returns whether the OID was
+    /// found (false also when a racing delete got there first).
     pub fn delete(&self, oid: u32) -> bool {
         if let [shard] = &self.shards[..] {
             return shard.write().delete(oid);
@@ -679,7 +680,8 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         for shard in &self.shards {
             let present = {
                 let col = shard.read();
-                col.pending.has_insert(oid) || col.oids().contains(&oid)
+                col.pending.has_insert(oid)
+                    || (!col.pending.is_deleted(oid) && col.oids().contains(&oid))
             };
             if present {
                 // Re-checked under the write latch: a concurrent delete
@@ -688,6 +690,20 @@ impl<T: CrackValue> ConcurrentColumn<T> {
             }
         }
         false
+    }
+
+    /// Stage the deletion of every row the OIDs in `doomed` (ascending, no
+    /// repeats) name, as a base-table delete does: one exclusive latch per
+    /// shard, ascending, and no probe (see
+    /// [`PendingUpdates::stage_deletes`](crate::updates::PendingUpdates::stage_deletes)).
+    /// The batch goes to every shard, because the shard of a row follows
+    /// its value, which may not be the base table's: an insert re-staged
+    /// under a new value lives in that value's shard. In a shard that
+    /// holds no row of an OID, its mark hides nothing.
+    pub fn stage_deletes(&self, doomed: &[u32]) {
+        if !doomed.is_empty() {
+            self.write_shards(|c| c.pending.stage_deletes(doomed));
+        }
     }
 
     /// True when inserts or deletes are staged but not yet merged in any
@@ -949,6 +965,28 @@ mod tests {
         col.merge_pending();
         assert_eq!(col.len(), 4_000); // -1 cracked tuple, +1 surviving insert
         assert_eq!(col.count(RangePred::between(100, 200)), 100);
+        col.validate().unwrap();
+    }
+
+    #[test]
+    fn a_delete_batch_reaches_a_row_restaged_in_another_shard() {
+        let col = ConcurrentColumn::new((0..4_000).collect::<Vec<i64>>(), 8);
+        col.count(RangePred::between(100, 200));
+        // OID 150 re-staged under a value of the last shard, OID 160
+        // staged again without a delete: both rows leave, in every shard.
+        assert!(col.delete(150));
+        col.insert(150, 3_990);
+        col.insert(160, 3_991);
+        col.insert(4_000, 120);
+        col.stage_deletes(&[150, 160, 4_000]);
+        assert_eq!(col.count(RangePred::between(100, 200)), 99);
+        assert_eq!(col.count(RangePred::ge(3_990)), 10);
+        assert_eq!(col.len(), 4_000, "nothing moved");
+        col.validate().unwrap();
+        col.merge_pending();
+        assert_eq!(col.len(), 3_998);
+        assert_eq!(col.count(RangePred::between(100, 200)), 99);
+        assert_eq!(col.count(RangePred::ge(3_990)), 10);
         col.validate().unwrap();
     }
 

@@ -119,10 +119,9 @@ impl ColumnSnapshot {
     ///
     /// The piece map is re-imposed boundary by boundary and then checked
     /// against the actual values ([`CrackerIndex::check_pieces`]); the
-    /// overlay is re-staged through the public update API so the
-    /// insert/delete disjointness invariant is re-established by
-    /// construction. Any inconsistency is an error — a recovered column is
-    /// either exactly the captured one or refused.
+    /// overlay is re-staged through the public update API, deletes before
+    /// inserts (see `restage`). Any inconsistency is an error — a
+    /// recovered column is either exactly the captured one or refused.
     pub fn restore(self, config: CrackerConfig) -> Result<CrackerColumn<i64>, String> {
         if self.values.len() != self.oids.len() {
             return Err(format!(
@@ -355,22 +354,25 @@ fn read_boundaries_and_overlay(r: &mut Reader<'_>) -> StorageResult<BoundariesAn
     Ok((boundaries, inserts, pending_deletes))
 }
 
-/// Re-stage a restored column's overlay through the public update API,
-/// so the insert/delete disjointness invariant holds by construction.
+/// Re-stage a restored column's overlay through the public update API.
+/// A pending delete and a staged insert share an OID only when the insert
+/// was staged after the delete (a delete cancels an earlier insert of its
+/// OID), so the deletes are staged first: each must mark a cracked tuple,
+/// and no insert is there yet for it to cancel.
 fn restage(
     col: &mut CrackerColumn<i64>,
     inserts: Vec<(u32, i64)>,
     deletes: Vec<u32>,
 ) -> Result<(), String> {
-    for (oid, v) in inserts {
-        col.insert(oid, v);
-    }
     for oid in deletes {
         if !col.delete(oid) {
             return Err(format!(
                 "pending delete references unknown oid {oid} — snapshot corrupt"
             ));
         }
+    }
+    for (oid, v) in inserts {
+        col.insert(oid, v);
     }
     Ok(())
 }

@@ -24,13 +24,21 @@
 //! deletes add one `O(n)` compaction pass; that pass runs only when
 //! deletes are staged.
 //!
-//! A delete from the *base* table is the other kind: the table compacts
-//! its columns and renumbers the survivors densely, so every OID above a
-//! deleted row moves down. [`CrackerColumn::compact_renumber`] follows it
-//! in place with the same compaction pass, under a different per-tuple
-//! map: a doomed tuple is dropped, a survivor's OID becomes
-//! `oid − rank(oid)` ([`Renumbering`]). Every boundary, and the pending
-//! overlay, survives; the next select is an index lookup, not a re-copy.
+//! A delete from the *base* table is the other kind. It is deferred: the
+//! table keeps the doomed rows as tombstones, so no OID moves, and every
+//! cracked copy stages the doomed OIDs as pending deletes in one batch
+//! ([`PendingUpdates::stage_deletes`]), which reads and merges already
+//! honour. Once a table's tombstones reach `len / STAGE_SHARE` the engine
+//! *folds* them: the table compacts its columns and renumbers the
+//! survivors densely, so every OID above a deleted row moves down, and
+//! [`CrackerColumn::compact_renumber`] follows in place with the same
+//! compaction pass, under a different per-tuple map: a doomed tuple is
+//! dropped, a survivor's OID becomes `oid − rank(oid)` ([`Renumbering`]).
+//! Every boundary, and the pending overlay, survives; the next select is
+//! an index lookup, not a re-copy. This is the pending-delete scheme of
+//! the SIGMOD 2007 paper applied to the base table, with the renumbering
+//! deferred as Héman et al. defer theirs: the `O(n)` pass runs once per
+//! `len / STAGE_SHARE` deleted rows, not once per statement.
 
 use crate::column::CrackerColumn;
 use crate::config::STAGE_SHARE;
@@ -369,7 +377,7 @@ impl<T: CrackValue> MergeJournal<T> {
 }
 
 /// Staging areas for not-yet-merged updates.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PendingUpdates<T> {
     /// Staged inserts, not yet in the cracked area: their OIDs keyed by
     /// `(value, seq)`. Value order makes a select's overlay one range probe
@@ -379,35 +387,81 @@ pub struct PendingUpdates<T> {
     inserts: BTreeMap<(T, u64), u32>,
     /// The `seq` of the next staged insert.
     next_seq: u64,
-    /// OIDs pending deletion from the cracked area.
+    /// A lower bound on the staged inserts' OIDs (`u32::MAX` when none is
+    /// staged): a delete batch below it cannot cancel any of them.
+    low_insert: u32,
+    /// OIDs pending deletion from the cracked area. A pending delete hides
+    /// the cracked tuple of its OID only, never a staged insert: an insert
+    /// staged after the delete is a new row under the same OID.
     deletes: OidSet,
+}
+
+impl<T: CrackValue> Default for PendingUpdates<T> {
+    fn default() -> Self {
+        PendingUpdates {
+            inserts: BTreeMap::new(),
+            next_seq: 0,
+            low_insert: u32::MAX,
+            deletes: OidSet::new(),
+        }
+    }
 }
 
 impl<T: CrackValue> PendingUpdates<T> {
     /// Empty staging areas.
     pub fn new() -> Self {
-        PendingUpdates {
-            inserts: BTreeMap::new(),
-            next_seq: 0,
-            deletes: OidSet::new(),
-        }
+        Self::default()
     }
 
     /// Stage an insert: `O(log k)` for `k` staged inserts.
     pub fn stage_insert(&mut self, oid: u32, value: T) {
         self.inserts.insert((value, self.next_seq), oid);
         self.next_seq += 1;
+        self.low_insert = self.low_insert.min(oid);
     }
 
-    /// Stage a delete. If the OID is still in the insert staging area the
-    /// two cancel out immediately. The inserts are ordered by value, so
-    /// this walks all `k` of them.
+    /// Stage the deletion of one OID: the one-row case of
+    /// [`stage_deletes`](Self::stage_deletes).
     pub fn stage_delete(&mut self, oid: u32) {
-        let before = self.inserts.len();
-        self.inserts.retain(|_, &mut o| o != oid);
-        if self.inserts.len() == before {
+        self.stage_deletes(&[oid]);
+    }
+
+    /// Stage the deletion of every row the OIDs in `doomed` (ascending, no
+    /// repeats) name: each one's staged inserts are cancelled and its
+    /// cracked tuple, if there is one, is marked deleted. A mark on an OID
+    /// the cracked area does not hold hides nothing, and the next merge
+    /// drops it. The staged inserts are ordered by value, so the
+    /// cancellation is one walk over all `k` of them for the whole batch,
+    /// and it is skipped when no doomed OID reaches the lowest staged one.
+    pub fn stage_deletes(&mut self, doomed: &[u32]) {
+        self.cancel_inserts(doomed);
+        for &oid in doomed {
             self.deletes.insert(oid);
         }
+    }
+
+    /// Cancel every staged insert whose OID is in `doomed` (ascending, no
+    /// repeats) in one walk, skipped when no doomed OID reaches
+    /// `low_insert`. Returns whether any was cancelled.
+    fn cancel_inserts(&mut self, doomed: &[u32]) -> bool {
+        debug_assert!(doomed.windows(2).all(|w| w[0] < w[1]), "ascending");
+        let (Some(&first), Some(&last)) = (doomed.first(), doomed.last()) else {
+            return false;
+        };
+        if last < self.low_insert {
+            return false;
+        }
+        let before = self.inserts.len();
+        let mut low = u32::MAX;
+        self.inserts.retain(|_, &mut oid| {
+            let hit = (first..=last).contains(&oid) && doomed.binary_search(&oid).is_ok();
+            if !hit {
+                low = low.min(oid);
+            }
+            !hit
+        });
+        self.low_insert = low;
+        self.inserts.len() < before
     }
 
     /// Is this OID pending deletion? An O(1) bitmap probe.
@@ -483,6 +537,7 @@ impl<T: CrackValue> PendingUpdates<T> {
     }
 
     fn take(&mut self) -> (BTreeMap<(T, u64), u32>, OidSet) {
+        self.low_insert = u32::MAX;
         (
             std::mem::take(&mut self.inserts),
             std::mem::take(&mut self.deletes),
@@ -493,8 +548,16 @@ impl<T: CrackValue> PendingUpdates<T> {
     /// deletes are dropped, the rest renumbered. The OIDs are not part of
     /// the inserts' key, so this is one in-place pass, `O(k)`.
     fn renumber(&mut self, doomed: &Renumbering) {
-        self.inserts
-            .retain(|_, oid| doomed.map(*oid).map(|new| *oid = new).is_some());
+        let mut low = u32::MAX;
+        self.inserts.retain(|_, oid| {
+            let new = doomed.map(*oid);
+            if let Some(new) = new {
+                *oid = new;
+                low = low.min(new);
+            }
+            new.is_some()
+        });
+        self.low_insert = low;
         let deletes = std::mem::take(&mut self.deletes);
         for new in deletes.iter().filter_map(|oid| doomed.map(oid)) {
             self.deletes.insert(new);
@@ -510,14 +573,22 @@ impl<T: CrackValue> CrackerColumn<T> {
         self.pending.stage_insert(oid, value);
     }
 
-    /// Stage the deletion of `oid`. Returns `true` if the OID was found in
-    /// either the cracked area or the insert staging area.
+    /// Stage the deletion of `oid`. Returns `true` if the OID names a row
+    /// here: a staged insert, which the delete cancels, or else a cracked
+    /// tuple not already pending deletion, which it marks. The probe walks
+    /// the staged inserts and then the cracked OIDs, `O(k + n)`; a caller
+    /// that knows its OIDs name rows uses
+    /// [`ConcurrentColumn::stage_deletes`](crate::ConcurrentColumn::stage_deletes),
+    /// which probes nothing.
     pub fn delete(&mut self, oid: u32) -> bool {
-        let found = self.pending.has_insert(oid) || self.oids().contains(&oid);
-        if found {
+        if self.pending.cancel_inserts(&[oid]) {
+            return true;
+        }
+        let live = !self.pending.is_deleted(oid) && self.oids().contains(&oid);
+        if live {
             self.pending.stage_delete(oid);
         }
-        found
+        live
     }
 
     /// Number of staged (unmerged) updates.
@@ -561,8 +632,8 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// Replay the merges `journal` recorded, in order: stage each batch's
     /// deletes and inserts and merge them. Consecutive batches that name
     /// disjoint OIDs merge as one, which leaves the same tuples behind
-    /// (no delete can reach an insert of its own group) at one ripple's
-    /// cost instead of one per batch.
+    /// (no delete of a group can reach a tuple an earlier batch of it
+    /// merged) at one ripple's cost instead of one per batch.
     pub(crate) fn replay_journal(&mut self, journal: &MergeJournal<T>) {
         // Grow the arrays once, to their size after the journal: a merge's
         // `reserve` would double them.
@@ -575,8 +646,8 @@ impl<T: CrackValue> CrackerColumn<T> {
                 self.merge_pending();
                 group = OidSet::new();
             }
-            // No delete of a group names an insert staged in it, so
-            // nothing cancels.
+            // A merge never drops a staged insert, so the deletes are
+            // marked as they are, cancelling nothing.
             for &oid in deletes {
                 group.insert(oid);
                 self.pending.deletes.insert(oid);
@@ -631,8 +702,9 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// grows by `k` slots; it is not rewritten. Three steps:
     ///
     /// 1. **Deletes.** This step runs only when deletes are staged. Each
-    ///    piece is compacted leftwards in one pass over the column, and
-    ///    its new end is recorded. It is the pass
+    ///    piece is compacted leftwards in one pass over the column,
+    ///    dropping the tuples pending deletion, and its new end is
+    ///    recorded. It is the pass
     ///    [`compact_renumber`](Self::compact_renumber) runs, with every
     ///    surviving OID kept as it is.
     /// 2. **Tag the inserts.** The staging area hands them over in value
@@ -676,15 +748,14 @@ impl<T: CrackValue> CrackerColumn<T> {
         }
         let keys: Vec<_> = self.index().boundaries().map(|(key, _)| *key).collect();
         let mut ends = self.piece_ends();
-        // A re-staged OID that is also pending deletion is dropped, not
-        // merged: the delete wins.
-        let deleted = self.pending.deleted_set();
-        // Piece index = number of boundaries the value lies at or after.
-        // The inserts come in value order, so each one's piece is at or
-        // after the one before it.
+        // Every staged insert is merged. One whose OID is also pending
+        // deletion was staged after that delete (the delete would have
+        // cancelled an earlier one), so the delete hides the cracked tuple
+        // only. Piece index = number of boundaries the value lies at or
+        // after. The inserts come in value order, so each one's piece is
+        // at or after the one before it.
         let mut piece = 0;
         let inserts: Vec<(usize, T, u32)> = (self.pending.staged_inserts())
-            .filter(|&(oid, _)| !deleted.contains(oid))
             .map(|(oid, v)| {
                 while keys.get(piece).is_some_and(|key| !key.before(v)) {
                     piece += 1;
@@ -779,9 +850,7 @@ mod tests {
             }
         }
         for ((v, _), oid) in inserts {
-            if !deletes.contains(oid) {
-                buckets[piece_of(v)].push((v, oid));
-            }
+            buckets[piece_of(v)].push((v, oid));
         }
         let mut ends = Vec::with_capacity(buckets.len());
         let (vals, oids, index) = c.arrays_mut();
@@ -1069,6 +1138,44 @@ mod tests {
     fn delete_of_unknown_oid_is_reported() {
         let mut c = CrackerColumn::new(vec![1i64]);
         assert!(!c.delete(42));
+    }
+
+    #[test]
+    fn a_deleted_then_reinserted_oid_survives_the_merge() {
+        let mut c = CrackerColumn::new((0..100).collect::<Vec<i64>>());
+        c.select(RangePred::lt(50));
+        assert!(c.delete(5));
+        assert!(!c.delete(5), "a second delete finds no row");
+        c.insert(5, 500);
+        let everything = RangePred::ge(i64::MIN);
+        assert_eq!(c.count(everything), 100);
+        c.merge_pending();
+        assert_eq!(c.count(everything), 100, "the re-insert is kept");
+        assert_eq!(c.select_oids(RangePred::eq(500)), vec![5]);
+        assert_eq!(c.count(RangePred::eq(5)), 0);
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn a_delete_batch_cancels_staged_inserts_and_marks_cracked_tuples() {
+        let mut c = CrackerColumn::new((0..10).collect::<Vec<i64>>());
+        for (oid, v) in [(10, 3), (11, 30), (12, 7)] {
+            c.insert(oid, v);
+        }
+        // Below every staged OID: the walk is skipped, nothing cancels.
+        c.pending.stage_deletes(&[1, 2]);
+        assert_eq!(c.pending.staged_inserts().len(), 3);
+        c.pending.stage_deletes(&[4, 11, 12]);
+        assert_eq!(c.pending.staged_inserts().collect::<Vec<_>>(), [(10, 3)]);
+        let mut oids = c.select_oids(RangePred::ge(0));
+        oids.sort_unstable();
+        assert_eq!(oids, [0, 3, 5, 6, 7, 8, 9, 10]);
+        // Each OID is marked, even one whose row was a staged insert: the
+        // mark hides nothing and the merge drops it.
+        assert!([1, 2, 4, 11, 12].iter().all(|&o| c.pending.is_deleted(o)));
+        c.merge_pending();
+        assert_eq!((c.len(), c.pending_len()), (8, 0));
+        c.validate().unwrap();
     }
 
     #[test]
@@ -1389,6 +1496,88 @@ mod tests {
             c.merge_pending();
             c.validate().map_err(TestCaseError::fail)?;
             prop_assert_eq!(c.len(), model.len());
+        }
+
+        /// API inserts and deletes that reuse OIDs (a delete, then an
+        /// insert under the same OID, in any shard) against an
+        /// `oid → value` map: every range answers the map's OIDs before a
+        /// merge, after it, after a snapshot round trip, and after an
+        /// origin-plus-journal round trip, at 1 and 4 shards.
+        #[test]
+        fn prop_reused_oids_agree_with_a_map_through_merges_and_restores(
+            orig in vec(-20i64..20, 1..120),
+            ops in vec((0u8..3, -30i64..30, 0usize..400), 1..60),
+            probes in vec((-25i64..25, 0i64..20), 1..5),
+        ) {
+            use crate::snapshot::{ConcurrentDelta, ConcurrentSnapshot};
+            let config = CrackerConfig::default();
+            for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 4 }] {
+                let col = ConcurrentColumn::build(orig.clone(), config, mode);
+                col.count(RangePred::between(-5, 5));
+                col.set_journaling(true);
+                let mut origin = Vec::new();
+                ConcurrentSnapshot::encode(&col, &mut origin);
+                let mut model: BTreeMap<u32, i64> = (0..).zip(orig.iter().copied()).collect();
+                // OIDs the model has seen and lost, for re-insertion.
+                let mut dead: Vec<u32> = Vec::new();
+                let mut next = orig.len() as u32;
+                for &(kind, v, pick) in &ops {
+                    match kind {
+                        0 if !model.is_empty() => {
+                            let oid = *model.keys().nth(pick % model.len()).unwrap();
+                            prop_assert!(col.delete(oid), "{:?}", mode);
+                            prop_assert!(!col.delete(oid), "{:?}: deleted twice", mode);
+                            model.remove(&oid);
+                            dead.push(oid);
+                        }
+                        1 if !dead.is_empty() => {
+                            let oid = dead.swap_remove(pick % dead.len());
+                            col.insert(oid, v);
+                            model.insert(oid, v);
+                        }
+                        _ => {
+                            col.insert(next, v);
+                            model.insert(next, v);
+                            next += 1;
+                        }
+                    }
+                }
+                let check = |col: &ConcurrentColumn<i64>, when: &str| -> Result<(), TestCaseError> {
+                    col.validate().map_err(TestCaseError::fail)?;
+                    prop_assert_eq!(col.count(RangePred::ge(i64::MIN)), model.len(), "{:?} {}", mode, when);
+                    for &(lo, width) in &probes {
+                        let pred = RangePred::between(lo, lo + width);
+                        let mut got = col.select_oids(pred);
+                        got.sort_unstable();
+                        let want: Vec<u32> = (model.iter())
+                            .filter(|(_, &v)| pred.matches(v))
+                            .map(|(&oid, _)| oid)
+                            .collect();
+                        prop_assert_eq!(got, want, "{:?} {}", mode, when);
+                    }
+                    Ok(())
+                };
+                check(&col, "staged")?;
+                let mut snapshot = Vec::new();
+                ConcurrentSnapshot::encode(&col, &mut snapshot);
+                let restored = ConcurrentSnapshot::decode(&snapshot)
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?
+                    .restore(config)
+                    .map_err(TestCaseError::fail)?;
+                check(&restored, "restored staged")?;
+                col.merge_pending();
+                check(&col, "merged")?;
+                let mut delta = Vec::new();
+                ConcurrentDelta::encode(&col, true, &mut delta);
+                let replayed = ConcurrentSnapshot::decode(&origin)
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?
+                    .restore_with(
+                        ConcurrentDelta::decode(&delta).map_err(|e| TestCaseError::fail(e.to_string()))?,
+                        config,
+                    )
+                    .map_err(TestCaseError::fail)?;
+                check(&replayed, "replayed")?;
+            }
         }
 
         /// The ripple merge against the re-bucketing reference, through

@@ -27,12 +27,13 @@ use crate::exec::batch::{refine_conjunct, BlockScratch};
 use crate::governor::Governor;
 use crate::query::{AggFunc, OutputMode, RangeQuery};
 use crate::table::Table;
+use cracker_core::config::STAGE_SHARE;
 use cracker_core::group::{aggregate_groups, omega_crack};
 use cracker_core::join::{join_matched, wedge_crack, PairColumn};
 use cracker_core::lineage::{CrackOp, LineageGraph, PieceId};
 use cracker_core::{
     ConcurrencyMode, ConcurrentColumn, ConcurrentDelta, ConcurrentSnapshot, CrackerConfig,
-    KernelPolicy, RangePred, Renumbering,
+    KernelPolicy, OidSet, RangePred, Renumbering,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -58,6 +59,10 @@ pub struct AdaptiveDb {
     /// The cracked copy of each column, keyed by `(table, column)`; built
     /// at first touch under the configured [`ConcurrencyMode`].
     columns: HashMap<(String, String), ConcurrentColumn<i64>>,
+    /// Per table, the rows a [`delete_rows`](Self::delete_rows) removed
+    /// that no fold has compacted yet: the base still holds them, and
+    /// every cracked copy of the table has them staged as deletes.
+    tombstones: HashMap<String, OidSet>,
     /// The key `columns` is probed with: names are copied into its two
     /// buffers, so a probe allocates nothing.
     probe: (String, String),
@@ -88,6 +93,7 @@ impl AdaptiveDb {
             config,
             concurrency: ConcurrencyMode::default(),
             columns: HashMap::new(),
+            tombstones: HashMap::new(),
             probe: Default::default(),
             lineage: LineageGraph::new(),
             roots: HashMap::new(),
@@ -198,8 +204,9 @@ impl AdaptiveDb {
     /// `std::thread::scope`) and let concurrent queries crack under the
     /// column's latching protocol.
     ///
-    /// The copy snapshots the base table's values at first touch; updates
-    /// staged through [`stage_insert`](Self::stage_insert) /
+    /// The copy snapshots the base table's values at first touch, and
+    /// stages the table's tombstones as deletes; updates staged through
+    /// [`stage_insert`](Self::stage_insert) /
     /// [`stage_delete`](Self::stage_delete) live in its pending overlay.
     pub fn shared_cracker(
         &mut self,
@@ -210,10 +217,21 @@ impl AdaptiveDb {
         if !self.columns.contains_key(&self.probe) {
             let vals = mem::copy_of(self.catalog.table(table)?.ints(column)?);
             let col = ConcurrentColumn::build(vals, self.config, self.concurrency);
+            if let Some(dead) = self.tombstones.get(table) {
+                col.stage_deletes(&sorted(dead));
+            }
             col.set_journaling(self.durability.is_some());
             self.columns.insert(self.probe.clone(), col);
         }
         Ok(&self.columns[&self.probe])
+    }
+
+    /// Rows of `table` a query can see: its length less the rows a
+    /// [`delete_rows`](Self::delete_rows) removed that no fold has
+    /// compacted yet ([`Table::len`] counts those too).
+    pub fn live_rows(&self, table: &str) -> EngineResult<usize> {
+        let len = self.catalog.table(table)?.len();
+        Ok(len - self.tombstones.get(table).map_or(0, OidSet::len))
     }
 
     /// Answer a single-attribute range query, cracking as a side effect.
@@ -317,8 +335,11 @@ impl AdaptiveDb {
         preds: &[(&str, RangePred<i64>)],
     ) -> EngineResult<Vec<u32>> {
         if preds.is_empty() {
-            let n = self.catalog.table(table)?.len() as u32;
-            return Ok((0..n).collect());
+            let all = 0..self.catalog.table(table)?.len() as u32;
+            return Ok(match self.tombstones.get(table) {
+                Some(dead) => all.filter(|&oid| !dead.contains(oid)).collect(),
+                None => all.collect(),
+            });
         }
         // Crack every column and size its answer (counts come free from
         // the piece map — no materialization yet); the smallest drives.
@@ -438,7 +459,10 @@ impl AdaptiveDb {
 
     /// Equi-join two tables on integer attributes via the ^ cracker:
     /// both join columns are wedge-cracked (the non-matching tuples are
-    /// clustered away) and only the matching areas are joined.
+    /// clustered away) and only the matching areas are joined. Pairs with
+    /// a tombstoned side are dropped rather than folded away first: a
+    /// caller may hold OIDs of either table selected before the join,
+    /// which a fold would renumber under it.
     pub fn join(
         &mut self,
         left: &str,
@@ -467,11 +491,19 @@ impl AdaptiveDb {
                 self.lineage.apply(op, &[lr, rr], &[2, 2]);
             }
         }
-        Ok(join_matched(&l, &r, &res))
+        let mut pairs = join_matched(&l, &r, &res);
+        let (l_dead, r_dead) = (self.tombstones.get(left), self.tombstones.get(right));
+        if l_dead.is_some() || r_dead.is_some() {
+            let live = |dead: Option<&OidSet>, oid| !dead.is_some_and(|d| d.contains(oid));
+            pairs.retain(|&(l, r)| live(l_dead, l) && live(r_dead, r));
+        }
+        Ok(pairs)
     }
 
     /// Group one integer column and aggregate another via the Ω cracker.
     /// Returns `(group value, aggregate)` pairs in ascending group order.
+    /// It copies whole base columns, so it folds the table's tombstones
+    /// first.
     pub fn group_aggregate(
         &mut self,
         table: &str,
@@ -479,6 +511,7 @@ impl AdaptiveDb {
         agg: AggFunc,
         agg_attr: Option<&str>,
     ) -> EngineResult<Vec<(i64, i64)>> {
+        self.fold(table)?;
         let t = self.catalog.table(table)?;
         let groups = t.ints(group_attr)?.to_vec();
         let agg_vals: Option<Vec<i64>> = match agg_attr {
@@ -502,11 +535,14 @@ impl AdaptiveDb {
     /// Ψ-crack a table on a projection list: vertically split it into the
     /// projected fragment and its complement, both carrying the surrogate
     /// OIDs for loss-less reconstruction. Records the Ψ in the lineage.
+    /// It shares whole base columns, so it folds the table's tombstones
+    /// first.
     pub fn project(
         &mut self,
         table: &str,
         attrs: &[&str],
     ) -> EngineResult<cracker_core::project::PsiResult> {
+        self.fold(table)?;
         let t = self.catalog.table(table)?;
         let mut cols = std::collections::BTreeMap::new();
         for name in t.schema().names() {
@@ -704,15 +740,38 @@ impl AdaptiveDb {
         Ok(start)
     }
 
-    /// Delete the rows at `oids` from a base table in place: every base
-    /// column is compacted in one pass and the survivors are renumbered
-    /// densely. Each of the table's cracked copies follows in place
-    /// ([`ConcurrentColumn::compact_renumber`]): the doomed tuples leave
-    /// their pieces, the survivors and the pending overlay take the new
-    /// OIDs, and every boundary stays, so the next select is warm. Other
-    /// tables are not touched. OIDs beyond the
-    /// table (and repeats) are ignored; returns the number of rows
+    /// Delete the rows at `oids` from a base table. No OID moves: the
+    /// rows become tombstones of the table, which the base keeps, and each
+    /// of the table's cracked copies stages them as deletes in one batch
+    /// ([`ConcurrentColumn::stage_deletes`]), which its selects and merges
+    /// honour. Other tables are not touched. OIDs beyond the table, rows
+    /// already deleted and repeats are ignored; returns the number of rows
     /// removed, and a call that removes none changes nothing.
+    ///
+    /// Once the table's tombstones reach `max(1, len / STAGE_SHARE)`
+    /// ([`STAGE_SHARE`]) they are *folded*: every base column is compacted
+    /// in one pass and the survivors are renumbered densely, and each
+    /// cracked copy follows in place ([`ConcurrentColumn::compact_renumber`]):
+    /// the doomed tuples leave their pieces, the survivors and the pending
+    /// overlay take the new OIDs, and every boundary stays, so the next
+    /// select is warm. The `O(n)` pass thus runs once per `len / 64`
+    /// deleted rows; on a table under 128 rows every call folds.
+    ///
+    /// Between folds, every reader of the whole table honours the
+    /// tombstones:
+    /// - [`select_conjunctive`](Self::select_conjunctive) with no
+    ///   predicates filters them out, without folding;
+    /// - [`join`](Self::join) drops the pairs they take part in, without
+    ///   folding;
+    /// - [`group_aggregate`](Self::group_aggregate) and
+    ///   [`project`](Self::project) copy whole base columns, so they fold
+    ///   first;
+    /// - a first touch ([`shared_cracker`](Self::shared_cracker)) stages
+    ///   them into the new copy;
+    /// - [`attach_durability`](Self::attach_durability) folds every table
+    ///   first;
+    /// - [`live_rows`](Self::live_rows) discounts them, where
+    ///   [`Table::len`] counts them.
     ///
     /// Refused while durability is attached: recovery replays only the
     /// update overlay, and a checkpoint fingerprints a base column by its
@@ -722,22 +781,46 @@ impl AdaptiveDb {
         if self.durability.is_some() {
             return Err(not_replayable("delete_rows"));
         }
-        let t = self.catalog.table_mut(table)?;
+        let len = self.catalog.table(table)?.len();
+        let dead = self.tombstones.get(table);
         let mut doomed = oids.to_vec();
-        doomed.retain(|&oid| (oid as usize) < t.len());
+        doomed.retain(|&oid| (oid as usize) < len && !dead.is_some_and(|d| d.contains(oid)));
         doomed.sort_unstable();
         doomed.dedup();
-        if !doomed.is_empty() {
-            t.remove_rows(&doomed);
-            let renumbering = Renumbering::new(&doomed);
+        if doomed.is_empty() {
+            return Ok(0);
+        }
+        let dead = self.tombstones.entry(table.to_owned()).or_default();
+        for &oid in &doomed {
+            dead.insert(oid);
+        }
+        if dead.len() >= (len / STAGE_SHARE).max(1) {
+            self.fold(table)?;
+        } else {
             let cracked = self.columns.iter().filter(|((name, _), _)| name == table);
-            cracked.for_each(|(_, col)| col.compact_renumber(&renumbering));
+            cracked.for_each(|(_, col)| col.stage_deletes(&doomed));
         }
         Ok(doomed.len())
     }
 
-    /// Drop a base table together with its cracked copies and lineage
-    /// root. Refused while durability is
+    /// Compact `table`'s tombstones away: the base table removes the rows
+    /// and renumbers the survivors densely, and every cracked copy of it
+    /// follows in place under one [`Renumbering`]. A no-op when it has
+    /// none.
+    fn fold(&mut self, table: &str) -> EngineResult<()> {
+        let Some(dead) = self.tombstones.remove(table) else {
+            return Ok(());
+        };
+        let doomed = sorted(&dead);
+        self.catalog.table_mut(table)?.remove_rows(&doomed);
+        let renumbering = Renumbering::new(&doomed);
+        let cracked = self.columns.iter().filter(|((name, _), _)| name == table);
+        cracked.for_each(|(_, col)| col.compact_renumber(&renumbering));
+        Ok(())
+    }
+
+    /// Drop a base table together with its cracked copies, tombstones and
+    /// lineage root. Refused while durability is
     /// attached: a redo record naming the dropped table would make
     /// [`recover`](Self::recover) fail with `UnknownTable`.
     pub fn drop_table(&mut self, table: &str) -> EngineResult<()> {
@@ -746,6 +829,7 @@ impl AdaptiveDb {
         }
         self.catalog.drop_table(table)?;
         self.roots.remove(table);
+        self.tombstones.remove(table);
         self.columns.retain(|(t, _), _| t != table);
         Ok(())
     }
@@ -773,15 +857,21 @@ impl AdaptiveDb {
         crate::exec::morsel::morsel_select_oids(col, pred, workers, gate, governor)
     }
 
-    /// Attach a durability directory: take an initial checkpoint of the
-    /// current state into `dir` and start redo-logging staged updates with
-    /// the given group-commit interval (`1` = every update fsync'd before
-    /// it applies). Returns the committed epoch. See `PERSISTENCE.md`.
+    /// Attach a durability directory: fold every table's tombstones (see
+    /// [`delete_rows`](Self::delete_rows)), take an initial checkpoint of
+    /// the current state into `dir` and start redo-logging staged updates
+    /// with the given group-commit interval (`1` = every update fsync'd
+    /// before it applies). Returns the committed epoch. See
+    /// `PERSISTENCE.md`.
     pub fn attach_durability(
         &mut self,
         dir: impl AsRef<Path>,
         group_commit: usize,
     ) -> EngineResult<u64> {
+        let tables: Vec<String> = self.tombstones.keys().cloned().collect();
+        for table in tables {
+            self.fold(&table)?;
+        }
         let mut store = CheckpointStore::open(dir.as_ref())?;
         let (manifest, origins) = self.write_checkpoint(&mut store, &HashMap::new())?;
         let epoch = manifest.epoch;
@@ -1114,6 +1204,13 @@ impl AdaptiveDb {
         }
         acc
     }
+}
+
+/// The members of `set`, ascending.
+fn sorted(set: &OidSet) -> Vec<u32> {
+    let mut oids: Vec<u32> = set.iter().collect();
+    oids.sort_unstable();
+    oids
 }
 
 /// Overwrite a `(table, column)` key in place, keeping its buffers.
@@ -2107,5 +2204,205 @@ mod tests {
         assert_eq!(s.queries, 2);
         assert!(s.cracks >= 2);
         assert!(s.tuples_touched >= 200);
+    }
+
+    /// Rows of the `w(k, a)` table [`wide`] registers: row `i` holds
+    /// `k = i % 7` and `a = (i * 7919) % n`, so `a` is a permutation.
+    fn wide_row(i: u32, n: u32) -> (i64, i64) {
+        (
+            i64::from(i % 7),
+            (u64::from(i) * 7_919 % u64::from(n)) as i64,
+        )
+    }
+
+    /// [`db_in`] plus a table `w` of `n` rows (see [`wide_row`]), whose
+    /// `a` is cracked by a few ranges.
+    fn wide(mode: ConcurrencyMode, n: u32) -> AdaptiveDb {
+        let mut db = db_in(mode);
+        let (k, a) = (0..n).map(|i| wide_row(i, n)).unzip();
+        db.register(Table::from_int_columns("w", vec![("k", k), ("a", a)]).unwrap())
+            .unwrap();
+        for lo in [100, 2_000, 4_000] {
+            cracked_oids(&mut db, "w", "a", RangePred::between(lo, lo + 500));
+        }
+        db
+    }
+
+    /// The live rows of `w` as `oid → (k, a)`.
+    type WideModel = BTreeMap<u32, (i64, i64)>;
+
+    /// Every answer over `w` the database gives agrees with `model`: the
+    /// cracked copies of `a` and `k` (the first call touches `k` first), a
+    /// conjunction, the whole-table select, the live-row count and a join
+    /// with `s`.
+    fn check_wide(db: &mut AdaptiveDb, model: &WideModel, what: &str) {
+        let a: BTreeMap<u32, i64> = model.iter().map(|(&o, &(_, a))| (o, a)).collect();
+        for pred in [RangePred::between(150, 420), RangePred::ge(0)] {
+            assert_eq!(
+                cracked_oids(db, "w", "a", pred),
+                model_oids(&a, pred),
+                "{what}"
+            );
+        }
+        let k: BTreeMap<u32, i64> = model.iter().map(|(&o, &(k, _))| (o, k)).collect();
+        let low = RangePred::lt(5);
+        assert_eq!(
+            cracked_oids(db, "w", "k", low),
+            model_oids(&k, low),
+            "{what}"
+        );
+        let both = [("a", RangePred::lt(3_000)), ("k", RangePred::eq(3))];
+        let want: Vec<u32> = (model.iter())
+            .filter(|(_, &(k, a))| k == 3 && a < 3_000)
+            .map(|(&oid, _)| oid)
+            .collect();
+        assert_eq!(db.select_conjunctive("w", &both).unwrap(), want, "{what}");
+        let all: Vec<u32> = model.keys().copied().collect();
+        assert_eq!(db.select_conjunctive("w", &[]).unwrap(), all, "{what}");
+        assert_eq!(db.live_rows("w").unwrap(), model.len(), "{what}");
+        // `s.k` holds 0..5, each four times.
+        let pairs = model.values().filter(|&&(k, _)| k < 5).count() * 4;
+        assert_eq!(db.join("w", "k", "s", "k").unwrap().len(), pairs, "{what}");
+    }
+
+    /// `model` after a fold removed `doomed`: survivors renumbered densely.
+    fn folded(model: &WideModel, doomed: &[u32]) -> WideModel {
+        let renumbering = Renumbering::new(doomed);
+        (model.iter())
+            .filter_map(|(&oid, &row)| Some((renumbering.map(oid)?, row)))
+            .collect()
+    }
+
+    #[test]
+    fn deferred_delete_folds_at_a_sixty_fourth_of_the_table() {
+        let n = 6_400u32;
+        let trigger = n as usize / STAGE_SHARE;
+        for mode in MODES {
+            let mut db = wide(mode, n);
+            let mut model: WideModel = (0..n).map(|i| (i, wide_row(i, n))).collect();
+            let pieces = |db: &AdaptiveDb| db.cracked_column("w", "a").unwrap().piece_count();
+            check_wide(&mut db, &model, "fresh");
+            let before = pieces(&db);
+            // One short of len / 64: the rows stay in the base as
+            // tombstones, and nothing is renumbered.
+            let doomed: Vec<u32> = (0..trigger as u32 - 1).map(|i| i * 61).collect();
+            assert_eq!(db.delete_rows("w", &doomed).unwrap(), trigger - 1);
+            assert_eq!(
+                db.delete_rows("w", &doomed[..3]).unwrap(),
+                0,
+                "already gone"
+            );
+            for oid in &doomed {
+                model.remove(oid);
+            }
+            assert_eq!(db.catalog().table("w").unwrap().len(), n as usize);
+            check_wide(&mut db, &model, "deferred");
+            assert_eq!(pieces(&db), before, "{mode:?}");
+            // The len / 64-th tombstone folds all of them.
+            assert_eq!(db.delete_rows("w", &[n - 1]).unwrap(), 1);
+            model.remove(&(n - 1));
+            let mut all = doomed;
+            all.push(n - 1);
+            let mut model = folded(&model, &all);
+            assert_eq!(db.catalog().table("w").unwrap().len(), n as usize - trigger);
+            check_wide(&mut db, &model, "folded");
+            assert_eq!(pieces(&db), before, "{mode:?}: every boundary stays");
+            // A GROUP BY copies the base columns whole: it folds first.
+            let doomed: Vec<u32> = (0..10).map(|i| i * 3).collect();
+            db.delete_rows("w", &doomed).unwrap();
+            for oid in &doomed {
+                model.remove(oid);
+            }
+            let counts = db.group_aggregate("w", "k", AggFunc::Count, None).unwrap();
+            let model = folded(&model, &doomed);
+            let mut want: BTreeMap<i64, i64> = BTreeMap::new();
+            model
+                .values()
+                .for_each(|&(k, _)| *want.entry(k).or_default() += 1);
+            assert_eq!(counts, want.into_iter().collect::<Vec<_>>(), "{mode:?}");
+            assert_eq!(db.catalog().table("w").unwrap().len(), model.len());
+            check_wide(&mut db, &model, "grouped");
+        }
+    }
+
+    #[test]
+    fn deferred_delete_folds_before_attaching_durability() {
+        let dir = std::env::temp_dir().join(format!("dbcracker-db-fold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let n = 6_400u32;
+        let mut db = wide(ConcurrencyMode::default(), n);
+        let doomed: Vec<u32> = (0..10).map(|i| i * 500).collect();
+        db.delete_rows("w", &doomed).unwrap();
+        assert_eq!(db.catalog().table("w").unwrap().len(), n as usize);
+        db.attach_durability(&dir, 1).unwrap();
+        assert_eq!(db.catalog().table("w").unwrap().len(), n as usize - 10);
+        let model: WideModel = (0..n).map(|i| (i, wide_row(i, n))).collect();
+        let mut model = folded(&model, &doomed);
+        check_wide(&mut db, &model, "attached");
+        db.stage_insert("w", "a", n - 10, -1).unwrap();
+        drop(db);
+        let mut db = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1).unwrap();
+        assert_eq!(db.catalog().table("w").unwrap().len(), n as usize - 10);
+        model.insert(n - 10, (0, -1));
+        let a: BTreeMap<u32, i64> = model.iter().map(|(&o, &(_, a))| (o, a)).collect();
+        let want = model_oids(&a, RangePred::ge(-1));
+        assert_eq!(cracked_oids(&mut db, "w", "a", RangePred::ge(-1)), want);
+        // The staged row is the cracked copy's alone: the base has n - 10.
+        assert_eq!(
+            db.select_conjunctive("w", &[]).unwrap().len(),
+            model.len() - 1
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deferred_delete_forgets_a_dropped_table() {
+        let n = 6_400u32;
+        let mut db = wide(ConcurrencyMode::default(), n);
+        db.delete_rows("w", &[1, 2, 3]).unwrap();
+        assert_eq!(db.live_rows("w").unwrap(), n as usize - 3);
+        db.drop_table("w").unwrap();
+        assert!(db.live_rows("w").is_err());
+        let (k, a) = (0..n).map(|i| wide_row(i, n)).unzip();
+        db.register(Table::from_int_columns("w", vec![("k", k), ("a", a)]).unwrap())
+            .unwrap();
+        let model: WideModel = (0..n).map(|i| (i, wide_row(i, n))).collect();
+        check_wide(&mut db, &model, "re-registered");
+    }
+
+    #[test]
+    fn deferred_delete_reaches_an_insert_restaged_under_a_new_value() {
+        let n = 6_400u32;
+        for mode in MODES {
+            let mut db = wide(mode, n);
+            let mut model: WideModel = (0..n).map(|i| (i, wide_row(i, n))).collect();
+            // OID 5 is staged again under a value far from its own, with
+            // no delete; OID 7 is updated (a delete, then an insert).
+            db.stage_insert("w", "a", 5, 9_000).unwrap();
+            assert!(db.stage_delete("w", "a", 7).unwrap());
+            db.stage_insert("w", "a", 7, 9_001).unwrap();
+            assert_eq!(
+                cracked_oids(&mut db, "w", "a", RangePred::ge(9_000)),
+                [5, 7]
+            );
+            assert_eq!(db.delete_rows("w", &[5, 7]).unwrap(), 2);
+            model.remove(&5);
+            model.remove(&7);
+            assert_eq!(db.catalog().table("w").unwrap().len(), n as usize);
+            assert!(cracked_oids(&mut db, "w", "a", RangePred::ge(9_000)).is_empty());
+            check_wide(&mut db, &model, "staged");
+            db.cracked_column("w", "a").unwrap().merge_pending();
+            assert!(cracked_oids(&mut db, "w", "a", RangePred::ge(9_000)).is_empty());
+            check_wide(&mut db, &model, "merged");
+            let rest: Vec<u32> = (100..200).collect();
+            db.delete_rows("w", &rest).unwrap();
+            for oid in &rest {
+                model.remove(oid);
+            }
+            let mut all = rest;
+            all.extend([5, 7]);
+            all.sort_unstable();
+            check_wide(&mut db, &folded(&model, &all), "folded");
+        }
     }
 }

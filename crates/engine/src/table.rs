@@ -75,7 +75,11 @@ impl Table {
         &self.schema
     }
 
-    /// Cardinality.
+    /// The size of the OID space: every row the columns hold. Under an
+    /// [`AdaptiveDb`](crate::AdaptiveDb) that includes the rows a
+    /// `DELETE` has tombstoned and no fold has compacted yet;
+    /// [`AdaptiveDb::live_rows`](crate::AdaptiveDb::live_rows) counts
+    /// the rows a query can see.
     pub fn len(&self) -> usize {
         self.columns.first().map_or(0, |b| b.len())
     }

@@ -32,9 +32,11 @@
 //! paper's open update question only where it must. `INSERT` grows the
 //! table's base columns in place (an append, no copy, no other table
 //! touched) and stages the new rows into the table's cracked copies,
-//! which stay warm; `DELETE` compacts the table's base
-//! columns (OIDs stay dense) and compacts and renumbers *that table's*
-//! cracked copies in place, so they stay warm too, every boundary kept;
+//! which stay warm; `DELETE` leaves the rows in the base as tombstones
+//! and stages them as deletes in *that table's* cracked copies, so they
+//! stay warm too; once a table's tombstones reach `len / 64` the base is
+//! compacted (OIDs dense again) and the copies compacted and renumbered
+//! in place, every boundary kept (`AdaptiveDb::delete_rows`);
 //! `CREATE`/`DROP` register and remove one table. No statement
 //! touches another table's cracked state, and every statement is
 //! validated before it changes anything.
@@ -319,8 +321,14 @@ impl SqlSession {
 
     /// An empty session with an explicit cracker configuration.
     pub fn with_config(config: CrackerConfig) -> Self {
+        Self::with_db(AdaptiveDb::with_config(config))
+    }
+
+    /// A session over an existing database: its tables, cracked copies,
+    /// configuration and concurrency mode.
+    pub fn with_db(db: AdaptiveDb) -> Self {
         SqlSession {
-            db: AdaptiveDb::with_config(config),
+            db,
             cache: PlanCache::default(),
             bound: Vec::new(),
         }

@@ -21,8 +21,8 @@
 //!   [`engine::AdaptiveDb`], which is the only owner of table data: every
 //!   `SELECT` leaves the store better partitioned for the next, and
 //!   DDL/DML mutates the database in place (an `INSERT` keeps the table's
-//!   cracked columns warm, and so does a `DELETE`, which compacts and
-//!   renumbers them in place).
+//!   cracked columns warm, and so does a `DELETE`, which stages its rows
+//!   as deletes and compacts and renumbers once per `len / 64` of them).
 //!   A column has one cracked copy, the database's latched
 //!   `ConcurrentColumn`, so a statement and a worker thread holding
 //!   `AdaptiveDb::shared_cracker`'s handle see the same piece map.

@@ -60,13 +60,13 @@ fn main() {
         match trimmed {
             "\\q" => break,
             "\\d" => {
-                let catalog = session.adaptive().catalog();
-                for name in catalog.names() {
-                    let t = catalog.table(name).expect("listed");
+                let db = session.adaptive();
+                for name in db.catalog().names() {
+                    let t = db.catalog().table(name).expect("listed");
                     println!(
                         "{name}({}) — {} rows",
                         t.schema().names().join(", "),
-                        t.len()
+                        db.live_rows(name).expect("listed")
                     );
                 }
                 continue;
