@@ -1,9 +1,7 @@
-//! Ablations over the cracker design knobs: crack-in-three vs. two
-//! successive crack-in-twos, the cut-off granule, the piece-budget fusion
-//! policies, and the kernel axis — the scalar and SIMD kernels across
-//! cold-crack (including memory-spanning 1M- and 2M-tuple shapes, the
-//! vector kernels' home turf), crack_select-shaped, and scenario_mix-shaped
-//! workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
+//! Ablations over the cracker design knobs: the cut-off granule and the
+//! kernel axis — the scalar and SIMD kernels across cold-crack (including
+//! memory-spanning 1M- and 2M-tuple shapes, the vector kernels' home
+//! turf), crack_select-shaped, and scenario_mix-shaped workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
 //! measures the scalar loops a second time. The `ablation_merge` legs time
 //! one update merge of staged inserts or staged deletes, and base-table
 //! deletes: 50 rows, which stage tombstones in every cracked copy, and
@@ -16,9 +14,7 @@
 //! a smoke test; pass `--json` to record medians as `BENCH_ablation.json`
 //! (see the bench harness).
 
-use cracker_core::{
-    CrackMode, CrackerColumn, CrackerConfig, FusionPolicy, KernelPolicy, RangePred,
-};
+use cracker_core::{CrackerColumn, CrackerConfig, KernelPolicy, RangePred};
 use criterion::{criterion_group, BatchSize, BenchmarkId, Criterion};
 use engine::{AdaptiveDb, CrackEngine, OutputMode, QueryEngine, RangeQuery, Table};
 use std::hint::black_box;
@@ -63,22 +59,6 @@ const KERNELS: [(&str, KernelPolicy); 2] = [
     ("simd", KernelPolicy::Auto),
 ];
 
-/// Crack-in-three (single pass) vs. two crack-in-twos per range query.
-fn crack_mode(c: &mut Criterion) {
-    let vals = column();
-    let seq = sequence();
-    let mut g = c.benchmark_group("ablation_crack_mode");
-    g.sample_size(10);
-    for (label, mode) in [
-        ("three_way", CrackMode::ThreeWay),
-        ("two_way", CrackMode::TwoWay),
-    ] {
-        let cfg = CrackerConfig::new().with_mode(mode);
-        g.bench_function(label, |b| b.iter(|| run_sequence(cfg, &vals, &seq)));
-    }
-    g.finish();
-}
-
 /// Cut-off granule sweep: the "disk-blocks" cut-off of §3.4.2. Large
 /// cut-offs trade cracking writes for residual edge scans.
 fn cutoff(c: &mut Criterion) {
@@ -91,23 +71,6 @@ fn cutoff(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(cut), &cfg, |b, &cfg| {
             b.iter(|| run_sequence(cfg, &vals, &seq))
         });
-    }
-    g.finish();
-}
-
-/// Fusion policies under a tight piece budget: the §3.2 open question.
-fn fusion(c: &mut Criterion) {
-    let vals = column();
-    let seq = sequence();
-    let mut g = c.benchmark_group("ablation_fusion");
-    g.sample_size(10);
-    for (label, policy) in [
-        ("smallest_pair", FusionPolicy::SmallestPair),
-        ("lru", FusionPolicy::LeastRecentlyUsed),
-        ("most_balanced", FusionPolicy::MostBalanced),
-    ] {
-        let cfg = CrackerConfig::new().with_max_pieces(16).with_fusion(policy);
-        g.bench_function(label, |b| b.iter(|| run_sequence(cfg, &vals, &seq)));
     }
     g.finish();
 }
@@ -541,9 +504,7 @@ fn materialize<S: Scenario>(mut s: S) -> (Vec<i64>, Vec<Op>) {
 
 criterion_group!(
     benches,
-    crack_mode,
     cutoff,
-    fusion,
     kernel_cold_crack,
     kernel_cold_crack_two,
     kernel_cold_crack_two_large,

@@ -2,7 +2,8 @@
 //! grows. §3.2 worries that "at some point, cracking is completely
 //! overshadowed by cracker index maintenance overhead" — this bench
 //! measures where navigation cost actually sits (`O(log p)` ordered-map
-//! probes) and what fusion budgets buy.
+//! probes, read-only on an exact boundary hit) and what a fresh boundary
+//! costs as the pieces shrink.
 
 use cracker_core::{CrackerColumn, RangePred};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -42,7 +42,7 @@ fn main() {
             n as i64 + 1,
             P2pConfig {
                 migrate_after,
-                max_pieces_per_node: 512,
+                piece_budget_per_node: 512,
             },
         );
         let stripe = (n as i64 + nodes as i64 - 1) / nodes as i64;

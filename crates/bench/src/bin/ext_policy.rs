@@ -45,7 +45,7 @@ fn main() {
             switch_at_pieces: 128,
             late_granule: n / 256,
         },
-        CrackPolicy::PieceBudget { max_pieces: 128 },
+        CrackPolicy::PieceBudget { limit: 128 },
     ];
 
     println!("# Cracking-optimizer ablation (N={n}, k={k} strolling queries @0.5%)");

@@ -9,22 +9,19 @@
 //! range — retrieval cost for repeat visitors "of a nearly completely
 //! indexed table" (§5.2).
 //!
-//! Two practical departures from the idealized algorithm, both from the
-//! paper's own discussion, are configurable through
-//! `CrackerConfig`:
-//!
-//! * **cut-off granule** (`min_piece_size`): pieces at or below this size
-//!   are never cracked; residual filtering scans inside the border piece
-//!   and reports matching slots as `edges`.
-//! * **piece budget** (`max_pieces` + fusion policy): boundaries are fused
-//!   away (index trimming — data stays put) when the index grows too large.
+//! A select cracks in three when both bounds are new and fall in one
+//! piece (§3.1's second version), and in two per bound otherwise. One
+//! practical departure from the idealized algorithm, from the paper's own
+//! discussion, is configurable through `CrackerConfig`: the **cut-off
+//! granule** (`min_piece_size`). Pieces at or below this size are never
+//! cracked; residual filtering scans inside the border piece and reports
+//! matching slots as `edges`.
 
 use crate::config::CrackerConfig;
 use crate::crack::BoundaryKey;
 use crate::index::CrackerIndex;
 use crate::kernel::CrackKernel;
 use crate::pred::RangePred;
-use crate::sorted::SortedPieces;
 use crate::stats::CrackStats;
 use crate::updates::{MergeJournal, PendingUpdates};
 use crate::value_trait::CrackValue;
@@ -105,7 +102,6 @@ pub struct CrackerColumn<T> {
     /// The kernel the hot loops run, resolved once from `config.kernel`.
     kernel: CrackKernel,
     stats: CrackStats,
-    sorted: SortedPieces,
     pub(crate) pending: PendingUpdates<T>,
     /// What the merges folded in since the last full checkpoint; `None`
     /// while no durability layer asks for it.
@@ -133,7 +129,6 @@ impl<T: CrackValue> CrackerColumn<T> {
             kernel: config.kernel.resolve(),
             config,
             stats: CrackStats::default(),
-            sorted: SortedPieces::new(),
             pending: PendingUpdates::new(),
             journal: None,
             panic_after: None,
@@ -155,7 +150,6 @@ impl<T: CrackValue> CrackerColumn<T> {
             kernel: config.kernel.resolve(),
             config,
             stats: CrackStats::default(),
-            sorted: SortedPieces::new(),
             pending: PendingUpdates::new(),
             journal: None,
             panic_after: None,
@@ -229,14 +223,6 @@ impl<T: CrackValue> CrackerColumn<T> {
         (&mut self.vals, &mut self.oids, &mut self.index)
     }
 
-    pub(crate) fn sorted_ref(&self) -> &SortedPieces {
-        &self.sorted
-    }
-
-    pub(crate) fn sorted_mut(&mut self) -> &mut SortedPieces {
-        &mut self.sorted
-    }
-
     /// True when inserts or deletes are staged but not yet merged into
     /// the cracked area. While this holds, the cracked copy's answers can
     /// differ from the base column it was cloned from, so derived fast
@@ -267,7 +253,7 @@ impl<T: CrackValue> CrackerColumn<T> {
                 } else {
                     BoundaryKey::le(b.value)
                 };
-                self.index.peek(key)?
+                self.index.position(key)?
             }
         };
         let end = match pred.high {
@@ -278,7 +264,7 @@ impl<T: CrackValue> CrackerColumn<T> {
                 } else {
                     BoundaryKey::lt(b.value)
                 };
-                self.index.peek(key)?
+                self.index.position(key)?
             }
         };
         Some(Selection {
@@ -332,7 +318,6 @@ impl<T: CrackValue> CrackerColumn<T> {
             }
         }
         self.stats.queries += 1;
-        self.index.next_tick();
         if self.merge_due() {
             self.merge_pending();
         }
@@ -349,7 +334,6 @@ impl<T: CrackValue> CrackerColumn<T> {
                     .retain(|&p| !self.pending.is_deleted(self.oids[p]));
             }
         }
-        self.enforce_piece_budget();
         Some(sel)
     }
 
@@ -461,17 +445,10 @@ impl<T: CrackValue> CrackerColumn<T> {
         // Crack-in-three: both boundaries are new and land in
         // the same virgin piece.
         if let (Some(k1), Some(k2)) = (start_key, end_key) {
-            if self.config.mode == crate::config::CrackMode::ThreeWay
-                && self.index.lookup(k1).is_none()
-                && self.index.lookup(k2).is_none()
-            {
+            if self.index.position(k1).is_none() && self.index.position(k2).is_none() {
                 let piece1 = self.index.enclosing_piece(k1);
                 let piece2 = self.index.enclosing_piece(k2);
-                if piece1 == piece2
-                    && piece1.len() > self.config.min_piece_size
-                    && !self.sorted.contains(piece1.start)
-                    && (self.config.sort_below == 0 || piece1.len() > self.config.sort_below)
-                {
+                if piece1 == piece2 && piece1.len() > self.config.min_piece_size {
                     self.panic_tick();
                     let (p1, p2) = self.kernel.crack_three(
                         &mut self.vals,
@@ -572,27 +549,12 @@ impl<T: CrackValue> CrackerColumn<T> {
 
     /// Find (or create by cracking) the split position for `key`.
     fn resolve_boundary(&mut self, key: BoundaryKey<T>) -> Resolved {
-        if let Some(pos) = self.index.lookup(key) {
+        if let Some(pos) = self.index.position(key) {
             return Resolved::Exact(pos);
         }
-        let mut piece = self.index.enclosing_piece(key);
+        let piece = self.index.enclosing_piece(key);
         if piece.len() <= self.config.min_piece_size {
             return Resolved::CutOff(piece);
-        }
-        // Known-sorted piece: split by binary search, zero moves.
-        if let Some(pos) = self.resolve_in_sorted(key, piece.clone()) {
-            return Resolved::Exact(pos);
-        }
-        // Auto-refinement: once cracking has whittled a piece below the
-        // sort threshold, sort it once and binary-search forever after.
-        if self.config.sort_below > 0 && piece.len() <= self.config.sort_below {
-            self.sort_piece_range(piece.clone());
-            self.stats.cracks += 1;
-            piece = self.index.enclosing_piece(key);
-            if let Some(pos) = self.resolve_in_sorted(key, piece) {
-                return Resolved::Exact(pos);
-            }
-            unreachable!("piece was just sorted");
         }
         self.panic_tick();
         let pos = self.kernel.crack_two(
@@ -614,11 +576,10 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// boundary this way; the position it lands at depends only on the
     /// piece's values, never on their order.
     pub(crate) fn crack_at(&mut self, key: BoundaryKey<T>) {
-        if self.index.peek(key).is_some() {
+        if self.index.position(key).is_some() {
             return;
         }
         let piece = self.index.enclosing_piece(key);
-        self.sorted.remove(piece.start);
         let pos = self.kernel.crack_two(
             &mut self.vals,
             &mut self.oids,
@@ -675,9 +636,9 @@ impl<T: CrackValue> CrackerColumn<T> {
     }
 
     /// Validate the piece map in `O(n + p)` and, when it no longer
-    /// describes the value array, **discard all crack state** — boundary
-    /// index and sorted-piece marks — degrading the column to a single
-    /// cold virgin piece. Returns whether a rebuild happened.
+    /// describes the value array, **discard all crack state** (the
+    /// boundary index), degrading the column to a single cold virgin
+    /// piece. Returns whether a rebuild happened.
     ///
     /// This is the panic-containment repair: a kernel that died
     /// mid-reorganization can leave moves the index does not describe,
@@ -690,7 +651,6 @@ impl<T: CrackValue> CrackerColumn<T> {
             return false;
         }
         self.index = CrackerIndex::new(self.vals.len());
-        self.sorted = SortedPieces::new();
         true
     }
 
@@ -729,7 +689,6 @@ impl<T: CrackValue> CrackerColumn<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CrackMode;
     use proptest::prelude::*;
 
     fn col(vals: Vec<i64>) -> CrackerColumn<i64> {
@@ -831,19 +790,6 @@ mod tests {
         let mut got: Vec<i64> = oids.iter().map(|&o| orig[o as usize]).collect();
         got.sort_unstable();
         assert_eq!(got, vec![20, 30]);
-    }
-
-    #[test]
-    fn two_way_mode_needs_two_cracks_for_a_range() {
-        let mut c = CrackerColumn::with_config(
-            (0..100).rev().collect(),
-            CrackerConfig::new().with_mode(CrackMode::TwoWay),
-        );
-        let sel = c.select(RangePred::between(10, 20));
-        assert_eq!(sel.count(), 11);
-        assert_eq!(c.stats().cracks, 2);
-        assert_eq!(c.piece_count(), 3);
-        c.validate().unwrap();
     }
 
     #[test]
@@ -998,12 +944,9 @@ mod tests {
                 (-120i64..120, -120i64..120, proptest::bool::ANY, proptest::bool::ANY),
                 1..25
             ),
-            mode in proptest::bool::ANY,
             cutoff in 1usize..64,
         ) {
-            let cfg = CrackerConfig::new()
-                .with_mode(if mode { CrackMode::ThreeWay } else { CrackMode::TwoWay })
-                .with_min_piece_size(cutoff);
+            let cfg = CrackerConfig::new().with_min_piece_size(cutoff);
             let mut c = CrackerColumn::with_config(orig.clone(), cfg);
             for (a, b, inc_lo, inc_hi) in queries {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };

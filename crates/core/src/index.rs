@@ -8,23 +8,11 @@
 //! index. Piece size falls out of adjacent positions; piece value bounds
 //! fall out of adjacent keys; navigation is an `O(log p)` ordered-map
 //! lookup.
-//!
-//! The decoration per boundary is a recency tick, which the LRU fusion
-//! policy uses ([`crate::fuse`]).
 
 use crate::crack::BoundaryKey;
 use crate::value_trait::CrackValue;
 use std::collections::BTreeMap;
 use std::ops::Range;
-
-/// Per-boundary decoration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundaryInfo {
-    /// Split position: elements before `pos` are "before" the key.
-    pub pos: usize,
-    /// Logical timestamp of the last query that used this boundary.
-    pub last_used: u64,
-}
 
 /// One piece as reported by [`CrackerIndex::pieces`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,12 +39,13 @@ impl<T> Piece<T> {
     }
 }
 
-/// Ordered map of crack boundaries over a column of `n` slots.
+/// Ordered map of crack boundaries over a column of `n` slots: each key
+/// maps to its split position (slots before it hold the values "before"
+/// the key).
 #[derive(Debug, Clone, Default)]
 pub struct CrackerIndex<T> {
-    bounds: BTreeMap<BoundaryKey<T>, BoundaryInfo>,
+    bounds: BTreeMap<BoundaryKey<T>, usize>,
     n: usize,
-    tick: u64,
 }
 
 impl<T: CrackValue> CrackerIndex<T> {
@@ -65,7 +54,6 @@ impl<T: CrackValue> CrackerIndex<T> {
         CrackerIndex {
             bounds: BTreeMap::new(),
             n,
-            tick: 0,
         }
     }
 
@@ -75,13 +63,13 @@ impl<T: CrackValue> CrackerIndex<T> {
     }
 
     /// Rewrite every boundary position and the slot count in one sweep —
-    /// the update merge's relayout, which keeps every key and its recency.
+    /// the update merge's relayout, which keeps every key.
     /// `ends` holds each piece's end slot in slot order: one per boundary,
     /// then the new slot count.
     pub fn set_piece_ends(&mut self, ends: &[usize]) {
         debug_assert_eq!(ends.len(), self.piece_count(), "one end per piece");
-        for (info, &end) in self.bounds.values_mut().zip(ends) {
-            info.pos = end;
+        for (pos, &end) in self.bounds.values_mut().zip(ends) {
+            *pos = end;
         }
         self.n = ends.last().copied().unwrap_or(0);
     }
@@ -96,25 +84,9 @@ impl<T: CrackValue> CrackerIndex<T> {
         self.bounds.len() + 1
     }
 
-    /// Advance and return the logical clock (one tick per query).
-    pub fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Position for `key` if this exact boundary exists. Refreshes its
-    /// recency.
-    pub fn lookup(&mut self, key: BoundaryKey<T>) -> Option<usize> {
-        let tick = self.tick;
-        self.bounds.get_mut(&key).map(|info| {
-            info.last_used = tick;
-            info.pos
-        })
-    }
-
-    /// Position for `key` without touching recency (read-only probes).
-    pub fn peek(&self, key: BoundaryKey<T>) -> Option<usize> {
-        self.bounds.get(&key).map(|info| info.pos)
+    /// Position for `key` if this exact boundary exists.
+    pub fn position(&self, key: BoundaryKey<T>) -> Option<usize> {
+        self.bounds.get(&key).copied()
     }
 
     /// The unbroken slot range within which the boundary `key` would fall:
@@ -124,14 +96,12 @@ impl<T: CrackValue> CrackerIndex<T> {
             .bounds
             .range(..key)
             .next_back()
-            .map(|(_, info)| info.pos)
-            .unwrap_or(0);
+            .map_or(0, |(_, &pos)| pos);
         let hi = self
             .bounds
             .range(key..)
             .next()
-            .map(|(_, info)| info.pos)
-            .unwrap_or(self.n);
+            .map_or(self.n, |(_, &pos)| pos);
         lo..hi
     }
 
@@ -145,14 +115,7 @@ impl<T: CrackValue> CrackerIndex<T> {
                 || self.enclosing_piece(key).end == pos,
             "boundary position must fall inside its enclosing piece"
         );
-        let tick = self.tick;
-        self.bounds.insert(
-            key,
-            BoundaryInfo {
-                pos,
-                last_used: tick,
-            },
-        );
+        self.bounds.insert(key, pos);
     }
 
     /// Set a boundary position unconditionally, bypassing the containment
@@ -161,27 +124,18 @@ impl<T: CrackValue> CrackerIndex<T> {
     /// caller must restore full consistency before the next query;
     /// [`CrackerIndex::validate`] checks it in tests.
     pub fn set_position(&mut self, key: BoundaryKey<T>, pos: usize) {
-        let tick = self.tick;
-        self.bounds
-            .entry(key)
-            .and_modify(|info| info.pos = pos)
-            .or_insert(BoundaryInfo {
-                pos,
-                last_used: tick,
-            });
+        self.bounds.insert(key, pos);
     }
 
-    /// Remove a boundary (fusing its two adjacent pieces). Returns the
-    /// removed info. Physically this is all fusion takes: pieces are
-    /// contiguous, so dropping the boundary re-forms the union in place.
-    pub fn remove(&mut self, key: &BoundaryKey<T>) -> Option<BoundaryInfo> {
+    /// Remove a boundary, joining its two adjacent pieces. Returns the
+    /// removed position. No tuple moves: pieces are contiguous, so
+    /// dropping the boundary re-forms the union in place.
+    pub fn remove(&mut self, key: &BoundaryKey<T>) -> Option<usize> {
         self.bounds.remove(key)
     }
 
-    /// Iterate boundaries in key order.
-    pub fn boundaries(
-        &self,
-    ) -> impl ExactSizeIterator<Item = (&BoundaryKey<T>, &BoundaryInfo)> + Clone {
+    /// Iterate `(key, position)` pairs in key order.
+    pub fn boundaries(&self) -> impl ExactSizeIterator<Item = (&BoundaryKey<T>, &usize)> + Clone {
         self.bounds.iter()
     }
 
@@ -190,14 +144,14 @@ impl<T: CrackValue> CrackerIndex<T> {
         let mut out = Vec::with_capacity(self.bounds.len() + 1);
         let mut start = 0usize;
         let mut lower: Option<BoundaryKey<T>> = None;
-        for (&key, info) in &self.bounds {
+        for (&key, &pos) in &self.bounds {
             out.push(Piece {
                 start,
-                end: info.pos,
+                end: pos,
                 lower,
                 upper: Some(key),
             });
-            start = info.pos;
+            start = pos;
             lower = Some(key);
         }
         out.push(Piece {
@@ -224,32 +178,29 @@ impl<T: CrackValue> CrackerIndex<T> {
             ));
         }
         let mut prev_pos = 0usize;
-        for (key, info) in &self.bounds {
-            if info.pos < prev_pos {
+        for (key, &pos) in &self.bounds {
+            if pos < prev_pos {
                 return Err(format!(
-                    "boundary {key:?} at {} violates monotonicity (prev {prev_pos})",
-                    info.pos
+                    "boundary {key:?} at {pos} violates monotonicity (prev {prev_pos})"
                 ));
             }
-            if info.pos > self.n {
-                return Err(format!("boundary {key:?} beyond end: {}", info.pos));
+            if pos > self.n {
+                return Err(format!("boundary {key:?} beyond end: {pos}"));
             }
             for (i, &v) in vals.iter().enumerate() {
                 let before = key.before(v);
-                if i < info.pos && !before {
+                if i < pos && !before {
                     return Err(format!(
-                        "value {v:?} at slot {i} should be before boundary {key:?} (pos {})",
-                        info.pos
+                        "value {v:?} at slot {i} should be before boundary {key:?} (pos {pos})"
                     ));
                 }
-                if i >= info.pos && before {
+                if i >= pos && before {
                     return Err(format!(
-                        "value {v:?} at slot {i} should be after boundary {key:?} (pos {})",
-                        info.pos
+                        "value {v:?} at slot {i} should be after boundary {key:?} (pos {pos})"
                     ));
                 }
             }
-            prev_pos = info.pos;
+            prev_pos = pos;
         }
         Ok(())
     }
@@ -269,17 +220,16 @@ impl<T: CrackValue> CrackerIndex<T> {
             ));
         }
         let mut prev_pos = 0usize;
-        for (key, info) in &self.bounds {
-            if info.pos < prev_pos {
+        for (key, &pos) in &self.bounds {
+            if pos < prev_pos {
                 return Err(format!(
-                    "boundary {key:?} at {} violates monotonicity (prev {prev_pos})",
-                    info.pos
+                    "boundary {key:?} at {pos} violates monotonicity (prev {prev_pos})"
                 ));
             }
-            if info.pos > self.n {
-                return Err(format!("boundary {key:?} beyond end: {}", info.pos));
+            if pos > self.n {
+                return Err(format!("boundary {key:?} beyond end: {pos}"));
             }
-            prev_pos = info.pos;
+            prev_pos = pos;
         }
         for piece in self.pieces() {
             for (i, &v) in vals[piece.start..piece.end].iter().enumerate() {
@@ -333,15 +283,11 @@ mod tests {
     }
 
     #[test]
-    fn lookup_returns_position_and_touches_recency() {
+    fn position_finds_exact_boundaries_only() {
         let mut idx: CrackerIndex<i64> = CrackerIndex::new(10);
         idx.insert(BoundaryKey::lt(5), 4);
-        idx.next_tick();
-        idx.next_tick();
-        assert_eq!(idx.lookup(BoundaryKey::lt(5)), Some(4));
-        let (_, info) = idx.boundaries().next().unwrap();
-        assert_eq!(info.last_used, 2);
-        assert_eq!(idx.lookup(BoundaryKey::le(5)), None);
+        assert_eq!(idx.position(BoundaryKey::lt(5)), Some(4));
+        assert_eq!(idx.position(BoundaryKey::le(5)), None);
     }
 
     #[test]
@@ -349,8 +295,8 @@ mod tests {
         let mut idx: CrackerIndex<i64> = CrackerIndex::new(10);
         idx.insert(BoundaryKey::lt(5), 3);
         idx.insert(BoundaryKey::le(5), 6);
-        assert_eq!(idx.peek(BoundaryKey::lt(5)), Some(3));
-        assert_eq!(idx.peek(BoundaryKey::le(5)), Some(6));
+        assert_eq!(idx.position(BoundaryKey::lt(5)), Some(3));
+        assert_eq!(idx.position(BoundaryKey::le(5)), Some(6));
         // The middle piece holds exactly the values equal to 5.
         let pieces = idx.pieces();
         assert_eq!(pieces.len(), 3);
@@ -412,19 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn set_piece_ends_moves_boundaries_and_keeps_recency() {
+    fn set_piece_ends_moves_boundaries() {
         let mut idx: CrackerIndex<i64> = CrackerIndex::new(4);
         idx.insert(BoundaryKey::lt(10), 2);
-        idx.next_tick();
         idx.insert(BoundaryKey::lt(20), 3);
         // Column grew: two more small values arrived (already clustered).
         let vals = vec![1i64, 5, 7, 9, 15, 20];
         idx.set_piece_ends(&[4, 5, 6]);
         assert_eq!(idx.slots(), 6);
-        assert_eq!(idx.peek(BoundaryKey::lt(10)), Some(4));
-        assert_eq!(idx.peek(BoundaryKey::lt(20)), Some(5));
-        let ticks: Vec<u64> = idx.boundaries().map(|(_, i)| i.last_used).collect();
-        assert_eq!(ticks, vec![0, 1], "a relayout is not a use");
+        assert_eq!(idx.position(BoundaryKey::lt(10)), Some(4));
+        assert_eq!(idx.position(BoundaryKey::lt(20)), Some(5));
         assert!(idx.validate(&vals).is_ok());
     }
 

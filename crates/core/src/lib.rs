@@ -31,17 +31,13 @@
 //! ## The cracker index (§3.2, §5.2)
 //!
 //! [`index::CrackerIndex`] is the "decorated interval tree": an ordered map
-//! from boundary values to split positions, decorated with per-piece
-//! statistics and recency. It lives purely in memory and is never
-//! persisted — exactly the paper's prototype, whose indices "are not saved
-//! between sessions".
+//! from boundary values to split positions, from which every piece's size
+//! and value bounds follow. The engine's durability layer checkpoints it
+//! ([`snapshot`]); the paper's prototype kept its indices only for a
+//! session.
 //!
 //! ## Beyond the happy path
 //!
-//! * [`fuse`] — piece-fusion heuristics for when "cracking is completely
-//!   overshadowed by cracker index maintenance overhead" (§3.2): because
-//!   fusion is the inverse of cracking and our pieces are physically
-//!   contiguous, fusing is *index trimming* — no tuple moves.
 //! * [`updates`] — the paper's open question "what are the effects of
 //!   updates on the scheme proposed?": pending insert/delete staging areas
 //!   merged into the cracked store on demand.
@@ -52,7 +48,6 @@ pub mod column;
 pub mod config;
 pub mod crack;
 pub mod export;
-pub mod fuse;
 pub mod group;
 pub mod index;
 pub mod join;
@@ -66,7 +61,6 @@ pub mod sharded;
 pub mod sideways;
 pub(crate) mod simd;
 pub mod snapshot;
-pub mod sorted;
 pub mod stats;
 pub mod stochastic;
 pub mod sync;
@@ -74,7 +68,7 @@ pub mod updates;
 pub mod value_trait;
 
 pub use column::{CrackerColumn, Selection};
-pub use config::{CrackMode, CrackerConfig, FusionPolicy};
+pub use config::CrackerConfig;
 pub use index::CrackerIndex;
 pub use kernel::{simd_supported, CrackKernel, KernelPolicy};
 pub use paged::PagedCracker;

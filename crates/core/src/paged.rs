@@ -87,7 +87,6 @@ impl PagedCracker {
         pred: RangePred<i64>,
     ) -> StorageResult<PagedSelection> {
         self.stats.queries += 1;
-        self.index.next_tick();
         if pred.is_empty_range() || self.col.is_empty() {
             return Ok(PagedSelection {
                 core: 0..0,
@@ -155,7 +154,7 @@ impl PagedCracker {
         pool: &mut BufferPool<S>,
         key: BoundaryKey<i64>,
     ) -> StorageResult<Resolved> {
-        if let Some(pos) = self.index.lookup(key) {
+        if let Some(pos) = self.index.position(key) {
             return Ok(Resolved::Exact(pos));
         }
         let piece = self.index.enclosing_piece(key);

@@ -43,11 +43,10 @@ pub enum CrackPolicy {
         late_granule: usize,
     },
     /// A hard piece budget: once the index holds this many pieces, stop
-    /// producing new ones altogether (contrast with fusion, which
-    /// *repairs* an oversized index instead of preventing it).
+    /// producing new ones altogether.
     PieceBudget {
         /// Maximum number of pieces to ever produce.
-        max_pieces: usize,
+        limit: usize,
     },
 }
 
@@ -81,8 +80,8 @@ impl CrackPolicy {
                     late_granule.max(1)
                 }
             }
-            CrackPolicy::PieceBudget { max_pieces } => {
-                if piece_count < max_pieces {
+            CrackPolicy::PieceBudget { limit } => {
+                if piece_count < limit {
                     1
                 } else {
                     n.max(1)
@@ -165,7 +164,7 @@ mod tests {
             switch_at_pieces: 16,
             late_granule: 256,
         },
-        CrackPolicy::PieceBudget { max_pieces: 16 },
+        CrackPolicy::PieceBudget { limit: 16 },
     ];
 
     #[test]
@@ -182,7 +181,7 @@ mod tests {
         };
         assert_eq!(shift.effective_granule(9, 1000), 1, "eager while small");
         assert_eq!(shift.effective_granule(10, 1000), 200, "chunky once grown");
-        let budget = CrackPolicy::PieceBudget { max_pieces: 4 };
+        let budget = CrackPolicy::PieceBudget { limit: 4 };
         assert_eq!(budget.effective_granule(3, 1000), 1);
         assert_eq!(budget.effective_granule(4, 1000), 1000, "budget reached");
     }
@@ -204,7 +203,7 @@ mod tests {
     fn piece_budget_freezes_the_index() {
         let mut c = PolicyCracker::new(
             (0..10_000).rev().collect(),
-            CrackPolicy::PieceBudget { max_pieces: 8 },
+            CrackPolicy::PieceBudget { limit: 8 },
         );
         for lo in (0..10_000).step_by(500) {
             c.count(RangePred::half_open(lo, lo + 100));

@@ -90,7 +90,6 @@ impl<T: CrackValue> CrackerMap<T> {
     /// slot range whose **tail** values (and OIDs) are contiguous.
     pub fn select(&mut self, pred: RangePred<T>) -> Range<usize> {
         self.stats.queries += 1;
-        self.index.next_tick();
         if pred.is_empty_range() || self.head.is_empty() {
             return 0..0;
         }
@@ -128,7 +127,7 @@ impl<T: CrackValue> CrackerMap<T> {
     /// Find or create the split position for `key` (two-way crack over
     /// all three arrays).
     fn resolve(&mut self, key: BoundaryKey<T>) -> usize {
-        if let Some(pos) = self.index.lookup(key) {
+        if let Some(pos) = self.index.position(key) {
             return pos;
         }
         let piece = self.index.enclosing_piece(key);

@@ -32,9 +32,9 @@
 //! boundary exactly where it records it, and the sharded range invariant
 //! is re-checked ([`ConcurrentColumn::from_parts`]), so a tampered
 //! checkpoint that still passes its checksum fails loudly instead of
-//! yielding a silently wrong column. Recency ticks and cost counters are
-//! deliberately *not* persisted — they restart at zero, which only delays
-//! LRU fusion and resets instrumentation, never answers.
+//! yielding a silently wrong column. Cost counters are deliberately *not*
+//! persisted — they restart at zero, which resets instrumentation, never
+//! answers.
 //!
 //! Records are concrete over `i64` (the engine's cracked-attribute type):
 //! keeping the on-disk schema monomorphic makes the checkpoint format a
@@ -51,7 +51,7 @@ use storage::codec::{self, Reader};
 use storage::{StorageError, StorageResult};
 
 /// One crack boundary as persisted: the [`BoundaryKey`] flattened next to
-/// its split position. Recency is not persisted (see the module doc).
+/// its split position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundaryRecord {
     /// Boundary value.
@@ -157,8 +157,8 @@ impl ColumnSnapshot {
     ///    [`restore`](Self::restore) does, without its overlay (the
     ///    delta's supersedes it);
     /// 2. replay the journaled merges through the ripple merge;
-    /// 3. drop the origin boundaries the delta lacks (fusion: no tuple
-    ///    moves);
+    /// 3. drop the origin boundaries the delta lacks (a heal discards
+    ///    them all; no tuple moves);
     /// 4. crack at every recorded boundary the origin lacks;
     /// 5. check the column's length and every boundary's position
     ///    against the delta's records;
@@ -191,13 +191,13 @@ impl ColumnSnapshot {
             .filter(|key| !keep.contains(key))
             .collect();
         for key in stale {
-            col.fuse_boundary(key);
+            col.index_mut().remove(&key);
         }
         for key in bisection_order(keep.into_iter().collect()) {
             col.crack_at(key);
         }
         for b in &delta.boundaries {
-            let at = col.index().peek(b.key());
+            let at = col.index().position(b.key());
             if at != Some(b.pos) {
                 return Err(format!(
                     "boundary {:?} lands at {at:?} after replay, the delta records {}",
@@ -215,7 +215,9 @@ impl ColumnSnapshot {
     /// two snapshots of the same column are byte-identical whenever its
     /// fingerprints match, so an unchanged fingerprint lets the
     /// checkpoint layer skip re-encoding a warm column. Layout changes
-    /// are counter-based (cracks/fusions/merges are monotone); the
+    /// are counter-based (cracks and merges are monotone; `f` is
+    /// [`CrackStats::fusions`](crate::stats::CrackStats::fusions), which
+    /// nothing increments, kept so the format stays byte-identical); the
     /// overlay is covered by a content hash, *not* its length — the
     /// overlay length is not monotone (deleting a staged insert cancels
     /// it), so a cancel-plus-restage between checkpoints would collide
@@ -322,7 +324,7 @@ fn put_boundaries_and_overlay(col: &CrackerColumn<i64>, buf: &mut Vec<u8>) {
     let bounds = col.index().boundaries();
     codec::put_int_iter(buf, bounds.clone().map(|(k, _)| k.value));
     codec::put_int_iter(buf, bounds.clone().map(|(k, _)| i64::from(k.lte)));
-    codec::put_int_iter(buf, bounds.map(|(_, info)| info.pos as i64));
+    codec::put_int_iter(buf, bounds.map(|(_, &pos)| pos as i64));
     let inserts = col.pending.staged_inserts();
     codec::put_int_iter(buf, inserts.clone().map(|(oid, _)| i64::from(oid)));
     codec::put_int_iter(buf, inserts.map(|(_, v)| v));
@@ -809,7 +811,7 @@ mod tests {
     type Layout = (Vec<(BoundaryKey<i64>, usize)>, Vec<Vec<(i64, u32)>>);
 
     fn layout(c: &CrackerColumn<i64>) -> Layout {
-        let keys = c.index().boundaries().map(|(k, i)| (*k, i.pos)).collect();
+        let keys = c.index().boundaries().map(|(k, &pos)| (*k, pos)).collect();
         let pieces = (c.index().pieces().iter())
             .map(|p| {
                 let vals = c.values()[p.start..p.end].iter().copied();
@@ -822,7 +824,8 @@ mod tests {
     }
 
     /// A cracked column journaling from its origin, then changed by two
-    /// merges (one reusing a deleted OID), new cracks and a fusion.
+    /// merges (one reusing a deleted OID), a contained crack panic that
+    /// heals it cold (losing every origin boundary), and new cracks.
     fn origin_and_changed() -> (ColumnSnapshot, CrackerColumn<i64>) {
         let mut col = warmed_column();
         col.set_journaling(true);
@@ -835,8 +838,14 @@ mod tests {
         col.merge_pending();
         col.insert(7, 5);
         col.merge_pending();
-        assert!(col.fuse_boundary(BoundaryKey::lt(100)));
+        col.arm_panic_on_crack(0);
+        let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            col.select(RangePred::lt(20))
+        }));
+        assert!(torn.is_err());
+        assert!(col.heal(), "the torn piece map is rebuilt cold");
         col.select(RangePred::lt(20));
+        col.select(RangePred::between(300, 350));
         col.insert(2_001, 60);
         (origin, col)
     }
@@ -846,6 +855,11 @@ mod tests {
         let (origin, col) = origin_and_changed();
         assert_eq!(col.journal().map(|j| j.ends().len()), Some(3));
         let delta = capture_delta(&col);
+        let kept: BTreeSet<_> = delta.boundaries.iter().map(BoundaryRecord::key).collect();
+        assert!(
+            origin.boundaries.iter().any(|b| !kept.contains(&b.key())),
+            "the replay must drop an origin boundary the delta lacks"
+        );
         let restored = origin.restore_with(delta, *col.config()).unwrap();
         assert_eq!(layout(&restored), layout(&col));
         assert!(restored

@@ -29,7 +29,9 @@ pub struct CrackStats {
     pub tuples_moved: u64,
     /// Tuples scanned inside cut-off pieces to filter residual edges.
     pub edge_scanned: u64,
-    /// Boundary fusions performed by the piece-budget enforcement.
+    /// Always 0: no code path fuses pieces. Kept because the e2e ladder
+    /// reports it and the checkpoint fingerprint's `f` component carries
+    /// it; both go in one later change.
     pub fusions: usize,
     /// Pending-update merges performed.
     pub merges: usize,

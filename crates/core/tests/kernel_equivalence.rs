@@ -34,13 +34,24 @@
 
 use cracker_core::crack::BoundaryKey;
 use cracker_core::{
-    simd_supported, ConcurrencyMode, ConcurrentColumn, CrackKernel, CrackMode, CrackValue,
-    CrackerColumn, CrackerConfig, KernelPolicy, RangePred,
+    simd_supported, ConcurrencyMode, ConcurrentColumn, CrackKernel, CrackValue, CrackerColumn,
+    CrackerConfig, KernelPolicy, RangePred,
 };
 use proptest::prelude::*;
 
 fn cfg(kernel: KernelPolicy) -> CrackerConfig {
     CrackerConfig::new().with_kernel(kernel)
+}
+
+/// The lower half of a double-sided, non-empty `pred`. Selecting it
+/// first cracks the lower bound in two and leaves the upper bound in a
+/// different piece, so the full range then cracks that bound in two as
+/// well: both bounds go through `crack_two` instead of one crack-in-three.
+fn lower_half<T: CrackValue>(pred: RangePred<T>) -> Option<RangePred<T>> {
+    (pred.is_double_sided() && !pred.is_empty_range()).then_some(RangePred {
+        low: pred.low,
+        high: None,
+    })
 }
 
 /// Both policies, the scalar reference first.
@@ -149,7 +160,7 @@ fn stats_are_kernel_independent_in_every_mode() {
 fn boundaries<T: CrackValue>(col: &CrackerColumn<T>) -> Vec<(T, bool, usize)> {
     col.index()
         .boundaries()
-        .map(|(k, info)| (k.value, k.lte, info.pos))
+        .map(|(k, &pos)| (k.value, k.lte, pos))
         .collect()
 }
 
@@ -181,8 +192,9 @@ fn piece_multisets<T: CrackValue>(col: &CrackerColumn<T>) -> Vec<Vec<(u32, T)>> 
 
 /// One row of the table below: a virgin column under both kernels. The
 /// raw two-way partition around every `key` must give the same split,
-/// the same `moved` and the same multiset on each side; then, in both
-/// crack modes, the `preds` run in sequence must leave the same splits,
+/// the same `moved` and the same multiset on each side; then, with each
+/// range's bounds cracked in three and split by [`lower_half`], the
+/// `preds` run in sequence must leave the same splits,
 /// per-piece multisets and answer sets — the oracle's answer sets.
 fn scalar_and_auto_agree<T: CrackValue>(
     vals: &[T],
@@ -263,10 +275,14 @@ fn scalar_and_auto_agree<T: CrackValue>(
             );
         }
     }
-    for mode in [CrackMode::TwoWay, CrackMode::ThreeWay] {
+    for split in [true, false] {
         let [mut scalar, mut auto] =
-            POLICIES.map(|k| CrackerColumn::with_config(vals.to_vec(), cfg(k).with_mode(mode)));
+            POLICIES.map(|k| CrackerColumn::with_config(vals.to_vec(), cfg(k)));
         for pred in preds {
+            if let Some(half) = lower_half(*pred).filter(|_| split) {
+                scalar.select(half);
+                auto.select(half);
+            }
             let mut want: Vec<u32> = (0..n as u32)
                 .filter(|&o| pred.matches(vals[o as usize]))
                 .collect();
@@ -276,17 +292,20 @@ fn scalar_and_auto_agree<T: CrackValue>(
                 got.sort_unstable();
                 got
             });
-            assert_eq!(got_s, want, "n={n} {mode:?} {pred:?}: scalar vs oracle");
-            assert_eq!(got_a, want, "n={n} {mode:?} {pred:?}: auto vs oracle");
+            assert_eq!(
+                got_s, want,
+                "n={n} split={split} {pred:?}: scalar vs oracle"
+            );
+            assert_eq!(got_a, want, "n={n} split={split} {pred:?}: auto vs oracle");
             assert_eq!(
                 boundaries(&scalar),
                 boundaries(&auto),
-                "n={n} {mode:?} {pred:?}: splits diverged"
+                "n={n} split={split} {pred:?}: splits diverged"
             );
             assert_eq!(
                 piece_multisets(&scalar),
                 piece_multisets(&auto),
-                "n={n} {mode:?} {pred:?}: per-piece multisets diverged"
+                "n={n} split={split} {pred:?}: per-piece multisets diverged"
             );
         }
         scalar.validate().unwrap();
@@ -393,7 +412,8 @@ fn scalar_and_auto_agree_on_boundary_cases() {
 
 proptest! {
     /// The central pin, on the plain column: after every query of an
-    /// arbitrary sequence (any crack mode, any cut-off), both kernels
+    /// arbitrary sequence (bounds split or cracked in three, any cut-off),
+    /// both kernels
     /// have produced identical split positions, identical
     /// core ranges and answer sets, an identical whole-column multiset,
     /// and identical touched/scanned/crack accounting.
@@ -404,12 +424,10 @@ proptest! {
             (-120i64..120, -120i64..120, proptest::bool::ANY, proptest::bool::ANY),
             1..20
         ),
-        three_way in proptest::bool::ANY,
+        split in proptest::bool::ANY,
         cutoff in 1usize..48,
     ) {
-        let base = CrackerConfig::new()
-            .with_mode(if three_way { CrackMode::ThreeWay } else { CrackMode::TwoWay })
-            .with_min_piece_size(cutoff);
+        let base = CrackerConfig::new().with_min_piece_size(cutoff);
         let mut scalar = CrackerColumn::with_config(
             orig.clone(), base.with_kernel(KernelPolicy::Scalar));
         let mut others: Vec<CrackerColumn<i64>> = POLICIES[1..]
@@ -420,6 +438,12 @@ proptest! {
         for (a, b, inc_lo, inc_hi) in queries {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             let pred = RangePred::with_bounds(Some((lo, inc_lo)), Some((hi, inc_hi)));
+            if let Some(half) = lower_half(pred).filter(|_| split) {
+                scalar.select(half);
+                for col in &mut others {
+                    col.select(half);
+                }
+            }
             let sel_s = scalar.select(pred);
             let mut oids_s = scalar.selection_oids(&sel_s);
             oids_s.sort_unstable();
@@ -455,7 +479,7 @@ proptest! {
                 // crack-in-three's `moved` is kernel-specific, and later
                 // cracks see kernel-specific arrangements).
                 let (ss, so) = (scalar.stats(), col.stats());
-                if first && ss.cracks <= 1 && !three_way {
+                if first && ss.cracks <= 1 && split {
                     prop_assert_eq!(
                         ss.tuples_moved, so.tuples_moved,
                         "{:?}: moved diverged on a virgin two-way crack", policy

@@ -243,7 +243,7 @@ impl CrackEngine {
     }
 
     /// Build with an explicit cracker configuration (cut-off granule,
-    /// piece budget, fusion policy ...).
+    /// merge floor, kernel).
     pub fn with_config(vals: Vec<i64>, config: CrackerConfig) -> Self {
         CrackEngine {
             column: CrackerColumn::with_config(vals, config),

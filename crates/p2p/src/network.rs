@@ -29,14 +29,14 @@ pub struct P2pConfig {
     pub migrate_after: u32,
     /// Per-node piece budget; exceeding it fuses the node's smallest
     /// adjacent pair (`usize::MAX` disables fusion).
-    pub max_pieces_per_node: usize,
+    pub piece_budget_per_node: usize,
 }
 
 impl Default for P2pConfig {
     fn default() -> Self {
         P2pConfig {
             migrate_after: 3,
-            max_pieces_per_node: usize::MAX,
+            piece_budget_per_node: usize::MAX,
         }
     }
 }
@@ -360,7 +360,7 @@ impl Network {
 
     /// Fuse pieces while the node exceeds its budget.
     fn enforce_budget(&mut self, owner: NodeId) {
-        while self.nodes[owner.0].piece_count() > self.config.max_pieces_per_node {
+        while self.nodes[owner.0].piece_count() > self.config.piece_budget_per_node {
             if !self.nodes[owner.0].fuse_smallest_adjacent() {
                 break; // nothing adjacent left to fuse
             }
@@ -523,7 +523,7 @@ mod tests {
     fn piece_budget_forces_fusion() {
         let mut n = net(P2pConfig {
             migrate_after: 0,
-            max_pieces_per_node: 4,
+            piece_budget_per_node: 4,
         });
         // Many disjoint narrow queries into node 0's stripe (0..250).
         for lo in (0..240).step_by(20) {
@@ -634,7 +634,7 @@ mod tests {
                 &values,
                 0,
                 1000,
-                P2pConfig { migrate_after, max_pieces_per_node: budget },
+                P2pConfig { migrate_after, piece_budget_per_node: budget },
             );
             for (entry, a, b) in queries {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };

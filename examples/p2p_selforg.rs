@@ -27,7 +27,7 @@ fn main() {
         n as i64 + 1,
         P2pConfig {
             migrate_after: 2,
-            max_pieces_per_node: 256,
+            piece_budget_per_node: 256,
         },
     );
 

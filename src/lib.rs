@@ -14,7 +14,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`storage`] | MonetDB-like BAT column store: typed tails, string heaps, zero-copy views, accelerators, in-memory catalog |
-//! | [`cracker_core`] | the paper's contribution: crack-in-two/three, the cracker index, Ξ/Ψ/^/Ω operators, lineage, fusion, updates |
+//! | [`cracker_core`] | the paper's contribution: crack-in-two/three, the cracker index, Ξ/Ψ/^/Ω operators, lineage, updates |
 //! | [`engine`] | relational substrate: tables, Volcano operators, select-push-down planner, scan/sort/crack access engines, cost model |
 //! | [`workload`] | DBtapestry generator and the MQS(α,N,k,σ,ρ,δ) multi-query benchmark kit (homerun / hiking / strolling) |
 //! | [`sim`] | the §2.2 granule-vector cost simulation behind Figures 2–3 |
@@ -52,8 +52,8 @@ pub use workload;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use cracker_core::{
-        simd_supported, CrackKernel, CrackMode, CrackStats, CrackerColumn, CrackerConfig,
-        FusionPolicy, KernelPolicy, RangePred,
+        simd_supported, CrackKernel, CrackStats, CrackerColumn, CrackerConfig, KernelPolicy,
+        RangePred,
     };
     pub use cracker_core::{ConcurrencyMode, ConcurrentColumn};
     pub use cracker_core::{CrackPolicy, PolicyCracker, StochasticCracker, StochasticPolicy};

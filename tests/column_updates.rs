@@ -1,6 +1,6 @@
-//! Integration: the two "open issue" extensions — updates during a query
-//! sequence and piece-budget fusion — running together against a live
-//! workload, with a shadow model as the oracle.
+//! Integration: the paper's "open issue" of updates on a cracked column —
+//! staged inserts and deletes merged during a query sequence, and a full
+//! drain and refill — with a shadow model as the oracle.
 
 use dbcracker::prelude::*;
 use rand::rngs::SmallRng;
@@ -43,37 +43,6 @@ fn updates_during_a_strolling_sequence_stay_correct() {
     col.validate().unwrap();
     assert_eq!(col.len(), model.len());
     assert!(col.stats().merges > 0, "threshold merges must have fired");
-}
-
-#[test]
-fn fusion_budget_holds_under_updates_and_queries() {
-    let n = 5_000usize;
-    let t = Tapestry::generate(n, 1, 0xFA57);
-    for policy in [
-        FusionPolicy::SmallestPair,
-        FusionPolicy::LeastRecentlyUsed,
-        FusionPolicy::MostBalanced,
-    ] {
-        let cfg = CrackerConfig::new()
-            .with_max_pieces(8)
-            .with_fusion(policy)
-            .with_merge_threshold(300);
-        let mut col = CrackerColumn::with_config(t.column(0).to_vec(), cfg);
-        for (i, w) in strolling_sequence(n, 50, 0.1, Contraction::Linear, StrollMode::Converge, 9)
-            .iter()
-            .enumerate()
-        {
-            col.insert(n as u32 + i as u32, (i as i64 * 37) % n as i64 + 1);
-            let sel = col.select(w.to_pred());
-            assert!(sel.count() > 0 || w.width() == 0);
-            assert!(
-                col.piece_count() <= 8,
-                "{policy:?}: budget violated at step {i}"
-            );
-        }
-        col.merge_pending();
-        col.validate().unwrap();
-    }
 }
 
 #[test]

@@ -165,7 +165,7 @@ fn policy_budget_composes_with_sql_volume() {
     // bounded while staying correct — the end-to-end version of the
     // §3.2 resource-management story.
     let vals = data();
-    let mut col = PolicyCracker::new(vals.clone(), CrackPolicy::PieceBudget { max_pieces: 32 });
+    let mut col = PolicyCracker::new(vals.clone(), CrackPolicy::PieceBudget { limit: 32 });
     for w in adversarial_sequence(N, 200, Adversary::ZoomOutAlt) {
         assert_eq!(col.count(w.to_pred()), oracle(&vals, w.lo, w.hi));
     }

@@ -4,36 +4,20 @@
 //! must agree on every answer for arbitrary data and query sequences,
 //! under arbitrary cracker configurations.
 
-use cracker_core::{
-    ConcurrencyMode, ConcurrentColumn, CrackMode, CrackerConfig, FusionPolicy, RangePred,
-};
+use cracker_core::{ConcurrencyMode, ConcurrentColumn, CrackerConfig, KernelPolicy, RangePred};
 use engine::{CrackEngine, OutputMode, QueryEngine, ScanEngine, SortEngine, SqlLevelCracker};
 use proptest::prelude::*;
 
 fn config_strategy() -> impl Strategy<Value = CrackerConfig> {
-    (
-        proptest::bool::ANY,
-        1usize..128,
-        prop_oneof![Just(usize::MAX), (2usize..12).boxed().prop_map(|v| v)],
-        0u8..3,
-        prop_oneof![Just(0usize), 1usize..256],
-    )
-        .prop_map(|(three_way, cutoff, max_pieces, fusion, sort_below)| {
-            CrackerConfig::new()
-                .with_mode(if three_way {
-                    CrackMode::ThreeWay
-                } else {
-                    CrackMode::TwoWay
-                })
-                .with_min_piece_size(cutoff)
-                .with_max_pieces(max_pieces)
-                .with_fusion(match fusion {
-                    0 => FusionPolicy::SmallestPair,
-                    1 => FusionPolicy::LeastRecentlyUsed,
-                    _ => FusionPolicy::MostBalanced,
-                })
-                .with_sort_below(sort_below)
-        })
+    (1usize..128, proptest::bool::ANY).prop_map(|(cutoff, scalar)| {
+        CrackerConfig::new()
+            .with_min_piece_size(cutoff)
+            .with_kernel(if scalar {
+                KernelPolicy::Scalar
+            } else {
+                KernelPolicy::Auto
+            })
+    })
 }
 
 proptest! {

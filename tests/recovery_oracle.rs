@@ -4,7 +4,7 @@
 //! replay, piece maps must validate, and the recovered store must answer
 //! *warm* (at cracked cost, not full-scan cost). See `PERSISTENCE.md`.
 
-use dbcracker::cracker_core::{ConcurrentColumn, CrackerColumn, FusionPolicy};
+use dbcracker::cracker_core::{ConcurrentColumn, CrackerColumn};
 use dbcracker::engine::durability::{column_key, delta_key, META_KEY};
 use dbcracker::engine::scenario::{SCENARIO_COLUMN, SCENARIO_TABLE};
 use dbcracker::engine::{AdaptiveDb, DbScenarioRunner, OutputMode, RangeQuery, Table};
@@ -484,7 +484,7 @@ type ShardLayout = (Vec<(i64, bool, usize)>, Vec<Vec<(i64, u32)>>);
 fn layout(col: &ConcurrentColumn<i64>) -> Vec<ShardLayout> {
     let shard = |c: &CrackerColumn<i64>| {
         let bounds = (c.index().boundaries())
-            .map(|(k, info)| (k.value, k.lte, info.pos))
+            .map(|(k, &pos)| (k.value, k.lte, pos))
             .collect();
         let pieces = (c.index().pieces().iter())
             .map(|p| {
@@ -530,18 +530,17 @@ fn stage_and_merge(
 
 #[test]
 fn a_delta_checkpoint_recovers_the_live_piece_map_in_both_modes() {
-    // Cracks, staged inserts and deletes, forced merges and fusions
+    // Cracks, staged inserts and deletes, forced merges and a contained
+    // crack panic (its shard heals cold, losing the origin's boundaries)
     // between two checkpoints: the second writes only the delta. Recovery
-    // replays it onto the origin and must land on the live column's
+    // replays it onto the origin, drops the boundaries the heal lost, and
+    // must land on the live column's
     // boundaries and positions and on each piece's `(value, oid)`
     // multiset (the order inside a piece may differ: no select sees it),
     // answer like the oracle, and repeat the last range index-only.
     let n = 20_000;
     let base = base_column(n);
-    let config = CrackerConfig::default()
-        .with_merge_threshold(256)
-        .with_max_pieces(24)
-        .with_fusion(FusionPolicy::LeastRecentlyUsed);
+    let config = CrackerConfig::default().with_merge_threshold(256);
     for (mode, tag) in MODES {
         let dir = scratch(&format!("delta-{tag}"));
         let mut oracle = SortedOracle::new(&base);
@@ -558,20 +557,32 @@ fn a_delta_checkpoint_recovers_the_live_piece_map_in_both_modes() {
         }
         db.attach_durability(&dir, 1).unwrap();
         let origin = payload_file(&dir, &column_key(TABLE, COLUMN));
+        let origin_layout = layout(db.shared_cracker(TABLE, COLUMN).unwrap());
         let before = db.total_crack_stats();
         let mut next = n as u32;
         let mut last = None;
-        for _ in 0..5 {
+        for round in 0..5 {
             stage_and_merge(&mut db, &mut oracle, &mut mix, &mut next, 40, true);
+            if round == 2 {
+                // The first shard's next crack tears it and panics; the
+                // select contains the panic and heals the shard cold.
+                db.shared_cracker(TABLE, COLUMN)
+                    .unwrap()
+                    .arm_panic_on_crack(0);
+                let fired = (0..64).any(|_| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        crack(&mut db, &mut mix)
+                    }))
+                    .is_err()
+                });
+                assert!(fired, "{tag}: no select reached the armed shard");
+            }
             for _ in 0..6 {
                 last = Some(crack(&mut db, &mut mix));
             }
         }
         let d = db.total_crack_stats().delta_since(&before);
-        assert!(
-            d.merges >= 5 && d.fusions > 0 && d.cracks > 0,
-            "{tag}: {d:?}"
-        );
+        assert!(d.merges >= 5 && d.cracks > 0, "{tag}: {d:?}");
         db.checkpoint().unwrap();
         assert_eq!(
             payload_file(&dir, &column_key(TABLE, COLUMN)),
@@ -579,6 +590,13 @@ fn a_delta_checkpoint_recovers_the_live_piece_map_in_both_modes() {
             "{tag}: the origin is carried forward, only the delta is written"
         );
         let live = layout(db.shared_cracker(TABLE, COLUMN).unwrap());
+        let lost = |(o, l): (&ShardLayout, &ShardLayout)| {
+            (o.0.iter()).any(|&(v, lte, _)| !l.0.iter().any(|b| (b.0, b.1) == (v, lte)))
+        };
+        assert!(
+            origin_layout.iter().zip(&live).any(lost),
+            "{tag}: the delta must lack a boundary of the origin"
+        );
         let last = last.unwrap();
         // Staged after the checkpoint: only the redo log holds these.
         for oid in next..next + 3 {

@@ -85,8 +85,7 @@ fn prelude_exposes_config_and_policy_types() {
     let column = CrackerColumn::with_config((0..100).rev().collect::<Vec<i64>>(), config);
     assert_eq!(column.len(), 100);
     let _ = (
-        CrackMode::ThreeWay,
-        FusionPolicy::SmallestPair,
+        KernelPolicy::Scalar,
         OutputMode::Materialize,
         StochasticPolicy::DD1R,
     );
