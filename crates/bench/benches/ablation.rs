@@ -8,7 +8,8 @@
 //! `len / 64` rows, which fold them. The `ablation_kernel_cold_first_touch`
 //! legs time a cracked copy's whole birth (copy, dense OIDs, first crack)
 //! with plain `to_vec` arrays against `storage::mem`'s huge-page-advised
-//! ones.
+//! ones, and the `ablation_first_touch` legs a copy then its crack against
+//! a copy built from the base already cut by the first predicate.
 //!
 //! `BENCH_SMOKE=1` shrinks the column and op counts so CI can run this as
 //! a smoke test; pass `--json` to record medians as `BENCH_ablation.json`
@@ -184,20 +185,30 @@ fn kernel_cold_crack_three_large(c: &mut Criterion) {
 }
 
 /// A cracked copy's first touch over a virgin 2M-tuple column, end to
-/// end: allocate and copy the values, fill the dense OIDs, and
-/// crack-in-three at a 0.1 % window — what `AdaptiveDb::shared_cracker`
-/// and the first select do for e2e `cold_start`'s first query. `to_vec`
-/// builds both arrays on 4 KiB pages, `storage_mem` through
-/// `storage::mem`'s huge-page advice. The samples are taken in a child
-/// process with the allocator pinned (see [`MALLOC_PIN`]).
+/// end: build the copy and run its first select, a crack-in-three at a
+/// 0.1 % window — what `AdaptiveDb`'s first touch and the first select do
+/// for e2e `cold_start`'s first query. Two groups share the samples:
+///
+/// - `ablation_kernel_cold_first_touch`: a copy and its dense OIDs, then
+///   the crack. `to_vec` builds both arrays on 4 KiB pages,
+///   `storage_mem` through `storage::mem`'s huge-page advice.
+/// - `ablation_first_touch`: `CrackerColumn::from_base` without the
+///   predicate (`copy_then_crack`: a huge-page copy, then the crack in
+///   place) and with it (`from_base`: one out-of-place pass over the base
+///   cuts the window's larger outer side, and the select cracks the rest
+///   in place).
+///
+/// The samples are taken in a child process with the allocator pinned
+/// (see [`MALLOC_PIN`]), the variants interleaved sample by sample in
+/// the orders of [`ORDERS`].
 ///
 /// The result depends on the host's transparent-huge-page mode
 /// (`/sys/kernel/mm/transparent_hugepage/enabled`), which the JSON report
 /// does not record: note it beside any committed numbers. The committed
-/// `BENCH_ablation.json` entries of this group were taken on a 2-vCPU
+/// `BENCH_ablation.json` entries of these groups were taken on a 2-vCPU
 /// Intel Xeon VM (AVX2 + AVX-512F), Linux 6.18 x86-64, THP `enabled
 /// [madvise]` / `defrag [madvise]`, rustc 1.95.0.
-fn kernel_cold_first_touch(c: &mut Criterion) {
+fn first_touch(c: &mut Criterion) {
     let (key, value) = MALLOC_PIN;
     let child = std::env::current_exe().and_then(|exe| {
         Command::new(exe)
@@ -210,37 +221,59 @@ fn kernel_cold_first_touch(c: &mut Criterion) {
         Ok(out) => panic!("first-touch child failed: {}", out.status),
         Err(e) => panic!("cannot start the first-touch child: {e}"),
     };
-    let mut g = c.benchmark_group("ablation_kernel_cold_first_touch");
-    g.sample_size(FIRST_TOUCH_SAMPLES);
-    for (label, _) in FIRST_TOUCH {
-        let mut samples = out
-            .lines()
-            .filter_map(|l| l.strip_prefix(label)?.strip_prefix(' ')?.parse().ok())
-            .map(Duration::from_nanos);
-        g.bench_function(label, |b| {
-            b.iter_custom(|_| samples.next().expect("one child sample per iteration"))
-        });
+    for group in ["ablation_kernel_cold_first_touch", "ablation_first_touch"] {
+        let mut g = c.benchmark_group(group);
+        g.sample_size(FIRST_TOUCH_SAMPLES);
+        for (id, _) in FIRST_TOUCH {
+            let Some(label) = id.strip_prefix(group).and_then(|l| l.strip_prefix('/')) else {
+                continue;
+            };
+            let mut samples = (out.lines())
+                .filter_map(|l| l.strip_prefix(id)?.strip_prefix(' ')?.parse().ok())
+                .map(Duration::from_nanos);
+            g.bench_function(label, |b| {
+                b.iter_custom(|_| samples.next().expect("one child sample per iteration"))
+            });
+        }
+        g.finish();
     }
-    g.finish();
 }
 
 /// The argument that makes the bench binary only take the first-touch
-/// samples and print them, one `label nanoseconds` line each.
+/// samples and print them, one `group/label nanoseconds` line each.
 const FIRST_TOUCH_CHILD: &str = "--first-touch-samples";
 
 /// Timed births per variant, after one untimed warm-up.
 const FIRST_TOUCH_SAMPLES: usize = 20;
 
-/// Builds a cracked copy's `(values, oids)` arrays from a base column.
-type Build = fn(&[i64]) -> (Vec<i64>, Vec<u32>);
+/// Builds a cracked copy of a base column before its first select of the
+/// given predicate.
+type Birth = fn(&[i64], RangePred<i64>) -> CrackerColumn<i64>;
 
-/// The two ways to build a cracked copy's arrays.
-const FIRST_TOUCH: [(&str, Build); 2] = [
-    ("to_vec", |v| (v.to_vec(), (0..v.len() as u32).collect())),
-    ("storage_mem", |v| {
-        (mem::copy_of(v), mem::dense_oids(v.len()))
+/// The first-touch variants, as `group/label`.
+const FIRST_TOUCH: [(&str, Birth); 4] = [
+    ("ablation_kernel_cold_first_touch/to_vec", |v, _| {
+        let vals = v.to_vec();
+        let oids = (0..v.len() as u32).collect();
+        CrackerColumn::from_pairs(vals, oids, CrackerConfig::new())
+    }),
+    ("ablation_kernel_cold_first_touch/storage_mem", |v, _| {
+        let vals = mem::copy_of(v);
+        CrackerColumn::from_pairs(vals, mem::dense_oids(v.len()), CrackerConfig::new())
+    }),
+    ("ablation_first_touch/copy_then_crack", |v, _| {
+        CrackerColumn::from_base(v, CrackerConfig::new(), None)
+    }),
+    ("ablation_first_touch/from_base", |v, pred| {
+        CrackerColumn::from_base(v, CrackerConfig::new(), Some(pred))
     }),
 ];
+
+/// The order of the variants in each round, by round: a 4 × 4 Williams
+/// square, in which every variant follows every other exactly once. A
+/// birth's time depends on the one before it (right after `to_vec` one
+/// reads ~15 % slower), so a fixed order would bias the comparison.
+const ORDERS: [[usize; 4]; 4] = [[0, 1, 3, 2], [1, 2, 0, 3], [2, 3, 1, 0], [3, 0, 2, 1]];
 
 /// glibc raises its `mmap` threshold to the size of every big buffer
 /// freed, so once one 2M-tuple column is dropped the next is served from
@@ -250,19 +283,20 @@ const FIRST_TOUCH: [(&str, Build); 2] = [
 /// returned on free. The other legs keep the allocator's default.
 const MALLOC_PIN: (&str, &str) = ("MALLOC_MMAP_THRESHOLD_", "1048576");
 
-/// The first-touch child: time the warm-up and every sample of both
-/// variants and print them. Freeing the column is not timed.
+/// The first-touch child: time the warm-up and every sample of every
+/// variant, interleaved, and print them. Freeing the column is not
+/// timed.
 fn first_touch_samples() {
     let n_large = if smoke() { 300_000 } else { 2_000_000 };
     let lo = n_large as i64 / 2;
-    let hi = lo + n_large as i64 / 1_000;
+    let pred = RangePred::between(lo, lo + n_large as i64 / 1_000);
     let base = Tapestry::generate(n_large, 1, 0xF1257).column(0).to_vec();
-    for (label, build) in FIRST_TOUCH {
-        for _ in 0..=FIRST_TOUCH_SAMPLES {
+    for round in 0..=FIRST_TOUCH_SAMPLES {
+        for k in ORDERS[round % ORDERS.len()] {
+            let (label, birth) = FIRST_TOUCH[k];
             let t = Instant::now();
-            let (vals, oids) = build(&base);
-            let mut col = CrackerColumn::from_pairs(vals, oids, CrackerConfig::new());
-            black_box(col.select(RangePred::between(lo, hi)));
+            let mut col = birth(&base, pred);
+            black_box(col.select(pred));
             let elapsed = t.elapsed();
             drop(col);
             println!("{label} {}", elapsed.as_nanos());
@@ -509,7 +543,7 @@ criterion_group!(
     kernel_cold_crack_two,
     kernel_cold_crack_two_large,
     kernel_cold_crack_three_large,
-    kernel_cold_first_touch,
+    first_touch,
     kernel_crack_select,
     kernel_scenario_mix,
     merge

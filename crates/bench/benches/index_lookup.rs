@@ -7,6 +7,8 @@
 
 use cracker_core::{CrackerColumn, RangePred};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
+use std::time::Instant;
 use workload::Tapestry;
 
 /// `BENCH_SMOKE=1` shrinks the column so CI can run this as a smoke test.
@@ -34,9 +36,18 @@ fn cracked_with_pieces(pieces: usize) -> CrackerColumn<i64> {
     col
 }
 
+/// Selects timed together per `index_boundary_reuse` sample. One
+/// exact-hit select takes ~100 ns, so a sample of one select is mostly
+/// timer and scheduling noise; a batch's mean is not.
+const REUSE_BATCH: u32 = 1_000;
+
+/// Boundary reuse: the ns per select of a batch of [`REUSE_BATCH`]
+/// repeats of one query whose boundaries exist, 50 batches per piece
+/// count.
 fn boundary_reuse(c: &mut Criterion) {
     let n = n();
     let mut g = c.benchmark_group("index_boundary_reuse");
+    g.sample_size(50);
     for &pieces in &[16usize, 256, 2048] {
         let mut col = cracked_with_pieces(pieces);
         // A query whose boundaries already exist: pure index navigation.
@@ -45,7 +56,15 @@ fn boundary_reuse(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(col.piece_count()),
             &probe,
-            |b, &probe| b.iter(|| col.select(probe).count()),
+            |b, &probe| {
+                b.iter_custom(|_| {
+                    let t = Instant::now();
+                    for _ in 0..REUSE_BATCH {
+                        black_box(col.select(probe).count());
+                    }
+                    t.elapsed() / REUSE_BATCH
+                })
+            },
         );
     }
     g.finish();

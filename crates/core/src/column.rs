@@ -21,7 +21,7 @@ use crate::config::CrackerConfig;
 use crate::crack::BoundaryKey;
 use crate::index::CrackerIndex;
 use crate::kernel::CrackKernel;
-use crate::pred::RangePred;
+use crate::pred::{Bound, RangePred};
 use crate::stats::CrackStats;
 use crate::updates::{MergeJournal, PendingUpdates};
 use crate::value_trait::CrackValue;
@@ -84,12 +84,36 @@ impl Selection {
     }
 }
 
+/// Values a first touch samples to tell which outer side of its
+/// predicate is larger (see [`CrackerColumn::from_base`]).
+const SIDE_SAMPLE: usize = 1024;
+
 /// How a boundary was resolved during a select.
 enum Resolved {
     /// Exact split position (existing or newly cracked).
     Exact(usize),
     /// The boundary falls inside a cut-off piece spanning this range.
     CutOff(Range<usize>),
+}
+
+/// The boundary a lower bound starts at: equal values belong after it
+/// when the bound is inclusive.
+fn start_key<T: CrackValue>(b: Bound<T>) -> BoundaryKey<T> {
+    if b.inclusive {
+        BoundaryKey::lt(b.value)
+    } else {
+        BoundaryKey::le(b.value)
+    }
+}
+
+/// The boundary an upper bound ends at: equal values belong before it
+/// when the bound is inclusive.
+fn end_key<T: CrackValue>(b: Bound<T>) -> BoundaryKey<T> {
+    if b.inclusive {
+        BoundaryKey::le(b.value)
+    } else {
+        BoundaryKey::lt(b.value)
+    }
 }
 
 /// A continuously cracked copy of one column.
@@ -133,6 +157,44 @@ impl<T: CrackValue> CrackerColumn<T> {
             journal: None,
             panic_after: None,
         }
+    }
+
+    /// Build the cracked copy of a base column at its first touch, with
+    /// dense OIDs (`0..n`). Without a two-sided, non-empty predicate this
+    /// is a plain copy, and the select that follows cracks it in place.
+    /// With one, the copy is born cracked: one out-of-place pass over
+    /// `base` ([`CrackKernel::crack_two_from`]) cuts off the larger outer
+    /// side of `first` (judged from [`SIDE_SAMPLE`] strided values)
+    /// instead of a copy pass, and that boundary is recorded, so the
+    /// select that follows cracks the other bound in place over the
+    /// smaller side and the middle only. The copy never answers a query by
+    /// itself: the select still runs, and counts as the query.
+    pub fn from_base(base: &[T], config: CrackerConfig, first: Option<RangePred<T>>) -> Self {
+        let bounds = first
+            .filter(|p| !p.is_empty_range() && !base.is_empty())
+            .and_then(|p| Some((start_key(p.low?), end_key(p.high?))));
+        let Some((k1, k2)) = bounds else {
+            return Self::with_config(mem::copy_of(base), config);
+        };
+        // Which outer side is larger, judged from a strided sample: the
+        // choice only decides how much the in-place pass reads, and an
+        // exact count would read the whole base once more.
+        let stride = (base.len() / SIDE_SAMPLE).max(1);
+        let (mut c1, mut c3) = (0usize, 0usize);
+        for &v in base.iter().step_by(stride) {
+            c1 += usize::from(k1.before(v));
+            c3 += usize::from(!k2.before(v));
+        }
+        let key = if c3 > c1 { k2 } else { k1 };
+        let mut moved = 0;
+        let kernel = config.kernel.resolve();
+        let (vals, oids, split) = kernel.crack_two_from(base, key, &mut moved);
+        let mut col = Self::from_pairs(vals, oids, config);
+        col.stats.tuples_moved += moved;
+        col.stats.tuples_touched += base.len() as u64;
+        col.stats.cracks += 1;
+        col.index.insert(key, split);
+        col
     }
 
     /// Build from parallel `(values, oids)` arrays (e.g. an explicit-head
@@ -247,25 +309,11 @@ impl<T: CrackValue> CrackerColumn<T> {
         }
         let start = match pred.low {
             None => 0,
-            Some(b) => {
-                let key = if b.inclusive {
-                    BoundaryKey::lt(b.value)
-                } else {
-                    BoundaryKey::le(b.value)
-                };
-                self.index.position(key)?
-            }
+            Some(b) => self.index.position(start_key(b))?,
         };
         let end = match pred.high {
             None => self.vals.len(),
-            Some(b) => {
-                let key = if b.inclusive {
-                    BoundaryKey::le(b.value)
-                } else {
-                    BoundaryKey::lt(b.value)
-                };
-                self.index.position(key)?
-            }
+            Some(b) => self.index.position(end_key(b))?,
         };
         Some(Selection {
             core: start..end.max(start),
@@ -427,20 +475,8 @@ impl<T: CrackValue> CrackerColumn<T> {
         if pred.is_empty_range() || self.vals.is_empty() {
             return Some(Selection::empty());
         }
-        let start_key = pred.low.map(|b| {
-            if b.inclusive {
-                BoundaryKey::lt(b.value)
-            } else {
-                BoundaryKey::le(b.value)
-            }
-        });
-        let end_key = pred.high.map(|b| {
-            if b.inclusive {
-                BoundaryKey::le(b.value)
-            } else {
-                BoundaryKey::lt(b.value)
-            }
-        });
+        let start_key = pred.low.map(start_key);
+        let end_key = pred.high.map(end_key);
 
         // Crack-in-three: both boundaries are new and land in
         // the same virgin piece.
@@ -568,6 +604,22 @@ impl<T: CrackValue> CrackerColumn<T> {
         self.stats.tuples_touched += piece.len() as u64;
         self.stats.cracks += 1;
         self.index.insert(key, pos);
+        // A crack that leaves one side empty proves a tighter boundary at
+        // the same position: the piece's least value (equals after it) at
+        // its start, its greatest (equals before it) at its end. Recording
+        // it makes every later key in the same value gap resolve to an
+        // empty piece instead of cracking this one again.
+        let side = &self.vals[piece.clone()];
+        let tight = if pos == piece.start {
+            side.iter().min().map(|&v| BoundaryKey::lt(v))
+        } else if pos == piece.end {
+            side.iter().max().map(|&v| BoundaryKey::le(v))
+        } else {
+            None
+        };
+        if let Some(tight) = tight.filter(|&t| t != key) {
+            self.index.insert(tight, pos);
+        }
         Resolved::Exact(pos)
     }
 
@@ -708,6 +760,36 @@ mod tests {
         assert_eq!(c.stats().cracks, 1);
         assert_eq!(c.piece_count(), 3);
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn keys_in_a_value_gap_resolve_to_an_empty_piece() {
+        // 2 000 rows of {0, 10}, split between the two values. The first
+        // new key in the gap cracks the 1 000-row piece and leaves one side
+        // empty, which proves the piece's tightest key at that position;
+        // every later key in the gap then touches nothing.
+        let vals: Vec<i64> = (0..2_000)
+            .map(|i| if i % 2 == 0 { 0 } else { 10 })
+            .collect();
+        for upward in [true, false] {
+            let mut c = col(vals.clone());
+            c.select(if upward {
+                RangePred::le(0)
+            } else {
+                RangePred::ge(10)
+            });
+            let before = c.stats().tuples_touched;
+            for k in 1..=9 {
+                let pred = if upward {
+                    RangePred::lt(k)
+                } else {
+                    RangePred::le(k)
+                };
+                assert_eq!(c.count(pred), 1_000, "k = {k}");
+                c.validate().unwrap();
+            }
+            assert_eq!(c.stats().tuples_touched - before, 1_000, "upward: {upward}");
+        }
     }
 
     #[test]

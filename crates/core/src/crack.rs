@@ -9,9 +9,12 @@
 //! travel with their values. Both a two-way (Hoare-style) and a single-pass
 //! three-way (Dutch-national-flag) partition are provided; the three-way
 //! variant is what gives double-sided range predicates their single-pass
-//! crack-in-three.
+//! crack-in-three. One partition is not in place: `crack_two_from` builds
+//! a cracked copy's arrays from the base column already cracked in two,
+//! so a first touch pays no separate copy pass.
 
 use crate::value_trait::CrackValue;
+use storage::mem;
 
 /// A crack boundary: a value plus the side on which equal values fall.
 ///
@@ -93,6 +96,39 @@ pub fn crack_two<T: CrackValue>(
         j -= 1;
     }
     i
+}
+
+/// Out-of-place two-way partition of a whole base column around `key`:
+/// returns fresh `(values, oids, split)` arrays where the tuples before
+/// `key` fill `..split` in base order and the rest fill `split..` in
+/// reverse base order. The OIDs are the dense base positions. This is a
+/// cracked copy born already cracked, with no copy pass before the crack.
+///
+/// Two reads of `base`, one per side, and one write of each output slot:
+/// the scalar twin of the vector pass, which writes both sides in one
+/// read.
+pub fn crack_two_from<T: CrackValue>(base: &[T], key: BoundaryKey<T>) -> (Vec<T>, Vec<u32>, usize) {
+    let n = base.len();
+    assert!(
+        u32::try_from(n).is_ok(),
+        "{n} rows exceed the u32 OID space"
+    );
+    let mut vals = mem::column_vec(n);
+    let mut oids = mem::column_vec(n);
+    for (i, &v) in base.iter().enumerate() {
+        if key.before(v) {
+            vals.push(v);
+            oids.push(i as u32);
+        }
+    }
+    let split = vals.len();
+    for (i, &v) in base.iter().enumerate().rev() {
+        if !key.before(v) {
+            vals.push(v);
+            oids.push(i as u32);
+        }
+    }
+    (vals, oids, split)
 }
 
 /// Single-pass three-way partition of `vals[lo..hi]` around two boundaries

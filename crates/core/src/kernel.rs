@@ -32,9 +32,15 @@
 //! *swap* (middle-class tuples may shuffle along repeatedly). The vector
 //! kernel is one of two traces. On a middle-dominant piece, or one it
 //! declines, it is the scalar sweep, swap count and all. Otherwise it is
-//! two vector two-way cracks, `k1` over the piece and then `k2` over its
-//! right part, and `moved` is the sum of their crossing-pair counts. Both
-//! routes are pinned bit for bit in this module's proptests.
+//! two vector two-way cracks, larger outer side first: `k2` over the
+//! piece and then `k1` over its left part when more tuples lie after `k2`
+//! than before `k1`, else `k1` over the piece and then `k2` over its right
+//! part. `moved` is the sum of their crossing-pair counts. Both routes are
+//! pinned bit for bit in this module's proptests. The out-of-place
+//! two-way pass ([`CrackKernel::crack_two_from`]) that gives a cracked
+//! copy its first crack straight from the base column keeps the two-way
+//! contract against `crack_two` over a dense copy; its `moved` is the same
+//! canonical count.
 //!
 //! # The selection rule
 //!
@@ -173,6 +179,30 @@ impl CrackKernel {
             }
         }
         crack::crack_three(vals, oids, lo, hi, k1, k2, moved)
+    }
+
+    /// Out-of-place two-way partition of a whole base column around `key`
+    /// into fresh `storage::mem` arrays: returns `(values, oids, split)`,
+    /// the OIDs being the dense base positions. The contract is
+    /// [`crack_two`](Self::crack_two)'s over a dense copy of `base`: the
+    /// same split, the same per-side multisets and the same `moved` delta.
+    /// Both kernels leave the left side in base order, so the tuples that
+    /// were already left of the split are a prefix of it and `moved` is
+    /// one binary search.
+    pub fn crack_two_from<T: CrackValue>(
+        self,
+        base: &[T],
+        key: BoundaryKey<T>,
+        moved: &mut u64,
+    ) -> (Vec<T>, Vec<u32>, usize) {
+        let vector = match self {
+            CrackKernel::Simd => simd::crack_two_from(base, key),
+            CrackKernel::Scalar => None,
+        };
+        let (vals, oids, split) = vector.unwrap_or_else(|| crack::crack_two_from(base, key));
+        let stayed = oids[..split].partition_point(|&o| (o as usize) < split);
+        *moved += 2 * (split - stayed) as u64;
+        (vals, oids, split)
     }
 
     /// Append the absolute positions in `range` whose value matches `pred`
@@ -577,14 +607,15 @@ mod tests {
 
         /// The vector three-way crack is, bit for bit, one of two traces:
         /// on a middle-dominant piece (or one the vector path declines)
-        /// the scalar sweep, otherwise `Simd.crack_two(k1)` over the
-        /// piece followed by `Simd.crack_two(k2)` over its right part —
-        /// same splits, arrangement, OIDs and `moved`. The sweep's swap
-        /// count is at least the destination-displacement count; each
-        /// vector pass's `moved` is exactly the two-way displacement of
-        /// that pass's input. (The sum of the two can fall short of the
-        /// three-way displacement: the first pass rearranges the right
-        /// part before the second sees it.) `squeeze` pulls both keys
+        /// the scalar sweep, otherwise two `Simd.crack_two` passes, larger
+        /// outer side first: `k2` over the piece then `k1` over its left
+        /// part when `c3 > c1`, else `k1` over the piece then `k2` over
+        /// its right part — same splits, arrangement, OIDs and `moved`.
+        /// The sweep's swap count is at least the destination-displacement
+        /// count; each vector pass's `moved` is exactly the two-way
+        /// displacement of that pass's input. (The sum of the two can fall
+        /// short of the three-way displacement: the first pass rearranges
+        /// the rest before the second sees it.) `squeeze` pulls both keys
         /// toward the ends so the sweep route is drawn often; `edge` 1 / 2
         /// moves `k1` below / `k2` above every value, so the left
         /// (`c1 == 0`) / right (`c3 == 0`) region is empty; `n` straddles
@@ -624,6 +655,17 @@ mod tests {
                     CrackKernel::Scalar.crack_three(&mut wv, &mut wo, 0, n, k1, k2, &mut wm);
                 prop_assert!(wm >= displaced_oracle(&vals, 0, n, k1, k2, splits.0, splits.1));
                 splits
+            } else if c3 > c1 {
+                let p2 = CrackKernel::Simd.crack_two(&mut wv, &mut wo, 0, n, k2, &mut wm);
+                prop_assert_eq!(wm, displaced_oracle(&vals, 0, n, k2, k2, p2, p2));
+                let mid = wv.clone();
+                let p1 = CrackKernel::Simd.crack_two(&mut wv, &mut wo, 0, p2, k1, &mut wm);
+                prop_assert_eq!(
+                    wm,
+                    displaced_oracle(&vals, 0, n, k2, k2, p2, p2)
+                        + displaced_oracle(&mid, 0, p2, k1, k1, p1, p1)
+                );
+                (p1, p2)
             } else {
                 let p1 = CrackKernel::Simd.crack_two(&mut wv, &mut wo, 0, n, k1, &mut wm);
                 prop_assert_eq!(wm, displaced_oracle(&vals, 0, n, k1, k1, p1, p1));

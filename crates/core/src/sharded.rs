@@ -237,10 +237,36 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         if splits.is_empty() {
             return Self::assemble(splits, vec![CrackerColumn::with_config(vals, config)]);
         }
+        Self::scatter(&vals, splits, config)
+    }
+
+    /// The cracked copy of a base column at its first touch: what
+    /// [`build`](Self::build) makes of a copy of `base`, read from `base`
+    /// itself. One shard is [`CrackerColumn::from_base`], which cuts the
+    /// larger outer side of `first` while it copies. More shards scatter
+    /// `base` straight into the shards, and `first` is left to the select
+    /// that follows.
+    pub fn from_base(
+        base: &[T],
+        config: CrackerConfig,
+        mode: ConcurrencyMode,
+        first: Option<RangePred<T>>,
+    ) -> Self {
+        let splits = sample_splits(base, mode.shards);
+        if splits.is_empty() {
+            let col = CrackerColumn::from_base(base, config, first);
+            return Self::assemble(splits, vec![col]);
+        }
+        Self::scatter(base, splits, config)
+    }
+
+    /// Route every value of `vals`, with its position as OID, into the
+    /// shard `splits` assigns it.
+    fn scatter(vals: &[T], splits: Vec<T>, config: CrackerConfig) -> Self {
         let mut parts: Vec<(Vec<T>, Vec<u32>)> = (0..=splits.len())
             .map(|_| (Vec::new(), Vec::new()))
             .collect();
-        for (i, v) in vals.into_iter().enumerate() {
+        for (i, &v) in vals.iter().enumerate() {
             let s = splits.partition_point(|split| *split <= v);
             parts[s].0.push(v);
             parts[s].1.push(i as u32);

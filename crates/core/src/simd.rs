@@ -33,13 +33,24 @@
 //!   high→low so its stores chase its loads); the two buffered blocks
 //!   and the `len % 32` tail are placed scalarly at the end, when the
 //!   remaining free space exactly fits them.
+//! * **Out-of-place two-way partition** (`crack_two_from`): a cracked
+//!   copy's first crack, read straight from the base column. Each chunk is
+//!   compared once and compress-stored into fresh `storage::mem` arrays,
+//!   its "before" lanes ascending from the left and the rest descending
+//!   from the right, with its dense OIDs built in a register rather than
+//!   loaded. No counting pass is needed: the two cursors meet at the
+//!   split. The left side comes out in base order, which is what lets the
+//!   caller derive the canonical `moved` by one binary search.
 //! * **Three-way partition** (`crack_three`): one counting pass (two
 //!   compares per chunk) fixes both split positions, then two in-place
-//!   two-way partitions run with those splits passed in: `[lo, hi)` at
-//!   `k1`, then `[split1, hi)` at `k2`. No scratch is allocated. The
-//!   trace, `moved` included, is the trace of `crack_two(k1)` followed by
-//!   `crack_two(k2)`, and a second pass shorter than [`SIMD_MIN`] runs
-//!   the scalar two-way loop as `crack_two` would. Middle-dominant pieces
+//!   two-way partitions run with those splits passed in, larger outer
+//!   side first: `[lo, hi)` at `k2` then `[lo, split2)` at `k1` when more
+//!   tuples lie after `k2` than before `k1`, else `[lo, hi)` at `k1` then
+//!   `[split1, hi)` at `k2`. The second pass thus reads only the smaller
+//!   side and the middle. No scratch is allocated. The trace, `moved`
+//!   included, is the trace of the two `crack_two` calls, and a second
+//!   pass shorter than [`SIMD_MIN`] runs the scalar two-way loop as
+//!   `crack_two` would. Middle-dominant pieces
 //!   (at most `1 /` [`SWEEP_SHARE`] of the tuples leaving the middle
 //!   region, the shape every contracting query sequence produces) run
 //!   the scalar Dutch-flag sweep instead: it never moves a middle-class
@@ -217,8 +228,8 @@ pub(crate) fn crack_two<T: CrackValue>(
 /// Vector three-way partition entry point: `Some((p1, p2))` or `None` to
 /// fall back. Splits and per-piece multisets match the scalar sweep. The
 /// result is, bit for bit, one of two traces (see the module docs): the
-/// scalar sweep (middle-dominant pieces) or `crack_two(k1)` over the
-/// piece followed by `crack_two(k2)` over its right part.
+/// scalar sweep (middle-dominant pieces) or two `crack_two` calls, the
+/// larger outer side cut off first.
 pub(crate) fn crack_three<T: CrackValue>(
     vals: &mut [T],
     oids: &mut [u32],
@@ -253,27 +264,81 @@ pub(crate) fn crack_three<T: CrackValue>(
             debug_assert_eq!(splits, (split1, split2));
             return Some(splits);
         }
-        // Two in-place two-way partitions: `[lo, hi)` at `k1`, then the
-        // rest, `[split1, hi)`, at `k2`. `k1 ≤ k2`, so the "before k2"
-        // tuples of the rest are exactly the middle class and the second
-        // split is `split2`.
-        // SAFETY: as above; `c1` is the exact "before k1" count of
-        // `lo..hi`, and after the first pass `c3` is the exact "after k2"
-        // count of `split1..hi`, which is ≥ `SIMD_MIN` long.
+        // Two in-place two-way partitions, the larger outer side cut off
+        // first so the second pass only reads the smaller side and the
+        // middle. `k1 ≤ k2`, so after a cut at `k2` the "before k1"
+        // tuples of `[lo, split2)` are exactly the first class, and after
+        // a cut at `k1` the "before k2" tuples of `[split1, hi)` are
+        // exactly the middle class.
+        let (first, second, rest) = if c3 > c1 {
+            ((split2, p2), (split1, p1, k1), lo..split2)
+        } else {
+            ((split1, p1), (split2, p2, k2), split1..hi)
+        };
+        // SAFETY: as above; `first.0` is the exact split of `lo..hi` at
+        // its key, and after the first pass `second.0` is the exact split
+        // of `rest` at the other key (`rest` is ≥ `SIMD_MIN` long on the
+        // vector route).
         unsafe {
-            partition_two(lanes, oids, lo, hi, split1, p1, flip, moved);
-            if hi - split1 >= SIMD_MIN {
-                partition_two(lanes, oids, split1, hi, split2, p2, flip, moved);
+            partition_two(lanes, oids, lo, hi, first.0, first.1, flip, moved);
+            if rest.len() >= SIMD_MIN {
+                partition_two(
+                    lanes, oids, rest.start, rest.end, second.0, second.1, flip, moved,
+                );
                 return Some((split1, split2));
             }
         }
-        let p = crate::crack::crack_two(vals, oids, split1, hi, k2, moved);
-        debug_assert_eq!(p, split2);
+        let p = crate::crack::crack_two(vals, oids, rest.start, rest.end, second.2, moved);
+        debug_assert_eq!(p, second.0);
         Some((split1, split2))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = (vals, oids, lo, hi, k1, k2, moved);
+        None
+    }
+}
+
+/// Vector out-of-place two-way partition of a whole base column:
+/// `Some((values, oids, split))` in fresh `storage::mem` arrays, or `None`
+/// to fall back. The "before" tuples fill `..split` in base order, as
+/// `crack::crack_two_from` places them; the rest fill `split..` chunk by
+/// chunk from the right, so only their multiset matches the scalar twin.
+pub(crate) fn crack_two_from<T: CrackValue>(
+    base: &[T],
+    key: BoundaryKey<T>,
+) -> Option<(Vec<T>, Vec<u32>, usize)> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let n = base.len();
+        if !available() || n < SIMD_MIN || u32::try_from(n).is_err() {
+            return None;
+        }
+        let (lanes, flip) = lanes_ref(base)?;
+        let (pivot, lte) = key_bits(key, flip);
+        let mut vals: Vec<T> = storage::mem::column_vec(n);
+        let mut oids: Vec<u32> = storage::mem::column_vec(n);
+        // SAFETY: AVX2 and popcnt verified by `available()`; both outputs
+        // have capacity for exactly `n` elements, `T` is `i64` or `u64`
+        // (`lanes_ref` succeeded) so its buffer is a valid `i64` buffer,
+        // and the pass writes every slot of `0..n` once with a base tuple
+        // before returning, so `set_len(n)` exposes initialized elements
+        // only (`u32` and `i64` have no invalid bit patterns).
+        unsafe {
+            let dst = vals.as_mut_ptr() as *mut i64;
+            let split = if lte {
+                partition_from_avx2::<true>(lanes, dst, oids.as_mut_ptr(), pivot, flip)
+            } else {
+                partition_from_avx2::<false>(lanes, dst, oids.as_mut_ptr(), pivot, flip)
+            };
+            vals.set_len(n);
+            oids.set_len(n);
+            Some((vals, oids, split))
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (base, key);
         None
     }
 }
@@ -687,26 +752,12 @@ unsafe fn partition_two_avx2<const LTE: bool>(
                 misplaced += ((m & pos_mask_ge(src, split)) as u32).count_ones() as usize;
                 let cl = (m as u32).count_ones() as usize;
                 // Left: compress the "before" lanes to the front, store
-                // at the left cursor.
-                let vl_c = _mm256_permutevar8x32_epi32(
-                    v,
-                    _mm256_loadu_si256(PERM64_FRONT[m].as_ptr() as *const __m256i),
-                );
-                let ol_c =
-                    _mm_shuffle_epi8(o, _mm_loadu_si128(OID_FRONT[m].as_ptr() as *const __m128i));
-                _mm256_storeu_si256(vp.add(l_write) as *mut __m256i, vl_c);
-                _mm_storeu_si128(op.add(l_write) as *mut __m128i, ol_c);
-                // Right: compress the rest to the back, store ending at
-                // the right cursor.
+                // at the left cursor. Right: compress the rest to the
+                // back, store ending at the right cursor.
+                let (l, r) = (l_write, r_write - 4);
+                compress_store(v, o, m, vp.add(l), op.add(l), &PERM64_FRONT, &OID_FRONT);
                 let mr = (!m) & 0xF;
-                let vr_c = _mm256_permutevar8x32_epi32(
-                    v,
-                    _mm256_loadu_si256(PERM64_BACK[mr].as_ptr() as *const __m256i),
-                );
-                let or_c =
-                    _mm_shuffle_epi8(o, _mm_loadu_si128(OID_BACK[mr].as_ptr() as *const __m128i));
-                _mm256_storeu_si256(vp.add(r_write - 4) as *mut __m256i, vr_c);
-                _mm_storeu_si128(op.add(r_write - 4) as *mut __m128i, or_c);
+                compress_store(v, o, mr, vp.add(r), op.add(r), &PERM64_BACK, &OID_BACK);
                 l_write += cl;
                 r_write -= 4 - cl;
             }
@@ -736,6 +787,108 @@ unsafe fn partition_two_avx2<const LTE: bool>(
     debug_assert_eq!(l_write, r_write);
     debug_assert_eq!(l_write, split);
     *moved += 2 * misplaced as u64;
+}
+
+/// AVX2 out-of-place two-way partition of `src` into the fresh arrays
+/// `vals` / `oids`; returns the split. Each 4-tuple chunk is compared once
+/// and compress-stored twice, its "before" lanes ascending from the left
+/// cursor and the rest descending from the right cursor, with its dense
+/// OIDs built in a register rather than loaded. A store writes four lanes
+/// whatever the mask, so the vector loop stops while at least 8 slots are
+/// unfilled: the left store's `[l, l+4)` and the right store's
+/// `[r-4, r)` are then disjoint and both inside the unfilled window, and
+/// each garbage lane lands in a slot a later store overwrites. The last
+/// `< 8` tuples are placed one by one.
+///
+/// # Safety
+/// Caller guarantees AVX2+popcnt, `src.len() ≤ u32::MAX`, and that `vals`
+/// and `oids` are valid for writes of `src.len()` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn partition_from_avx2<const LTE: bool>(
+    src: &[i64],
+    vals: *mut i64,
+    oids: *mut u32,
+    pivot: i64,
+    flip: i64,
+) -> usize {
+    let n = src.len();
+    let sp = src.as_ptr();
+    let pv = _mm256_set1_epi64x(pivot);
+    let fv = _mm256_set1_epi64x(flip);
+    let step = _mm_set1_epi32(4);
+    let mut ov = _mm_setr_epi32(0, 1, 2, 3);
+    let (mut l, mut r, mut i) = (0usize, n, 0usize);
+    // SAFETY: loads are bounded by `i + 8 <= n`; `r - l == n - i ≥ 8`
+    // before each chunk, so both 4-lane stores land in `[l, r)` (see the
+    // doc comment), which lies inside the caller's `n`-element buffers.
+    unsafe {
+        while i + 8 <= n {
+            let v = _mm256_loadu_si256(sp.add(i) as *const __m256i);
+            let m = mask4_before::<LTE>(v, pv, fv);
+            let cl = (m as u32).count_ones() as usize;
+            compress_store(
+                v,
+                ov,
+                m,
+                vals.add(l),
+                oids.add(l),
+                &PERM64_FRONT,
+                &OID_FRONT,
+            );
+            let (mr, rs) = ((!m) & 0xF, r - 4);
+            compress_store(
+                v,
+                ov,
+                mr,
+                vals.add(rs),
+                oids.add(rs),
+                &PERM64_BACK,
+                &OID_BACK,
+            );
+            l += cl;
+            r -= 4 - cl;
+            ov = _mm_add_epi32(ov, step);
+            i += 4;
+        }
+        // SAFETY: one slot of the `n - i == r - l` unfilled ones per tuple.
+        while i < n {
+            let x = *sp.add(i);
+            let b = before_scalar(x, pivot, flip, LTE);
+            place_scalar(vals, oids, x, i as u32, b, &mut l, &mut r);
+            i += 1;
+        }
+    }
+    debug_assert_eq!(l, r);
+    l
+}
+
+/// Compress the lanes of one chunk (`v` values, `o` OIDs) named by `mask`
+/// with the given LUTs and store all four lanes at `vals` / `oids`.
+///
+/// # Safety
+/// Caller guarantees AVX2 and that `vals` / `oids` are valid for writes of
+/// four elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn compress_store(
+    v: __m256i,
+    o: __m128i,
+    mask: usize,
+    vals: *mut i64,
+    oids: *mut u32,
+    perm: &[[u32; 8]; 16],
+    shuf: &[[u8; 16]; 16],
+) {
+    // SAFETY: the LUT rows are 32 and 16 bytes; the caller vouches for
+    // the destinations.
+    unsafe {
+        let pv = _mm256_loadu_si256(perm[mask].as_ptr() as *const __m256i);
+        let sv = _mm_loadu_si128(shuf[mask].as_ptr() as *const __m128i);
+        _mm256_storeu_si256(vals as *mut __m256i, _mm256_permutevar8x32_epi32(v, pv));
+        _mm_storeu_si128(oids as *mut __m128i, _mm_shuffle_epi8(o, sv));
+    }
 }
 
 /// The 4-bit mask of chunk lanes whose absolute position is `≥ bound`,

@@ -224,7 +224,9 @@ fn scalar_and_auto_agree<T: CrackValue>(
     // The raw three-way partition over every ordered key pair: the same
     // splits and per-region multisets, and `Auto`'s trace (arrangement,
     // OIDs, `moved`) is either the scalar sweep's or that of two `Auto`
-    // two-way cracks, `k1` over the piece and then `k2` over its right
+    // two-way cracks, larger outer side first: `k2` over the piece and
+    // then `k1` over its left part when more tuples lie after `k2` than
+    // before `k1`, else `k1` over the piece and then `k2` over its right
     // part. A piece the vector path declines is the sweep; one with at
     // least half its tuples outside the middle region is never
     // middle-dominant, so it is the two passes; in between the guard
@@ -255,9 +257,16 @@ fn scalar_and_auto_agree<T: CrackValue>(
                 regions(&got),
                 "n={n} {k1:?} {k2:?}: three-way contract diverged"
             );
+            let c1 = vals.iter().filter(|&&x| k1.before(x)).count();
+            let c3 = vals.iter().filter(|&&x| !k2.before(x)).count();
             let (mut v, mut o, mut moved) = fresh();
-            let p1 = auto.crack_two(&mut v, &mut o, 0, n, k1, &mut moved);
-            let p2 = auto.crack_two(&mut v, &mut o, p1, n, k2, &mut moved);
+            let (p1, p2) = if c3 > c1 {
+                let p2 = auto.crack_two(&mut v, &mut o, 0, n, k2, &mut moved);
+                (auto.crack_two(&mut v, &mut o, 0, p2, k1, &mut moved), p2)
+            } else {
+                let p1 = auto.crack_two(&mut v, &mut o, 0, n, k1, &mut moved);
+                (p1, auto.crack_two(&mut v, &mut o, p1, n, k2, &mut moved))
+            };
             let two_passes = ((p1, p2), v, o, moved);
             let outer = p1 + (n - p2);
             let (is_sweep, is_two) = (got == sweep, got == two_passes);
@@ -591,6 +600,163 @@ proptest! {
             scalar.validate().map_err(TestCaseError::fail)?;
             for col in &others {
                 prop_assert_eq!(scalar.stats().cracks, col.stats().cracks);
+                col.validate().map_err(TestCaseError::fail)?;
+            }
+        }
+    }
+}
+
+/// An `n`-element pseudo-random column (xorshift64) over `domain` values
+/// around zero: a small domain makes long runs of duplicates. With
+/// `extremes`, every seventh value is `i64::MIN` and every eleventh
+/// `i64::MAX`.
+fn pseudo_column(n: usize, seed: u64, domain: u64, extremes: bool) -> Vec<i64> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1;
+    (0..n)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match i {
+                _ if extremes && i % 7 == 3 => i64::MIN,
+                _ if extremes && i % 11 == 5 => i64::MAX,
+                _ => (x % domain) as i64 - (domain / 2) as i64,
+            }
+        })
+        .collect()
+}
+
+/// The out-of-place pass under both kernels against `crack_two` over a
+/// dense copy of `base`: the same split, the same `(oid, value)` multiset
+/// on each side and the same `moved`, and every output slot holds
+/// `(base[oid], oid)`.
+fn from_base_agrees<T: CrackValue>(base: &[T], key: BoundaryKey<T>) -> Result<(), TestCaseError> {
+    let n = base.len();
+    let (mut v, mut o) = (base.to_vec(), (0..n as u32).collect::<Vec<u32>>());
+    let mut moved = 0u64;
+    let split = CrackKernel::Scalar.crack_two(&mut v, &mut o, 0, n, key, &mut moved);
+    let want = (
+        split,
+        pairs(&o[..split], &v[..split]),
+        pairs(&o[split..], &v[split..]),
+        moved,
+    );
+    for kernel in [CrackKernel::Scalar, CrackKernel::Simd] {
+        let mut moved = 0u64;
+        let (v, o, split) = kernel.crack_two_from(base, key, &mut moved);
+        prop_assert_eq!((v.len(), o.len()), (n, n), "{:?}: n={} lengths", kernel, n);
+        for (&x, &oid) in v.iter().zip(&o) {
+            prop_assert!(
+                base[oid as usize] == x,
+                "{:?}: n={} slot is not (base[oid], oid)",
+                kernel,
+                n
+            );
+        }
+        let got = (
+            split,
+            pairs(&o[..split], &v[..split]),
+            pairs(&o[split..], &v[split..]),
+            moved,
+        );
+        prop_assert!(
+            got == want,
+            "{:?}: n={} {:?} diverged from crack_two",
+            kernel,
+            n,
+            key
+        );
+    }
+    Ok(())
+}
+
+/// Column lengths the out-of-place pass must cover: empty, tiny, under
+/// the vector floor, not a multiple of the 4-lane chunk, and 2^17.
+fn from_base_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(1),
+        Just(3),
+        Just(100),
+        Just(131),
+        Just(1 << 17),
+        0usize..1_200
+    ]
+}
+
+proptest! {
+    /// The from-base pass on `i64` columns: keys at a column value, below
+    /// and above every value, and at `i64::MIN` / `i64::MAX`, over
+    /// columns with and without duplicates and extreme values.
+    #[test]
+    fn prop_from_base_pass_matches_crack_two_on_a_dense_copy(
+        n in from_base_len(),
+        seed in 0u64..1_000_000,
+        domain in prop_oneof![Just(4u64), Just(1_000), Just(u64::MAX / 2)],
+        extremes in proptest::bool::ANY,
+        (pick, frac, lte) in (0u8..5, 0.0f64..1.0, proptest::bool::ANY),
+    ) {
+        let base = pseudo_column(n, seed, domain, extremes);
+        let at = |f: f64| base.get((f * n as f64) as usize).copied().unwrap_or(0);
+        let (lo, hi) = (base.iter().min().copied(), base.iter().max().copied());
+        let value = match pick {
+            0 => at(frac),
+            1 => lo.map_or(0, |v| v.saturating_sub(1)),
+            2 => hi.map_or(0, |v| v.saturating_add(1)),
+            3 => i64::MIN,
+            _ => i64::MAX,
+        };
+        from_base_agrees(&base, BoundaryKey { value, lte })?;
+    }
+
+    /// The from-base pass on `u64` columns straddling 2^63, where the
+    /// vector compare runs behind the sign flip.
+    #[test]
+    fn prop_from_base_pass_rides_the_u64_sign_flip(
+        n in from_base_len(),
+        seed in 0u64..1_000_000,
+        (pick, frac, lte) in (0u8..4, 0.0f64..1.0, proptest::bool::ANY),
+    ) {
+        let seam = 1u64 << 63;
+        let base: Vec<u64> = pseudo_column(n, seed, 1 << 20, false)
+            .into_iter()
+            .map(|v| seam.wrapping_add(v as u64))
+            .collect();
+        let value = match pick {
+            0 => base.get((frac * n as f64) as usize).copied().unwrap_or(seam),
+            1 => seam,
+            2 => 0,
+            _ => u64::MAX,
+        };
+        from_base_agrees(&base, BoundaryKey { value, lte })?;
+    }
+
+    /// A copy built from the base with its first predicate, under both
+    /// kernels, at one shard and several: the first select answers like
+    /// the oracle, and every later one like a column built from a plain
+    /// copy, with a valid piece map throughout.
+    #[test]
+    fn prop_from_base_first_touch_answers_like_a_copy(
+        orig in proptest::collection::vec(-200i64..200, 0..400),
+        queries in proptest::collection::vec((-220i64..220, 0i64..120), 1..10),
+        shards in 1usize..5,
+    ) {
+        let mode = ConcurrencyMode { shards };
+        let copy = ConcurrentColumn::build(orig.clone(), cfg(KernelPolicy::Scalar), mode);
+        let first = RangePred::between(queries[0].0, queries[0].0 + queries[0].1);
+        for kernel in POLICIES {
+            let col = ConcurrentColumn::from_base(&orig, cfg(kernel), mode, Some(first));
+            for &(lo, width) in &queries {
+                let pred = RangePred::between(lo, lo + width);
+                let mut want: Vec<u32> = (0..orig.len() as u32)
+                    .filter(|&o| pred.matches(orig[o as usize]))
+                    .collect();
+                let mut got = col.select_oids(pred);
+                got.sort_unstable();
+                prop_assert_eq!(&got, &want, "{:?} {:?} vs oracle", kernel, pred);
+                want = copy.select_oids(pred);
+                want.sort_unstable();
+                prop_assert_eq!(&got, &want, "{:?} {:?} vs a copy", kernel, pred);
                 col.validate().map_err(TestCaseError::fail)?;
             }
         }

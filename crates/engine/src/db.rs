@@ -41,7 +41,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use storage::codec::{self, Reader};
 use storage::fault::{FaultKind, RetryPolicy};
-use storage::mem;
 use storage::wal::{RedoLog, WalRecord};
 use storage::{CheckpointStore, Manifest, StorageError};
 
@@ -213,10 +212,25 @@ impl AdaptiveDb {
         table: &str,
         column: &str,
     ) -> EngineResult<&ConcurrentColumn<i64>> {
+        self.cracker_for(table, column, None)
+    }
+
+    /// [`shared_cracker`](Self::shared_cracker) for a caller about to
+    /// select `first` on the column: a first touch builds the copy with
+    /// [`ConcurrentColumn::from_base`], which cuts the larger outer side
+    /// of `first` straight from the base column while it copies, so the
+    /// select only cracks the smaller side. On a column already cracked,
+    /// `first` is ignored.
+    pub fn cracker_for(
+        &mut self,
+        table: &str,
+        column: &str,
+        first: Option<RangePred<i64>>,
+    ) -> EngineResult<&ConcurrentColumn<i64>> {
         set_key(&mut self.probe, table, column);
         if !self.columns.contains_key(&self.probe) {
-            let vals = mem::copy_of(self.catalog.table(table)?.ints(column)?);
-            let col = ConcurrentColumn::build(vals, self.config, self.concurrency);
+            let base = self.catalog.table(table)?.ints(column)?;
+            let col = ConcurrentColumn::from_base(base, self.config, self.concurrency, first);
             if let Some(dead) = self.tombstones.get(table) {
                 col.stage_deletes(&sorted(dead));
             }
@@ -255,8 +269,13 @@ impl AdaptiveDb {
         governor: Option<&Governor>,
     ) -> EngineResult<(Vec<u32>, RunStats)> {
         let start = Instant::now();
-        let col = self.shared_cracker(&q.table, &q.attr)?;
-        let before = col.stats();
+        let col = self.cracker_for(&q.table, &q.attr, Some(q.pred))?;
+        let mut before = col.stats();
+        if before.queries == 0 {
+            // No select has run on this copy: the crack its first touch
+            // made from the base is this query's work.
+            before = Default::default();
+        }
         // An ungoverned count reads the piece map alone; every other
         // shape materializes the OIDs and counts them.
         let oids = match governor {
@@ -348,15 +367,16 @@ impl AdaptiveDb {
         if preds.len() > 1 {
             let mut fewest = usize::MAX;
             for (i, (attr, pred)) in preds.iter().enumerate() {
-                let count = self.shared_cracker(table, attr)?.count(*pred);
+                let count = self.cracker_for(table, attr, Some(*pred))?.count(*pred);
                 if count < fewest {
                     (driver, fewest) = (i, count);
                 }
             }
         }
         let mut out = Vec::new();
-        self.shared_cracker(table, preds[driver].0)?
-            .select_oids_into(preds[driver].1, &mut out);
+        let (attr, pred) = preds[driver];
+        self.cracker_for(table, attr, Some(pred))?
+            .select_oids_into(pred, &mut out);
         let kernel = self.config.kernel.resolve();
         for (i, (attr, pred)) in preds.iter().enumerate() {
             if i == driver {
@@ -2403,6 +2423,125 @@ mod tests {
             all.extend([5, 7]);
             all.sort_unstable();
             check_wide(&mut db, &folded(&model, &all), "folded");
+        }
+    }
+
+    /// [`db_in`] plus `w` of `n` rows (see [`wide_row`]) with no cracked
+    /// copy yet, and its model.
+    fn untouched_wide(mode: ConcurrencyMode, n: u32) -> (AdaptiveDb, WideModel) {
+        let mut db = db_in(mode);
+        let (k, a) = (0..n).map(|i| wide_row(i, n)).unzip();
+        db.register(Table::from_int_columns("w", vec![("k", k), ("a", a)]).unwrap())
+            .unwrap();
+        (db, (0..n).map(|i| (i, wide_row(i, n))).collect())
+    }
+
+    /// Every select path that builds a copy from the base with its own
+    /// predicate — `select` counting and streaming, `select_governed`,
+    /// and `select_conjunctive`'s count loop and driver — answers its
+    /// first touch like the oracle while tombstones are pending, and so
+    /// does every later answer of the copy it built.
+    #[test]
+    fn first_touch_through_every_select_path_answers_like_the_oracle() {
+        let n = 6_400u32;
+        // The window is below the middle of `a`, so the from-base pass
+        // cuts at its upper bound; `k`'s one-sided window is a plain copy.
+        let (lo, hi) = (1_000, 1_700);
+        let a_pred = RangePred::between(lo, hi);
+        let k_pred = RangePred::ge(5);
+        type Path = fn(&mut AdaptiveDb, RangePred<i64>) -> Vec<u32>;
+        let paths: [(&str, Path); 5] = [
+            ("count", |db, pred| {
+                let q = RangeQuery::new("w", "a", pred);
+                let (_, stats) = db.select(&q, OutputMode::Count).unwrap();
+                vec![stats.result_count as u32]
+            }),
+            ("stream", |db, pred| cracked_oids(db, "w", "a", pred)),
+            ("governed", |db, pred| {
+                let q = RangeQuery::new("w", "a", pred);
+                let g = Governor::unbounded();
+                let mut oids = db.select_governed(&q, OutputMode::Stream, &g, 1).unwrap().0;
+                oids.sort_unstable();
+                oids
+            }),
+            ("conjunct", |db, pred| {
+                let both = [("a", pred), ("k", RangePred::ge(5))];
+                db.select_conjunctive("w", &both).unwrap()
+            }),
+            ("driver", |db, pred| {
+                db.select_conjunctive("w", &[("a", pred)]).unwrap()
+            }),
+        ];
+        for mode in MODES {
+            for (name, path) in paths {
+                let (mut db, mut model) = untouched_wide(mode, n);
+                let doomed: Vec<u32> = (0..40).map(|i| i * 37).collect();
+                db.delete_rows("w", &doomed).unwrap();
+                for oid in &doomed {
+                    model.remove(oid);
+                }
+                let a: BTreeMap<u32, i64> = model.iter().map(|(&o, &(_, a))| (o, a)).collect();
+                let k: BTreeMap<u32, i64> = model.iter().map(|(&o, &(k, _))| (o, k)).collect();
+                let mut want = model_oids(&a, a_pred);
+                match name {
+                    "count" => want = vec![want.len() as u32],
+                    "conjunct" => want.retain(|o| model_oids(&k, k_pred).contains(o)),
+                    _ => {}
+                }
+                assert_eq!(path(&mut db, a_pred), want, "{mode:?} {name}: first touch");
+                let col = db.cracked_column("w", "a").unwrap();
+                col.validate().unwrap();
+                assert!(
+                    col.piece_count() >= 3,
+                    "{mode:?} {name}: the window is cracked"
+                );
+                for pred in [a_pred, RangePred::lt(lo), RangePred::between(hi, 5_000)] {
+                    let got = cracked_oids(&mut db, "w", "a", pred);
+                    assert_eq!(got, model_oids(&a, pred), "{mode:?} {name}: {pred:?}");
+                }
+                check_wide(&mut db, &model, name);
+            }
+        }
+    }
+
+    /// A checkpoint taken right after a first touch built the copy from
+    /// the base recovers a database that answers like the oracle, with
+    /// the boundaries of that touch in place.
+    #[test]
+    fn first_touch_then_checkpoint_recovers_to_the_oracle() {
+        let n = 6_400u32;
+        for mode in MODES {
+            let dir = std::env::temp_dir().join(format!(
+                "dbcracker-db-first-touch-{}-{}",
+                std::process::id(),
+                mode.shards
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let (mut db, model) = untouched_wide(mode, n);
+            db.attach_durability(&dir, 1).unwrap();
+            let a: BTreeMap<u32, i64> = model.iter().map(|(&o, &(_, a))| (o, a)).collect();
+            let first = RangePred::between(4_000, 4_300);
+            assert_eq!(
+                cracked_oids(&mut db, "w", "a", first),
+                model_oids(&a, first)
+            );
+            let pieces = db.cracked_column("w", "a").unwrap().piece_count();
+            db.checkpoint().unwrap();
+            drop(db);
+            let mut db = AdaptiveDb::recover(&dir, CrackerConfig::default(), 1).unwrap();
+            let col = db.cracked_column("w", "a").unwrap();
+            col.validate().unwrap();
+            assert_eq!(col.piece_count(), pieces, "{mode:?}");
+            assert_eq!(col.shard_count(), mode.shards, "{mode:?}");
+            let touched = col.stats().tuples_touched;
+            assert_eq!(
+                cracked_oids(&mut db, "w", "a", first),
+                model_oids(&a, first)
+            );
+            let col = db.cracked_column("w", "a").unwrap();
+            assert_eq!(col.stats().tuples_touched, touched, "{mode:?}: warm");
+            check_wide(&mut db, &model, "recovered");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

@@ -122,8 +122,12 @@ impl Table {
         config: CrackerConfig,
         mode: ConcurrencyMode,
     ) -> EngineResult<ConcurrentColumn<i64>> {
-        let vals = self.ints(name)?.to_vec();
-        Ok(ConcurrentColumn::build(vals, config, mode))
+        Ok(ConcurrentColumn::from_base(
+            self.ints(name)?,
+            config,
+            mode,
+            None,
+        ))
     }
 
     /// Append whole rows in place; new rows take the next dense OIDs.

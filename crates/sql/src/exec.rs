@@ -240,7 +240,9 @@ impl Prepared {
             // Indexes what `AccessPath::of` matched: one term, one range.
             AccessPath::CountRange => {
                 let sel = &l.terms[0].selections[0];
-                let count = db.shared_cracker(&sel.table, &sel.attr)?.count(preds[0]);
+                let count = db
+                    .cracker_for(&sel.table, &sel.attr, Some(preds[0]))?
+                    .count(preds[0]);
                 QueryOutput::Table {
                     columns: vec![l.outputs[0].label().to_owned()],
                     rows: vec![vec![count as i64]],

@@ -7,11 +7,17 @@
 //! 5 900 faults, which cost more than the crack itself. With huge pages
 //! it takes about 750: one per 2 MiB page, plus 4 KiB faults for each
 //! array's tail past its last 2 MiB boundary. The arrays a cracked copy
-//! is born with are therefore built here (`AdaptiveDb`'s value copy,
-//! `CrackerColumn`'s dense OIDs, the decoder's columns): [`column_vec`]
-//! reserves the exact capacity and, on Linux, advises the kernel with
-//! `madvise(MADV_HUGEPAGE)` once, before the first write; [`copy_of`]
-//! and [`dense_oids`] are the two ways such an array is filled.
+//! is born with are therefore built here: [`column_vec`] reserves the
+//! exact capacity and, on Linux, advises the kernel with
+//! `madvise(MADV_HUGEPAGE)` once, before the first write. Its callers:
+//! - `cracker_core::crack::crack_two_from` and its vector twin, which
+//!   fill a first-touched column's values and dense OIDs already cracked
+//!   in two (`CrackerColumn::from_base` with a first predicate, the path
+//!   every `AdaptiveDb` select takes);
+//! - [`copy_of`] and [`dense_oids`], a plain copy and its dense OIDs
+//!   (`CrackerColumn::from_base` without one, and
+//!   `CrackerColumn::with_config`);
+//! - the decoder's columns.
 //!
 //! **The whole page range is advised**, `[floor4k(ptr),
 //! ceil4k(ptr + cap·size))`, not only its 2 MiB-aligned interior. A

@@ -4,8 +4,9 @@
 //! `len / 64`), so every whole-table reader runs between folds: `SELECT *`
 //! and `count(*)` without `WHERE`, `GROUP BY` with and without `WHERE`
 //! (the latter folds first), a join, `INSERT … SELECT`, the first touch of
-//! a column no query had cracked, and a `DELETE` of rows an `INSERT` has
-//! just staged. The mix runs at 1 and 4 shards and crosses the fold
+//! a column no query had cracked (by a one-sided `SELECT *` and by a
+//! two-sided `count(*)`, which builds the copy from the base already cut),
+//! and a `DELETE` of rows an `INSERT` has just staged. The mix runs at 1 and 4 shards and crosses the fold
 //! threshold through `DELETE` several times.
 
 use dbcracker::engine::AdaptiveDb;
@@ -112,14 +113,14 @@ fn run_mix(db: AdaptiveDb, seed: u64) -> (usize, usize) {
         });
         session.load_table(name, columns.collect()).unwrap();
     }
-    // `a` is cracked from the start; `d` is first touched only once
-    // tombstones are pending.
+    // `a` is cracked from the start; `d` and `b` are first touched only
+    // once tombstones are pending.
     let touched = session.execute_one("select count(*) from r where a < 5000");
     assert_eq!(
         touched.unwrap().rows().unwrap()[0][0],
         naive.r_where_a(0, 5_000).len() as i64
     );
-    let (mut d_touched, mut folds, mut deferred_reads) = (false, 0, 0);
+    let (mut d_touched, mut b_touched, mut folds, mut deferred_reads) = (false, false, 0, 0);
     // Values above the base's domain: rows `INSERT` stages and a `DELETE`
     // then takes back.
     let mut marker = 2 * N;
@@ -133,6 +134,19 @@ fn run_mix(db: AdaptiveDb, seed: u64) -> (usize, usize) {
                 let hi = rng.gen_range(0..1_000);
                 let want = naive.r.iter().filter(|row| row[3] < hi).cloned().collect();
                 (format!("select * from r where d < {hi}"), Ok(want))
+            }
+            _ if pending && !b_touched => {
+                // A two-sided range count builds `b`'s copy straight from
+                // the base, cut at its larger outer side.
+                b_touched = true;
+                assert!(session.adaptive().cracked_column("r", "b").is_none());
+                let n = naive
+                    .r
+                    .iter()
+                    .filter(|row| (10..13).contains(&row[2]))
+                    .count();
+                let sql = "select count(*) from r where b >= 10 and b < 13".to_string();
+                (sql, Ok(vec![vec![n as i64]]))
             }
             0..=39 => {
                 let hi = lo + rng.gen_range(10i64..=80);
@@ -235,6 +249,7 @@ fn run_mix(db: AdaptiveDb, seed: u64) -> (usize, usize) {
         }
     }
     assert!(d_touched, "d was first touched with tombstones pending");
+    assert!(b_touched, "b was first touched with tombstones pending");
     (folds, deferred_reads)
 }
 
