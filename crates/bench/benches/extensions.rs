@@ -1,13 +1,9 @@
 //! Criterion micro-benches over the extension subsystems: stochastic
-//! policies under both workload shapes, sideways projection vs OID
-//! gather, buffer-pool page access, and the SQL front-end pipeline.
+//! policies under both workload shapes and the SQL front-end pipeline.
 
-use cracker_core::sideways::CrackerMap;
 use cracker_core::stochastic::{StochasticCracker, StochasticPolicy};
-use cracker_core::CrackerColumn;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sql::SqlSession;
-use storage::{BufferPool, MemDisk, PagedColumn};
 use workload::sequential::{adversarial_sequence, Adversary};
 use workload::strolling::{strolling_sequence, StrollMode};
 use workload::{Contraction, Tapestry, Window};
@@ -61,65 +57,6 @@ fn stochastic(c: &mut Criterion) {
     g.finish();
 }
 
-/// Tuple reconstruction: sideways map vs crack-then-gather-by-OID.
-fn sideways(c: &mut Criterion) {
-    let a = column();
-    let b_col: Vec<i64> = a.iter().map(|v| v * 3).collect();
-    let seq = strolling_sequence(
-        N,
-        K,
-        0.02,
-        Contraction::Linear,
-        StrollMode::RandomWithReplacement,
-        9,
-    );
-    let mut g = c.benchmark_group("ext_sideways");
-    g.sample_size(10);
-    g.bench_function("oid_gather", |bch| {
-        bch.iter(|| {
-            let mut col = CrackerColumn::new(a.clone());
-            let mut acc = 0i64;
-            for w in &seq {
-                let sel = col.select(w.to_pred());
-                for oid in col.selection_oids(&sel) {
-                    acc = acc.wrapping_add(b_col[oid as usize]);
-                }
-            }
-            acc
-        })
-    });
-    g.bench_function("cracker_map", |bch| {
-        bch.iter(|| {
-            let mut map = CrackerMap::new(a.clone(), b_col.clone());
-            let mut acc = 0i64;
-            for w in &seq {
-                let r = map.select(w.to_pred());
-                for &v in map.project(r) {
-                    acc = acc.wrapping_add(v);
-                }
-            }
-            acc
-        })
-    });
-    g.finish();
-}
-
-/// Paged scans under different pool sizes (hit-ratio sensitivity).
-fn paged_scan(c: &mut Criterion) {
-    let vals = column();
-    let mut g = c.benchmark_group("ext_paged_scan");
-    g.sample_size(10);
-    for frames in [8usize, 64, 512] {
-        g.bench_with_input(BenchmarkId::from_parameter(frames), &frames, |b, &f| {
-            let mut pool = BufferPool::new(MemDisk::new(), f);
-            let col = PagedColumn::create(&mut pool, &vals).unwrap();
-            pool.flush().unwrap();
-            b.iter(|| col.count_matching(&mut pool, |v| v % 3 == 0).unwrap())
-        });
-    }
-    g.finish();
-}
-
 /// The SQL pipeline end to end: parse + lower + cracked execution.
 fn sql_pipeline(c: &mut Criterion) {
     let vals = column();
@@ -152,5 +89,5 @@ fn sql_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, stochastic, sideways, paged_scan, sql_pipeline);
+criterion_group!(benches, stochastic, sql_pipeline);
 criterion_main!(benches);

@@ -260,12 +260,11 @@ impl<T: CrackValue> CrackerColumn<T> {
         self.kernel
     }
 
-    /// Adjust the cut-off granule on a live column — the hook the
-    /// cracking optimizer ([`crate::policy`]) uses to steer piece
-    /// production per query. Existing pieces are untouched; only future
-    /// cracks see the new value.
-    pub fn set_min_piece_size(&mut self, granule: usize) {
-        self.config.min_piece_size = granule.max(1);
+    /// The capacities of the value and OID buffers, to check that a
+    /// constructor sized them exactly.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> (usize, usize) {
+        (self.vals.capacity(), self.oids.capacity())
     }
 
     /// Number of pieces currently administered.

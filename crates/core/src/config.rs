@@ -6,9 +6,7 @@
 //! Possible cut-off points to consider are the disk-blocks, being the
 //! slowest granularity in the system, or to limit the number of pieces
 //! administered." `CrackerConfig` exposes the cut-off, which the ablation
-//! benchmarks sweep; a limit on the number of pieces is
-//! [`crate::policy::CrackPolicy::PieceBudget`], which stops cracking
-//! instead of fusing pieces.
+//! benchmarks sweep; the number of pieces is not limited.
 
 use crate::kernel::KernelPolicy;
 use serde::{Deserialize, Serialize};

@@ -47,18 +47,14 @@
 pub mod column;
 pub mod config;
 pub mod crack;
-pub mod export;
 pub mod group;
 pub mod index;
 pub mod join;
 pub mod kernel;
 pub mod lineage;
-pub mod paged;
-pub mod policy;
 pub mod pred;
 pub mod project;
 pub mod sharded;
-pub mod sideways;
 pub(crate) mod simd;
 pub mod snapshot;
 pub mod stats;
@@ -71,11 +67,8 @@ pub use column::{CrackerColumn, Selection};
 pub use config::CrackerConfig;
 pub use index::CrackerIndex;
 pub use kernel::{simd_supported, CrackKernel, KernelPolicy};
-pub use paged::PagedCracker;
-pub use policy::{CrackPolicy, PolicyCracker};
 pub use pred::RangePred;
 pub use sharded::{ConcurrencyMode, ConcurrentColumn, ShardedSelection};
-pub use sideways::CrackerMap;
 pub use snapshot::{
     BoundaryRecord, ColumnDelta, ColumnSnapshot, ConcurrentDelta, ConcurrentSnapshot,
 };

@@ -98,6 +98,7 @@ use crate::stats::CrackStats;
 use crate::sync::{lockdep, LockGroup, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::updates::Renumbering;
 use crate::value_trait::CrackValue;
+use storage::mem;
 
 /// Upper bound on the number of values sampled to choose shard splits.
 const SPLIT_SAMPLE: usize = 4096;
@@ -261,15 +262,22 @@ impl<T: CrackValue> ConcurrentColumn<T> {
     }
 
     /// Route every value of `vals`, with its position as OID, into the
-    /// shard `splits` assigns it.
+    /// shard `splits` assigns it. A first pass counts each shard's rows,
+    /// so its value and OID buffers come from `storage::mem` at their
+    /// exact size, as the one-shard copy's do, and never reallocate.
     fn scatter(vals: &[T], splits: Vec<T>, config: CrackerConfig) -> Self {
-        let mut parts: Vec<(Vec<T>, Vec<u32>)> = (0..=splits.len())
-            .map(|_| (Vec::new(), Vec::new()))
+        let shard_of = |v: T| splits.partition_point(|split| *split <= v);
+        let mut counts = vec![0usize; splits.len() + 1];
+        for &v in vals {
+            counts[shard_of(v)] += 1;
+        }
+        let mut parts: Vec<(Vec<T>, Vec<u32>)> = (counts.iter())
+            .map(|&n| (mem::column_vec(n), mem::column_vec(n)))
             .collect();
         for (i, &v) in vals.iter().enumerate() {
-            let s = splits.partition_point(|split| *split <= v);
-            parts[s].0.push(v);
-            parts[s].1.push(i as u32);
+            let part = &mut parts[shard_of(v)];
+            part.0.push(v);
+            part.1.push(i as u32);
         }
         let columns = (parts.into_iter())
             .map(|(v, o)| CrackerColumn::from_pairs(v, o, config))
@@ -896,6 +904,36 @@ mod tests {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    #[test]
+    fn scatter_fills_each_shard_exactly() {
+        let vals: Vec<i64> = (0..10_007).map(|i| (i * 7_919) % 3_001).collect();
+        for shards in [2, 4] {
+            let mode = ConcurrencyMode { shards };
+            for col in [
+                ConcurrentColumn::build(vals.clone(), CrackerConfig::default(), mode),
+                ConcurrentColumn::from_base(&vals, CrackerConfig::default(), mode, None),
+            ] {
+                assert_eq!(col.shard_count(), shards);
+                col.validate().unwrap();
+                let splits = col.splits().to_vec();
+                let got = col.read_shards(|c| {
+                    assert_eq!(c.capacities(), (c.len(), c.len()), "spare capacity");
+                    let pairs = c.values().iter().copied().zip(c.oids().iter().copied());
+                    let mut pairs: Vec<(i64, u32)> = pairs.collect();
+                    pairs.sort_unstable();
+                    pairs
+                });
+                for (s, pairs) in got.iter().enumerate() {
+                    let mut want: Vec<(i64, u32)> = (vals.iter().copied().zip(0u32..))
+                        .filter(|&(v, _)| splits.partition_point(|split| *split <= v) == s)
+                        .collect();
+                    want.sort_unstable();
+                    assert_eq!(pairs, &want, "{shards} shards, shard {s}");
+                }
+            }
+        }
     }
 
     #[test]

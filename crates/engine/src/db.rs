@@ -722,8 +722,8 @@ impl AdaptiveDb {
     /// column's slice goes to the redo log in **one** group append
     /// before any cracked copy or the base changes: a refused append
     /// leaves the base, the cracked copies and the log as they were.
-    /// A base column shared with a [`BatView`](storage::BatView) is
-    /// copied once (the view keeps the old rows); an unshared one grows
+    /// A base column shared with another `Arc` holder (a Ψ fragment) is
+    /// copied once (the holder keeps the old rows); an unshared one grows
     /// by the rows appended.
     pub fn append_rows(&mut self, table: &str, rows: &[Vec<i64>]) -> EngineResult<u32> {
         let t = self.catalog.table(table)?;
@@ -1817,13 +1817,14 @@ mod tests {
         assert_eq!(ptrs(&db), before, "append_rows copied a base column");
         db.delete_rows("r", &[0, 101]).unwrap();
         assert_eq!(ptrs(&db), before, "delete_rows copied a base column");
-        // A column shared with a view is copied once and never mutated:
-        // the view still reports the rows it was taken over.
-        let view = db.catalog().table("r").unwrap().column_view("a").unwrap();
+        // A column shared with another holder (as a Ψ fragment holds it)
+        // is copied once and never mutated: the holder still sees the
+        // rows it took.
+        let shared = Arc::clone(db.catalog().table("r").unwrap().column("a").unwrap());
         db.append_rows("r", &[vec![1, 1]]).unwrap();
-        assert_eq!(view.len(), 100);
+        assert_eq!(shared.len(), 100);
         assert_eq!(db.catalog().table("r").unwrap().len(), 101);
-        assert_eq!(Arc::as_ptr(view.parent()), before[1]);
+        assert_eq!(Arc::as_ptr(&shared), before[1]);
         assert_eq!(ptrs(&db)[0], before[0]);
         assert_ne!(ptrs(&db)[1], before[1]);
     }

@@ -113,14 +113,13 @@ impl EngineError {
     }
 
     /// True when the request was refused (or abandoned) to protect the
-    /// system under load: the admission gate shed it, its deadline
-    /// elapsed, or the storage layer signalled capacity exhaustion.
+    /// system under load: the admission gate shed it or its deadline
+    /// elapsed.
     pub fn is_overload(&self) -> bool {
-        match self {
-            EngineError::Overloaded { .. } | EngineError::DeadlineExceeded { .. } => true,
-            EngineError::Storage(e) => e.is_overload(),
-            _ => false,
-        }
+        matches!(
+            self,
+            EngineError::Overloaded { .. } | EngineError::DeadlineExceeded { .. }
+        )
     }
 }
 
@@ -204,12 +203,6 @@ mod tests {
                 false,
                 true,
                 false,
-            ),
-            (
-                EngineError::Storage(StorageError::PoolExhausted { capacity: 2 }),
-                false,
-                false,
-                true,
             ),
             (
                 EngineError::Storage(StorageError::WalPoisoned("f".into())),

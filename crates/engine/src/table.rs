@@ -10,7 +10,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::schema::Schema;
 use cracker_core::{ConcurrencyMode, ConcurrentColumn, CrackerConfig};
 use std::sync::Arc;
-use storage::{Atom, Bat, BatView, Oid};
+use storage::{Atom, Bat, Oid};
 
 /// An n-ary relational table decomposed into aligned column BATs.
 #[derive(Debug, Clone)]
@@ -104,11 +104,6 @@ impl Table {
     /// Borrow an integer column's values.
     pub fn ints(&self, name: &str) -> EngineResult<&[i64]> {
         Ok(self.column(name)?.ints()?)
-    }
-
-    /// A whole-column view.
-    pub fn column_view(&self, name: &str) -> EngineResult<BatView> {
-        Ok(BatView::whole(Arc::clone(self.column(name)?)))
     }
 
     /// Build a latched cracked copy of an integer column for concurrent
@@ -250,10 +245,11 @@ mod tests {
     #[test]
     fn rows_append_and_compact_in_place() {
         let mut t = sample();
-        let view = t.column_view("k").unwrap();
+        let shared = Arc::clone(t.column("k").unwrap());
         t.append_int_rows(&[vec![4, 40], vec![5, 50]]).unwrap();
         assert_eq!(t.ints("a").unwrap(), &[10, 20, 30, 40, 50]);
-        assert_eq!(view.len(), 3, "a shared column is copied, not mutated");
+        assert_eq!(shared.len(), 3, "a shared column is copied, not mutated");
+        assert_eq!(shared.ints().unwrap(), &[1, 2, 3]);
         assert!(matches!(
             t.append_int_rows(&[vec![6, 60], vec![7]]),
             Err(EngineError::RaggedColumns(_))
@@ -299,12 +295,5 @@ mod tests {
         assert!(t
             .concurrent_column("zzz", CrackerConfig::default(), ConcurrencyMode::default())
             .is_err());
-    }
-
-    #[test]
-    fn column_view_is_whole_column() {
-        let t = sample();
-        let v = t.column_view("k").unwrap();
-        assert_eq!(v.len(), 3);
     }
 }

@@ -13,7 +13,6 @@
 //! (§3.4.2). The `engine` crate performs that mapping; this module only
 //! knows about single BATs.
 
-use crate::accel::Accelerators;
 use crate::error::{StorageError, StorageResult};
 use crate::heap::{HeapRef, StrHeap};
 use crate::stats::BatStats;
@@ -116,15 +115,12 @@ impl TailData {
 }
 
 /// A Binary Association Table: `(head oid, tail value)` pairs plus lazily
-/// maintained accelerators and statistics.
+/// computed statistics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Bat {
     name: String,
     head: HeadColumn,
     tail: TailData,
-    /// Lazily built search accelerators; cleared on mutation.
-    #[serde(skip)]
-    accel: Accelerators,
     /// Cached statistics; cleared on mutation.
     #[serde(skip)]
     stats: Option<BatStats>,
@@ -146,7 +142,6 @@ impl Bat {
             name: name.into(),
             head: HeadColumn::Dense { base: 0 },
             tail,
-            accel: Accelerators::default(),
             stats: None,
         }
     }
@@ -157,7 +152,6 @@ impl Bat {
             name: name.into(),
             head: HeadColumn::Dense { base: 0 },
             tail: TailData::Int(values),
-            accel: Accelerators::default(),
             stats: None,
         }
     }
@@ -168,7 +162,6 @@ impl Bat {
             name: name.into(),
             head: HeadColumn::Dense { base: 0 },
             tail: TailData::Float(values),
-            accel: Accelerators::default(),
             stats: None,
         }
     }
@@ -179,7 +172,6 @@ impl Bat {
             name: name.into(),
             head: HeadColumn::Dense { base: 0 },
             tail: TailData::Oid(values),
-            accel: Accelerators::default(),
             stats: None,
         }
     }
@@ -195,7 +187,6 @@ impl Bat {
             name: name.into(),
             head: HeadColumn::Dense { base: 0 },
             tail: TailData::Str { refs, heap },
-            accel: Accelerators::default(),
             stats: None,
         }
     }
@@ -217,7 +208,6 @@ impl Bat {
             name: name.into(),
             head: HeadColumn::Explicit(oids),
             tail,
-            accel: Accelerators::default(),
             stats: None,
         })
     }
@@ -465,58 +455,6 @@ impl Bat {
             .unwrap_or_else(|| BatStats::compute(&self.tail))
     }
 
-    /// Access (building if necessary) the accelerator set.
-    pub fn accelerators(&mut self) -> &mut Accelerators {
-        &mut self.accel
-    }
-
-    /// Positions whose tail equals `atom`, via the hash accelerator.
-    pub fn hash_lookup(&mut self, atom: &Atom) -> Vec<usize> {
-        // Split borrows: build the accelerator from the tail, then query.
-        self.accel.ensure_hash(&self.tail);
-        self.accel.hash_positions(atom)
-    }
-
-    /// Sorted permutation of positions by tail value (building the order
-    /// accelerator if necessary).
-    pub fn sorted_permutation(&mut self) -> &[u32] {
-        self.accel.ensure_sorted(&self.tail);
-        self.accel.sorted_permutation()
-    }
-
-    /// Verify the structural invariants deserialization cannot enforce
-    /// (serde rebuilds head and tail independently, so a tampered or
-    /// truncated snapshot can produce a BAT the constructors would have
-    /// rejected): an explicit head must align with the tail, and a string
-    /// tail's references must resolve inside its heap. Called by
-    /// `persist::load_catalog` before a deserialized BAT is registered.
-    pub fn check_invariants(&self) -> StorageResult<()> {
-        if let HeadColumn::Explicit(oids) = &self.head {
-            if oids.len() != self.tail.len() {
-                return Err(StorageError::PersistFormat(format!(
-                    "BAT {:?}: explicit head has {} OIDs but tail has {} BUNs",
-                    self.name,
-                    oids.len(),
-                    self.tail.len()
-                )));
-            }
-        }
-        if let TailData::Str { refs, heap } = &self.tail {
-            heap.check()
-                .map_err(|e| StorageError::PersistFormat(format!("BAT {:?}: {e}", self.name)))?;
-            for &r in refs {
-                if r as usize >= heap.len() {
-                    return Err(StorageError::PersistFormat(format!(
-                        "BAT {:?}: tail ref {r} beyond heap of {} entries",
-                        self.name,
-                        heap.len()
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn check(&self, pos: usize) -> StorageResult<()> {
         if pos < self.len() {
             Ok(())
@@ -529,7 +467,6 @@ impl Bat {
     }
 
     fn invalidate(&mut self) {
-        self.accel.clear();
         self.stats = None;
     }
 }
@@ -594,15 +531,11 @@ mod tests {
     #[test]
     fn bulk_append_and_retain_keep_a_dense_head_dense() {
         let mut b = Bat::from_ints("r_a", vec![10, 20, 30]);
-        assert_eq!(b.sorted_permutation(), &[0, 1, 2]);
+        assert_eq!(b.stats().max, Some(Atom::Int(30)));
         b.append_ints([5, 40]).unwrap();
         assert!(b.head().is_dense());
         assert_eq!(b.ints().unwrap(), &[10, 20, 30, 5, 40]);
-        assert_eq!(
-            b.sorted_permutation(),
-            &[3, 0, 1, 2, 4],
-            "accelerators dropped"
-        );
+        assert_eq!(b.stats().max, Some(Atom::Int(40)), "stats dropped");
         b.remove_positions(&[1, 3]);
         assert!(b.head().is_dense(), "survivors are renumbered");
         assert_eq!(b.ints().unwrap(), &[10, 30, 40]);
@@ -619,7 +552,6 @@ mod tests {
         b.remove_positions(&[1, 3]);
         assert_eq!(b.head(), &HeadColumn::Explicit(vec![7, 9, 11]));
         assert_eq!(b.ints().unwrap(), &[1, 3, 5]);
-        b.check_invariants().unwrap();
     }
 
     #[test]
@@ -680,28 +612,5 @@ mod tests {
         let b = Bat::from_ints("r_a", vec![5, 6]);
         let pairs: Vec<_> = b.iter().collect();
         assert_eq!(pairs, vec![(0, Atom::Int(5)), (1, Atom::Int(6))]);
-    }
-
-    #[test]
-    fn hash_lookup_finds_all_positions() {
-        let mut b = Bat::from_ints("r_a", vec![7, 3, 7, 9]);
-        let mut pos = b.hash_lookup(&Atom::Int(7));
-        pos.sort_unstable();
-        assert_eq!(pos, vec![0, 2]);
-        assert!(b.hash_lookup(&Atom::Int(100)).is_empty());
-    }
-
-    #[test]
-    fn sorted_permutation_orders_tail() {
-        let mut b = Bat::from_ints("r_a", vec![30, 10, 20]);
-        assert_eq!(b.sorted_permutation(), &[1, 2, 0]);
-    }
-
-    #[test]
-    fn mutation_invalidates_accelerators() {
-        let mut b = Bat::from_ints("r_a", vec![2, 1]);
-        assert_eq!(b.sorted_permutation(), &[1, 0]);
-        b.append(Atom::Int(0)).unwrap();
-        assert_eq!(b.sorted_permutation(), &[2, 1, 0]);
     }
 }

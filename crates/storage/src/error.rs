@@ -23,10 +23,8 @@ pub enum StorageError {
         /// Number of live BUNs in the BAT.
         len: usize,
     },
-    /// A named BAT was not found in the catalog.
+    /// A named BAT (a fragment's attribute) does not exist.
     UnknownBat(String),
-    /// A BAT with this name already exists in the catalog.
-    DuplicateBat(String),
     /// Two BATs that must be aligned (same length / same head) are not.
     Misaligned {
         /// Length of the left operand.
@@ -34,8 +32,6 @@ pub enum StorageError {
         /// Length of the right operand.
         right: usize,
     },
-    /// Attempt to mutate a BAT that is shared through live views.
-    SharedMutation(String),
     /// Persistence (I/O or serialization) failure.
     Persist(String),
     /// Persistence failed at the I/O layer (open/read/write/fsync/rename):
@@ -51,16 +47,9 @@ pub enum StorageError {
     /// fsyncgate trap). Every later append is refused with this error
     /// until the log rotates to a fresh epoch file.
     WalPoisoned(String),
-    /// A persisted artifact is malformed (bad JSON, wrong version, broken
-    /// BAT invariants): retrying cannot help, the file itself is bad.
+    /// A persisted artifact is malformed (bad JSON, wrong version, a bad
+    /// checksum): retrying cannot help, the file itself is bad.
     PersistFormat(String),
-    /// A page id does not exist on the page store.
-    UnknownPage(u32),
-    /// The buffer pool has no evictable frame left.
-    PoolExhausted {
-        /// Number of frames in the pool.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for StorageError {
@@ -73,15 +62,11 @@ impl fmt::Display for StorageError {
                 write!(f, "position {index} out of bounds for BAT of length {len}")
             }
             StorageError::UnknownBat(name) => write!(f, "unknown BAT {name:?}"),
-            StorageError::DuplicateBat(name) => write!(f, "BAT {name:?} already exists"),
             StorageError::Misaligned { left, right } => {
                 write!(
                     f,
                     "misaligned BATs: left has {left} BUNs, right has {right}"
                 )
-            }
-            StorageError::SharedMutation(name) => {
-                write!(f, "cannot mutate BAT {name:?}: live views exist")
             }
             StorageError::Persist(msg) => write!(f, "persistence error: {msg}"),
             StorageError::PersistIo(msg) => write!(f, "persistence I/O error: {msg}"),
@@ -90,10 +75,6 @@ impl fmt::Display for StorageError {
                 write!(f, "redo log poisoned until rotation: {msg}")
             }
             StorageError::PersistFormat(msg) => write!(f, "persisted data malformed: {msg}"),
-            StorageError::UnknownPage(id) => write!(f, "unknown page {id}"),
-            StorageError::PoolExhausted { capacity } => {
-                write!(f, "buffer pool exhausted: all {capacity} frames in use")
-            }
         }
     }
 }
@@ -111,13 +92,6 @@ impl StorageError {
     /// retrying cannot help and recovery/repair is required.
     pub fn is_corruption(&self) -> bool {
         matches!(self, StorageError::PersistFormat(_))
-    }
-
-    /// True when the failure is a capacity/overload signal — the request
-    /// was refused to protect the system, and backing off (or shedding
-    /// load) is the right response rather than retrying immediately.
-    pub fn is_overload(&self) -> bool {
-        matches!(self, StorageError::PoolExhausted { .. })
     }
 }
 
@@ -154,9 +128,9 @@ mod tests {
 
     #[test]
     fn every_variant_has_a_pinned_classification() {
-        // One row per variant: (error, transient, corruption, overload).
+        // One row per variant: (error, transient, corruption).
         // Adding a variant without deciding its class should fail here.
-        let table: Vec<(StorageError, bool, bool, bool)> = vec![
+        let table: Vec<(StorageError, bool, bool)> = vec![
             (
                 StorageError::TypeMismatch {
                     expected: AtomType::Int,
@@ -164,58 +138,27 @@ mod tests {
                 },
                 false,
                 false,
-                false,
             ),
-            (
-                StorageError::OutOfBounds { index: 1, len: 0 },
-                false,
-                false,
-                false,
-            ),
-            (StorageError::UnknownBat("b".into()), false, false, false),
-            (StorageError::DuplicateBat("b".into()), false, false, false),
-            (
-                StorageError::Misaligned { left: 1, right: 2 },
-                false,
-                false,
-                false,
-            ),
-            (
-                StorageError::SharedMutation("b".into()),
-                false,
-                false,
-                false,
-            ),
-            (StorageError::Persist("p".into()), false, false, false),
-            (StorageError::PersistIo("io".into()), true, false, false),
-            (StorageError::DiskFull("full".into()), false, false, false),
-            (StorageError::WalPoisoned("f".into()), false, false, false),
-            (
-                StorageError::PersistFormat("bad".into()),
-                false,
-                true,
-                false,
-            ),
-            (StorageError::UnknownPage(3), false, false, false),
-            (
-                StorageError::PoolExhausted { capacity: 4 },
-                false,
-                false,
-                true,
-            ),
+            (StorageError::OutOfBounds { index: 1, len: 0 }, false, false),
+            (StorageError::UnknownBat("b".into()), false, false),
+            (StorageError::Misaligned { left: 1, right: 2 }, false, false),
+            (StorageError::Persist("p".into()), false, false),
+            (StorageError::PersistIo("io".into()), true, false),
+            (StorageError::DiskFull("full".into()), false, false),
+            (StorageError::WalPoisoned("f".into()), false, false),
+            (StorageError::PersistFormat("bad".into()), false, true),
         ];
-        for (e, transient, corruption, overload) in table {
+        for (e, transient, corruption) in table {
             assert_eq!(e.is_transient(), transient, "{e}: transient");
             assert_eq!(e.is_corruption(), corruption, "{e}: corruption");
-            assert_eq!(e.is_overload(), overload, "{e}: overload");
         }
     }
 
     #[test]
     fn errors_are_comparable() {
         assert_eq!(
-            StorageError::DuplicateBat("x".into()),
-            StorageError::DuplicateBat("x".into())
+            StorageError::UnknownBat("x".into()),
+            StorageError::UnknownBat("x".into())
         );
         assert_ne!(
             StorageError::UnknownBat("x".into()),

@@ -366,41 +366,6 @@ pub fn sibling_tmp_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Fsync `dir` so a just-renamed entry is durable (no-op off Unix,
-/// where opening a directory for sync is not portable). Uninjected
-/// twin of [`FaultInjector::sync_dir`].
-pub fn sync_dir(dir: &Path) -> StorageResult<()> {
-    #[cfg(unix)]
-    {
-        let d = File::open(dir).map_err(|e| map_io("sync_dir", &e))?;
-        d.sync_all().map_err(|e| map_io("sync_dir", &e))?;
-    }
-    #[cfg(not(unix))]
-    let _ = dir;
-    Ok(())
-}
-
-/// Write `bytes` to `path` atomically — sibling temp file, fsync,
-/// rename, directory fsync — without injection, for callers outside the
-/// checkpoint/WAL protocol (e.g. [`crate::persist`] catalog snapshots).
-/// A crash at any point leaves the previous content of `path` (or its
-/// absence) intact.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> StorageResult<()> {
-    let tmp = sibling_tmp_path(path);
-    let io = |e: std::io::Error| map_io("write_atomic", &e);
-    let mut file = File::create(&tmp).map_err(io)?;
-    file.write_all(bytes).map_err(io)?;
-    file.sync_all().map_err(io)?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(io)?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            sync_dir(parent)?;
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Retry policy
 // ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ pub type HeapRef = u32;
 /// Each entry is stored as the string bytes preceded by nothing — lengths
 /// live in a parallel table inside the heap so that a `HeapRef` alone
 /// resolves a value. Entries are never moved, so offsets handed out remain
-/// valid for the lifetime of the heap (BAT views depend on this stability).
+/// valid for the lifetime of the heap.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StrHeap {
     /// Concatenated string bytes.
@@ -96,26 +96,6 @@ impl StrHeap {
     /// Total bytes held by the heap buffer.
     pub fn heap_bytes(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Verify heap integrity — used on snapshots, where a hand-edited or
-    /// truncated file could hold entries [`get`](Self::get) would panic
-    /// on: every entry's byte range must lie inside the buffer and hold
-    /// valid UTF-8.
-    pub fn check(&self) -> Result<(), String> {
-        for (i, &(off, len)) in self.entries.iter().enumerate() {
-            let end = off as usize + len as usize;
-            if end > self.bytes.len() {
-                return Err(format!(
-                    "heap entry {i} spans {off}..{end} but the buffer has {} bytes",
-                    self.bytes.len()
-                ));
-            }
-            if std::str::from_utf8(&self.bytes[off as usize..end]).is_err() {
-                return Err(format!("heap entry {i} is not valid UTF-8"));
-            }
-        }
-        Ok(())
     }
 
     /// Rebuild the (non-serialized) dedup dictionary after deserialization.

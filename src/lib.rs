@@ -13,7 +13,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`storage`] | MonetDB-like BAT column store: typed tails, string heaps, zero-copy views, accelerators, in-memory catalog |
+//! | [`storage`] | MonetDB-like BAT column store: typed tails, string heaps, statistics, checkpoints and a redo log |
 //! | [`cracker_core`] | the paper's contribution: crack-in-two/three, the cracker index, Ξ/Ψ/^/Ω operators, lineage, updates |
 //! | [`engine`] | relational substrate: tables, Volcano operators, select-push-down planner, scan/sort/crack access engines, cost model |
 //! | [`workload`] | DBtapestry generator and the MQS(α,N,k,σ,ρ,δ) multi-query benchmark kit (homerun / hiking / strolling) |
@@ -56,14 +56,14 @@ pub mod prelude {
         RangePred,
     };
     pub use cracker_core::{ConcurrencyMode, ConcurrentColumn};
-    pub use cracker_core::{CrackPolicy, PolicyCracker, StochasticCracker, StochasticPolicy};
+    pub use cracker_core::{StochasticCracker, StochasticPolicy};
     pub use engine::{
         ChaosReport, CrackEngine, DbCatalog, DbScenarioRunner, EngineProfile, OutputMode,
         QueryEngine, RangeQuery, RunStats, ScanEngine, SortEngine, StochasticEngine, Table,
     };
     pub use sim::{fig2_series, fig3_series, GranuleSim};
     pub use sql::{QueryOutput, SqlSession};
-    pub use storage::{Atom, AtomType, Bat, BatView, StoreCatalog};
+    pub use storage::{Atom, AtomType, Bat};
     pub use workload::homerun::homerun_sequence;
     pub use workload::scenario::{
         ChaosAction, ChaosSchedule, Op, RunReport, Scenario, ScenarioExecutor, ScenarioRunner,

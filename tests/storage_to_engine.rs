@@ -1,6 +1,6 @@
 //! Integration: storage → engine → cracker. Tables built on BATs, queried
 //! through the Volcano pipeline and the cracking engine, with Ψ
-//! fragmentation and snapshot persistence in the loop.
+//! fragmentation in the loop.
 
 use dbcracker::cracker_core::project::{psi_crack, psi_reconstruct, VerticalFragment};
 use dbcracker::engine::exec::ops::{FilterOp, TableScanOp, XiTapOp};
@@ -68,30 +68,6 @@ fn psi_fragments_round_trip_through_engine_tables() {
     let tuple = back.tuple_by_oid(7).unwrap();
     assert_eq!(tuple["k"], table.row(7).unwrap()[0]);
     assert_eq!(tuple["a"], table.row(7).unwrap()[1]);
-}
-
-#[test]
-fn snapshot_survives_and_supports_fresh_cracking() {
-    // Cracker indices are session-local (§5.2: "not saved between
-    // sessions"); the *data* persists and a fresh index is built by the
-    // next session's queries.
-    let dir = std::env::temp_dir().join(format!("dbcracker-it-{}", std::process::id()));
-    let t = Tapestry::generate(3_000, 1, 0xDB);
-    let store = StoreCatalog::new();
-    store
-        .register(Bat::from_ints("r_a", t.column(0).to_vec()))
-        .unwrap();
-    storage::persist::save_catalog(&store, &dir).unwrap();
-
-    let reloaded = storage::persist::load_catalog(&dir).unwrap();
-    let bat = reloaded.get("r_a").unwrap();
-    let mut crack = CrackEngine::new(bat.ints().unwrap().to_vec());
-    let first = crack.run(RangePred::between(100, 200), OutputMode::Count);
-    assert_eq!(first.tuples_read, 3_000, "fresh session, fresh index");
-    let repeat = crack.run(RangePred::between(100, 200), OutputMode::Count);
-    assert_eq!(repeat.tuples_read, 0);
-    assert_eq!(first.result_count, repeat.result_count);
-    std::fs::remove_file(dir).ok();
 }
 
 #[test]
