@@ -1,7 +1,8 @@
 //! Ablations over the cracker design knobs: the cut-off granule and the
 //! kernel axis — the scalar and SIMD kernels across cold-crack (including
-//! memory-spanning 1M- and 2M-tuple shapes, the vector kernels' home
-//! turf), crack_select-shaped, and scenario_mix-shaped workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
+//! two-way and three-way cracks of 30 k- to 2 M-tuple pieces, the vector
+//! kernels' home turf), crack_select-shaped, and scenario_mix-shaped
+//! workloads. On hosts without AVX2 the `simd` label (`KernelPolicy::Auto`)
 //! measures the scalar loops a second time. The `ablation_merge` legs time
 //! one update merge of staged inserts or staged deletes, and base-table
 //! deletes: 50 rows, which stage tombstones in every cracked copy, and
@@ -127,61 +128,63 @@ fn kernel_cold_crack_two(c: &mut Criterion) {
     g.finish();
 }
 
-/// Both kernels on a cold crack-in-two over a memory-spanning piece (the
-/// committed full-size runs use 1M tuples) — the acceptance benchmark for
-/// the SIMD kernels: a balanced partition where 4-wide compare +
-/// compress-permute lanes beat the one-branch-per-tuple scalar loop.
-fn kernel_cold_crack_two_large(c: &mut Criterion) {
-    let n_large = if smoke() { 300_000 } else { 1_000_000 };
-    let mid = n_large as i64 / 2;
-    let mut g = c.benchmark_group("ablation_kernel_cold_crack_two_large");
-    g.sample_size(20);
-    for (label, kernel) in KERNELS {
-        let cfg = CrackerConfig::new().with_kernel(kernel);
-        let ctr = std::cell::Cell::new(0u64);
-        g.bench_function(label, |b| {
-            b.iter_batched(
-                || {
-                    let seed = 0xB16B + ctr.get();
-                    ctr.set(ctr.get() + 1);
-                    let vals = Tapestry::generate(n_large, 1, seed).column(0).to_vec();
-                    CrackerColumn::with_config(vals, cfg)
-                },
-                |mut col| col.select(RangePred::ge(mid)),
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
+/// Piece sizes of the sized cold-crack legs: from a piece that fits in L2
+/// to the e2e `cold_start` column.
+const PIECE_SIZES: [usize; 4] = [30_000, 125_000, 500_000, 2_000_000];
 
-/// Both kernels on a cold crack-in-three over a virgin 2M-tuple piece at a
-/// 0.1 % window — the e2e `cold_start` workload's first crack, where the
-/// vector kernel's two in-place passes run over memory the column has
-/// only just filled.
-fn kernel_cold_crack_three_large(c: &mut Criterion) {
-    let n_large = if smoke() { 300_000 } else { 2_000_000 };
-    let lo = n_large as i64 / 2;
-    let hi = lo + n_large as i64 / 1_000;
-    let mut g = c.benchmark_group("ablation_kernel_cold_crack_three_large");
-    g.sample_size(20);
-    for (label, kernel) in KERNELS {
-        let cfg = CrackerConfig::new().with_kernel(kernel);
-        let ctr = std::cell::Cell::new(0u64);
-        g.bench_function(label, |b| {
-            b.iter_batched(
-                || {
-                    let seed = 0x3C01D + ctr.get();
-                    ctr.set(ctr.get() + 1);
-                    let vals = Tapestry::generate(n_large, 1, seed).column(0).to_vec();
-                    CrackerColumn::with_config(vals, cfg)
-                },
-                |mut col| col.select(RangePred::between(lo, hi)),
-                BatchSize::LargeInput,
-            )
-        });
+/// Both kernels on one cold crack of a virgin piece at each of
+/// [`PIECE_SIZES`] (the two smallest under `BENCH_SMOKE`):
+///
+/// - `ablation_kernel_cold_crack_two_large/<kernel>/<n>`: a balanced
+///   crack-in-two, where 4-wide compare + compress-permute lanes beat the
+///   one-branch-per-tuple scalar loop;
+/// - `ablation_kernel_cold_crack_three_large/<kernel>/<n>`: a
+///   crack-in-three at a 0.1 % window, the shape of each e2e `cold_start`
+///   crack, where the vector kernel's two in-place passes run over memory
+///   the column has only just filled.
+fn kernel_cold_crack_sizes(c: &mut Criterion) {
+    let sizes = if smoke() {
+        &PIECE_SIZES[..2]
+    } else {
+        &PIECE_SIZES[..]
+    };
+    // A crack-in-two at the middle value, or a crack-in-three at a
+    // window of `1 / share` of the values starting there.
+    for (group, seed, share) in [
+        ("ablation_kernel_cold_crack_two_large", 0xB16B, None),
+        (
+            "ablation_kernel_cold_crack_three_large",
+            0x3C01D,
+            Some(1_000),
+        ),
+    ] {
+        let mut g = c.benchmark_group(group);
+        g.sample_size(20);
+        for &n in sizes {
+            let mid = n as i64 / 2;
+            let pred = share.map_or(RangePred::ge(mid), |s| {
+                RangePred::between(mid, mid + n as i64 / s)
+            });
+            for (label, kernel) in KERNELS {
+                let cfg = CrackerConfig::new().with_kernel(kernel);
+                let ctr = std::cell::Cell::new(0u64);
+                g.bench_function(format!("{label}/{n}"), |b| {
+                    b.iter_batched(
+                        || {
+                            ctr.set(ctr.get() + 1);
+                            let vals = Tapestry::generate(n, 1, seed + ctr.get())
+                                .column(0)
+                                .to_vec();
+                            CrackerColumn::with_config(vals, cfg)
+                        },
+                        |mut col| col.select(pred),
+                        BatchSize::LargeInput,
+                    )
+                });
+            }
+        }
+        g.finish();
     }
-    g.finish();
 }
 
 /// A cracked copy's first touch over a virgin 2M-tuple column, end to
@@ -541,8 +544,7 @@ criterion_group!(
     cutoff,
     kernel_cold_crack,
     kernel_cold_crack_two,
-    kernel_cold_crack_two_large,
-    kernel_cold_crack_three_large,
+    kernel_cold_crack_sizes,
     first_touch,
     kernel_crack_select,
     kernel_scenario_mix,

@@ -18,7 +18,7 @@
 //! matching slots as `edges`.
 
 use crate::config::CrackerConfig;
-use crate::crack::BoundaryKey;
+use crate::crack::{self, BoundaryKey};
 use crate::index::CrackerIndex;
 use crate::kernel::CrackKernel;
 use crate::pred::{Bound, RangePred};
@@ -83,10 +83,6 @@ impl Selection {
         self.edges.is_empty() && self.pending_oids.is_empty() && self.deleted_hits == 0
     }
 }
-
-/// Values a first touch samples to tell which outer side of its
-/// predicate is larger (see [`CrackerColumn::from_base`]).
-const SIDE_SAMPLE: usize = 1024;
 
 /// How a boundary was resolved during a select.
 enum Resolved {
@@ -164,7 +160,7 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// is a plain copy, and the select that follows cracks it in place.
     /// With one, the copy is born cracked: one out-of-place pass over
     /// `base` ([`CrackKernel::crack_two_from`]) cuts off the larger outer
-    /// side of `first` (judged from [`SIDE_SAMPLE`] strided values)
+    /// side of `first` (judged from `crack::SIDE_SAMPLE` sampled values)
     /// instead of a copy pass, and that boundary is recorded, so the
     /// select that follows cracks the other bound in place over the
     /// smaller side and the middle only. The copy never answers a query by
@@ -176,15 +172,10 @@ impl<T: CrackValue> CrackerColumn<T> {
         let Some((k1, k2)) = bounds else {
             return Self::with_config(mem::copy_of(base), config);
         };
-        // Which outer side is larger, judged from a strided sample: the
+        // Which outer side is larger, judged from a sample: the
         // choice only decides how much the in-place pass reads, and an
         // exact count would read the whole base once more.
-        let stride = (base.len() / SIDE_SAMPLE).max(1);
-        let (mut c1, mut c3) = (0usize, 0usize);
-        for &v in base.iter().step_by(stride) {
-            c1 += usize::from(k1.before(v));
-            c3 += usize::from(!k2.before(v));
-        }
+        let (c1, c3, _) = crack::side_sample(base, k1, k2);
         let key = if c3 > c1 { k2 } else { k1 };
         let mut moved = 0;
         let kernel = config.kernel.resolve();

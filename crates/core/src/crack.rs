@@ -53,6 +53,63 @@ impl<T: CrackValue> BoundaryKey<T> {
     }
 }
 
+/// Values [`side_sample`] reads: enough to tell which outer side of a
+/// range is larger, or that a side looks empty, without reading a large
+/// piece once more.
+pub(crate) const SIDE_SAMPLE: usize = 1024;
+
+/// Adjacent values per run of the sample: four cache lines of 64-bit
+/// values. A sample of single values spread over a cold piece pays a
+/// cache miss per value (28–72 µs for 1 024 of them over a 30 k–2 M
+/// `i64` piece evicted from cache, 2-vCPU Xeon VM), about what a count of
+/// a 30 k piece costs; runs pay one per line.
+const SAMPLE_RUN: usize = 32;
+
+/// A sample of `vals` against boundaries `k1 ≤ k2`: `(before, after,
+/// sampled)`, the sampled values before `k1`, those not before `k2`, and
+/// how many were read. A slice under `2 × SIDE_SAMPLE` values is read
+/// whole, so its counts are exact; a longer one is read as `SIDE_SAMPLE /
+/// SAMPLE_RUN` runs of adjacent values spread evenly over it. Always
+/// inlined, and each run is a plain loop, so a caller compiled for wider
+/// vectors reads the sample with vector compares.
+#[inline(always)]
+pub(crate) fn side_sample<T: CrackValue>(
+    vals: &[T],
+    k1: BoundaryKey<T>,
+    k2: BoundaryKey<T>,
+) -> (usize, usize, usize) {
+    let (runs, run, gap) = sample_runs(vals.len());
+    let (mut before, mut after) = (0, 0);
+    for r in 0..runs {
+        for &v in &vals[r * gap..r * gap + run] {
+            before += usize::from(k1.before(v));
+            after += usize::from(!k2.before(v));
+        }
+    }
+    (before, after, runs * run)
+}
+
+/// Whether the values [`side_sample`] would read include one on each side
+/// of `key`. The walk stops at the first such pair, so a balanced piece
+/// costs a few reads; `true` proves the piece two-sided.
+pub(crate) fn sample_finds_both_sides<T: CrackValue>(vals: &[T], key: BoundaryKey<T>) -> bool {
+    let (runs, run, gap) = sample_runs(vals.len());
+    let mut sides =
+        (0..runs).flat_map(|r| vals[r * gap..r * gap + run].iter().map(|&v| key.before(v)));
+    sides.next().is_some_and(|first| sides.any(|b| b != first))
+}
+
+/// The side sample's shape over `len` values: `(runs, run length, gap
+/// between run starts)`.
+fn sample_runs(len: usize) -> (usize, usize, usize) {
+    if len < 2 * SIDE_SAMPLE {
+        (1, len, 0)
+    } else {
+        let runs = SIDE_SAMPLE / SAMPLE_RUN;
+        (runs, SAMPLE_RUN, len / runs)
+    }
+}
+
 /// Swap positions `a` and `b` in both parallel arrays.
 #[inline(always)]
 fn swap_pair<T>(vals: &mut [T], oids: &mut [u32], a: usize, b: usize) {

@@ -33,14 +33,16 @@
 //! kernel is one of two traces. On a middle-dominant piece, or one it
 //! declines, it is the scalar sweep, swap count and all. Otherwise it is
 //! two vector two-way cracks, larger outer side first: `k2` over the
-//! piece and then `k1` over its left part when more tuples lie after `k2`
-//! than before `k1`, else `k1` over the piece and then `k2` over its right
-//! part. `moved` is the sum of their crossing-pair counts. Both routes are
-//! pinned bit for bit in this module's proptests. The out-of-place
-//! two-way pass ([`CrackKernel::crack_two_from`]) that gives a cracked
-//! copy its first crack straight from the base column keeps the two-way
-//! contract against `crack_two` over a dense copy; its `moved` is the same
-//! canonical count.
+//! piece and then `k1` over its left part when more sampled tuples lie
+//! after `k2` than before `k1`, else `k1` over the piece and then `k2`
+//! over its right part. `moved` is the sum of their crossing-pair counts.
+//! The route and the order come from one sample of the piece
+//! (`crack::side_sample`, exact under `2 × crack::SIDE_SAMPLE` tuples).
+//! Both routes are pinned bit for bit in this module's proptests. The
+//! out-of-place two-way pass ([`CrackKernel::crack_two_from`]) that gives
+//! a cracked copy its first crack straight from the base column keeps the
+//! two-way contract against `crack_two` over a dense copy; its `moved` is
+//! the same canonical count.
 //!
 //! # The selection rule
 //!
@@ -60,14 +62,16 @@
 //! A compress partition's cost is data-independent — every chunk loads,
 //! compares, permutes and stores whatever the mask says — so a lopsided
 //! split cannot make the vector two-way partition slower than a balanced
-//! one, and no sampled balance probe decides between the kernels. The one
-//! data-dependent route left is exact, not sampled, and lives in
-//! `simd::crack_three`: its counting pass already fixes the class
-//! populations, and when ≥ 9/10 of a piece stays in the middle region
-//! (every crack of a contracting sequence) the crack is the scalar sweep,
-//! which never moves a middle-class tuple, rather than two vector passes
-//! that each rewrite their whole range (`simd::SWEEP_SHARE` holds the
-//! measurement).
+//! one, and no balance probe decides between the kernels. The one
+//! data-dependent route left lives in `simd::crack_three` and is judged
+//! on a sample of the piece (`crack::side_sample`), not on exact
+//! counts: no counting pass reads the piece before it is cracked. When ≥
+//! 9/10 of the sample stays in the middle region (every crack of a
+//! contracting sequence) the crack is the scalar sweep, which never moves
+//! a middle-class tuple, rather than two vector passes that each rewrite
+//! their whole range (`simd::SWEEP_SHARE` holds the measurement). Which
+//! route runs never changes a split or a multiset, only the arrangement
+//! within a piece and the trace-defined three-way `moved`.
 
 use crate::crack::{self, BoundaryKey};
 use crate::pred::RangePred;
@@ -609,21 +613,24 @@ mod tests {
         /// on a middle-dominant piece (or one the vector path declines)
         /// the scalar sweep, otherwise two `Simd.crack_two` passes, larger
         /// outer side first: `k2` over the piece then `k1` over its left
-        /// part when `c3 > c1`, else `k1` over the piece then `k2` over
-        /// its right part — same splits, arrangement, OIDs and `moved`.
+        /// part when more sampled tuples lie after `k2` than before `k1`,
+        /// else `k1` over the piece then `k2` over its right part — same
+        /// splits, arrangement, OIDs and `moved`. Route and order are
+        /// derived from `crack::side_sample`, which the kernel reads too;
+        /// `n` reaches past `2 × SIDE_SAMPLE`, where the sample reads runs.
         /// The sweep's swap count is at least the destination-displacement
         /// count; each vector pass's `moved` is exactly the two-way
         /// displacement of that pass's input. (The sum of the two can fall
         /// short of the three-way displacement: the first pass rearranges
         /// the rest before the second sees it.) `squeeze` pulls both keys
         /// toward the ends so the sweep route is drawn often; `edge` 1 / 2
-        /// moves `k1` below / `k2` above every value, so the left
-        /// (`c1 == 0`) / right (`c3 == 0`) region is empty; `n` straddles
-        /// `SIMD_MIN` for both the piece and the second pass.
+        /// moves `k1` below / `k2` above every value, so the left / right
+        /// region is empty; `n` straddles `SIMD_MIN` for both the piece and
+        /// the second pass.
         #[test]
         fn prop_simd_crack_three_is_the_sweep_or_two_vector_cracks(
             seed in 0u64..1000,
-            n in 64usize..1200,
+            n in 64usize..6000,
             fa in 0.0f64..1.0,
             fb in 0.0f64..1.0,
             squeeze in proptest::bool::ANY,
@@ -642,11 +649,10 @@ mod tests {
                 _ => (pick(fa), pick(fb)),
             };
             let (k1, k2) = keys(a, lte1, b, lte2);
-            let c1 = vals.iter().filter(|&&x| k1.before(x)).count();
-            let c3 = vals.iter().filter(|&&x| !k2.before(x)).count();
+            let (before, after, sampled) = crack::side_sample(&vals, k1, k2);
             let sweep = !simd_supported()
                 || n < simd::SIMD_MIN
-                || (c1 + c3) * simd::SWEEP_SHARE <= n;
+                || (before + after) * simd::SWEEP_SHARE <= sampled;
 
             let fresh = || (vals.clone(), (0..n as u32).collect::<Vec<u32>>(), 0u64);
             let (mut wv, mut wo, mut wm) = fresh();
@@ -655,7 +661,7 @@ mod tests {
                     CrackKernel::Scalar.crack_three(&mut wv, &mut wo, 0, n, k1, k2, &mut wm);
                 prop_assert!(wm >= displaced_oracle(&vals, 0, n, k1, k2, splits.0, splits.1));
                 splits
-            } else if c3 > c1 {
+            } else if after > before {
                 let p2 = CrackKernel::Simd.crack_two(&mut wv, &mut wo, 0, n, k2, &mut wm);
                 prop_assert_eq!(wm, displaced_oracle(&vals, 0, n, k2, k2, p2, p2));
                 let mid = wv.clone();

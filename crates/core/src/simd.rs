@@ -14,25 +14,30 @@
 //!
 //! # Kernels
 //!
-//! * **Two-way partition** (`crack_two`): a counting pass (vector
-//!   compare + lane-popcount) fixes the split position up front, then a
-//!   block-bidirectional in-place compress partition
-//!   (`partition_two_avx2`, which takes the split) walks both ends
-//!   inward: one block from each end is buffered to open write room,
-//!   each iteration reads a 32-tuple block from whichever side has less
-//!   free space (one amortized, rather than per-chunk, branch) and
-//!   compress-stores each 4-tuple chunk's "before" lanes ascending from
-//!   the left cursor and the rest descending from the right cursor.
-//!   Compression is a 16-entry permutation LUT (`vpermd` for the 64-bit
-//!   values, `pshufb` for the parallel 32-bit OIDs) indexed by the
-//!   4-bit compare mask; the canonical crossing-pair `moved` count is
-//!   folded into the same pass via source-position masks. Stores are
-//!   full registers whose garbage lanes land only in free space (the
-//!   per-side invariant `free ≥ block` is maintained by always reading
-//!   from the tighter side, and a right-read block is processed
-//!   high→low so its stores chase its loads); the two buffered blocks
-//!   and the `len % 32` tail are placed scalarly at the end, when the
-//!   remaining free space exactly fits them.
+//! * **Two-way partition** (`crack_two`): one block-bidirectional
+//!   in-place compress pass (`partition_two_avx2`) walks both ends
+//!   inward, and the split is wherever its two write cursors meet; no
+//!   counting pass runs first. One block from each end is buffered to
+//!   open write room, each iteration reads a 32-tuple block from
+//!   whichever side has less free space (one amortized, rather than
+//!   per-chunk, branch) and compress-stores each 4-tuple chunk's "before"
+//!   lanes ascending from the left cursor and the rest descending from the
+//!   right cursor. Compression is a 16-entry permutation LUT (`vpermd` for
+//!   the 64-bit values, `pshufb` for the parallel 32-bit OIDs) indexed by
+//!   the 4-bit compare mask. Stores are full registers whose garbage lanes
+//!   land only in free space (the per-side invariant `free ≥ block` is
+//!   maintained by always reading from the tighter side, and a right-read
+//!   block is processed high→low so its stores chase its loads); the two
+//!   buffered blocks and the `len % 32` tail are placed scalarly at the
+//!   end, when the remaining free space exactly fits them. The canonical
+//!   crossing-pair `moved` needs the split, so each block records its
+//!   "before" lane mask in a side array (one `u32` per 32 tuples, `len /
+//!   8` bytes) and the "before" bits at or beyond the split are counted
+//!   after the pass. The values a [`side_sample`] would read are walked
+//!   until one turns up on each side ([`sample_finds_both_sides`], a few
+//!   reads on a balanced piece); a piece where none does is counted first
+//!   (read only), and a crack that really is one-sided returns without
+//!   writing.
 //! * **Out-of-place two-way partition** (`crack_two_from`): a cracked
 //!   copy's first crack, read straight from the base column. Each chunk is
 //!   compared once and compress-stored into fresh `storage::mem` arrays,
@@ -41,22 +46,23 @@
 //!   loaded. No counting pass is needed: the two cursors meet at the
 //!   split. The left side comes out in base order, which is what lets the
 //!   caller derive the canonical `moved` by one binary search.
-//! * **Three-way partition** (`crack_three`): one counting pass (two
-//!   compares per chunk) fixes both split positions, then two in-place
-//!   two-way partitions run with those splits passed in, larger outer
-//!   side first: `[lo, hi)` at `k2` then `[lo, split2)` at `k1` when more
-//!   tuples lie after `k2` than before `k1`, else `[lo, hi)` at `k1` then
-//!   `[split1, hi)` at `k2`. The second pass thus reads only the smaller
-//!   side and the middle. No scratch is allocated. The trace, `moved`
+//! * **Three-way partition** (`crack_three`): one [`side_sample`] of the
+//!   piece picks the route and the order, and no counting pass runs.
+//!   Middle-dominant pieces (at most `1 /` [`SWEEP_SHARE`] of the sampled
+//!   tuples outside the middle region, the shape every contracting query
+//!   sequence produces) run the scalar Dutch-flag sweep: it never moves a
+//!   middle-class tuple, and reports its swap count as `moved` (see the
+//!   `kernel` module docs). Otherwise two count-free two-way passes run,
+//!   the larger sampled outer side first: `[lo, hi)` at `k2` then `[lo,
+//!   p2)` at `k1` when more sampled tuples lie after `k2` than before
+//!   `k1`, else `[lo, hi)` at `k1` then `[p1, hi)` at `k2`. The second
+//!   pass thus reads only what the first one leaves. The trace, `moved`
 //!   included, is the trace of the two `crack_two` calls, and a second
 //!   pass shorter than [`SIMD_MIN`] runs the scalar two-way loop as
-//!   `crack_two` would. Middle-dominant pieces
-//!   (at most `1 /` [`SWEEP_SHARE`] of the tuples leaving the middle
-//!   region, the shape every contracting query sequence produces) run
-//!   the scalar Dutch-flag sweep instead: it never moves a middle-class
-//!   tuple, and the counting pass has already told exactly which case
-//!   this is. That route reports the sweep's swap count as `moved`; see
-//!   the `kernel` module docs.
+//!   `crack_two` would. A piece under `2 ×` `SIDE_SAMPLE` tuples is
+//!   sampled whole, so there the route and order follow exact counts.
+//!   Each pass's one-sided guard reads the same sample: a class it saw is
+//!   present in the range that pass cracks.
 //! * **Residual scan** (`scan_into`): 4-lane predicate masks
 //!   (lower/upper bound compares folded into one nibble) with a
 //!   fast path for all-matching chunks.
@@ -79,7 +85,7 @@
 // sets, and `moved`.
 #![allow(unsafe_code)]
 
-use crate::crack::BoundaryKey;
+use crate::crack::{sample_finds_both_sides, side_sample, BoundaryKey};
 use crate::pred::RangePred;
 use crate::updates::OidSet;
 use crate::value_trait::CrackValue;
@@ -113,8 +119,14 @@ pub(crate) const SIMD_MIN: usize = 128;
 ///
 /// Over four such runs the 90 % row read 0.84–1.16 up to 1 M and
 /// 0.92–1.28 at 2 M: the crossover is ~90 % middle at every size. A
-/// one-sided piece (`c1` or `c3` zero) runs one vector pass, not two, and
-/// breaks even near 97 %; it is not special-cased.
+/// one-sided piece (no tuple before `k1` or none after `k2`) runs one
+/// vector pass, not two, and breaks even near 97 %; it is not
+/// special-cased. The share is judged on the piece's [`side_sample`], not
+/// on exact counts, so a piece near the threshold can take either route;
+/// both are correct, and the table shows neither costs much more there.
+/// The table predates the count-free passes: each vector pass then read
+/// its range once more first, so the crossover now lies somewhat above
+/// 90 % middle (not re-measured).
 pub(crate) const SWEEP_SHARE: usize = 10;
 
 /// True when the running CPU has the vector tier: AVX2 `vpcmpgtq` /
@@ -183,6 +195,13 @@ fn before_scalar(x: i64, pivot: i64, flip: i64, lte: bool) -> bool {
     }
 }
 
+/// True when the vector kernels take a piece of `len` tuples of `T`: the
+/// CPU has them, `T` has a 64-bit vector compare, and the piece is at
+/// least [`SIMD_MIN`] long.
+fn vector_piece<T: CrackValue>(len: usize) -> bool {
+    available() && len >= SIMD_MIN && lane_flip::<T>().is_some()
+}
+
 /// Vector two-way partition entry point: `Some(split)` when the vector
 /// kernel handled the piece, `None` to fall back (unsupported CPU or
 /// value type, or a piece under the size floor). The contract is the
@@ -196,40 +215,27 @@ pub(crate) fn crack_two<T: CrackValue>(
     key: BoundaryKey<T>,
     moved: &mut u64,
 ) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if !available() || hi - lo < SIMD_MIN {
-            return None;
-        }
-        let (lanes, flip) = lanes_mut(vals)?;
-        let (pivot, lte) = key_bits(key, flip);
-        debug_assert!(lo <= hi && hi <= lanes.len() && lanes.len() == oids.len());
-        // SAFETY: `available()` proved AVX2 and popcnt are present on
-        // this CPU; bounds are asserted above, and the split handed to the
-        // partition is the exact count of "before" tuples in `lo..hi`.
-        unsafe {
-            let split = lo
-                + if lte {
-                    count_before_avx2::<true>(lanes, lo, hi, pivot, flip)
-                } else {
-                    count_before_avx2::<false>(lanes, lo, hi, pivot, flip)
-                };
-            partition_two(lanes, oids, lo, hi, split, (pivot, lte), flip, moved);
-            Some(split)
-        }
+    if !vector_piece::<T>(hi - lo) {
+        return None;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (vals, oids, lo, hi, key, moved);
-        None
-    }
+    let maybe_one_sided = !sample_finds_both_sides(&vals[lo..hi], key);
+    Some(crack_two_vec(
+        vals,
+        oids,
+        lo,
+        hi,
+        key,
+        maybe_one_sided,
+        moved,
+    ))
 }
 
 /// Vector three-way partition entry point: `Some((p1, p2))` or `None` to
 /// fall back. Splits and per-piece multisets match the scalar sweep. The
 /// result is, bit for bit, one of two traces (see the module docs): the
 /// scalar sweep (middle-dominant pieces) or two `crack_two` calls, the
-/// larger outer side cut off first.
+/// larger outer side cut off first. Both the route and the order come
+/// from one [`side_sample`] of the piece.
 pub(crate) fn crack_three<T: CrackValue>(
     vals: &mut [T],
     oids: &mut [u32],
@@ -239,63 +245,109 @@ pub(crate) fn crack_three<T: CrackValue>(
     k2: BoundaryKey<T>,
     moved: &mut u64,
 ) -> Option<(usize, usize)> {
+    if !vector_piece::<T>(hi - lo) {
+        return None;
+    }
+    let (before, after, sampled) = vector_side_sample(&vals[lo..hi], k1, k2);
+    if (before + after) * SWEEP_SHARE <= sampled {
+        // Middle-dominant (see `SWEEP_SHARE`): the scalar sweep, run in
+        // the original typed domain (an i64 sweep over reinterpreted u64
+        // bits would order the sign bit wrongly).
+        return Some(crate::crack::crack_three(vals, oids, lo, hi, k1, k2, moved));
+    }
+    // Two two-way passes, the larger outer side cut off first so the
+    // second pass only reads the smaller side and the middle. `k1 ≤ k2`,
+    // so after a cut at `k2` the "before k1" tuples of `[lo, p2)` are
+    // exactly the first class, and after a cut at `k1` the "before k2"
+    // tuples of `[p1, hi)` are exactly the middle class. A class the
+    // sample saw is present, so each pass's one-sided guard reads this
+    // sample; a second pass under `SIMD_MIN` runs the scalar loop.
+    let middle = sampled - before - after;
+    Some(if after > before {
+        let p2 = crack_two_vec(vals, oids, lo, hi, k2, before + middle == 0, moved);
+        let p1 = crack_two_vec(vals, oids, lo, p2, k1, before == 0 || middle == 0, moved);
+        (p1, p2)
+    } else {
+        let p1 = crack_two_vec(vals, oids, lo, hi, k1, middle + after == 0, moved);
+        let p2 = crack_two_vec(vals, oids, p1, hi, k2, middle == 0 || after == 0, moved);
+        (p1, p2)
+    })
+}
+
+/// [`side_sample`], compiled for AVX2 where the CPU has it: a piece under
+/// `2 ×` `SIDE_SAMPLE` tuples is sampled whole, and the scalar loop would
+/// read it at about four times the cost of vector compares.
+fn vector_side_sample<T: CrackValue>(
+    vals: &[T],
+    k1: BoundaryKey<T>,
+    k2: BoundaryKey<T>,
+) -> (usize, usize, usize) {
+    #[cfg(target_arch = "x86_64")]
+    if available() {
+        /// # Safety
+        /// Caller guarantees AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn sample<T: CrackValue>(
+            vals: &[T],
+            k1: BoundaryKey<T>,
+            k2: BoundaryKey<T>,
+        ) -> (usize, usize, usize) {
+            side_sample(vals, k1, k2)
+        }
+        // SAFETY: `available()` proved AVX2 is present on this CPU.
+        return unsafe { sample(vals, k1, k2) };
+    }
+    side_sample(vals, k1, k2)
+}
+
+/// The two-way crack of `vals[lo..hi)` for a value type and CPU that
+/// [`vector_piece`] accepted: the vector pass, or the scalar loop for a
+/// piece under [`SIMD_MIN`]; returns the split. When the sample found no
+/// tuple on one side (`maybe_one_sided`), a read-only count runs first,
+/// and a crack that really is one-sided returns without writing.
+fn crack_two_vec<T: CrackValue>(
+    vals: &mut [T],
+    oids: &mut [u32],
+    lo: usize,
+    hi: usize,
+    key: BoundaryKey<T>,
+    maybe_one_sided: bool,
+    moved: &mut u64,
+) -> usize {
+    if hi - lo < SIMD_MIN {
+        return crate::crack::crack_two(vals, oids, lo, hi, key, moved);
+    }
     #[cfg(target_arch = "x86_64")]
     {
-        if !available() || hi - lo < SIMD_MIN {
-            return None;
-        }
-        let (lanes, flip) = lanes_mut(vals)?;
-        let (p1, p2) = (key_bits(k1, flip), key_bits(k2, flip));
-        debug_assert!(lo <= hi && hi <= lanes.len() && lanes.len() == oids.len());
-        // Counting pass: fixes both split positions before anything moves.
-        // SAFETY: AVX2 (and popcnt) verified by `available()`; bounds
-        // asserted above.
-        let (c1, c3) = unsafe { count3_avx2(lanes, lo, hi, p1, p2, flip) };
-        let (split1, split2) = (lo + c1, hi - c3);
-        if c1 == 0 && c3 == 0 {
-            // Everything is middle-class: nothing moves.
-            return Some((split1, split2));
-        }
-        if (c1 + c3) * SWEEP_SHARE <= hi - lo {
-            // Middle-dominant (see `SWEEP_SHARE`): the scalar sweep, run
-            // in the original typed domain (an i64 sweep over
-            // reinterpreted u64 bits would order the sign bit wrongly).
-            let splits = crate::crack::crack_three(vals, oids, lo, hi, k1, k2, moved);
-            debug_assert_eq!(splits, (split1, split2));
-            return Some(splits);
-        }
-        // Two in-place two-way partitions, the larger outer side cut off
-        // first so the second pass only reads the smaller side and the
-        // middle. `k1 ≤ k2`, so after a cut at `k2` the "before k1"
-        // tuples of `[lo, split2)` are exactly the first class, and after
-        // a cut at `k1` the "before k2" tuples of `[split1, hi)` are
-        // exactly the middle class.
-        let (first, second, rest) = if c3 > c1 {
-            ((split2, p2), (split1, p1, k1), lo..split2)
-        } else {
-            ((split1, p1), (split2, p2, k2), split1..hi)
-        };
-        // SAFETY: as above; `first.0` is the exact split of `lo..hi` at
-        // its key, and after the first pass `second.0` is the exact split
-        // of `rest` at the other key (`rest` is ≥ `SIMD_MIN` long on the
-        // vector route).
+        // lint: allow(unwrap) — `vector_piece` checked the lane type
+        let (lanes, flip) = lanes_mut(vals).expect("a 64-bit lane type");
+        let (pivot, lte) = key_bits(key, flip);
+        assert!(lo + SIMD_MIN <= hi && hi <= lanes.len() && lanes.len() == oids.len());
+        // SAFETY: `vector_piece` proved AVX2 and popcnt are present on
+        // this CPU; the piece's length and bounds are asserted above.
         unsafe {
-            partition_two(lanes, oids, lo, hi, first.0, first.1, flip, moved);
-            if rest.len() >= SIMD_MIN {
-                partition_two(
-                    lanes, oids, rest.start, rest.end, second.0, second.1, flip, moved,
-                );
-                return Some((split1, split2));
+            if maybe_one_sided {
+                let count = if lte {
+                    count_before_avx2::<true>(lanes, lo, hi, pivot, flip)
+                } else {
+                    count_before_avx2::<false>(lanes, lo, hi, pivot, flip)
+                };
+                if count == 0 || count == hi - lo {
+                    // One-sided: nothing is misplaced, nothing moves.
+                    return lo + count;
+                }
+            }
+            if lte {
+                partition_two_avx2::<true>(lanes, oids, lo, hi, pivot, flip, moved)
+            } else {
+                partition_two_avx2::<false>(lanes, oids, lo, hi, pivot, flip, moved)
             }
         }
-        let p = crate::crack::crack_two(vals, oids, rest.start, rest.end, second.2, moved);
-        debug_assert_eq!(p, second.0);
-        Some((split1, split2))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (vals, oids, lo, hi, k1, k2, moved);
-        None
+        let _ = (vals, oids, lo, hi, key, maybe_one_sided, moved);
+        unreachable!("`vector_piece` is false off x86-64")
     }
 }
 
@@ -619,63 +671,24 @@ unsafe fn place_scalar(
     }
 }
 
-/// [`partition_two_avx2`] for a compare-domain key `(pivot, lte)`.
+/// AVX2 two-way partition of `lanes[lo..hi)` / `oids[lo..hi)`; returns
+/// the split, which is where the two write cursors meet. See the module
+/// docs for the algorithm and the in-place safety argument.
 ///
 /// # Safety
-/// As [`partition_two_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)] // kernel entry point: partition state arrives unpacked by design
-unsafe fn partition_two(
-    lanes: &mut [i64],
-    oids: &mut [u32],
-    lo: usize,
-    hi: usize,
-    split: usize,
-    (pivot, lte): (i64, bool),
-    flip: i64,
-    moved: &mut u64,
-) {
-    // SAFETY: the caller upholds `partition_two_avx2`'s contract.
-    unsafe {
-        if lte {
-            partition_two_avx2::<true>(lanes, oids, lo, hi, split, pivot, flip, moved)
-        } else {
-            partition_two_avx2::<false>(lanes, oids, lo, hi, split, pivot, flip, moved)
-        }
-    }
-}
-
-/// AVX2 two-way partition of `lanes[lo..hi)` / `oids[lo..hi)` around a
-/// split the caller has already counted. See the module docs for the
-/// algorithm and the in-place safety argument.
-///
-/// # Safety
-/// Caller guarantees AVX2+popcnt, `lo ≤ hi ≤ lanes.len() == oids.len()`,
-/// `hi - lo ≥ SIMD_MIN`, and that `split - lo` is the exact number of
-/// "before" tuples in `lanes[lo..hi)`.
+/// Caller guarantees AVX2+popcnt, `lo ≤ hi ≤ lanes.len() == oids.len()`
+/// and `hi - lo ≥ SIMD_MIN`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
-#[allow(clippy::too_many_arguments)] // kernel entry point: partition state arrives unpacked by design
 unsafe fn partition_two_avx2<const LTE: bool>(
     lanes: &mut [i64],
     oids: &mut [u32],
     lo: usize,
     hi: usize,
-    split: usize,
     pivot: i64,
     flip: i64,
     moved: &mut u64,
-) {
-    if split == lo || split == hi {
-        // One-sided: nothing can be misplaced, nothing to move.
-        return;
-    }
-    // The canonical crossing-pair `moved` (each "before" tuple stranded
-    // at or beyond the split pairs with one "after" tuple stranded below
-    // it) is accumulated inside the pass, which sees every tuple's
-    // original position exactly once.
-    let mut misplaced = 0usize;
-
+) -> usize {
     // Block size: the read side is chosen once per block (one branch
     // per B tuples, amortizing its misprediction), and the block's four
     // chunk loads are sequential from the block base, so they issue and
@@ -687,6 +700,13 @@ unsafe fn partition_two_avx2<const LTE: bool>(
     let len = hi - lo;
     let tail = len % B;
     let hi_vec = hi - tail;
+    let blocks = len / B;
+    // The canonical crossing-pair `moved` counts the "before" tuples that
+    // started at or beyond the split, which is known only once the
+    // cursors meet. So each block records its "before" lane mask, bit `j`
+    // for source position `lo + B * block + j`, the tail as block
+    // `blocks`: `len / 8` bytes, counted after the pass.
+    let mut before = vec![0u32; blocks + 1];
     let vp = lanes.as_mut_ptr();
     let op = oids.as_mut_ptr();
     let pv = _mm256_set1_epi64x(pivot);
@@ -741,15 +761,14 @@ unsafe fn partition_two_avx2<const LTE: bool>(
                 base = r_read;
                 rev = B / 4 - 1;
             }
+            let mut block_mask = 0u32;
             for idx in 0..B / 4 {
                 let k = idx ^ rev;
                 let src = base + 4 * k;
                 let v = _mm256_loadu_si256(vp.add(src) as *const __m256i);
                 let o = _mm_loadu_si128(op.add(src) as *const __m128i);
                 let m = mask4_before::<LTE>(v, pv, fv);
-                // Crossing pairs: "before" lanes whose original
-                // position is at or beyond the split.
-                misplaced += ((m & pos_mask_ge(src, split)) as u32).count_ones() as usize;
+                block_mask |= (m as u32) << (4 * k);
                 let cl = (m as u32).count_ones() as usize;
                 // Left: compress the "before" lanes to the front, store
                 // at the left cursor. Right: compress the rest to the
@@ -761,6 +780,7 @@ unsafe fn partition_two_avx2<const LTE: bool>(
                 l_write += cl;
                 r_write -= 4 - cl;
             }
+            before[(base - lo) / B] = block_mask;
         }
     }
     debug_assert_eq!(l_read, r_read);
@@ -771,22 +791,35 @@ unsafe fn partition_two_avx2<const LTE: bool>(
     // remaining window.
     unsafe {
         for k in 0..2 * B {
-            // Source positions: the first buffered block came from
-            // `[lo, lo+B)`, the second from `[hi_vec-B, hi_vec)`.
-            let src = if k < B { lo + k } else { hi_vec - 2 * B + k };
+            // The first buffered block came from block 0, the second
+            // from block `blocks - 1`.
             let b = before_scalar(buf_v[k], pivot, flip, LTE);
-            misplaced += (b && src >= split) as usize;
+            before[if k < B { 0 } else { blocks - 1 }] |= u32::from(b) << (k % B);
             place_scalar(vp, op, buf_v[k], buf_o[k], b, &mut l_write, &mut r_write);
         }
         for k in 0..tail {
             let b = before_scalar(tail_v[k], pivot, flip, LTE);
-            misplaced += (b && hi_vec + k >= split) as usize;
+            before[blocks] |= u32::from(b) << k;
             place_scalar(vp, op, tail_v[k], tail_o[k], b, &mut l_write, &mut r_write);
         }
     }
     debug_assert_eq!(l_write, r_write);
-    debug_assert_eq!(l_write, split);
-    *moved += 2 * misplaced as u64;
+    let split = l_write;
+    debug_assert_eq!(
+        split - lo,
+        lanes[lo..hi]
+            .iter()
+            .filter(|&&x| before_scalar(x, pivot, flip, LTE))
+            .count()
+    );
+    // Crossing pairs: "before" tuples whose source position is at or
+    // beyond the split, from the straddling block's bits at or above the
+    // split's offset onwards.
+    let (at, off) = ((split - lo) / B, (split - lo) % B);
+    let misplaced = (before[at] >> off).count_ones()
+        + before[at + 1..].iter().map(|m| m.count_ones()).sum::<u32>();
+    *moved += 2 * u64::from(misplaced);
+    split
 }
 
 /// AVX2 out-of-place two-way partition of `src` into the fresh arrays
@@ -889,72 +922,6 @@ unsafe fn compress_store(
         _mm256_storeu_si256(vals as *mut __m256i, _mm256_permutevar8x32_epi32(v, pv));
         _mm_storeu_si128(oids as *mut __m128i, _mm_shuffle_epi8(o, sv));
     }
-}
-
-/// The 4-bit mask of chunk lanes whose absolute position is `≥ bound`,
-/// for a chunk starting at `pos` (lane `j` is position `pos + j`).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn pos_mask_ge(pos: usize, bound: usize) -> usize {
-    if bound <= pos {
-        0xF
-    } else if bound >= pos + 4 {
-        0
-    } else {
-        0xF & !((1 << (bound - pos)) - 1)
-    }
-}
-
-/// The L- and G-class populations of `lanes[from..to)`: the lanes before
-/// `k1`, and the lanes not before `k2` — the counting pass that fixes a
-/// three-way partition's split positions. Keys are compare-domain
-/// `(pivot, lte)` pairs.
-///
-/// # Safety
-/// Caller guarantees AVX2+popcnt and `from ≤ to ≤ lanes.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,popcnt")]
-unsafe fn count3_avx2(
-    lanes: &[i64],
-    from: usize,
-    to: usize,
-    (p1v, lte1): (i64, bool),
-    (p2v, lte2): (i64, bool),
-    flip: i64,
-) -> (usize, usize) {
-    let p1 = _mm256_set1_epi64x(p1v);
-    let p2 = _mm256_set1_epi64x(p2v);
-    let fv = _mm256_set1_epi64x(flip);
-    let ptr = lanes.as_ptr();
-    let (mut c1, mut c3) = (0usize, 0usize);
-    let mut i = from;
-    // SAFETY: `i + 4 <= to` bounds every load.
-    unsafe {
-        while i + 4 <= to {
-            let x = _mm256_xor_si256(_mm256_loadu_si256(ptr.add(i) as *const __m256i), fv);
-            let m_l = if lte1 {
-                (!_mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(x, p1)))) & 0xF
-            } else {
-                _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(p1, x)))
-            };
-            // G-class: !before_k2 — for `lte2` that is `x > p2`, otherwise
-            // `x ≥ p2` ⇔ !(p2 > x).
-            let m_g = if lte2 {
-                _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(x, p2)))
-            } else {
-                (!_mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(p2, x)))) & 0xF
-            };
-            c1 += (m_l as u32).count_ones() as usize;
-            c3 += (m_g as u32).count_ones() as usize;
-            i += 4;
-        }
-    }
-    while i < to {
-        c1 += before_scalar(lanes[i], p1v, flip, lte1) as usize;
-        c3 += !before_scalar(lanes[i], p2v, flip, lte2) as usize;
-        i += 1;
-    }
-    (c1, c3)
 }
 
 /// AVX2 residual scan: emit matching absolute positions in ascending

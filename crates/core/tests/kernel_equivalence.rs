@@ -762,3 +762,133 @@ proptest! {
         }
     }
 }
+
+/// The vector kernels' size floor and partition block (`simd::SIMD_MIN`
+/// and the block of `simd::partition_two_avx2`).
+const SIMD_MIN: usize = 128;
+const BLOCK: usize = 32;
+
+/// The in-place two-way crack of `vals[lo..hi)` under both kernels: the
+/// same split, the same `(oid, value)` multiset on each side and the same
+/// `moved`, with every slot outside `lo..hi` untouched. A one-sided crack
+/// (split at `lo` or `hi`) leaves both arrays byte-identical: it writes
+/// nothing.
+fn crack_two_agrees<T: CrackValue>(
+    vals: &[T],
+    lo: usize,
+    hi: usize,
+    key: BoundaryKey<T>,
+) -> Result<(), TestCaseError> {
+    let oids: Vec<u32> = (0..vals.len() as u32).collect();
+    let mut results = Vec::new();
+    for kernel in [CrackKernel::Scalar, CrackKernel::Simd] {
+        let (mut v, mut o) = (vals.to_vec(), oids.clone());
+        let mut moved = 0u64;
+        let split = kernel.crack_two(&mut v, &mut o, lo, hi, key, &mut moved);
+        prop_assert!(
+            v[lo..split].iter().all(|&x| key.before(x))
+                && v[split..hi].iter().all(|&x| !key.before(x)),
+            "{:?}: {}..{} {:?} split {} is not a partition",
+            kernel,
+            lo,
+            hi,
+            key,
+            split
+        );
+        prop_assert!(
+            v[..lo] == vals[..lo]
+                && v[hi..] == vals[hi..]
+                && o[..lo] == oids[..lo]
+                && o[hi..] == oids[hi..],
+            "{:?}: wrote outside the piece",
+            kernel
+        );
+        if split == lo || split == hi {
+            prop_assert!(
+                v == vals && o == oids,
+                "{:?}: one-sided crack {}..{} {:?} wrote",
+                kernel,
+                lo,
+                hi,
+                key
+            );
+        }
+        results.push((
+            split,
+            pairs(&o[lo..split], &v[lo..split]),
+            pairs(&o[split..hi], &v[split..hi]),
+            moved,
+        ));
+    }
+    prop_assert!(
+        results[0] == results[1],
+        "{}..{} {:?}: split, sides or moved diverged",
+        lo,
+        hi,
+        key
+    );
+    Ok(())
+}
+
+/// In-place piece lengths around the vector partition's structure:
+/// exactly the size floor, the floor plus two blocks and one tuple, and
+/// a whole number of blocks plus every tail of 0–31 tuples.
+fn piece_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(SIMD_MIN),
+        Just(SIMD_MIN + 2 * BLOCK + 1),
+        (SIMD_MIN / BLOCK..40, 0..BLOCK).prop_map(|(blocks, tail)| blocks * BLOCK + tail),
+    ]
+}
+
+proptest! {
+    /// The count-free vector two-way pass on `i64` pieces placed anywhere
+    /// in a column: keys at a piece value, below and above every value,
+    /// and at `i64::MIN` / `i64::MAX`, over pieces with duplicates,
+    /// extreme values, and all values equal (`domain` 1).
+    #[test]
+    fn prop_in_place_pass_matches_scalar_on_split_sides_and_moved(
+        len in piece_len(),
+        (pad_lo, pad_hi) in (0usize..40, 0usize..40),
+        seed in 0u64..1_000_000,
+        domain in prop_oneof![Just(1u64), Just(4), Just(1_000), Just(u64::MAX / 2)],
+        extremes in proptest::bool::ANY,
+        (pick, frac, lte) in (0u8..5, 0.0f64..1.0, proptest::bool::ANY),
+    ) {
+        let vals = pseudo_column(pad_lo + len + pad_hi, seed, domain, extremes);
+        let (lo, hi) = (pad_lo, pad_lo + len);
+        let piece = &vals[lo..hi];
+        let value = match pick {
+            0 => piece[((frac * len as f64) as usize).min(len - 1)],
+            1 => piece.iter().min().unwrap().saturating_sub(1),
+            2 => piece.iter().max().unwrap().saturating_add(1),
+            3 => i64::MIN,
+            _ => i64::MAX,
+        };
+        crack_two_agrees(&vals, lo, hi, BoundaryKey { value, lte })?;
+    }
+
+    /// The same pass on `u64` pieces straddling 2^63, where the vector
+    /// compare runs behind the sign flip.
+    #[test]
+    fn prop_in_place_pass_rides_the_u64_sign_flip(
+        len in piece_len(),
+        (pad_lo, pad_hi) in (0usize..40, 0usize..40),
+        seed in 0u64..1_000_000,
+        (pick, frac, lte) in (0u8..4, 0.0f64..1.0, proptest::bool::ANY),
+    ) {
+        let seam = 1u64 << 63;
+        let vals: Vec<u64> = pseudo_column(pad_lo + len + pad_hi, seed, 1 << 20, false)
+            .into_iter()
+            .map(|v| seam.wrapping_add(v as u64))
+            .collect();
+        let (lo, hi) = (pad_lo, pad_lo + len);
+        let value = match pick {
+            0 => vals[lo + ((frac * len as f64) as usize).min(len - 1)],
+            1 => seam,
+            2 => 0,
+            _ => u64::MAX,
+        };
+        crack_two_agrees(&vals, lo, hi, BoundaryKey { value, lte })?;
+    }
+}

@@ -17,7 +17,6 @@ use crate::error::{StorageError, StorageResult};
 use crate::heap::{HeapRef, StrHeap};
 use crate::stats::BatStats;
 use crate::value::{Atom, AtomType, Oid};
-use serde::{Deserialize, Serialize};
 
 /// The head column of a BAT.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// storage is spent on the head at all. Cracking *shuffles* tuples, after
 /// which the head must become explicit so the surrogate key still identifies
 /// the original tuple.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HeadColumn {
     /// Virtual head: BUN `i` has OID `base + i`.
     Dense {
@@ -60,7 +59,7 @@ impl HeadColumn {
 }
 
 /// The typed tail column of a BAT.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum TailData {
     /// 64-bit integers.
     Int(Vec<i64>),
@@ -116,13 +115,12 @@ impl TailData {
 
 /// A Binary Association Table: `(head oid, tail value)` pairs plus lazily
 /// computed statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bat {
     name: String,
     head: HeadColumn,
     tail: TailData,
     /// Cached statistics; cleared on mutation.
-    #[serde(skip)]
     stats: Option<BatStats>,
 }
 

@@ -7,7 +7,6 @@
 //! offsets, and an optional dictionary makes repeated values share storage
 //! (MonetDB's "double elimination").
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Offset of a string inside a [`StrHeap`].
@@ -19,7 +18,7 @@ pub type HeapRef = u32;
 /// live in a parallel table inside the heap so that a `HeapRef` alone
 /// resolves a value. Entries are never moved, so offsets handed out remain
 /// valid for the lifetime of the heap.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StrHeap {
     /// Concatenated string bytes.
     bytes: Vec<u8>,
@@ -27,7 +26,6 @@ pub struct StrHeap {
     /// `HeapRef` indexes into this table.
     entries: Vec<(u32, u32)>,
     /// Dictionary for double elimination: string -> existing HeapRef.
-    #[serde(skip)]
     dedup: HashMap<String, HeapRef>,
     /// Whether double elimination is active.
     dedup_enabled: bool,
@@ -97,18 +95,6 @@ impl StrHeap {
     pub fn heap_bytes(&self) -> usize {
         self.bytes.len()
     }
-
-    /// Rebuild the (non-serialized) dedup dictionary after deserialization.
-    pub fn rebuild_dedup(&mut self) {
-        if !self.dedup_enabled {
-            return;
-        }
-        self.dedup.clear();
-        for i in 0..self.entries.len() {
-            let s = self.get(i as HeapRef).to_owned();
-            self.dedup.entry(s).or_insert(i as HeapRef);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -161,18 +147,6 @@ mod tests {
             h.intern(&format!("filler-{i}"));
         }
         assert_eq!(h.get(first), "first");
-    }
-
-    #[test]
-    fn rebuild_dedup_restores_sharing_after_serde() {
-        let mut h = StrHeap::new();
-        h.intern("x");
-        let json = serde_json::to_string(&h).unwrap();
-        let mut back: StrHeap = serde_json::from_str(&json).unwrap();
-        back.rebuild_dedup();
-        let r = back.intern("x");
-        assert_eq!(back.len(), 1, "dedup must be effective after rebuild");
-        assert_eq!(back.get(r), "x");
     }
 
     #[test]

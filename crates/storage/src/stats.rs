@@ -8,10 +8,9 @@
 
 use crate::bat::TailData;
 use crate::value::Atom;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one BAT tail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatStats {
     /// Number of BUNs.
     pub count: usize,

@@ -46,7 +46,7 @@ impl fmt::Display for AtomType {
 /// index without any partial-ordering escape hatches. Comparing atoms of
 /// different types orders them by type tag first; well-typed code never
 /// relies on that, but it keeps the order total and the invariants simple.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Atom {
     /// 64-bit signed integer.
     Int(i64),
