@@ -18,10 +18,15 @@
 //!   longer re-parses: `execute_one(text)` normalizes the text to its
 //!   shape and hits the session's plan cache, so what the leg measures
 //!   over `prepared_per_query` is the `format!`, the normalizer and one
-//!   map lookup per query. Expected: 1.3–1.5× `prepared_per_query`
-//!   (about 0.4 µs a query on top of a 1 µs prepared query), and below
-//!   what `prepared_per_query` cost before plans stopped being cloned per
-//!   bind.
+//!   map lookup per query. Measured over ten alternated runs on two
+//!   shared vCPUs: 1.35× `prepared_per_query` (the median of the runs'
+//!   ratios; 1.55× with the lexeme-scanner normalizer before it), about
+//!   0.3 µs a query on top of a 0.9 µs prepared query. The
+//!   `insert_values_32` leg runs `execute_one` over 32-row
+//!   `INSERT ... VALUES` texts into a warm 1 M-row session with one
+//!   cracked column: the normalizer, the shape's cached plan and
+//!   `append_rows`, ~7.3 µs a statement (~11.5 µs when every `INSERT`
+//!   was lexed and parsed).
 //! * `batch_exec_admission` — reader p95 latency (via `iter_custom`)
 //!   while an update-heavy writer session bursts staged inserts/deletes,
 //!   with the [`AdmissionGate`] off vs on. The gate's per-session cap
@@ -332,6 +337,44 @@ fn prepared_exec(c: &mut Criterion) {
                     .execute_prepared_many(&prepared, &binds)
                     .expect("bound pairs"),
             )
+        })
+    });
+
+    // `INSERT ... VALUES` of 32 rows as e2e `update_mix` sends it, into a
+    // warm session whose `a` is cracked: each text normalizes, hits its
+    // shape's plan and appends, the rows staged into `a`'s copy.
+    let (n, count) = if smoke() {
+        (40_000, 16)
+    } else {
+        (1_000_000, 64)
+    };
+    let mut writer = SqlSession::new();
+    let columns = ["k", "a", "b"].map(|c| (c.to_string(), base_values(n)));
+    writer
+        .load_table("r", columns.into())
+        .expect("fresh session");
+    writer
+        .execute_one("select count(*) from r where a >= 10 and a < 20")
+        .expect("a range count");
+    let mut rng = Lcg(0x1A5E);
+    let mut key = n as u64;
+    let inserts: Vec<String> = (0..count)
+        .map(|_| {
+            let tuples: Vec<String> = (0..32)
+                .map(|_| {
+                    key += 1;
+                    let (a, b) = (1 + rng.next() % n as u64, 1 + rng.next() % n as u64);
+                    format!("({key}, {a}, {b})")
+                })
+                .collect();
+            format!("insert into r values {}", tuples.join(", "))
+        })
+        .collect();
+    g.bench_function("insert_values_32", |b| {
+        b.iter(|| {
+            for text in &inserts {
+                black_box(writer.execute_one(text).expect("a 32-row insert"));
+            }
         })
     });
     g.finish();

@@ -31,10 +31,11 @@ use storage::mem;
 /// Result of a cracked selection.
 ///
 /// `core` is the contiguous cracked slot range; `edges` are matching slots
-/// inside uncracked (cut-off) border pieces; `pending_oids` are matching
-/// tuples still in the pending-insert staging area, in value order;
-/// `deleted_hits` counts tuples inside `core` that are pending deletion
-/// and must be discounted.
+/// inside uncracked (cut-off) border pieces; `pending_hits` counts the
+/// matching tuples still in the pending-insert staging area, and
+/// `pending_oids` lists them, in value order, unless the select only
+/// counted; `deleted_hits` counts tuples inside `core` that are pending
+/// deletion and must be discounted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Selection {
     /// Contiguous range of matching slots.
@@ -43,8 +44,11 @@ pub struct Selection {
     /// `core`, already filtered for pending deletes).
     pub edges: Vec<usize>,
     /// OIDs of matching tuples in the pending-insert area, in value order
-    /// (ties in staging order).
+    /// (ties in staging order); empty when the select only counted them.
     pub pending_oids: Vec<u32>,
+    /// Matching tuples in the pending-insert area:
+    /// `pending_oids.len()` unless the select only counted them.
+    pub pending_hits: usize,
     /// Matching tuples inside `core` that are pending deletion.
     pub deleted_hits: usize,
 }
@@ -56,6 +60,7 @@ impl Selection {
             core: 0..0,
             edges: Vec::new(),
             pending_oids: Vec::new(),
+            pending_hits: 0,
             deleted_hits: 0,
         }
     }
@@ -69,7 +74,7 @@ impl Selection {
             self.deleted_hits,
             self.core.len()
         );
-        self.core.len() + self.edges.len() + self.pending_oids.len() - self.deleted_hits
+        self.core.len() + self.edges.len() + self.pending_hits - self.deleted_hits
     }
 
     /// True when nothing qualifies.
@@ -80,8 +85,18 @@ impl Selection {
     /// True when the whole answer is one contiguous cracked range (no
     /// cut-off edges, no pending tuples): the ideal cracked answer.
     pub fn is_contiguous(&self) -> bool {
-        self.edges.is_empty() && self.pending_oids.is_empty() && self.deleted_hits == 0
+        self.edges.is_empty() && self.pending_hits == 0 && self.deleted_hits == 0
     }
+}
+
+/// What a select hands back of the staged inserts it matches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Staged {
+    /// Their OIDs, in [`Selection::pending_oids`], and their number.
+    Oids,
+    /// Their number alone, in [`Selection::pending_hits`]: a count
+    /// allocates no OID list.
+    Count,
 }
 
 /// How a boundary was resolved during a select.
@@ -286,31 +301,57 @@ impl<T: CrackValue> CrackerColumn<T> {
 
     /// Try to answer a range predicate **without mutating anything**:
     /// succeeds only when every needed boundary already exists in the
-    /// index (exact boundary hits) and no pending updates are staged.
-    /// This is the read-only fast path the latched column
+    /// index (exact boundary hits) and no merge of the staged updates is
+    /// due. The staged updates are read as [`select`](Self::select) reads
+    /// them. This is the read-only fast path the latched column
     /// ([`crate::sharded`]) uses to let repeat queries proceed under a
-    /// shared latch.
+    /// shared latch, staged updates or not.
     pub fn try_select_readonly(&self, pred: RangePred<T>) -> Option<Selection> {
-        if !self.pending.is_empty() {
+        self.select_readonly(pred, Staged::Oids)
+    }
+
+    /// [`try_select_readonly`](Self::try_select_readonly), handing back
+    /// the staged inserts as `staged` asks.
+    pub(crate) fn select_readonly(&self, pred: RangePred<T>, staged: Staged) -> Option<Selection> {
+        if !self.pending.is_empty() && self.merge_due() {
             return None;
         }
-        if pred.is_empty_range() || self.vals.is_empty() {
-            return Some(Selection::empty());
+        let mut sel = Selection::empty();
+        if !pred.is_empty_range() && !self.vals.is_empty() {
+            let start = match pred.low {
+                None => 0,
+                Some(b) => self.index.position(start_key(b))?,
+            };
+            let end = match pred.high {
+                None => self.vals.len(),
+                Some(b) => self.index.position(end_key(b))?,
+            };
+            sel.core = start..end.max(start);
         }
-        let start = match pred.low {
-            None => 0,
-            Some(b) => self.index.position(start_key(b))?,
-        };
-        let end = match pred.high {
-            None => self.vals.len(),
-            Some(b) => self.index.position(end_key(b))?,
-        };
-        Some(Selection {
-            core: start..end.max(start),
-            edges: Vec::new(),
-            pending_oids: Vec::new(),
-            deleted_hits: 0,
-        })
+        self.overlay(&mut sel, &pred, staged);
+        Some(sel)
+    }
+
+    /// Lay the staged updates over a selection of the cracked area: probe
+    /// the staged inserts by value, and discount the pending deletes.
+    fn overlay(&self, sel: &mut Selection, pred: &RangePred<T>, staged: Staged) {
+        if self.pending.is_empty() {
+            return;
+        }
+        match staged {
+            Staged::Oids => {
+                sel.pending_oids = self.pending.matching_inserts(pred);
+                sel.pending_hits = sel.pending_oids.len();
+            }
+            Staged::Count => sel.pending_hits = self.pending.count_matching(pred),
+        }
+        if self.pending.has_deletes() {
+            sel.deleted_hits = self
+                .kernel
+                .count_deleted(&self.oids[sel.core.clone()], self.pending.deleted_set());
+            sel.edges
+                .retain(|&p| !self.pending.is_deleted(self.oids[p]));
+        }
     }
 
     /// Answer a range predicate, cracking border pieces as a side effect.
@@ -318,7 +359,11 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// This is the Ξ cracker: afterwards the qualifying tuples occupy the
     /// contiguous `core` range (modulo cut-off edges and pending updates).
     pub fn select(&mut self, pred: RangePred<T>) -> Selection {
-        match self.select_with_guard(pred, None) {
+        self.select_unguarded(pred, Staged::Oids)
+    }
+
+    fn select_unguarded(&mut self, pred: RangePred<T>, staged: Staged) -> Selection {
+        match self.select_with_guard(pred, None, staged) {
             Some(sel) => sel,
             // lint: allow(unwrap) — an ungoverned select has no guard to fail
             None => unreachable!("ungoverned select cannot be abandoned"),
@@ -342,13 +387,14 @@ impl<T: CrackValue> CrackerColumn<T> {
         pred: RangePred<T>,
         keep_going: &dyn Fn() -> bool,
     ) -> Option<Selection> {
-        self.select_with_guard(pred, Some(keep_going))
+        self.select_with_guard(pred, Some(keep_going), Staged::Oids)
     }
 
     pub(crate) fn select_with_guard(
         &mut self,
         pred: RangePred<T>,
         guard: Option<&dyn Fn() -> bool>,
+        staged: Staged,
     ) -> Option<Selection> {
         if let Some(g) = guard {
             if !g() {
@@ -360,24 +406,13 @@ impl<T: CrackValue> CrackerColumn<T> {
             self.merge_pending();
         }
         let mut sel = self.select_cracked(pred, guard)?;
-        // Pending updates overlay: probe the staged inserts by value, and
-        // discount the pending deletes.
-        if !self.pending.is_empty() {
-            sel.pending_oids = self.pending.matching_inserts(&pred);
-            if self.pending.has_deletes() {
-                sel.deleted_hits = self
-                    .kernel
-                    .count_deleted(&self.oids[sel.core.clone()], self.pending.deleted_set());
-                sel.edges
-                    .retain(|&p| !self.pending.is_deleted(self.oids[p]));
-            }
-        }
+        self.overlay(&mut sel, &pred, staged);
         Some(sel)
     }
 
     /// Count qualifying tuples (the paper's Figure 1(c) operation).
     pub fn count(&mut self, pred: RangePred<T>) -> usize {
-        self.select(pred).count()
+        self.select_unguarded(pred, Staged::Count).count()
     }
 
     /// OIDs of all qualifying tuples, in physical order (core, then edges,
@@ -407,6 +442,11 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// [`selection_oids`](Self::selection_oids); reuse the buffer across
     /// queries to cut per-query allocations on the hot path.
     pub fn selection_oids_into(&self, sel: &Selection, out: &mut Vec<u32>) {
+        debug_assert_eq!(
+            sel.pending_oids.len(),
+            sel.pending_hits,
+            "a counted selection"
+        );
         out.reserve(sel.count());
         if self.pending.has_deletes() {
             let core = &self.oids[sel.core.clone()];
@@ -431,6 +471,11 @@ impl<T: CrackValue> CrackerColumn<T> {
     /// (the buffer is reused across queries by the engines). The common
     /// no-pending-updates case copies the contiguous core directly.
     pub fn copy_selection_into(&self, sel: &Selection, out: &mut Vec<(u32, T)>) {
+        debug_assert_eq!(
+            sel.pending_oids.len(),
+            sel.pending_hits,
+            "a counted selection"
+        );
         out.reserve(sel.count());
         if self.pending.has_deletes() {
             let core_oids = &self.oids[sel.core.clone()];
@@ -493,6 +538,7 @@ impl<T: CrackValue> CrackerColumn<T> {
                         core: p1..p2,
                         edges: Vec::new(),
                         pending_oids: Vec::new(),
+                        pending_hits: 0,
                         deleted_hits: 0,
                     });
                 }
@@ -521,6 +567,7 @@ impl<T: CrackValue> CrackerColumn<T> {
                 core: s..e.max(s),
                 edges: Vec::new(),
                 pending_oids: Vec::new(),
+                pending_hits: 0,
                 deleted_hits: 0,
             },
             (Resolved::CutOff(piece), Resolved::Exact(e)) => {
@@ -531,6 +578,7 @@ impl<T: CrackValue> CrackerColumn<T> {
                     core: core_start..e.max(core_start),
                     edges,
                     pending_oids: Vec::new(),
+                    pending_hits: 0,
                     deleted_hits: 0,
                 }
             }
@@ -542,6 +590,7 @@ impl<T: CrackValue> CrackerColumn<T> {
                     core: s..core_end,
                     edges,
                     pending_oids: Vec::new(),
+                    pending_hits: 0,
                     deleted_hits: 0,
                 }
             }
@@ -554,6 +603,7 @@ impl<T: CrackValue> CrackerColumn<T> {
                         core: p1.end..p1.end,
                         edges,
                         pending_oids: Vec::new(),
+                        pending_hits: 0,
                         deleted_hits: 0,
                     }
                 } else {
@@ -566,6 +616,7 @@ impl<T: CrackValue> CrackerColumn<T> {
                         core: p1.end..p2.start.max(p1.end),
                         edges,
                         pending_oids: Vec::new(),
+                        pending_hits: 0,
                         deleted_hits: 0,
                     }
                 }

@@ -91,12 +91,12 @@
 //! the latch hierarchy and which invariants are checked mechanically vs.
 //! stress-tested.
 
-use crate::column::{CrackerColumn, Selection};
+use crate::column::{CrackerColumn, Selection, Staged};
 use crate::config::CrackerConfig;
 use crate::pred::RangePred;
 use crate::stats::CrackStats;
 use crate::sync::{lockdep, LockGroup, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use crate::updates::Renumbering;
+use crate::updates::{PendingUpdates, Renumbering};
 use crate::value_trait::CrackValue;
 use storage::mem;
 
@@ -146,12 +146,13 @@ fn crack<T: CrackValue>(
     column: &mut CrackerColumn<T>,
     pred: RangePred<T>,
     keep_going: Guard<'_>,
+    staged: Staged,
 ) -> Option<Selection> {
-    if let Some(sel) = column.try_select_readonly(pred) {
+    if let Some(sel) = column.select_readonly(pred, staged) {
         return Some(sel);
     }
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        column.select_with_guard(pred, keep_going)
+        column.select_with_guard(pred, keep_going, staged)
     }));
     match attempt {
         Ok(sel) => sel,
@@ -386,14 +387,15 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         i: usize,
         pred: RangePred<T>,
         keep_going: Guard<'_>,
+        staged: Staged,
     ) -> Option<(Latch<'_, T>, Selection)> {
         let read = self.shards[i].read();
-        if let Some(sel) = read.try_select_readonly(pred) {
+        if let Some(sel) = read.select_readonly(pred, staged) {
             return Some((Latch::Read(read), sel));
         }
         drop(read);
         let mut write = self.shards[i].write();
-        let sel = crack(&mut write, pred, keep_going)?;
+        let sel = crack(&mut write, pred, keep_going, staged)?;
         Some((Latch::Write(write), sel))
     }
 
@@ -405,6 +407,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         &self,
         pred: RangePred<T>,
         keep_going: Guard<'_>,
+        staged: Staged,
         mut consume: impl FnMut(&CrackerColumn<T>, &Selection, usize),
     ) -> bool {
         if pred.is_empty_range() {
@@ -412,7 +415,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         }
         let (first, last) = self.touched(&pred);
         if first == last {
-            let Some((latch, sel)) = self.latch_shard(first, pred, keep_going) else {
+            let Some((latch, sel)) = self.latch_shard(first, pred, keep_going, staged) else {
                 return false;
             };
             consume(latch.col(), &sel, first);
@@ -424,7 +427,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
             let mut sels = Vec::with_capacity(last - first + 1);
             for i in first..=last {
                 let guard = self.shards[i].read();
-                match guard.try_select_readonly(Self::shard_pred(&pred, i, first, last)) {
+                match guard.select_readonly(Self::shard_pred(&pred, i, first, last), staged) {
                     Some(sel) => {
                         guards.push(guard);
                         sels.push(sel);
@@ -443,7 +446,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         let mut latched = Vec::with_capacity(last - first + 1);
         for i in first..=last {
             let p = Self::shard_pred(&pred, i, first, last);
-            let Some(shard) = self.latch_shard(i, p, keep_going) else {
+            let Some(shard) = self.latch_shard(i, p, keep_going, staged) else {
                 return false;
             };
             latched.push(shard);
@@ -484,7 +487,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         let mut write = shard.write();
         for (idx, p) in rest {
             // Unguarded, the crack always completes.
-            if let Some(sel) = crack(&mut write, p, None) {
+            if let Some(sel) = crack(&mut write, p, None, Staged::Oids) {
                 consume(idx, &write, &sel);
             }
         }
@@ -533,7 +536,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
     /// read-latched only; crackers on disjoint shards run in parallel.
     pub fn count(&self, pred: RangePred<T>) -> usize {
         let mut total = 0usize;
-        self.for_each_selection(pred, None, |_, sel, _| total += sel.count());
+        self.for_each_selection(pred, None, Staged::Count, |_, sel, _| total += sel.count());
         total
     }
 
@@ -549,7 +552,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
     /// twin of [`select_oids`](Self::select_oids); a warm query allocates
     /// nothing.
     pub fn select_oids_into(&self, pred: RangePred<T>, out: &mut Vec<u32>) {
-        self.for_each_selection(pred, None, |col, sel, _| {
+        self.for_each_selection(pred, None, Staged::Oids, |col, sel, _| {
             col.selection_oids_into(sel, out);
         });
     }
@@ -595,7 +598,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         assert_eq!(preds.len(), outs.len(), "one output buffer per predicate");
         for (i, (pred, out)) in preds.iter().zip(outs.iter_mut()).enumerate() {
             let answered = keep_going()
-                && self.for_each_selection(*pred, Some(keep_going), |col, sel, _| {
+                && self.for_each_selection(*pred, Some(keep_going), Staged::Oids, |col, sel, _| {
                     col.selection_oids_into(sel, out);
                 });
             if !answered {
@@ -609,7 +612,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
     /// [`count`](Self::count).
     pub fn select_pairs(&self, pred: RangePred<T>) -> Vec<(u32, T)> {
         let mut out = Vec::new();
-        self.for_each_selection(pred, None, |col, sel, _| {
+        self.for_each_selection(pred, None, Staged::Oids, |col, sel, _| {
             col.copy_selection_into(sel, &mut out);
         });
         out
@@ -619,7 +622,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
     /// (see [`ShardedSelection`]). Cracks as a side effect where needed.
     pub fn select(&self, pred: RangePred<T>) -> ShardedSelection {
         let mut parts = Vec::new();
-        self.for_each_selection(pred, None, |_, sel, shard| {
+        self.for_each_selection(pred, None, Staged::Oids, |_, sel, shard| {
             parts.push((shard, sel.clone()));
         });
         ShardedSelection { parts }
@@ -663,7 +666,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
             return true;
         }
         let p = Self::shard_pred(&pred, shard, first, last);
-        let Some((latch, sel)) = self.latch_shard(shard, p, Some(keep_going)) else {
+        let Some((latch, sel)) = self.latch_shard(shard, p, Some(keep_going), Staged::Oids) else {
             return false;
         };
         latch.col().selection_oids_into(&sel, out);
@@ -682,7 +685,26 @@ impl<T: CrackValue> ConcurrentColumn<T> {
     /// applied in one critical section — N staged rows cost at most
     /// `shard_count` latch round-trips instead of N.
     pub fn insert_batch(&self, rows: &[(u32, T)]) {
+        self.stage_batch(rows, PendingUpdates::stage_insert);
+    }
+
+    /// [`insert_batch`](Self::insert_batch) for rows just appended to the
+    /// base column this copy was made from, each at its value there: a
+    /// later [`stage_deletes`](Self::stage_deletes) finds them by that
+    /// value (see [`PendingUpdates::stage_appended`]).
+    pub fn append_batch(&self, rows: &[(u32, T)]) {
+        self.stage_batch(rows, PendingUpdates::stage_appended);
+    }
+
+    /// Stage `rows` with `stage`, one latch per touched shard.
+    fn stage_batch(&self, rows: &[(u32, T)], stage: fn(&mut PendingUpdates<T>, u32, T)) {
         if rows.is_empty() {
+            return;
+        }
+        if let [shard] = &self.shards[..] {
+            let mut col = shard.write();
+            rows.iter()
+                .for_each(|&(oid, value)| stage(&mut col.pending, oid, value));
             return;
         }
         let mut buckets: Vec<Vec<(u32, T)>> = vec![Vec::new(); self.shards.len()];
@@ -695,7 +717,7 @@ impl<T: CrackValue> ConcurrentColumn<T> {
             }
             let mut col = self.shards[s].write();
             for &(oid, value) in bucket {
-                col.insert(oid, value);
+                stage(&mut col.pending, oid, value);
             }
         }
     }
@@ -726,17 +748,17 @@ impl<T: CrackValue> ConcurrentColumn<T> {
         false
     }
 
-    /// Stage the deletion of every row the OIDs in `doomed` (ascending, no
-    /// repeats) name, as a base-table delete does: one exclusive latch per
-    /// shard, ascending, and no probe (see
-    /// [`PendingUpdates::stage_deletes`](crate::updates::PendingUpdates::stage_deletes)).
+    /// Stage the deletion of every row of the base column `base` the OIDs
+    /// in `doomed` (ascending, no repeats, each below `base.len()`) name,
+    /// as a base-table delete does: one exclusive latch per shard,
+    /// ascending, and no probe (see [`PendingUpdates::stage_deletes`]).
     /// The batch goes to every shard, because the shard of a row follows
     /// its value, which may not be the base table's: an insert re-staged
     /// under a new value lives in that value's shard. In a shard that
     /// holds no row of an OID, its mark hides nothing.
-    pub fn stage_deletes(&self, doomed: &[u32]) {
+    pub fn stage_deletes(&self, doomed: &[u32], base: &[T]) {
         if !doomed.is_empty() {
-            self.write_shards(|c| c.pending.stage_deletes(doomed));
+            self.write_shards(|c| c.pending.stage_deletes(doomed, base));
         }
     }
 
@@ -1042,7 +1064,8 @@ mod tests {
         col.insert(150, 3_990);
         col.insert(160, 3_991);
         col.insert(4_000, 120);
-        col.stage_deletes(&[150, 160, 4_000]);
+        let base: Vec<i64> = (0..4_000).chain([120]).collect();
+        col.stage_deletes(&[150, 160, 4_000], &base);
         assert_eq!(col.count(RangePred::between(100, 200)), 99);
         assert_eq!(col.count(RangePred::ge(3_990)), 10);
         assert_eq!(col.len(), 4_000, "nothing moved");

@@ -30,10 +30,14 @@
 //!   block is processed high→low so its stores chase its loads); the two
 //!   buffered blocks and the `len % 32` tail are placed scalarly at the
 //!   end, when the remaining free space exactly fits them. The canonical
-//!   crossing-pair `moved` needs the split, so each block records its
-//!   "before" lane mask in a side array (one `u32` per 32 tuples, `len /
-//!   8` bytes) and the "before" bits at or beyond the split are counted
-//!   after the pass. The values a [`side_sample`] would read are walked
+//!   crossing-pair `moved` needs the split. The "before" tuples the right
+//!   side reads all started at or beyond the point where the read
+//!   cursors meet, so they are summed as they are read; the split ends
+//!   within three blocks of that point, so only the "before" lane masks
+//!   of the last four blocks read from each side (and of the buffered
+//!   blocks and the tail) are kept, and the bits between the split and
+//!   the meeting point settle the count. No array grows with the piece.
+//!   The values a [`side_sample`] would read are walked
 //!   until one turns up on each side ([`sample_finds_both_sides`], a few
 //!   reads on a balanced piece); a piece where none does is counted first
 //!   (read only), and a crack that really is one-sided returns without
@@ -703,10 +707,19 @@ unsafe fn partition_two_avx2<const LTE: bool>(
     let blocks = len / B;
     // The canonical crossing-pair `moved` counts the "before" tuples that
     // started at or beyond the split, which is known only once the
-    // cursors meet. So each block records its "before" lane mask, bit `j`
-    // for source position `lo + B * block + j`, the tail as block
-    // `blocks`: `len / 8` bytes, counted after the pass.
-    let mut before = vec![0u32; blocks + 1];
+    // cursors meet. A block's "before" lane mask has bit `j` for source
+    // position `lo + B * block + j`, the tail being block `blocks`. The
+    // right side's blocks all lie at or beyond the read cursors' meeting
+    // point, so their "before" tuples are summed as they are read. The
+    // split ends within `2B + tail < 3B` of that point (the free window
+    // at the meeting), so only masks of blocks next to it are needed:
+    // the last four read from each side are kept, in a ring by block
+    // index, with the two buffered blocks' and the tail's. No buffer
+    // grows with the piece.
+    let mut near_left = [0u32; 4];
+    let mut near_right = [0u32; 4];
+    let mut right_before = 0u32;
+    let (mut first_mask, mut last_mask, mut tail_mask) = (0u32, 0u32, 0u32);
     let vp = lanes.as_mut_ptr();
     let op = oids.as_mut_ptr();
     let pv = _mm256_set1_epi64x(pivot);
@@ -780,7 +793,13 @@ unsafe fn partition_two_avx2<const LTE: bool>(
                 l_write += cl;
                 r_write -= 4 - cl;
             }
-            before[(base - lo) / B] = block_mask;
+            let block = (base - lo) / B;
+            if rev == 0 {
+                near_left[block % 4] = block_mask;
+            } else {
+                near_right[block % 4] = block_mask;
+                right_before += block_mask.count_ones();
+            }
         }
     }
     debug_assert_eq!(l_read, r_read);
@@ -794,12 +813,17 @@ unsafe fn partition_two_avx2<const LTE: bool>(
             // The first buffered block came from block 0, the second
             // from block `blocks - 1`.
             let b = before_scalar(buf_v[k], pivot, flip, LTE);
-            before[if k < B { 0 } else { blocks - 1 }] |= u32::from(b) << (k % B);
+            let bit = u32::from(b) << (k % B);
+            if k < B {
+                first_mask |= bit;
+            } else {
+                last_mask |= bit;
+            }
             place_scalar(vp, op, buf_v[k], buf_o[k], b, &mut l_write, &mut r_write);
         }
         for k in 0..tail {
             let b = before_scalar(tail_v[k], pivot, flip, LTE);
-            before[blocks] |= u32::from(b) << k;
+            tail_mask |= u32::from(b) << k;
             place_scalar(vp, op, tail_v[k], tail_o[k], b, &mut l_write, &mut r_write);
         }
     }
@@ -813,11 +837,43 @@ unsafe fn partition_two_avx2<const LTE: bool>(
             .count()
     );
     // Crossing pairs: "before" tuples whose source position is at or
-    // beyond the split, from the straddling block's bits at or above the
-    // split's offset onwards.
-    let (at, off) = ((split - lo) / B, (split - lo) % B);
-    let misplaced = (before[at] >> off).count_ones()
-        + before[at + 1..].iter().map(|m| m.count_ones()).sum::<u32>();
+    // beyond the split. Those at or beyond the meeting point were summed;
+    // the ones between it and the split are added or taken away from the
+    // masks kept next to it.
+    let meet = l_read - lo;
+    let m = meet / B;
+    let mask_of = |block: usize| match block {
+        0 => first_mask,
+        b if b == blocks - 1 => last_mask,
+        b if b == blocks => tail_mask,
+        b if b < m => near_left[b % 4],
+        b => near_right[b % 4],
+    };
+    // "Before" tuples at source offsets `[from, to)`, within `3B` of the
+    // meeting point.
+    let bits_in = |from: usize, to: usize| {
+        let (mut n, mut at) = (0, from);
+        while at < to {
+            let (block, off) = (at / B, at % B);
+            let end = to.min((block + 1) * B);
+            let width = end - at;
+            let window = if width == B {
+                u32::MAX
+            } else {
+                ((1u32 << width) - 1) << off
+            };
+            n += (mask_of(block) & window).count_ones();
+            at = end;
+        }
+        n
+    };
+    let beyond_meet = right_before + last_mask.count_ones() + tail_mask.count_ones();
+    let split_off = split - lo;
+    let misplaced = if split_off <= meet {
+        beyond_meet + bits_in(split_off, meet)
+    } else {
+        beyond_meet - bits_in(meet, split_off)
+    };
     *moved += 2 * u64::from(misplaced);
     split
 }

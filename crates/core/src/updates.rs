@@ -394,6 +394,12 @@ pub struct PendingUpdates<T> {
     /// the cracked tuple of its OID only, never a staged insert: an insert
     /// staged after the delete is a new row under the same OID.
     deletes: OidSet,
+    /// Whether a staged insert may carry a value other than its row's in
+    /// the base column: set by [`stage_insert`](Self::stage_insert), and
+    /// clear while every staged insert came through
+    /// [`stage_appended`](Self::stage_appended). While it is clear, a
+    /// base-table delete finds a row's staged inserts by the row's value.
+    restaged: bool,
 }
 
 impl<T: CrackValue> Default for PendingUpdates<T> {
@@ -403,6 +409,7 @@ impl<T: CrackValue> Default for PendingUpdates<T> {
             next_seq: 0,
             low_insert: u32::MAX,
             deletes: OidSet::new(),
+            restaged: false,
         }
     }
 }
@@ -413,30 +420,69 @@ impl<T: CrackValue> PendingUpdates<T> {
         Self::default()
     }
 
-    /// Stage an insert: `O(log k)` for `k` staged inserts.
+    /// Stage an insert of any `(oid, value)`: `O(log k)` for `k` staged
+    /// inserts.
     pub fn stage_insert(&mut self, oid: u32, value: T) {
+        self.restaged = true;
+        self.stage_appended(oid, value);
+    }
+
+    /// Stage the insert of a row appended to the base column at `value`:
+    /// [`stage_insert`](Self::stage_insert), with the promise that lets
+    /// [`stage_deletes`](Self::stage_deletes) find it by that value.
+    pub fn stage_appended(&mut self, oid: u32, value: T) {
         self.inserts.insert((value, self.next_seq), oid);
         self.next_seq += 1;
         self.low_insert = self.low_insert.min(oid);
     }
 
-    /// Stage the deletion of one OID: the one-row case of
-    /// [`stage_deletes`](Self::stage_deletes).
+    /// Stage the deletion of one OID, whatever the value of its staged
+    /// inserts: they are found by one walk over all of them.
     pub fn stage_delete(&mut self, oid: u32) {
-        self.stage_deletes(&[oid]);
+        self.cancel_inserts(&[oid]);
+        self.deletes.insert(oid);
     }
 
-    /// Stage the deletion of every row the OIDs in `doomed` (ascending, no
-    /// repeats) name: each one's staged inserts are cancelled and its
-    /// cracked tuple, if there is one, is marked deleted. A mark on an OID
-    /// the cracked area does not hold hides nothing, and the next merge
-    /// drops it. The staged inserts are ordered by value, so the
-    /// cancellation is one walk over all `k` of them for the whole batch,
-    /// and it is skipped when no doomed OID reaches the lowest staged one.
-    pub fn stage_deletes(&mut self, doomed: &[u32]) {
-        self.cancel_inserts(doomed);
+    /// Stage the deletion of every row of the base column `base` the OIDs
+    /// in `doomed` (ascending, no repeats) name: each one's staged inserts
+    /// are cancelled and its cracked tuple, if there is one, is marked
+    /// deleted. A mark on an OID the cracked area does not hold hides
+    /// nothing, and the next merge drops it. The staged inserts are
+    /// ordered by value. While each is a row appended to `base` at its
+    /// value, a doomed row's inserts are one range probe at `base[oid]`,
+    /// `O(m log k)` for `m` doomed rows and `k` staged inserts; after a
+    /// [`stage_insert`](Self::stage_insert) the cancellation is one walk
+    /// over all `k` for the whole batch. Both skip the doomed OIDs below
+    /// the lowest staged one.
+    pub fn stage_deletes(&mut self, doomed: &[u32], base: &[T]) {
+        if self.restaged {
+            self.cancel_inserts(doomed);
+        } else {
+            self.cancel_by_value(doomed, base);
+        }
         for &oid in doomed {
             self.deletes.insert(oid);
+        }
+    }
+
+    /// [`cancel_inserts`](Self::cancel_inserts) when every staged insert
+    /// is a row appended to `base` at its value: a doomed row's inserts
+    /// lie under `(base[oid], _)`. Leaves `low_insert` a lower bound.
+    fn cancel_by_value(&mut self, doomed: &[u32], base: &[T]) {
+        debug_assert!(doomed.windows(2).all(|w| w[0] < w[1]), "ascending");
+        let reach = doomed.partition_point(|&oid| oid < self.low_insert);
+        for &oid in &doomed[reach..] {
+            // An OID beyond `base` names no appended row.
+            let Some(&v) = base.get(oid as usize) else {
+                continue;
+            };
+            let row = |(&key, &staged): (&(T, u64), &u32)| (staged == oid).then_some(key);
+            while let Some(key) = self.inserts.range((v, 0)..=(v, u64::MAX)).find_map(row) {
+                self.inserts.remove(&key);
+            }
+        }
+        if self.inserts.is_empty() {
+            self.low_insert = u32::MAX;
         }
     }
 
@@ -501,10 +547,17 @@ impl<T: CrackValue> PendingUpdates<T> {
     /// probe, `O(log k + matches)`, which allocates nothing when nothing
     /// matches.
     pub fn matching_inserts(&self, pred: &RangePred<T>) -> Vec<u32> {
-        if pred.is_empty_range() {
-            // `BTreeMap::range` panics on an inverted range.
-            return Vec::new();
-        }
+        self.matching(pred).map(|(_, &oid)| oid).collect()
+    }
+
+    /// How many staged inserts match `pred`: the probe of
+    /// [`matching_inserts`](Self::matching_inserts), allocating nothing.
+    pub fn count_matching(&self, pred: &RangePred<T>) -> usize {
+        self.matching(pred).count()
+    }
+
+    /// The staged inserts matching `pred`, in value order.
+    fn matching(&self, pred: &RangePred<T>) -> impl Iterator<Item = (&(T, u64), &u32)> {
         let low = match pred.low {
             None => Unbounded,
             Some(b) if b.inclusive => Included((b.value, 0)),
@@ -515,9 +568,11 @@ impl<T: CrackValue> PendingUpdates<T> {
             Some(b) if b.inclusive => Included((b.value, u64::MAX)),
             Some(b) => Excluded((b.value, 0)),
         };
-        (self.inserts.range((low, high)))
-            .map(|(_, &oid)| oid)
-            .collect()
+        // `BTreeMap::range` panics on an inverted range.
+        let live = !pred.is_empty_range();
+        live.then(|| self.inserts.range((low, high)))
+            .into_iter()
+            .flatten()
     }
 
     /// Is an insert of `oid` staged? A walk over the staged inserts.
@@ -538,6 +593,7 @@ impl<T: CrackValue> PendingUpdates<T> {
 
     fn take(&mut self) -> (BTreeMap<(T, u64), u32>, OidSet) {
         self.low_insert = u32::MAX;
+        self.restaged = false;
         (
             std::mem::take(&mut self.inserts),
             std::mem::take(&mut self.deletes),
@@ -1150,24 +1206,32 @@ mod tests {
 
     #[test]
     fn a_delete_batch_cancels_staged_inserts_and_marks_cracked_tuples() {
-        let mut c = CrackerColumn::new((0..10).collect::<Vec<i64>>());
-        for (oid, v) in [(10, 3), (11, 30), (12, 7)] {
-            c.insert(oid, v);
+        // The base after three appended rows; staged as appended, they are
+        // cancelled by value, staged through `insert`, by the walk.
+        let base: Vec<i64> = (0..10).chain([3, 30, 7]).collect();
+        for appended in [false, true] {
+            let mut c = CrackerColumn::new(base[..10].to_vec());
+            for (oid, v) in [(10, 3), (11, 30), (12, 7)] {
+                match appended {
+                    true => c.pending.stage_appended(oid, v),
+                    false => c.insert(oid, v),
+                }
+            }
+            // Below every staged OID: the cancel is skipped.
+            c.pending.stage_deletes(&[1, 2], &base);
+            assert_eq!(c.pending.staged_inserts().len(), 3);
+            c.pending.stage_deletes(&[4, 11, 12], &base);
+            assert_eq!(c.pending.staged_inserts().collect::<Vec<_>>(), [(10, 3)]);
+            let mut oids = c.select_oids(RangePred::ge(0));
+            oids.sort_unstable();
+            assert_eq!(oids, [0, 3, 5, 6, 7, 8, 9, 10]);
+            // Each OID is marked, even one whose row was a staged insert:
+            // the mark hides nothing and the merge drops it.
+            assert!([1, 2, 4, 11, 12].iter().all(|&o| c.pending.is_deleted(o)));
+            c.merge_pending();
+            assert_eq!((c.len(), c.pending_len()), (8, 0));
+            c.validate().unwrap();
         }
-        // Below every staged OID: the walk is skipped, nothing cancels.
-        c.pending.stage_deletes(&[1, 2]);
-        assert_eq!(c.pending.staged_inserts().len(), 3);
-        c.pending.stage_deletes(&[4, 11, 12]);
-        assert_eq!(c.pending.staged_inserts().collect::<Vec<_>>(), [(10, 3)]);
-        let mut oids = c.select_oids(RangePred::ge(0));
-        oids.sort_unstable();
-        assert_eq!(oids, [0, 3, 5, 6, 7, 8, 9, 10]);
-        // Each OID is marked, even one whose row was a staged insert: the
-        // mark hides nothing and the merge drops it.
-        assert!([1, 2, 4, 11, 12].iter().all(|&o| c.pending.is_deleted(o)));
-        c.merge_pending();
-        assert_eq!((c.len(), c.pending_len()), (8, 0));
-        c.validate().unwrap();
     }
 
     #[test]
@@ -1569,6 +1633,98 @@ mod tests {
                     )
                     .map_err(TestCaseError::fail)?;
                 check(&replayed, "replayed")?;
+            }
+        }
+
+        /// A base-table delete cancels the staged inserts of the rows it
+        /// dooms by their values exactly as the walk over every staged
+        /// insert does. Two copies of one column take the same appended
+        /// rows, one as appended (`append_batch`, cancelled by value) and
+        /// one as arbitrary inserts (`insert_batch`, cancelled by the
+        /// walk), and the same delete batches and merges: after every
+        /// step their encoded snapshots are byte-equal, and both answer an
+        /// `oid → value` map staged, merged and restored from a snapshot,
+        /// at 1 and 4 shards.
+        #[test]
+        fn prop_cancel_by_value_leaves_the_overlay_of_the_walk(
+            orig in vec(-20i64..20, 1..120),
+            ops in vec((0u8..5, -30i64..30, 0usize..400, 1usize..8), 1..40),
+            probes in vec((-25i64..25, 0i64..20), 1..5),
+        ) {
+            use crate::snapshot::ConcurrentSnapshot;
+            let config = CrackerConfig::default();
+            let encoded = |col: &ConcurrentColumn<i64>| {
+                let mut buf = Vec::new();
+                ConcurrentSnapshot::encode(col, &mut buf);
+                buf
+            };
+            for mode in [ConcurrencyMode::default(), ConcurrencyMode { shards: 4 }] {
+                let by_value = ConcurrentColumn::build(orig.clone(), config, mode);
+                let walk = ConcurrentColumn::build(orig.clone(), config, mode);
+                for col in [&by_value, &walk] {
+                    col.count(RangePred::between(-5, 5));
+                }
+                let mut base = orig.clone();
+                let mut model: BTreeMap<u32, i64> = (0..).zip(orig.iter().copied()).collect();
+                for &(kind, v, pick, n) in &ops {
+                    match kind {
+                        0 | 1 => {
+                            let rows: Vec<(u32, i64)> =
+                                (0..n).map(|i| ((base.len() + i) as u32, v + i as i64 % 3)).collect();
+                            base.extend(rows.iter().map(|&(_, v)| v));
+                            by_value.append_batch(&rows);
+                            walk.insert_batch(&rows);
+                            model.extend(rows);
+                        }
+                        2 | 3 if !model.is_empty() => {
+                            let live: Vec<u32> = model.keys().copied().collect();
+                            let mut doomed: Vec<u32> =
+                                (0..n).map(|i| live[(pick + 5 * i) % live.len()]).collect();
+                            doomed.sort_unstable();
+                            doomed.dedup();
+                            by_value.stage_deletes(&doomed, &base);
+                            walk.stage_deletes(&doomed, &base);
+                            for oid in &doomed {
+                                model.remove(oid);
+                            }
+                        }
+                        _ => {
+                            by_value.merge_pending();
+                            walk.merge_pending();
+                        }
+                    }
+                    prop_assert!(encoded(&by_value) == encoded(&walk), "{:?}: after {:?}", mode, (kind, v, pick, n));
+                }
+                let check = |col: &ConcurrentColumn<i64>, when: &str| -> Result<(), TestCaseError> {
+                    col.validate().map_err(TestCaseError::fail)?;
+                    prop_assert_eq!(col.count(RangePred::ge(i64::MIN)), model.len(), "{:?} {}", mode, when);
+                    for &(lo, width) in &probes {
+                        let pred = RangePred::between(lo, lo + width);
+                        let mut got = col.select_oids(pred);
+                        got.sort_unstable();
+                        let want: Vec<u32> = (model.iter())
+                            .filter(|(_, &v)| pred.matches(v))
+                            .map(|(&oid, _)| oid)
+                            .collect();
+                        prop_assert_eq!(got, want, "{:?} {}", mode, when);
+                    }
+                    Ok(())
+                };
+                // The checks crack: both copies take them.
+                for (col, when) in [(&by_value, "staged"), (&walk, "staged, walked")] {
+                    check(col, when)?;
+                    col.merge_pending();
+                }
+                prop_assert!(encoded(&by_value) == encoded(&walk), "{:?}: merged", mode);
+                check(&by_value, "merged")?;
+                // Restored after the merge: a delete batch marks OIDs no
+                // cracked tuple holds, which a staged snapshot's restore
+                // refuses and a merge drops.
+                let restored = ConcurrentSnapshot::decode(&encoded(&by_value))
+                    .map_err(|e| TestCaseError::fail(e.to_string()))?
+                    .restore(config)
+                    .map_err(TestCaseError::fail)?;
+                check(&restored, "restored")?;
             }
         }
 

@@ -25,6 +25,7 @@ use crate::durability::{
 use crate::error::{EngineError, EngineResult};
 use crate::exec::batch::{refine_conjunct, BlockScratch};
 use crate::governor::Governor;
+use crate::hash::FastMap;
 use crate::query::{AggFunc, OutputMode, RangeQuery};
 use crate::table::Table;
 use cracker_core::config::STAGE_SHARE;
@@ -55,9 +56,9 @@ pub struct AdaptiveDb {
     config: CrackerConfig,
     /// How cracked columns are latched.
     concurrency: ConcurrencyMode,
-    /// The cracked copy of each column, keyed by `(table, column)`; built
-    /// at first touch under the configured [`ConcurrencyMode`].
-    columns: HashMap<(String, String), ConcurrentColumn<i64>>,
+    /// The cracked copy of each column, found by `(table, column)`;
+    /// built at first touch under the configured [`ConcurrencyMode`].
+    columns: Cracked,
     /// Per table, the rows a [`delete_rows`](Self::delete_rows) removed
     /// that no fold has compacted yet: the base still holds them, and
     /// every cracked copy of the table has them staged as deletes.
@@ -91,7 +92,7 @@ impl AdaptiveDb {
             catalog: DbCatalog::new(),
             config,
             concurrency: ConcurrencyMode::default(),
-            columns: HashMap::new(),
+            columns: Cracked::default(),
             tombstones: HashMap::new(),
             probe: Default::default(),
             lineage: LineageGraph::new(),
@@ -228,16 +229,19 @@ impl AdaptiveDb {
         first: Option<RangePred<i64>>,
     ) -> EngineResult<&ConcurrentColumn<i64>> {
         set_key(&mut self.probe, table, column);
-        if !self.columns.contains_key(&self.probe) {
-            let base = self.catalog.table(table)?.ints(column)?;
-            let col = ConcurrentColumn::from_base(base, self.config, self.concurrency, first);
-            if let Some(dead) = self.tombstones.get(table) {
-                col.stage_deletes(&sorted(dead));
+        let slot = match self.columns.slots.get(&self.probe) {
+            Some(&slot) => slot,
+            None => {
+                let base = self.catalog.table(table)?.ints(column)?;
+                let col = ConcurrentColumn::from_base(base, self.config, self.concurrency, first);
+                if let Some(dead) = self.tombstones.get(table) {
+                    col.stage_deletes(&sorted(dead), base);
+                }
+                col.set_journaling(self.durability.is_some());
+                self.columns.insert(self.probe.clone(), col)
             }
-            col.set_journaling(self.durability.is_some());
-            self.columns.insert(self.probe.clone(), col);
-        }
-        Ok(&self.columns[&self.probe])
+        };
+        Ok(&self.columns.copies[slot])
     }
 
     /// Rows of `table` a query can see: its length less the rows a
@@ -717,19 +721,20 @@ impl AdaptiveDb {
     /// cracked state survives the append instead of being rebuilt.
     /// Returns the OID of the first appended row.
     ///
-    /// Rows are validated against the schema (arity, all-int) before
-    /// anything is staged or logged. With durability attached, every
+    /// A row is any slice of values: a `Vec<i64>` per row, or row-major
+    /// chunks of one buffer. Rows are validated against the schema
+    /// (arity, all-int) before anything is staged or logged. With durability attached, every
     /// column's slice goes to the redo log in **one** group append
     /// before any cracked copy or the base changes: a refused append
     /// leaves the base, the cracked copies and the log as they were.
     /// A base column shared with another `Arc` holder (a Ψ fragment) is
     /// copied once (the holder keeps the old rows); an unshared one grows
     /// by the rows appended.
-    pub fn append_rows(&mut self, table: &str, rows: &[Vec<i64>]) -> EngineResult<u32> {
+    pub fn append_rows<R: AsRef<[i64]>>(&mut self, table: &str, rows: &[R]) -> EngineResult<u32> {
         let t = self.catalog.table(table)?;
         let names: Vec<String> = t.schema().names().iter().map(|s| s.to_string()).collect();
         let start = t.len() as u32;
-        if rows.iter().any(|r| r.len() != names.len()) {
+        if rows.iter().any(|r| r.as_ref().len() != names.len()) {
             return Err(EngineError::RaggedColumns(table.to_owned()));
         }
         for name in &names {
@@ -746,15 +751,18 @@ impl AdaptiveDb {
         let mut slices: Vec<(&str, Vec<(u32, i64)>)> = Vec::new();
         for (i, name) in names.iter().enumerate() {
             set_key(&mut self.probe, table, name);
-            if self.columns.contains_key(&self.probe) || self.durability.is_some() {
+            if self.columns.get(&self.probe).is_some() || self.durability.is_some() {
                 self.shared_cracker(table, name)?;
-                let batch = rows.iter().zip(start..).map(|(r, oid)| (oid, r[i]));
+                let batch = rows
+                    .iter()
+                    .zip(start..)
+                    .map(|(r, oid)| (oid, r.as_ref()[i]));
                 slices.push((name, batch.collect()));
             }
         }
         self.log_inserts(table, slices.iter().map(|(name, b)| (*name, &b[..])))?;
         for (name, batch) in &slices {
-            self.shared_cracker(table, name)?.insert_batch(batch);
+            self.shared_cracker(table, name)?.append_batch(batch);
         }
         self.catalog.table_mut(table)?.append_int_rows(rows)?;
         Ok(start)
@@ -764,7 +772,9 @@ impl AdaptiveDb {
     /// rows become tombstones of the table, which the base keeps, and each
     /// of the table's cracked copies stages them as deletes in one batch
     /// ([`ConcurrentColumn::stage_deletes`]), which its selects and merges
-    /// honour. Other tables are not touched. OIDs beyond the table, rows
+    /// honour. A row [`append_rows`](Self::append_rows) staged into a copy
+    /// is cancelled there by its value in the base, one probe of the
+    /// staged inserts per doomed row. Other tables are not touched. OIDs beyond the table, rows
     /// already deleted and repeats are ignored; returns the number of rows
     /// removed, and a call that removes none changes nothing.
     ///
@@ -817,8 +827,10 @@ impl AdaptiveDb {
         if dead.len() >= (len / STAGE_SHARE).max(1) {
             self.fold(table)?;
         } else {
-            let cracked = self.columns.iter().filter(|((name, _), _)| name == table);
-            cracked.for_each(|(_, col)| col.stage_deletes(&doomed));
+            let t = self.catalog.table(table)?;
+            for (column, col) in self.columns.of_table(table) {
+                col.stage_deletes(&doomed, t.ints(column)?);
+            }
         }
         Ok(doomed.len())
     }
@@ -834,8 +846,7 @@ impl AdaptiveDb {
         let doomed = sorted(&dead);
         self.catalog.table_mut(table)?.remove_rows(&doomed);
         let renumbering = Renumbering::new(&doomed);
-        let cracked = self.columns.iter().filter(|((name, _), _)| name == table);
-        cracked.for_each(|(_, col)| col.compact_renumber(&renumbering));
+        (self.columns.of_table(table)).for_each(|(_, col)| col.compact_renumber(&renumbering));
         Ok(())
     }
 
@@ -850,7 +861,7 @@ impl AdaptiveDb {
         self.catalog.drop_table(table)?;
         self.roots.remove(table);
         self.tombstones.remove(table);
-        self.columns.retain(|(t, _), _| t != table);
+        self.columns.remove_table(table);
         Ok(())
     }
 
@@ -1223,6 +1234,73 @@ impl AdaptiveDb {
             acc.absorb(&c.stats());
         }
         acc
+    }
+}
+
+/// Every cracked copy, found by its `(table, column)` in one hash probe:
+/// `slots` holds each copy's place in `copies`.
+#[derive(Default)]
+struct Cracked {
+    slots: FastMap<ColumnId, usize>,
+    copies: Vec<ConcurrentColumn<i64>>,
+}
+
+impl Cracked {
+    fn len(&self) -> usize {
+        self.copies.len()
+    }
+
+    fn get(&self, key: &ColumnId) -> Option<&ConcurrentColumn<i64>> {
+        self.slots.get(key).map(|&slot| &self.copies[slot])
+    }
+
+    /// Add the copy of a column that has none; returns its slot.
+    fn insert(&mut self, key: ColumnId, col: ConcurrentColumn<i64>) -> usize {
+        debug_assert!(!self.slots.contains_key(&key), "one copy per column");
+        self.copies.push(col);
+        self.slots.insert(key, self.copies.len() - 1);
+        self.copies.len() - 1
+    }
+
+    fn keys(&self) -> impl Iterator<Item = &ColumnId> {
+        self.slots.keys()
+    }
+
+    fn values(&self) -> impl Iterator<Item = &ConcurrentColumn<i64>> {
+        self.copies.iter()
+    }
+
+    /// The copies of `table`'s columns, with the columns' names.
+    fn of_table<'a>(
+        &'a self,
+        table: &'a str,
+    ) -> impl Iterator<Item = (&'a str, &'a ConcurrentColumn<i64>)> {
+        (self.slots.iter())
+            .filter(move |((t, _), _)| t == table)
+            .map(|((_, column), &slot)| (column.as_str(), &self.copies[slot]))
+    }
+
+    /// Drop the copies of `table`'s columns, packing the rest.
+    fn remove_table(&mut self, table: &str) {
+        self.slots.retain(|(t, _), _| t != table);
+        let mut old: Vec<Option<_>> = std::mem::take(&mut self.copies)
+            .into_iter()
+            .map(Some)
+            .collect();
+        for slot in self.slots.values_mut() {
+            if let Some(col) = old[*slot].take() {
+                *slot = self.copies.len();
+                self.copies.push(col);
+            }
+        }
+    }
+}
+
+impl std::ops::Index<&ColumnId> for Cracked {
+    type Output = ConcurrentColumn<i64>;
+
+    fn index(&self, key: &ColumnId) -> &ConcurrentColumn<i64> {
+        &self.copies[self.slots[key]]
     }
 }
 
@@ -1744,7 +1822,7 @@ mod tests {
             assert!(oids.contains(&101), "appended k=7 row visible: {oids:?}");
             // Ragged rows are rejected before anything is staged.
             assert!(db.append_rows("r", &[vec![1]]).is_err());
-            assert_eq!(db.append_rows("r", &[]).unwrap(), 102);
+            assert_eq!(db.append_rows("r", &[] as &[Vec<i64>]).unwrap(), 102);
             // An empty table (what `CREATE TABLE` registers) grows from OID
             // 0, cracked or not.
             db.register(Table::from_int_columns("e", vec![("x", vec![]), ("y", vec![])]).unwrap())

@@ -33,7 +33,9 @@
 //!   measured across MySQL, PostgreSQL, SQLite and MonetDB (Figure 1), so
 //!   the comparative *shape* of those experiments can be regenerated
 //!   without shipping four foreign code bases;
-//! * [`chain`] — the k-way linear join experiment of Figure 9.
+//! * [`chain`] — the k-way linear join experiment of Figure 9;
+//! * [`hash`] — the cheap hasher of the maps keyed by catalog names and
+//!   statement shapes.
 
 pub mod admission;
 pub mod catalog;
@@ -45,6 +47,7 @@ pub mod engines;
 pub mod error;
 pub mod exec;
 pub mod governor;
+pub mod hash;
 pub mod plan;
 pub mod profile;
 pub mod query;

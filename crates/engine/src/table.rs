@@ -131,15 +131,15 @@ impl Table {
     /// rejected batch leaves the table untouched. A column `Arc` shared
     /// with a view is copied once (`Arc::make_mut`); an unshared one
     /// grows by the rows appended.
-    pub fn append_int_rows(&mut self, rows: &[Vec<i64>]) -> EngineResult<()> {
-        if rows.iter().any(|r| r.len() != self.columns.len()) {
+    pub fn append_int_rows<R: AsRef<[i64]>>(&mut self, rows: &[R]) -> EngineResult<()> {
+        if rows.iter().any(|r| r.as_ref().len() != self.columns.len()) {
             return Err(EngineError::RaggedColumns(self.name.clone()));
         }
         for def in self.schema.columns() {
             self.ints(&def.name)?;
         }
         for (i, col) in self.columns.iter_mut().enumerate() {
-            Arc::make_mut(col).append_ints(rows.iter().map(|r| r[i]))?;
+            Arc::make_mut(col).append_ints(rows.iter().map(|r| r.as_ref()[i]))?;
         }
         Ok(())
     }

@@ -7,25 +7,31 @@
 //! every `SELECT` leaves the store a little better partitioned for the
 //! next one.
 //!
-//! **The text path is normalize → cache → bind → run.** A SELECT handed
-//! to [`SqlSession::execute_one`] (or alone to [`SqlSession::execute`]) is
-//! first reduced to its *shape* by [`crate::token`]'s normalizer — words
-//! case-folded, spacing and comments collapsed, every integer operand of a
-//! comparison or `BETWEEN` replaced by `?` and its value kept as a bind —
-//! and the shape keys a small per-session map of [`Prepared`] plans. A
-//! miss prepares the shape once; a hit lexes, parses and lowers nothing:
-//! it binds the values into a scratch of range predicates and runs the
-//! plan down the evaluator chosen when it was prepared. Literal text,
-//! cached text, statements that arrive parsed and user-prepared
-//! statements all end in that one body (`Prepared::run`). What the shape
-//! cannot carry *declines* and is parsed from the original text, so its
-//! errors read as written: a first keyword other than `SELECT`, a second
-//! statement, a source `?`, an integer anywhere but a comparison
-//! (`LIMIT n`), a literal that overflows `i64`, and a shape whose prepare
-//! fails (`1 > 2` becomes `? > ?`) — remembered, so the failed prepare is
-//! paid once. A plan holds resolved names, so only a schema change can
-//! stale it: `CREATE`, `DROP` and an `INSERT ... SELECT` that creates its
-//! target empty the map; `INSERT ... VALUES` and `DELETE` evict nothing.
+//! **The text path is normalize → cache → bind → run.** A SELECT or an
+//! `INSERT ... VALUES` handed to [`SqlSession::execute_one`] (or alone to
+//! [`SqlSession::execute`]) is first reduced to its *shape* by
+//! [`crate::token`]'s normalizer, one loop over the text's bytes: words
+//! case-folded, spacing and comments collapsed, every integer operand of
+//! a comparison or `BETWEEN` and every value of a `VALUES` tuple replaced
+//! by `?` and its value kept as a bind. The shape keys a small
+//! per-session map of plans. A miss prepares the shape once; a hit
+//! lexes, parses and lowers nothing. A SELECT binds the values into a
+//! scratch of range predicates and runs its [`Prepared`] plan down the
+//! evaluator chosen when it was prepared. Literal text, cached text,
+//! statements that arrive parsed and user-prepared statements all end in
+//! that one body (`Prepared::run`). An INSERT's plan holds its table,
+//! resolved and checked for the tuples' width when the shape was first
+//! seen; the binds are appended as its rows. What the shape cannot carry
+//! *declines* and is parsed from the original text, so its errors read
+//! as written: a first keyword other than `SELECT` or `INSERT`, a second
+//! statement, a source `?`, a SELECT's integer anywhere but a comparison
+//! (`LIMIT n`), an `INSERT ... SELECT`, tuples of unequal width, a
+//! literal that overflows `i64`, and a shape whose prepare fails (`1 > 2`
+//! becomes `? > ?`; an INSERT into an unknown table or of the wrong
+//! width) — remembered, so the failed prepare is paid once. A plan holds
+//! resolved names, so only a schema change can stale it: `CREATE`, `DROP`
+//! and an `INSERT ... SELECT` that creates its target empty the map;
+//! `INSERT ... VALUES` and `DELETE` evict nothing.
 //!
 //! Beyond those plans the session holds nothing but the database: DDL/DML
 //! mutates the [`AdaptiveDb`]'s catalog in place, taking the conservative end of the
@@ -45,8 +51,9 @@ use crate::ast::{SelectStmt, Statement};
 use crate::error::{Span, SqlError, SqlResult};
 use crate::lower::{lower_select, LoweredSelect, OutputCol, Resolved};
 use crate::parser::{parse, parse_one};
-use crate::token::normalize;
+use crate::token::{normalize, Shape};
 use cracker_core::{CrackerConfig, RangePred};
+use engine::hash::FastMap;
 use engine::query::{AggFunc, QueryTerm};
 use engine::{AdaptiveDb, DbCatalog, Table};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -264,6 +271,62 @@ impl Prepared {
     }
 }
 
+/// What the plan cache keeps for one statement shape.
+enum Plan {
+    /// A SELECT, prepared from its shape.
+    Select(Prepared),
+    /// `INSERT INTO table VALUES` of tuples as wide as the table: the
+    /// binds are its rows, back to back.
+    Insert {
+        /// The table, resolved when the shape was first seen.
+        table: String,
+        /// Its column count, which is the width of the shape's tuples.
+        arity: usize,
+    },
+}
+
+impl Plan {
+    /// The plan of a shape [`normalize`] wrote to `key`; `None` when the
+    /// shape does not prepare, and the text has to report why.
+    fn prepare(key: &str, shape: Shape, catalog: &DbCatalog) -> Option<Plan> {
+        match shape {
+            Shape::Select => Prepared::from_text(key, catalog).ok().map(Plan::Select),
+            Shape::Insert { table, arity } => {
+                let table = &key[table];
+                let fits = (catalog.table(table)).is_ok_and(|t| t.schema().arity() == arity);
+                fits.then(|| Plan::Insert {
+                    table: table.to_owned(),
+                    arity,
+                })
+            }
+        }
+    }
+
+    /// Run the plan with the shape's binds.
+    fn run(
+        &self,
+        db: &mut AdaptiveDb,
+        preds: &mut Vec<RangePred<i64>>,
+        binds: &[i64],
+    ) -> SqlResult<QueryOutput> {
+        match self {
+            Plan::Select(plan) => plan.run(db, preds, binds),
+            Plan::Insert { table, arity } => {
+                let rows: Vec<&[i64]> = binds.chunks_exact(*arity).collect();
+                db.append_rows(table, &rows)?;
+                Ok(inserted(rows.len(), table))
+            }
+        }
+    }
+}
+
+/// The acknowledgement of an `INSERT`.
+fn inserted(rows: usize, table: &str) -> QueryOutput {
+    QueryOutput::Affected {
+        message: format!("inserted {rows} rows into {table}"),
+    }
+}
+
 /// Statement shapes a session keeps plans for; past this many the cache
 /// starts over.
 const PLAN_CACHE_CAPACITY: usize = 128;
@@ -278,8 +341,9 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Statements whose shape was new: prepared once, then run.
     pub misses: u64,
-    /// Statements that took the uncached path: not one literal SELECT the
-    /// cache can express, or a shape whose prepare failed before.
+    /// Statements that took the uncached path: not one literal SELECT or
+    /// `INSERT ... VALUES` the cache can express, or a shape whose prepare
+    /// failed before.
     pub declined: u64,
     /// Entries dropped by a schema change or by the cache filling up.
     pub evictions: u64,
@@ -292,7 +356,7 @@ pub struct PlanCacheStats {
 struct PlanCache {
     /// `None` remembers a shape whose prepare failed, so the failure is
     /// paid once and every repeat goes straight to the uncached path.
-    plans: HashMap<String, Option<Prepared>>,
+    plans: FastMap<String, Option<Plan>>,
     /// The shape and literals of the statement being looked up, reused.
     key: String,
     binds: Vec<i64>,
@@ -403,10 +467,10 @@ impl SqlSession {
     }
 
     /// Execute every statement in `src`, returning one output per
-    /// statement. A lone literal SELECT goes through the plan cache like
-    /// [`Self::execute_one`]; otherwise the whole source is parsed before
-    /// any statement runs, so a syntax error anywhere leaves the session
-    /// untouched.
+    /// statement. A lone literal SELECT or `INSERT ... VALUES` goes
+    /// through the plan cache like [`Self::execute_one`]; otherwise the
+    /// whole source is parsed before any statement runs, so a syntax error
+    /// anywhere leaves the session untouched.
     pub fn execute(&mut self, src: &str) -> SqlResult<Vec<QueryOutput>> {
         if let Some(out) = self.execute_cached(src) {
             return Ok(vec![out?]);
@@ -430,9 +494,10 @@ impl SqlSession {
     }
 
     /// Execute a source text expected to hold exactly one statement. A
-    /// literal SELECT goes through the plan cache — normalize → cache →
-    /// bind → run, see the [module docs](self) for what declines;
-    /// everything else is parsed and run from the text as written.
+    /// literal SELECT or `INSERT ... VALUES` goes through the plan cache —
+    /// normalize → cache → bind → run, see the [module docs](self) for
+    /// what declines; everything else is parsed and run from the text as
+    /// written.
     pub fn execute_one(&mut self, src: &str) -> SqlResult<QueryOutput> {
         if let Some(out) = self.execute_cached(src) {
             return out;
@@ -444,10 +509,10 @@ impl SqlSession {
     /// Run `src` from the plan cache; `None` declines.
     fn execute_cached(&mut self, src: &str) -> Option<SqlResult<QueryOutput>> {
         let SqlSession { db, cache, bound } = self;
-        if !normalize(src, &mut cache.key, &mut cache.binds) {
+        let Some(shape) = normalize(src, &mut cache.key, &mut cache.binds) else {
             cache.stats.declined += 1;
             return None;
-        }
+        };
         let plan = match cache.plans.get(cache.key.as_str()) {
             Some(plan) => {
                 match plan {
@@ -463,7 +528,7 @@ impl SqlSession {
                 }
                 // A shape that does not prepare reports its error from
                 // the original text; this one's spans point into the key.
-                let plan = Prepared::from_text(&cache.key, db.catalog()).ok();
+                let plan = Plan::prepare(&cache.key, shape, db.catalog());
                 cache.plans.entry(cache.key.clone()).or_insert(plan)
             }
         };
@@ -579,7 +644,7 @@ impl SqlSession {
                     ));
                 }
                 self.db.append_rows(table, rows)?;
-                format!("inserted {} rows into {table}", rows.len())
+                return Ok(inserted(rows.len(), table));
             }
             Statement::InsertSelect {
                 table,
@@ -627,7 +692,7 @@ impl SqlSession {
                         self.register_table(table.clone(), cols, *span)?;
                     }
                 }
-                format!("inserted {} rows into {table}", rows.len())
+                return Ok(inserted(rows.len(), table));
             }
             Statement::Delete {
                 table,
@@ -1851,8 +1916,160 @@ mod tests {
         s.execute_one("delete from r where a >= 99").unwrap();
         assert_eq!(rows(&s.execute_one(&q(98)).unwrap()), &[vec![1]]);
         let stats = s.plan_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 1, 0));
-        assert_eq!(stats.declined, 2, "the INSERT and the DELETE");
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 2, 0));
+        assert_eq!(stats.declined, 1, "the DELETE");
+        assert_eq!(stats.entries, 2, "the SELECT's shape and the INSERT's");
+    }
+
+    /// Run `sql` on `s` as text and on `twin` parsed: the two results.
+    fn both(
+        s: &mut SqlSession,
+        twin: &mut SqlSession,
+        sql: &str,
+    ) -> [SqlResult<Vec<QueryOutput>>; 2] {
+        let parsed = crate::parser::parse(sql).and_then(|stmts| twin.execute_batch(&stmts));
+        [s.execute(sql), parsed]
+    }
+
+    #[test]
+    fn a_repeated_insert_shape_is_prepared_once_and_appends_the_parsed_rows() {
+        let mut s = session();
+        let mut twin = session();
+        for t in [&mut s, &mut twin] {
+            t.execute_one("select count(*) from r where a >= 50")
+                .unwrap();
+        }
+        for i in 0..200i64 {
+            let (x, y) = (i * 7 - 700, 1_000 - i);
+            let sql = match i % 4 {
+                0 => format!("insert into r values ({x}, {y}), (-{i}, - {i})"),
+                1 => format!("INSERT INTO R VALUES ({x},{y}),({y},{x}) ;"),
+                2 => format!(
+                    "insert into r -- rows\n values ({x}, {}), ({}, {y})",
+                    i64::MAX,
+                    -i64::MAX
+                ),
+                _ => format!("insert into r values (0, {x}), (1, 2)"),
+            };
+            let [got, want] = both(&mut s, &mut twin, &sql);
+            assert_eq!(got, want, "{sql}");
+            assert_eq!(got.unwrap()[0].to_string(), "inserted 2 rows into r");
+        }
+        let stats = s.plan_cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.declined),
+            (198 + 1, 2, 0),
+            "{stats:?}"
+        );
+        assert_eq!(stats.entries, 2, "one SELECT shape, one INSERT shape");
+        for sql in [
+            "select * from r",
+            "select count(*) from r where a >= 50",
+            "select k from r where a < -100",
+            "select count(*) from r where k < 0",
+        ] {
+            let [got, want] = both(&mut s, &mut twin, sql);
+            assert_eq!(
+                sorted_rows(&got.unwrap()[0]),
+                sorted_rows(&want.unwrap()[0]),
+                "{sql}"
+            );
+        }
+        assert_eq!(s.cracked_columns(), twin.cracked_columns());
+    }
+
+    #[test]
+    fn an_insert_that_fails_fails_as_the_uncached_path_does() {
+        let mut s = session();
+        let mut twin = session();
+        for (sql, fragment) in [
+            ("insert into r values (1, 2, 3)", "r"),
+            ("insert into r values (1, 2, 3), (4, 5, 6)", "r"),
+            ("insert into r values (1)", "r"),
+            (
+                "insert into r values (1, 99999999999999999999)",
+                "99999999999999999999",
+            ),
+            (
+                "insert into r values (1, -9223372036854775808)",
+                "9223372036854775808",
+            ),
+            ("insert into nowhere values (1, 2)", "nowhere"),
+            ("insert into r values (1, 2), (3)", ")"),
+            ("insert into r values (1, ?)", "?"),
+        ] {
+            for round in 0..2 {
+                let [got, want] = both(&mut s, &mut twin, sql);
+                assert_eq!(got, want, "{sql} (round {round})");
+                let err = got.unwrap_err();
+                assert_eq!(err.span().unwrap().fragment(sql), fragment, "{sql}: {err}");
+            }
+        }
+        // Nothing was appended, and every failure took the uncached path:
+        // the four shapes that normalize were prepared once and
+        // remembered (4 misses, 4 declines), the other four texts
+        // declined twice each.
+        assert_eq!(
+            rows(&s.execute_one("select count(*) from r").unwrap()),
+            &[vec![100]]
+        );
+        let stats = s.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 4 + 1), "{stats:?}");
+        assert_eq!(stats.declined, 4 + 8, "{stats:?}");
+    }
+
+    #[test]
+    fn create_and_drop_evict_insert_plans() {
+        let mut s = SqlSession::new();
+        let mut twin = SqlSession::new();
+        let insert = "insert into t values (1, 2)";
+        for sql in [
+            "create table t (a integer, b integer)",
+            insert,
+            insert,
+            "drop table t",
+            insert,
+            "create table t (a integer, b integer, c integer)",
+            insert,
+            "insert into t values (1, 2, 3)",
+            "drop table t",
+            "create table t (a integer, b integer)",
+            insert,
+            "select * from t",
+        ] {
+            let [got, want] = both(&mut s, &mut twin, sql);
+            assert_eq!(got, want, "{sql}");
+        }
+        // `insert` ran twice from one plan, then failed twice: no table,
+        // then three columns. Each schema change dropped the plans.
+        let stats = s.plan_cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.declined),
+            (1, 6, 5),
+            "{stats:?}"
+        );
+        assert_eq!((stats.evictions, stats.entries), (4, 2), "{stats:?}");
+        assert_eq!(
+            rows(&s.execute_one("select * from t").unwrap()),
+            &[vec![1, 2]]
+        );
+    }
+
+    #[test]
+    fn insert_select_is_not_cached() {
+        let mut s = session();
+        s.execute_one("insert into u select a, k from r where a < 10")
+            .unwrap();
+        for _ in 0..3 {
+            s.execute_one("insert into u select a, k from r where a < 10")
+                .unwrap();
+        }
+        let stats = s.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.declined), (0, 0, 4));
+        assert_eq!(
+            rows(&s.execute_one("select count(*) from u").unwrap()),
+            &[vec![40]]
+        );
     }
 
     #[test]

@@ -31,15 +31,16 @@
 //!   [`SqlSession::execute_prepared_many`] binds and runs
 //!   batch-at-a-time. Text takes the same road: [`SqlSession::execute`]
 //!   and [`SqlSession::execute_one`] are normalize → cache → bind → run.
-//!   A SELECT's text is reduced to its shape (case, spacing and comments
-//!   folded, the integer operands of its comparisons pulled out as bind
-//!   values), the shape is looked up in a small per-session map of
-//!   prepared plans, and the plan is bound and run — so a shape seen
-//!   before is not lexed, parsed or lowered again. Whatever the shape
-//!   cannot carry *declines* the cache and is parsed from the original
-//!   text, errors and spans as written: statements other than SELECT,
-//!   several statements, a source `?`, `LIMIT n`, a literal that
-//!   overflows, and any shape that fails to prepare. A schema change
+//!   The text of a SELECT or an `INSERT ... VALUES` is reduced to its
+//!   shape in one pass over its bytes (case, spacing and comments
+//!   folded, the integer operands of comparisons and the values of
+//!   tuples pulled out as bind values), the shape is looked up in a small
+//!   per-session map of prepared plans, and the plan is bound and run —
+//!   so a shape seen before is not lexed, parsed or lowered again.
+//!   Whatever the shape cannot carry *declines* the cache and is parsed
+//!   from the original text, errors and spans as written: other
+//!   statements, several statements, a source `?`, `LIMIT n`, a literal
+//!   that overflows, and any shape that fails to prepare. A schema change
 //!   (`CREATE`, `DROP`, `INSERT ... SELECT` into a new table) empties
 //!   the map; [`SqlSession::plan_cache_stats`] counts what it did.
 //!

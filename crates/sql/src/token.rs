@@ -11,6 +11,7 @@
 
 use crate::error::{Span, SqlError, SqlResult};
 use std::fmt;
+use std::ops::Range;
 
 /// A lexical token kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,118 +202,114 @@ fn keyword(word: &str) -> Option<Tok> {
     })
 }
 
-/// What the byte scanner found at a span, before a word is folded or a
-/// literal parsed.
-enum Lexeme {
-    /// An identifier or keyword, in the source's case.
-    Word,
-    /// The digits of an integer literal.
-    Digits,
-    /// An operator or punctuation token.
-    Punct(Tok),
+/// The operator or punctuation token starting at `bytes[i]` and its
+/// length in bytes; `None` when no token starts with that byte.
+fn punct(bytes: &[u8], i: usize) -> Option<(Tok, usize)> {
+    let two = |a: u8| bytes.get(i + 1) == Some(&a);
+    Some(match bytes[i] {
+        b'*' => (Tok::Star, 1),
+        b',' => (Tok::Comma, 1),
+        b'.' => (Tok::Dot, 1),
+        b'(' => (Tok::LParen, 1),
+        b')' => (Tok::RParen, 1),
+        b';' => (Tok::Semi, 1),
+        b'-' => (Tok::Minus, 1),
+        b'?' => (Tok::Param, 1),
+        b'=' => (Tok::Eq, 1),
+        b'<' if two(b'=') => (Tok::Le, 2),
+        b'<' if two(b'>') => (Tok::Ne, 2),
+        b'<' => (Tok::Lt, 1),
+        b'>' if two(b'=') => (Tok::Ge, 2),
+        b'>' => (Tok::Gt, 1),
+        b'!' if two(b'=') => (Tok::Ne, 2),
+        _ => return None,
+    })
 }
 
-/// The character classes of the fragment, shared by [`lex`] and
-/// [`normalize`]: skips whitespace and `--` comments and cuts the source
-/// into [`Lexeme`]s.
-struct Scanner<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl Scanner<'_> {
-    /// The next lexeme and its span; `None` at end of input.
-    fn next(&mut self) -> SqlResult<Option<(Lexeme, Span)>> {
-        let bytes = self.src.as_bytes();
-        let mut i = self.pos;
-        loop {
-            match bytes.get(i) {
-                Some(b) if b.is_ascii_whitespace() => i += 1,
-                // `--` comment to end of line.
-                Some(b'-') if bytes.get(i + 1) == Some(&b'-') => {
-                    while i < bytes.len() && bytes[i] != b'\n' {
-                        i += 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-        let start = i;
-        let Some(&b) = bytes.get(start) else {
-            self.pos = start;
-            return Ok(None);
-        };
-        let lexeme = if b.is_ascii_alphabetic() || b == b'_' {
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                i += 1;
-            }
-            Lexeme::Word
-        } else if b.is_ascii_digit() {
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
-            }
-            Lexeme::Digits
-        } else {
-            let two = |a: u8| bytes.get(start + 1) == Some(&a);
-            let (tok, len) = match b {
-                b'*' => (Tok::Star, 1),
-                b',' => (Tok::Comma, 1),
-                b'.' => (Tok::Dot, 1),
-                b'(' => (Tok::LParen, 1),
-                b')' => (Tok::RParen, 1),
-                b';' => (Tok::Semi, 1),
-                b'-' => (Tok::Minus, 1),
-                b'?' => (Tok::Param, 1),
-                b'=' => (Tok::Eq, 1),
-                b'<' if two(b'=') => (Tok::Le, 2),
-                b'<' if two(b'>') => (Tok::Ne, 2),
-                b'<' => (Tok::Lt, 1),
-                b'>' if two(b'=') => (Tok::Ge, 2),
-                b'>' => (Tok::Gt, 1),
-                b'!' if two(b'=') => (Tok::Ne, 2),
-                _ => {
-                    return Err(SqlError::syntax(
-                        format!(
-                            "unexpected character {:?}",
-                            self.src[start..]
-                                .chars()
-                                .next()
-                                .unwrap_or(char::REPLACEMENT_CHARACTER)
-                        ),
-                        Span::new(start, start + 1),
-                    ))
-                }
-            };
-            i += len;
-            Lexeme::Punct(tok)
-        };
-        self.pos = i;
-        Ok(Some((lexeme, Span::new(start, i))))
-    }
+/// The end of the `--` comment starting at `bytes[i]`: the next newline,
+/// or the end of the text.
+fn comment_end(bytes: &[u8], i: usize) -> usize {
+    bytes[i..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |n| i + n)
 }
 
 /// Tokenize a complete source text.
 pub fn lex(src: &str) -> SqlResult<Vec<Token>> {
-    let mut scanner = Scanner { src, pos: 0 };
+    let bytes = src.as_bytes();
     let mut out = Vec::new();
-    while let Some((lexeme, span)) = scanner.next()? {
-        let text = &src[span.start..span.end];
-        let tok = match lexeme {
-            Lexeme::Word => keyword(text).unwrap_or_else(|| Tok::Ident(text.to_ascii_lowercase())),
-            Lexeme::Digits => Tok::Int(text.parse().map_err(|_| {
-                SqlError::syntax(format!("integer literal {text} overflows i64"), span)
-            })?),
-            Lexeme::Punct(tok) => tok,
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        let start = i;
+        let tok = if b.is_ascii_whitespace() {
+            i += 1;
+            continue;
+        } else if b == b'-' && bytes.get(i + 1) == Some(&b'-') {
+            i = comment_end(bytes, i);
+            continue;
+        } else if b.is_ascii_alphabetic() || b == b'_' {
+            let is_word = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
+            while bytes.get(i).is_some_and(is_word) {
+                i += 1;
+            }
+            let text = &src[start..i];
+            keyword(text).unwrap_or_else(|| Tok::Ident(text.to_ascii_lowercase()))
+        } else if b.is_ascii_digit() {
+            while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+                i += 1;
+            }
+            let text = &src[start..i];
+            Tok::Int(text.parse().map_err(|_| {
+                SqlError::syntax(
+                    format!("integer literal {text} overflows i64"),
+                    Span::new(start, i),
+                )
+            })?)
+        } else {
+            let Some((tok, len)) = punct(bytes, i) else {
+                let c = src[start..].chars().next();
+                return Err(SqlError::syntax(
+                    format!(
+                        "unexpected character {:?}",
+                        c.unwrap_or(char::REPLACEMENT_CHARACTER)
+                    ),
+                    Span::new(start, start + 1),
+                ));
+            };
+            i += len;
+            tok
         };
-        out.push(Token { tok, span });
+        out.push(Token {
+            tok,
+            span: Span::new(start, i),
+        });
     }
     Ok(out)
 }
 
+/// What [`normalize`] read: the kind of statement its key spells.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// A SELECT. The key is SQL that prepares to the text's plan once
+    /// its `?`s are bound.
+    Select,
+    /// `INSERT INTO table VALUES` of equally wide tuples: the table is
+    /// `key[table]`, and the binds are the rows back to back, `arity`
+    /// values each.
+    Insert {
+        /// The table name's place in the key.
+        table: Range<usize>,
+        /// Values per row.
+        arity: usize,
+    },
+}
+
 /// Where [`normalize`] stands inside `col [NOT] BETWEEN low AND high`.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 enum InBetween {
     /// Not inside one.
+    #[default]
     No,
     /// `BETWEEN` was the last token: the low bound comes next.
     Low,
@@ -322,119 +319,322 @@ enum InBetween {
     High,
 }
 
-/// Reduce one SELECT's text to its *shape*: words case-folded, whitespace
-/// and comments collapsed to single spaces, and every integer literal that
-/// is an operand of a comparison or a `BETWEEN` bound (with its unary
-/// minus) replaced by `?`, its value pushed onto `binds` in source order.
-/// The shape written to `key` is itself valid SQL whose `i`-th placeholder
-/// takes `binds[i]`, so a plan prepared from it and bound to `binds`
-/// equals the plan of `src` — and two texts differing only in literals,
-/// case, spacing or comments share a key.
-///
-/// Returns `false` — *declines*, leaving `key` and `binds` unspecified —
-/// for anything it cannot express that way, which the caller then runs
-/// from the original text so errors keep their spans: a first keyword
-/// other than `SELECT`, a source `?`, a second statement, an integer in
-/// any other position (`LIMIT n`), a literal that overflows `i64`, and
-/// any text [`lex`] rejects. One pass over the bytes; allocates nothing
-/// once `key` and `binds` have grown to the statement's size.
-pub(crate) fn normalize(src: &str, key: &mut String, binds: &mut Vec<i64>) -> bool {
-    key.clear();
-    binds.clear();
-    shape_into(src, key, binds).is_some()
+/// The token an `INSERT INTO t VALUES (..), ..` needs next.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Ins {
+    /// `INTO`.
+    Into,
+    /// The table name: a word that is no keyword.
+    Table,
+    /// `VALUES`.
+    Values,
+    /// A tuple's `(`.
+    Open,
+    /// A literal, with its minus.
+    Literal,
+    /// `,` or the tuple's `)`.
+    AfterLiteral,
+    /// `,` before the next tuple, `;` or the end.
+    AfterRow,
 }
 
-/// [`normalize`]'s scan; `None` declines.
-fn shape_into(src: &str, key: &mut String, binds: &mut Vec<i64>) -> Option<()> {
-    let mut scanner = Scanner { src, pos: 0 };
-    // The last token was a comparison operator: a literal here is its
-    // right operand.
-    let mut after_cmp = false;
-    let mut between = InBetween::No;
-    // A unary minus waits for its digits.
-    let mut negative = false;
-    // The last token was a literal nothing to its left licensed: it is a
-    // left operand, so a comparison operator must follow.
-    let mut left_operand = false;
-    // A `;` ended the statement: only more `;` may follow.
-    let mut ended = false;
-    while let Some((lexeme, span)) = scanner.next().ok()? {
-        let text = &src[span.start..span.end];
-        let is_cmp = matches!(
-            lexeme,
-            Lexeme::Punct(Tok::Eq | Tok::Ne | Tok::Lt | Tok::Le | Tok::Gt | Tok::Ge)
-        );
-        let is_digits = matches!(lexeme, Lexeme::Digits);
-        if ended && !matches!(lexeme, Lexeme::Punct(Tok::Semi))
-            || left_operand && !is_cmp
-            || negative && !is_digits
-        {
-            return None;
+/// The statement [`normalize`] is reading.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Stmt {
+    /// No token yet: the first word decides.
+    #[default]
+    Start,
+    /// A SELECT.
+    Select,
+    /// An `INSERT`, which needs this token next.
+    Insert(Ins),
+}
+
+/// [`normalize`]'s grammar between tokens. The byte loop calls one method
+/// per token it scans; each returns `false` to decline the text.
+#[derive(Default)]
+struct Rules {
+    stmt: Stmt,
+    /// SELECT: the last token was a comparison operator, so a literal
+    /// here is its right operand.
+    after_cmp: bool,
+    between: InBetween,
+    /// A unary minus waits for its digits.
+    negative: bool,
+    /// SELECT: the last token was a literal nothing to its left
+    /// licensed. It is a left operand, so a comparison operator must
+    /// follow.
+    left_operand: bool,
+    /// A `;` ended the statement: only more `;` may follow.
+    ended: bool,
+    /// INSERT: the table name's place in the key, the values per row (0
+    /// until the first `)`), and the values of the row being read.
+    table: Range<usize>,
+    arity: usize,
+    width: usize,
+}
+
+impl Rules {
+    /// A word, case-folded at `key[start..]`, whose [`packed`] form is
+    /// `code`.
+    fn word(&mut self, key: &str, start: usize, code: u64) -> bool {
+        if self.ended || self.left_operand || self.negative {
+            return false;
         }
-        // Neither reaches the key: `;` ends the statement, the sign
-        // travels with its literal's value.
-        match lexeme {
-            Lexeme::Punct(Tok::Semi) => {
-                ended = true;
-                continue;
+        self.stmt = match self.stmt {
+            Stmt::Start => match code {
+                SELECT => Stmt::Select,
+                INSERT => Stmt::Insert(Ins::Into),
+                _ => return false,
+            },
+            Stmt::Select => {
+                self.between = match (self.between, code) {
+                    (InBetween::No, BETWEEN) => InBetween::Low,
+                    (InBetween::No, _) => InBetween::No,
+                    (InBetween::And, AND) => InBetween::High,
+                    _ => return false,
+                };
+                self.after_cmp = false;
+                Stmt::Select
             }
-            Lexeme::Punct(Tok::Minus) => {
-                negative = true;
-                continue;
+            Stmt::Insert(Ins::Into) if code == INTO => Stmt::Insert(Ins::Table),
+            Stmt::Insert(Ins::Table) if keyword(&key[start..]).is_none() => {
+                self.table = start..key.len();
+                Stmt::Insert(Ins::Values)
             }
-            _ => {}
+            Stmt::Insert(Ins::Values) if code == VALUES => Stmt::Insert(Ins::Open),
+            Stmt::Insert(_) => return false,
+        };
+        true
+    }
+
+    /// An integer literal; its minus, if any, was the last token.
+    fn literal(&mut self) -> bool {
+        if self.ended || self.left_operand {
+            return false;
         }
-        let first = key.is_empty();
-        if first && !matches!(lexeme, Lexeme::Word) {
-            return None;
-        }
-        if !first {
-            key.push(' ');
-        }
-        match lexeme {
-            Lexeme::Digits => {
-                let bound = matches!(between, InBetween::Low | InBetween::High);
-                between = match between {
+        self.negative = false;
+        match self.stmt {
+            Stmt::Select => {
+                let bound = matches!(self.between, InBetween::Low | InBetween::High);
+                self.between = match self.between {
                     InBetween::Low => InBetween::And,
-                    InBetween::And => return None,
+                    InBetween::And => return false,
                     InBetween::High | InBetween::No => InBetween::No,
                 };
-                // `-9223372036854775808` declines like any literal whose
-                // digits overflow: the lexer reports it the same way.
-                let magnitude: i64 = text.parse().ok()?;
-                binds.push(if negative { -magnitude } else { magnitude });
-                key.push('?');
-                left_operand = !(after_cmp || bound);
-                (negative, after_cmp) = (false, false);
+                self.left_operand = !(self.after_cmp || bound);
+                self.after_cmp = false;
             }
-            Lexeme::Punct(Tok::Param) => return None,
-            Lexeme::Punct(_) => {
-                if between != InBetween::No {
-                    return None;
-                }
-                key.push_str(text);
-                (left_operand, after_cmp) = (false, is_cmp);
+            Stmt::Insert(Ins::Literal) => {
+                self.width += 1;
+                self.stmt = Stmt::Insert(Ins::AfterLiteral);
             }
-            Lexeme::Word => {
-                let start = key.len();
-                key.push_str(text);
-                key[start..].make_ascii_lowercase();
-                let word = keyword(&key[start..]);
-                if first && word != Some(Tok::Select) {
-                    return None;
-                }
-                between = match (between, word) {
-                    (InBetween::No, Some(Tok::Between)) => InBetween::Low,
-                    (InBetween::No, _) => InBetween::No,
-                    (InBetween::And, Some(Tok::And)) => InBetween::High,
-                    _ => return None,
+            _ => return false,
+        }
+        true
+    }
+
+    /// A unary minus.
+    fn minus(&mut self) -> bool {
+        let licensed = matches!(self.stmt, Stmt::Select | Stmt::Insert(Ins::Literal));
+        let ok = licensed && !self.ended && !self.left_operand && !self.negative;
+        self.negative = true;
+        ok
+    }
+
+    /// A `;`.
+    fn semi(&mut self) -> bool {
+        self.ended = true;
+        let at_end = !matches!(self.stmt, Stmt::Insert(ins) if ins != Ins::AfterRow);
+        at_end && !self.left_operand && !self.negative
+    }
+
+    /// Any other operator or punctuation, spelled with first byte `b`;
+    /// `is_cmp` for a comparison operator.
+    fn punct(&mut self, b: u8, is_cmp: bool) -> bool {
+        if self.ended || self.negative || self.left_operand && !is_cmp {
+            return false;
+        }
+        match self.stmt {
+            Stmt::Start => false,
+            Stmt::Select => {
+                self.left_operand = false;
+                self.after_cmp = is_cmp;
+                self.between == InBetween::No
+            }
+            Stmt::Insert(ins) => {
+                let next = match (ins, b) {
+                    (Ins::Open, b'(') => {
+                        self.width = 0;
+                        Ins::Literal
+                    }
+                    (Ins::AfterLiteral, b',') => Ins::Literal,
+                    (Ins::AfterLiteral, b')') if self.arity == 0 || self.arity == self.width => {
+                        self.arity = self.width;
+                        Ins::AfterRow
+                    }
+                    (Ins::AfterRow, b',') => Ins::Open,
+                    _ => return false,
                 };
-                after_cmp = false;
+                self.stmt = Stmt::Insert(next);
+                true
             }
         }
     }
-    let complete = !key.is_empty() && !negative && !left_operand && between == InBetween::No;
-    complete.then_some(())
+
+    /// The shape of a text read to its end, or `None` for an unfinished
+    /// one.
+    fn finish(self) -> Option<Shape> {
+        match self.stmt {
+            Stmt::Select if !self.negative && !self.left_operand => {
+                (self.between == InBetween::No).then_some(Shape::Select)
+            }
+            Stmt::Insert(Ins::AfterRow) => Some(Shape::Insert {
+                table: self.table,
+                arity: self.arity,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// Reduce one statement's text to its *shape*: words case-folded,
+/// whitespace and comments collapsed to single spaces, and every integer
+/// literal that is a SELECT's comparison operand or `BETWEEN` bound, or a
+/// value of an `INSERT ... VALUES` tuple, replaced (with its unary minus)
+/// by `?`, its value pushed onto `binds` in source order. The key written
+/// to `key` lexes, and its `i`-th placeholder takes `binds[i]`: a
+/// SELECT's key is SQL whose plan, bound to `binds`, equals the plan of
+/// `src`, and an INSERT's key names the table and the tuples' width. Two
+/// texts differing only in literals, case, spacing or comments share a
+/// key.
+///
+/// Returns `None` — *declines*, leaving `key` and `binds` unspecified —
+/// for anything it cannot express that way, which the caller then runs
+/// from the original text so errors keep their spans: a first keyword
+/// other than `SELECT` or `INSERT`, a source `?`, a second statement, a
+/// SELECT's integer in any other position (`LIMIT n`), an `INSERT` other
+/// than `INTO t VALUES` of non-empty tuples of literals all as wide as the
+/// first, a literal that overflows `i64`, and any text [`lex`] rejects.
+///
+/// One loop over the bytes writes the key as it scans: a word is
+/// case-folded into the key byte by byte while its first eight bytes are
+/// packed into one integer, which the grammar compares with the keywords
+/// it needs, and a literal's value is accumulated from its digits. There
+/// is no token, span or error value in between, and nothing is allocated
+/// once `key` and `binds` have grown to the statement's size. The byte
+/// classes are [`lex`]'s; `prop_normalize_is_total_and_its_keys_lex`
+/// pins that.
+pub(crate) fn normalize(src: &str, key: &mut String, binds: &mut Vec<i64>) -> Option<Shape> {
+    key.clear();
+    binds.clear();
+    let bytes = src.as_bytes();
+    let mut rules = Rules::default();
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        i += 1;
+        let ok = match b {
+            // `u8::is_ascii_whitespace`.
+            b' ' | b'\t' | b'\n' | b'\x0C' | b'\r' => continue,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let at = separate(key);
+                let (mut code, mut len) = (0, 0);
+                let mut c = b;
+                loop {
+                    let folded = c.to_ascii_lowercase();
+                    key.push(char::from(folded));
+                    if len < 8 {
+                        code |= u64::from(folded) << (8 * len);
+                    }
+                    len += 1;
+                    match bytes.get(i) {
+                        Some(&next) if next.is_ascii_alphanumeric() || next == b'_' => c = next,
+                        _ => break,
+                    }
+                    i += 1;
+                }
+                // A word of eight bytes or more is no keyword the grammar
+                // asks about.
+                rules.word(key, at, if len < 8 { code } else { u64::MAX })
+            }
+            b'0'..=b'9' => {
+                // `-9223372036854775808` declines like any literal whose
+                // digits overflow: the lexer reports it the same way.
+                let mut magnitude = i64::from(b - b'0');
+                while let Some(&d) = bytes.get(i).filter(|d| d.is_ascii_digit()) {
+                    magnitude = magnitude
+                        .checked_mul(10)?
+                        .checked_add(i64::from(d - b'0'))?;
+                    i += 1;
+                }
+                binds.push(if rules.negative {
+                    -magnitude
+                } else {
+                    magnitude
+                });
+                separate(key);
+                key.push('?');
+                rules.literal()
+            }
+            b'-' if bytes.get(i) == Some(&b'-') => {
+                i = comment_end(bytes, i);
+                continue;
+            }
+            // Neither reaches the key: `;` ends the statement, the sign
+            // travels with its literal's value.
+            b'-' => rules.minus(),
+            b';' => rules.semi(),
+            _ => {
+                let next = bytes.get(i).copied();
+                let second = match (b, next) {
+                    (b'<', Some(b'=' | b'>')) | (b'>' | b'!', Some(b'=')) => next,
+                    (b'*' | b',' | b'.' | b'(' | b')' | b'=' | b'<' | b'>', _) => None,
+                    // `?`, a lone `!`, and bytes no token starts with.
+                    _ => return None,
+                };
+                separate(key);
+                key.push(char::from(b));
+                if let Some(c) = second {
+                    key.push(char::from(c));
+                    i += 1;
+                }
+                rules.punct(b, matches!(b, b'=' | b'<' | b'>' | b'!'))
+            }
+        };
+        if !ok {
+            return None;
+        }
+    }
+    rules.finish()
+}
+
+/// The first eight bytes of a lowercase word, little-endian: a word
+/// shorter than eight bytes is the keyword `word` exactly when its packed
+/// form is `packed(word)`.
+const fn packed(word: &[u8]) -> u64 {
+    let mut code = 0;
+    let mut i = 0;
+    while i < word.len() {
+        code |= (word[i] as u64) << (8 * i);
+        i += 1;
+    }
+    code
+}
+
+const SELECT: u64 = packed(b"select");
+const INSERT: u64 = packed(b"insert");
+const INTO: u64 = packed(b"into");
+const VALUES: u64 = packed(b"values");
+const BETWEEN: u64 = packed(b"between");
+const AND: u64 = packed(b"and");
+
+/// Start the next token of a key: a space after the one before. Returns
+/// where the token starts.
+fn separate(key: &mut String) -> usize {
+    if !key.is_empty() {
+        key.push(' ');
+    }
+    key.len()
 }
 
 #[cfg(test)]
@@ -572,8 +772,14 @@ mod tests {
 
     /// `normalize`'s key and binds, or `None` when it declines.
     fn shape(src: &str) -> Option<(String, Vec<i64>)> {
+        insert_shape(src).map(|(key, binds, _)| (key, binds))
+    }
+
+    /// [`shape`] and the kind of statement the key spells.
+    fn insert_shape(src: &str) -> Option<(String, Vec<i64>, Shape)> {
         let (mut key, mut binds) = (String::from("stale"), vec![7]);
-        normalize(src, &mut key, &mut binds).then_some((key, binds))
+        let kind = normalize(src, &mut key, &mut binds)?;
+        Some((key, binds, kind))
     }
 
     #[test]
@@ -638,7 +844,6 @@ mod tests {
             "",
             "  -- nothing\n",
             ";",
-            "insert into r values (1, 2)",
             "delete from r where a < 3",
             "create table t (a integer)",
             "from r select *",
@@ -663,9 +868,72 @@ mod tests {
             "select * from r where a < 3 4",
             "select * from r where a @ 3",
             "select * from r where a < 3 é",
+            "insert",
+            "insert into",
+            "insert into r",
+            "insert into r values",
+            "insert r values (1)",
+            "insert into r select * from r",
+            "insert into r values (1, 2), (3)",
+            "insert into r values (1), (2, 3)",
+            "insert into r values ()",
+            "insert into r values (1,)",
+            "insert into r values (1) (2)",
+            "insert into r values (1),",
+            "insert into r values (1, ?)",
+            "insert into r values (- - 1)",
+            "insert into r values (-)",
+            "insert into r values (1 2)",
+            "insert into r values (a)",
+            "insert into r values 1",
+            "insert into r.x values (1)",
+            "insert into select values (1)",
+            "insert into int values (1)",
+            "insert into r values (99999999999999999999)",
+            "insert into r values (-9223372036854775808)",
+            "insert into r values (1); insert into r values (2)",
+            "insert into r values (1) where a < 3",
+            "insert into r values (1) é",
         ] {
             assert_eq!(shape(src), None, "{src:?}");
         }
+    }
+
+    #[test]
+    fn normalize_turns_values_tuples_into_binds() {
+        let (key, binds, kind) =
+            insert_shape("INSERT  INTO Rel -- the table\n VALUES (1, -2),(- 3,4) ;;").unwrap();
+        assert_eq!(key, "insert into rel values ( ? , ? ) , ( ? , ? )");
+        assert_eq!(binds, vec![1, -2, -3, 4]);
+        assert_eq!(
+            kind,
+            Shape::Insert {
+                table: 12..15,
+                arity: 2
+            }
+        );
+        assert_eq!(&key[12..15], "rel");
+        let (_, binds, kind) =
+            insert_shape("insert into t values (9223372036854775807), (-9223372036854775807)")
+                .unwrap();
+        assert_eq!(binds, vec![i64::MAX, -i64::MAX]);
+        assert_eq!(
+            kind,
+            Shape::Insert {
+                table: 12..13,
+                arity: 1
+            }
+        );
+        // Other literals and other widths make other keys.
+        let base = shape("insert into t values (1, 2)").unwrap().0;
+        assert_eq!(shape("insert into T values (-5,6);").unwrap().0, base);
+        assert_ne!(
+            shape("insert into t values (1, 2), (3, 4)").unwrap().0,
+            base
+        );
+        assert_ne!(shape("insert into t values (1, 2, 3)").unwrap().0, base);
+        assert_ne!(shape("insert into u values (1, 2)").unwrap().0, base);
+        assert_eq!(insert_shape("select * from r").unwrap().2, Shape::Select);
     }
 
     /// One piece of a generated statement's token skeleton.
@@ -728,6 +996,38 @@ mod tests {
         out
     }
 
+    /// `INSERT INTO r VALUES` of `rows` as a token skeleton.
+    fn insert_skeleton(rows: &[Vec<i64>]) -> Vec<Piece> {
+        use Piece::{Lit, Punct, Word};
+        let mut out = vec![Word("insert"), Word("into"), Word("r"), Word("values")];
+        for (i, row) in rows.iter().enumerate() {
+            if i > 0 {
+                out.push(Punct(","));
+            }
+            out.push(Punct("("));
+            for (j, &v) in row.iter().enumerate() {
+                if j > 0 {
+                    out.push(Punct(","));
+                }
+                out.push(Lit(v));
+            }
+            out.push(Punct(")"));
+        }
+        out
+    }
+
+    /// A `VALUES` literal: small, extreme, or anywhere but `i64::MIN`,
+    /// which no literal spells.
+    fn value() -> impl proptest::Strategy<Value = i64> {
+        proptest::prop_oneof![
+            -40i64..40,
+            -40i64..40,
+            proptest::Just(i64::MAX),
+            proptest::Just(-i64::MAX),
+            (i64::MIN + 1)..=i64::MAX,
+        ]
+    }
+
     /// Spell a skeleton out, `style` choosing each word's case, each gap's
     /// whitespace or comment, and how a negative literal carries its sign.
     fn render(pieces: &[Piece], style: &[u8]) -> String {
@@ -744,7 +1044,9 @@ mod tests {
             match piece {
                 Piece::Word(w) if next() % 2 == 0 => out.push_str(&w.to_ascii_uppercase()),
                 Piece::Word(w) | Piece::Punct(w) => out.push_str(w),
-                Piece::Lit(v) if *v < 0 && next() % 2 == 0 => out.push_str(&format!("- {}", -v)),
+                Piece::Lit(v) if *v < 0 && next() % 2 == 0 => {
+                    out.push_str(&format!("- {}", v.unsigned_abs()))
+                }
                 Piece::Lit(v) => out.push_str(&v.to_string()),
             }
         }
@@ -837,6 +1139,45 @@ mod tests {
                 // Only the DNF cap refuses these shapes, and it refuses
                 // the text as well.
                 Err(_) => proptest::prop_assert!(literal.is_err(), "{} lowers but {} does not", text, key),
+            }
+        }
+
+        /// The same for `INSERT ... VALUES` of 1–40 tuples: however it is
+        /// spelled, its key is its skeleton with `?` for the values, its
+        /// binds are the rows the parser reads from the text, back to
+        /// back, and the shape names the table and the tuples' width. A
+        /// text holding `i64::MIN` declines, and the parser refuses it.
+        #[test]
+        fn prop_normalized_insert_binds_back_to_the_parsed_rows(
+            arity in 1usize..4,
+            n in 1usize..41,
+            values in proptest::collection::vec(value(), 120..121),
+            (min, min_at) in (0u8..5, 0usize..120),
+            style in proptest::collection::vec(0u8..30, 8..40),
+        ) {
+            let mut rows: Vec<Vec<i64>> = values.chunks(arity).take(n).map(<[i64]>::to_vec).collect();
+            let min_at = (min == 0).then_some(min_at % (n * arity));
+            if let Some(at) = min_at {
+                rows[at / arity][at % arity] = i64::MIN;
+            }
+            let pieces = insert_skeleton(&rows);
+            let text = render(&pieces, &style);
+            let parsed = crate::parser::parse_one(&text);
+            if min_at.is_some() {
+                proptest::prop_assert_eq!(insert_shape(&text), None, "{}", text);
+                proptest::prop_assert!(parsed.is_err(), "{}", text);
+            } else {
+                let (key, binds) = canonical(&pieces);
+                let want = Some((key, binds.clone(), Shape::Insert { table: 12..13, arity }));
+                proptest::prop_assert_eq!(insert_shape(&text), want, "{}", text);
+                proptest::prop_assert_eq!(&binds, &rows.concat());
+                match parsed {
+                    Ok(crate::ast::Statement::InsertValues { table, rows: got, .. }) => {
+                        proptest::prop_assert_eq!(table, "r");
+                        proptest::prop_assert_eq!(got, rows, "{}", text);
+                    }
+                    other => proptest::prop_assert!(false, "{} parsed to {:?}", text, other),
+                }
             }
         }
     }
