@@ -18,9 +18,10 @@
 //!   double-sided ranges (and point queries, viewed as `low == high`) crack
 //!   in three — restoring the "consecutive ranges" property the paper calls
 //!   out.
-//! * **Ψ (Psi)** — projection cracking: [`project`] splits a relation
-//!   vertically into two fragments, each carrying the surrogate `oid`
-//!   needed for loss-less 1:1 reconstruction.
+//! * **Ψ (Psi)** — projection cracking needs no operator of its own
+//!   here: every base column shares one dense OID space, so a projection
+//!   is the paper's "natural 1:1-join" on the surrogate — a gather by OID
+//!   (`engine`'s `AdaptiveDb::select_project` and SQL projections).
 //! * **^ (Wedge)** — join cracking: [`join`] shuffles both join operands so
 //!   that matching tuples form consecutive areas — a dynamically built
 //!   semijoin index yielding the four pieces `R⋉S`, `R∖(R⋉S)`, `S⋉R`,
@@ -53,7 +54,6 @@ pub mod join;
 pub mod kernel;
 pub mod lineage;
 pub mod pred;
-pub mod project;
 pub mod sharded;
 pub(crate) mod simd;
 pub mod snapshot;

@@ -755,7 +755,8 @@ impl<T: CrackValue> ConcurrentColumn<T> {
     /// The batch goes to every shard, because the shard of a row follows
     /// its value, which may not be the base table's: an insert re-staged
     /// under a new value lives in that value's shard. In a shard that
-    /// holds no row of an OID, its mark hides nothing.
+    /// holds no row of an OID, its mark hides nothing, and a snapshot
+    /// leaves it out.
     pub fn stage_deletes(&self, doomed: &[u32], base: &[T]) {
         if !doomed.is_empty() {
             self.write_shards(|c| c.pending.stage_deletes(doomed, base));

@@ -318,8 +318,8 @@ fn bisection_order<K: Copy>(keys: Vec<K>) -> Vec<K> {
 }
 
 /// Append the boundaries of `col` as three parallel arrays (value, `lte`,
-/// position), its staged inserts as two (OID, value), and its sorted
-/// pending deletes.
+/// position), its staged inserts as two (OID, value), and the sorted
+/// pending deletes that hide a cracked tuple ([`sorted_deletes`]).
 fn put_boundaries_and_overlay(col: &CrackerColumn<i64>, buf: &mut Vec<u8>) {
     let bounds = col.index().boundaries();
     codec::put_int_iter(buf, bounds.clone().map(|(k, _)| k.value));
@@ -359,19 +359,27 @@ fn read_boundaries_and_overlay(r: &mut Reader<'_>) -> StorageResult<BoundariesAn
 /// Re-stage a restored column's overlay through the public update API.
 /// A pending delete and a staged insert share an OID only when the insert
 /// was staged after the delete (a delete cancels an earlier insert of its
-/// OID), so the deletes are staged first: each must mark a cracked tuple,
-/// and no insert is there yet for it to cancel.
+/// OID), so the deletes are staged first, when no insert is there yet for
+/// them to cancel. A snapshot holds only the marks that hide a cracked
+/// tuple, each once ([`sorted_deletes`]), so the marks re-staged must hide
+/// exactly as many cracked tuples as the snapshot lists: one pass over the
+/// cracked OIDs checks that.
 fn restage(
     col: &mut CrackerColumn<i64>,
     inserts: Vec<(u32, i64)>,
     deletes: Vec<u32>,
 ) -> Result<(), String> {
-    for oid in deletes {
-        if !col.delete(oid) {
-            return Err(format!(
-                "pending delete references unknown oid {oid} — snapshot corrupt"
-            ));
-        }
+    for &oid in &deletes {
+        col.pending.stage_delete(oid);
+    }
+    let hidden = (col.oids().iter())
+        .filter(|&&oid| col.pending.is_deleted(oid))
+        .count();
+    if hidden != deletes.len() {
+        return Err(format!(
+            "{} pending deletes hide {hidden} cracked tuples — snapshot corrupt",
+            deletes.len()
+        ));
     }
     for (oid, v) in inserts {
         col.insert(oid, v);
@@ -409,10 +417,21 @@ fn overlay_hash(col: &CrackerColumn<i64>) -> u64 {
     h
 }
 
-/// The pending-delete set of `col` in ascending order (a canonical
-/// encoding of a set kept in no particular order).
+/// The pending deletes of `col` that hide a cracked tuple, in ascending
+/// order (a canonical encoding of a set kept in no particular order).
+/// A base-table delete marks every doomed OID in every shard
+/// ([`ConcurrentColumn::stage_deletes`]), a staged insert's OID among
+/// them; a mark on an OID no cracked tuple holds hides nothing, the next
+/// merge drops it, and so does a snapshot. One pass over the cracked
+/// OIDs, taken only when a delete is pending.
 fn sorted_deletes(col: &CrackerColumn<i64>) -> Vec<u32> {
-    let mut deletes: Vec<u32> = col.pending.deleted_set().iter().collect();
+    let marks = col.pending.deleted_set();
+    if marks.is_empty() {
+        return Vec::new();
+    }
+    let mut deletes: Vec<u32> = (col.oids().iter().copied())
+        .filter(|&oid| marks.contains(oid))
+        .collect();
     deletes.sort_unstable();
     deletes
 }

@@ -23,7 +23,7 @@
 //!   read→read recursion deadlocks under a writer-priority `RwLock` when a
 //!   writer queues between the two reads.
 //! * **Latch budgets** — a scope can declare "this class may be acquired
-//!   at most N times per instance" ([`LatchBudget`]); the batch executors
+//!   at most N times per instance" ([`LatchBudget`](lockdep::LatchBudget)); the batch executors
 //!   use it to machine-check their "at most two latch round-trips per
 //!   shard per batch" contract.
 //!

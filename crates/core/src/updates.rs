@@ -447,7 +447,7 @@ impl<T: CrackValue> PendingUpdates<T> {
     /// in `doomed` (ascending, no repeats) name: each one's staged inserts
     /// are cancelled and its cracked tuple, if there is one, is marked
     /// deleted. A mark on an OID the cracked area does not hold hides
-    /// nothing, and the next merge drops it. The staged inserts are
+    /// nothing: the next merge drops it, and a snapshot leaves it out. The staged inserts are
     /// ordered by value. While each is a row appended to `base` at its
     /// value, a doomed row's inserts are one range probe at `base[oid]`,
     /// `O(m log k)` for `m` doomed rows and `k` staged inserts; after a
@@ -1643,8 +1643,8 @@ mod tests {
         /// one as arbitrary inserts (`insert_batch`, cancelled by the
         /// walk), and the same delete batches and merges: after every
         /// step their encoded snapshots are byte-equal, and both answer an
-        /// `oid → value` map staged, merged and restored from a snapshot,
-        /// at 1 and 4 shards.
+        /// `oid → value` map staged, merged, and restored from a snapshot
+        /// taken before the merge and after it, at 1 and 4 shards.
         #[test]
         fn prop_cancel_by_value_leaves_the_overlay_of_the_walk(
             orig in vec(-20i64..20, 1..120),
@@ -1710,6 +1710,17 @@ mod tests {
                     }
                     Ok(())
                 };
+                let restore = |col: &ConcurrentColumn<i64>| {
+                    ConcurrentSnapshot::decode(&encoded(col))
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?
+                        .restore(config)
+                        .map_err(TestCaseError::fail)
+                };
+                // Restored before a merge: a delete batch marks OIDs no
+                // cracked tuple holds (a cancelled insert's, and at 4
+                // shards every other shard's), which the snapshot leaves
+                // out and the restore must not miss.
+                check(&restore(&by_value)?, "restored staged")?;
                 // The checks crack: both copies take them.
                 for (col, when) in [(&by_value, "staged"), (&walk, "staged, walked")] {
                     check(col, when)?;
@@ -1717,14 +1728,7 @@ mod tests {
                 }
                 prop_assert!(encoded(&by_value) == encoded(&walk), "{:?}: merged", mode);
                 check(&by_value, "merged")?;
-                // Restored after the merge: a delete batch marks OIDs no
-                // cracked tuple holds, which a staged snapshot's restore
-                // refuses and a merge drops.
-                let restored = ConcurrentSnapshot::decode(&encoded(&by_value))
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?
-                    .restore(config)
-                    .map_err(TestCaseError::fail)?;
-                check(&restored, "restored")?;
+                check(&restore(&by_value)?, "restored")?;
             }
         }
 

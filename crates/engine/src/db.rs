@@ -6,7 +6,7 @@
 //! [`DbCatalog`] of base tables, lazily creates the cracked copy of each
 //! column the first time a predicate touches it (MonetDB's cracker module
 //! does the same on first use), routes selections/joins/group-bys through
-//! the Ξ/^/Ω operators, and records every crack in a lineage graph.
+//! the Ξ/^/Ω operators.
 //!
 //! A column has exactly **one** cracked copy — the paper's one cracker
 //! index per attribute — and it is the latched
@@ -31,7 +31,6 @@ use crate::table::Table;
 use cracker_core::config::STAGE_SHARE;
 use cracker_core::group::{aggregate_groups, omega_crack};
 use cracker_core::join::{join_matched, wedge_crack, PairColumn};
-use cracker_core::lineage::{CrackOp, LineageGraph, PieceId};
 use cracker_core::{
     ConcurrencyMode, ConcurrentColumn, ConcurrentDelta, ConcurrentSnapshot, CrackerConfig,
     KernelPolicy, OidSet, RangePred, Renumbering,
@@ -66,9 +65,6 @@ pub struct AdaptiveDb {
     /// The key `columns` is probed with: names are copied into its two
     /// buffers, so a probe allocates nothing.
     probe: (String, String),
-    /// Lineage roots per table, created on registration.
-    lineage: LineageGraph,
-    roots: HashMap<String, PieceId>,
     /// Reusable block buffers for the vectorized conjunctive path.
     scratch: BlockScratch,
     /// Optional admission gate bounding in-flight operations (shared with
@@ -95,8 +91,6 @@ impl AdaptiveDb {
             columns: Cracked::default(),
             tombstones: HashMap::new(),
             probe: Default::default(),
-            lineage: LineageGraph::new(),
-            roots: HashMap::new(),
             scratch: BlockScratch::new(),
             admission: None,
             durability: None,
@@ -168,21 +162,12 @@ impl AdaptiveDb {
 
     /// Register a base table.
     pub fn register(&mut self, table: Table) -> EngineResult<()> {
-        let name = table.name().to_owned();
-        self.catalog.register(table)?;
-        let root = self.lineage.add_root(&name);
-        self.roots.insert(name, root);
-        Ok(())
+        self.catalog.register(table)
     }
 
     /// The underlying catalog.
     pub fn catalog(&self) -> &DbCatalog {
         &self.catalog
-    }
-
-    /// The lineage graph accumulated so far.
-    pub fn lineage(&self) -> &LineageGraph {
-        &self.lineage
     }
 
     /// Number of columns that have been cracked so far: every cracked
@@ -500,21 +485,6 @@ impl AdaptiveDb {
         let mut r = PairColumn::new(r_vals);
         let (ln, rn) = (l.len(), r.len());
         let res = wedge_crack(&mut l, &mut r, 0..ln, 0..rn);
-        // Record the four pieces in the lineage graph.
-        let (lr, rr) = (
-            self.roots.get(left).copied(),
-            self.roots.get(right).copied(),
-        );
-        if let (Some(lr), Some(rr)) = (lr, rr) {
-            let op = CrackOp::Wedge(format!("{left}.{left_attr}={right}.{right_attr}"));
-            // Roots may already be consumed by earlier ops; only record
-            // when both sides are still live leaves.
-            if self.lineage.reconstruction_set(left).contains(&lr)
-                && self.lineage.reconstruction_set(right).contains(&rr)
-            {
-                self.lineage.apply(op, &[lr, rr], &[2, 2]);
-            }
-        }
         let mut pairs = join_matched(&l, &r, &res);
         let (l_dead, r_dead) = (self.tombstones.get(left), self.tombstones.get(right));
         if l_dead.is_some() || r_dead.is_some() {
@@ -556,40 +526,6 @@ impl AdaptiveDb {
         Ok(out)
     }
 
-    /// Ψ-crack a table on a projection list: vertically split it into the
-    /// projected fragment and its complement, both carrying the surrogate
-    /// OIDs for loss-less reconstruction. Records the Ψ in the lineage.
-    /// It shares whole base columns, so it folds the table's tombstones
-    /// first.
-    pub fn project(
-        &mut self,
-        table: &str,
-        attrs: &[&str],
-    ) -> EngineResult<cracker_core::project::PsiResult> {
-        self.fold(table)?;
-        let t = self.catalog.table(table)?;
-        let mut cols = std::collections::BTreeMap::new();
-        for name in t.schema().names() {
-            cols.insert(
-                name.to_string(),
-                // lint: allow(unwrap) — iterating the schema's own names
-                std::sync::Arc::clone(t.column(name).expect("schema names resolve")),
-            );
-        }
-        let relation = cracker_core::project::VerticalFragment::new(cols)?;
-        let result = cracker_core::project::psi_crack(&relation, attrs)?;
-        if let Some(&root) = self.roots.get(table) {
-            if self.lineage.reconstruction_set(table).contains(&root) {
-                self.lineage.apply(
-                    CrackOp::Psi(attrs.iter().map(|s| s.to_string()).collect()),
-                    &[root],
-                    &[2],
-                );
-            }
-        }
-        Ok(result)
-    }
-
     /// `SELECT tail FROM table WHERE head IN pred`: `head`'s one cracked
     /// copy selects the OIDs (cracking as a side effect, honouring its
     /// staged updates) and `tail` is gathered from the base by OID —
@@ -622,7 +558,7 @@ impl AdaptiveDb {
     /// *before* it is applied (write-ahead): a failed append stages
     /// nothing, so the in-memory state never runs ahead of what recovery
     /// can reproduce. The target is resolved *before* the append: a
-    /// rejected update (unknown table/column, non-int column) must error
+    /// rejected update (unknown table or column) must error
     /// without logging, or the poison record would make every future
     /// replay of the log fail at recovery time.
     pub fn stage_insert(
@@ -722,12 +658,12 @@ impl AdaptiveDb {
     /// Returns the OID of the first appended row.
     ///
     /// A row is any slice of values: a `Vec<i64>` per row, or row-major
-    /// chunks of one buffer. Rows are validated against the schema
-    /// (arity, all-int) before anything is staged or logged. With durability attached, every
-    /// column's slice goes to the redo log in **one** group append
-    /// before any cracked copy or the base changes: a refused append
-    /// leaves the base, the cracked copies and the log as they were.
-    /// A base column shared with another `Arc` holder (a Ψ fragment) is
+    /// chunks of one buffer. Rows are validated against the schema's
+    /// arity before anything is staged or logged. With durability
+    /// attached, every column's slice goes to the redo log in **one**
+    /// group append before any cracked copy or the base changes: a
+    /// refused append leaves the base, the cracked copies and the log as
+    /// they were. A base column shared with another `Arc` holder (a table scan) is
     /// copied once (the holder keeps the old rows); an unshared one grows
     /// by the rows appended.
     pub fn append_rows<R: AsRef<[i64]>>(&mut self, table: &str, rows: &[R]) -> EngineResult<u32> {
@@ -736,9 +672,6 @@ impl AdaptiveDb {
         let start = t.len() as u32;
         if rows.iter().any(|r| r.as_ref().len() != names.len()) {
             return Err(EngineError::RaggedColumns(table.to_owned()));
-        }
-        for name in &names {
-            t.ints(name)?;
         }
         if rows.is_empty() {
             return Ok(start);
@@ -793,9 +726,8 @@ impl AdaptiveDb {
     ///   predicates filters them out, without folding;
     /// - [`join`](Self::join) drops the pairs they take part in, without
     ///   folding;
-    /// - [`group_aggregate`](Self::group_aggregate) and
-    ///   [`project`](Self::project) copy whole base columns, so they fold
-    ///   first;
+    /// - [`group_aggregate`](Self::group_aggregate) copies whole base
+    ///   columns, so it folds first;
     /// - a first touch ([`shared_cracker`](Self::shared_cracker)) stages
     ///   them into the new copy;
     /// - [`attach_durability`](Self::attach_durability) folds every table
@@ -850,16 +782,15 @@ impl AdaptiveDb {
         Ok(())
     }
 
-    /// Drop a base table together with its cracked copies, tombstones and
-    /// lineage root. Refused while durability is
-    /// attached: a redo record naming the dropped table would make
-    /// [`recover`](Self::recover) fail with `UnknownTable`.
+    /// Drop a base table together with its cracked copies and
+    /// tombstones. Refused while durability is attached: a redo record
+    /// naming the dropped table would make [`recover`](Self::recover)
+    /// fail with `UnknownTable`.
     pub fn drop_table(&mut self, table: &str) -> EngineResult<()> {
         if self.durability.is_some() {
             return Err(not_replayable("drop_table"));
         }
         self.catalog.drop_table(table)?;
-        self.roots.remove(table);
         self.tombstones.remove(table);
         self.columns.remove_table(table);
         Ok(())
@@ -970,10 +901,7 @@ impl AdaptiveDb {
     /// Write the whole database into one checkpoint epoch. Each payload
     /// is encoded straight from the live arrays — base columns as the
     /// catalog holds them, cracked columns under their read latches —
-    /// and only when its fingerprint changed. Only integer columns are
-    /// supported — a non-int base column is a loud
-    /// [`EngineError::WrongColumnType`], never a silently partial
-    /// checkpoint.
+    /// and only when its fingerprint changed.
     ///
     /// A cracked column's origin is carried forward when `origins` names
     /// the one the previous epoch holds and the column's journal is intact
@@ -1491,9 +1419,10 @@ mod tests {
         }
         want.sort_unstable();
         assert_eq!(got, want);
-        // The wedge was recorded in the lineage.
-        assert_eq!(db.lineage().reconstruction_set("r").len(), 2);
-        assert_eq!(db.lineage().reconstruction_set("s").len(), 2);
+        // The wedge cracks copies, never the base: a repeat answers alike.
+        let mut again = db.join("r", "k", "s", "k").unwrap();
+        again.sort_unstable();
+        assert_eq!(again, want);
     }
 
     #[test]
@@ -1550,22 +1479,6 @@ mod tests {
             .register(Table::from_int_columns("r", vec![("x", vec![])]).unwrap())
             .unwrap_err();
         assert!(matches!(err, EngineError::DuplicateTable(_)));
-    }
-
-    #[test]
-    fn psi_projection_splits_and_records_lineage() {
-        let mut db = db();
-        let res = db.project("r", &["a"]).unwrap();
-        assert_eq!(res.projected.attrs(), vec!["a"]);
-        assert_eq!(res.rest.attrs(), vec!["k"]);
-        // Loss-less reconstruction via the surrogate join.
-        let back = cracker_core::project::psi_reconstruct(&res).unwrap();
-        assert_eq!(back.attrs(), vec!["a", "k"]);
-        // The Ψ is in the lineage: r is now two pieces.
-        assert_eq!(db.lineage().reconstruction_set("r").len(), 2);
-        // Unknown attribute errors.
-        assert!(db.project("r", &["zzz"]).is_err());
-        assert!(db.project("zzz", &["a"]).is_err());
     }
 
     #[test]
@@ -1884,7 +1797,7 @@ mod tests {
         // An append or a delete on a column nobody else holds must not
         // copy it: the `Arc` allocation stays the same.
         let mut db = db();
-        let ptrs = |db: &AdaptiveDb| -> Vec<*const storage::Bat> {
+        let ptrs = |db: &AdaptiveDb| -> Vec<*const Vec<i64>> {
             let t = db.catalog().table("r").unwrap();
             ["k", "a"]
                 .map(|c| Arc::as_ptr(t.column(c).unwrap()))
@@ -1895,7 +1808,7 @@ mod tests {
         assert_eq!(ptrs(&db), before, "append_rows copied a base column");
         db.delete_rows("r", &[0, 101]).unwrap();
         assert_eq!(ptrs(&db), before, "delete_rows copied a base column");
-        // A column shared with another holder (as a Ψ fragment holds it)
+        // A column shared with another holder (as a table scan holds it)
         // is copied once and never mutated: the holder still sees the
         // rows it took.
         let shared = Arc::clone(db.catalog().table("r").unwrap().column("a").unwrap());
@@ -1905,6 +1818,11 @@ mod tests {
         assert_eq!(Arc::as_ptr(&shared), before[1]);
         assert_eq!(ptrs(&db)[0], before[0]);
         assert_ne!(ptrs(&db)[1], before[1]);
+        // Copied once: the copy is unshared, so the next append grows it.
+        let copy = ptrs(&db)[1];
+        db.append_rows("r", &[vec![2, 2]]).unwrap();
+        assert_eq!(ptrs(&db)[1], copy);
+        assert_eq!(shared.len(), 100);
     }
 
     /// The cracked answer to `pred` over `table.attr`, sorted.
@@ -2080,7 +1998,7 @@ mod tests {
         assert_eq!(db.catalog().names(), vec!["s"]);
         assert_eq!(db.cracked_columns(), 1);
         assert!(db.select_conjunctive("r", &[]).is_err());
-        // The name is free again, and a join over it records lineage anew.
+        // The name is free again, and a join over it sees the new rows.
         db.register(Table::from_int_columns("r", vec![("k", vec![1, 2])]).unwrap())
             .unwrap();
         assert_eq!(db.join("r", "k", "s", "k").unwrap().len(), 8);

@@ -20,13 +20,6 @@ pub enum EngineError {
         /// Missing column.
         column: String,
     },
-    /// The operation needs a column of a different type.
-    WrongColumnType {
-        /// Column name.
-        column: String,
-        /// What the operation required.
-        expected: String,
-    },
     /// Column vectors of a table differ in length.
     RaggedColumns(String),
     /// Underlying storage failure.
@@ -71,9 +64,6 @@ impl fmt::Display for EngineError {
             EngineError::DuplicateTable(t) => write!(f, "table {t:?} already exists"),
             EngineError::UnknownColumn { table, column } => {
                 write!(f, "unknown column {column:?} in table {table:?}")
-            }
-            EngineError::WrongColumnType { column, expected } => {
-                write!(f, "column {column:?} is not of required type {expected}")
             }
             EngineError::RaggedColumns(t) => {
                 write!(f, "columns of table {t:?} differ in length")
@@ -160,7 +150,7 @@ mod tests {
 
     #[test]
     fn storage_errors_convert() {
-        let e: EngineError = StorageError::UnknownBat("x".into()).into();
+        let e: EngineError = StorageError::PersistFormat("x".into()).into();
         assert!(matches!(e, EngineError::Storage(_)));
         assert!(std::error::Error::source(&e).is_some());
     }
@@ -177,15 +167,6 @@ mod tests {
                 EngineError::UnknownColumn {
                     table: "t".into(),
                     column: "c".into(),
-                },
-                false,
-                false,
-                false,
-            ),
-            (
-                EngineError::WrongColumnType {
-                    column: "c".into(),
-                    expected: "int".into(),
                 },
                 false,
                 false,

@@ -114,15 +114,15 @@ mod tests {
     }
 
     #[test]
-    fn string_group_keys() {
+    fn oid_group_keys() {
         let rows = vec![
-            vec![Atom::from("b"), Atom::Int(1)],
-            vec![Atom::from("a"), Atom::Int(2)],
-            vec![Atom::from("b"), Atom::Int(3)],
+            vec![Atom::Oid(8), Atom::Int(1)],
+            vec![Atom::Oid(7), Atom::Int(2)],
+            vec![Atom::Oid(8), Atom::Int(3)],
         ];
         let g = GroupByOp::new(Box::new(RowsOp::new(rows, 2)), 0, AggFunc::Count, None);
         let out = run_to_vec(Box::new(g));
-        assert_eq!(out[0], vec![Atom::from("a"), Atom::Int(1)]);
-        assert_eq!(out[1], vec![Atom::from("b"), Atom::Int(2)]);
+        assert_eq!(out[0], vec![Atom::Oid(7), Atom::Int(1)]);
+        assert_eq!(out[1], vec![Atom::Oid(8), Atom::Int(2)]);
     }
 }

@@ -221,14 +221,14 @@ mod tests {
 
     #[test]
     fn join_output_concatenates_columns() {
-        let left = Box::new(RowsOp::new(vec![vec![Atom::Int(1), Atom::from("x")]], 2));
-        let right = Box::new(RowsOp::new(vec![vec![Atom::Int(1), Atom::from("y")]], 2));
+        let left = Box::new(RowsOp::new(vec![vec![Atom::Int(1), Atom::Oid(10)]], 2));
+        let right = Box::new(RowsOp::new(vec![vec![Atom::Int(1), Atom::Oid(20)]], 2));
         let mut j = HashJoinOp::new(left, 0, right, 0);
         assert_eq!(j.arity(), 4);
         let row = j.next().unwrap();
         assert_eq!(
             row,
-            vec![Atom::Int(1), Atom::from("x"), Atom::Int(1), Atom::from("y")]
+            vec![Atom::Int(1), Atom::Oid(10), Atom::Int(1), Atom::Oid(20)]
         );
     }
 }

@@ -4,13 +4,13 @@
 use super::{Operator, Row};
 use crate::table::Table;
 use std::sync::Arc;
-use storage::{Atom, Bat};
+use storage::Atom;
 
 /// Full-table scan over an n-ary table, emitting rows in OID order with
 /// the surrogate prepended as column 0 (MonetDB-style: every derived
 /// result can trace lineage to base tuples).
 pub struct TableScanOp {
-    columns: Vec<Arc<Bat>>,
+    columns: Vec<Arc<Vec<i64>>>,
     len: usize,
     cursor: usize,
     with_oid: bool,
@@ -19,16 +19,9 @@ pub struct TableScanOp {
 impl TableScanOp {
     /// Scan emitting `[oid, col0, col1, ...]` rows.
     pub fn new(table: &Table) -> Self {
-        let columns: Vec<Arc<Bat>> = table
-            .schema()
-            .names()
-            .iter()
-            // lint: allow(unwrap) — iterating the schema's own names
-            .map(|n| Arc::clone(table.column(n).expect("schema names resolve")))
-            .collect();
         TableScanOp {
             len: table.len(),
-            columns,
+            columns: table.columns().to_vec(),
             cursor: 0,
             with_oid: true,
         }
@@ -53,9 +46,8 @@ impl Operator for TableScanOp {
         if self.with_oid {
             row.push(Atom::Oid(pos as u64));
         }
-        for bat in &self.columns {
-            // lint: allow(unwrap) — pos was bounds-checked against len() above
-            row.push(bat.atom_at(pos).expect("pos < len"));
+        for col in &self.columns {
+            row.push(Atom::Int(col[pos]));
         }
         Some(row)
     }

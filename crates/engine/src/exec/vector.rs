@@ -11,7 +11,7 @@
 //! itself runs).
 //!
 //! Lanes are typed ([`Lane::Int`] / [`Lane::Oid`]) with an
-//! [`Lane::Atoms`] fallback for heterogeneous or string data, mirroring
+//! [`Lane::Atoms`] fallback for a column mixing integers and OIDs, mirroring
 //! how [`super::batch`] gathers `i64` runs for kernel scans. A block is
 //! reused across calls ([`RowBlock::reset`] keeps lane capacity), so a
 //! warm pipeline performs no allocation in steady state.
@@ -31,7 +31,7 @@ use cracker_core::{CrackKernel, KernelPolicy, RangePred};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
-use storage::{Atom, Bat};
+use storage::Atom;
 
 /// The storage class of one output column of a vector operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +40,8 @@ pub enum LaneKind {
     Int,
     /// Surrogate OIDs.
     Oid,
-    /// Owned [`Atom`]s — the fallback lane for strings, floats, and
-    /// heterogeneous test data.
+    /// Owned [`Atom`]s — the fallback lane for a column that mixes
+    /// integers and OIDs.
     Atom,
 }
 
@@ -341,19 +341,11 @@ pub fn run_vector_count(mut op: Box<dyn VectorOperator>) -> usize {
     }
 }
 
-/// One base-table column as the scan sees it: integer tails stay behind
-/// their [`Bat`] (sliced per block, zero copy-up-front), anything else is
-/// materialized once into an atom lane at construction time.
-enum SrcCol {
-    Int(Arc<Bat>),
-    Atoms(Vec<Atom>),
-}
-
 /// Block-at-a-time full-table scan: emits `[oid, col0, col1, ...]`
-/// blocks in OID order, integer columns as `memcpy`-style slice copies
-/// into the block's int lanes.
+/// blocks in OID order, each column as a `memcpy`-style slice copy into
+/// the block's int lane (the columns are shared, not copied up front).
 pub struct VecTableScan {
-    cols: Vec<SrcCol>,
+    cols: Vec<Arc<Vec<i64>>>,
     kinds: Vec<LaneKind>,
     len: usize,
     cursor: usize,
@@ -372,24 +364,12 @@ impl VecTableScan {
     }
 
     fn build(table: &Table, with_oid: bool) -> Self {
-        let mut cols = Vec::new();
+        let cols = table.columns().to_vec();
         let mut kinds = Vec::new();
         if with_oid {
             kinds.push(LaneKind::Oid);
         }
-        for name in table.schema().names() {
-            // lint: allow(unwrap) — iterating the schema's own names
-            let bat = table.column(name).expect("schema names resolve");
-            if bat.ints().is_ok() {
-                cols.push(SrcCol::Int(Arc::clone(bat)));
-                kinds.push(LaneKind::Int);
-            } else {
-                // Non-integer tail: materialize once, outside the hot loop.
-                let atoms: Vec<Atom> = (0..bat.len()).map(|p| bat.tail().atom_at(p)).collect();
-                cols.push(SrcCol::Atoms(atoms));
-                kinds.push(LaneKind::Atom);
-            }
-        }
+        kinds.resize(kinds.len() + cols.len(), LaneKind::Int);
         VecTableScan {
             cols,
             kinds,
@@ -416,17 +396,11 @@ impl VectorOperator for VecTableScan {
             slot += 1;
         }
         for col in &self.cols {
-            match (col, out.lane_mut(slot)) {
-                (SrcCol::Int(bat), Lane::Int(dst)) => {
-                    // lint: allow(unwrap), lint: allow(per-tuple-alloc) — int lane proven at build; Range clone is heap-free
-                    dst.extend_from_slice(&bat.ints().expect("int lane")[range.clone()]);
-                }
-                (SrcCol::Atoms(atoms), Lane::Atoms(dst)) => {
-                    // lint: allow(per-tuple-alloc) — Atom fallback lane owns its atoms by design
-                    dst.extend(atoms[range.clone()].iter().cloned());
-                }
-                _ => unreachable!("lane layout fixed at construction"),
-            }
+            let Lane::Int(dst) = out.lane_mut(slot) else {
+                unreachable!("lane layout fixed at construction")
+            };
+            // lint: allow(per-tuple-alloc) — Range clone is heap-free
+            dst.extend_from_slice(&col[range.clone()]);
             slot += 1;
         }
         out.set_len(n);

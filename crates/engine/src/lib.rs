@@ -7,7 +7,8 @@
 //!
 //! * [`schema`] / [`table`] / [`catalog`] — n-ary relational tables mapped
 //!   MonetDB-style onto one BAT per attribute over a shared dense OID
-//!   space (§3.4.2);
+//!   space (§3.4.2) — a dense head is virtual, so each column is its
+//!   `i64` tail array;
 //! * [`query`] — the query family of §3.1: simple range/point predicates
 //!   in disjunctive normal form, natural join paths, group-by;
 //! * [`plan`] — a logical plan with the select-push-down rewrite the Ξ
@@ -68,6 +69,6 @@ pub use governor::{CancelToken, Governor};
 pub use profile::EngineProfile;
 pub use query::{OutputMode, RangeQuery};
 pub use scenario::{ChaosReport, DbScenarioRunner};
-pub use schema::{ColumnDef, Schema};
+pub use schema::Schema;
 pub use sql_crack::SqlLevelCracker;
 pub use table::Table;

@@ -1,83 +1,40 @@
-//! Relational schemas.
+//! Relational schemas. Every column is a dense `i64` array, so a schema is
+//! the ordered list of its column names.
 
-use serde::{Deserialize, Serialize};
-use storage::AtomType;
-
-/// One column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ColumnDef {
-    /// Attribute name.
-    pub name: String,
-    /// Attribute type.
-    pub ty: AtomType,
-}
-
-impl ColumnDef {
-    /// Shorthand constructor.
-    pub fn new(name: impl Into<String>, ty: AtomType) -> Self {
-        ColumnDef {
-            name: name.into(),
-            ty,
-        }
-    }
-
-    /// An integer column (the workhorse of the tapestry experiments).
-    pub fn int(name: impl Into<String>) -> Self {
-        Self::new(name, AtomType::Int)
-    }
-}
-
-/// An ordered list of column definitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// An ordered list of column names.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
-    columns: Vec<ColumnDef>,
+    names: Vec<String>,
 }
 
 impl Schema {
-    /// Build from column definitions.
+    /// Build from column names.
     ///
     /// # Panics
     /// Panics on duplicate column names — schemas are validated at
     /// construction so later lookups can be infallible by index.
-    pub fn new(columns: Vec<ColumnDef>) -> Self {
-        for (i, c) in columns.iter().enumerate() {
-            assert!(
-                !columns[..i].iter().any(|p| p.name == c.name),
-                "duplicate column name {:?}",
-                c.name
-            );
+    pub fn new(names: &[&str]) -> Self {
+        for (i, n) in names.iter().enumerate() {
+            assert!(!names[..i].contains(n), "duplicate column name {n:?}");
         }
-        Schema { columns }
-    }
-
-    /// An all-integer schema from names (tapestry tables).
-    pub fn ints(names: &[&str]) -> Self {
-        Self::new(names.iter().map(|n| ColumnDef::int(*n)).collect())
+        Schema {
+            names: names.iter().map(|n| n.to_string()).collect(),
+        }
     }
 
     /// Number of columns (the benchmark's arity `α`).
     pub fn arity(&self) -> usize {
-        self.columns.len()
+        self.names.len()
     }
 
     /// Column position by name.
     pub fn position(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// Column definition by position.
-    pub fn column(&self, pos: usize) -> &ColumnDef {
-        &self.columns[pos]
-    }
-
-    /// All columns, in order.
-    pub fn columns(&self) -> &[ColumnDef] {
-        &self.columns
+        self.names.iter().position(|c| c == name)
     }
 
     /// Column names, in order.
     pub fn names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
+        self.names.iter().map(String::as_str).collect()
     }
 }
 
@@ -87,28 +44,16 @@ mod tests {
 
     #[test]
     fn position_lookup() {
-        let s = Schema::ints(&["k", "a", "b"]);
+        let s = Schema::new(&["k", "a", "b"]);
         assert_eq!(s.arity(), 3);
         assert_eq!(s.position("a"), Some(1));
         assert_eq!(s.position("z"), None);
-        assert_eq!(s.column(0).name, "k");
         assert_eq!(s.names(), vec!["k", "a", "b"]);
     }
 
     #[test]
     #[should_panic(expected = "duplicate column name")]
     fn duplicate_names_rejected() {
-        Schema::ints(&["a", "a"]);
-    }
-
-    #[test]
-    fn mixed_types() {
-        let s = Schema::new(vec![
-            ColumnDef::int("id"),
-            ColumnDef::new("score", AtomType::Float),
-            ColumnDef::new("label", AtomType::Str),
-        ]);
-        assert_eq!(s.column(1).ty, AtomType::Float);
-        assert_eq!(s.column(2).ty, AtomType::Str);
+        Schema::new(&["a", "a"]);
     }
 }

@@ -1,68 +1,45 @@
-//! N-ary tables over BATs.
+//! N-ary tables over dense columns.
 //!
 //! "N-ary relational tables are mapped by MonetDB's SQL compiler into a
 //! series \[of\] binary tables with attributes head and tail of type
 //! `bat[oid,type]`, where `oid` is the surrogate key and `type` the type of
-//! the corresponding attribute" (§3.4.2). A [`Table`] is exactly that: one
-//! BAT per column, all sharing a dense OID space `0..n`.
+//! the corresponding attribute" (§3.4.2). All columns of a [`Table`] share
+//! the dense OID space `0..n`, so each head is virtual and each BAT is just
+//! its tail: one `i64` array per column, the row at OID `o` being
+//! position `o` of every array.
 
 use crate::error::{EngineError, EngineResult};
 use crate::schema::Schema;
 use cracker_core::{ConcurrencyMode, ConcurrentColumn, CrackerConfig};
 use std::sync::Arc;
-use storage::{Atom, Bat, Oid};
 
-/// An n-ary relational table decomposed into aligned column BATs.
+/// An n-ary relational table decomposed into aligned dense columns.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    columns: Vec<Arc<Bat>>,
+    columns: Vec<Arc<Vec<i64>>>,
 }
 
 impl Table {
-    /// Build a table from its schema and column BATs (one per schema
-    /// column, equal cardinalities).
-    pub fn new(
-        name: impl Into<String>,
-        schema: Schema,
-        columns: Vec<Arc<Bat>>,
-    ) -> EngineResult<Self> {
-        let name = name.into();
-        if columns.len() != schema.arity() {
-            return Err(EngineError::RaggedColumns(name));
-        }
-        let n = columns.first().map_or(0, |b| b.len());
-        for (def, bat) in schema.columns().iter().zip(&columns) {
-            if bat.len() != n {
-                return Err(EngineError::RaggedColumns(name));
-            }
-            if bat.tail_type() != def.ty {
-                return Err(EngineError::WrongColumnType {
-                    column: def.name.clone(),
-                    expected: def.ty.to_string(),
-                });
-            }
-        }
-        Ok(Table {
-            name,
-            schema,
-            columns,
-        })
-    }
-
-    /// Convenience: an all-integer table from `(name, values)` pairs.
+    /// An integer table from `(name, values)` pairs, one per column; every
+    /// column must hold the same number of rows.
     pub fn from_int_columns(
         name: impl Into<String>,
         cols: Vec<(&str, Vec<i64>)>,
     ) -> EngineResult<Self> {
         let name = name.into();
-        let schema = Schema::ints(&cols.iter().map(|(n, _)| *n).collect::<Vec<_>>());
-        let columns = cols
-            .into_iter()
-            .map(|(cn, vals)| Arc::new(Bat::from_ints(format!("{name}_{cn}"), vals)))
-            .collect();
-        Table::new(name, schema, columns)
+        let n = cols.first().map_or(0, |(_, v)| v.len());
+        if cols.iter().any(|(_, v)| v.len() != n) {
+            return Err(EngineError::RaggedColumns(name));
+        }
+        let schema = Schema::new(&cols.iter().map(|(n, _)| *n).collect::<Vec<_>>());
+        let columns = cols.into_iter().map(|(_, v)| Arc::new(v)).collect();
+        Ok(Table {
+            name,
+            schema,
+            columns,
+        })
     }
 
     /// Table name.
@@ -81,7 +58,7 @@ impl Table {
     /// [`AdaptiveDb::live_rows`](crate::AdaptiveDb::live_rows) counts
     /// the rows a query can see.
     pub fn len(&self) -> usize {
-        self.columns.first().map_or(0, |b| b.len())
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// True when the table has no rows.
@@ -89,8 +66,8 @@ impl Table {
         self.len() == 0
     }
 
-    /// Column BAT by name.
-    pub fn column(&self, name: &str) -> EngineResult<&Arc<Bat>> {
+    /// A column by name, as the shared array operators hold on to.
+    pub fn column(&self, name: &str) -> EngineResult<&Arc<Vec<i64>>> {
         let pos = self
             .schema
             .position(name)
@@ -101,15 +78,20 @@ impl Table {
         Ok(&self.columns[pos])
     }
 
-    /// Borrow an integer column's values.
-    pub fn ints(&self, name: &str) -> EngineResult<&[i64]> {
-        Ok(self.column(name)?.ints()?)
+    /// Every column, in schema order.
+    pub fn columns(&self) -> &[Arc<Vec<i64>>] {
+        &self.columns
     }
 
-    /// Build a latched cracked copy of an integer column for concurrent
-    /// readers, with `mode`'s shard count. The copy is detached:
-    /// it carries this table's dense OIDs but does not observe later
-    /// changes to the base BAT, exactly like the cracked copies
+    /// Borrow a column's values.
+    pub fn ints(&self, name: &str) -> EngineResult<&[i64]> {
+        Ok(self.column(name)?)
+    }
+
+    /// Build a latched cracked copy of a column for concurrent readers,
+    /// with `mode`'s shard count. The copy is detached: it carries this
+    /// table's dense OIDs but does not observe later changes to the base
+    /// column, exactly like the cracked copies
     /// [`crate::db::AdaptiveDb`] maintains.
     pub fn concurrent_column(
         &self,
@@ -126,60 +108,39 @@ impl Table {
     }
 
     /// Append whole rows in place; new rows take the next dense OIDs.
-    /// Every row must match the schema's arity and every column must be
-    /// an integer column — both checked before any column grows, so a
-    /// rejected batch leaves the table untouched. A column `Arc` shared
-    /// with a view is copied once (`Arc::make_mut`); an unshared one
-    /// grows by the rows appended.
+    /// Every row must match the schema's arity — checked before any
+    /// column grows, so a rejected batch leaves the table untouched. A
+    /// column `Arc` shared with a reader is copied once (`Arc::make_mut`);
+    /// an unshared one grows by the rows appended.
     pub fn append_int_rows<R: AsRef<[i64]>>(&mut self, rows: &[R]) -> EngineResult<()> {
         if rows.iter().any(|r| r.as_ref().len() != self.columns.len()) {
             return Err(EngineError::RaggedColumns(self.name.clone()));
         }
-        for def in self.schema.columns() {
-            self.ints(&def.name)?;
-        }
         for (i, col) in self.columns.iter_mut().enumerate() {
-            Arc::make_mut(col).append_ints(rows.iter().map(|r| r.as_ref()[i]))?;
+            Arc::make_mut(col).extend(rows.iter().map(|r| r.as_ref()[i]));
         }
         Ok(())
     }
 
     /// Remove the rows at the `doomed` OIDs (ascending, distinct, each
-    /// below [`len`](Self::len)), compacting every column in one pass;
-    /// survivors are renumbered densely from 0.
+    /// below [`len`](Self::len)), compacting every column in one pass:
+    /// each run of survivors between two doomed rows moves left once, by
+    /// a `copy_within`. Survivors are renumbered densely from 0.
     pub fn remove_rows(&mut self, doomed: &[u32]) {
         for col in &mut self.columns {
-            Arc::make_mut(col).remove_positions(doomed);
+            let v = Arc::make_mut(col);
+            for (i, &gap) in doomed.iter().enumerate() {
+                let next = doomed.get(i + 1).map_or(v.len(), |&p| p as usize);
+                v.copy_within(gap as usize + 1..next, gap as usize - i);
+            }
+            v.truncate(v.len() - doomed.len());
         }
-    }
-
-    /// The full row (as atoms in schema order) at surrogate `oid` — rows
-    /// are reconstructed via positional alignment of the dense OID space.
-    pub fn row(&self, oid: Oid) -> EngineResult<Vec<Atom>> {
-        let pos = oid as usize;
-        self.columns
-            .iter()
-            .map(|bat| bat.atom_at(pos).map_err(EngineError::from))
-            .collect()
-    }
-
-    /// Iterate all rows as `(oid, atoms)` — test/debug convenience, not a
-    /// hot path.
-    pub fn rows(&self) -> impl Iterator<Item = (Oid, Vec<Atom>)> + '_ {
-        (0..self.len() as Oid).map(move |oid| {
-            let row = self
-                .row(oid)
-                // lint: allow(unwrap) — OIDs 0..len are dense by construction
-                .expect("dense OID space: every position resolves");
-            (oid, row)
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storage::AtomType;
 
     fn sample() -> Table {
         Table::from_int_columns("r", vec![("k", vec![1, 2, 3]), ("a", vec![10, 20, 30])]).unwrap()
@@ -205,41 +166,28 @@ mod tests {
 
     #[test]
     fn ragged_columns_rejected() {
-        let schema = Schema::ints(&["k", "a"]);
-        let cols = vec![
-            Arc::new(Bat::from_ints("k", vec![1, 2])),
-            Arc::new(Bat::from_ints("a", vec![1])),
-        ];
         assert!(matches!(
-            Table::new("r", schema, cols),
+            Table::from_int_columns("r", vec![("k", vec![1, 2]), ("a", vec![1])]),
             Err(EngineError::RaggedColumns(_))
         ));
     }
 
     #[test]
-    fn type_mismatch_rejected() {
-        let schema = Schema::new(vec![crate::schema::ColumnDef::new("f", AtomType::Float)]);
-        let cols = vec![Arc::new(Bat::from_ints("f", vec![1]))];
-        assert!(matches!(
-            Table::new("r", schema, cols),
-            Err(EngineError::WrongColumnType { .. })
-        ));
-    }
-
-    #[test]
-    fn row_reconstruction_by_surrogate() {
-        let t = sample();
-        assert_eq!(t.row(1).unwrap(), vec![Atom::Int(2), Atom::Int(20)]);
-        assert!(t.row(9).is_err());
-    }
-
-    #[test]
-    fn rows_iterate_in_oid_order() {
-        let t = sample();
-        let all: Vec<_> = t.rows().collect();
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[2].0, 2);
-        assert_eq!(all[2].1, vec![Atom::Int(3), Atom::Int(30)]);
+    fn bulk_append_continues_the_dense_oids() {
+        let mut t = sample();
+        t.append_int_rows(&[[4, 40], [5, 50]]).unwrap();
+        assert_eq!(t.len(), 5);
+        // OID o is position o of every column: the new rows are 3 and 4.
+        assert_eq!((t.ints("k").unwrap()[3], t.ints("a").unwrap()[3]), (4, 40));
+        assert_eq!((t.ints("k").unwrap()[4], t.ints("a").unwrap()[4]), (5, 50));
+        let col = t
+            .concurrent_column("a", CrackerConfig::default(), ConcurrencyMode::default())
+            .unwrap();
+        let mut oids = col.select_oids(cracker_core::RangePred::between(40, 50));
+        oids.sort_unstable();
+        assert_eq!(oids, vec![3, 4]);
+        t.append_int_rows(&[] as &[[i64; 2]]).unwrap();
+        assert_eq!(t.len(), 5, "an empty batch appends nothing");
     }
 
     #[test]
@@ -248,35 +196,61 @@ mod tests {
         let shared = Arc::clone(t.column("k").unwrap());
         t.append_int_rows(&[vec![4, 40], vec![5, 50]]).unwrap();
         assert_eq!(t.ints("a").unwrap(), &[10, 20, 30, 40, 50]);
-        assert_eq!(shared.len(), 3, "a shared column is copied, not mutated");
-        assert_eq!(shared.ints().unwrap(), &[1, 2, 3]);
+        assert_eq!(
+            shared.as_slice(),
+            &[1, 2, 3],
+            "a shared column is copied, not mutated"
+        );
+        // Copied once: the column is unshared now and grows in place.
+        let own = Arc::as_ptr(t.column("k").unwrap());
+        assert_ne!(own, Arc::as_ptr(&shared));
+        t.append_int_rows(&[vec![6, 60]]).unwrap();
+        assert_eq!(Arc::as_ptr(t.column("k").unwrap()), own);
         assert!(matches!(
-            t.append_int_rows(&[vec![6, 60], vec![7]]),
+            t.append_int_rows(&[vec![7, 70], vec![8]]),
             Err(EngineError::RaggedColumns(_))
         ));
-        assert_eq!(t.len(), 5, "a ragged batch appends nothing");
+        assert_eq!(t.len(), 6, "a ragged batch appends nothing");
         t.remove_rows(&[1, 3]);
-        assert_eq!(t.ints("k").unwrap(), &[1, 3, 5]);
-        assert_eq!(t.row(2).unwrap(), vec![Atom::Int(5), Atom::Int(50)]);
-        // A non-int column refuses the whole batch.
-        let schema = Schema::new(vec![
-            crate::schema::ColumnDef::int("k"),
-            crate::schema::ColumnDef::new("f", AtomType::Float),
-        ]);
-        let cols = vec![
-            Arc::new(Bat::from_ints("k", vec![1])),
-            Arc::new(Bat::from_floats("f", vec![1.0])),
-        ];
-        let mut mixed = Table::new("m", schema, cols).unwrap();
-        assert!(mixed.append_int_rows(&[vec![2, 2]]).is_err());
-        assert_eq!(mixed.len(), 1);
+        assert_eq!(t.ints("k").unwrap(), &[1, 3, 5, 6]);
+        assert_eq!(t.ints("a").unwrap(), &[10, 30, 50, 60]);
+        assert_eq!(Arc::as_ptr(t.column("k").unwrap()), own);
+        assert_eq!(shared.as_slice(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn remove_rows_matches_a_filter_at_the_edges() {
+        let k: Vec<i64> = (0..10).collect();
+        let a: Vec<i64> = (0..10).map(|v| v * 10).collect();
+        for doomed in [
+            vec![],
+            vec![0],
+            vec![9],
+            vec![0, 1, 2],
+            vec![3, 4, 8, 9],
+            vec![1, 5, 7],
+            (0..10).collect(),
+        ] {
+            let mut t =
+                Table::from_int_columns("r", vec![("k", k.clone()), ("a", a.clone())]).unwrap();
+            t.remove_rows(&doomed);
+            let keep = |col: &[i64]| -> Vec<i64> {
+                (0..10u32)
+                    .filter(|p| !doomed.contains(p))
+                    .map(|p| col[p as usize])
+                    .collect()
+            };
+            assert_eq!(t.ints("k").unwrap(), keep(&k).as_slice(), "{doomed:?}");
+            assert_eq!(t.ints("a").unwrap(), keep(&a).as_slice(), "{doomed:?}");
+            assert_eq!(t.len(), 10 - doomed.len());
+        }
     }
 
     #[test]
     fn empty_table() {
         let t = Table::from_int_columns("e", vec![("a", vec![])]).unwrap();
         assert!(t.is_empty());
-        assert_eq!(t.rows().count(), 0);
+        assert_eq!(t.ints("a").unwrap(), &[] as &[i64]);
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub enum NormLit {
     /// A range comparison against a positional parameter (`?`). The
     /// concrete [`RangePred`] is produced at bind time by a prepared
     /// statement; until then the literal carries the comparison shape.
-    /// `op` is never [`CmpOp::Ne`] — like [`cmp_lit`], `≠` splits into a
-    /// two-range disjunction during normalization.
+    /// `op` is never [`CmpOp::Ne`] — as for a literal comparison, `≠`
+    /// splits into a two-range disjunction during normalization.
     ParamRange {
         /// The filtered column.
         col: ColumnRef,

@@ -1,37 +1,13 @@
 //! Error types for the storage layer.
 
-use crate::value::AtomType;
 use std::fmt;
 
 /// Result alias used throughout the storage crate.
 pub type StorageResult<T> = Result<T, StorageError>;
 
-/// Errors raised by the BAT store.
+/// Errors raised by the durability layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// An operation expected a tail of one type but found another.
-    TypeMismatch {
-        /// Type the caller expected.
-        expected: AtomType,
-        /// Type actually stored in the BAT tail.
-        found: AtomType,
-    },
-    /// A positional access was out of the BAT's bounds.
-    OutOfBounds {
-        /// Requested position.
-        index: usize,
-        /// Number of live BUNs in the BAT.
-        len: usize,
-    },
-    /// A named BAT (a fragment's attribute) does not exist.
-    UnknownBat(String),
-    /// Two BATs that must be aligned (same length / same head) are not.
-    Misaligned {
-        /// Length of the left operand.
-        left: usize,
-        /// Length of the right operand.
-        right: usize,
-    },
     /// Persistence (I/O or serialization) failure.
     Persist(String),
     /// Persistence failed at the I/O layer (open/read/write/fsync/rename):
@@ -55,19 +31,6 @@ pub enum StorageError {
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StorageError::TypeMismatch { expected, found } => {
-                write!(f, "type mismatch: expected {expected}, found {found}")
-            }
-            StorageError::OutOfBounds { index, len } => {
-                write!(f, "position {index} out of bounds for BAT of length {len}")
-            }
-            StorageError::UnknownBat(name) => write!(f, "unknown BAT {name:?}"),
-            StorageError::Misaligned { left, right } => {
-                write!(
-                    f,
-                    "misaligned BATs: left has {left} BUNs, right has {right}"
-                )
-            }
             StorageError::Persist(msg) => write!(f, "persistence error: {msg}"),
             StorageError::PersistIo(msg) => write!(f, "persistence I/O error: {msg}"),
             StorageError::DiskFull(msg) => write!(f, "device out of space: {msg}"),
@@ -103,18 +66,9 @@ mod tests {
 
     #[test]
     fn display_is_human_readable() {
-        let e = StorageError::TypeMismatch {
-            expected: AtomType::Int,
-            found: AtomType::Str,
-        };
-        assert_eq!(e.to_string(), "type mismatch: expected int, found str");
         assert_eq!(
-            StorageError::UnknownBat("r_a".into()).to_string(),
-            "unknown BAT \"r_a\""
-        );
-        assert_eq!(
-            StorageError::OutOfBounds { index: 9, len: 3 }.to_string(),
-            "position 9 out of bounds for BAT of length 3"
+            StorageError::Persist("refused".into()).to_string(),
+            "persistence error: refused"
         );
         assert_eq!(
             StorageError::PersistIo("disk gone".into()).to_string(),
@@ -131,17 +85,6 @@ mod tests {
         // One row per variant: (error, transient, corruption).
         // Adding a variant without deciding its class should fail here.
         let table: Vec<(StorageError, bool, bool)> = vec![
-            (
-                StorageError::TypeMismatch {
-                    expected: AtomType::Int,
-                    found: AtomType::Str,
-                },
-                false,
-                false,
-            ),
-            (StorageError::OutOfBounds { index: 1, len: 0 }, false, false),
-            (StorageError::UnknownBat("b".into()), false, false),
-            (StorageError::Misaligned { left: 1, right: 2 }, false, false),
             (StorageError::Persist("p".into()), false, false),
             (StorageError::PersistIo("io".into()), true, false),
             (StorageError::DiskFull("full".into()), false, false),
@@ -157,12 +100,16 @@ mod tests {
     #[test]
     fn errors_are_comparable() {
         assert_eq!(
-            StorageError::UnknownBat("x".into()),
-            StorageError::UnknownBat("x".into())
+            StorageError::PersistIo("x".into()),
+            StorageError::PersistIo("x".into())
         );
         assert_ne!(
-            StorageError::UnknownBat("x".into()),
-            StorageError::UnknownBat("y".into())
+            StorageError::PersistIo("x".into()),
+            StorageError::PersistIo("y".into())
+        );
+        assert_ne!(
+            StorageError::PersistIo("x".into()),
+            StorageError::PersistFormat("x".into())
         );
     }
 }

@@ -8,8 +8,8 @@
 //! Models the paper's architecture sketch (§3): the cracker sits between
 //! the semantic analyzer and the optimizer, so *every* query shape —
 //! range selection (Ξ), conjunction over several attributes, equi-join
-//! (^), grouped aggregation (Ω) — contributes pieces, and the lineage
-//! graph records them all.
+//! (^), grouped aggregation (Ω) — contributes pieces. The lineage graph
+//! of Figs. 5–6 is walked through in `examples/lineage_walkthrough.rs`.
 
 use dbcracker::engine::db::AdaptiveDb;
 use dbcracker::engine::query::AggFunc;
@@ -85,12 +85,9 @@ fn main() {
         println!("    region {region}: {total}");
     }
 
-    // The lineage graph has recorded the wedge split.
-    println!("\nlineage: {}", db.lineage().reconstruction_expr("orders"));
-    println!("lineage: {}", db.lineage().reconstruction_expr("customers"));
     let s = db.total_crack_stats();
     println!(
-        "cracker totals: {} queries, {} cracks, {} tuples touched, {} moved",
+        "\ncracker totals: {} queries, {} cracks, {} tuples touched, {} moved",
         s.queries, s.cracks, s.tuples_touched, s.tuples_moved
     );
 }

@@ -13,8 +13,8 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`storage`] | MonetDB-like BAT column store: typed tails, string heaps, statistics, checkpoints and a redo log |
-//! | [`cracker_core`] | the paper's contribution: crack-in-two/three, the cracker index, Ξ/Ψ/^/Ω operators, lineage, updates |
+//! | [`storage`] | the atoms of operator rows, checkpoints, the redo log and huge-page column arrays; a base column is a dense `i64` array (a dense-headed BAT is its tail) |
+//! | [`cracker_core`] | the paper's contribution: crack-in-two/three, the cracker index, Ξ/^/Ω operators, the lineage model of Figs. 5–6, updates |
 //! | [`engine`] | relational substrate: tables, Volcano operators, select-push-down planner, scan/sort/crack access engines, cost model |
 //! | [`workload`] | DBtapestry generator and the MQS(α,N,k,σ,ρ,δ) multi-query benchmark kit (homerun / hiking / strolling) |
 //! | [`sim`] | the §2.2 granule-vector cost simulation behind Figures 2–3 |
@@ -63,7 +63,7 @@ pub mod prelude {
     };
     pub use sim::{fig2_series, fig3_series, GranuleSim};
     pub use sql::{QueryOutput, SqlSession};
-    pub use storage::{Atom, AtomType, Bat};
+    pub use storage::Atom;
     pub use workload::homerun::homerun_sequence;
     pub use workload::scenario::{
         ChaosAction, ChaosSchedule, Op, RunReport, Scenario, ScenarioExecutor, ScenarioRunner,

@@ -1,13 +1,9 @@
-//! Integration: storage → engine → cracker. Tables built on BATs, queried
-//! through the Volcano pipeline and the cracking engine, with Ψ
-//! fragmentation in the loop.
+//! Integration: storage → engine → cracker. Tables built on dense
+//! columns, queried through the Volcano pipeline and the cracking engine.
 
-use dbcracker::cracker_core::project::{psi_crack, psi_reconstruct, VerticalFragment};
 use dbcracker::engine::exec::ops::{FilterOp, TableScanOp, XiTapOp};
 use dbcracker::engine::exec::{run_count, run_to_vec, Operator};
 use dbcracker::prelude::*;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 fn tapestry_table(n: usize) -> Table {
     let t = Tapestry::generate(n, 2, 0x7E57);
@@ -51,23 +47,6 @@ fn xi_tap_pieces_replace_the_original_table() {
     let rejects = tap.take_rejects();
     assert_eq!(kept + rejects.len(), table.len());
     assert!(rejects.iter().all(|r| r[2].as_int().unwrap() >= 500));
-}
-
-#[test]
-fn psi_fragments_round_trip_through_engine_tables() {
-    let table = tapestry_table(500);
-    let mut cols = BTreeMap::new();
-    for name in ["k", "a"] {
-        cols.insert(name.to_string(), Arc::clone(table.column(name).unwrap()));
-    }
-    let relation = VerticalFragment::new(cols).unwrap();
-    let split = psi_crack(&relation, &["a"]).unwrap();
-    assert_eq!(split.projected.attrs(), vec!["a"]);
-    assert_eq!(split.rest.attrs(), vec!["k"]);
-    let back = psi_reconstruct(&split).unwrap();
-    let tuple = back.tuple_by_oid(7).unwrap();
-    assert_eq!(tuple["k"], table.row(7).unwrap()[0]);
-    assert_eq!(tuple["a"], table.row(7).unwrap()[1]);
 }
 
 #[test]
